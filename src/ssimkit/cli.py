@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import click
 
+from . import __version__
 from .config import (
     parse_color,
     parse_multiscale,
@@ -83,7 +84,7 @@ def _build_spec(preset, window, stride, k1, k2, scale, color, multiscale,
         config=config,
         kt=kt if kt is not None else spec.kt,
         report_format=fmt or spec.report_format,
-        workers=workers or spec.workers,
+        workers=spec.workers if workers is None else workers,
     )
 
 
@@ -124,7 +125,7 @@ def _emit(data: bytes, output) -> None:
 
 
 @click.group()
-@click.version_option(package_name="ssimkit")
+@click.version_option(__version__, package_name="ssimkit")
 def main() -> None:
     """Full-reference structural-similarity scoring and benchmarking."""
 

@@ -131,6 +131,12 @@ def _read_line(fh: IO[bytes]) -> Optional[str]:
             raise BadHeader("unterminated header line")
 
 
+def _header_int(token: str, digits: str) -> int:
+    if not digits.isdigit():
+        raise BadHeader(f"header token {token!r} needs a decimal number")
+    return int(digits)
+
+
 def _parse_y4m_header(line: Optional[str]) -> StreamHeader:
     if line is None:
         raise BadHeader("missing stream header")
@@ -142,12 +148,12 @@ def _parse_y4m_header(line: Optional[str]) -> StreamHeader:
             continue
         tag, val = token[0], token[1:]
         if tag == "W":
-            width = int(val)
+            width = _header_int(token, val)
         elif tag == "H":
-            height = int(val)
+            height = _header_int(token, val)
         elif tag == "F":
             num, _, den = val.partition(":")
-            rate = (int(num), int(den or "1"))
+            rate = (_header_int(token, num), _header_int(token, den or "1"))
         elif tag == "C":
             if val not in _Y4M_CHROMA:
                 raise UnsupportedChroma(f"chroma tag C{val} is not supported")
@@ -224,9 +230,10 @@ def read_pnm(path: Union[str, os.PathLike]) -> FrameType:
     dtype = np.uint8 if bit_depth == 8 else np.dtype(">u2")  # PNM 16-bit is big-endian
     channels = 1 if kind == "P5" else 3
     count = width * height * channels
+    found = max(len(data) - offset, 0) // np.dtype(dtype).itemsize
+    if found < count:
+        raise TruncatedFrame(f"{path}: expected {count} samples, found {found}")
     payload = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-    if payload.size < count:
-        raise TruncatedFrame(f"{path}: expected {count} samples, found {payload.size}")
     if kind == "P5":
         return LumaPlane(payload.reshape(height, width), bit_depth)
     rgb = payload.reshape(height, width, 3)

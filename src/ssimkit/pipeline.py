@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -272,6 +273,39 @@ def _user_seconds() -> tuple[float, str]:
         return time.perf_counter(), "wall"
 
 
+def _score_pairs(
+    pairs: Iterator[tuple[FrameType, FrameType]],
+    config: SsimConfig,
+    workers: int,
+    volume: Optional[RollingVolume] = None,
+) -> list[FrameScore]:
+    """Score frame pairs in order; errors name the frame they came from.
+
+    With ``workers`` > 1 the pairs are scored on a thread pool, and at most
+    2 * workers decoded pairs are in flight: the next pair is decoded only
+    after the oldest pending one is scored, so memory stays bounded however
+    long the clip is.
+    """
+
+    def score(i: int, a: FrameType, b: FrameType) -> FrameScore:
+        try:
+            return score_frame_pair(a, b, config, volume)
+        except SsimkitError as exc:
+            raise type(exc)(f"frame {i}: {exc}") from exc
+
+    if workers == 1:
+        return [score(i, a, b) for i, (a, b) in enumerate(pairs)]
+    results: list[FrameScore] = []
+    pending: deque[Future] = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for i, (a, b) in enumerate(pairs):
+            pending.append(pool.submit(score, i, a, b))
+            if len(pending) == 2 * workers:
+                results.append(pending.popleft().result())
+        results.extend(f.result() for f in pending)
+    return results
+
+
 def run_score(
     ref_path: Union[str, os.PathLike],
     dist_path: Union[str, os.PathLike],
@@ -310,22 +344,9 @@ def run_score(
             results = [FrameScore(float(s), None, None, None) for s in series.scores]
         elif spec.kt > 1:
             volume = RollingVolume(spec.kt)
-            for i, (a, b) in enumerate(_stream_pairs(ref_stream, dist_stream)):
-                try:
-                    results.append(score_frame_pair(a, b, config, volume))
-                except SsimkitError as exc:
-                    raise type(exc)(f"frame {i}: {exc}") from exc
+            results = _score_pairs(_stream_pairs(ref_stream, dist_stream), config, 1, volume)
         else:
-            pairs = _stream_pairs(ref_stream, dist_stream)
-            if spec.workers > 1:
-                with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-                    results = list(pool.map(lambda ab: score_frame_pair(*ab, config), pairs))
-            else:
-                for i, (a, b) in enumerate(pairs):
-                    try:
-                        results.append(score_frame_pair(a, b, config))
-                    except SsimkitError as exc:
-                        raise type(exc)(f"frame {i}: {exc}") from exc
+            results = _score_pairs(_stream_pairs(ref_stream, dist_stream), config, spec.workers)
     except SsimkitError as exc:
         raise type(exc)(f"{ref_path} vs {dist_path}: {exc}") from exc
     if not results:

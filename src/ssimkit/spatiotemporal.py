@@ -2,9 +2,13 @@
 
 Local statistics extend to a temporal depth of Kt frames. Keeping rolling
 per-pixel sums of the last Kt frames (subtract the frame leaving the window,
-add the one entering) makes the per-frame cost independent of Kt; spatial
-window sums then come from integral images over the five temporal-sum planes.
-With Kt = 1 everything reduces exactly to frame-wise SSIM.
+add the one entering) makes the per-frame cost independent of Kt. Integer
+frames keep int64 running sums, which never drift, and their spatial window
+sums come from the exact separable :func:`~ssimkit.stats.box_sums` (wrapping
+uint32 while k^2 times the largest running sum fits in 32 bits, int64
+beyond). Once a float frame arrives the sums turn float64 and spatial sums
+come from float64 summed-area tables, as for 2-D float planes. With Kt = 1
+everything reduces exactly to frame-wise SSIM.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import (
 from .frames import PlaneLike, ScoreSeries, plane_data, validate_frame_pair
 from .multiscale import combine_scale_scores, dyadic_downsample
 from .ssim import SsimTermMaps, mssim, term_maps_from_stats
-from .stats import LocalStatsMaps, _grid_window_sums, _sat, stats_from_sums
+from .stats import LocalStatsMaps, _pair_terms, _window_sums, stats_from_sums
 
 #: Rolling sums are rebuilt from the buffered frames this often, bounding
 #: floating-point drift from the subtract/add recursion.
@@ -35,6 +39,7 @@ class RollingVolume:
 
     Single-owner and sequential: push frames in temporal order, then ask for
     maps. Before Kt frames arrive, statistics cover only the buffered depth.
+    The sums are int64 while every pushed frame is integer, float64 after.
     """
 
     def __init__(self, kt: int, refresh_interval: int = REFRESH_INTERVAL):
@@ -44,6 +49,7 @@ class RollingVolume:
         self.refresh_interval = refresh_interval
         self._buffer: deque[tuple[np.ndarray, np.ndarray]] = deque()
         self._sums: Optional[list[np.ndarray]] = None  # I1, I2, I1^2, I2^2, I1*I2
+        self._integer = True
         self._pushes = 0
         self._dims: Optional[tuple[int, int]] = None
 
@@ -57,32 +63,31 @@ class RollingVolume:
         """(buffered frame pairs, running sum planes) for memory accounting."""
         return len(self._buffer), 0 if self._sums is None else len(self._sums)
 
+    @property
+    def _sum_dtype(self) -> type:
+        return np.int64 if self._integer else np.float64
+
     def push(self, ref: PlaneLike, dist: PlaneLike) -> "RollingVolume":
         """Advance the temporal window by one frame pair."""
         ref, dist = validate_frame_pair(ref, dist)
-        a = np.asarray(plane_data(ref), dtype=np.float64)
-        b = np.asarray(plane_data(dist), dtype=np.float64)
+        a, b = plane_data(ref), plane_data(dist)
         if self._dims is None:
             self._dims = a.shape
         elif a.shape != self._dims:
             raise DimensionMismatch(
                 f"frame {a.shape[::-1]} pushed into a {self._dims[::-1]} volume"
             )
-        terms = [a, b, a * a, b * b, a * b]
+        if self._integer and not (a.dtype.kind in "ui" and b.dtype.kind in "ui"):
+            self._integer = False
+            if self._sums is not None:
+                self._sums = [s.astype(np.float64) for s in self._sums]
+        terms = _pair_terms(a, b, self._integer)
         if self._sums is None or self.kt == 1:
             # Kt = 1 degenerates to the newest frame exactly; no recursion.
-            self._sums = [t.copy() for t in terms]
+            self._sums = [np.array(t, dtype=self._sum_dtype) for t in terms]
         elif len(self._buffer) == self.kt:
-            oldest = self._buffer[0]
-            old_terms = [
-                oldest[0],
-                oldest[1],
-                oldest[0] * oldest[0],
-                oldest[1] * oldest[1],
-                oldest[0] * oldest[1],
-            ]
             # T(k) = T(k-1) - I(k-Kt) + I(k), per plane.
-            for s, new, old in zip(self._sums, terms, old_terms):
+            for s, new, old in zip(self._sums, terms, _pair_terms(*self._buffer[0], self._integer)):
                 s -= old
                 s += new
         else:
@@ -104,13 +109,10 @@ class RollingVolume:
         """Sums recomputed from scratch over the buffered frames (drift oracle)."""
         if not self._buffer:
             raise ValidationError("no frames buffered")
-        sums = [np.zeros(self._dims) for _ in range(5)]
+        sums = [np.zeros(self._dims, dtype=self._sum_dtype) for _ in range(5)]
         for a, b in self._buffer:
-            sums[0] += a
-            sums[1] += b
-            sums[2] += a * a
-            sums[3] += b * b
-            sums[4] += a * b
+            for s, t in zip(sums, _pair_terms(a, b, self._integer)):
+                s += t
         return sums
 
     def temporal_sums(self) -> list[np.ndarray]:
@@ -128,8 +130,7 @@ class RollingVolume:
         k, stride = window.k, window.stride
         if k > h or k > w:
             raise ValidationError(f"{k}x{k} window does not fit a {w}x{h} frame")
-        tables = [_sat(s) for s in sums]
-        grids = [_grid_window_sums(t, k, stride) for t in tables]
+        grids = _window_sums(sums, k, stride, self._integer)
         area = float(k * k * self.depth)
         mu1, mu2, var1, var2, cov = stats_from_sums(*grids, area=area)
         return LocalStatsMaps(

@@ -28,22 +28,48 @@ class SsimTermMaps:
     q_map: QualityMap
 
 
+#: Rows per band in term_maps_from_stats: a band's scratch stays in cache
+#: between the in-place passes, instead of each pass sweeping whole grids.
+BAND_ROWS = 64
+
+
 def term_maps_from_stats(stats: LocalStatsMaps, c1: float, c2: float) -> SsimTermMaps:
     """Build the l / cs / q maps from local statistics grids.
 
     l = (2 mu1 mu2 + C1) / (mu1^2 + mu2^2 + C1)
     cs = (2 cov + C2) / (var1 + var2 + C2)
     q = l * cs
+
+    Evaluated in place, in the order written, band by band of rows into the
+    three result grids plus one band of scratch; the statistics are left
+    untouched.
     """
-    mu1, mu2 = stats.mu1, stats.mu2
-    l = (2.0 * mu1 * mu2 + c1) / (mu1 * mu1 + mu2 * mu2 + c1)
-    cs = (2.0 * stats.cov + c2) / (stats.var1 + stats.var2 + c2)
+    shape = stats.mu1.shape
+    l, cs, q = np.empty(shape), np.empty(shape), np.empty(shape)
+    scratch = np.empty((min(BAND_ROWS, shape[0]), shape[1]))
+    for top in range(0, shape[0], BAND_ROWS):
+        rows = slice(top, top + BAND_ROWS)
+        mu1, mu2, lb, csb, qb = stats.mu1[rows], stats.mu2[rows], l[rows], cs[rows], q[rows]
+        den = scratch[: len(lb)]
+        np.multiply(2.0, mu1, out=lb)
+        lb *= mu2
+        lb += c1
+        np.multiply(mu1, mu1, out=den)
+        den += np.multiply(mu2, mu2, out=qb)  # q's band is free until the last step
+        den += c1
+        lb /= den
+        np.multiply(2.0, stats.cov[rows], out=csb)
+        csb += c2
+        np.add(stats.var1[rows], stats.var2[rows], out=den)
+        den += c2
+        csb /= den
+        np.multiply(lb, csb, out=qb)
     geometry = dict(stride=stats.stride, source_dims=stats.source_dims)
-    return SsimTermMaps(
-        l_map=QualityMap(l, **geometry),
-        cs_map=QualityMap(cs, **geometry),
-        q_map=QualityMap(l * cs, **geometry),
-    )
+    maps = []
+    for values in (l, cs, q):
+        values.setflags(write=False)  # QualityMap keeps read-only arrays without a copy
+        maps.append(QualityMap(values, **geometry))
+    return SsimTermMaps(*maps)
 
 
 def ssim_map(ref: PlaneLike, dist: PlaneLike, config: SsimConfig = SsimConfig()) -> SsimTermMaps:

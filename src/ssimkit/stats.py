@@ -1,10 +1,21 @@
 """Windowed local statistics (means, variances, covariance) for image pairs.
 
 Two engines produce identical grids: a direct one that slides the window and
-accumulates weighted sums (any window shape), and an integral-image one that
-turns rectangular-window sums into four table lookups, dropping the cost from
-O(MN k^2) to O(MN). Only fully interior windows are evaluated (valid region,
-no padding); the grid is sampled every ``stride`` pixels from anchor (0, 0).
+accumulates weighted sums (any window shape), and a fast one for rectangular
+windows whose cost per pixel does not depend on k. Only fully interior windows
+are evaluated (valid region, no padding); the grid is sampled every
+``stride`` pixels from anchor (0, 0).
+
+The fast engine's route depends on the sample type. Integer planes go through
+:func:`box_sums`: two separable passes (a row-wise cumulative sum and its
+k-apart difference, then a running-row recurrence down the columns) in
+wrapping uint32 arithmetic. Modular differences are exact whenever the
+largest true window sum fits in 32 bits, e.g. k^2 * peak^2 < 2^32 for the
+product planes (k <= 257 at 8 bits, k <= 64 at 10 bits); past that bound the
+same passes run in int64. The sums are exact integers either way, so the
+grids equal the direct engine's bit for bit. Float planes (converted colour,
+pyramid levels, box-downsampled frames) keep float64 summed-area tables with
+the four-corner rule, whose rounding the published scores depend on.
 """
 
 from __future__ import annotations
@@ -141,6 +152,74 @@ def _grid_window_sums(table: np.ndarray, k: int, stride: int) -> np.ndarray:
     return (table[bottom, right] + table[top, left]) - (table[bottom, left] + table[top, right])
 
 
+def _grid_shape(h: int, w: int, k: int, stride: int) -> tuple[int, int]:
+    return (h - k) // stride + 1, (w - k) // stride + 1
+
+
+def box_sums(plane: np.ndarray, k: int, stride: int = 1, out: np.ndarray | None = None) -> np.ndarray:
+    """Exact k x k window sums of an integer plane on the stride grid.
+
+    A horizontal pass takes each row's cumulative sum and its k-apart
+    difference h (at the grid's columns only); a vertical pass runs
+    v[i] = v[i-1] - h[i-1] + h[i+k-1] down the rows in place. Both wrap in
+    uint32 when the largest possible window sum, k^2 * max(plane), fits in
+    32 bits, and run in int64 otherwise. The sums are written into ``out``
+    when given (any dtype that holds them, e.g. float64), else returned in
+    the working integer dtype.
+    """
+    h, w = plane.shape
+    gw = _grid_shape(h, w, k, stride)[1]
+    nonneg = plane.dtype.kind == "u" or plane.min() >= 0
+    work = np.uint32 if nonneg and k * k * int(plane.max()) < 1 << 32 else np.int64
+    cum = np.empty((h, w + 1), dtype=work)
+    cum[:, 0] = 0
+    np.cumsum(plane, axis=1, dtype=work, out=cum[:, 1:])
+    span = (gw - 1) * stride + 1
+    # h[j] sits in row j + 1, so v[i] can overwrite h[i-1], its last use.
+    rows = np.empty((h + 1, gw), dtype=work)
+    np.subtract(cum[:, k : k + span : stride], cum[:, :span:stride], out=rows[1:])
+    del cum
+    rows[1 : k + 1].sum(axis=0, dtype=work, out=rows[0])
+    views = list(rows)  # one view per row, made once: the loop allocates nothing
+    for prev, cur, entering in zip(views, views[1:], views[k + 1 :]):
+        np.subtract(prev, cur, out=cur)
+        np.add(cur, entering, out=cur)
+    sums = rows[: h - k + 1 : stride]
+    if out is None:
+        return np.ascontiguousarray(sums)
+    out[...] = sums
+    return out
+
+
+def _pair_terms(a: np.ndarray, b: np.ndarray, integer: bool):
+    """The five planes I1, I2, I1^2, I2^2, I1*I2, one at a time.
+
+    Integer products are exact in uint32 up to 16-bit unsigned samples and
+    in int64 beyond; anything else is promoted to float64.
+    """
+    if integer:
+        small = all(x.dtype.kind == "u" and x.dtype.itemsize <= 2 for x in (a, b))
+        dtype = np.uint32 if small else np.int64
+    else:
+        dtype = np.float64
+        a, b = a.astype(dtype), b.astype(dtype)
+    yield a
+    yield b
+    for x, y in ((a, a), (b, b), (a, b)):
+        yield np.multiply(x, y, dtype=dtype, casting="unsafe")
+
+
+def _window_sums(planes, k: int, stride: int, integer: bool) -> list[np.ndarray]:
+    """Float64 k x k window sums of each plane on the stride grid.
+
+    Integer planes take the exact :func:`box_sums`; float planes keep the
+    float64 summed-area tables whose rounding published scores carry.
+    """
+    if not integer:
+        return [_grid_window_sums(_sat(p), k, stride) for p in planes]
+    return [box_sums(p, k, stride, np.empty(_grid_shape(*p.shape, k, stride))) for p in planes]
+
+
 def _sliding_raw_sums(values: np.ndarray, k: int, stride: int) -> np.ndarray:
     """Direct windowed sums: accumulate the k^2 shifted slices."""
     h, w = values.shape
@@ -193,12 +272,18 @@ def stats_from_sums(
     """Means/variances/covariance from raw window sums over ``area`` samples.
 
     Variances use E[X^2] - E[X]^2 with negative floating residue clamped to 0.
+    The float64 sum grids are consumed: each result is written over its sum.
     """
-    mu1 = s1 / area
-    mu2 = s2 / area
-    var1 = np.maximum(q1 / area - mu1 * mu1, 0.0)
-    var2 = np.maximum(q2 / area - mu2 * mu2, 0.0)
-    cov = p12 / area - mu1 * mu2
+    mu1 = np.divide(s1, area, out=s1)
+    mu2 = np.divide(s2, area, out=s2)
+    square = np.multiply(mu1, mu1)
+    var1 = np.subtract(np.divide(q1, area, out=q1), square, out=q1)
+    np.maximum(var1, 0.0, out=var1)
+    np.multiply(mu2, mu2, out=square)
+    var2 = np.subtract(np.divide(q2, area, out=q2), square, out=q2)
+    np.maximum(var2, 0.0, out=var2)
+    np.multiply(mu1, mu2, out=square)
+    cov = np.subtract(np.divide(p12, area, out=p12), square, out=p12)
     return mu1, mu2, var1, var2, cov
 
 
@@ -215,7 +300,7 @@ def local_statistics(
     window is rectangular). Both routes produce the same grids.
     """
     ref, dist = validate_frame_pair(ref, dist)
-    a = plane_data(ref)
+    a, b = plane_data(ref), plane_data(dist)
     h, w = a.shape
     k, stride = window.k, window.stride
     if k > h or k > w:
@@ -227,33 +312,16 @@ def local_statistics(
     if engine == "integral" and window.shape != "rect":
         raise EngineShapeMismatch("the integral engine supports rectangular windows only")
 
+    integer = engine == "integral" and a.dtype.kind in "ui" and b.dtype.kind in "ui"
+    terms = _pair_terms(a, b, integer)
     if engine == "integral":
-        iset = build_integral_set(ref, dist)
-        sums = [_grid_window_sums(iset.table(t), k, stride).astype(np.float64) for t in TABLE_IDS]
-        mu1, mu2, var1, var2, cov = stats_from_sums(*sums, area=float(k * k))
+        sums, area = _window_sums(terms, k, stride, integer), float(k * k)
     elif window.shape == "rect":
-        fa = np.asarray(a, dtype=np.float64)
-        fb = np.asarray(plane_data(dist), dtype=np.float64)
-        sums = [
-            _sliding_raw_sums(fa, k, stride),
-            _sliding_raw_sums(fb, k, stride),
-            _sliding_raw_sums(fa * fa, k, stride),
-            _sliding_raw_sums(fb * fb, k, stride),
-            _sliding_raw_sums(fa * fb, k, stride),
-        ]
-        mu1, mu2, var1, var2, cov = stats_from_sums(*sums, area=float(k * k))
+        sums, area = [_sliding_raw_sums(t, k, stride) for t in terms], float(k * k)
     else:
         kern = gaussian_kernel(window.sigma, k)
-        fa = np.asarray(a, dtype=np.float64)
-        fb = np.asarray(plane_data(dist), dtype=np.float64)
-        sums = [
-            _sliding_weighted_sums(fa, kern, stride),
-            _sliding_weighted_sums(fb, kern, stride),
-            _sliding_weighted_sums(fa * fa, kern, stride),
-            _sliding_weighted_sums(fb * fb, kern, stride),
-            _sliding_weighted_sums(fa * fb, kern, stride),
-        ]
-        mu1, mu2, var1, var2, cov = stats_from_sums(*sums, area=1.0)
+        sums, area = [_sliding_weighted_sums(t, kern, stride) for t in terms], 1.0
+    mu1, mu2, var1, var2, cov = stats_from_sums(*sums, area=area)
 
     return LocalStatsMaps(
         mu1=mu1, mu2=mu2, var1=var1, var2=var2, cov=cov,

@@ -1,12 +1,15 @@
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ssimkit import pipeline
 from ssimkit.cli import main
 from ssimkit.config import MultiscaleSpec, SsimConfig, WindowSpec
-from ssimkit.errors import LengthMismatch
+from ssimkit.errors import LengthMismatch, ValidationError
 from ssimkit.evaluation import Logistic5, eval_5pl
 from ssimkit.frames import ColorFrame, LumaPlane
 from ssimkit.media import StreamHeader, write_pnm, write_y4m
@@ -62,6 +65,11 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(Exception):
             expand_preset("turbo")
+
+    def test_version_needs_no_installed_metadata(self, runner):
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0
+        assert "0.1.0" in result.output
 
     def test_presets_command(self, runner):
         result = runner.invoke(main, ["presets"])
@@ -129,6 +137,52 @@ class TestRunScore:
             r["score"] for r in threaded["records"]
         ]
 
+    def test_worker_threads_bound_frames_in_flight(self, tmp_path, rng, monkeypatch):
+        refs = [natural_plane(rng, 24, 24) for _ in range(12)]
+        ref_path = make_y4m(tmp_path / "ref.y4m", refs)
+        dist_path = make_y4m(tmp_path / "dist.y4m", [noisy_version(rng, p, 15) for p in refs])
+        serial = run_score(ref_path, dist_path, PipelineSpec())
+
+        lock = threading.Lock()
+        counts = {"decoded": 0, "scored": 0, "most": 0}
+        stream_pairs, score = pipeline._stream_pairs, pipeline.score_frame_pair
+
+        def counting_pairs(ref, dist):
+            for pair in stream_pairs(ref, dist):
+                with lock:
+                    counts["decoded"] += 1
+                    counts["most"] = max(counts["most"], counts["decoded"] - counts["scored"])
+                yield pair
+
+        def slow_score(*args):
+            time.sleep(0.01)  # scoring slower than decoding fills the pool if nothing bounds it
+            result = score(*args)
+            with lock:
+                counts["scored"] += 1
+            return result
+
+        monkeypatch.setattr(pipeline, "_stream_pairs", counting_pairs)
+        monkeypatch.setattr(pipeline, "score_frame_pair", slow_score)
+        threaded = run_score(ref_path, dist_path, PipelineSpec(workers=2))
+        assert counts["decoded"] == counts["scored"] == 12
+        assert counts["most"] <= 4
+        assert threaded["records"] == serial["records"]
+
+    def test_worker_errors_name_the_frame(self, media, monkeypatch):
+        ref_path, dist_path, _, _ = media
+        score = pipeline.score_frame_pair
+        calls = []
+
+        def failing_score(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValidationError("boom")
+            return score(*args)
+
+        monkeypatch.setattr(pipeline, "score_frame_pair", failing_score)
+        with pytest.raises(ValidationError, match="frame 1: boom"):
+            run_score(ref_path, dist_path, PipelineSpec(workers=2))
+
     def test_length_mismatch_detected(self, tmp_path, rng):
         a = make_y4m(tmp_path / "a.y4m", [natural_plane(rng, 16, 16)])
         b = make_y4m(tmp_path / "b.y4m", [natural_plane(rng, 16, 16)] * 2)
@@ -183,6 +237,12 @@ class TestScoreCommand:
     def test_missing_file_is_input_error(self, runner, tmp_path):
         result = runner.invoke(main, ["score", str(tmp_path / "no.y4m"), str(tmp_path / "pe.y4m")])
         assert result.exit_code == 2
+
+    def test_zero_workers_is_rejected(self, runner, media):
+        ref_path, dist_path, _, _ = media
+        result = runner.invoke(main, ["score", str(ref_path), str(dist_path), "--workers", "0"])
+        assert result.exit_code == 2
+        assert "workers" in result.output
 
     def test_flag_overrides(self, runner, media):
         ref_path, dist_path, _, _ = media

@@ -84,6 +84,15 @@ class TestY4m:
         with pytest.raises(BadHeader):
             read_y4m(path)
 
+    @pytest.mark.parametrize("header", [
+        b"YUV4MPEG2 Wabc H4", b"YUV4MPEG2 W4 H4x", b"YUV4MPEG2 W4 H4 Fx:1", b"YUV4MPEG2 W4 H4 F30:1.5",
+    ])
+    def test_non_numeric_header_numbers(self, tmp_path, header):
+        path = tmp_path / "words.y4m"
+        path.write_bytes(header + b"\nFRAME\n" + bytes(24))
+        with pytest.raises(BadHeader):
+            read_y4m(path)
+
     def test_roundtrip_bit_exact(self, tmp_path, rng):
         frames = [make_ycbcr_frame(rng, 6, 4, "444") for _ in range(2)]
         path = tmp_path / "rt.y4m"
@@ -189,6 +198,15 @@ class TestPnm:
             read_pnm(path)
         path.write_bytes(b"P5\n1 1\n70000\n\x00\x00")
         with pytest.raises(UnsupportedMaxval):
+            read_pnm(path)
+
+    @pytest.mark.parametrize("content", [
+        b"P5\n4 4\n255\nabc", b"P5\n2 2\n255", b"P6\n1 1\n255\n\x01\x02", b"P5\n1 1\n65535\n\x01",
+    ])
+    def test_truncated_payload(self, tmp_path, content):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(content)
+        with pytest.raises(TruncatedFrame):
             read_pnm(path)
 
     def test_sixteen_bit_big_endian(self, tmp_path):

@@ -94,6 +94,25 @@ class TestRollingSums:
         )
         assert worst < 1e-3
 
+    @pytest.mark.parametrize("bits", [8, 10])
+    def test_integer_frames_keep_exact_sums(self, rng, bits):
+        vol = RollingVolume(3, refresh_interval=0)
+        for _ in range(40):
+            vol.push(random_plane(rng, 9, 11, bits), random_plane(rng, 9, 11, bits))
+            for rolled, direct in zip(vol.temporal_sums(), vol.direct_sums()):
+                assert rolled.dtype == np.int64
+                assert np.array_equal(rolled, direct)
+
+    def test_float_frame_turns_integer_sums_float(self, rng):
+        vol = RollingVolume(2)
+        a, b = random_plane(rng, 8, 8), random_plane(rng, 8, 8)
+        vol.push(a, b)
+        vol.push(a.as_float() / 2, b.as_float())
+        for rolled, direct in zip(vol.temporal_sums(), vol.direct_sums()):
+            assert rolled.dtype == np.float64
+            assert np.array_equal(rolled, direct)
+        assert np.array_equal(vol.temporal_sums()[0], a.samples * 1.5)
+
     def test_dimension_mismatch(self, rng):
         vol = RollingVolume(2)
         vol.push(random_plane(rng, 8, 8), random_plane(rng, 8, 8))
@@ -111,6 +130,18 @@ class TestSsim3dMap:
         assert np.array_equal(maps3d.q_map.values, maps2d.q_map.values)
         assert np.array_equal(maps3d.l_map.values, maps2d.l_map.values)
         assert np.array_equal(maps3d.cs_map.values, maps2d.cs_map.values)
+
+    @pytest.mark.parametrize("bits,stride", [(8, 3), (10, 1), (10, 4)])
+    def test_kt_one_equals_framewise_bit_for_bit(self, rng, bits, stride):
+        config = SsimConfig(bit_depth=bits, window=WindowSpec.rectangular(7, stride=stride))
+        vol = RollingVolume(1)
+        for _ in range(3):
+            a, b = random_plane(rng, 30, 26, bits), random_plane(rng, 30, 26, bits)
+            vol.push(a, b)
+            maps3d = ssim3d_map(vol, config.window, config)
+            maps2d = ssim_map(a, b, config)
+            for name in ("l_map", "cs_map", "q_map"):
+                assert np.array_equal(getattr(maps3d, name).values, getattr(maps2d, name).values)
 
     def test_static_video_equals_single_frame(self, rng):
         a, b = random_plane(rng, 20, 20), random_plane(rng, 20, 20)

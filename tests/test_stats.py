@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssimkit.config import WindowSpec
 from ssimkit.errors import (
@@ -13,6 +15,8 @@ from ssimkit.errors import (
 )
 from ssimkit.frames import LumaPlane
 from ssimkit.stats import (
+    _sliding_raw_sums,
+    box_sums,
     build_integral_set,
     gaussian_kernel,
     local_statistics,
@@ -154,6 +158,64 @@ class TestWindowSum:
             window_sum(iset, "sum1", 5, 5, 4)
         with pytest.raises(WindowOutOfBounds):
             window_sum(iset, "sum1", -1, 0, 2)
+
+
+@st.composite
+def integer_planes(draw):
+    """A uint8 or 10-bit uint16 plane with a window size and stride that fit it."""
+    bits = draw(st.sampled_from([8, 10]))
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    k = draw(st.one_of(st.just(min(h, w)), st.integers(1, min(h, w))))
+    stride = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plane = rng.integers(0, 1 << bits, (h, w)).astype(np.uint8 if bits == 8 else np.uint16)
+    return plane, k, stride
+
+
+class TestBoxSums:
+    @settings(max_examples=150, deadline=None)
+    @given(integer_planes())
+    def test_equals_direct_sums_exactly(self, case):
+        plane, k, stride = case
+        for values in (plane, plane.astype(np.uint32) ** 2):
+            expected = _sliding_raw_sums(values, k, stride)
+            assert np.array_equal(box_sums(values, k, stride), expected)
+            out = box_sums(values, k, stride, np.empty(expected.shape))
+            assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("bits,k,work", [
+        (8, 257, np.uint32), (8, 259, np.int64), (10, 64, np.uint32), (10, 65, np.int64),
+    ])
+    def test_uint32_holds_up_to_the_bound_int64_past_it(self, rng, bits, k, work):
+        # Squared samples are the largest planes the statistics sum: at full
+        # scale every window sum is k^2 * peak^2, just under or over 2^32.
+        peak = (1 << bits) - 1
+        full = np.full((k + 2, k + 3), peak * peak, dtype=np.uint32)
+        noisy = rng.integers(0, peak + 1, full.shape).astype(np.uint32) ** 2
+        noisy[0, 0] = peak * peak
+        for values in (full, noisy):
+            sums = box_sums(values, k, 1)
+            assert sums.dtype == work
+            assert np.array_equal(sums, _sliding_raw_sums(values, k, 1))
+        assert (work is np.uint32) == (k * k * peak * peak < 2**32)
+
+    def test_signed_input_uses_int64(self):
+        values = np.array([[-3, 4, 5], [6, -7, 8]], dtype=np.int16)
+        sums = box_sums(values, 2, 1)
+        assert sums.dtype == np.int64
+        assert np.array_equal(sums, [[0, 10]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_planes(), st.integers(0, 2**32 - 1))
+    def test_integer_statistics_equal_naive_bit_for_bit(self, case, seed):
+        plane, k, stride = case
+        rng = np.random.default_rng(seed)
+        other = rng.integers(0, int(plane.max()) + 1, plane.shape).astype(plane.dtype)
+        window = WindowSpec.rectangular(k, stride=stride)
+        fast = local_statistics(plane, other, window, "integral")
+        slow = local_statistics(plane, other, window, "naive")
+        for name in ("mu1", "mu2", "var1", "var2", "cov"):
+            assert np.array_equal(getattr(fast, name), getattr(slow, name))
 
 
 class TestLocalStatistics:
