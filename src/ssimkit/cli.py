@@ -22,7 +22,7 @@ from .config import (
     parse_scale,
     parse_window,
 )
-from .errors import DegenerateData, SsimkitError
+from .errors import DegenerateData, SsimkitError, ValidationError
 import numpy as np
 
 from .evaluation import (
@@ -55,37 +55,43 @@ def _fail(exc: Exception, code: int) -> None:
     sys.exit(code)
 
 
-def _build_spec(preset, window, stride, k1, k2, scale, color, multiscale,
-                spatial_pool, temporal_pool, engine, kt, fmt, workers) -> PipelineSpec:
+def _config_setter(field: str, parse=lambda value: value):
+    return lambda config, value: replace(config, **{field: parse(value)})
+
+
+#: The overrides that ``score`` options and benchmark spec-string keys give,
+#: name -> (cast of spec-string text, setter on the config). A setter of None
+#: marks the preset, or a PipelineSpec field. Setters run in this order, so a
+#: stride lands on the window chosen with it. Spec strings write ``_`` as ``-``.
+_OVERRIDES = {
+    "preset": (str, None),
+    "window": (str, _config_setter("window", parse_window)),
+    "stride": (int, lambda config, value: replace(config, window=config.window.with_stride(value))),
+    "k1": (float, _config_setter("k1")),
+    "k2": (float, _config_setter("k2")),
+    "scale": (str, _config_setter("scaling", parse_scale)),
+    "color": (str, _config_setter("color", parse_color)),
+    "multiscale": (str, _config_setter("multiscale", parse_multiscale)),
+    "spatial_pool": (str, _config_setter("spatial_pool")),
+    "temporal_pool": (str, _config_setter("temporal_pool")),
+    "engine": (str, _config_setter("engine")),
+    "kt": (int, None),
+}
+
+
+def _build_spec(preset=None, **overrides) -> PipelineSpec:
+    """A preset (or the default spec) with the given overrides; None gives none.
+
+    Besides the config overrides, ``kt``, ``report_format`` and ``workers``
+    set the PipelineSpec fields of those names.
+    """
     spec = expand_preset(preset) if preset else PipelineSpec()
+    given = {name: value for name, value in overrides.items() if value is not None}
     config = spec.config
-    if window is not None:
-        config = replace(config, window=parse_window(window))
-    if stride is not None:
-        config = replace(config, window=config.window.with_stride(stride))
-    if k1 is not None:
-        config = replace(config, k1=k1)
-    if k2 is not None:
-        config = replace(config, k2=k2)
-    if scale is not None:
-        config = replace(config, scaling=parse_scale(scale))
-    if color is not None:
-        config = replace(config, color=parse_color(color))
-    if multiscale is not None:
-        config = replace(config, multiscale=parse_multiscale(multiscale))
-    if spatial_pool is not None:
-        config = replace(config, spatial_pool=spatial_pool)
-    if temporal_pool is not None:
-        config = replace(config, temporal_pool=temporal_pool)
-    if engine is not None:
-        config = replace(config, engine=engine)
-    return replace(
-        spec,
-        config=config,
-        kt=kt if kt is not None else spec.kt,
-        report_format=fmt or spec.report_format,
-        workers=spec.workers if workers is None else workers,
-    )
+    for name, (_, setter) in _OVERRIDES.items():
+        if setter is not None and name in given:
+            config = setter(config, given.pop(name))
+    return replace(spec, config=config, **given)
 
 
 def _spec_from_string(text: str) -> tuple[str, PipelineSpec]:
@@ -93,27 +99,19 @@ def _spec_from_string(text: str) -> tuple[str, PipelineSpec]:
     label, _, body = text.partition("=")
     if not body:
         return text.strip(), expand_preset(text.strip())
-    parts = [p.strip() for p in body.split(";") if p.strip()]
-    kwargs = dict(
-        preset=None, window=None, stride=None, k1=None, k2=None, scale=None,
-        color=None, multiscale=None, spatial_pool=None, temporal_pool=None,
-        engine=None, kt=None, fmt=None, workers=None,
-    )
-    key_map = {
-        "preset": ("preset", str), "window": ("window", str), "stride": ("stride", int),
-        "k1": ("k1", float), "k2": ("k2", float), "scale": ("scale", str),
-        "color": ("color", str), "multiscale": ("multiscale", str),
-        "spatial-pool": ("spatial_pool", str), "temporal-pool": ("temporal_pool", str),
-        "engine": ("engine", str), "kt": ("kt", int),
-    }
-    for part in parts:
+    keys = {name.replace("_", "-"): name for name in _OVERRIDES}
+    overrides = {}
+    for part in filter(None, (p.strip() for p in body.split(";"))):
         key, _, value = part.partition("=")
         key = key.strip().lower()
-        if key not in key_map:
+        if key not in keys:
             raise SsimkitError(f"unknown spec key {key!r} in {text!r}")
-        name, cast = key_map[key]
-        kwargs[name] = cast(value.strip())
-    return label.strip(), _build_spec(**kwargs)
+        name = keys[key]
+        try:
+            overrides[name] = _OVERRIDES[name][0](value.strip())
+        except ValueError:
+            raise ValidationError(f"bad {key} value {value.strip()!r} in {text!r}") from None
+    return label.strip(), _build_spec(**overrides)
 
 
 def _emit(data: bytes, output) -> None:
@@ -150,7 +148,7 @@ def main() -> None:
                    "| md:p=..,o=.. | fns | dw:p=.. | mink:p=.. | pp:ps=..,rs=..")
 @click.option("--engine", type=click.Choice(["auto", "naive", "integral"]), default=None)
 @click.option("--kt", type=int, default=None, help="Temporal window depth (SSIM-3D when > 1).")
-@click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default=None)
+@click.option("--format", "report_format", type=click.Choice(["jsonl", "csv"]), default=None)
 @click.option("--workers", type=int, default=None, help="Worker threads for frame scoring.")
 @click.option("--width", type=int, default=None, help="Raw input width.")
 @click.option("--height", type=int, default=None, help="Raw input height.")
@@ -158,13 +156,10 @@ def main() -> None:
 @click.option("--chroma", type=click.Choice(["420", "444", "400"]), default="420",
               help="Raw input chroma subsampling.")
 @click.option("--output", default=None, help="Write per-frame records here instead of stdout.")
-def score(ref, dist, preset, window, stride, k1, k2, scale, color, multiscale,
-          spatial_pool, temporal_pool, engine, kt, fmt, workers,
-          width, height, bit_depth, chroma, output) -> None:
+def score(ref, dist, width, height, bit_depth, chroma, output, **overrides) -> None:
     """Score a distorted file against its reference."""
     try:
-        spec = _build_spec(preset, window, stride, k1, k2, scale, color, multiscale,
-                           spatial_pool, temporal_pool, engine, kt, fmt, workers)
+        spec = _build_spec(**overrides)
         report = run_score(ref, dist, spec, width=width, height=height,
                            bit_depth=bit_depth, chroma=chroma)
     except SsimkitError as exc:

@@ -9,6 +9,7 @@ frames.
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Union
 
 import numpy as np
 
@@ -98,8 +99,10 @@ def upsample_chroma(frame: ColorFrame) -> ColorFrame:
     return ColorFrame((frame.channels[0], up[0], up[1]), frame.space, CHROMA_444, frame.bit_depth)
 
 
-def luma_of(frame: ColorFrame) -> LumaPlane:
-    """Luminance plane of an RGB or YCbCr frame."""
+def luma_of(frame: Union[LumaPlane, ColorFrame]) -> LumaPlane:
+    """Luminance plane of an RGB or YCbCr frame; a luma plane comes back unchanged."""
+    if isinstance(frame, LumaPlane):
+        return frame
     if frame.space == SPACE_YCBCR:
         return LumaPlane(frame.channels[0], frame.bit_depth)
     if frame.space == SPACE_RGB:
@@ -193,10 +196,13 @@ def qssim(
     the covariance-based factor |2 cov_rd + C2| / (var_r + var_d + C2), with
     the quaternion covariance cov_rd = E[q_r conj(q_d)] - mu_r conj(mu_d).
     Setting the window to the frame size recovers the whole-frame form.
+    YCbCr input is converted to RGB for the ``rgb`` and ``lab`` embeddings.
     """
     validate_color_pair(ref, dist)
     if window.shape != "rect":
         raise ValidationError("quaternion similarity uses rectangular windows")
+    if space in ("rgb", "lab") and ref.space == SPACE_YCBCR:
+        ref, dist = ycbcr_bt709_to_rgb(ref), ycbcr_bt709_to_rgb(dist)
     ref, dist = upsample_chroma(ref), upsample_chroma(dist)
     r1, g1, b1 = _embedding_channels(ref, space)
     r2, g2, b2 = _embedding_channels(dist, space)

@@ -301,11 +301,11 @@ def _parse_manifest(fh) -> list[dict]:
                 "dist_path": row["dist_path"].strip(),
                 "subjective_score": float(row["subjective_score"]),
             }
+            for key in ("width", "height", "bit_depth"):
+                if row.get(key):
+                    parsed[key] = int(row[key])
         except (ValueError, AttributeError) as exc:
             raise ValidationError(f"manifest row {i + 2}: {exc}") from None
-        for key in ("width", "height", "bit_depth"):
-            if row.get(key):
-                parsed[key] = int(row[key])
         if row.get("chroma"):
             parsed["chroma"] = row["chroma"].strip()
         rows.append(parsed)

@@ -148,12 +148,6 @@ class ColorFrame:
     def peak(self) -> float:
         return float((1 << self.bit_depth) - 1)
 
-    def luma(self) -> LumaPlane:
-        """First channel as a LumaPlane (Y for YCbCr input)."""
-        if self.space not in (SPACE_YCBCR,):
-            raise WrongSpace(f"luma() needs a {SPACE_YCBCR} frame, got {self.space}")
-        return LumaPlane(self.channels[0], self.bit_depth)
-
     def require_space(self, space: str) -> "ColorFrame":
         if self.space != space:
             raise WrongSpace(f"expected a {space} frame, got {self.space}")

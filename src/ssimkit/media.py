@@ -9,6 +9,7 @@ and floats rendered to 9 significant digits.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -20,11 +21,13 @@ from .errors import (
     BadHeader,
     BadMagic,
     SizeNotMultiple,
+    SsimkitError,
     TruncatedFrame,
     UnsupportedChroma,
     UnsupportedMaxval,
     ValidationError,
 )
+from .color import luma_of
 from .frames import CHROMA_420, CHROMA_444, SPACE_RGB, SPACE_YCBCR, ColorFrame, LumaPlane
 
 Y4M_MAGIC = b"YUV4MPEG2"
@@ -67,7 +70,7 @@ class VideoStream:
 
     def luma_frames(self) -> Iterator[LumaPlane]:
         for frame in self:
-            yield frame if isinstance(frame, LumaPlane) else LumaPlane(frame.channels[0], frame.bit_depth)
+            yield luma_of(frame)
 
 
 def _chroma_dims(width: int, height: int, chroma: str) -> tuple[int, int]:
@@ -91,6 +94,23 @@ def _read_plane(fh: IO[bytes], width: int, height: int, bit_depth: int) -> Optio
     return np.frombuffer(raw, dtype=dtype).reshape(height, width)
 
 
+def _decoded_frames(
+    path: Union[str, os.PathLike], decode: Callable[[IO[bytes]], Optional[FrameType]], skip: int = 0
+) -> Iterator[FrameType]:
+    """Frames from ``decode`` until it returns None, reading ``path`` past its
+    first ``skip`` bytes; a decode error names the file and the frame."""
+    with open(path, "rb") as fh:
+        fh.seek(skip)
+        for i in itertools.count():
+            try:
+                frame = decode(fh)
+            except SsimkitError as exc:
+                raise type(exc)(f"{path}: frame {i}: {exc}") from exc
+            if frame is None:
+                return
+            yield frame
+
+
 def read_y4m(path: Union[str, os.PathLike]) -> VideoStream:
     """Open a YUV4MPEG2 file as a lazy video stream."""
     with open(path, "rb") as fh:
@@ -98,24 +118,21 @@ def read_y4m(path: Union[str, os.PathLike]) -> VideoStream:
         if magic != Y4M_MAGIC:
             raise BadMagic(f"{path}: not a YUV4MPEG2 stream")
         header_line = _read_line(fh)
+        payload_start = fh.tell()
     header = _parse_y4m_header(header_line)
 
-    def frames() -> Iterator[FrameType]:
-        with open(path, "rb") as fh:
-            fh.read(len(Y4M_MAGIC))
-            _read_line(fh)
-            while True:
-                marker = _read_line(fh)
-                if marker is None:
-                    return
-                if not marker.startswith("FRAME"):
-                    raise BadHeader(f"expected FRAME marker, got {marker[:20]!r}")
-                frame = _read_frame_planes(fh, header)
-                if frame is None:
-                    raise TruncatedFrame("FRAME marker with no payload")
-                yield frame
+    def decode(fh: IO[bytes]) -> Optional[FrameType]:
+        marker = _read_line(fh)
+        if marker is None:
+            return None
+        if not marker.startswith("FRAME"):
+            raise BadHeader(f"expected FRAME marker, got {marker[:20]!r}")
+        frame = _read_frame_planes(fh, header)
+        if frame is None:
+            raise TruncatedFrame("FRAME marker with no payload")
+        return frame
 
-    return VideoStream(header, frames)
+    return VideoStream(header, lambda: _decoded_frames(path, decode, payload_start))
 
 
 def _read_line(fh: IO[bytes]) -> Optional[str]:
@@ -206,16 +223,7 @@ def read_planar_raw(
     if size == 0 or size % frame_bytes != 0:
         raise SizeNotMultiple(f"{path}: {size} bytes is not a whole number of {frame_bytes}-byte frames")
     header = StreamHeader(width, height, frame_rate, chroma, bit_depth)
-
-    def frames() -> Iterator[FrameType]:
-        with open(path, "rb") as fh:
-            while True:
-                frame = _read_frame_planes(fh, header)
-                if frame is None:
-                    return
-                yield frame
-
-    return VideoStream(header, frames)
+    return VideoStream(header, lambda: _decoded_frames(path, lambda fh: _read_frame_planes(fh, header)))
 
 
 def read_pnm(path: Union[str, os.PathLike]) -> FrameType:
@@ -277,6 +285,9 @@ def _pnm_header_fields(data: bytes, path) -> tuple[tuple[str, int, int, int], in
 # ---------------------------------------------------------------------------
 
 def write_y4m(path: Union[str, os.PathLike], frames: Iterable[FrameType], header: StreamHeader) -> None:
+    """Write 8-bit frames as YUV4MPEG2; deeper samples have no tag the reader knows."""
+    if header.bit_depth > 8:
+        raise ValidationError(f"Y4M output is 8-bit only, got a {header.bit_depth}-bit header")
     with open(path, "wb") as fh:
         tag = {"420": " C420", "444": " C444", "mono": " Cmono"}[header.chroma]
         fh.write(

@@ -8,12 +8,17 @@ as an exponent-weighted product, a normalized weighted sum, or the fast
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Optional, Sequence
+
 import numpy as np
 
 from .config import MultiscaleSpec, SsimConfig
 from .errors import TooManyLevels, TooSmall, ValidationError
 from .frames import LumaPlane, PlaneLike, plane_data, validate_frame_pair
-from .ssim import mssim, ssim_map
+from .ssim import mssim, ssim_map, term_maps_from_stats
+
+if TYPE_CHECKING:
+    from .spatiotemporal import RollingVolume
 
 
 def dyadic_downsample(plane: PlaneLike) -> PlaneLike:
@@ -34,11 +39,21 @@ def dyadic_downsample(plane: PlaneLike) -> PlaneLike:
 
 
 def scale_scores(
-    ref: PlaneLike, dist: PlaneLike, config: SsimConfig, levels: int
+    ref: PlaneLike,
+    dist: PlaneLike,
+    config: SsimConfig,
+    levels: int,
+    volumes: Optional[Sequence["RollingVolume"]] = None,
 ) -> list[float]:
-    """Per-scale scores: mean cs at scales 1..L-1, mean l*cs at the coarsest."""
+    """Per-scale scores: mean cs at scales 1..L-1, mean l*cs at the coarsest.
+
+    With ``volumes`` (one rolling volume per scale) each scale's pair is
+    pushed into its volume and scored over the volume's temporal window.
+    """
     if levels < 1:
         raise ValidationError("need at least one scale")
+    if volumes is not None and len(volumes) != levels:
+        raise ValidationError(f"{levels} scales need {levels} rolling volumes, got {len(volumes)}")
     k = config.window.k
     h, w = plane_data(ref).shape
     if min(h, w) // (1 << (levels - 1)) < k:
@@ -51,7 +66,11 @@ def scale_scores(
         if level > 0:
             cur_ref = dyadic_downsample(cur_ref)
             cur_dist = dyadic_downsample(cur_dist)
-        maps = ssim_map(cur_ref, cur_dist, config)
+        if volumes is None:
+            maps = ssim_map(cur_ref, cur_dist, config)
+        else:
+            stats = volumes[level].push(cur_ref, cur_dist).local_statistics(config.window)
+            maps = term_maps_from_stats(stats, config.c1, config.c2)
         if level == levels - 1:
             scores.append(mssim(maps.q_map))
         else:
@@ -79,12 +98,13 @@ def msssim(
     dist: PlaneLike,
     config: SsimConfig = SsimConfig(),
     spec: MultiscaleSpec | None = None,
+    volumes: Optional[Sequence["RollingVolume"]] = None,
 ) -> float:
-    """Multiscale SSIM score of a frame pair."""
+    """Multiscale SSIM score of a frame pair; ``volumes`` make it 3-D (see scale_scores)."""
     if spec is None:
         spec = MultiscaleSpec.product()
     if not spec.enabled:
         raise ValidationError("multiscale aggregation is off; use ssim_score instead")
     validate_frame_pair(ref, dist)
-    scores = scale_scores(ref, dist, config, spec.levels)
+    scores = scale_scores(ref, dist, config, spec.levels, volumes)
     return combine_scale_scores(scores, spec)

@@ -12,7 +12,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .evaluation import (
     pareto_front,
 )
 from .frames import (
-    SPACE_RGB,
-    SPACE_YCBCR,
     ColorFrame,
     LumaPlane,
     ScoreSeries,
@@ -49,7 +47,7 @@ from .frames import (
 from .media import VideoStream, read_pnm, read_planar_raw, read_y4m
 from .multiscale import msssim
 from .pooling import parse_spatial, parse_temporal, pool_spatial, pool_temporal
-from .spatiotemporal import RollingVolume, msssim3d
+from .spatiotemporal import RollingVolume
 from .ssim import mssim, term_maps_from_stats
 from .stats import local_statistics
 
@@ -85,6 +83,16 @@ class PipelineSpec:
             raise ValidationError("spatio-temporal scoring needs a rectangular window")
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ValidationError("workers must be an integer >= 1")
+        if self.kt > 1 and self.workers > 1:
+            raise ValidationError("spatio-temporal scoring runs frames in order; it takes one worker")
+        if self.kt > 1 and self.config.engine == "naive":
+            raise ValidationError("spatio-temporal scoring has no naive engine")
+        if parse_spatial(self.config.spatial_pool).kind != "am" and (
+            self.config.multiscale.enabled or self.config.color.model != "luma"
+        ):
+            raise ValidationError(
+                "multiscale and color models pool each map by its mean; spatial_pool must be am"
+            )
 
 
 def _enhanced_config() -> SsimConfig:
@@ -159,16 +167,8 @@ def _stream_pairs(ref: VideoStream, dist: VideoStream) -> Iterator[tuple[FrameTy
 
 
 # ---------------------------------------------------------------------------
-# per-frame scoring
+# per-frame scoring: prepare -> score -> spatial pooling
 # ---------------------------------------------------------------------------
-
-def _luma_plane(frame: FrameType) -> LumaPlane:
-    if isinstance(frame, LumaPlane):
-        return frame
-    if frame.space == SPACE_YCBCR:
-        return LumaPlane(frame.channels[0], frame.bit_depth)
-    return colormod.luma_of(frame)
-
 
 def _scale_frame(frame: FrameType, factor: int) -> FrameType:
     if factor == 1:
@@ -179,12 +179,36 @@ def _scale_frame(frame: FrameType, factor: int) -> FrameType:
     return ColorFrame(chans, frame.space, frame.subsampling, frame.bit_depth)
 
 
-def _rgb_frame(frame: FrameType) -> ColorFrame:
-    if isinstance(frame, LumaPlane):
-        raise ValidationError("this color model needs tri-channel input, stream is luma-only")
-    if frame.space == SPACE_YCBCR:
-        return colormod.ycbcr_bt709_to_rgb(frame)
-    return frame.require_space(SPACE_RGB)
+def _prepare(
+    ref: FrameType, dist: FrameType, config: SsimConfig
+) -> tuple[FrameType, FrameType, SsimConfig]:
+    """The pair as its scorer takes it: luma (or both colour frames), scaled
+    per the scale policy, with constants for the pair's bit depth."""
+    if isinstance(ref, LumaPlane) or isinstance(dist, LumaPlane):
+        if type(ref) is not type(dist):
+            raise DimensionMismatch("one stream is luma-only, the other tri-channel")
+        validate_frame_pair(ref, dist)
+    else:
+        validate_color_pair(ref, dist)
+    model = config.color.model
+    if model == "luma":
+        ref, dist = colormod.luma_of(ref), colormod.luma_of(dist)
+    elif isinstance(ref, LumaPlane):
+        raise ValidationError(f"color model {model!r} needs tri-channel input, stream is luma-only")
+    factor = policy_factor(config.scaling, ref.width, ref.height)
+    ref, dist = _scale_frame(ref, factor), _scale_frame(dist, factor)
+    return ref, dist, config.for_bit_depth(ref.bit_depth)
+
+
+#: Colour-model scorers. Each looks its ``colormod`` function up when called,
+#: so a wrapper installed on the module later is the one that runs.
+_COLOR_SCORERS = {
+    "cw": lambda a, b, c: colormod.channelwise_cssim(a, b, c.color.alpha, c.color.beta, c),
+    "fixed": lambda a, b, c: colormod.fixed_weight_cssim(a, b, c.color.weights, c),
+    "qssim": lambda a, b, c: colormod.qssim(a, b, c.window, c.k1, c.k2, c.color.space),
+    "cmssim": lambda a, b, c: colormod.cmssim(a, b, c.window, c),
+    "hssim": lambda a, b, c: colormod.hssim(a, b, c.window, c),
+}
 
 
 @dataclass
@@ -199,64 +223,32 @@ def score_frame_pair(
     ref: FrameType,
     dist: FrameType,
     config: SsimConfig,
-    volume: Optional[RollingVolume] = None,
+    volumes: Optional[Sequence[RollingVolume]] = None,
 ) -> FrameScore:
-    """Score one frame pair under a config; a volume makes scoring 3-D."""
-    if isinstance(ref, LumaPlane) or isinstance(dist, LumaPlane):
-        if type(ref) is not type(dist):
-            raise DimensionMismatch("one stream is luma-only, the other tri-channel")
-        validate_frame_pair(ref, dist)
+    """Score one frame pair under a config.
+
+    ``volumes`` (one rolling volume per pyramid level, so one unless
+    multiscale is on) make scoring 3-D; the pair is pushed into them.
+    Multiscale and colour scores are map means, so only luma SSIM maps go
+    through the spatial pooler.
+    """
+    ref, dist, config = _prepare(ref, dist, config)
+    if config.color.model != "luma":
+        return FrameScore(_COLOR_SCORERS[config.color.model](ref, dist, config), None, None, None)
+    if config.multiscale.enabled:
+        return FrameScore(msssim(ref, dist, config, config.multiscale, volumes), None, None, None)
+    if volumes is None:
+        stats = local_statistics(ref, dist, config.window, config.engine)
     else:
-        validate_color_pair(ref, dist)
-
-    factor = policy_factor(config.scaling, _luma_plane(ref).width, _luma_plane(ref).height)
-    model = config.color.model
-
-    if model == "luma":
-        y1 = _scale_frame(_luma_plane(ref), factor)
-        y2 = _scale_frame(_luma_plane(dist), factor)
-        config = config.for_bit_depth(y1.bit_depth)
-        if volume is not None:
-            volume.push(y1, y2)
-            if config.multiscale.enabled:
-                raise ValidationError("use run_score for multiscale 3-D pipelines")
-            stats = volume.local_statistics(config.window)
-            maps = term_maps_from_stats(stats, config.c1, config.c2)
-        elif config.multiscale.enabled:
-            score = msssim(y1, y2, config, config.multiscale)
-            return FrameScore(score, None, None, None)
-        else:
-            stats = local_statistics(y1, y2, config.window, config.engine)
-            maps = term_maps_from_stats(stats, config.c1, config.c2)
-        pooled = pool_spatial(maps.q_map, parse_spatial(config.spatial_pool), ref_luma=stats.mu1)
-        return FrameScore(
-            pooled,
-            mssim(maps.q_map),
-            float(maps.l_map.values.mean()),
-            float(maps.cs_map.values.mean()),
-        )
-
-    # tri-channel models; scaling applies per channel
-    if isinstance(ref, LumaPlane):
-        raise ValidationError(f"color model {model!r} needs tri-channel input, stream is luma-only")
-    ref = _scale_frame(ref, factor)
-    dist = _scale_frame(dist, factor)
-    config = config.for_bit_depth(ref.bit_depth)
-    spec = config.color
-    if model == "cw":
-        score = colormod.channelwise_cssim(ref, dist, spec.alpha, spec.beta, config)
-    elif model == "fixed":
-        score = colormod.fixed_weight_cssim(ref, dist, spec.weights, config)
-    elif model == "qssim":
-        pair = (ref, dist)
-        if spec.space in ("rgb", "lab"):
-            pair = (_rgb_frame(ref), _rgb_frame(dist))
-        score = colormod.qssim(*pair, window=config.window, k1=config.k1, k2=config.k2, space=spec.space)
-    elif model == "cmssim":
-        score = colormod.cmssim(ref, dist, config.window, config)
-    else:  # hssim
-        score = colormod.hssim(ref, dist, config.window, config)
-    return FrameScore(score, None, None, None)
+        stats = volumes[0].push(ref, dist).local_statistics(config.window)
+    maps = term_maps_from_stats(stats, config.c1, config.c2)
+    pooled = pool_spatial(maps.q_map, parse_spatial(config.spatial_pool), ref_luma=stats.mu1)
+    return FrameScore(
+        pooled,
+        mssim(maps.q_map),
+        float(maps.l_map.values.mean()),
+        float(maps.cs_map.values.mean()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +269,7 @@ def _score_pairs(
     pairs: Iterator[tuple[FrameType, FrameType]],
     config: SsimConfig,
     workers: int,
-    volume: Optional[RollingVolume] = None,
+    volumes: Optional[Sequence[RollingVolume]] = None,
 ) -> list[FrameScore]:
     """Score frame pairs in order; errors name the frame they came from.
 
@@ -289,7 +281,7 @@ def _score_pairs(
 
     def score(i: int, a: FrameType, b: FrameType) -> FrameScore:
         try:
-            return score_frame_pair(a, b, config, volume)
+            return score_frame_pair(a, b, config, volumes)
         except SsimkitError as exc:
             raise type(exc)(f"frame {i}: {exc}") from exc
 
@@ -335,18 +327,12 @@ def run_score(
     start, timing_source = _user_seconds()
     wall_start = time.perf_counter()
 
-    results: list[FrameScore] = []
+    volumes = None
+    if spec.kt > 1:
+        levels = config.multiscale.levels if config.multiscale.enabled else 1
+        volumes = [RollingVolume(spec.kt) for _ in range(levels)]
     try:
-        if spec.kt > 1 and config.multiscale.enabled:
-            series = msssim3d(
-                ref_stream.luma_frames(), dist_stream.luma_frames(), spec.kt, config.multiscale, config
-            )
-            results = [FrameScore(float(s), None, None, None) for s in series.scores]
-        elif spec.kt > 1:
-            volume = RollingVolume(spec.kt)
-            results = _score_pairs(_stream_pairs(ref_stream, dist_stream), config, 1, volume)
-        else:
-            results = _score_pairs(_stream_pairs(ref_stream, dist_stream), config, spec.workers)
+        results = _score_pairs(_stream_pairs(ref_stream, dist_stream), config, spec.workers, volumes)
     except SsimkitError as exc:
         raise type(exc)(f"{ref_path} vs {dist_path}: {exc}") from exc
     if not results:

@@ -14,7 +14,7 @@ everything reduces exactly to frame-wise SSIM.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .frames import PlaneLike, ScoreSeries, plane_data, validate_frame_pair
-from .multiscale import combine_scale_scores, dyadic_downsample
+from .multiscale import dyadic_downsample, msssim  # noqa: F401  (perfbench traces dyadic_downsample here)
 from .ssim import SsimTermMaps, mssim, term_maps_from_stats
 from .stats import LocalStatsMaps, _pair_terms, _window_sums, stats_from_sums
 
@@ -150,13 +150,6 @@ def ssim3d_map(vol: RollingVolume, window: WindowSpec, config: SsimConfig = Ssim
     return term_maps_from_stats(stats, config.c1, config.c2)
 
 
-def _as_plane_pairs(
-    ref_frames: Iterable[PlaneLike], dist_frames: Iterable[PlaneLike]
-) -> Iterator[tuple[PlaneLike, PlaneLike]]:
-    for ref, dist in zip(ref_frames, dist_frames):
-        yield validate_frame_pair(ref, dist)
-
-
 def ssim3d_series(
     ref_frames: Iterable[PlaneLike],
     dist_frames: Iterable[PlaneLike],
@@ -166,7 +159,7 @@ def ssim3d_series(
     """Frame-by-frame mean 3-D SSIM of two aligned luma streams."""
     vol = RollingVolume(kt)
     scores = []
-    for ref, dist in _as_plane_pairs(ref_frames, dist_frames):
+    for ref, dist in zip(ref_frames, dist_frames):
         vol.push(ref, dist)
         scores.append(mssim(ssim3d_map(vol, config.window, config)))
     return ScoreSeries(np.asarray(scores))
@@ -179,30 +172,10 @@ def msssim3d(
     spec: MultiscaleSpec | None = None,
     config: SsimConfig = SsimConfig(),
 ) -> ScoreSeries:
-    """Multiscale 3-D SSIM: one rolling volume per spatial scale.
-
-    Each incoming frame is dyadically downsampled per scale before being
-    pushed; per-frame scale scores (cs means, l*cs at the coarsest) combine
-    per the multiscale spec.
-    """
-    if spec is None:
-        spec = MultiscaleSpec.product()
-    if not spec.enabled:
-        raise ValidationError("multiscale aggregation is off; use ssim3d_series instead")
+    """Multiscale 3-D SSIM: :func:`~ssimkit.multiscale.msssim` with one rolling
+    volume per spatial scale, so each frame's scales are scored over the last
+    Kt frames of that scale."""
+    spec = MultiscaleSpec.product() if spec is None else spec
     volumes = [RollingVolume(kt) for _ in range(spec.levels)]
-    scores = []
-    for ref, dist in _as_plane_pairs(ref_frames, dist_frames):
-        cur_ref, cur_dist = ref, dist
-        per_scale = []
-        for level in range(spec.levels):
-            if level > 0:
-                cur_ref = dyadic_downsample(cur_ref)
-                cur_dist = dyadic_downsample(cur_dist)
-            volumes[level].push(cur_ref, cur_dist)
-            maps = ssim3d_map(volumes[level], config.window, config)
-            if level == spec.levels - 1:
-                per_scale.append(mssim(maps.q_map))
-            else:
-                per_scale.append(mssim(maps.cs_map))
-        scores.append(combine_scale_scores(per_scale, spec))
+    scores = [msssim(r, d, config, spec, volumes) for r, d in zip(ref_frames, dist_frames)]
     return ScoreSeries(np.asarray(scores))

@@ -1,6 +1,7 @@
 import json
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from click.testing import CliRunner
 
 from ssimkit import pipeline
 from ssimkit.cli import main
-from ssimkit.config import MultiscaleSpec, SsimConfig, WindowSpec
-from ssimkit.errors import LengthMismatch, ValidationError
+from ssimkit.config import ColorModelSpec, MultiscaleSpec, ScalePolicy, SsimConfig, WindowSpec
+from ssimkit.errors import LengthMismatch, TruncatedFrame, ValidationError
 from ssimkit.evaluation import Logistic5, eval_5pl
 from ssimkit.frames import ColorFrame, LumaPlane
-from ssimkit.media import StreamHeader, write_pnm, write_y4m
+from ssimkit.media import StreamHeader, write_planar_raw, write_pnm, write_y4m
 from ssimkit.pipeline import (
     PipelineSpec,
     expand_preset,
@@ -126,7 +127,7 @@ class TestRunScore:
         report = run_score(ref_path, dist_path, spec)
         vol = RollingVolume(2)
         for i, (r, d) in enumerate(zip(refs, dists)):
-            result = score_frame_pair(r, d, spec.config, vol)
+            result = score_frame_pair(r, d, spec.config, [vol])
             assert report["records"][i]["score"] == pytest.approx(result.score, abs=1e-12)
 
     def test_worker_threads_keep_order_and_values(self, media):
@@ -202,6 +203,13 @@ class TestRunScore:
             spec = PipelineSpec(SsimConfig(color=parse_color(color)))
             report = run_score(ref_path, dist_path, spec)
             assert 0.0 < report["records"][0]["score"] <= 1.2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_decode_errors_name_the_file_and_frame(self, media, workers):
+        ref_path, dist_path, _, _ = media
+        dist_path.write_bytes(dist_path.read_bytes()[:-100])  # cut into the third frame
+        with pytest.raises(TruncatedFrame, match=f"{dist_path}: frame 2: plane needs"):
+            run_score(ref_path, dist_path, PipelineSpec(workers=workers))
 
     def test_open_stream_rejects_raw_without_dims(self, tmp_path):
         path = tmp_path / "x.yuv"
@@ -325,6 +333,21 @@ class TestBenchmark:
         assert result.exit_code == 3
         assert "degenerate" in result.output
 
+    @pytest.mark.parametrize("column", ["width", "height", "bit_depth"])
+    def test_manifest_with_non_integer_geometry_is_input_error(self, runner, tmp_path, rng, column):
+        ref_path = make_y4m(tmp_path / "r.y4m", [natural_plane(rng, 16, 16)])
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"ref_path,dist_path,subjective_score,{column}\n{ref_path},{ref_path},0.5,abc\n")
+        result = runner.invoke(main, ["benchmark", str(manifest), "--spec", "default"])
+        assert result.exit_code == 2
+        assert "manifest row 2:" in result.output
+
+    def test_spec_string_with_bad_number_is_input_error(self, runner, tmp_path, rng):
+        manifest = self.make_manifest(tmp_path, rng)
+        result = runner.invoke(main, ["benchmark", str(manifest), "--spec", "x=preset=default;kt=two"])
+        assert result.exit_code == 2
+        assert "kt" in result.output
+
     def test_cli_benchmark_csv(self, runner, tmp_path, rng):
         manifest = self.make_manifest(tmp_path, rng, severities=(5, 20, 35, 50, 60, 70))
         result = runner.invoke(
@@ -369,3 +392,64 @@ class TestOtherCommands:
         lines = result.output.strip().split("\n")
         assert lines[0] == "label,cost,perf"
         assert [line.split(",")[0] for line in lines[1:]] == ["a", "b"]
+
+
+class TestOneScoringPath:
+    """Every depth, scale count and colour model shares one preparation step."""
+
+    MS2 = SsimConfig(window=WindowSpec.rectangular(5), multiscale=MultiscaleSpec.product(2))
+
+    def test_multiscale_3d_honours_scale_policy_and_bit_depth(self, tmp_path, rng):
+        refs = [natural_plane(rng, 128, 128, bit_depth=10) for _ in range(3)]
+        ref_path, dist_path = tmp_path / "r.yuv", tmp_path / "d.yuv"
+        write_planar_raw(ref_path, refs, bit_depth=10)
+        write_planar_raw(dist_path, [noisy_version(rng, p, 60) for p in refs], bit_depth=10)
+
+        def scores(kt, **changes):
+            spec = PipelineSpec(replace(self.MS2, **changes), kt=kt)
+            out = run_score(ref_path, dist_path, spec, width=128, height=128, bit_depth=10, chroma="400")
+            return [r["score"] for r in out["records"]]
+
+        dh1 = ScalePolicy.enhanced_dh(1.0)  # factor 2 on 128 lines
+        plain, scaled = scores(2), scores(2, scaling=dh1)
+        assert scaled != plain
+        assert plain[0] == scores(1)[0]  # a depth-1 volume is 2-D scoring
+        assert scaled[0] == scores(1, scaling=dh1)[0]
+
+    def test_multiscale_3d_scores_rgb_luma(self, tmp_path, rng):
+        chans = tuple(natural_plane(rng, 64, 64).samples for _ in range(3))
+        ref_path, dist_path = tmp_path / "r.ppm", tmp_path / "d.ppm"
+        write_pnm(ref_path, ColorFrame(chans))
+        write_pnm(dist_path, ColorFrame(tuple(noisy_version(rng, LumaPlane(c), 20).samples for c in chans)))
+        kt1, kt2 = (run_score(ref_path, dist_path, PipelineSpec(self.MS2, kt=kt)) for kt in (1, 2))
+        assert kt2["records"] == kt1["records"]
+
+    @pytest.mark.parametrize(
+        "spec, flags",
+        [
+            (dict(kt=2, workers=2), ["--kt", "2", "--workers", "2"]),
+            (dict(config=SsimConfig(engine="naive"), kt=2), ["--kt", "2", "--engine", "naive"]),
+            (
+                dict(config=SsimConfig(spatial_pool="cov", multiscale=MultiscaleSpec.product(2))),
+                ["--preset", "enhanced", "--multiscale", "product:levels=2"],
+            ),
+            (
+                dict(config=SsimConfig(spatial_pool="mink:p=2", color=ColorModelSpec("hssim"))),
+                ["--spatial-pool", "mink:p=2", "--color", "hssim"],
+            ),
+        ],
+    )
+    def test_settings_that_cannot_apply_are_rejected(self, runner, media, spec, flags):
+        with pytest.raises(ValidationError):
+            PipelineSpec(**spec)
+        ref_path, dist_path, _, _ = media
+        result = runner.invoke(main, ["score", str(ref_path), str(dist_path), *flags])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+
+    def test_overrides_are_checked_together(self, runner, media):
+        ref_path, dist_path, _, _ = media
+        flags = ["--preset", "enhanced", "--multiscale", "product:levels=2", "--spatial-pool", "am"]
+        result = runner.invoke(main, ["score", str(ref_path), str(dist_path), *flags])
+        assert result.exit_code == 0
+        assert "note" not in json.loads(result.output.strip().split("\n")[-1])["summary"]

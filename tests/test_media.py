@@ -66,6 +66,11 @@ class TestY4m:
         with pytest.raises(TruncatedFrame):
             list(read_y4m(path))
 
+    def test_high_bit_depth_write_is_rejected(self, tmp_path, rng):
+        plane = random_plane(rng, 4, 4, bit_depth=10)
+        with pytest.raises(ValidationError, match="8-bit"):
+            write_y4m(tmp_path / "deep.y4m", [plane], StreamHeader(4, 4, (30, 1), "mono", 10))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.y4m"
         path.write_bytes(b"NOTY4M W4 H4\nFRAME\n")
@@ -156,6 +161,12 @@ class TestRaw:
         got = list(read_planar_raw(path, 4, 4, 8, "400"))
         assert all(isinstance(p, LumaPlane) for p in got)
         assert np.array_equal(got[1].samples, planes[1].samples)
+
+    def test_out_of_range_sample_names_file_and_frame(self, tmp_path):
+        path = tmp_path / "f.yuv"
+        path.write_bytes(np.array([512, 1023, 2000, 7], dtype="<u2").tobytes())  # 1x2 frames, 10-bit
+        with pytest.raises(ValidationError, match=f"{path}: frame 1: samples outside"):
+            list(read_planar_raw(path, 2, 1, 10, "400"))
 
     def test_little_endian_high_bit_depth(self, tmp_path):
         path = tmp_path / "e.yuv"
