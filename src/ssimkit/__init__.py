@@ -1,10 +1,11 @@
 """Full-reference structural-similarity toolkit.
 
-Local statistics under rectangular/Gaussian windows (with an integral-image
-fast path), SSIM and multiscale SSIM, spatio-temporal SSIM over rolling
-temporal windows, color similarity models, a catalogue of spatial/temporal
-pooling operators, resolution/viewing adaptation, scaled-score prediction,
-and a 5PL + correlation benchmarking harness with a batch CLI.
+Local statistics under rectangular/Gaussian windows (with exact box sums for
+integer frames and summed-area tables for float ones), SSIM and multiscale
+SSIM, spatio-temporal SSIM over rolling temporal windows, color similarity
+models, one table of spatial/temporal pooling operators, resolution/viewing
+adaptation, scaled-score prediction, and a 5PL + correlation benchmarking
+harness with a batch CLI.
 """
 
 from .adaptation import (
@@ -51,17 +52,9 @@ from .media import read_planar_raw, read_pnm, read_y4m, write_report
 from .multiscale import dyadic_downsample, msssim
 from .pipeline import PipelineSpec, expand_preset, run_benchmark, run_score
 from .pooling import SpatialPooler, TemporalPooler, pool_spatial, pool_temporal
-from .spatiotemporal import RollingVolume, msssim3d, push_frame, ssim3d_map
-from .ssim import SsimTermMaps, mssim, ssim_map, ssim_score, weber_luminance_term
-from .stats import (
-    IntegralSet,
-    LocalStatsMaps,
-    build_integral_set,
-    gaussian_kernel,
-    local_statistics,
-    rect_equivalent,
-    window_sum,
-)
+from .spatiotemporal import RollingVolume, msssim3d, ssim3d_map
+from .ssim import SsimTermMaps, mssim, ssim_map, ssim_score
+from .stats import LocalStatsMaps, gaussian_kernel, local_statistics, rect_equivalent
 
 __version__ = "0.1.0"
 
@@ -118,18 +111,13 @@ __all__ = [
     "pool_temporal",
     "RollingVolume",
     "msssim3d",
-    "push_frame",
     "ssim3d_map",
     "SsimTermMaps",
     "mssim",
     "ssim_map",
     "ssim_score",
-    "weber_luminance_term",
-    "IntegralSet",
     "LocalStatsMaps",
-    "build_integral_set",
     "gaussian_kernel",
     "local_statistics",
     "rect_equivalent",
-    "window_sum",
 ]

@@ -11,7 +11,7 @@ compression scores.
 from __future__ import annotations
 
 import math
-from typing import Optional, Protocol, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -118,18 +118,6 @@ def scaled_ssim_product(f_scale: float, f_comp: float) -> float:
     return f_scale * f_comp
 
 
-class ScaledScorePredictor(Protocol):
-    """Interface external regressors can implement to predict rendered scores."""
-
-    def predict(
-        self,
-        f_scale: float,
-        f_comp: float,
-        alpha: Optional[float] = None,
-        qp: Optional[float] = None,
-    ) -> float: ...
-
-
 class ProductPredictor:
     """The baseline predictor: ignores alpha/qp and multiplies the features."""
 
@@ -183,10 +171,6 @@ class HistogramMatcher:
         self._ref_mean = 0.0
         self._ref_binned_mean = 0.0
         self._calls = 0
-
-    @property
-    def calls(self) -> int:
-        return self._calls
 
     def _histogram(self, values: np.ndarray) -> np.ndarray:
         counts, _ = np.histogram(np.clip(values, self.lo, self.hi), bins=self._edges)

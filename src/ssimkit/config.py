@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, field, replace
+from typing import Optional, Sequence
 
 from .errors import DegenerateWeights, NonPositiveSigma, ValidationError
 
@@ -288,61 +288,12 @@ class SsimConfig:
         return self if bit_depth == self.bit_depth else replace(self, bit_depth=bit_depth)
 
     def to_dict(self) -> dict:
-        return {
-            "k1": self.k1,
-            "k2": self.k2,
-            "bit_depth": self.bit_depth,
-            "window": {
-                "shape": self.window.shape,
-                "k": self.window.k,
-                "sigma": self.window.sigma,
-                "stride": self.window.stride,
-            },
-            "engine": self.engine,
-            "scaling": {
-                "kind": self.scaling.kind,
-                "distance": self.scaling.distance,
-                "theta_h": self.scaling.theta_h,
-                "theta_w": self.scaling.theta_w,
-                "d_over_h": self.scaling.d_over_h,
-                "rounding": self.scaling.rounding,
-            },
-            "color": {
-                "model": self.color.model,
-                "alpha": self.color.alpha,
-                "beta": self.color.beta,
-                "weights": list(self.color.weights),
-                "space": self.color.space,
-            },
-            "spatial_pool": self.spatial_pool,
-            "temporal_pool": self.temporal_pool,
-            "multiscale": {
-                "aggregation": self.multiscale.aggregation,
-                "levels": self.multiscale.levels,
-                "exponents": list(self.multiscale.exponents),
-            },
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SsimConfig":
-        w = d["window"]
-        s = d["scaling"]
-        c = d["color"]
-        m = d["multiscale"]
-        return cls(
-            k1=d["k1"],
-            k2=d["k2"],
-            bit_depth=d["bit_depth"],
-            window=WindowSpec(w["shape"], w["k"], w["sigma"], w["stride"]),
-            engine=d["engine"],
-            scaling=ScalePolicy(
-                s["kind"], s["distance"], s["theta_h"], s["theta_w"], s["d_over_h"], s["rounding"]
-            ),
-            color=ColorModelSpec(c["model"], c["alpha"], c["beta"], tuple(c["weights"]), c["space"]),
-            spatial_pool=d["spatial_pool"],
-            temporal_pool=d["temporal_pool"],
-            multiscale=MultiscaleSpec(m["aggregation"], m["levels"], tuple(m["exponents"])),
-        )
+        parts = dict(window=WindowSpec, scaling=ScalePolicy, color=ColorModelSpec, multiscale=MultiscaleSpec)
+        return cls(**{**d, **{name: part(**d[name]) for name, part in parts.items()}})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -372,7 +323,10 @@ def split_selector(text: str) -> tuple[str, list[str], dict[str, str]]:
                 continue
             if "=" in item:
                 key, _, val = item.partition("=")
-                kw[key.strip().lower()] = val.strip()
+                key = key.strip().lower()
+                if key in kw:
+                    raise ValidationError(f"option {key!r} given twice in selector {text!r}")
+                kw[key] = val.strip()
             else:
                 pos.append(item)
     return name.strip().lower(), pos, kw
@@ -412,57 +366,89 @@ def parse_window(text: str) -> WindowSpec:
     return spec
 
 
+def selector_args(
+    what: str,
+    pos: list[str],
+    kw: dict[str, str],
+    names: Sequence[str] = (),
+    positional: int = 0,
+    aliases: Optional[dict[str, str]] = None,
+) -> dict[str, str]:
+    """A selector's argument strings by parameter name.
+
+    Positional values fill the first ``positional`` of ``names`` in order;
+    keywords name any of them, directly or through ``aliases``. An extra
+    positional value, an unknown key or a parameter given twice raises
+    ValidationError rather than being ignored.
+    """
+    if len(pos) > positional:
+        raise ValidationError(f"{what} takes at most {positional} positional values, got {len(pos)}")
+    args = dict(zip(names, pos))
+    for key, value in kw.items():
+        name = key if key in names else (aliases or {}).get(key)
+        if name not in names:
+            raise ValidationError(f"unknown {what} option {key!r}")
+        if name in args:
+            raise ValidationError(f"{what} option {name!r} given twice")
+        args[name] = value
+    return args
+
+
+#: Per kind: its parameter names, and how many of them may be positional.
+_SCALE_ARGS = dict(none=((), 0), legacy=(("rounding",), 1), sast=(("d", "th", "tw"), 0), dh=(("ratio",), 1))
+_COLOR_ARGS = dict(luma=((), 0), cw=(("a", "b"), 0), qssim=(("space",), 1), cmssim=((), 0), hssim=((), 0))
+_MULTISCALE_ARGS = dict(off=((), 0), fast4=((), 0), product=(("levels",), 1), sum=(("levels",), 1))
+
+
 def parse_scale(text: str) -> ScalePolicy:
     """Parse ``none``, ``legacy``, ``legacy:ceil``, ``sast:D=3000`` or ``dh:3.0``."""
     name, pos, kw = split_selector(text)
+    if name not in _SCALE_ARGS:
+        raise ValidationError(f"unknown scale policy {name!r}")
+    args = selector_args(f"{name} scale policy", pos, kw, *_SCALE_ARGS[name])
     if name == "none":
         return ScalePolicy.none()
     if name == "legacy":
-        rounding = pos[0] if pos else kw.pop("rounding", "round")
-        return ScalePolicy.legacy256(rounding)
+        return ScalePolicy.legacy256(args.get("rounding", "round"))
     if name == "sast":
-        if "d" not in kw:
+        if "d" not in args:
             raise ValidationError("sast policy needs D=<distance>")
         return ScalePolicy.sast(
-            _num(kw["d"], "scale"),
-            _num(kw.get("th", "40"), "scale"),
-            _num(kw.get("tw", "50"), "scale"),
+            _num(args["d"], "scale"),
+            _num(args.get("th", "40"), "scale"),
+            _num(args.get("tw", "50"), "scale"),
         )
-    if name == "dh":
-        ratio = pos[0] if pos else kw.get("ratio", "3.0")
-        return ScalePolicy.enhanced_dh(_num(ratio, "scale"))
-    raise ValidationError(f"unknown scale policy {name!r}")
+    return ScalePolicy.enhanced_dh(_num(args.get("ratio", "3.0"), "scale"))
 
 
 def parse_color(text: str) -> ColorModelSpec:
     """Parse ``luma``, ``cw:a=-0.3,b=-0.3``, ``fixed:0.8,0.1,0.1``, ``qssim[:space]``, ...."""
     name, pos, kw = split_selector(text)
-    if name == "luma":
-        return ColorModelSpec.luma()
-    if name == "cw":
-        return ColorModelSpec(
-            "cw", alpha=_num(kw.get("a", "-0.3"), "color"), beta=_num(kw.get("b", "-0.3"), "color")
-        )
     if name == "fixed":
-        if len(pos) != 3:
+        if len(pos) != 3 or kw:
             raise ValidationError("fixed color model needs three weights, e.g. fixed:0.8,0.1,0.1")
         return ColorModelSpec("fixed", weights=tuple(_num(p, "color") for p in pos))
+    if name not in _COLOR_ARGS:
+        raise ValidationError(f"unknown color model {name!r}")
+    args = selector_args(f"{name} color model", pos, kw, *_COLOR_ARGS[name])
+    if name == "cw":
+        return ColorModelSpec(
+            "cw", alpha=_num(args.get("a", "-0.3"), "color"), beta=_num(args.get("b", "-0.3"), "color")
+        )
     if name == "qssim":
-        return ColorModelSpec("qssim", space=pos[0] if pos else kw.get("space", "rgb"))
-    if name in ("cmssim", "hssim"):
-        return ColorModelSpec(name)
-    raise ValidationError(f"unknown color model {name!r}")
+        return ColorModelSpec("qssim", space=args.get("space", "rgb"))
+    return ColorModelSpec(name)
 
 
 def parse_multiscale(text: str) -> MultiscaleSpec:
     """Parse ``off``, ``product``, ``product:levels=3``, ``sum`` or ``fast4``."""
     name, pos, kw = split_selector(text)
+    if name not in _MULTISCALE_ARGS:
+        raise ValidationError(f"unknown multiscale mode {name!r}")
+    args = selector_args(f"{name} multiscale", pos, kw, *_MULTISCALE_ARGS[name])
     if name == "off":
         return MultiscaleSpec.off()
     if name == "fast4":
         return MultiscaleSpec.fast4()
-    if name in ("product", "sum"):
-        levels = _intval(kw.get("levels", pos[0] if pos else "5"), "multiscale")
-        exps = _default_exponents(levels, None)
-        return MultiscaleSpec(name, levels, exps)
-    raise ValidationError(f"unknown multiscale mode {name!r}")
+    levels = _intval(args.get("levels", "5"), "multiscale")
+    return MultiscaleSpec(name, levels, _default_exponents(levels, None))

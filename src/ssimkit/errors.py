@@ -68,10 +68,6 @@ class WindowLargerThanImage(SsimkitError):
     """Window does not fit inside the image."""
 
 
-class WindowOutOfBounds(SsimkitError):
-    """Requested window extends outside the valid region."""
-
-
 class GaussianNotSupported3D(SsimkitError):
     """Spatio-temporal statistics support rectangular windows only."""
 

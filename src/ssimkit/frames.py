@@ -7,14 +7,16 @@ re-check shapes or ranges.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from .errors import (
     BitDepthMismatch,
     DimensionMismatch,
+    LengthMismatch,
     ValidationError,
     WrongSpace,
 )
@@ -22,11 +24,7 @@ from .errors import (
 # Color spaces a ColorFrame may be tagged with.
 SPACE_RGB = "rgb"
 SPACE_YCBCR = "ycbcr-bt709"
-SPACE_XYZ = "xyz"
-SPACE_LAB = "lab"
-SPACE_HSV = "hsv"
-SPACE_Q123 = "q1q2q3"
-COLOR_SPACES = (SPACE_RGB, SPACE_YCBCR, SPACE_XYZ, SPACE_LAB, SPACE_HSV, SPACE_Q123)
+COLOR_SPACES = (SPACE_RGB, SPACE_YCBCR)
 
 CHROMA_444 = "444"
 CHROMA_420 = "420"
@@ -104,9 +102,9 @@ def plane_data(plane: PlaneLike) -> np.ndarray:
 class ColorFrame:
     """Tri-channel frame with a color-space tag and chroma subsampling.
 
-    Channels are plane-shaped arrays rather than LumaPlane instances: working
-    spaces like XYZ/CIELAB are unbounded, and BT.709 chroma may overshoot the
-    nominal range by a fraction of a percent at full saturation.
+    Channels are plane-shaped arrays rather than LumaPlane instances: BT.709
+    chroma may overshoot the nominal range by a fraction of a percent at full
+    saturation.
     """
 
     channels: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -234,3 +232,12 @@ def validate_color_pair(ref: ColorFrame, dist: ColorFrame) -> tuple[ColorFrame, 
             f"reference is {ref.subsampling}, distorted is {dist.subsampling} chroma"
         )
     return ref, dist
+
+
+def paired_frames(ref: Iterable, dist: Iterable) -> Iterator[tuple]:
+    """The frames of two streams in pairs; LengthMismatch if one ends first."""
+    end = object()
+    for index, (a, b) in enumerate(itertools.zip_longest(ref, dist, fillvalue=end)):
+        if a is end or b is end:
+            raise LengthMismatch(f"streams differ in length (one ended at frame {index})")
+        yield a, b

@@ -53,10 +53,6 @@ class StreamHeader:
     chroma: str  # "420" | "444" | "mono"
     bit_depth: int = 8
 
-    @property
-    def fps(self) -> float:
-        return self.frame_rate[0] / self.frame_rate[1]
-
 
 class VideoStream:
     """A stream header plus a lazy, single-pass frame iterator."""

@@ -22,7 +22,6 @@ from .config import ColorModelSpec, ScalePolicy, SsimConfig, WindowSpec
 from .errors import (
     DegenerateData,
     DimensionMismatch,
-    LengthMismatch,
     SsimkitError,
     ValidationError,
 )
@@ -41,10 +40,11 @@ from .frames import (
     ColorFrame,
     LumaPlane,
     ScoreSeries,
+    paired_frames as _stream_pairs,
     validate_color_pair,
     validate_frame_pair,
 )
-from .media import VideoStream, read_pnm, read_planar_raw, read_y4m
+from .media import StreamHeader, VideoStream, read_pnm, read_planar_raw, read_y4m
 from .multiscale import msssim
 from .pooling import parse_spatial, parse_temporal, pool_spatial, pool_temporal
 from .spatiotemporal import RollingVolume
@@ -139,31 +139,12 @@ def open_stream(
         return read_y4m(path)
     if ext in (".pnm", ".pgm", ".ppm"):
         image = read_pnm(path)
-        from .media import StreamHeader
-
-        if isinstance(image, LumaPlane):
-            header = StreamHeader(image.width, image.height, (1, 1), "mono", image.bit_depth)
-        else:
-            header = StreamHeader(image.width, image.height, (1, 1), image.subsampling, image.bit_depth)
+        chroma = "mono" if isinstance(image, LumaPlane) else image.subsampling
+        header = StreamHeader(image.width, image.height, (1, 1), chroma, image.bit_depth)
         return VideoStream(header, lambda: iter([image]))
     if width is None or height is None:
         raise ValidationError(f"{path}: raw planar input needs explicit --width and --height")
     return read_planar_raw(path, width, height, bit_depth, chroma)
-
-
-def _stream_pairs(ref: VideoStream, dist: VideoStream) -> Iterator[tuple[FrameType, FrameType]]:
-    a_it, b_it = iter(ref), iter(dist)
-    sentinel = object()
-    index = 0
-    while True:
-        a = next(a_it, sentinel)
-        b = next(b_it, sentinel)
-        if a is sentinel and b is sentinel:
-            return
-        if a is sentinel or b is sentinel:
-            raise LengthMismatch(f"streams differ in length (one ended at frame {index})")
-        yield a, b
-        index += 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .config import _intval, _num, selector_args, split_selector
 from .errors import (
     EmptyMap,
     EmptySeries,
@@ -33,6 +34,50 @@ TEMPORAL_KINDS = (
     "md", "fns", "dw", "mink", "pp",
 )
 
+#: Each kind's parameters in positional order, with their selector defaults
+#: (None: the selector must give it). ``k`` is an integer, the rest floats.
+#: The table drives validation, parsing, ``selector()`` and dispatch alike.
+_PARAMS: dict[str, tuple[tuple[str, Optional[float]], ...]] = {
+    **{kind: () for kind in ("am", "cov", "fns", "gm", "hm", "median")},
+    "md": (("p", 2.0), ("o", 1.0)),
+    "dw": (("p", 1.0),),
+    "mink": (("p", 1.0),),
+    "lw": (("a", 0.0), ("b", 0.0)),
+    "pp": (("ps", 6.0), ("rs", 1.0)),
+    **{kind: (("k", None),) for kind in ("wam", "wgm", "whm", "wcov")},
+}
+
+#: Other selector spellings of pp's parameters, in both domains.
+_ALIASES = {"p": "ps", "pt": "ps", "r": "rs", "rt": "rs"}
+
+#: What a parameter must satisfy, and the message when it does not.
+_CHECKS = {
+    "k": (lambda v: isinstance(v, int) and v >= 1, "an integer window k >= 1"),
+    "p": (lambda v: v > 0, "p > 0"),
+    "o": (lambda v: v > 0, "o > 0"),
+    "b": (lambda v: v >= 0, "a ramp length b >= 0"),
+    "ps": (lambda v: 0.0 <= v <= 100.0, "a percentile ps in [0, 100]"),
+    "rs": (lambda v: v >= 1, "a divisor rs >= 1"),
+}
+
+
+def _check(pool, kinds: tuple[str, ...], domain: str) -> None:
+    if pool.kind not in kinds:
+        raise ValidationError(f"unknown {domain} pooler {pool.kind!r}")
+    for name, _ in _PARAMS[pool.kind]:
+        if name in _CHECKS and not _CHECKS[name][0](getattr(pool, name)):
+            raise ValidationError(f"{pool.kind} pooling needs {_CHECKS[name][1]}")
+
+
+def _values(pool) -> list:
+    """The pooler's parameter values, in the order its kind lists them."""
+    return [getattr(pool, name) for name, _ in _PARAMS[pool.kind]]
+
+
+def _selector(pool) -> str:
+    args = [f"{n}={getattr(pool, n)}" if n == "k" else f"{n}={getattr(pool, n):g}" for n, _ in _PARAMS[pool.kind]]
+    return f"{pool.kind}:{','.join(args)}" if args else pool.kind
+
 
 @dataclass(frozen=True)
 class SpatialPooler:
@@ -45,22 +90,10 @@ class SpatialPooler:
     rs: float = 1.0       # pp down-weighting divisor
 
     def __post_init__(self):
-        if self.kind not in SPATIAL_KINDS:
-            raise ValidationError(f"unknown spatial pooler {self.kind!r}")
-        if self.kind in ("md", "dw", "mink") and self.p <= 0:
-            raise ValidationError(f"{self.kind} pooling needs p > 0")
-        if self.kind == "md" and self.o <= 0:
-            raise ValidationError("md pooling needs o > 0")
-        if self.kind == "lw" and self.b < 0:
-            raise ValidationError("lw ramp length must be >= 0")
-        if self.kind == "pp":
-            if not 0.0 <= self.ps <= 100.0:
-                raise ValidationError("pp percentile must be in [0, 100]")
-            if self.rs < 1:
-                raise ValidationError("pp divisor must be >= 1")
+        _check(self, SPATIAL_KINDS, "spatial")
 
     def selector(self) -> str:
-        return _format_selector(self.kind, self)
+        return _selector(self)
 
 
 @dataclass(frozen=True)
@@ -73,81 +106,39 @@ class TemporalPooler:
     rs: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in TEMPORAL_KINDS:
-            raise ValidationError(f"unknown temporal pooler {self.kind!r}")
-        if self.kind.startswith("w") and (not isinstance(self.k, int) or self.k < 1):
-            raise ValidationError("windowed pooling needs an integer window k >= 1")
-        if self.kind in ("md", "dw", "mink") and self.p <= 0:
-            raise ValidationError(f"{self.kind} pooling needs p > 0")
-        if self.kind == "md" and self.o <= 0:
-            raise ValidationError("md pooling needs o > 0")
-        if self.kind == "pp":
-            if not 0.0 <= self.ps <= 100.0:
-                raise ValidationError("pp percentile must be in [0, 100]")
-            if self.rs < 1:
-                raise ValidationError("pp divisor must be >= 1")
+        _check(self, TEMPORAL_KINDS, "temporal")
 
     def selector(self) -> str:
-        return _format_selector(self.kind, self)
+        return _selector(self)
 
 
-def _format_selector(kind: str, pool) -> str:
-    if kind == "md":
-        return f"md:p={pool.p:g},o={pool.o:g}"
-    if kind in ("dw", "mink"):
-        return f"{kind}:p={pool.p:g}"
-    if kind == "lw":
-        return f"lw:a={pool.a:g},b={pool.b:g}"
-    if kind == "pp":
-        return f"pp:ps={pool.ps:g},rs={pool.rs:g}"
-    if kind in ("wam", "wgm", "whm", "wcov"):
-        return f"{kind}:k={pool.k}"
-    return kind
+def _parse(cls, kinds: tuple[str, ...], domain: str, text: str):
+    """A pooler from its selector: positional values fill the kind's
+    parameters in order, keywords name them; anything else is rejected."""
+    name, pos, kw = split_selector(text)
+    if name not in kinds:
+        raise ValidationError(f"unknown {domain} pooler {name!r}")
+    params = _PARAMS[name]
+    args = selector_args(f"{name} pooling", pos, kw, [n for n, _ in params], len(params), _ALIASES)
+    values = {}
+    for param, default in params:
+        if param in args:
+            values[param] = _intval(args[param], name) if param == "k" else _num(args[param], name)
+        elif default is None:
+            raise ValidationError(f"{name} pooling needs {param}, e.g. {name}:{param}=10")
+        else:
+            values[param] = default
+    return cls(name, **values)
 
 
 def parse_spatial(text: str) -> SpatialPooler:
     """Parse a spatial pooler selector, e.g. ``cov`` or ``md:p=2,o=3``."""
-    from .config import split_selector, _num
-
-    name, pos, kw = split_selector(text)
-    if name in ("am", "cov", "fns"):
-        return SpatialPooler(name)
-    if name == "md":
-        return SpatialPooler("md", p=_num(kw.get("p", pos[0] if pos else "2"), "md"),
-                             o=_num(kw.get("o", pos[1] if len(pos) > 1 else "1"), "md"))
-    if name in ("dw", "mink"):
-        return SpatialPooler(name, p=_num(kw.get("p", pos[0] if pos else "1"), name))
-    if name == "lw":
-        return SpatialPooler("lw", a=_num(kw.get("a", "0"), "lw"), b=_num(kw.get("b", "0"), "lw"))
-    if name == "pp":
-        ps = kw.get("ps", kw.get("p", pos[0] if pos else "6"))
-        rs = kw.get("rs", kw.get("r", pos[1] if len(pos) > 1 else "1"))
-        return SpatialPooler("pp", ps=_num(ps, "pp"), rs=_num(rs, "pp"))
-    raise ValidationError(f"unknown spatial pooler {name!r}")
+    return _parse(SpatialPooler, SPATIAL_KINDS, "spatial", text)
 
 
 def parse_temporal(text: str) -> TemporalPooler:
     """Parse a temporal pooler selector, e.g. ``wam:k=3`` or ``pp:ps=6,rs=4000``."""
-    from .config import split_selector, _num, _intval
-
-    name, pos, kw = split_selector(text)
-    if name in ("am", "gm", "hm", "median", "cov", "fns"):
-        return TemporalPooler(name)
-    if name in ("wam", "wgm", "whm", "wcov"):
-        k = kw.get("k", pos[0] if pos else None)
-        if k is None:
-            raise ValidationError(f"{name} pooling needs a window, e.g. {name}:k=10")
-        return TemporalPooler(name, k=_intval(k, name))
-    if name == "md":
-        return TemporalPooler("md", p=_num(kw.get("p", pos[0] if pos else "2"), "md"),
-                              o=_num(kw.get("o", pos[1] if len(pos) > 1 else "1"), "md"))
-    if name in ("dw", "mink"):
-        return TemporalPooler(name, p=_num(kw.get("p", pos[0] if pos else "1"), name))
-    if name == "pp":
-        ps = kw.get("pt", kw.get("ps", pos[0] if pos else "6"))
-        rs = kw.get("rt", kw.get("rs", pos[1] if len(pos) > 1 else "1"))
-        return TemporalPooler("pp", ps=_num(ps, "pp"), rs=_num(rs, "pp"))
-    raise ValidationError(f"unknown temporal pooler {name!r}")
+    return _parse(TemporalPooler, TEMPORAL_KINDS, "temporal", text)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +190,34 @@ def _hm_stat(v: np.ndarray) -> float:
     return float(1.0 / (1.0 / np.maximum(v, MEAN_EPS)).mean())
 
 
+def _windowed(base):
+    """Base statistic over every length-k sliding window, then the mean of the
+    window statistics; short series collapse to one window."""
+
+    def stat(v: np.ndarray, k: int) -> float:
+        k = min(k, v.size)
+        return float(np.mean([base(v[i : i + k]) for i in range(v.size - k + 1)]))
+
+    return stat
+
+
+#: Each kind's statistic; it takes the values and then the kind's parameters
+#: in table order. lw, which also needs the reference luma, is pool_spatial's.
+_STATS = {
+    "am": lambda v: float(v.mean()),
+    "gm": _gm_stat,
+    "hm": _hm_stat,
+    "median": lambda v: float(np.median(v)),
+    "cov": _cov_stat,
+    "md": _md_stat,
+    "fns": _fns_stat,
+    "dw": _dw_stat,
+    "mink": _mink_stat,
+    "pp": _pp_stat,
+}
+_STATS.update({"w" + kind: _windowed(_STATS[kind]) for kind in ("am", "gm", "hm", "cov")})
+
+
 def pool_spatial(
     qmap: Union[QualityMap, np.ndarray],
     method: Union[SpatialPooler, str],
@@ -214,22 +233,8 @@ def pool_spatial(
     if v.size == 0:
         raise EmptyMap("cannot pool an empty quality map")
     v = v.reshape(-1)
-
-    if pool.kind == "am":
-        return float(v.mean())
-    if pool.kind == "cov":
-        return _cov_stat(v)
-    if pool.kind == "md":
-        return _md_stat(v, pool.p, pool.o)
-    if pool.kind == "fns":
-        return _fns_stat(v)
-    if pool.kind == "dw":
-        return _dw_stat(v, pool.p)
-    if pool.kind == "mink":
-        return _mink_stat(v, pool.p)
-    if pool.kind == "pp":
-        return _pp_stat(v, pool.ps, pool.rs)
-    # lw
+    if pool.kind != "lw":
+        return _STATS[pool.kind](v, *_values(pool))
     if ref_luma is None:
         raise MissingLumaForLW("lw pooling needs the reference mean-luminance map")
     mu = ref_luma.values if isinstance(ref_luma, QualityMap) else np.asarray(ref_luma, dtype=np.float64)
@@ -250,31 +255,4 @@ def pool_temporal(series: Union[ScoreSeries, np.ndarray], method: Union[Temporal
     v = v.reshape(-1)
     if v.size == 0:
         raise EmptySeries("cannot pool an empty score series")
-
-    if pool.kind == "am":
-        return float(v.mean())
-    if pool.kind == "gm":
-        return _gm_stat(v)
-    if pool.kind == "hm":
-        return _hm_stat(v)
-    if pool.kind == "median":
-        return float(np.median(v))
-    if pool.kind == "cov":
-        return _cov_stat(v)
-    if pool.kind == "md":
-        return _md_stat(v, pool.p, pool.o)
-    if pool.kind == "fns":
-        return _fns_stat(v)
-    if pool.kind == "dw":
-        return _dw_stat(v, pool.p)
-    if pool.kind == "mink":
-        return _mink_stat(v, pool.p)
-    if pool.kind == "pp":
-        return _pp_stat(v, pool.ps, pool.rs)
-
-    # windowed forms: base statistic over every length-k sliding window, then
-    # the mean of the window statistics; short series collapse to one window
-    base = {"wam": np.mean, "wgm": _gm_stat, "whm": _hm_stat, "wcov": _cov_stat}[pool.kind]
-    k = min(pool.k, v.size)
-    stats = [float(base(v[i : i + k])) for i in range(v.size - k + 1)]
-    return float(np.mean(stats))
+    return _STATS[pool.kind](v, *_values(pool))

@@ -24,7 +24,7 @@ from .errors import (
     GaussianNotSupported3D,
     ValidationError,
 )
-from .frames import PlaneLike, ScoreSeries, plane_data, validate_frame_pair
+from .frames import PlaneLike, ScoreSeries, paired_frames, plane_data, validate_frame_pair
 from .multiscale import dyadic_downsample, msssim  # noqa: F401  (perfbench traces dyadic_downsample here)
 from .ssim import SsimTermMaps, mssim, term_maps_from_stats
 from .stats import LocalStatsMaps, _pair_terms, _window_sums, stats_from_sums
@@ -139,11 +139,6 @@ class RollingVolume:
         )
 
 
-def push_frame(vol: RollingVolume, ref: PlaneLike, dist: PlaneLike) -> RollingVolume:
-    """Functional alias for :meth:`RollingVolume.push`."""
-    return vol.push(ref, dist)
-
-
 def ssim3d_map(vol: RollingVolume, window: WindowSpec, config: SsimConfig = SsimConfig()) -> SsimTermMaps:
     """SSIM term maps over the volume's current temporal window."""
     stats = vol.local_statistics(window)
@@ -159,7 +154,7 @@ def ssim3d_series(
     """Frame-by-frame mean 3-D SSIM of two aligned luma streams."""
     vol = RollingVolume(kt)
     scores = []
-    for ref, dist in zip(ref_frames, dist_frames):
+    for ref, dist in paired_frames(ref_frames, dist_frames):
         vol.push(ref, dist)
         scores.append(mssim(ssim3d_map(vol, config.window, config)))
     return ScoreSeries(np.asarray(scores))
@@ -177,5 +172,5 @@ def msssim3d(
     Kt frames of that scale."""
     spec = MultiscaleSpec.product() if spec is None else spec
     volumes = [RollingVolume(kt) for _ in range(spec.levels)]
-    scores = [msssim(r, d, config, spec, volumes) for r, d in zip(ref_frames, dist_frames)]
+    scores = [msssim(r, d, config, spec, volumes) for r, d in paired_frames(ref_frames, dist_frames)]
     return ScoreSeries(np.asarray(scores))

@@ -95,24 +95,3 @@ def ssim_score(ref: PlaneLike, dist: PlaneLike, config: SsimConfig = SsimConfig(
     """Convenience wrapper: mean SSIM of a frame pair."""
     return mssim(ssim_map(ref, dist, config))
 
-
-def weber_luminance_term(mu1: float, luminance_shift: float, c1_over_mu1sq: float) -> float:
-    """Luminance term as a function of the relative luminance change.
-
-    For mu2 = mu1 * (1 + shift) the luminance ratio reduces to
-    (2 (1 + shift) + c) / (1 + (1 + shift)^2 + c) with c = C1 / mu1^2, which
-    no longer depends on mu1 when c -> 0. Serves as the closed-form oracle
-    for luminance-masking behavior.
-    """
-    if mu1 <= 0:
-        raise ValueError(f"mu1 must be positive, got {mu1}")
-    lam = luminance_shift
-    c = c1_over_mu1sq
-    return (2.0 * (1.0 + lam) + c) / (1.0 + (1.0 + lam) ** 2 + c)
-
-
-def weber_contrast_term(contrast_shift: float, c2_over_var1: float) -> float:
-    """Contrast-masking analogue: the c term under sigma2 = (1 + shift) sigma1."""
-    s = contrast_shift
-    c = c2_over_var1
-    return (2.0 * (1.0 + s) + c) / (1.0 + (1.0 + s) ** 2 + c)

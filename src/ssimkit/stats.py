@@ -1,10 +1,11 @@
 """Windowed local statistics (means, variances, covariance) for image pairs.
 
 Two engines produce identical grids: a direct one that slides the window and
-accumulates weighted sums (any window shape), and a fast one for rectangular
-windows whose cost per pixel does not depend on k. Only fully interior windows
-are evaluated (valid region, no padding); the grid is sampled every
-``stride`` pixels from anchor (0, 0).
+accumulates weighted sums (any window shape; a rectangular window is a
+uniform kernel), and a fast one for rectangular windows whose cost per pixel
+does not depend on k. Only fully interior windows are evaluated (valid
+region, no padding); the grid is sampled every ``stride`` pixels from anchor
+(0, 0).
 
 The fast engine's route depends on the sample type. Integer planes go through
 :func:`box_sums`: two separable passes (a row-wise cumulative sum and its
@@ -31,11 +32,8 @@ from .errors import (
     NonPositiveSigma,
     ValidationError,
     WindowLargerThanImage,
-    WindowOutOfBounds,
 )
 from .frames import PlaneLike, plane_data, validate_frame_pair
-
-TABLE_IDS = ("sum1", "sum2", "sq1", "sq2", "prod")
 
 
 def gaussian_kernel(sigma: float, k: int | None = None) -> np.ndarray:
@@ -80,62 +78,6 @@ def _sat(values: np.ndarray) -> np.ndarray:
     out = np.zeros((h + 1, w + 1), dtype=values.dtype)
     out[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
     return out
-
-
-@dataclass(frozen=True)
-class IntegralSet:
-    """Five summed-area tables for a frame pair: I1, I2, I1^2, I2^2, I1*I2.
-
-    Tables carry a zero border row/column; integer input stays in int64 so
-    every window sum is exact.
-    """
-
-    sum1: np.ndarray
-    sum2: np.ndarray
-    sq1: np.ndarray
-    sq2: np.ndarray
-    prod: np.ndarray
-    height: int
-    width: int
-
-    def table(self, which: str) -> np.ndarray:
-        if which not in TABLE_IDS:
-            raise ValidationError(f"unknown table {which!r}, expected one of {TABLE_IDS}")
-        return getattr(self, which)
-
-
-def build_integral_set(ref: PlaneLike, dist: PlaneLike) -> IntegralSet:
-    """Build the five summed-area tables for a validated frame pair."""
-    ref, dist = validate_frame_pair(ref, dist)
-    a = plane_data(ref)
-    b = plane_data(dist)
-    if a.dtype.kind in "ui" and b.dtype.kind in "ui":
-        a = a.astype(np.int64)
-        b = b.astype(np.int64)
-    else:
-        a = a.astype(np.float64)
-        b = b.astype(np.float64)
-    h, w = a.shape
-    return IntegralSet(
-        sum1=_sat(a),
-        sum2=_sat(b),
-        sq1=_sat(a * a),
-        sq2=_sat(b * b),
-        prod=_sat(a * b),
-        height=h,
-        width=w,
-    )
-
-
-def window_sum(iset: IntegralSet, which: str, i: int, j: int, k: int):
-    """Sum of one k x k window anchored at row i, column j, in O(1)."""
-    t = iset.table(which)
-    if k < 1 or i < 0 or j < 0 or i + k > iset.height or j + k > iset.width:
-        raise WindowOutOfBounds(
-            f"{k}x{k} window at ({i}, {j}) leaves the {iset.width}x{iset.height} valid region"
-        )
-    # The zero border shifts (i-1, j-1) of the four-corner rule to (i, j).
-    return (t[i + k, j + k] + t[i, j] - t[i + k, j] - t[i, j + k]).item()
 
 
 def _grid_window_sums(table: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -220,19 +162,9 @@ def _window_sums(planes, k: int, stride: int, integer: bool) -> list[np.ndarray]
     return [box_sums(p, k, stride, np.empty(_grid_shape(*p.shape, k, stride))) for p in planes]
 
 
-def _sliding_raw_sums(values: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Direct windowed sums: accumulate the k^2 shifted slices."""
-    h, w = values.shape
-    gh, gw = h - k + 1, w - k + 1
-    out = np.zeros(((gh - 1) // stride + 1, (gw - 1) // stride + 1), dtype=np.float64)
-    for m in range(k):
-        for n in range(k):
-            out += values[m : m + gh : stride, n : n + gw : stride]
-    return out
-
-
 def _sliding_weighted_sums(values: np.ndarray, weights: np.ndarray, stride: int) -> np.ndarray:
-    """Direct weighted windowed sums for an arbitrary weight grid."""
+    """Direct weighted windowed sums for an arbitrary weight grid (a
+    rectangular window is a grid of ones, whose products are exact)."""
     k = weights.shape[0]
     h, w = values.shape
     gh, gw = h - k + 1, w - k + 1
@@ -316,11 +248,10 @@ def local_statistics(
     terms = _pair_terms(a, b, integer)
     if engine == "integral":
         sums, area = _window_sums(terms, k, stride, integer), float(k * k)
-    elif window.shape == "rect":
-        sums, area = [_sliding_raw_sums(t, k, stride) for t in terms], float(k * k)
     else:
-        kern = gaussian_kernel(window.sigma, k)
-        sums, area = [_sliding_weighted_sums(t, kern, stride) for t in terms], 1.0
+        rect = window.shape == "rect"
+        kern, area = (np.ones((k, k)), float(k * k)) if rect else (gaussian_kernel(window.sigma, k), 1.0)
+        sums = [_sliding_weighted_sums(t, kern, stride) for t in terms]
     mu1, mu2, var1, var2, cov = stats_from_sums(*sums, area=area)
 
     return LocalStatsMaps(

@@ -252,6 +252,19 @@ class TestScoreCommand:
         assert result.exit_code == 2
         assert "workers" in result.output
 
+    @pytest.mark.parametrize("flags", [
+        ["--temporal-pool", "am:k=5"],
+        ["--spatial-pool", "mink:p=2,x=5"],
+        ["--scale", "none:7"],
+        ["--color", "hssim:a=1"],
+        ["--multiscale", "product:2,x=1"],
+    ])
+    def test_unknown_selector_options_are_input_errors(self, runner, media, flags):
+        ref_path, dist_path, _, _ = media
+        result = runner.invoke(main, ["score", str(ref_path), str(dist_path), *flags])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+
     def test_flag_overrides(self, runner, media):
         ref_path, dist_path, _, _ = media
         result = runner.invoke(

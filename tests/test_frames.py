@@ -241,6 +241,23 @@ class TestSelectorGrammar:
         assert parse_multiscale("product:levels=3").levels == 3
         assert parse_multiscale("fast4").levels == 4
 
+    @pytest.mark.parametrize("parse, text", [
+        (parse_multiscale, "fast4:levels=9"),
+        (parse_multiscale, "off:2"),
+        (parse_multiscale, "product:3,levels=4"),
+        (parse_scale, "sast:D=3000,theta=10"),
+        (parse_scale, "none:7"),
+        (parse_scale, "dh:3,4"),
+        (parse_color, "qssim:lab,foo"),
+        (parse_color, "cw:a=0.1,c=2"),
+        (parse_color, "hssim:a=1"),
+        (parse_color, "fixed:0.8,0.1,0.1,w=1"),
+        (parse_window, "rect:11,stride=2,stride=3"),
+    ])
+    def test_unknown_options_and_extra_values_rejected(self, parse, text):
+        with pytest.raises(ValidationError):
+            parse(text)
+
     def test_selector_round_trip(self):
         for text in ["rect:11", "rect:8,stride=4", "gauss:1.5,k=11"]:
             spec = parse_window(text)

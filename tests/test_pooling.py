@@ -204,6 +204,31 @@ class TestSelectors:
         pool = parse_temporal("pp:pt=6,rt=4000")
         assert (pool.ps, pool.rs) == (6.0, 4000.0)
 
+    def test_pp_aliases_agree_across_domains(self, rng):
+        s = rng.uniform(0.2, 1.0, 50)
+        assert pool_temporal(s, "pp:p=10,r=3") == pool_temporal(s, "pp:ps=10,rs=3")
+        assert pool_temporal(s, "pp:p=10,r=3") != pool_temporal(s, "am")
+        assert parse_spatial("pp:pt=10,rt=3") == parse_spatial("pp:ps=10,rs=3")
+
+    def test_positional_values_fill_parameters_in_order(self):
+        assert parse_spatial("lw:10,40") == parse_spatial("lw:a=10,b=40")
+        assert parse_spatial("md:3,2") == parse_spatial("md:p=3,o=2")
+        assert parse_temporal("pp:10,3") == parse_temporal("pp:ps=10,rs=3")
+        assert parse_temporal("wam:4") == parse_temporal("wam:k=4")
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_spatial, "am:p=9"),
+        (parse_spatial, "md:2,3,4"),
+        (parse_spatial, "mink:p=2,x=5"),
+        (parse_spatial, "pp:p=10,ps=6"),
+        (parse_spatial, "md:p=2,p=3"),
+        (parse_temporal, "am:k=5"),
+        (parse_temporal, "wam:3,k=3"),
+    ])
+    def test_unknown_keys_and_extra_values_rejected(self, parse, text):
+        with pytest.raises(ValidationError):
+            parse(text)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             parse_spatial("md:p=0")

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from ssimkit.config import MultiscaleSpec, SsimConfig, WindowSpec
-from ssimkit.errors import DimensionMismatch, GaussianNotSupported3D
+from ssimkit.errors import DimensionMismatch, GaussianNotSupported3D, LengthMismatch
 from ssimkit.frames import LumaPlane
 from ssimkit.multiscale import msssim
 from ssimkit.spatiotemporal import (
     RollingVolume,
     msssim3d,
-    push_frame,
     ssim3d_map,
     ssim3d_series,
 )
@@ -45,7 +44,7 @@ class TestRollingSums:
         a = LumaPlane(np.full((8, 8), 7, dtype=np.uint8))
         b = LumaPlane(np.full((8, 8), 3, dtype=np.uint8))
         for _ in range(4):
-            push_frame(vol, a, b)
+            vol.push(a, b)
         sums = vol.temporal_sums()
         assert np.all(sums[0] == 28.0)
         assert np.all(sums[1] == 12.0)
@@ -187,6 +186,15 @@ class TestSeries:
         refs, _ = frame_pairs(rng, 4, 32, 32)
         series = ssim3d_series(refs, refs, kt=3, config=CFG5)
         assert np.allclose(series.scores, 1.0, atol=1e-12)
+
+    def test_streams_of_different_lengths_are_rejected(self, rng):
+        refs, dists = frame_pairs(rng, 3, 64, 64)
+        with pytest.raises(LengthMismatch):
+            ssim3d_series(refs, dists[:2], 2, CFG5)
+        with pytest.raises(LengthMismatch):
+            msssim3d(refs, dists[:1], 2, MultiscaleSpec.product(2), CFG5)
+        with pytest.raises(LengthMismatch):
+            msssim3d(refs[:1], dists, 2, MultiscaleSpec.product(2), CFG5)
 
     def test_msssim3d_identical_streams(self, rng):
         refs, _ = frame_pairs(rng, 4, 64, 64)

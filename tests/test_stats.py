@@ -11,17 +11,17 @@ from ssimkit.errors import (
     NonPositiveSigma,
     ValidationError,
     WindowLargerThanImage,
-    WindowOutOfBounds,
 )
 from ssimkit.frames import LumaPlane
 from ssimkit.stats import (
-    _sliding_raw_sums,
+    _pair_terms,
+    _sat,
+    _sliding_weighted_sums,
+    _window_sums,
     box_sums,
-    build_integral_set,
     gaussian_kernel,
     local_statistics,
     rect_equivalent,
-    window_sum,
 )
 
 from conftest import random_plane
@@ -94,28 +94,34 @@ class TestRectEquivalent:
             rect_equivalent(1.5, "same-everything")
 
 
+def uniform_sums(values, k, stride):
+    """Direct k x k window sums: the naive engine's rect route."""
+    return _sliding_weighted_sums(values, np.ones((k, k)), stride)
+
+
+def float_terms(a, b):
+    """The five float64 planes I1, I2, I1^2, I2^2, I1*I2 of a frame pair."""
+    return list(_pair_terms(a.samples, b.samples, integer=False))
+
+
 class TestIntegralSet:
+    """The float64 summed-area tables that float planes take."""
+
     def test_two_by_two_total(self):
         a = LumaPlane(np.array([[1, 2], [3, 4]], dtype=np.uint8))
-        iset = build_integral_set(a, a)
-        assert iset.sum1[2, 2] == 10
+        assert _sat(float_terms(a, a)[0])[2, 2] == 10
 
     def test_identical_planes_share_product_table(self, rng):
         a = random_plane(rng, 6, 9)
-        iset = build_integral_set(a, a)
-        assert np.array_equal(iset.prod, iset.sq1)
+        terms = float_terms(a, a)
+        assert np.array_equal(_sat(terms[4]), _sat(terms[2]))
 
     def test_matches_brute_force_prefix_sums(self, rng):
         a = random_plane(rng, 7, 5)
         b = random_plane(rng, 7, 5)
-        iset = build_integral_set(a, b)
-        fa = a.samples.astype(np.int64)
-        fb = b.samples.astype(np.int64)
-        quantities = {
-            "sum1": fa, "sum2": fb, "sq1": fa * fa, "sq2": fb * fb, "prod": fa * fb,
-        }
-        for name, values in quantities.items():
-            table = iset.table(name)
+        for values in float_terms(a, b):
+            table = _sat(values)
+            assert table.dtype == np.float64
             assert np.all(table[0, :] == 0) and np.all(table[:, 0] == 0)
             for i in range(7):
                 for j in range(5):
@@ -123,41 +129,33 @@ class TestIntegralSet:
 
     def test_recurrence(self, rng):
         a, b = random_plane(rng, 8, 8), random_plane(rng, 8, 8)
-        t = build_integral_set(a, b).sum1
-        f = a.samples.astype(np.int64)
+        f = float_terms(a, b)[0]
+        t = _sat(f)
         for i in range(1, 9):
             for j in range(1, 9):
                 assert t[i, j] == t[i - 1, j] + t[i, j - 1] - t[i - 1, j - 1] + f[i - 1, j - 1]
 
 
 class TestWindowSum:
+    """Window sums of float planes from their summed-area tables."""
+
     def test_whole_image_window(self):
         a = LumaPlane(np.array([[1, 2], [3, 4]], dtype=np.uint8))
-        iset = build_integral_set(a, a)
-        assert window_sum(iset, "sum1", 0, 0, 2) == 10
+        assert _window_sums(float_terms(a, a)[:1], 2, 1, integer=False)[0].tolist() == [[10.0]]
 
     def test_single_sample_window(self, rng):
         a = random_plane(rng, 5, 5)
-        iset = build_integral_set(a, a)
-        for i in range(5):
-            for j in range(5):
-                assert window_sum(iset, "sum1", i, j, 1) == a.samples[i, j]
+        sums = _window_sums(float_terms(a, a)[:1], 1, 1, integer=False)[0]
+        assert np.array_equal(sums, a.samples)
 
     def test_matches_direct_loop(self, rng):
         a, b = random_plane(rng, 16, 16), random_plane(rng, 16, 16)
-        iset = build_integral_set(a, b)
+        sums = _window_sums(float_terms(a, b)[4:], 5, 1, integer=False)[0]
         prod = a.samples.astype(np.int64) * b.samples.astype(np.int64)
+        assert sums.shape == (12, 12)
         for i in range(12):
             for j in range(12):
-                assert window_sum(iset, "prod", i, j, 5) == prod[i : i + 5, j : j + 5].sum()
-
-    def test_out_of_bounds(self, rng):
-        a = random_plane(rng, 8, 8)
-        iset = build_integral_set(a, a)
-        with pytest.raises(WindowOutOfBounds):
-            window_sum(iset, "sum1", 5, 5, 4)
-        with pytest.raises(WindowOutOfBounds):
-            window_sum(iset, "sum1", -1, 0, 2)
+                assert sums[i, j] == prod[i : i + 5, j : j + 5].sum()
 
 
 @st.composite
@@ -178,7 +176,7 @@ class TestBoxSums:
     def test_equals_direct_sums_exactly(self, case):
         plane, k, stride = case
         for values in (plane, plane.astype(np.uint32) ** 2):
-            expected = _sliding_raw_sums(values, k, stride)
+            expected = uniform_sums(values, k, stride)
             assert np.array_equal(box_sums(values, k, stride), expected)
             out = box_sums(values, k, stride, np.empty(expected.shape))
             assert np.array_equal(out, expected)
@@ -196,7 +194,7 @@ class TestBoxSums:
         for values in (full, noisy):
             sums = box_sums(values, k, 1)
             assert sums.dtype == work
-            assert np.array_equal(sums, _sliding_raw_sums(values, k, 1))
+            assert np.array_equal(sums, uniform_sums(values, k, 1))
         assert (work is np.uint32) == (k * k * peak * peak < 2**32)
 
     def test_signed_input_uses_int64(self):
