@@ -25,22 +25,14 @@ from .config import (
 from .errors import DegenerateData, SsimkitError, ValidationError
 import numpy as np
 
-from .evaluation import (
-    CostPerfPoint,
-    LabeledDataset,
-    correlations,
-    eval_5pl,
-    fit_5pl,
-    is_monotone,
-    normalize_scores,
-    pareto_front,
-)
+from .evaluation import CostPerfPoint, normalize_scores, pareto_front
 from .media import format_float, write_report
 from .pipeline import (
     BENCH_FIELDS,
     FRAME_FIELDS,
     PipelineSpec,
     expand_preset,
+    fit_and_correlate,
     preset_specs,
     run_benchmark,
     run_score,
@@ -223,7 +215,8 @@ def pareto(points_csv, fmt) -> None:
 @main.command("fit-5pl")
 @click.argument("data_csv")
 def fit_5pl_command(data_csv) -> None:
-    """Fit the 5-parameter logistic to an objective,subjective CSV."""
+    """Fit the 5-parameter logistic to an objective,subjective CSV and report
+    the statistics ``benchmark`` reports for a spec."""
     import csv as csvmod
 
     try:
@@ -237,14 +230,10 @@ def fit_5pl_command(data_csv) -> None:
         normalized = bool(subj_arr.size and (subj_arr.min() < 0.0 or subj_arr.max() > 1.0))
         if normalized:
             subj_arr = normalize_scores(subj_arr)
-        data = LabeledDataset.from_pairs(obj, subj_arr)
-        fit = fit_5pl(data)
-        fitted = eval_5pl(fit, data.objective)
-        pcc, _, rmse = correlations(fitted, data.subjective)
-        _, srocc, _ = correlations(data.objective, data.subjective)
+        fit, pcc, srocc, rmse, monotone = fit_and_correlate(obj, subj_arr)
     except DegenerateData as exc:
         _fail(exc, EXIT_DEGENERATE)
-    except (SsimkitError, KeyError, ValueError) as exc:
+    except (SsimkitError, KeyError, TypeError, ValueError) as exc:
         _fail(exc, EXIT_INPUT_ERROR)
     except OSError as exc:
         _fail(exc, EXIT_INPUT_ERROR)
@@ -253,7 +242,7 @@ def fit_5pl_command(data_csv) -> None:
         "pcc": format_float(pcc),
         "srocc": format_float(srocc),
         "rmse": format_float(rmse),
-        "monotone": is_monotone(fit, float(data.objective.min()), float(data.objective.max())),
+        "monotone": monotone,
         "normalized_subjective": normalized,
     }
     click.echo(json.dumps(out))

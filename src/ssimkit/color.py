@@ -3,17 +3,17 @@
 Models: channel-wise weighting of per-channel scores in YCbCr (rational or
 fixed weights), quaternion similarity on tristimulus pixels, the CIELAB
 delta-E weighted map, and the hue-similarity blend. All return 1 on identical
-frames.
+frames. Every scorer takes ``(ref, dist, config)`` and reads each setting,
+the model's own in ``config.color`` too, from the config alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Union
 
 import numpy as np
 
-from .config import SsimConfig, WindowSpec
+from .config import SsimConfig
 from .errors import DegenerateWeights, ValidationError, WrongSpace
 from .frames import (
     CHROMA_444,
@@ -119,25 +119,21 @@ def combine_channelwise(fy: float, fcb: float, fcr: float, alpha: float, beta: f
     return (fy + alpha * fcb + beta * fcr) / denom
 
 
-def channelwise_cssim(
-    ref: ColorFrame, dist: ColorFrame, alpha: float, beta: float, config: SsimConfig = SsimConfig()
-) -> float:
-    """Weighted combination of per-channel scores in YCbCr.
+def channelwise_cssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) -> float:
+    """Per-channel scores in YCbCr combined with the chroma weights
+    ``config.color.alpha`` (Cb) and ``config.color.beta`` (Cr).
 
     Channels are scored at their own resolution (4:2:0 chroma at chroma
     resolution). Negative chroma weights can push the result above 1.
     """
     fy, fcb, fcr = _channel_scores(ref, dist, config)
-    return combine_channelwise(fy, fcb, fcr, alpha, beta)
+    return combine_channelwise(fy, fcb, fcr, config.color.alpha, config.color.beta)
 
 
-def fixed_weight_cssim(
-    ref: ColorFrame,
-    dist: ColorFrame,
-    weights: tuple[float, float, float] = (0.8, 0.1, 0.1),
-    config: SsimConfig = SsimConfig(),
-) -> float:
-    """Convex combination wY*fY + wCb*fCb + wCr*fCr (weights sum to 1)."""
+def fixed_weight_cssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) -> float:
+    """Convex combination wY*fY + wCb*fCb + wCr*fCr of the weights
+    ``config.color.weights`` (which must sum to 1)."""
+    weights = config.color.weights
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ValidationError(f"channel weights must sum to 1, got {sum(weights)!r}")
     scores = _channel_scores(ref, dist, config)
@@ -181,24 +177,19 @@ def _embedding_channels(frame: ColorFrame, space: str) -> tuple[np.ndarray, np.n
     raise ValidationError(f"unknown quaternion embedding space {space!r}")
 
 
-def qssim(
-    ref: ColorFrame,
-    dist: ColorFrame,
-    window: WindowSpec = WindowSpec.rectangular(11),
-    k1: float = 0.01,
-    k2: float = 0.03,
-    space: str = "rgb",
-) -> float:
-    """Quaternion color similarity, windowed and averaged.
+def qssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) -> float:
+    """Quaternion color similarity over ``config.window``, averaged.
 
     Pixels embed as pure quaternions on (i, j, k); per window the mean-based
     factor |2 mu_r conj(mu_d) + C1| / (|mu_r|^2 + |mu_d|^2 + C1) multiplies
     the covariance-based factor |2 cov_rd + C2| / (var_r + var_d + C2), with
     the quaternion covariance cov_rd = E[q_r conj(q_d)] - mu_r conj(mu_d).
-    Setting the window to the frame size recovers the whole-frame form.
-    YCbCr input is converted to RGB for the ``rgb`` and ``lab`` embeddings.
+    Setting the window to the frame size recovers the whole-frame form. The
+    embedding space is ``config.color.space``; YCbCr input is converted to
+    RGB for the ``rgb`` and ``lab`` embeddings.
     """
     validate_color_pair(ref, dist)
+    window, space = config.window, config.color.space
     if window.shape != "rect":
         raise ValidationError("quaternion similarity uses rectangular windows")
     if space in ("rgb", "lab") and ref.space == SPACE_YCBCR:
@@ -206,9 +197,8 @@ def qssim(
     ref, dist = upsample_chroma(ref), upsample_chroma(dist)
     r1, g1, b1 = _embedding_channels(ref, space)
     r2, g2, b2 = _embedding_channels(dist, space)
-    peak = ref.peak
-    c1 = (k1 * peak) ** 2
-    c2 = (k2 * peak) ** 2
+    config = config.for_bit_depth(ref.bit_depth)
+    c1, c2 = config.c1, config.c2
     k, stride = window.k, window.stride
     if k > r1.shape[0] or k > r1.shape[1]:
         raise ValidationError(f"{k}x{k} window does not fit a {r1.shape[1]}x{r1.shape[0]} frame")
@@ -305,12 +295,7 @@ def delta_e_map(ref: ColorFrame, dist: ColorFrame, smooth_opponent: bool = True)
     return np.sqrt(sum((a - b) ** 2 for a, b in zip(lab1, lab2)))
 
 
-def cmssim(
-    ref: ColorFrame,
-    dist: ColorFrame,
-    window: WindowSpec = WindowSpec.rectangular(11),
-    config: SsimConfig = SsimConfig(),
-) -> float:
+def cmssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) -> float:
     """Luma SSIM map weighted down by the CIELAB difference of the pixels.
 
     Weight is clamp(1 - deltaE/45, 0, 1); deltaE is sampled at each window's
@@ -320,13 +305,11 @@ def cmssim(
     if ref.space == SPACE_YCBCR:
         ref, dist = ycbcr_bt709_to_rgb(ref), ycbcr_bt709_to_rgb(dist)
     config = config.for_bit_depth(ref.bit_depth)
-    if config.window != window:
-        config = replace(config, window=window)
     maps = ssim_map(luma_of(ref), luma_of(dist), config)
     de = delta_e_map(ref, dist)
     weight = np.clip(1.0 - de / DELTA_E_FULL_MASK, 0.0, 1.0)
     gh, gw = maps.q_map.shape
-    k, s = window.k, window.stride
+    k, s = config.window.k, config.window.stride
     center = (k - 1) // 2
     rows = np.arange(gh) * s + center
     cols = np.arange(gw) * s + center
@@ -359,19 +342,12 @@ def hue_plane(frame: ColorFrame) -> LumaPlane:
     return LumaPlane(hue / 360.0 * frame.peak, frame.bit_depth)
 
 
-def hssim(
-    ref: ColorFrame,
-    dist: ColorFrame,
-    window: WindowSpec = WindowSpec.rectangular(11),
-    config: SsimConfig = SsimConfig(),
-) -> float:
+def hssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) -> float:
     """(SSIM + 0.2 * hue-channel SSIM) / 1.2."""
     validate_color_pair(ref, dist)
     if ref.space == SPACE_YCBCR:
         ref, dist = ycbcr_bt709_to_rgb(ref), ycbcr_bt709_to_rgb(dist)
     config = config.for_bit_depth(ref.bit_depth)
-    if config.window != window:
-        config = replace(config, window=window)
     luma_score = mssim(ssim_map(luma_of(ref), luma_of(dist), config))
     hue_score = mssim(ssim_map(hue_plane(ref), hue_plane(dist), config))
     return (luma_score + 0.2 * hue_score) / 1.2

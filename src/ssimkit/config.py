@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
-from .errors import DegenerateWeights, NonPositiveSigma, ValidationError
+from .errors import DegenerateWeights, NonPositiveSigma, SsimkitError, ValidationError
 
 #: Standard per-scale exponents of the 5-level multiscale formulation. The
 #: values are the canonical constants of that formulation, external to this
@@ -292,15 +292,26 @@ class SsimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SsimConfig":
+        """The config ``to_dict`` gave; a missing part, an unknown key or a
+        value of the wrong type raises ValidationError."""
         parts = dict(window=WindowSpec, scaling=ScalePolicy, color=ColorModelSpec, multiscale=MultiscaleSpec)
-        return cls(**{**d, **{name: part(**d[name]) for name, part in parts.items()}})
+        try:
+            return cls(**{**d, **{name: part(**d[name]) for name, part in parts.items()}})
+        except SsimkitError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"not a config: {type(exc).__name__}: {exc}") from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SsimConfig":
-        return cls.from_dict(json.loads(text))
+        try:
+            d = json.loads(text)
+        except ValueError as exc:
+            raise ValidationError(f"config is not JSON: {exc}") from None
+        return cls.from_dict(d)
 
 
 # ---------------------------------------------------------------------------

@@ -189,16 +189,6 @@ def cross_apply(fit: Logistic5, target: LabeledDataset) -> float:
     return fit_rmse(fit, target)
 
 
-def is_monotone(params: Logistic5, x_lo: float, x_hi: float, points: int = 1000, slack: float = 1e-12) -> bool:
-    """Numeric non-decreasing check of the fitted curve on [x_lo, x_hi].
-
-    Rank-preservation claims only hold when this does.
-    """
-    grid = np.linspace(x_lo, x_hi, points)
-    vals = np.asarray(eval_5pl(params, grid))
-    return bool(np.all(np.diff(vals) >= -slack))
-
-
 def is_rank_preserving(params: Logistic5, x_lo: float, x_hi: float, points: int = 1000) -> bool:
     """True when the curve is monotone in either direction on the interval.
 
@@ -282,10 +272,13 @@ def load_manifest(path: str) -> list[dict]:
     """Rows of a dataset manifest CSV.
 
     Columns: ref_path, dist_path, subjective_score, plus optional width,
-    height, bit_depth, chroma for raw video rows.
+    height, bit_depth, chroma for raw video rows. The file is UTF-8 text.
     """
-    with open(path, newline="") as fh:
-        return _parse_manifest(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            return _parse_manifest(fh)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValidationError(f"{path}: not a manifest CSV: {exc}") from None
 
 
 def _parse_manifest(fh) -> list[dict]:
@@ -295,6 +288,9 @@ def _parse_manifest(fh) -> list[dict]:
         raise ValidationError(f"manifest needs columns {sorted(required)}, got {reader.fieldnames}")
     rows = []
     for i, row in enumerate(reader):
+        short = sorted(key for key in required if row[key] is None)
+        if short:
+            raise ValidationError(f"manifest row {i + 2}: no {', '.join(short)} field")
         try:
             parsed = {
                 "ref_path": row["ref_path"].strip(),
@@ -304,7 +300,9 @@ def _parse_manifest(fh) -> list[dict]:
             for key in ("width", "height", "bit_depth"):
                 if row.get(key):
                     parsed[key] = int(row[key])
-        except (ValueError, AttributeError) as exc:
+            if "\0" in parsed["ref_path"] + parsed["dist_path"]:
+                raise ValueError("a path holds a NUL byte")
+        except ValueError as exc:
             raise ValidationError(f"manifest row {i + 2}: {exc}") from None
         if row.get("chroma"):
             parsed["chroma"] = row["chroma"].strip()

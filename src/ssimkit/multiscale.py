@@ -3,7 +3,8 @@
 Contrast-structure similarity is pooled at every scale; luminance enters only
 at the coarsest scale (through the full per-window l*cs map). Scores combine
 as an exponent-weighted product, a normalized weighted sum, or the fast
-4-level product with renormalized exponents.
+4-level product with renormalized exponents. The level count, exponents and
+aggregation come from ``config.multiscale``.
 """
 
 from __future__ import annotations
@@ -42,16 +43,15 @@ def scale_scores(
     ref: PlaneLike,
     dist: PlaneLike,
     config: SsimConfig,
-    levels: int,
     volumes: Optional[Sequence["RollingVolume"]] = None,
 ) -> list[float]:
-    """Per-scale scores: mean cs at scales 1..L-1, mean l*cs at the coarsest.
+    """Per-scale scores over ``config.multiscale.levels`` scales: mean cs at
+    scales 1..L-1, mean l*cs at the coarsest.
 
     With ``volumes`` (one rolling volume per scale) each scale's pair is
     pushed into its volume and scored over the volume's temporal window.
     """
-    if levels < 1:
-        raise ValidationError("need at least one scale")
+    levels = config.multiscale.levels
     if volumes is not None and len(volumes) != levels:
         raise ValidationError(f"{levels} scales need {levels} rolling volumes, got {len(volumes)}")
     k = config.window.k
@@ -96,15 +96,12 @@ def combine_scale_scores(scores: list[float], spec: MultiscaleSpec) -> float:
 def msssim(
     ref: PlaneLike,
     dist: PlaneLike,
-    config: SsimConfig = SsimConfig(),
-    spec: MultiscaleSpec | None = None,
+    config: SsimConfig = SsimConfig(multiscale=MultiscaleSpec.product()),
     volumes: Optional[Sequence["RollingVolume"]] = None,
 ) -> float:
-    """Multiscale SSIM score of a frame pair; ``volumes`` make it 3-D (see scale_scores)."""
-    if spec is None:
-        spec = MultiscaleSpec.product()
-    if not spec.enabled:
+    """Multiscale SSIM score of a frame pair under ``config.multiscale``;
+    ``volumes`` make it 3-D (see scale_scores)."""
+    if not config.multiscale.enabled:
         raise ValidationError("multiscale aggregation is off; use ssim_score instead")
     validate_frame_pair(ref, dist)
-    scores = scale_scores(ref, dist, config, spec.levels, volumes)
-    return combine_scale_scores(scores, spec)
+    return combine_scale_scores(scale_scores(ref, dist, config, volumes), config.multiscale)

@@ -12,7 +12,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import (
 from .evaluation import (
     CostPerfPoint,
     LabeledDataset,
+    Logistic5,
     correlations,
     eval_5pl,
     fit_5pl,
@@ -69,7 +70,6 @@ class PipelineSpec:
     config: SsimConfig = field(default_factory=SsimConfig)
     kt: int = 1
     report_format: str = "jsonl"
-    preset: Optional[str] = None
     workers: int = 1
 
     def __post_init__(self):
@@ -109,8 +109,8 @@ def _enhanced_config() -> SsimConfig:
 def preset_specs() -> dict[str, PipelineSpec]:
     """The named presets the CLI exposes."""
     return {
-        "default": PipelineSpec(SsimConfig(), preset="default"),
-        "enhanced": PipelineSpec(_enhanced_config(), preset="enhanced"),
+        "default": PipelineSpec(SsimConfig()),
+        "enhanced": PipelineSpec(_enhanced_config()),
     }
 
 
@@ -181,14 +181,14 @@ def _prepare(
     return ref, dist, config.for_bit_depth(ref.bit_depth)
 
 
-#: Colour-model scorers. Each looks its ``colormod`` function up when called,
-#: so a wrapper installed on the module later is the one that runs.
+#: Each colour model's ``colormod`` scorer, by name; looked up per call, so a
+#: wrapper installed on the module later is the one that runs.
 _COLOR_SCORERS = {
-    "cw": lambda a, b, c: colormod.channelwise_cssim(a, b, c.color.alpha, c.color.beta, c),
-    "fixed": lambda a, b, c: colormod.fixed_weight_cssim(a, b, c.color.weights, c),
-    "qssim": lambda a, b, c: colormod.qssim(a, b, c.window, c.k1, c.k2, c.color.space),
-    "cmssim": lambda a, b, c: colormod.cmssim(a, b, c.window, c),
-    "hssim": lambda a, b, c: colormod.hssim(a, b, c.window, c),
+    "cw": "channelwise_cssim",
+    "fixed": "fixed_weight_cssim",
+    "qssim": "qssim",
+    "cmssim": "cmssim",
+    "hssim": "hssim",
 }
 
 
@@ -215,9 +215,10 @@ def score_frame_pair(
     """
     ref, dist, config = _prepare(ref, dist, config)
     if config.color.model != "luma":
-        return FrameScore(_COLOR_SCORERS[config.color.model](ref, dist, config), None, None, None)
+        scorer = getattr(colormod, _COLOR_SCORERS[config.color.model])
+        return FrameScore(scorer(ref, dist, config), None, None, None)
     if config.multiscale.enabled:
-        return FrameScore(msssim(ref, dist, config, config.multiscale, volumes), None, None, None)
+        return FrameScore(msssim(ref, dist, config, volumes), None, None, None)
     if volumes is None:
         stats = local_statistics(ref, dist, config.window, config.engine)
     else:
@@ -354,6 +355,27 @@ def run_score(
     return {"records": records, "summary": summary}
 
 
+class FitReport(NamedTuple):
+    """A 5PL fit of subjective on objective scores, and how well it predicts them."""
+
+    fit: Logistic5
+    pcc: float
+    srocc: float
+    rmse: float
+    monotone: bool
+
+
+def fit_and_correlate(objective: Sequence[float], subjective: Sequence[float]) -> FitReport:
+    """The 5PL fit; PCC, SROCC and RMSE of its predictions (so a decreasing,
+    rank-preserving fit of dissimilarity-style scores gives a positive SROCC);
+    and whether it preserves ranks over the objective range."""
+    data = LabeledDataset.from_pairs(objective, subjective)
+    fit = fit_5pl(data)
+    pcc, srocc, rmse = correlations(np.asarray(eval_5pl(fit, data.objective)), data.subjective)
+    lo, hi = float(data.objective.min()), float(data.objective.max())
+    return FitReport(fit, pcc, srocc, rmse, is_rank_preserving(fit, lo, hi))
+
+
 def run_benchmark(manifest_path: Union[str, os.PathLike], specs: dict[str, PipelineSpec]) -> list[dict]:
     """Correlate every spec's scores against a labeled manifest.
 
@@ -387,17 +409,9 @@ def run_benchmark(manifest_path: Union[str, os.PathLike], specs: dict[str, Pipel
             scores.append(out["summary"]["pooled_score"])
         end, _ = _user_seconds()
         elapsed = end - start if timing_source == "user" else time.perf_counter() - wall_start
-        objective = np.array(scores)
         note = ""
         try:
-            data = LabeledDataset.from_pairs(objective, subjective)
-            fit = fit_5pl(data)
-            fitted = np.asarray(eval_5pl(fit, objective))
-            # Correlations after linearization; a rank-preserving fit leaves
-            # |SROCC| equal to the raw value (and fixes its sign for
-            # dissimilarity-style pooled scores).
-            pcc, srocc, rmse = correlations(fitted, subjective)
-            monotone = is_rank_preserving(fit, float(objective.min()), float(objective.max()))
+            _, pcc, srocc, rmse, monotone = fit_and_correlate(scores, subjective)
         except DegenerateData as exc:
             pcc = srocc = rmse = float("nan")
             monotone = False

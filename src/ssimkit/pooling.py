@@ -9,7 +9,7 @@ positive floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -62,11 +62,17 @@ _CHECKS = {
 
 
 def _check(pool, kinds: tuple[str, ...], domain: str) -> None:
+    """Reject an unknown kind, a parameter out of range, and a field the kind
+    does not read that is set away from its default."""
     if pool.kind not in kinds:
         raise ValidationError(f"unknown {domain} pooler {pool.kind!r}")
-    for name, _ in _PARAMS[pool.kind]:
+    read = [name for name, _ in _PARAMS[pool.kind]]
+    for name in read:
         if name in _CHECKS and not _CHECKS[name][0](getattr(pool, name)):
             raise ValidationError(f"{pool.kind} pooling needs {_CHECKS[name][1]}")
+    for f in fields(pool):
+        if f.name not in read and f.name != "kind" and getattr(pool, f.name) != f.default:
+            raise ValidationError(f"{pool.kind} pooling takes no {f.name}")
 
 
 def _values(pool) -> list:

@@ -8,7 +8,8 @@ sums come from the exact separable :func:`~ssimkit.stats.box_sums` (wrapping
 uint32 while k^2 times the largest running sum fits in 32 bits, int64
 beyond). Once a float frame arrives the sums turn float64 and spatial sums
 come from float64 summed-area tables, as for 2-D float planes. With Kt = 1
-everything reduces exactly to frame-wise SSIM.
+everything reduces exactly to frame-wise SSIM. Scorers take the window,
+constants and multiscale settings from their ``SsimConfig``.
 """
 
 from __future__ import annotations
@@ -42,11 +43,10 @@ class RollingVolume:
     The sums are int64 while every pushed frame is integer, float64 after.
     """
 
-    def __init__(self, kt: int, refresh_interval: int = REFRESH_INTERVAL):
+    def __init__(self, kt: int):
         if not isinstance(kt, int) or kt < 1:
             raise ValidationError(f"temporal window must be an integer >= 1, got {kt!r}")
         self.kt = kt
-        self.refresh_interval = refresh_interval
         self._buffer: deque[tuple[np.ndarray, np.ndarray]] = deque()
         self._sums: Optional[list[np.ndarray]] = None  # I1, I2, I1^2, I2^2, I1*I2
         self._integer = True
@@ -97,7 +97,7 @@ class RollingVolume:
             self._buffer.popleft()
         self._buffer.append((a, b))
         self._pushes += 1
-        if self.refresh_interval and self._pushes % self.refresh_interval == 0:
+        if self._pushes % REFRESH_INTERVAL == 0:
             self._refresh()
         return self
 
@@ -139,9 +139,10 @@ class RollingVolume:
         )
 
 
-def ssim3d_map(vol: RollingVolume, window: WindowSpec, config: SsimConfig = SsimConfig()) -> SsimTermMaps:
-    """SSIM term maps over the volume's current temporal window."""
-    stats = vol.local_statistics(window)
+def ssim3d_map(vol: RollingVolume, config: SsimConfig = SsimConfig()) -> SsimTermMaps:
+    """SSIM term maps over the volume's current temporal window, with
+    ``config.window`` as the spatial window."""
+    stats = vol.local_statistics(config.window)
     return term_maps_from_stats(stats, config.c1, config.c2)
 
 
@@ -156,7 +157,7 @@ def ssim3d_series(
     scores = []
     for ref, dist in paired_frames(ref_frames, dist_frames):
         vol.push(ref, dist)
-        scores.append(mssim(ssim3d_map(vol, config.window, config)))
+        scores.append(mssim(ssim3d_map(vol, config)))
     return ScoreSeries(np.asarray(scores))
 
 
@@ -164,13 +165,11 @@ def msssim3d(
     ref_frames: Iterable[PlaneLike],
     dist_frames: Iterable[PlaneLike],
     kt: int,
-    spec: MultiscaleSpec | None = None,
-    config: SsimConfig = SsimConfig(),
+    config: SsimConfig = SsimConfig(multiscale=MultiscaleSpec.product()),
 ) -> ScoreSeries:
     """Multiscale 3-D SSIM: :func:`~ssimkit.multiscale.msssim` with one rolling
     volume per spatial scale, so each frame's scales are scored over the last
     Kt frames of that scale."""
-    spec = MultiscaleSpec.product() if spec is None else spec
-    volumes = [RollingVolume(kt) for _ in range(spec.levels)]
-    scores = [msssim(r, d, config, spec, volumes) for r, d in paired_frames(ref_frames, dist_frames)]
+    volumes = [RollingVolume(kt) for _ in range(config.multiscale.levels)]
+    scores = [msssim(r, d, config, volumes) for r, d in paired_frames(ref_frames, dist_frames)]
     return ScoreSeries(np.asarray(scores))

@@ -169,9 +169,10 @@ def _sliding_weighted_sums(values: np.ndarray, weights: np.ndarray, stride: int)
     h, w = values.shape
     gh, gw = h - k + 1, w - k + 1
     out = np.zeros(((gh - 1) // stride + 1, (gw - 1) // stride + 1), dtype=np.float64)
+    tap = np.empty_like(out)  # one scratch grid reused by every tap
     for m in range(k):
         for n in range(k):
-            out += weights[m, n] * values[m : m + gh : stride, n : n + gw : stride]
+            out += np.multiply(weights[m, n], values[m : m + gh : stride, n : n + gw : stride], out=tap)
     return out
 
 

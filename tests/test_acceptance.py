@@ -8,6 +8,7 @@ at minutes scale). Everything else is self-contained and fast.
 import itertools
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from ssimkit.ssim import mssim, ssim_map, ssim_score
 from ssimkit.stats import local_statistics
 
 from conftest import blur_plane, natural_plane, noisy_version, random_plane
-from test_color import brute_force_qssim
+from test_color import brute_force_qssim, cw
 from test_evaluation import brute_force_srocc
 
 
@@ -125,7 +126,7 @@ def test_criterion_04_spatiotemporal_reduction_and_cost():
     a, b = random_plane(rng, 48, 48), random_plane(rng, 48, 48)
     vol = RollingVolume(1)
     vol.push(a, b)
-    maps3d = ssim3d_map(vol, cfg.window, cfg)
+    maps3d = ssim3d_map(vol, cfg)
     maps2d = ssim_map(a, b, cfg)
     assert np.array_equal(maps3d.q_map.values, maps2d.q_map.values)
 
@@ -141,7 +142,7 @@ def test_criterion_04_spatiotemporal_reduction_and_cost():
     def timed_step(volume, r, d) -> float:
         t0 = time.perf_counter()
         volume.push(r, d)
-        mssim(ssim3d_map(volume, cfg.window, cfg))
+        mssim(ssim3d_map(volume, cfg))
         return time.perf_counter() - t0
 
     frames = [(random_plane(rng, 256, 256), random_plane(rng, 256, 256)) for _ in range(34)]
@@ -149,8 +150,8 @@ def test_criterion_04_spatiotemporal_reduction_and_cost():
     for r, d in frames[:12]:  # fill both buffers and warm the code paths
         vol_slow.push(r, d)
         vol_fast.push(r, d)
-    mssim(ssim3d_map(vol_slow, cfg.window, cfg))
-    mssim(ssim3d_map(vol_fast, cfg.window, cfg))
+    mssim(ssim3d_map(vol_slow, cfg))
+    mssim(ssim3d_map(vol_fast, cfg))
     slow_times, fast_times = [], []
     for r, d in frames[12:]:
         slow_times.append(timed_step(vol_slow, r, d))
@@ -197,11 +198,11 @@ def test_criterion_06_multiscale():
     cfg = SsimConfig(window=WindowSpec.rectangular(5))
     a = natural_plane(rng, 128, 128)
     for spec in (MultiscaleSpec.product(3), MultiscaleSpec.weighted_sum(3), MultiscaleSpec.fast4()):
-        assert msssim(a, a, cfg, spec) == pytest.approx(1.0, abs=1e-12)
+        assert msssim(a, a, replace(cfg, multiscale=spec)) == pytest.approx(1.0, abs=1e-12)
 
     b = noisy_version(rng, a, 16)
     exps = (0.2, 0.45, 0.35)
-    got = msssim(a, b, cfg, MultiscaleSpec("product", 3, exps))
+    got = msssim(a, b, replace(cfg, multiscale=MultiscaleSpec("product", 3, exps)))
     cur_a, cur_b = a, b
     expected = 1.0
     for level in range(3):
@@ -214,7 +215,7 @@ def test_criterion_06_multiscale():
 
     finest_cs = mssim(ssim_map(a, b, cfg).cs_map)
     tail = msssim(
-        dyadic_downsample(a), dyadic_downsample(b), cfg, MultiscaleSpec("product", 2, exps[1:])
+        dyadic_downsample(a), dyadic_downsample(b), replace(cfg, multiscale=MultiscaleSpec("product", 2, exps[1:]))
     )
     assert got == pytest.approx(max(finest_cs, 0.0) ** exps[0] * tail, abs=1e-9)
     report(6, "product/sum/fast4 saturate at 1; 3-level product matches oracle; recursion holds")
@@ -225,27 +226,27 @@ def test_criterion_07_color_models():
     rng = np.random.default_rng(707)
     chans = tuple(natural_plane(rng, 32, 32).samples for _ in range(3))
     frame = ColorFrame(chans)
-    window = WindowSpec.rectangular(11)
+    rect11 = SsimConfig(window=WindowSpec.rectangular(11))
     ycc = rgb_to_ycbcr_bt709(frame)
-    assert qssim(frame, frame, window) == pytest.approx(1.0, abs=1e-9)
-    assert cmssim(frame, frame, window) == pytest.approx(1.0, abs=1e-9)
-    assert hssim(frame, frame, window) == pytest.approx(1.0, abs=1e-9)
-    assert channelwise_cssim(ycc, ycc, -0.3, -0.3) == pytest.approx(1.0, abs=1e-9)
+    assert qssim(frame, frame, rect11) == pytest.approx(1.0, abs=1e-9)
+    assert cmssim(frame, frame, rect11) == pytest.approx(1.0, abs=1e-9)
+    assert hssim(frame, frame, rect11) == pytest.approx(1.0, abs=1e-9)
+    assert channelwise_cssim(ycc, ycc, cw(-0.3, -0.3)) == pytest.approx(1.0, abs=1e-9)
 
     dist_y = noisy_version(rng, LumaPlane(ycc.channels[0].astype(np.uint8)), 12).samples
     dist = ColorFrame((dist_y, ycc.channels[1], ycc.channels[2]), "ycbcr-bt709")
     luma_score = mssim(ssim_map(LumaPlane(ycc.channels[0]), LumaPlane(dist_y)))
-    assert channelwise_cssim(ycc, dist, 0.0, 0.0) == pytest.approx(luma_score, abs=1e-12)
+    assert channelwise_cssim(ycc, dist, cw(0.0, 0.0)) == pytest.approx(luma_score, abs=1e-12)
 
     blurred = ColorFrame(tuple(blur_plane(LumaPlane(c), 2).samples for c in chans))
-    assert cmssim(frame, blurred, window) <= mssim(
+    assert cmssim(frame, blurred, rect11) <= mssim(
         ssim_map(luma_of(frame), luma_of(blurred))
     ) + 1e-12
 
     for _ in range(4):
         r4 = ColorFrame(tuple(rng.integers(0, 256, (4, 4)).astype(np.uint8) for _ in range(3)))
         d4 = ColorFrame(tuple(rng.integers(0, 256, (4, 4)).astype(np.uint8) for _ in range(3)))
-        got = qssim(r4, d4, WindowSpec.rectangular(4))
+        got = qssim(r4, d4, SsimConfig(window=WindowSpec.rectangular(4)))
         assert got == pytest.approx(brute_force_qssim(r4, d4), abs=1e-9)
     report(7, "all models saturate at 1; cw(0,0)=luma; cmssim <= luma; qssim matches oracle")
 

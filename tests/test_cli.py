@@ -118,7 +118,7 @@ class TestRunScore:
         report = run_score(ref_path, dist_path, spec)
         from ssimkit.multiscale import msssim
 
-        expected = msssim(refs[0], dists[0], spec.config, spec.config.multiscale)
+        expected = msssim(refs[0], dists[0], spec.config)
         assert report["records"][0]["score"] == pytest.approx(expected, abs=1e-12)
 
     def test_kt_pipeline_matches_manual_volume(self, media):
@@ -355,6 +355,29 @@ class TestBenchmark:
         assert result.exit_code == 2
         assert "manifest row 2:" in result.output
 
+    def test_manifest_row_with_too_few_fields_is_input_error(self, runner, tmp_path, rng):
+        ref_path = make_y4m(tmp_path / "r.y4m", [natural_plane(rng, 16, 16)])
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(f"ref_path,dist_path,subjective_score\n{ref_path},{ref_path},0.5\n{ref_path},{ref_path}\n")
+        result = runner.invoke(main, ["benchmark", str(manifest), "--spec", "default"])
+        assert result.exit_code == 2
+        assert "manifest row 3:" in result.output
+        assert "subjective_score" in result.output
+
+    def test_manifest_path_with_a_nul_byte_is_input_error(self, runner, tmp_path):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("ref_path,dist_path,subjective_score\nr\0.y4m,d.y4m,0.5\n")
+        result = runner.invoke(main, ["benchmark", str(manifest), "--spec", "default"])
+        assert result.exit_code == 2
+        assert "manifest row 2:" in result.output
+
+    def test_manifest_that_is_not_utf8_is_input_error(self, runner, tmp_path):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(b"ref_path,dist_path,subjective_score\n\xff\xfer.y4m,d.y4m,0.5\n")
+        result = runner.invoke(main, ["benchmark", str(manifest), "--spec", "default"])
+        assert result.exit_code == 2
+        assert str(manifest) in result.output
+
     def test_spec_string_with_bad_number_is_input_error(self, runner, tmp_path, rng):
         manifest = self.make_manifest(tmp_path, rng)
         result = runner.invoke(main, ["benchmark", str(manifest), "--spec", "x=preset=default;kt=two"])
@@ -390,6 +413,31 @@ class TestOtherCommands:
         out = json.loads(result.output)
         assert float(out["srocc"]) == pytest.approx(1.0, abs=1e-9)
         assert float(out["rmse"]) <= 1e-6
+
+    def test_fit_5pl_reports_what_benchmark_reports(self, runner, tmp_path):
+        # dissimilarity-style scores: quality falls as the objective score rises
+        rng = np.random.default_rng(3)
+        x = np.linspace(0.1, 0.9, 12)
+        y = np.clip(0.95 - 0.9 * x**1.5 + rng.normal(0.0, 0.02, x.size), 0.0, 1.0)  # raw SROCC -0.986
+        data = tmp_path / "decreasing.csv"
+        data.write_text(
+            "objective,subjective\n" + "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in zip(x, y)) + "\n"
+        )
+        result = runner.invoke(main, ["fit-5pl", str(data)])
+        assert result.exit_code == 0
+        out = json.loads(result.output)
+        expected = pipeline.fit_and_correlate(x, y)
+        assert expected.srocc > 0.9 and expected.monotone
+        assert float(out["srocc"]) == pytest.approx(expected.srocc, abs=1e-8)
+        assert float(out["pcc"]) == pytest.approx(expected.pcc, abs=1e-8)
+        assert float(out["rmse"]) == pytest.approx(expected.rmse, abs=1e-8)
+        assert out["monotone"] is True
+
+    def test_fit_5pl_row_with_too_few_fields_is_input_error(self, runner, tmp_path):
+        data = tmp_path / "short.csv"
+        data.write_text("objective,subjective\n0.1,0.2\n0.3\n")
+        result = runner.invoke(main, ["fit-5pl", str(data)])
+        assert result.exit_code == 2
 
     def test_fit_5pl_degenerate_exit_code(self, runner, tmp_path):
         data = tmp_path / "flat.csv"

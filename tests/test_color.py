@@ -17,12 +17,22 @@ from ssimkit.color import (
     upsample_chroma,
     ycbcr_bt709_to_rgb,
 )
-from ssimkit.config import SsimConfig, WindowSpec
+from ssimkit.config import ColorModelSpec, SsimConfig, WindowSpec
 from ssimkit.errors import DegenerateWeights, WrongSpace
 from ssimkit.frames import ColorFrame, LumaPlane
 from ssimkit.ssim import mssim, ssim_map, ssim_score
 
 from conftest import blur_plane, natural_plane, noisy_version, random_rgb
+
+
+def cw(alpha, beta, **settings):
+    """A config for the channel-wise model with chroma weights alpha, beta."""
+    return SsimConfig(color=ColorModelSpec("cw", alpha, beta), **settings)
+
+
+def rect(k):
+    """A config with a k x k rectangular window."""
+    return SsimConfig(window=WindowSpec.rectangular(k))
 
 
 def flat_rgb(r, g, b, size=16):
@@ -90,17 +100,20 @@ class TestChannelwise:
         )
         y1, y2 = rgb_to_ycbcr_bt709(ref), rgb_to_ycbcr_bt709(dist)
         luma_only = mssim(ssim_map(LumaPlane(y1.channels[0]), LumaPlane(y2.channels[0])))
-        assert channelwise_cssim(y1, y2, 0.0, 0.0) == pytest.approx(luma_only, abs=1e-12)
+        assert channelwise_cssim(y1, y2, cw(0.0, 0.0)) == pytest.approx(luma_only, abs=1e-12)
 
     def test_identical_frames_any_weights(self, rng):
         frame = rgb_to_ycbcr_bt709(natural_rgb(rng))
         for alpha, beta in [(0.1, 0.1), (-0.3, -0.3), (1.0, 2.0)]:
-            assert channelwise_cssim(frame, frame, alpha, beta) == pytest.approx(1.0, abs=1e-9)
+            assert channelwise_cssim(frame, frame, cw(alpha, beta)) == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_weights(self, rng):
         frame = rgb_to_ycbcr_bt709(natural_rgb(rng))
         with pytest.raises(DegenerateWeights):
-            channelwise_cssim(frame, frame, -0.5, -0.5)
+            channelwise_cssim(frame, frame, cw(-0.5, -0.5))
+        # a config for another model leaves the weights to the scorer's check
+        with pytest.raises(DegenerateWeights):
+            channelwise_cssim(frame, frame, SsimConfig(color=ColorModelSpec("luma", -0.5, -0.5)))
 
     def test_fixed_weights_identity(self, rng):
         frame = rgb_to_ycbcr_bt709(natural_rgb(rng))
@@ -111,7 +124,7 @@ class TestChannelwise:
         dist_y = noisy_version(rng, LumaPlane(ref.channels[0]), 15).samples
         dist = ColorFrame((dist_y,) + ref.channels[1:], "ycbcr-bt709")
         luma_only = mssim(ssim_map(LumaPlane(ref.channels[0]), LumaPlane(dist_y)))
-        assert fixed_weight_cssim(ref, dist, (1.0, 0.0, 0.0)) == luma_only
+        assert fixed_weight_cssim(ref, dist, SsimConfig(color=ColorModelSpec("fixed", weights=(1.0, 0.0, 0.0)))) == luma_only
 
     def test_420_scores_chroma_at_chroma_resolution(self, rng):
         y = natural_plane(rng, 32, 32).samples
@@ -120,7 +133,7 @@ class TestChannelwise:
         dist_c = noisy_version(rng, LumaPlane(c), 10).samples
         dist = ColorFrame((y, dist_c, dist_c), "ycbcr-bt709", "420")
         cfg = SsimConfig(window=WindowSpec.rectangular(5))
-        score = channelwise_cssim(ref, dist, 0.5, 0.5, cfg)
+        score = channelwise_cssim(ref, dist, cw(0.5, 0.5, window=cfg.window))
         chroma_score = mssim(ssim_map(LumaPlane(c), LumaPlane(dist_c), cfg))
         assert score == pytest.approx((1.0 + 0.5 * chroma_score * 2) / 2.0, abs=1e-9)
 
@@ -190,8 +203,7 @@ class TestQssim:
 
     def test_symmetric(self, rng):
         a, b = random_rgb(rng, 8, 8), random_rgb(rng, 8, 8)
-        window = WindowSpec.rectangular(5)
-        assert qssim(a, b, window) == qssim(b, a, window)
+        assert qssim(a, b, rect(5)) == qssim(b, a, rect(5))
 
     def test_grayscale_reduces_to_scalar_formula(self, rng):
         v1 = natural_plane(rng, 12, 12).samples
@@ -199,7 +211,7 @@ class TestQssim:
         gray1 = ColorFrame((v1, v1, v1))
         gray2 = ColorFrame((v2, v2, v2))
         k = 12
-        got = qssim(gray1, gray2, WindowSpec.rectangular(k))
+        got = qssim(gray1, gray2, rect(k))
         # oracle: scalar statistics of sqrt(3)-scaled samples in the same form
         s1 = np.sqrt(3.0) * v1.astype(float)
         s2 = np.sqrt(3.0) * v2.astype(float)
@@ -216,7 +228,7 @@ class TestQssim:
         base = rng.integers(40, 200, (4, 4)).astype(np.uint8)
         ref = ColorFrame((base, (base * 0.8).astype(np.uint8), (base * 0.6).astype(np.uint8)))
         dist = ColorFrame(tuple((c * 1.1).astype(np.uint8) for c in ref.channels))
-        got = qssim(ref, dist, WindowSpec.rectangular(4))
+        got = qssim(ref, dist, rect(4))
         expected = brute_force_qssim(ref, dist)
         assert got == pytest.approx(expected, abs=1e-9)
         assert got < 1.0
@@ -224,12 +236,43 @@ class TestQssim:
     def test_random_pairs_match_brute_force_on_4x4(self, rng):
         for _ in range(5):
             ref, dist = random_rgb(rng, 4, 4), random_rgb(rng, 4, 4)
-            got = qssim(ref, dist, WindowSpec.rectangular(4))
+            got = qssim(ref, dist, rect(4))
             assert got == pytest.approx(brute_force_qssim(ref, dist), abs=1e-9)
 
     def test_ycbcr_embedding_space(self, rng):
         frame = random_rgb(rng, 16, 16)
-        assert qssim(frame, frame, space="ycbcr") == pytest.approx(1.0, abs=1e-9)
+        assert qssim(frame, frame, SsimConfig(color=ColorModelSpec("qssim", space="ycbcr"))) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestSettingsFromConfig:
+    """Each colour scorer takes every setting from the config it is given."""
+
+    def test_cmssim_and_hssim_follow_the_config_window(self, rng):
+        ref = natural_rgb(rng, 48, 48)
+        dist = ColorFrame(tuple(blur_plane(LumaPlane(c), 2).samples for c in ref.channels))
+        gauss = SsimConfig(window=WindowSpec.gaussian(1.5))
+        luma = ssim_map(luma_of(ref), luma_of(dist), gauss)
+        hue = mssim(ssim_map(hue_plane(ref), hue_plane(dist), gauss))
+        assert hssim(ref, dist, config=gauss) == pytest.approx((mssim(luma) + 0.2 * hue) / 1.2, abs=1e-12)
+        # the 11x11 window's centres sit 5 pixels in from each edge
+        weight = np.clip(1.0 - delta_e_map(ref, dist) / 45.0, 0.0, 1.0)[5:-5, 5:-5]
+        assert cmssim(ref, dist, config=gauss) == pytest.approx((luma.q_map.values * weight).mean(), abs=1e-12)
+        assert cmssim(ref, dist, config=gauss) != cmssim(ref, dist)
+        assert hssim(ref, dist, config=gauss) != hssim(ref, dist)
+
+    def test_qssim_follows_the_config_constants(self, rng):
+        ref, dist = random_rgb(rng, 4, 4), random_rgb(rng, 4, 4)
+        config = SsimConfig(window=WindowSpec.rectangular(4), k1=0.05, k2=0.1)
+        got = qssim(ref, dist, config=config)
+        assert got == pytest.approx(brute_force_qssim(ref, dist, 0.05, 0.1), abs=1e-9)
+        assert got != qssim(ref, dist, config=rect(4))
+
+    def test_qssim_follows_the_config_embedding_space(self, rng):
+        ref, dist = random_rgb(rng, 4, 4), random_rgb(rng, 4, 4)
+        config = SsimConfig(window=WindowSpec.rectangular(4), color=ColorModelSpec("qssim", space="ycbcr"))
+        expected = brute_force_qssim(rgb_to_ycbcr_bt709(ref), rgb_to_ycbcr_bt709(dist))
+        assert qssim(ref, dist, config=config) == pytest.approx(expected, abs=1e-9)
+        assert qssim(ref, dist, config=config) != qssim(ref, dist, config=rect(4))
 
 
 def reference_lab(rgb_frame, q_roundtrip=False):

@@ -173,6 +173,20 @@ class TestSsimConfig:
         assert SsimConfig.from_json(config.to_json()) == config
         assert SsimConfig.from_json(config.to_json()).to_json() == config.to_json()
 
+    @pytest.mark.parametrize("text", [
+        "{}",
+        SsimConfig().to_json()[:-1] + ', "extra": 1}',
+        SsimConfig().to_json().replace('"k": 11', '"k": 11, "size": 3'),
+        SsimConfig().to_json().replace('"k1": 0.01', '"k1": "big"'),
+        SsimConfig().to_json().replace('"window": {"k": 11, "shape": "rect", "sigma": null, "stride": 1}', '"window": 11'),
+        "[1, 2]",
+        "not json",
+        SsimConfig().to_json()[:-1],
+    ])
+    def test_malformed_json_is_a_validation_error(self, text):
+        with pytest.raises(ValidationError):
+            SsimConfig.from_json(text)
+
 
 class TestSpecValidation:
     def test_window_spec_gaussian_defaults(self):

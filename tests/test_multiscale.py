@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,11 @@ class TestDyadicDownsample:
 SMALL_WINDOW = SsimConfig(window=WindowSpec.rectangular(5))
 
 
+def ms(spec):
+    """SMALL_WINDOW with the given multiscale settings."""
+    return replace(SMALL_WINDOW, multiscale=spec)
+
+
 class TestMsssim:
     @pytest.mark.parametrize(
         "spec",
@@ -54,13 +61,13 @@ class TestMsssim:
     )
     def test_identical_inputs(self, rng, spec):
         a = random_plane(rng, 96, 96)
-        assert msssim(a, a, SMALL_WINDOW, spec) == pytest.approx(1.0, abs=1e-12)
+        assert msssim(a, a, ms(spec)) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_level_unit_exponent_equals_mssim(self, rng):
         a = random_plane(rng, 48, 48)
         b = noisy_version(rng, a)
         spec = MultiscaleSpec("product", 1, (1.0,))
-        assert msssim(a, b, SMALL_WINDOW, spec) == pytest.approx(
+        assert msssim(a, b, ms(spec)) == pytest.approx(
             ssim_score(a, b, SMALL_WINDOW), abs=1e-12
         )
 
@@ -79,14 +86,14 @@ class TestMsssim:
             maps = ssim_map(LumaPlane(cur_a), LumaPlane(cur_b), SMALL_WINDOW)
             score = maps.cs_map.values.mean() if level < 2 else maps.q_map.values.mean()
             expected *= max(score, 0.0) ** exponents[level]
-        assert msssim(a, b, SMALL_WINDOW, spec) == pytest.approx(expected, abs=1e-9)
+        assert msssim(a, b, ms(spec)) == pytest.approx(expected, abs=1e-9)
 
     def test_sum_mode_matches_oracle(self, rng):
         a = natural_plane(rng, 96, 96)
         b = noisy_version(rng, a, 15)
         spec = MultiscaleSpec("sum", 3, (0.2, 0.3, 0.5))
-        scores = scale_scores(a, b, SMALL_WINDOW, 3)
-        assert msssim(a, b, SMALL_WINDOW, spec) == pytest.approx(
+        scores = scale_scores(a, b, ms(spec))
+        assert msssim(a, b, ms(spec)) == pytest.approx(
             0.2 * scores[0] + 0.3 * scores[1] + 0.5 * scores[2], abs=1e-12
         )
 
@@ -97,7 +104,7 @@ class TestMsssim:
         scores = []
         for amplitude in (0, 4, 12, 28, 60):
             b = noisy_version(rng, a, amplitude) if amplitude else a
-            scores.append(msssim(a, b, cfg, spec))
+            scores.append(msssim(a, b, replace(cfg, multiscale=spec)))
         diffs = np.diff(scores)
         assert np.all(diffs <= 1e-6)
 
@@ -106,44 +113,64 @@ class TestMsssim:
         a = natural_plane(rng, 96, 96)
         for amplitude in (5, 25, 50):
             b = noisy_version(rng, a, amplitude)
-            scores = scale_scores(a, b, SMALL_WINDOW, 3)
+            scores = scale_scores(a, b, ms(MultiscaleSpec.product(3)))
             assert all(0.0 < s <= 1.0 for s in scores)
-            prod = msssim(a, b, SMALL_WINDOW, MultiscaleSpec("product", 3, (1 / 3, 1 / 3, 1 / 3)))
-            sm = msssim(a, b, SMALL_WINDOW, MultiscaleSpec("sum", 3, (1 / 3, 1 / 3, 1 / 3)))
+            prod = msssim(a, b, ms(MultiscaleSpec("product", 3, (1 / 3, 1 / 3, 1 / 3))))
+            sm = msssim(a, b, ms(MultiscaleSpec("sum", 3, (1 / 3, 1 / 3, 1 / 3))))
             assert prod <= sm
 
     def test_recursion_across_levels(self, rng):
         a = natural_plane(rng, 96, 96)
         b = noisy_version(rng, a, 18)
         exps = (0.25, 0.35, 0.4)
-        full = msssim(a, b, SMALL_WINDOW, MultiscaleSpec("product", 3, exps))
+        full = msssim(a, b, ms(MultiscaleSpec("product", 3, exps)))
         finest_cs = mssim(ssim_map(a, b, SMALL_WINDOW).cs_map)
         tail = msssim(
             dyadic_downsample(a),
             dyadic_downsample(b),
-            SMALL_WINDOW,
-            MultiscaleSpec("product", 2, exps[1:]),
+            ms(MultiscaleSpec("product", 2, exps[1:])),
         )
         assert full == pytest.approx(max(finest_cs, 0.0) ** exps[0] * tail, abs=1e-9)
+
+    def test_follows_the_config_multiscale_spec(self, rng):
+        # 128x96 fits an 11x11 window at 3 scales, not at the 5 of the default
+        a = natural_plane(rng, 96, 128)
+        b = noisy_version(rng, a, 15)
+        config = SsimConfig(multiscale=MultiscaleSpec.weighted_sum(3))
+        exps = config.multiscale.effective_exponents()
+        cur_a, cur_b, expected = a, b, 0.0
+        for level in range(3):
+            if level > 0:
+                cur_a, cur_b = dyadic_downsample(cur_a), dyadic_downsample(cur_b)
+            maps = ssim_map(cur_a, cur_b, config)
+            expected += exps[level] * mssim(maps.cs_map if level < 2 else maps.q_map)
+        assert msssim(a, b, config) == pytest.approx(expected, abs=1e-12)
+        with pytest.raises(TooManyLevels):
+            msssim(a, b)
+
+    def test_default_config_is_the_five_level_product(self, rng):
+        a = natural_plane(rng, 192, 192)
+        b = noisy_version(rng, a, 15)
+        assert msssim(a, b) == msssim(a, b, SsimConfig(multiscale=MultiscaleSpec.product()))
 
     def test_too_many_levels(self, rng):
         a = random_plane(rng, 32, 32)
         with pytest.raises(TooManyLevels):
-            msssim(a, a, SMALL_WINDOW, MultiscaleSpec.product(4))  # 32 / 8 = 4 < 5
+            msssim(a, a, ms(MultiscaleSpec.product(4)))  # 32 / 8 = 4 < 5
 
     def test_off_mode_rejected(self, rng):
         a = random_plane(rng, 64, 64)
         with pytest.raises(ValidationError):
-            msssim(a, a, SMALL_WINDOW, MultiscaleSpec.off())
+            msssim(a, a, ms(MultiscaleSpec.off()))
 
     def test_fast4_uses_renormalized_first_four(self, rng):
         a = natural_plane(rng, 96, 96)
         b = noisy_version(rng, a, 10)
-        scores = scale_scores(a, b, SMALL_WINDOW, 4)
+        scores = scale_scores(a, b, ms(MultiscaleSpec.fast4()))
         exps = MultiscaleSpec.fast4().effective_exponents()
         expected = 1.0
         for s, e in zip(scores, exps):
             expected *= max(s, 0.0) ** e
-        assert msssim(a, b, SMALL_WINDOW, MultiscaleSpec.fast4()) == pytest.approx(
+        assert msssim(a, b, ms(MultiscaleSpec.fast4())) == pytest.approx(
             expected, abs=1e-12
         )

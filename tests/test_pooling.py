@@ -244,3 +244,22 @@ class TestSelectors:
             SpatialPooler("md", p=-1.0)
         with pytest.raises(ValidationError):
             TemporalPooler("wam", k=0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: SpatialPooler("am", p=5),
+        lambda: SpatialPooler("am", ps=50.0),
+        lambda: SpatialPooler("md", a=10.0),
+        lambda: SpatialPooler("lw", a=10.0, rs=2.0),
+        lambda: TemporalPooler("am", k=0),
+        lambda: TemporalPooler("wam", k=3, p=2.0),
+        lambda: TemporalPooler("pp", o=2.0),
+    ])
+    def test_fields_the_kind_does_not_read_are_rejected(self, make):
+        with pytest.raises(ValidationError):
+            make()
+
+    def test_unread_fields_at_their_defaults_are_accepted(self):
+        assert SpatialPooler("md", p=2.0, o=3.0).selector() == "md:p=2,o=3"
+        assert SpatialPooler("lw", a=10.0, b=40.0) == parse_spatial("lw:a=10,b=40")
+        assert TemporalPooler("wam", k=3) == parse_temporal("wam:k=3")
+        assert TemporalPooler("am", k=1, p=1.0) == parse_temporal("am")

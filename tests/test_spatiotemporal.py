@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -82,7 +84,7 @@ class TestRollingSums:
             assert vol.buffer_planes == (min(i + 1, 3), 5)
 
     def test_drift_bounded_by_periodic_refresh(self, rng):
-        vol = RollingVolume(4, refresh_interval=300)
+        vol = RollingVolume(4)
         shape = (12, 12)
         for _ in range(1000):
             a = LumaPlane(rng.uniform(0.0, 255.0, shape))
@@ -95,7 +97,7 @@ class TestRollingSums:
 
     @pytest.mark.parametrize("bits", [8, 10])
     def test_integer_frames_keep_exact_sums(self, rng, bits):
-        vol = RollingVolume(3, refresh_interval=0)
+        vol = RollingVolume(3)
         for _ in range(40):
             vol.push(random_plane(rng, 9, 11, bits), random_plane(rng, 9, 11, bits))
             for rolled, direct in zip(vol.temporal_sums(), vol.direct_sums()):
@@ -124,7 +126,7 @@ class TestSsim3dMap:
         a, b = random_plane(rng, 24, 24), random_plane(rng, 24, 24)
         vol = RollingVolume(1)
         vol.push(a, b)
-        maps3d = ssim3d_map(vol, CFG5.window, CFG5)
+        maps3d = ssim3d_map(vol, CFG5)
         maps2d = ssim_map(a, b, CFG5)
         assert np.array_equal(maps3d.q_map.values, maps2d.q_map.values)
         assert np.array_equal(maps3d.l_map.values, maps2d.l_map.values)
@@ -137,7 +139,7 @@ class TestSsim3dMap:
         for _ in range(3):
             a, b = random_plane(rng, 30, 26, bits), random_plane(rng, 30, 26, bits)
             vol.push(a, b)
-            maps3d = ssim3d_map(vol, config.window, config)
+            maps3d = ssim3d_map(vol, config)
             maps2d = ssim_map(a, b, config)
             for name in ("l_map", "cs_map", "q_map"):
                 assert np.array_equal(getattr(maps3d, name).values, getattr(maps2d, name).values)
@@ -147,7 +149,7 @@ class TestSsim3dMap:
         vol = RollingVolume(4)
         for _ in range(6):
             vol.push(a, b)
-        maps3d = ssim3d_map(vol, CFG5.window, CFG5)
+        maps3d = ssim3d_map(vol, CFG5)
         maps2d = ssim_map(a, b, CFG5)
         assert np.allclose(maps3d.q_map.values, maps2d.q_map.values, atol=1e-9)
 
@@ -157,7 +159,7 @@ class TestSsim3dMap:
         for r, d in zip(refs, dists):
             vol.push(r, d)
         cfg = SsimConfig(window=WindowSpec.rectangular(5))
-        maps = ssim3d_map(vol, cfg.window, cfg)
+        maps = ssim3d_map(vol, cfg)
         for i in range(0, 12, 3):
             for j in range(0, 12, 3):
                 mu1, mu2, var1, var2, cov = brute_force_3d_stats(refs, dists, 5, 3, i, j)
@@ -169,15 +171,15 @@ class TestSsim3dMap:
         vol = RollingVolume(2)
         vol.push(random_plane(rng, 16, 16), random_plane(rng, 16, 16))
         with pytest.raises(GaussianNotSupported3D):
-            ssim3d_map(vol, WindowSpec.gaussian(1.5), CFG5)
+            ssim3d_map(vol, replace(CFG5, window=WindowSpec.gaussian(1.5)))
 
     def test_stride_subsampling(self, rng):
         refs, dists = frame_pairs(rng, 4, 32, 32)
         vol = RollingVolume(3)
         for r, d in zip(refs, dists):
             vol.push(r, d)
-        dense = ssim3d_map(vol, WindowSpec.rectangular(5), CFG5)
-        strided = ssim3d_map(vol, WindowSpec.rectangular(5, stride=4), CFG5)
+        dense = ssim3d_map(vol, replace(CFG5, window=WindowSpec.rectangular(5)))
+        strided = ssim3d_map(vol, replace(CFG5, window=WindowSpec.rectangular(5, stride=4)))
         assert np.array_equal(strided.q_map.values, dense.q_map.values[::4, ::4])
 
 
@@ -192,27 +194,27 @@ class TestSeries:
         with pytest.raises(LengthMismatch):
             ssim3d_series(refs, dists[:2], 2, CFG5)
         with pytest.raises(LengthMismatch):
-            msssim3d(refs, dists[:1], 2, MultiscaleSpec.product(2), CFG5)
+            msssim3d(refs, dists[:1], 2, replace(CFG5, multiscale=MultiscaleSpec.product(2)))
         with pytest.raises(LengthMismatch):
-            msssim3d(refs[:1], dists, 2, MultiscaleSpec.product(2), CFG5)
+            msssim3d(refs[:1], dists, 2, replace(CFG5, multiscale=MultiscaleSpec.product(2)))
 
     def test_msssim3d_identical_streams(self, rng):
         refs, _ = frame_pairs(rng, 4, 64, 64)
-        series = msssim3d(refs, refs, 3, MultiscaleSpec.product(2), CFG5)
+        series = msssim3d(refs, refs, 3, replace(CFG5, multiscale=MultiscaleSpec.product(2)))
         assert np.allclose(series.scores, 1.0, atol=1e-12)
 
     def test_msssim3d_kt_one_equals_framewise(self, rng):
         refs, dists = frame_pairs(rng, 4, 64, 64, noise=18)
-        spec = MultiscaleSpec.product(2)
-        series = msssim3d(refs, dists, 1, spec, CFG5)
-        framewise = [msssim(r, d, CFG5, spec) for r, d in zip(refs, dists)]
+        config = replace(CFG5, multiscale=MultiscaleSpec.product(2))
+        series = msssim3d(refs, dists, 1, config)
+        framewise = [msssim(r, d, config) for r, d in zip(refs, dists)]
         assert np.array_equal(series.scores, np.array(framewise))
 
     def test_msssim3d_matches_scale_by_scale_recomputation(self, rng):
         refs, dists = frame_pairs(rng, 4, 64, 64, noise=15)
         kt = 3
         spec = MultiscaleSpec("product", 2, (0.4, 0.6))
-        series = msssim3d(refs, dists, kt, spec, CFG5)
+        series = msssim3d(refs, dists, kt, replace(CFG5, multiscale=spec))
         # oracle: per frame, per scale, recompute stats with the triple loop
         from ssimkit.multiscale import dyadic_downsample
 
