@@ -18,6 +18,7 @@ import numpy as np
 from .config import ScalePolicy
 from .errors import NoReferenceYet, ValidationError
 from .frames import LumaPlane, PlaneLike, QualityMap, plane_data
+from .stats import _exact_sum_dtype
 
 
 def round_half_away(x: float) -> int:
@@ -92,16 +93,32 @@ def policy_factor(policy: ScalePolicy, width: int, height: int) -> int:
 
 def box_downsample(plane: PlaneLike, factor: int) -> PlaneLike:
     """Block-average by an integer factor; trailing partial blocks average
-    over their actual size. Factor 1 is the identity."""
+    over their actual size. Factor 1 is the identity.
+
+    Block sums never pass through a float64 copy of the plane. Each block
+    row is the sum of ``factor`` strided row slices, then ``np.add.reduceat``
+    sums its columns. The accumulator is the one :func:`_exact_sum_dtype`
+    picks for factor^2 samples: uint32 (e.g. 8-bit planes up to factor 4104,
+    16-bit up to 256), int64 for other integer planes, float64 for float
+    planes. Integer sums are exact and each mean is one division by the
+    block's sample count, so integer planes come out bit-identical to
+    averaging in float64; float planes differ only in summation order.
+    """
     if not isinstance(factor, int) or factor < 1:
         raise ValidationError(f"factor must be an integer >= 1, got {factor!r}")
     if factor == 1:
         return plane
-    arr = np.asarray(plane_data(plane), dtype=np.float64)
+    arr = np.asarray(plane_data(plane))
     h, w = arr.shape
+    work = _exact_sum_dtype(arr, factor * factor)
+    rows = arr[::factor].astype(work)
+    for j in range(1, factor):
+        part = arr[j::factor]
+        block = rows[: len(part)]
+        np.add(block, part, out=block, dtype=work, casting="unsafe")
     row_edges = np.arange(0, h, factor)
     col_edges = np.arange(0, w, factor)
-    sums = np.add.reduceat(np.add.reduceat(arr, row_edges, axis=0), col_edges, axis=1)
+    sums = np.add.reduceat(rows, col_edges, axis=1)
     row_counts = np.minimum(row_edges + factor, h) - row_edges
     col_counts = np.minimum(col_edges + factor, w) - col_edges
     out = sums / np.outer(row_counts, col_counts)

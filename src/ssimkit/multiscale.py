@@ -17,6 +17,7 @@ from .config import MultiscaleSpec, SsimConfig
 from .errors import TooManyLevels, TooSmall, ValidationError
 from .frames import LumaPlane, PlaneLike, plane_data, validate_frame_pair
 from .ssim import mssim, ssim_map, term_maps_from_stats
+from .stats import _exact_sum_dtype
 
 if TYPE_CHECKING:
     from .spatiotemporal import RollingVolume
@@ -26,14 +27,19 @@ def dyadic_downsample(plane: PlaneLike) -> PlaneLike:
     """Half-resolution plane by 2x2 average pooling; odd trailing row/column dropped.
 
     A LumaPlane comes back as a LumaPlane; a raw array comes back raw.
+    Integer planes are summed in the exact accumulator
+    :func:`~ssimkit.stats._exact_sum_dtype` picks for 4 samples, float
+    planes in float64 in the same order, so both equal averaging in float64
+    bit for bit.
     """
-    arr = np.asarray(plane_data(plane), dtype=np.float64)
+    arr = np.asarray(plane_data(plane))
     h, w = arr.shape
     if h < 2 or w < 2:
         raise TooSmall(f"cannot downsample a {w}x{h} plane")
     h2, w2 = h // 2, w // 2
     arr = arr[: 2 * h2, : 2 * w2]
-    pooled = (arr[0::2, 0::2] + arr[0::2, 1::2] + arr[1::2, 0::2] + arr[1::2, 1::2]) / 4.0
+    first = arr[0::2, 0::2].astype(_exact_sum_dtype(arr, 4), copy=False)
+    pooled = (((first + arr[0::2, 1::2]) + arr[1::2, 0::2]) + arr[1::2, 1::2]) / 4.0
     if isinstance(plane, LumaPlane):
         return LumaPlane(pooled, plane.bit_depth)
     return pooled

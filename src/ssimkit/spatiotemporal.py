@@ -6,9 +6,10 @@ add the one entering) makes the per-frame cost independent of Kt. Integer
 frames keep int64 running sums, which never drift, and their spatial window
 sums come from the exact separable :func:`~ssimkit.stats.box_sums` (wrapping
 uint32 while k^2 times the largest running sum fits in 32 bits, int64
-beyond). Once a float frame arrives the sums turn float64 and spatial sums
-come from float64 summed-area tables, as for 2-D float planes. With Kt = 1
-everything reduces exactly to frame-wise SSIM. Scorers take the window,
+beyond). Once a float frame arrives, or an integer frame whose running sums
+could pass int64 (Kt * max|sample|^2 >= 2^63), the sums turn float64 and
+spatial sums come from float64 summed-area tables, as for 2-D float planes.
+With Kt = 1 everything reduces exactly to frame-wise SSIM. Scorers take the window,
 constants and multiscale settings from their ``SsimConfig``.
 """
 
@@ -28,7 +29,7 @@ from .errors import (
 from .frames import PlaneLike, ScoreSeries, paired_frames, plane_data, validate_frame_pair
 from .multiscale import dyadic_downsample, msssim  # noqa: F401  (perfbench traces dyadic_downsample here)
 from .ssim import SsimTermMaps, mssim, term_maps_from_stats
-from .stats import LocalStatsMaps, _pair_terms, _window_sums, stats_from_sums
+from .stats import LocalStatsMaps, _exact_pair, _pair_terms, _window_sums, stats_from_sums
 
 #: Rolling sums are rebuilt from the buffered frames this often, bounding
 #: floating-point drift from the subtract/add recursion.
@@ -40,7 +41,8 @@ class RollingVolume:
 
     Single-owner and sequential: push frames in temporal order, then ask for
     maps. Before Kt frames arrive, statistics cover only the buffered depth.
-    The sums are int64 while every pushed frame is integer, float64 after.
+    The sums are int64 while every pushed frame is integer and small enough
+    for them to stay exact, float64 after.
     """
 
     def __init__(self, kt: int):
@@ -77,7 +79,7 @@ class RollingVolume:
             raise DimensionMismatch(
                 f"frame {a.shape[::-1]} pushed into a {self._dims[::-1]} volume"
             )
-        if self._integer and not (a.dtype.kind in "ui" and b.dtype.kind in "ui"):
+        if self._integer and not _exact_pair(a, b, self.kt):
             self._integer = False
             if self._sums is not None:
                 self._sums = [s.astype(np.float64) for s in self._sums]

@@ -17,6 +17,16 @@ same passes run in int64. The sums are exact integers either way, so the
 grids equal the direct engine's bit for bit. Float planes (converted colour,
 pyramid levels, box-downsampled frames) keep float64 summed-area tables with
 the four-corner rule, whose rounding the published scores depend on.
+
+One rule picks every exact integer accumulator in the package
+(:func:`_exact_sum_dtype`, used by :func:`box_sums` and by the box and
+dyadic downsamples): for sums of n samples it is uint32 while n * max < 2^32
+for non-negative samples, int64 while n * max|sample| < 2^63, and float64
+beyond that and for float planes. Sums in uint32 or int64 are exact, so
+results built on them are bit-identical to the same arithmetic on exact
+values. A pair of integer planes takes the exact route only when its product
+sums fit int64 (k^2 * max|sample|^2 < 2^63); wider pairs are summed in
+float64 like float planes, never wrapped.
 """
 
 from __future__ import annotations
@@ -98,21 +108,48 @@ def _grid_shape(h: int, w: int, k: int, stride: int) -> tuple[int, int]:
     return (h - k) // stride + 1, (w - k) // stride + 1
 
 
+def _exact_sum_dtype(plane: np.ndarray, count: int, degree: int = 1) -> type:
+    """Accumulator in which sums of ``count`` terms of ``plane`` are exact.
+
+    A term is one sample, or a product of ``degree`` samples. The result is
+    uint32 while count * peak^degree < 2^32 for non-negative samples, int64
+    while count * peak^degree < 2^63 (peak = max |sample|), and float64 for
+    float planes and past both bounds. The dtype's range decides without
+    reading the samples when it proves uint32, and for dtypes of 16 bits or
+    less; otherwise the plane's min and max decide.
+    """
+    if plane.dtype.kind not in "ui":
+        return np.float64
+
+    def accumulator(lo: int, hi: int) -> type:
+        peak = max(hi, -lo) ** degree
+        if lo >= 0 and count * peak < 1 << 32:
+            return np.uint32
+        return np.int64 if count * peak < 1 << 63 else np.float64
+
+    info = np.iinfo(plane.dtype)
+    work = accumulator(int(info.min), int(info.max))
+    if work is np.uint32 or plane.dtype.itemsize <= 2:
+        return work
+    lo = 0 if plane.dtype.kind == "u" else int(plane.min())
+    return accumulator(lo, int(plane.max()))
+
+
 def box_sums(plane: np.ndarray, k: int, stride: int = 1, out: np.ndarray | None = None) -> np.ndarray:
     """Exact k x k window sums of an integer plane on the stride grid.
 
     A horizontal pass takes each row's cumulative sum and its k-apart
     difference h (at the grid's columns only); a vertical pass runs
-    v[i] = v[i-1] - h[i-1] + h[i+k-1] down the rows in place. Both wrap in
-    uint32 when the largest possible window sum, k^2 * max(plane), fits in
-    32 bits, and run in int64 otherwise. The sums are written into ``out``
-    when given (any dtype that holds them, e.g. float64), else returned in
-    the working integer dtype.
+    v[i] = v[i-1] - h[i-1] + h[i+k-1] down the rows in place. Both run in
+    the accumulator :func:`_exact_sum_dtype` picks for k^2 samples: wrapping
+    uint32 while the largest possible window sum fits in 32 bits, int64
+    beyond, and float64 (no longer exact) only past int64. The sums are
+    written into ``out`` when given (any dtype that holds them, e.g.
+    float64), else returned in the working dtype.
     """
     h, w = plane.shape
     gw = _grid_shape(h, w, k, stride)[1]
-    nonneg = plane.dtype.kind == "u" or plane.min() >= 0
-    work = np.uint32 if nonneg and k * k * int(plane.max()) < 1 << 32 else np.int64
+    work = _exact_sum_dtype(plane, k * k)
     cum = np.empty((h, w + 1), dtype=work)
     cum[:, 0] = 0
     np.cumsum(plane, axis=1, dtype=work, out=cum[:, 1:])
@@ -133,11 +170,18 @@ def box_sums(plane: np.ndarray, k: int, stride: int = 1, out: np.ndarray | None 
     return out
 
 
+def _exact_pair(a: np.ndarray, b: np.ndarray, count: int) -> bool:
+    """Whether sums of ``count`` terms of each of I1, I2, I1^2, I2^2, I1*I2
+    are exact in int64: both planes are integer and |I1*I2| <= max(I1^2, I2^2)."""
+    return all(_exact_sum_dtype(x, count, degree=2) is not np.float64 for x in (a, b))
+
+
 def _pair_terms(a: np.ndarray, b: np.ndarray, integer: bool):
     """The five planes I1, I2, I1^2, I2^2, I1*I2, one at a time.
 
     Integer products are exact in uint32 up to 16-bit unsigned samples and
-    in int64 beyond; anything else is promoted to float64.
+    in int64 beyond (the caller checks :func:`_exact_pair`); anything else is
+    promoted to float64.
     """
     if integer:
         small = all(x.dtype.kind == "u" and x.dtype.itemsize <= 2 for x in (a, b))
@@ -245,7 +289,7 @@ def local_statistics(
     if engine == "integral" and window.shape != "rect":
         raise EngineShapeMismatch("the integral engine supports rectangular windows only")
 
-    integer = engine == "integral" and a.dtype.kind in "ui" and b.dtype.kind in "ui"
+    integer = engine == "integral" and _exact_pair(a, b, k * k)
     terms = _pair_terms(a, b, integer)
     if engine == "integral":
         sums, area = _window_sums(terms, k, stride, integer), float(k * k)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,43 @@ from ssimkit.adaptation import (
 from ssimkit.config import ScalePolicy
 from ssimkit.errors import NoReferenceYet, ValidationError
 from ssimkit.frames import LumaPlane
+from ssimkit.stats import _exact_sum_dtype
+
+DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+#: (dtype, lowest, highest sample) of the integer planes the downsample properties draw.
+INTEGER_KINDS = {
+    "u8": (np.uint8, 0, 255),
+    "u10": (np.uint16, 0, 1023),
+    "u16": (np.uint16, 0, 65535),
+    "i32": (np.int32, -(2**31), 2**31 - 1),
+}
+
+
+def reduceat_downsample(plane, factor):
+    """Oracle: block means from two reduceat passes over a float64 copy of the plane."""
+    arr = np.asarray(plane, dtype=np.float64)
+    h, w = arr.shape
+    row_edges = np.arange(0, h, factor)
+    col_edges = np.arange(0, w, factor)
+    sums = np.add.reduceat(np.add.reduceat(arr, row_edges, axis=0), col_edges, axis=1)
+    row_counts = np.minimum(row_edges + factor, h) - row_edges
+    col_counts = np.minimum(col_edges + factor, w) - col_edges
+    return sums / np.outer(row_counts, col_counts)
+
+
+@st.composite
+def downsample_cases(draw):
+    """An integer or float plane (partial trailing blocks included) and a
+    factor from 1 to 13 or up to 5 past the plane's larger side."""
+    kind = draw(st.sampled_from([*INTEGER_KINDS, "f64"]))
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    factor = draw(st.one_of(st.integers(1, 13), st.integers(max(h, w), max(h, w) + 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "f64":
+        return rng.uniform(0, 255, (h, w)), factor
+    dtype, lo, hi = INTEGER_KINDS[kind]
+    return rng.integers(lo, hi, (h, w), endpoint=True).astype(dtype), factor
 
 
 class TestScaleFactors:
@@ -123,6 +161,46 @@ class TestBoxDownsample:
             for bj in range(out.shape[1]):
                 block = arr[bi * 4 : (bi + 1) * 4, bj * 4 : (bj + 1) * 4]
                 assert out[bi, bj] == pytest.approx(block.mean(), abs=1e-12)
+
+    @DERANDOMIZED
+    @given(downsample_cases())
+    def test_integer_planes_equal_float64_reduceat_byte_for_byte(self, case):
+        arr, factor = case
+        out = box_downsample(arr, factor)
+        if factor == 1:
+            assert out is arr
+            return
+        expected = reduceat_downsample(arr, factor)
+        if arr.dtype.kind == "f":
+            np.testing.assert_allclose(out, expected, rtol=1e-12, atol=0)
+        else:
+            assert out.dtype == expected.dtype and out.shape == expected.shape
+            assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("factor", [256, 257])
+    def test_full_scale_16_bit_either_side_of_the_uint32_bound(self, rng, factor):
+        # 256^2 * 65535 < 2^32 <= 257^2 * 65535: uint32 sums, then int64 sums.
+        full = np.full((factor + 3, 2 * factor + 1), 65535, dtype=np.uint16)
+        noisy = rng.integers(0, 65536, full.shape).astype(np.uint16)
+        noisy[0, 0] = 65535
+        assert (_exact_sum_dtype(full, factor * factor) is np.uint32) == (factor == 256)
+        for arr in (full, noisy):
+            out = box_downsample(LumaPlane(arr, 16), factor).samples
+            assert out.tobytes() == reduceat_downsample(arr, factor).tobytes()
+        assert np.all(box_downsample(full, factor) == 65535.0)
+
+    def test_peak_memory_below_a_quarter_of_a_float64_copy(self, rng):
+        # The 2160p plane the enhanced preset downsamples by 8; a float64
+        # copy of it alone is 63 MiB.
+        plane = LumaPlane(rng.integers(0, 256, (2160, 3840), dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            out = box_downsample(plane, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.samples.shape == (270, 480)
+        assert peak < plane.samples.size * 8 / 4
 
 
 class TestScaledPrediction:

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssimkit.config import MultiscaleSpec, SsimConfig, WindowSpec
 from ssimkit.errors import TooManyLevels, TooSmall, ValidationError
@@ -19,7 +21,38 @@ def reshape_downsample(values):
     return trimmed.reshape(h2, 2, w2, 2).mean(axis=(1, 3))
 
 
+def float64_dyadic(values):
+    """Oracle: 2x2 means from the four slices of a float64 copy, added in order."""
+    arr = np.asarray(values, dtype=np.float64)
+    h2, w2 = arr.shape[0] // 2, arr.shape[1] // 2
+    arr = arr[: 2 * h2, : 2 * w2]
+    return (arr[0::2, 0::2] + arr[0::2, 1::2] + arr[1::2, 0::2] + arr[1::2, 1::2]) / 4.0
+
+
+@st.composite
+def pyramid_planes(draw):
+    """uint8, 10- and 16-bit uint16, int32 or float64 samples, odd sizes included."""
+    kind = draw(st.sampled_from(["u8", "u10", "u16", "i32", "f64"]))
+    h, w = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "f64":
+        return rng.uniform(0, 255, (h, w))
+    dtype, lo, hi = {
+        "u8": (np.uint8, 0, 255), "u10": (np.uint16, 0, 1023),
+        "u16": (np.uint16, 0, 65535), "i32": (np.int32, -(2**31), 2**31 - 1),
+    }[kind]
+    return rng.integers(lo, hi, (h, w), endpoint=True).astype(dtype)
+
+
 class TestDyadicDownsample:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(pyramid_planes())
+    def test_equals_float64_pooling_byte_for_byte(self, values):
+        out = dyadic_downsample(values)
+        expected = float64_dyadic(values)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
     def test_two_by_two_block_mean(self):
         plane = LumaPlane(np.array([[1, 2], [3, 4]], dtype=np.uint8))
         out = dyadic_downsample(plane)

@@ -114,6 +114,28 @@ class TestRollingSums:
             assert np.array_equal(rolled, direct)
         assert np.array_equal(vol.temporal_sums()[0], a.samples * 1.5)
 
+    def test_frame_whose_sums_could_wrap_turns_sums_float(self, rng):
+        vol = RollingVolume(2)
+        small = [rng.integers(0, 256, (10, 11)).astype(np.uint32) for _ in range(2)]
+        vol.push(*small)
+        assert vol.temporal_sums()[0].dtype == np.int64
+        # 2 * (2^32 - 1)^2 >= 2^63: int64 running sums of these products wrap.
+        wide = [rng.integers(0, 2**32, (10, 11)).astype(np.uint32) for _ in range(2)]
+        wide[0][0, 0] = 2**32 - 1
+        vol.push(*wide)
+        for rolled, direct in zip(vol.temporal_sums(), vol.direct_sums()):
+            assert rolled.dtype == np.float64
+            assert np.array_equal(rolled, direct)
+        stats = vol.local_statistics(WindowSpec.rectangular(5))
+        ref_cube = np.stack([small[0], wide[0]]).astype(np.float64)
+        dist_cube = np.stack([small[1], wide[1]]).astype(np.float64)
+        for i, j in ((0, 0), (3, 4), (5, 6)):
+            wa, wb = ref_cube[:, i : i + 5, j : j + 5], dist_cube[:, i : i + 5, j : j + 5]
+            mu1, mu2 = wa.mean(), wb.mean()
+            assert stats.mu1[i, j] == pytest.approx(mu1, rel=1e-12)
+            assert stats.var1[i, j] == pytest.approx((wa * wa).mean() - mu1 * mu1, rel=1e-9)
+            assert stats.cov[i, j] == pytest.approx((wa * wb).mean() - mu1 * mu2, rel=1e-9)
+
     def test_dimension_mismatch(self, rng):
         vol = RollingVolume(2)
         vol.push(random_plane(rng, 8, 8), random_plane(rng, 8, 8))

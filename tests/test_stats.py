@@ -14,6 +14,7 @@ from ssimkit.errors import (
 )
 from ssimkit.frames import LumaPlane
 from ssimkit.stats import (
+    _exact_sum_dtype,
     _pair_terms,
     _sat,
     _sliding_weighted_sums,
@@ -197,6 +198,14 @@ class TestBoxSums:
             assert np.array_equal(sums, uniform_sums(values, k, 1))
         assert (work is np.uint32) == (k * k * peak * peak < 2**32)
 
+    def test_float64_past_int64(self):
+        values = np.full((4, 5), 2**61, dtype=np.int64)
+        values[1, 2] = 2**61 + 12345
+        sums = box_sums(values, 3, 1)
+        assert sums.dtype == np.float64
+        expected = uniform_sums(values.astype(np.float64), 3, 1)
+        np.testing.assert_allclose(sums, expected, rtol=1e-14, atol=0)
+
     def test_signed_input_uses_int64(self):
         values = np.array([[-3, 4, 5], [6, -7, 8]], dtype=np.int16)
         sums = box_sums(values, 2, 1)
@@ -212,6 +221,57 @@ class TestBoxSums:
         window = WindowSpec.rectangular(k, stride=stride)
         fast = local_statistics(plane, other, window, "integral")
         slow = local_statistics(plane, other, window, "naive")
+        for name in ("mu1", "mu2", "var1", "var2", "cov"):
+            assert np.array_equal(getattr(fast, name), getattr(slow, name))
+
+
+class TestExactSumDtype:
+    @pytest.mark.parametrize("dtype,count,work", [
+        (np.uint8, 4104**2, np.uint32), (np.uint8, 4105**2, np.int64),
+        (np.uint16, 256**2, np.uint32), (np.uint16, 257**2, np.int64),
+        (np.int16, 4, np.int64), (np.float32, 4, np.float64), (np.float64, 1, np.float64),
+    ])
+    def test_dtype_range_decides_up_to_16_bits(self, dtype, count, work):
+        assert _exact_sum_dtype(np.zeros((2, 2), dtype=dtype), count) is work
+
+    def test_wider_dtypes_read_the_samples(self):
+        small = np.array([[0, 255]], dtype=np.uint32)
+        assert _exact_sum_dtype(small, 64) is np.uint32
+        assert _exact_sum_dtype(small - np.int64(1), 64) is np.int64
+        assert _exact_sum_dtype(np.array([[2**40]], dtype=np.uint64), 2**22) is np.int64
+        assert _exact_sum_dtype(np.array([[2**40]], dtype=np.uint64), 2**23) is np.float64
+        assert _exact_sum_dtype(np.array([[-(2**40)]], dtype=np.int64), 2**23) is np.float64
+
+    def test_products_raise_the_sample_peak_to_the_degree(self):
+        plane = np.zeros((2, 2), dtype=np.uint8)
+        assert _exact_sum_dtype(plane, 257**2, degree=2) is np.uint32
+        assert _exact_sum_dtype(plane, 258**2, degree=2) is np.int64
+        wide = np.array([[2**31]], dtype=np.uint32)
+        assert _exact_sum_dtype(wide, 1, degree=2) is np.int64
+        assert _exact_sum_dtype(wide, 2, degree=2) is np.float64
+
+
+class TestWideIntegerStatistics:
+    @pytest.mark.parametrize("dtype,peak", [
+        (np.uint32, 2**32 - 1), (np.int64, 2**40), (np.uint64, 2**40), (np.int64, -(2**40)),
+    ])
+    def test_integral_matches_naive_when_products_could_wrap(self, rng, dtype, peak):
+        lo, hi = sorted((0, peak))
+        a = rng.integers(lo, hi, (20, 23), endpoint=True).astype(dtype)
+        b = rng.integers(lo, hi, (20, 23), endpoint=True).astype(dtype)
+        window = WindowSpec.rectangular(7)
+        fast = local_statistics(a, b, window, "integral")
+        slow = local_statistics(a, b, window, "naive")
+        for name in ("mu1", "mu2", "var1", "var2", "cov"):
+            np.testing.assert_allclose(getattr(fast, name), getattr(slow, name), rtol=1e-9, atol=0)
+
+    def test_wide_pair_within_the_bound_stays_exact(self, rng):
+        # 49 * (2^20)^2 < 2^63: the exact route holds, bit for bit.
+        a = rng.integers(0, 2**20, (12, 13)).astype(np.uint32)
+        b = rng.integers(0, 2**20, (12, 13)).astype(np.uint32)
+        window = WindowSpec.rectangular(7)
+        fast = local_statistics(a, b, window, "integral")
+        slow = local_statistics(a, b, window, "naive")
         for name in ("mu1", "mu2", "var1", "var2", "cov"):
             assert np.array_equal(getattr(fast, name), getattr(slow, name))
 
