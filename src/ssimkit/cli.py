@@ -11,12 +11,14 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import click
 
 from . import __version__
 from .config import (
+    SsimConfig,
     parse_color,
     parse_multiscale,
     parse_scale,
@@ -25,7 +27,7 @@ from .config import (
 from .errors import DegenerateData, SsimkitError, ValidationError
 import numpy as np
 
-from .evaluation import CostPerfPoint, normalize_scores, pareto_front
+from .evaluation import CostPerfPoint, normalize_scores, pareto_front, read_csv
 from .media import format_float, write_report
 from .pipeline import (
     BENCH_FIELDS,
@@ -42,23 +44,30 @@ EXIT_INPUT_ERROR = 2
 EXIT_DEGENERATE = 3
 
 
-def _fail(exc: Exception, code: int) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(code)
+@contextmanager
+def _input_errors():
+    """Exit with 3 on DegenerateData, and with 2 on any other SsimkitError
+    or OSError, printing the error."""
+    try:
+        yield
+    except (SsimkitError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_DEGENERATE if isinstance(exc, DegenerateData) else EXIT_INPUT_ERROR)
 
 
 def _config_setter(field: str, parse=lambda value: value):
-    return lambda config, value: replace(config, **{field: parse(value)})
+    return lambda settings, value: settings.update({field: parse(value)})
 
 
 #: The overrides that ``score`` options and benchmark spec-string keys give,
-#: name -> (cast of spec-string text, setter on the config). A setter of None
-#: marks the preset, or a PipelineSpec field. Setters run in this order, so a
-#: stride lands on the window chosen with it. Spec strings write ``_`` as ``-``.
+#: name -> (cast of spec-string text, setter on the config's fields). A setter
+#: of None marks the preset, or a PipelineSpec field. Setters run in this
+#: order, so a stride lands on the window chosen with it, and the config is
+#: built and checked once, after all of them. Spec strings write ``_`` as ``-``.
 _OVERRIDES = {
     "preset": (str, None),
     "window": (str, _config_setter("window", parse_window)),
-    "stride": (int, lambda config, value: replace(config, window=config.window.with_stride(value))),
+    "stride": (int, lambda settings, value: settings.update(window=settings["window"].with_stride(value))),
     "k1": (float, _config_setter("k1")),
     "k2": (float, _config_setter("k2")),
     "scale": (str, _config_setter("scaling", parse_scale)),
@@ -79,11 +88,11 @@ def _build_spec(preset=None, **overrides) -> PipelineSpec:
     """
     spec = expand_preset(preset) if preset else PipelineSpec()
     given = {name: value for name, value in overrides.items() if value is not None}
-    config = spec.config
+    settings = dict(vars(spec.config))
     for name, (_, setter) in _OVERRIDES.items():
         if setter is not None and name in given:
-            config = setter(config, given.pop(name))
-    return replace(spec, config=config, **given)
+            setter(settings, given.pop(name))
+    return replace(spec, config=SsimConfig(**settings), **given)
 
 
 def _spec_from_string(text: str) -> tuple[str, PipelineSpec]:
@@ -150,14 +159,10 @@ def main() -> None:
 @click.option("--output", default=None, help="Write per-frame records here instead of stdout.")
 def score(ref, dist, width, height, bit_depth, chroma, output, **overrides) -> None:
     """Score a distorted file against its reference."""
-    try:
+    with _input_errors():
         spec = _build_spec(**overrides)
         report = run_score(ref, dist, spec, width=width, height=height,
                            bit_depth=bit_depth, chroma=chroma)
-    except SsimkitError as exc:
-        _fail(exc, EXIT_DEGENERATE if isinstance(exc, DegenerateData) else EXIT_INPUT_ERROR)
-    except OSError as exc:
-        _fail(exc, EXIT_INPUT_ERROR)
     data = write_report(report["records"], spec.report_format, FRAME_FIELDS)
     _emit(data, output)
     summary = {
@@ -174,13 +179,9 @@ def score(ref, dist, width, height, bit_depth, chroma, output, **overrides) -> N
 @click.option("--output", default=None, help="Write the correlation report here.")
 def benchmark(manifest, specs, fmt, output) -> None:
     """Correlate pipeline specs against a labeled dataset manifest."""
-    try:
+    with _input_errors():
         parsed = dict(_spec_from_string(s) for s in specs)
         rows = run_benchmark(manifest, parsed)
-    except SsimkitError as exc:
-        _fail(exc, EXIT_DEGENERATE if isinstance(exc, DegenerateData) else EXIT_INPUT_ERROR)
-    except OSError as exc:
-        _fail(exc, EXIT_INPUT_ERROR)
     _emit(write_report(rows, fmt, BENCH_FIELDS), output)
     if any(row["srocc"] != row["srocc"] for row in rows):
         click.echo("warning: degenerate correlations reported as NaN", err=True)
@@ -192,22 +193,12 @@ def benchmark(manifest, specs, fmt, output) -> None:
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default="csv")
 def pareto(points_csv, fmt) -> None:
     """Prune a label,cost,perf CSV to its Pareto front."""
-    import csv as csvmod
-
-    try:
-        with open(points_csv, newline="") as fh:
-            reader = csvmod.DictReader(fh)
-            points = [
-                CostPerfPoint(row["label"], float(row["cost"]), float(row["perf"]))
-                for row in reader
-            ]
+    with _input_errors():
+        points = read_csv(points_csv, "points", ("label", "cost", "perf"),
+                          lambda row: CostPerfPoint(row["label"], float(row["cost"]), float(row["perf"])))
         if not points:
-            raise SsimkitError("no points in input")
+            raise ValidationError(f"{points_csv}: no points in input")
         front = pareto_front(points)
-    except (SsimkitError, KeyError, TypeError, ValueError) as exc:
-        _fail(exc, EXIT_INPUT_ERROR)
-    except OSError as exc:
-        _fail(exc, EXIT_INPUT_ERROR)
     records = [{"label": p.label, "cost": p.cost, "perf": p.perf} for p in front]
     _emit(write_report(records, fmt, ("label", "cost", "perf")), None)
 
@@ -217,26 +208,14 @@ def pareto(points_csv, fmt) -> None:
 def fit_5pl_command(data_csv) -> None:
     """Fit the 5-parameter logistic to an objective,subjective CSV and report
     the statistics ``benchmark`` reports for a spec."""
-    import csv as csvmod
-
-    try:
-        with open(data_csv, newline="") as fh:
-            reader = csvmod.DictReader(fh)
-            obj, subj = [], []
-            for row in reader:
-                obj.append(float(row["objective"]))
-                subj.append(float(row["subjective"]))
-        subj_arr = np.asarray(subj, dtype=float)
-        normalized = bool(subj_arr.size and (subj_arr.min() < 0.0 or subj_arr.max() > 1.0))
+    with _input_errors():
+        rows = read_csv(data_csv, "data", ("objective", "subjective"),
+                        lambda row: (float(row["objective"]), float(row["subjective"])))
+        obj, subj = np.asarray(rows, dtype=float).reshape(-1, 2).T
+        normalized = bool(subj.size and (subj.min() < 0.0 or subj.max() > 1.0))
         if normalized:
-            subj_arr = normalize_scores(subj_arr)
-        fit, pcc, srocc, rmse, monotone = fit_and_correlate(obj, subj_arr)
-    except DegenerateData as exc:
-        _fail(exc, EXIT_DEGENERATE)
-    except (SsimkitError, KeyError, TypeError, ValueError) as exc:
-        _fail(exc, EXIT_INPUT_ERROR)
-    except OSError as exc:
-        _fail(exc, EXIT_INPUT_ERROR)
+            subj = normalize_scores(subj)
+        fit, pcc, srocc, rmse, monotone = fit_and_correlate(obj, subj)
     out = {
         "beta": [format_float(b) for b in fit.as_array()],
         "pcc": format_float(pcc),

@@ -133,11 +133,8 @@ def channelwise_cssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = Ss
 def fixed_weight_cssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) -> float:
     """Convex combination wY*fY + wCb*fCb + wCr*fCr of the weights
     ``config.color.weights`` (which must sum to 1)."""
-    weights = config.color.weights
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise ValidationError(f"channel weights must sum to 1, got {sum(weights)!r}")
     scores = _channel_scores(ref, dist, config)
-    return float(sum(w * s for w, s in zip(weights, scores)))
+    return float(sum(w * s for w, s in zip(config.color.weights, scores)))
 
 
 def _channel_scores(ref: ColorFrame, dist: ColorFrame, config: SsimConfig) -> tuple[float, float, float]:
@@ -167,14 +164,12 @@ def _embedding_channels(frame: ColorFrame, space: str) -> tuple[np.ndarray, np.n
         frame.require_space(SPACE_YCBCR)
         frame = upsample_chroma(frame)
         return tuple(np.asarray(c, dtype=np.float64) for c in frame.channels)
-    if space == "lab":
-        frame.require_space(SPACE_RGB)
-        lab = _rgb_frame_to_lab(frame)
-        # Lab is O(100)-scale; rescale to the frame's range so the saturation
-        # constants keep their meaning.
-        scale = frame.peak / 100.0
-        return tuple(np.asarray(c, dtype=np.float64) * scale for c in lab)
-    raise ValidationError(f"unknown quaternion embedding space {space!r}")
+    frame.require_space(SPACE_RGB)  # lab
+    lab = _rgb_frame_to_lab(frame)
+    # Lab is O(100)-scale; rescale to the frame's range so the saturation
+    # constants keep their meaning.
+    scale = frame.peak / 100.0
+    return tuple(np.asarray(c, dtype=np.float64) * scale for c in lab)
 
 
 def qssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) -> float:
@@ -304,7 +299,6 @@ def cmssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig())
     validate_color_pair(ref, dist)
     if ref.space == SPACE_YCBCR:
         ref, dist = ycbcr_bt709_to_rgb(ref), ycbcr_bt709_to_rgb(dist)
-    config = config.for_bit_depth(ref.bit_depth)
     maps = ssim_map(luma_of(ref), luma_of(dist), config)
     de = delta_e_map(ref, dist)
     weight = np.clip(1.0 - de / DELTA_E_FULL_MASK, 0.0, 1.0)
@@ -347,7 +341,6 @@ def hssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) 
     validate_color_pair(ref, dist)
     if ref.space == SPACE_YCBCR:
         ref, dist = ycbcr_bt709_to_rgb(ref), ycbcr_bt709_to_rgb(dist)
-    config = config.for_bit_depth(ref.bit_depth)
     luma_score = mssim(ssim_map(luma_of(ref), luma_of(dist), config))
     hue_score = mssim(ssim_map(hue_plane(ref), hue_plane(dist), config))
     return (luma_score + 0.2 * hue_score) / 1.2

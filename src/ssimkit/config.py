@@ -4,6 +4,11 @@ A fully populated :class:`SsimConfig` determines a scoring pipeline. Every
 piece is expressible in a compact selector string (``rect:11``, ``dh:3.0``,
 ``cw:a=-0.3,b=-0.3``, ...) used by the CLI and round-trips bit-exactly through
 JSON.
+
+Each part that comes in kinds (scale policy, color model, multiscale mode,
+and the poolers in :mod:`ssimkit.pooling`) has one :class:`KindTable`, whose
+rows give each kind's fields, selector keys and defaults. The rows fill and
+check the dataclass, parse the selector and print ``selector()``.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Any, NamedTuple, Optional
 
 from .errors import DegenerateWeights, NonPositiveSigma, SsimkitError, ValidationError
 
@@ -19,6 +24,111 @@ from .errors import DegenerateWeights, NonPositiveSigma, SsimkitError, Validatio
 #: values are the canonical constants of that formulation, external to this
 #: project.
 STANDARD_EXPONENTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
+
+#: A parameter default meaning there is none: the spec or selector must give it.
+REQUIRED = object()
+
+
+class Param(NamedTuple):
+    """A parameter a kind reads: its field, its selector key (None: set only
+    by the constructor), its default (None: the field's resting value;
+    REQUIRED; a value; or a callable of the spec, whose earlier parameters
+    are set) and whether a selector may give it by position (only leading
+    keyed parameters may)."""
+
+    field: str
+    key: Optional[str] = None
+    default: Any = None
+    positional: bool = False
+
+
+class ConfigPart:
+    """A config part with kinds, filled and printed by the :class:`KindTable`
+    built for its class; ``_check`` holds the part's value checks."""
+
+    def __post_init__(self):
+        self._table.settle(self)
+
+    def selector(self) -> str:
+        """``kind:key=value,...`` with every keyed parameter; it parses back to this spec."""
+        return self._table.selector(self)
+
+
+@dataclass(frozen=True)
+class KindTable:
+    """The kinds of the config part ``cls``, bound to it as it is built.
+
+    ``rest`` holds each field's resting value, which it keeps when its kind
+    does not read it; ``kinds`` each kind's parameters; ``aliases`` other
+    selector spellings of keys.
+    """
+
+    part: str
+    cls: type
+    kind_field: str
+    rest: dict[str, Any]
+    kinds: dict[str, tuple[Param, ...]]
+    aliases: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.cls._table = self
+
+    def settle(self, spec) -> None:
+        """Fill the unset (None) fields of a new ``spec`` from its kind's row,
+        run its ``_check``, then reject each field the kind does not read
+        that is away from its resting value."""
+        kind = getattr(spec, self.kind_field)
+        if kind not in self.kinds:
+            raise ValidationError(f"unknown {self.part} {kind!r}")
+        read = {p.field: p for p in self.kinds[kind]}
+        for name, rest in self.rest.items():
+            if getattr(spec, name) is None:
+                default = rest if name not in read or read[name].default is None else read[name].default
+                if default is REQUIRED:
+                    raise ValidationError(f"{kind} {self.part} needs {read[name].key or name}")
+                object.__setattr__(spec, name, default(spec) if callable(default) else default)
+        spec._check()
+        for name, rest in self.rest.items():
+            if name not in read and getattr(spec, name) != rest:
+                raise ValidationError(f"{kind} {self.part} takes no {name}")
+
+    def parse(self, text: str):
+        """The spec a selector names. Positional values fill the kind's first
+        keyed parameters in order, keywords name them; an unknown kind or
+        key, an extra value or a parameter given twice raises ValidationError."""
+        name, pos, kw = split_selector(text)
+        if name not in self.kinds:
+            raise ValidationError(f"unknown {self.part} {name!r}")
+        params, what = self.kinds[name], f"{name} {self.part}"
+        keyed = {p.key: p.field for p in params if p.key}
+        positional = [p.key for p in params if p.positional]
+        if len(pos) > len(positional):
+            raise ValidationError(f"{what} takes at most {len(positional)} positional values, got {len(pos)}")
+        args = dict(zip(positional, pos))
+        for given, value in kw.items():
+            key = given if given in keyed else self.aliases.get(given)
+            if key not in keyed:
+                raise ValidationError(f"unknown {what} option {given!r}")
+            if key in args:
+                raise ValidationError(f"{what} option {key!r} given twice")
+            args[key] = value
+        types = {f: type(v) if isinstance(v, (str, int)) else float for f, v in self.rest.items()}
+        values = {keyed[key]: _cast(value, types[keyed[key]], what) for key, value in args.items()}
+        return self.cls(**{self.kind_field: name}, **values)
+
+    def selector(self, spec) -> str:
+        kind = getattr(spec, self.kind_field)
+        args = [f"{p.key}={_format(getattr(spec, p.field))}" for p in self.kinds[kind] if p.key]
+        return f"{kind}:{','.join(args)}" if args else kind
+
+    def values(self, spec) -> list:
+        """The spec's parameter values, in the order its kind lists them."""
+        return [getattr(spec, p.field) for p in self.kinds[getattr(spec, self.kind_field)]]
+
+
+def _format(value) -> str:
+    """A selector value: floats as %g unless that rounds them."""
+    return f"{value:g}" if isinstance(value, float) and float(f"{value:g}") == value else str(value)
 
 
 def default_gaussian_size(sigma: float) -> int:
@@ -76,16 +186,14 @@ class WindowSpec:
 
 
 @dataclass(frozen=True)
-class MultiscaleSpec:
+class MultiscaleSpec(ConfigPart):
     """Dyadic multiscale settings: level count, exponents, and aggregation."""
 
     aggregation: str = "off"  # off | product | sum | fast4
-    levels: int = 5
-    exponents: tuple[float, ...] = STANDARD_EXPONENTS
+    levels: Optional[int] = None  # None: the kind's default (see _MULTISCALE)
+    exponents: Optional[tuple[float, ...]] = None
 
-    def __post_init__(self):
-        if self.aggregation not in ("off", "product", "sum", "fast4"):
-            raise ValidationError(f"unknown multiscale aggregation {self.aggregation!r}")
+    def _check(self) -> None:
         if not isinstance(self.levels, int) or self.levels < 1:
             raise ValidationError(f"levels must be an integer >= 1, got {self.levels!r}")
         exps = tuple(float(e) for e in self.exponents)
@@ -102,16 +210,16 @@ class MultiscaleSpec:
         return cls("off")
 
     @classmethod
-    def product(cls, levels: int = 5, exponents: Optional[tuple[float, ...]] = None) -> "MultiscaleSpec":
-        return cls("product", levels, _default_exponents(levels, exponents))
+    def product(cls, levels: Optional[int] = None, exponents: Optional[tuple[float, ...]] = None) -> "MultiscaleSpec":
+        return cls("product", levels, exponents)
 
     @classmethod
-    def weighted_sum(cls, levels: int = 5, exponents: Optional[tuple[float, ...]] = None) -> "MultiscaleSpec":
-        return cls("sum", levels, _default_exponents(levels, exponents))
+    def weighted_sum(cls, levels: Optional[int] = None, exponents: Optional[tuple[float, ...]] = None) -> "MultiscaleSpec":
+        return cls("sum", levels, exponents)
 
     @classmethod
     def fast4(cls) -> "MultiscaleSpec":
-        return cls("fast4", 4, STANDARD_EXPONENTS[:4])
+        return cls("fast4")
 
     @property
     def enabled(self) -> bool:
@@ -124,25 +232,23 @@ class MultiscaleSpec:
             return tuple(e / total for e in self.exponents)
         return self.exponents
 
-    def selector(self) -> str:
-        if self.aggregation == "off":
-            return "off"
-        sel = self.aggregation
-        if self.aggregation != "fast4" and self.levels != 5:
-            sel += f":levels={self.levels}"
-        return sel
 
-
-def _default_exponents(levels: int, exponents: Optional[tuple[float, ...]]) -> tuple[float, ...]:
-    if exponents is not None:
-        return tuple(exponents)
-    if levels <= len(STANDARD_EXPONENTS):
-        return STANDARD_EXPONENTS[:levels]
-    raise ValidationError(f"no default exponents for {levels} levels; pass them explicitly")
+#: The standard exponents of the first levels; past 5 levels they must be given.
+_EXPONENTS = Param("exponents", None, lambda spec: STANDARD_EXPONENTS[: spec.levels] if isinstance(spec.levels, int) else ())
+_MULTISCALE = KindTable(
+    "multiscale mode", MultiscaleSpec, "aggregation",
+    rest=dict(levels=5, exponents=STANDARD_EXPONENTS),
+    kinds=dict(
+        off=(),
+        product=(Param("levels", "levels", positional=True), _EXPONENTS),
+        sum=(Param("levels", "levels", positional=True), _EXPONENTS),
+        fast4=(Param("levels", None, 4), _EXPONENTS),
+    ),
+)
 
 
 @dataclass(frozen=True)
-class ScalePolicy:
+class ScalePolicy(ConfigPart):
     """Resolution-adaptation policy applied before scoring.
 
     ``legacy`` is the 256-line rule; ``sast`` derives the factor from viewing
@@ -151,24 +257,21 @@ class ScalePolicy:
     resampler is always box averaging.
     """
 
-    kind: str = "none"  # none | legacy | sast | dh
+    kind: str = "none"  # none | legacy | sast | dh; None below: the kind's default (see _SCALE)
     distance: Optional[float] = None  # sast: viewing distance
-    theta_h: float = 40.0  # sast: horizontal view angle, degrees
-    theta_w: float = 50.0  # sast: vertical view angle, degrees
-    d_over_h: float = 3.0  # dh: viewing distance in display heights
-    rounding: str = "round"  # round (half away from zero) | ceil
+    theta_h: Optional[float] = None  # sast: horizontal view angle, degrees
+    theta_w: Optional[float] = None  # sast: vertical view angle, degrees
+    d_over_h: Optional[float] = None  # dh: viewing distance in display heights
+    rounding: Optional[str] = None  # legacy, dh: round (half away from zero) | ceil
 
-    def __post_init__(self):
-        if self.kind not in ("none", "legacy", "sast", "dh"):
-            raise ValidationError(f"unknown scale policy {self.kind!r}")
+    def _check(self) -> None:
         if self.rounding not in ("round", "ceil"):
             raise ValidationError(f"unknown rounding mode {self.rounding!r}")
-        if self.kind == "sast":
-            if self.distance is None or self.distance <= 0:
-                raise ValidationError("sast policy needs a positive viewing distance")
-            if self.theta_h <= 0 or self.theta_w <= 0:
-                raise ValidationError("sast viewing angles must be positive")
-        if self.kind == "dh" and self.d_over_h <= 0:
+        if self.distance is not None and self.distance <= 0:
+            raise ValidationError("sast policy needs a positive viewing distance")
+        if self.theta_h <= 0 or self.theta_w <= 0:
+            raise ValidationError("sast viewing angles must be positive")
+        if self.d_over_h <= 0:
             raise ValidationError("d/h ratio must be positive")
 
     @classmethod
@@ -176,48 +279,48 @@ class ScalePolicy:
         return cls("none")
 
     @classmethod
-    def legacy256(cls, rounding: str = "round") -> "ScalePolicy":
+    def legacy256(cls, rounding: Optional[str] = None) -> "ScalePolicy":
         return cls("legacy", rounding=rounding)
 
     @classmethod
-    def sast(cls, distance: float, theta_h: float = 40.0, theta_w: float = 50.0) -> "ScalePolicy":
+    def sast(cls, distance: float, theta_h: Optional[float] = None, theta_w: Optional[float] = None) -> "ScalePolicy":
         return cls("sast", distance=distance, theta_h=theta_h, theta_w=theta_w)
 
     @classmethod
-    def enhanced_dh(cls, d_over_h: float = 3.0) -> "ScalePolicy":
+    def enhanced_dh(cls, d_over_h: Optional[float] = None) -> "ScalePolicy":
         return cls("dh", d_over_h=d_over_h)
 
-    def selector(self) -> str:
-        if self.kind == "none":
-            return "none"
-        if self.kind == "legacy":
-            return "legacy" if self.rounding == "round" else "legacy:ceil"
-        if self.kind == "sast":
-            return f"sast:D={self.distance:g},th={self.theta_h:g},tw={self.theta_w:g}"
-        return f"dh:{self.d_over_h:g}"
+
+_SCALE = KindTable(
+    "scale policy", ScalePolicy, "kind",
+    rest=dict(distance=None, theta_h=40.0, theta_w=50.0, d_over_h=3.0, rounding="round"),
+    kinds=dict(
+        none=(),
+        legacy=(Param("rounding", "rounding", positional=True),),
+        sast=(Param("distance", "d", REQUIRED), Param("theta_h", "th"), Param("theta_w", "tw")),
+        dh=(Param("d_over_h", "ratio", positional=True), Param("rounding", "rounding")),
+    ),
+)
 
 
 @dataclass(frozen=True)
-class ColorModelSpec:
+class ColorModelSpec(ConfigPart):
     """Which color model scores a frame, plus its hyperparameters."""
 
-    model: str = "luma"  # luma | cw | fixed | qssim | cmssim | hssim
-    alpha: float = -0.3  # cw chroma weight (Cb)
-    beta: float = -0.3  # cw chroma weight (Cr)
-    weights: tuple[float, float, float] = (0.8, 0.1, 0.1)  # fixed Y/Cb/Cr weights
-    space: str = "rgb"  # qssim embedding space: rgb | ycbcr | lab
+    model: str = "luma"  # luma | cw | fixed | qssim | cmssim | hssim; None below: the kind's default
+    alpha: Optional[float] = None  # cw chroma weight (Cb)
+    beta: Optional[float] = None  # cw chroma weight (Cr)
+    weights: Optional[tuple[float, float, float]] = None  # fixed Y/Cb/Cr weights
+    space: Optional[str] = None  # qssim embedding space: rgb | ycbcr | lab
 
-    def __post_init__(self):
-        if self.model not in ("luma", "cw", "fixed", "qssim", "cmssim", "hssim"):
-            raise ValidationError(f"unknown color model {self.model!r}")
-        if self.model == "cw" and abs(1.0 + self.alpha + self.beta) < 1e-12:
+    def _check(self) -> None:
+        if abs(1.0 + self.alpha + self.beta) < 1e-12:
             raise DegenerateWeights("1 + alpha + beta must be nonzero")
         w = tuple(float(x) for x in self.weights)
-        if self.model == "fixed":
-            if len(w) != 3:
-                raise ValidationError("fixed model needs three channel weights")
-            if abs(sum(w) - 1.0) > 1e-9:
-                raise ValidationError(f"fixed channel weights must sum to 1, got {sum(w)!r}")
+        if len(w) != 3:
+            raise ValidationError("fixed model needs three channel weights")
+        if abs(sum(w) - 1.0) > 1e-9:
+            raise ValidationError(f"fixed channel weights must sum to 1, got {sum(w)!r}")
         if self.space not in ("rgb", "ycbcr", "lab"):
             raise ValidationError(f"unknown qssim embedding space {self.space!r}")
         object.__setattr__(self, "weights", w)
@@ -227,13 +330,23 @@ class ColorModelSpec:
         return cls("luma")
 
     def selector(self) -> str:
-        if self.model == "cw":
-            return f"cw:a={self.alpha:g},b={self.beta:g}"
-        if self.model == "fixed":
-            return "fixed:" + ",".join(f"{w:g}" for w in self.weights)
-        if self.model == "qssim" and self.space != "rgb":
-            return f"qssim:{self.space}"
-        return self.model
+        if self.model == "fixed":  # three positional weights, no key
+            return "fixed:" + ",".join(_format(w) for w in self.weights)
+        return super().selector()
+
+
+_COLOR = KindTable(
+    "color model", ColorModelSpec, "model",
+    rest=dict(alpha=-0.3, beta=-0.3, weights=(0.8, 0.1, 0.1), space="rgb"),
+    kinds=dict(
+        luma=(),
+        cw=(Param("alpha", "a"), Param("beta", "b")),
+        fixed=(Param("weights", None, REQUIRED),),
+        qssim=(Param("space", "space", positional=True),),
+        cmssim=(),
+        hssim=(),
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -258,6 +371,10 @@ class SsimConfig:
             raise ValidationError(f"bit depth must be an integer in [8, 16], got {self.bit_depth!r}")
         if self.engine not in ("auto", "naive", "integral"):
             raise ValidationError(f"unknown engine {self.engine!r}")
+        if self.window.shape != "rect" and self.engine == "integral":
+            raise ValidationError("the integral engine supports rectangular windows only")
+        if self.window.shape != "rect" and self.color.model == "qssim":
+            raise ValidationError("quaternion similarity uses rectangular windows")
         # Validate the pooling selectors eagerly so a config is always runnable.
         from . import pooling
 
@@ -343,33 +460,26 @@ def split_selector(text: str) -> tuple[str, list[str], dict[str, str]]:
     return name.strip().lower(), pos, kw
 
 
-def _num(text: str, what: str) -> float:
+def _cast(text: str, cast: type, what: str):
     try:
-        return float(text)
+        return cast(text)
     except ValueError:
-        raise ValidationError(f"bad number {text!r} in {what} selector") from None
-
-
-def _intval(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValidationError(f"bad integer {text!r} in {what} selector") from None
+        raise ValidationError(f"bad {cast.__name__} {text!r} in {what} selector") from None
 
 
 def parse_window(text: str) -> WindowSpec:
     """Parse ``rect:11``, ``rect:8,stride=4``, ``gauss:1.5`` or ``gauss:1.5,k=11``."""
     name, pos, kw = split_selector(text)
-    stride = _intval(kw.pop("stride", "1"), "window")
+    stride = _cast(kw.pop("stride", "1"), int, "window")
     if name == "rect":
         if len(pos) != 1:
             raise ValidationError("rect window needs a size, e.g. rect:11")
-        spec = WindowSpec.rectangular(_intval(pos[0], "window"), stride)
+        spec = WindowSpec.rectangular(_cast(pos[0], int, "window"), stride)
     elif name == "gauss":
         if len(pos) != 1:
             raise ValidationError("gauss window needs a sigma, e.g. gauss:1.5")
-        k = _intval(kw.pop("k"), "window") if "k" in kw else None
-        spec = WindowSpec.gaussian(_num(pos[0], "window"), k, stride)
+        k = _cast(kw.pop("k"), int, "window") if "k" in kw else None
+        spec = WindowSpec.gaussian(_cast(pos[0], float, "window"), k, stride)
     else:
         raise ValidationError(f"unknown window {name!r} (expected rect or gauss)")
     if kw:
@@ -377,89 +487,19 @@ def parse_window(text: str) -> WindowSpec:
     return spec
 
 
-def selector_args(
-    what: str,
-    pos: list[str],
-    kw: dict[str, str],
-    names: Sequence[str] = (),
-    positional: int = 0,
-    aliases: Optional[dict[str, str]] = None,
-) -> dict[str, str]:
-    """A selector's argument strings by parameter name.
-
-    Positional values fill the first ``positional`` of ``names`` in order;
-    keywords name any of them, directly or through ``aliases``. An extra
-    positional value, an unknown key or a parameter given twice raises
-    ValidationError rather than being ignored.
-    """
-    if len(pos) > positional:
-        raise ValidationError(f"{what} takes at most {positional} positional values, got {len(pos)}")
-    args = dict(zip(names, pos))
-    for key, value in kw.items():
-        name = key if key in names else (aliases or {}).get(key)
-        if name not in names:
-            raise ValidationError(f"unknown {what} option {key!r}")
-        if name in args:
-            raise ValidationError(f"{what} option {name!r} given twice")
-        args[name] = value
-    return args
-
-
-#: Per kind: its parameter names, and how many of them may be positional.
-_SCALE_ARGS = dict(none=((), 0), legacy=(("rounding",), 1), sast=(("d", "th", "tw"), 0), dh=(("ratio",), 1))
-_COLOR_ARGS = dict(luma=((), 0), cw=(("a", "b"), 0), qssim=(("space",), 1), cmssim=((), 0), hssim=((), 0))
-_MULTISCALE_ARGS = dict(off=((), 0), fast4=((), 0), product=(("levels",), 1), sum=(("levels",), 1))
-
-
 def parse_scale(text: str) -> ScalePolicy:
-    """Parse ``none``, ``legacy``, ``legacy:ceil``, ``sast:D=3000`` or ``dh:3.0``."""
-    name, pos, kw = split_selector(text)
-    if name not in _SCALE_ARGS:
-        raise ValidationError(f"unknown scale policy {name!r}")
-    args = selector_args(f"{name} scale policy", pos, kw, *_SCALE_ARGS[name])
-    if name == "none":
-        return ScalePolicy.none()
-    if name == "legacy":
-        return ScalePolicy.legacy256(args.get("rounding", "round"))
-    if name == "sast":
-        if "d" not in args:
-            raise ValidationError("sast policy needs D=<distance>")
-        return ScalePolicy.sast(
-            _num(args["d"], "scale"),
-            _num(args.get("th", "40"), "scale"),
-            _num(args.get("tw", "50"), "scale"),
-        )
-    return ScalePolicy.enhanced_dh(_num(args.get("ratio", "3.0"), "scale"))
+    """Parse ``none``, ``legacy[:ceil]``, ``sast:D=3000[,th=..,tw=..]`` or ``dh:3.0[,rounding=ceil]``."""
+    return _SCALE.parse(text)
 
 
 def parse_color(text: str) -> ColorModelSpec:
     """Parse ``luma``, ``cw:a=-0.3,b=-0.3``, ``fixed:0.8,0.1,0.1``, ``qssim[:space]``, ...."""
     name, pos, kw = split_selector(text)
-    if name == "fixed":
-        if len(pos) != 3 or kw:
-            raise ValidationError("fixed color model needs three weights, e.g. fixed:0.8,0.1,0.1")
-        return ColorModelSpec("fixed", weights=tuple(_num(p, "color") for p in pos))
-    if name not in _COLOR_ARGS:
-        raise ValidationError(f"unknown color model {name!r}")
-    args = selector_args(f"{name} color model", pos, kw, *_COLOR_ARGS[name])
-    if name == "cw":
-        return ColorModelSpec(
-            "cw", alpha=_num(args.get("a", "-0.3"), "color"), beta=_num(args.get("b", "-0.3"), "color")
-        )
-    if name == "qssim":
-        return ColorModelSpec("qssim", space=args.get("space", "rgb"))
-    return ColorModelSpec(name)
+    if name == "fixed" and pos and not kw:  # three positional weights, no key
+        return ColorModelSpec("fixed", weights=tuple(_cast(p, float, "fixed color model") for p in pos))
+    return _COLOR.parse(text)
 
 
 def parse_multiscale(text: str) -> MultiscaleSpec:
     """Parse ``off``, ``product``, ``product:levels=3``, ``sum`` or ``fast4``."""
-    name, pos, kw = split_selector(text)
-    if name not in _MULTISCALE_ARGS:
-        raise ValidationError(f"unknown multiscale mode {name!r}")
-    args = selector_args(f"{name} multiscale", pos, kw, *_MULTISCALE_ARGS[name])
-    if name == "off":
-        return MultiscaleSpec.off()
-    if name == "fast4":
-        return MultiscaleSpec.fast4()
-    levels = _intval(args.get("levels", "5"), "multiscale")
-    return MultiscaleSpec(name, levels, _default_exponents(levels, None))
+    return _MULTISCALE.parse(text)

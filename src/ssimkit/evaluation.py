@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -268,45 +268,53 @@ def pareto_front(points: Sequence[CostPerfPoint]) -> list[CostPerfPoint]:
     return [p for p in points if not any(dominates(q, p) for q in points)]
 
 
+def read_csv(path: str, what: str, required: Sequence[str], parse_row: Callable[[dict], object]) -> list:
+    """Rows of a UTF-8 CSV file with the ``required`` columns, each through
+    ``parse_row``. A file that is not UTF-8 CSV or lacks a column raises
+    ValidationError naming the file; a row short of a required field, or
+    that ``parse_row`` rejects with ValueError, one naming ``{what} row N``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or not set(required) <= set(reader.fieldnames):
+                raise ValidationError(f"{path}: {what} needs columns {sorted(required)}, got {reader.fieldnames}")
+            rows = []
+            for i, row in enumerate(reader):
+                short = sorted(key for key in required if row[key] is None)
+                try:
+                    if short:
+                        raise ValueError(f"no {', '.join(short)} field")
+                    rows.append(parse_row(row))
+                except ValueError as exc:
+                    raise ValidationError(f"{what} row {i + 2}: {exc}") from None
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValidationError(f"{path}: not a {what} CSV: {exc}") from None
+    return rows
+
+
 def load_manifest(path: str) -> list[dict]:
-    """Rows of a dataset manifest CSV.
+    """Rows of a dataset manifest CSV (see :func:`read_csv`).
 
     Columns: ref_path, dist_path, subjective_score, plus optional width,
     height, bit_depth, chroma for raw video rows. The file is UTF-8 text.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            return _parse_manifest(fh)
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise ValidationError(f"{path}: not a manifest CSV: {exc}") from None
-
-
-def _parse_manifest(fh) -> list[dict]:
-    reader = csv.DictReader(fh)
-    required = {"ref_path", "dist_path", "subjective_score"}
-    if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
-        raise ValidationError(f"manifest needs columns {sorted(required)}, got {reader.fieldnames}")
-    rows = []
-    for i, row in enumerate(reader):
-        short = sorted(key for key in required if row[key] is None)
-        if short:
-            raise ValidationError(f"manifest row {i + 2}: no {', '.join(short)} field")
-        try:
-            parsed = {
-                "ref_path": row["ref_path"].strip(),
-                "dist_path": row["dist_path"].strip(),
-                "subjective_score": float(row["subjective_score"]),
-            }
-            for key in ("width", "height", "bit_depth"):
-                if row.get(key):
-                    parsed[key] = int(row[key])
-            if "\0" in parsed["ref_path"] + parsed["dist_path"]:
-                raise ValueError("a path holds a NUL byte")
-        except ValueError as exc:
-            raise ValidationError(f"manifest row {i + 2}: {exc}") from None
-        if row.get("chroma"):
-            parsed["chroma"] = row["chroma"].strip()
-        rows.append(parsed)
+    rows = read_csv(path, "manifest", ("ref_path", "dist_path", "subjective_score"), _manifest_row)
     if not rows:
         raise ValidationError("manifest has no data rows")
     return rows
+
+
+def _manifest_row(row: dict) -> dict:
+    parsed = {
+        "ref_path": row["ref_path"].strip(),
+        "dist_path": row["dist_path"].strip(),
+        "subjective_score": float(row["subjective_score"]),
+    }
+    for key in ("width", "height", "bit_depth"):
+        if row.get(key):
+            parsed[key] = int(row[key])
+    if "\0" in parsed["ref_path"] + parsed["dist_path"]:
+        raise ValueError("a path holds a NUL byte")
+    if row.get("chroma"):
+        parsed["chroma"] = row["chroma"].strip()
+    return parsed

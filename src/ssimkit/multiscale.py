@@ -16,7 +16,7 @@ import numpy as np
 from .config import MultiscaleSpec, SsimConfig
 from .errors import TooManyLevels, TooSmall, ValidationError
 from .frames import LumaPlane, PlaneLike, plane_data, validate_frame_pair
-from .ssim import mssim, ssim_map, term_maps_from_stats
+from .ssim import frame_config, mssim, ssim_map, term_maps_from_stats
 from .stats import _exact_sum_dtype
 
 if TYPE_CHECKING:
@@ -56,7 +56,9 @@ def scale_scores(
 
     With ``volumes`` (one rolling volume per scale) each scale's pair is
     pushed into its volume and scored over the volume's temporal window.
+    The constants follow the frames' bit depth (see ``ssim.frame_config``).
     """
+    config = frame_config(config, ref, dist)
     levels = config.multiscale.levels
     if volumes is not None and len(volumes) != levels:
         raise ValidationError(f"{levels} scales need {levels} rolling volumes, got {len(volumes)}")

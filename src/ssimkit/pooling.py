@@ -5,16 +5,20 @@ collapse a per-frame score series to a sequence score. Minkowski-style
 operators work on dissimilarity (1 - Q) since local quality can be negative;
 geometric/harmonic means are temporal-only and clamp their inputs at a small
 positive floor.
+
+Both domains share one row per kind, read through the same
+:class:`~ssimkit.config.KindTable` as every config part; dispatch passes the
+kind's parameters, in row order, to its statistic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .config import _intval, _num, selector_args, split_selector
+from .config import REQUIRED, ConfigPart, KindTable, Param
 from .errors import (
     EmptyMap,
     EmptySeries,
@@ -27,24 +31,24 @@ from .frames import QualityMap, ScoreSeries
 #: Floor applied to geometric/harmonic mean inputs.
 MEAN_EPS = 1e-6
 
-SPATIAL_KINDS = ("am", "cov", "md", "fns", "dw", "mink", "lw", "pp")
-TEMPORAL_KINDS = (
-    "am", "gm", "hm", "median", "cov",
-    "wam", "wgm", "whm", "wcov",
-    "md", "fns", "dw", "mink", "pp",
-)
 
-#: Each kind's parameters in positional order, with their selector defaults
-#: (None: the selector must give it). ``k`` is an integer, the rest floats.
-#: The table drives validation, parsing, ``selector()`` and dispatch alike.
-_PARAMS: dict[str, tuple[tuple[str, Optional[float]], ...]] = {
-    **{kind: () for kind in ("am", "cov", "fns", "gm", "hm", "median")},
-    "md": (("p", 2.0), ("o", 1.0)),
-    "dw": (("p", 1.0),),
-    "mink": (("p", 1.0),),
-    "lw": (("a", 0.0), ("b", 0.0)),
-    "pp": (("ps", 6.0), ("rs", 1.0)),
-    **{kind: (("k", None),) for kind in ("wam", "wgm", "whm", "wcov")},
+def _kind(*params: str, **defaults: float) -> tuple[Param, ...]:
+    """A pooler kind's parameters, keyed by their field names and each also
+    settable by position."""
+    return tuple(Param(name, name, defaults.get(name), positional=True) for name in params)
+
+
+#: Each pooler kind's parameters, shared by both domains. ``k`` is an
+#: integer, the rest floats. The tables built from it drive validation,
+#: parsing, ``selector()`` and dispatch alike.
+_KINDS = {
+    **{kind: _kind() for kind in ("am", "cov", "fns", "gm", "hm", "median")},
+    "md": _kind("p", "o", p=2.0),
+    "dw": _kind("p"),
+    "mink": _kind("p"),
+    "lw": _kind("a", "b"),
+    "pp": _kind("ps", "rs"),
+    **{kind: _kind("k", k=REQUIRED) for kind in ("wam", "wgm", "whm", "wcov")},
 }
 
 #: Other selector spellings of pp's parameters, in both domains.
@@ -61,90 +65,56 @@ _CHECKS = {
 }
 
 
-def _check(pool, kinds: tuple[str, ...], domain: str) -> None:
-    """Reject an unknown kind, a parameter out of range, and a field the kind
-    does not read that is set away from its default."""
-    if pool.kind not in kinds:
-        raise ValidationError(f"unknown {domain} pooler {pool.kind!r}")
-    read = [name for name, _ in _PARAMS[pool.kind]]
-    for name in read:
-        if name in _CHECKS and not _CHECKS[name][0](getattr(pool, name)):
-            raise ValidationError(f"{pool.kind} pooling needs {_CHECKS[name][1]}")
-    for f in fields(pool):
-        if f.name not in read and f.name != "kind" and getattr(pool, f.name) != f.default:
-            raise ValidationError(f"{pool.kind} pooling takes no {f.name}")
-
-
-def _values(pool) -> list:
-    """The pooler's parameter values, in the order its kind lists them."""
-    return [getattr(pool, name) for name, _ in _PARAMS[pool.kind]]
-
-
-def _selector(pool) -> str:
-    args = [f"{n}={getattr(pool, n)}" if n == "k" else f"{n}={getattr(pool, n):g}" for n, _ in _PARAMS[pool.kind]]
-    return f"{pool.kind}:{','.join(args)}" if args else pool.kind
+class _Pooler(ConfigPart):
+    def _check(self) -> None:
+        for name, value in vars(self).items():
+            if name in _CHECKS and not _CHECKS[name][0](value):
+                raise ValidationError(f"{self.kind} pooling needs {_CHECKS[name][1]}")
 
 
 @dataclass(frozen=True)
-class SpatialPooler:
+class SpatialPooler(_Pooler):
     kind: str
-    p: float = 1.0        # md / dw / mink exponent
-    o: float = 1.0        # md outer exponent
-    a: float = 0.0        # lw lower luminance limit
-    b: float = 0.0        # lw ramp length
-    ps: float = 6.0       # pp percentile of lowest values
-    rs: float = 1.0       # pp down-weighting divisor
-
-    def __post_init__(self):
-        _check(self, SPATIAL_KINDS, "spatial")
-
-    def selector(self) -> str:
-        return _selector(self)
+    p: Optional[float] = None   # md / dw / mink exponent; None: the kind's default
+    o: Optional[float] = None   # md outer exponent
+    a: Optional[float] = None   # lw lower luminance limit
+    b: Optional[float] = None   # lw ramp length
+    ps: Optional[float] = None  # pp percentile of lowest values
+    rs: Optional[float] = None  # pp down-weighting divisor
 
 
 @dataclass(frozen=True)
-class TemporalPooler:
+class TemporalPooler(_Pooler):
     kind: str
-    k: int = 1            # window length for windowed forms
-    p: float = 1.0
-    o: float = 1.0
-    ps: float = 6.0
-    rs: float = 1.0
-
-    def __post_init__(self):
-        _check(self, TEMPORAL_KINDS, "temporal")
-
-    def selector(self) -> str:
-        return _selector(self)
+    k: Optional[int] = None     # window length for windowed forms; None: the kind's default
+    p: Optional[float] = None
+    o: Optional[float] = None
+    ps: Optional[float] = None
+    rs: Optional[float] = None
 
 
-def _parse(cls, kinds: tuple[str, ...], domain: str, text: str):
-    """A pooler from its selector: positional values fill the kind's
-    parameters in order, keywords name them; anything else is rejected."""
-    name, pos, kw = split_selector(text)
-    if name not in kinds:
-        raise ValidationError(f"unknown {domain} pooler {name!r}")
-    params = _PARAMS[name]
-    args = selector_args(f"{name} pooling", pos, kw, [n for n, _ in params], len(params), _ALIASES)
-    values = {}
-    for param, default in params:
-        if param in args:
-            values[param] = _intval(args[param], name) if param == "k" else _num(args[param], name)
-        elif default is None:
-            raise ValidationError(f"{name} pooling needs {param}, e.g. {name}:{param}=10")
-        else:
-            values[param] = default
-    return cls(name, **values)
+_SPATIAL = KindTable(
+    "spatial pooler", SpatialPooler, "kind",
+    rest=dict(p=1.0, o=1.0, a=0.0, b=0.0, ps=6.0, rs=1.0),
+    kinds={kind: _KINDS[kind] for kind in ("am", "cov", "md", "fns", "dw", "mink", "lw", "pp")},
+    aliases=_ALIASES,
+)
+_TEMPORAL = KindTable(
+    "temporal pooler", TemporalPooler, "kind",
+    rest=dict(k=1, p=1.0, o=1.0, ps=6.0, rs=1.0),
+    kinds={kind: params for kind, params in _KINDS.items() if kind != "lw"},  # lw needs a luma map
+    aliases=_ALIASES,
+)
 
 
 def parse_spatial(text: str) -> SpatialPooler:
     """Parse a spatial pooler selector, e.g. ``cov`` or ``md:p=2,o=3``."""
-    return _parse(SpatialPooler, SPATIAL_KINDS, "spatial", text)
+    return _SPATIAL.parse(text)
 
 
 def parse_temporal(text: str) -> TemporalPooler:
     """Parse a temporal pooler selector, e.g. ``wam:k=3`` or ``pp:ps=6,rs=4000``."""
-    return _parse(TemporalPooler, TEMPORAL_KINDS, "temporal", text)
+    return _TEMPORAL.parse(text)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +210,7 @@ def pool_spatial(
         raise EmptyMap("cannot pool an empty quality map")
     v = v.reshape(-1)
     if pool.kind != "lw":
-        return _STATS[pool.kind](v, *_values(pool))
+        return _STATS[pool.kind](v, *_SPATIAL.values(pool))
     if ref_luma is None:
         raise MissingLumaForLW("lw pooling needs the reference mean-luminance map")
     mu = ref_luma.values if isinstance(ref_luma, QualityMap) else np.asarray(ref_luma, dtype=np.float64)
@@ -261,4 +231,4 @@ def pool_temporal(series: Union[ScoreSeries, np.ndarray], method: Union[Temporal
     v = v.reshape(-1)
     if v.size == 0:
         raise EmptySeries("cannot pool an empty score series")
-    return _STATS[pool.kind](v, *_values(pool))
+    return _STATS[pool.kind](v, *_TEMPORAL.values(pool))

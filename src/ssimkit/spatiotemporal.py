@@ -28,7 +28,7 @@ from .errors import (
 )
 from .frames import PlaneLike, ScoreSeries, paired_frames, plane_data, validate_frame_pair
 from .multiscale import dyadic_downsample, msssim  # noqa: F401  (perfbench traces dyadic_downsample here)
-from .ssim import SsimTermMaps, mssim, term_maps_from_stats
+from .ssim import SsimTermMaps, frame_config, mssim, term_maps_from_stats
 from .stats import LocalStatsMaps, _exact_pair, _pair_terms, _window_sums, stats_from_sums
 
 #: Rolling sums are rebuilt from the buffered frames this often, bounding
@@ -159,7 +159,7 @@ def ssim3d_series(
     scores = []
     for ref, dist in paired_frames(ref_frames, dist_frames):
         vol.push(ref, dist)
-        scores.append(mssim(ssim3d_map(vol, config)))
+        scores.append(mssim(ssim3d_map(vol, frame_config(config, ref, dist))))
     return ScoreSeries(np.asarray(scores))
 
 

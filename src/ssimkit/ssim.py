@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import SsimConfig
 from .errors import EmptyMap
-from .frames import PlaneLike, QualityMap
+from .frames import LumaPlane, PlaneLike, QualityMap
 from .stats import LocalStatsMaps, local_statistics
 
 
@@ -72,8 +72,15 @@ def term_maps_from_stats(stats: LocalStatsMaps, c1: float, c2: float) -> SsimTer
     return SsimTermMaps(*maps)
 
 
+def frame_config(config: SsimConfig, ref: PlaneLike, dist: PlaneLike) -> SsimConfig:
+    """``config`` with the bit depth of the pair's LumaPlanes; bare arrays keep ``config.bit_depth``."""
+    depths = [plane.bit_depth for plane in (ref, dist) if isinstance(plane, LumaPlane)]
+    return config.for_bit_depth(depths[0]) if depths else config
+
+
 def ssim_map(ref: PlaneLike, dist: PlaneLike, config: SsimConfig = SsimConfig()) -> SsimTermMaps:
-    """SSIM term maps of a frame pair under the given configuration."""
+    """SSIM term maps of a frame pair, with constants for its bit depth (see frame_config)."""
+    config = frame_config(config, ref, dist)
     stats = local_statistics(ref, dist, config.window, config.engine)
     return term_maps_from_stats(stats, config.c1, config.c2)
 

@@ -445,6 +445,23 @@ class TestOtherCommands:
         result = runner.invoke(main, ["fit-5pl", str(data)])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("command, text, where", [
+        ("pareto", "label,cost\na,1\n", "file"),
+        ("pareto", "label,cost,perf\na,1,0.9\nb,2\n", "points row 3: no perf field"),
+        ("pareto", "label,cost,perf\na,1,high\n", "points row 2:"),
+        ("fit-5pl", "objective\n0.5\n", "file"),
+        ("fit-5pl", "objective,subjective\n0.1,0.2\n0.3\n", "data row 3: no subjective field"),
+        ("fit-5pl", "objective,subjective\n0.1,abc\n", "data row 2:"),
+        ("fit-5pl", b"objective,subjective\n0.1,\xff\n", "file"),
+    ])
+    def test_csv_input_errors_name_the_file_or_the_row(self, runner, tmp_path, command, text, where):
+        data = tmp_path / "input.csv"
+        data.write_bytes(text if isinstance(text, bytes) else text.encode())
+        result = runner.invoke(main, [command, str(data)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert (str(data) if where == "file" else where) in result.output
+
     def test_pareto_command(self, runner, tmp_path):
         points = tmp_path / "points.csv"
         points.write_text("label,cost,perf\na,1,0.90\nb,2,0.95\nc,3,0.94\n")
@@ -507,6 +524,26 @@ class TestOneScoringPath:
         result = runner.invoke(main, ["score", str(ref_path), str(dist_path), *flags])
         assert result.exit_code == 2
         assert result.output.startswith("error: ")
+
+    @pytest.mark.parametrize("settings, flags, message", [
+        (dict(engine="integral"), ["--engine", "integral"], "integral engine"),
+        (dict(color=ColorModelSpec("qssim")), ["--color", "qssim"], "quaternion"),
+    ])
+    def test_gaussian_window_the_engine_or_model_cannot_use_is_rejected_when_built(
+        self, runner, tmp_path, settings, flags, message
+    ):
+        with pytest.raises(ValidationError):
+            SsimConfig(window=WindowSpec.gaussian(1.5), **settings)
+        missing = [str(tmp_path / "a.ppm"), str(tmp_path / "b.ppm")]
+        result = runner.invoke(main, ["score", *missing, "--window", "gauss:1.5", *flags])
+        assert result.exit_code == 2
+        assert message in result.output  # rejected before either file is opened
+
+    def test_window_and_engine_overrides_are_checked_together(self, runner, media):
+        ref_path, dist_path, _, _ = media
+        flags = ["--preset", "enhanced", "--window", "gauss:1.5", "--engine", "auto"]
+        result = runner.invoke(main, ["score", str(ref_path), str(dist_path), *flags])
+        assert result.exit_code == 0
 
     def test_overrides_are_checked_together(self, runner, media):
         ref_path, dist_path, _, _ = media

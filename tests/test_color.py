@@ -17,9 +17,10 @@ from ssimkit.color import (
     upsample_chroma,
     ycbcr_bt709_to_rgb,
 )
-from ssimkit.config import ColorModelSpec, SsimConfig, WindowSpec
+from ssimkit.config import ColorModelSpec, ScalePolicy, SsimConfig, WindowSpec
 from ssimkit.errors import DegenerateWeights, WrongSpace
 from ssimkit.frames import ColorFrame, LumaPlane
+from ssimkit.pipeline import score_frame_pair
 from ssimkit.ssim import mssim, ssim_map, ssim_score
 
 from conftest import blur_plane, natural_plane, noisy_version, random_rgb
@@ -386,3 +387,56 @@ class TestHssim:
         assert np.allclose(hue_plane(frame).samples, 120.0 / 360.0 * 255.0)
         frame = flat_rgb(0, 0, 255)
         assert np.allclose(hue_plane(frame).samples, 240.0 / 360.0 * 255.0)
+
+
+def box_by_hand(frame, f):
+    """Block means of each channel of a frame whose sides are multiples of f."""
+    chans = []
+    for c in frame.channels:
+        h, w = c.shape
+        chans.append(np.asarray(c, dtype=np.float64).reshape(h // f, f, w // f, f).mean(axis=(1, 3)))
+    return ColorFrame(tuple(chans), frame.space, frame.subsampling, frame.bit_depth)
+
+
+def ycbcr_420(rgb):
+    """A 4:2:0 YCbCr frame: the BT.709 conversion of ``rgb`` with each 2x2
+    block's chroma taken from its top-left sample."""
+    y, cb, cr = rgb_to_ycbcr_bt709(rgb).channels
+    return ColorFrame((y, cb[::2, ::2], cr[::2, ::2]), "ycbcr-bt709", "420")
+
+
+class TestColourPaths:
+    """Colour frames through scaling, the lab embedding and 4:2:0 YCbCr input."""
+
+    def test_scaled_colour_frames_score_like_frames_downsampled_by_hand(self, rng):
+        ref = natural_rgb(rng, 384, 392)  # the 256-line rule gives factor 2
+        dist = ColorFrame(tuple(noisy_version(rng, LumaPlane(c), 20).samples for c in ref.channels))
+        config = SsimConfig(color=ColorModelSpec("cw", -0.3, -0.2), scaling=ScalePolicy.legacy256())
+        got = score_frame_pair(ref, dist, config).score
+        assert got == channelwise_cssim(box_by_hand(ref, 2), box_by_hand(dist, 2), config)
+        assert got != channelwise_cssim(ref, dist, config)
+
+    def test_qssim_lab_embedding_matches_brute_force_on_4x4(self, rng):
+        config = SsimConfig(window=WindowSpec.rectangular(4), color=ColorModelSpec("qssim", space="lab"))
+        for _ in range(3):
+            ref, dist = random_rgb(rng, 4, 4), random_rgb(rng, 4, 4)
+            lab1, lab2 = (ColorFrame(tuple(reference_lab(f) * (f.peak / 100.0))) for f in (ref, dist))
+            assert qssim(ref, dist, config) == pytest.approx(brute_force_qssim(lab1, lab2), abs=1e-9)
+
+    def test_420_ycbcr_input_scores_like_the_frames_converted_to_rgb(self, rng):
+        ref = natural_rgb(rng, 32, 32)
+        dist = ColorFrame(tuple(blur_plane(LumaPlane(c), 2).samples for c in ref.channels))
+        ref_420, dist_420 = ycbcr_420(ref), ycbcr_420(dist)
+        rgb_ref, rgb_dist = ycbcr_bt709_to_rgb(ref_420), ycbcr_bt709_to_rgb(dist_420)
+        by_hand = ColorFrame(
+            (ref_420.channels[0],) + tuple(np.repeat(np.repeat(c, 2, 0), 2, 1) for c in ref_420.channels[1:]),
+            "ycbcr-bt709",
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(rgb_ref.channels, ycbcr_bt709_to_rgb(by_hand).channels))
+        for scorer, config in [
+            (qssim, rect(8)),
+            (qssim, SsimConfig(window=WindowSpec.rectangular(8), color=ColorModelSpec("qssim", space="lab"))),
+            (cmssim, rect(8)),
+            (hssim, rect(8)),
+        ]:
+            assert scorer(ref_420, dist_420, config) == scorer(rgb_ref, rgb_dist, config)

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from ssimkit.adaptation import policy_factor
 from ssimkit.config import (
     ColorModelSpec,
     MultiscaleSpec,
@@ -279,3 +282,28 @@ class TestSelectorGrammar:
         for text in ["none", "legacy", "sast:D=3000", "dh:3.0"]:
             policy = parse_scale(text)
             assert parse_scale(policy.selector()) == policy
+
+
+class TestEverySettingIsRead:
+    """A field its kind does not read is rejected, not ignored, and each
+    setting has one default."""
+
+    @pytest.mark.parametrize("part, cls, settings", [
+        ("color", ColorModelSpec, dict(model="cmssim", alpha=2.0)),
+        ("scaling", ScalePolicy, dict(kind="none", d_over_h=5.0)),
+        ("scaling", ScalePolicy, dict(kind="sast", distance=3000.0, rounding="ceil")),
+        ("multiscale", MultiscaleSpec, dict(aggregation="off", levels=3, exponents=(1.0, 1.0, 1.0))),
+    ])
+    def test_unread_settings_are_rejected_directly_and_from_json(self, part, cls, settings):
+        with pytest.raises(ValidationError):
+            cls(**settings)
+        config = json.loads(SsimConfig().to_json())
+        config[part].update(settings)
+        with pytest.raises(ValidationError):
+            SsimConfig.from_json(json.dumps(config))
+
+    def test_dh_rounding_round_trips_through_its_selector(self):
+        policy = ScalePolicy("dh", d_over_h=2.0, rounding="ceil")
+        assert policy_factor(policy, 1920, 1080) == 7
+        assert parse_scale(policy.selector()) == policy
+        assert parse_scale("dh:2,rounding=ceil") == policy

@@ -1,10 +1,10 @@
-"""Mutated media and manifest files raise only typed errors.
+"""Mutated media, manifest and CSV files raise only typed errors.
 
 Each example overwrites a few bytes of a valid file, most often in its
 header, and sometimes truncates it; then it reads the file to the end. The
 reader may succeed, or raise SsimkitError or OSError, and nothing else. The
-CLI reads a mutated manifest with exit code 0, 2 or 3. Runs are derandomized,
-so every run draws the same cases.
+CLI reads a mutated manifest, points CSV or fit CSV with exit code 0, 2 or
+3. Runs are derandomized, so every run draws the same cases.
 """
 
 import numpy as np
@@ -51,7 +51,11 @@ def valid(tmp_path_factory):
     rows = [f"{root / 'a.yuv'},{root / 'a.yuv'},{s},{W},{H},8,420" for s in (0.2, 0.5, 0.9)]
     (root / "a.csv").write_text("ref_path,dist_path,subjective_score,width,height,bit_depth,chroma\n"
                                 + "\n".join(rows) + "\n")
-    return root, {name: (root / f"a.{name}").read_bytes() for name in ("y4m", "yuv", "pgm", "ppm", "csv")}
+    (root / "a.points").write_text("label,cost,perf\na,1.5,0.90\nb,2.25,0.95\nc,3,0.94\nd,0.5,0.4\n")
+    (root / "a.fit").write_text("objective,subjective\n" + "".join(
+        f"{x:.3f},{0.95 - 0.8 * x**1.5:.3f}\n" for x in np.linspace(0.1, 0.9, 8)))
+    kinds = ("y4m", "yuv", "pgm", "ppm", "csv", "points", "fit")
+    return root, {name: (root / f"a.{name}").read_bytes() for name in kinds}
 
 
 READERS = {
@@ -98,5 +102,17 @@ def test_benchmark_exits_0_2_or_3_on_mutated_manifests(valid, data):
     path = root / "fuzzed-manifest.csv"
     path.write_bytes(data.draw(mutated(originals["csv"])))
     result = CliRunner().invoke(main, ["benchmark", str(path), "--spec", "x=preset=default;window=rect:3"])
+    assert result.exit_code in (0, 2, 3), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("command, kind", [("pareto", "points"), ("fit-5pl", "fit")])
+@FUZZ
+@given(data=st.data())
+def test_csv_commands_exit_0_2_or_3_on_mutated_input(valid, command, kind, data):
+    root, originals = valid
+    path = root / f"fuzzed-{kind}.csv"
+    path.write_bytes(data.draw(mutated(originals[kind])))
+    result = CliRunner().invoke(main, [command, str(path)])
     assert result.exit_code in (0, 2, 3), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)

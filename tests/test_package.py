@@ -1,7 +1,23 @@
+import dataclasses
 import inspect
+import json
+
+import pytest
 
 import ssimkit
 from ssimkit import color, multiscale, pipeline, spatiotemporal, ssim
+from ssimkit.config import (
+    REQUIRED,
+    ColorModelSpec,
+    MultiscaleSpec,
+    ScalePolicy,
+    SsimConfig,
+    parse_color,
+    parse_multiscale,
+    parse_scale,
+)
+from ssimkit.errors import ValidationError
+from ssimkit.pooling import SpatialPooler, TemporalPooler, parse_spatial, parse_temporal
 
 
 def test_every_export_resolves():
@@ -40,3 +56,57 @@ def test_scorers_take_their_settings_from_the_config_alone():
         for name, fn in scorers.items()
     }
     assert {name: params for name, params in extra.items() if params} == {}
+
+
+#: For every field of every config part with kinds, a value away from its
+#: resting value, valid for the kinds that read it; some need all 17
+#: significant digits to print exactly.
+OTHER = dict(
+    distance=2500.5, theta_h=35.125, theta_w=45.0625, d_over_h=2.625, rounding="ceil",
+    alpha=-0.2123456789012345, beta=0.1, weights=(0.6, 0.3, 0.1), space="lab",
+    levels=3, exponents=(0.2, 0.3, 0.5),
+    k=5, p=3.141592653589793, o=2.25, a=10.125, b=40.5, ps=10.25, rs=4.125,
+)
+
+#: Each part, its parser, and its field in a JSON config (None: the
+#: config holds the part as a selector string).
+PARTS = [
+    (ScalePolicy, parse_scale, "scaling"),
+    (ColorModelSpec, parse_color, "color"),
+    (MultiscaleSpec, parse_multiscale, "multiscale"),
+    (SpatialPooler, parse_spatial, None),
+    (TemporalPooler, parse_temporal, None),
+]
+
+
+def kind_rows():
+    for cls, parse, part in PARTS:
+        table = cls._table
+        for kind, params in table.kinds.items():
+            yield pytest.param(cls, parse, part, kind, params, id=f"{cls.__name__}-{kind}")
+
+
+@pytest.mark.parametrize("cls, parse, part, kind, params", kind_rows())
+def test_every_kind_is_parsed_printed_and_checked_from_its_row(cls, parse, part, kind, params):
+    table = cls._table
+    fields = [f.name for f in dataclasses.fields(cls)]
+    assert fields[0] == table.kind_field and set(fields[1:]) == set(table.rest) <= set(OTHER)
+    required = {p.field: OTHER[p.field] for p in params if p.default is REQUIRED}
+    spec = cls(kind, **required)
+    assert parse(spec.selector()) == spec
+    # the constructor's defaults are the selector's
+    given = [f"{p.key}={OTHER[p.field]}" for p in params if p.field in required and p.key]
+    given += [str(w) for p in params if p.field in required and not p.key for w in OTHER[p.field]]
+    assert parse(":".join([kind, ",".join(given)]) if given else kind) == spec
+    for p in params:
+        if p.key and p.field not in required:  # a required field already holds its OTHER value
+            other = cls(kind, **required, **{p.field: OTHER[p.field]})
+            assert other != spec and parse(other.selector()) == other
+    for name in set(table.rest) - {p.field for p in params}:
+        with pytest.raises(ValidationError):
+            cls(kind, **required, **{name: OTHER[name]})
+        if part is not None:
+            config = json.loads(SsimConfig().to_json())
+            config[part] = {**dataclasses.asdict(spec), name: OTHER[name]}
+            with pytest.raises(ValidationError):
+                SsimConfig.from_json(json.dumps(config))

@@ -263,3 +263,9 @@ class TestSelectors:
         assert SpatialPooler("lw", a=10.0, b=40.0) == parse_spatial("lw:a=10,b=40")
         assert TemporalPooler("wam", k=3) == parse_temporal("wam:k=3")
         assert TemporalPooler("am", k=1, p=1.0) == parse_temporal("am")
+
+    def test_constructor_and_selector_share_each_default(self, rng):
+        assert SpatialPooler("md") == parse_spatial("md")
+        assert TemporalPooler("md") == parse_temporal("md")
+        v = rng.uniform(0.2, 1.0, 64)
+        assert pool_spatial(v, SpatialPooler("md")) == pool_spatial(v, "md:p=2,o=1")

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from ssimkit.config import SsimConfig, WindowSpec
+from ssimkit.config import MultiscaleSpec, SsimConfig, WindowSpec
 from ssimkit.errors import EmptyMap
 from ssimkit.frames import LumaPlane
+from ssimkit.multiscale import msssim
+from ssimkit.pipeline import score_frame_pair
 from ssimkit.pooling import pool_spatial
+from ssimkit.spatiotemporal import msssim3d, ssim3d_series
 from ssimkit.ssim import mssim, ssim_map, ssim_score
 
 from conftest import noisy_version, random_plane
@@ -187,3 +190,22 @@ class TestMssim:
     def test_empty_map_rejected(self):
         with pytest.raises(EmptyMap):
             mssim(np.zeros((0, 4)))
+
+
+class TestOneRuler:
+    """Every direct entry point gives what the pipeline gives for the same pair."""
+
+    @pytest.mark.parametrize("bit_depth", [8, 10])
+    def test_direct_entry_points_take_constants_from_the_frames(self, rng, bit_depth):
+        a = random_plane(rng, 64, 64, bit_depth=bit_depth)
+        b = noisy_version(rng, a, 5 << (bit_depth - 8))
+        plain = SsimConfig()
+        ms = SsimConfig(window=WindowSpec.rectangular(4), multiscale=MultiscaleSpec.product(3))
+        want, want_ms = score_frame_pair(a, b, plain).score, score_frame_pair(a, b, ms).score
+        assert ssim_score(a, b) == want
+        assert mssim(ssim_map(a, b, plain)) == want
+        assert msssim(a, b, ms) == want_ms
+        assert ssim3d_series([a], [b], 1).scores[0] == want
+        assert msssim3d([a], [b], 1, ms).scores[0] == want_ms
+        # bare arrays carry no depth: config.bit_depth sets the constants
+        assert ssim_score(a.samples, b.samples, SsimConfig(bit_depth=bit_depth)) == want
