@@ -27,7 +27,7 @@ from .config import (
 from .errors import DegenerateData, SsimkitError, ValidationError
 import numpy as np
 
-from .evaluation import CostPerfPoint, normalize_scores, pareto_front, read_csv
+from .evaluation import CostPerfPoint, finite_float, normalize_scores, pareto_front, read_csv
 from .media import format_float, write_report
 from .pipeline import (
     BENCH_FIELDS,
@@ -195,9 +195,7 @@ def pareto(points_csv, fmt) -> None:
     """Prune a label,cost,perf CSV to its Pareto front."""
     with _input_errors():
         points = read_csv(points_csv, "points", ("label", "cost", "perf"),
-                          lambda row: CostPerfPoint(row["label"], float(row["cost"]), float(row["perf"])))
-        if not points:
-            raise ValidationError(f"{points_csv}: no points in input")
+                          lambda row: CostPerfPoint(row["label"], finite_float(row["cost"]), finite_float(row["perf"])))
         front = pareto_front(points)
     records = [{"label": p.label, "cost": p.cost, "perf": p.perf} for p in front]
     _emit(write_report(records, fmt, ("label", "cost", "perf")), None)
@@ -210,9 +208,9 @@ def fit_5pl_command(data_csv) -> None:
     the statistics ``benchmark`` reports for a spec."""
     with _input_errors():
         rows = read_csv(data_csv, "data", ("objective", "subjective"),
-                        lambda row: (float(row["objective"]), float(row["subjective"])))
-        obj, subj = np.asarray(rows, dtype=float).reshape(-1, 2).T
-        normalized = bool(subj.size and (subj.min() < 0.0 or subj.max() > 1.0))
+                        lambda row: (finite_float(row["objective"]), finite_float(row["subjective"])))
+        obj, subj = np.asarray(rows, dtype=float).T
+        normalized = bool(subj.min() < 0.0 or subj.max() > 1.0)
         if normalized:
             subj = normalize_scores(subj)
         fit, pcc, srocc, rmse, monotone = fit_and_correlate(obj, subj)

@@ -23,7 +23,7 @@ from .frames import (
     LumaPlane,
     validate_color_pair,
 )
-from .stats import _sliding_weighted_sums, gaussian_kernel
+from .stats import _sliding_weighted_sums, gaussian_kernel_1d, separable_sums
 from .ssim import mssim, ssim_map
 
 # BT.709 luma coefficients; the chroma scale factors put Cb/Cr in +-L/2 around
@@ -249,14 +249,7 @@ def qssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) 
 
 def _smooth(values: np.ndarray, sigma: float = 2.0, k: int = 13) -> np.ndarray:
     """Separable Gaussian smoothing with reflect padding (same-size output)."""
-    kern1d = gaussian_kernel(sigma, k)[(k - 1) // 2]
-    kern1d = kern1d / kern1d.sum()
-    pad = (k - 1) // 2
-    out = np.pad(values, ((pad, pad), (0, 0)), mode="reflect")
-    out = sum(kern1d[m] * out[m : m + values.shape[0], :] for m in range(k))
-    out = np.pad(out, ((0, 0), (pad, pad)), mode="reflect")
-    out = sum(kern1d[n] * out[:, n : n + values.shape[1]] for n in range(k))
-    return out
+    return separable_sums(np.pad(values, (k - 1) // 2, mode="reflect"), gaussian_kernel_1d(sigma, k))
 
 
 def _xyz_to_lab(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -270,9 +270,10 @@ def pareto_front(points: Sequence[CostPerfPoint]) -> list[CostPerfPoint]:
 
 def read_csv(path: str, what: str, required: Sequence[str], parse_row: Callable[[dict], object]) -> list:
     """Rows of a UTF-8 CSV file with the ``required`` columns, each through
-    ``parse_row``. A file that is not UTF-8 CSV or lacks a column raises
-    ValidationError naming the file; a row short of a required field, or
-    that ``parse_row`` rejects with ValueError, one naming ``{what} row N``."""
+    ``parse_row``. A file that is not UTF-8 CSV, lacks a column or has no
+    data rows raises ValidationError naming the file; a row short of a
+    required field, or that ``parse_row`` rejects with ValueError, one
+    naming ``{what} row N``."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             reader = csv.DictReader(fh)
@@ -289,7 +290,17 @@ def read_csv(path: str, what: str, required: Sequence[str], parse_row: Callable[
                     raise ValidationError(f"{what} row {i + 2}: {exc}") from None
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ValidationError(f"{path}: not a {what} CSV: {exc}") from None
+    if not rows:
+        raise ValidationError(f"{path}: {what} has no data rows")
     return rows
+
+
+def finite_float(text: str) -> float:
+    """A CSV field as a finite float; ``nan`` and ``inf`` raise ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
 
 
 def load_manifest(path: str) -> list[dict]:
@@ -298,17 +309,14 @@ def load_manifest(path: str) -> list[dict]:
     Columns: ref_path, dist_path, subjective_score, plus optional width,
     height, bit_depth, chroma for raw video rows. The file is UTF-8 text.
     """
-    rows = read_csv(path, "manifest", ("ref_path", "dist_path", "subjective_score"), _manifest_row)
-    if not rows:
-        raise ValidationError("manifest has no data rows")
-    return rows
+    return read_csv(path, "manifest", ("ref_path", "dist_path", "subjective_score"), _manifest_row)
 
 
 def _manifest_row(row: dict) -> dict:
     parsed = {
         "ref_path": row["ref_path"].strip(),
         "dist_path": row["dist_path"].strip(),
-        "subjective_score": float(row["subjective_score"]),
+        "subjective_score": finite_float(row["subjective_score"]),
     }
     for key in ("width", "height", "bit_depth"):
         if row.get(key):

@@ -386,7 +386,7 @@ def run_benchmark(manifest_path: Union[str, os.PathLike], specs: dict[str, Pipel
         raise ValidationError("no pipeline specs to benchmark")
     rows = load_manifest(str(manifest_path))
     subjective = np.array([row["subjective_score"] for row in rows])
-    if subjective.size and (subjective.min() < 0.0 or subjective.max() > 1.0):
+    if subjective.min() < 0.0 or subjective.max() > 1.0:
         subjective = normalize_scores(subjective)  # protocol: scale/shift to [0, 1]
     results = []
     for name, spec in specs.items():

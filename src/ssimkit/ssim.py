@@ -16,7 +16,7 @@ import numpy as np
 from .config import SsimConfig
 from .errors import EmptyMap
 from .frames import LumaPlane, PlaneLike, QualityMap
-from .stats import LocalStatsMaps, local_statistics
+from .stats import BAND_ROWS, LocalStatsMaps, local_statistics
 
 
 @dataclass(frozen=True)
@@ -26,11 +26,6 @@ class SsimTermMaps:
     l_map: QualityMap
     cs_map: QualityMap
     q_map: QualityMap
-
-
-#: Rows per band in term_maps_from_stats: a band's scratch stays in cache
-#: between the in-place passes, instead of each pass sweeping whole grids.
-BAND_ROWS = 64
 
 
 def term_maps_from_stats(stats: LocalStatsMaps, c1: float, c2: float) -> SsimTermMaps:

@@ -1,9 +1,11 @@
 """Windowed local statistics (means, variances, covariance) for image pairs.
 
-Two engines produce identical grids: a direct one that slides the window and
-accumulates weighted sums (any window shape; a rectangular window is a
-uniform kernel), and a fast one for rectangular windows whose cost per pixel
-does not depend on k. Only fully interior windows are evaluated (valid
+Two engines produce identical grids for rectangular windows: a direct one
+that slides the window and accumulates weighted sums (any window shape; a
+rectangular window is a uniform kernel), and a fast one whose cost per pixel
+does not depend on k. Gaussian windows are separable, so outside the direct
+engine they take two 1-D passes (:func:`separable_sums`), 2k multiply-adds
+per sample instead of k^2. Only fully interior windows are evaluated (valid
 region, no padding); the grid is sampled every ``stride`` pixels from anchor
 (0, 0).
 
@@ -63,6 +65,14 @@ def gaussian_kernel(sigma: float, k: int | None = None) -> np.ndarray:
     return kern / kern.sum()
 
 
+def gaussian_kernel_1d(sigma: float, k: int | None = None) -> np.ndarray:
+    """The normalised centre row of :func:`gaussian_kernel`: the 1-D factor
+    whose outer product with itself is the window, to rounding."""
+    kern = gaussian_kernel(sigma, k)
+    row = kern[(kern.shape[0] - 1) // 2]
+    return row / row.sum()
+
+
 def rect_equivalent(sigma: float, mode: str) -> int:
     """Rectangular window size equivalent to a Gaussian of the given sigma.
 
@@ -86,7 +96,9 @@ def _sat(values: np.ndarray) -> np.ndarray:
     """Summed-area table with a zero first row/column."""
     h, w = values.shape
     out = np.zeros((h + 1, w + 1), dtype=values.dtype)
-    out[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
+    inner = out[1:, 1:]
+    np.cumsum(values, axis=0, out=inner)
+    np.cumsum(inner, axis=1, out=inner)
     return out
 
 
@@ -101,7 +113,8 @@ def _grid_window_sums(table: np.ndarray, k: int, stride: int) -> np.ndarray:
     left = slice(0, w - k + 1, stride)
     bottom = slice(k, h + 1, stride)
     right = slice(k, w + 1, stride)
-    return (table[bottom, right] + table[top, left]) - (table[bottom, left] + table[top, right])
+    out = np.add(table[bottom, right], table[top, left])
+    return np.subtract(out, np.add(table[bottom, left], table[top, right]), out=out)
 
 
 def _grid_shape(h: int, w: int, k: int, stride: int) -> tuple[int, int]:
@@ -206,17 +219,64 @@ def _window_sums(planes, k: int, stride: int, integer: bool) -> list[np.ndarray]
     return [box_sums(p, k, stride, np.empty(_grid_shape(*p.shape, k, stride))) for p in planes]
 
 
+#: Grid rows per band in the folds below and in ssim.term_maps_from_stats: a
+#: band's planes and scratch stay in cache between passes, instead of each
+#: pass sweeping whole grids.
+BAND_ROWS = 64
+
+
+def _row_bands(gh: int, stride: int, k: int):
+    """(grid rows, input rows, strided span) of each band of BAND_ROWS grid
+    rows; the input rows are the ones the band's windows read."""
+    for top in range(0, gh, BAND_ROWS):
+        span = (min(BAND_ROWS, gh - top) - 1) * stride + 1
+        yield slice(top, top + BAND_ROWS), slice(top * stride, top * stride + span + k - 1), span
+
+
 def _sliding_weighted_sums(values: np.ndarray, weights: np.ndarray, stride: int) -> np.ndarray:
-    """Direct weighted windowed sums for an arbitrary weight grid (a
-    rectangular window is a grid of ones, whose products are exact)."""
+    """Direct weighted windowed sums for an arbitrary weight grid: the k^2
+    taps are added in row-major order, band by band of grid rows.
+
+    A uniform grid (a rectangular window's ones, or 1/k^2) scales each band
+    of the plane once and adds shifted views of it: every product w * x
+    rounds as it would per tap, so the sums are the same bit for bit.
+    """
     k = weights.shape[0]
-    h, w = values.shape
-    gh, gw = h - k + 1, w - k + 1
-    out = np.zeros(((gh - 1) // stride + 1, (gw - 1) // stride + 1), dtype=np.float64)
-    tap = np.empty_like(out)  # one scratch grid reused by every tap
-    for m in range(k):
-        for n in range(k):
-            out += np.multiply(weights[m, n], values[m : m + gh : stride, n : n + gw : stride], out=tap)
+    gh, gw = _grid_shape(*values.shape, k, stride)
+    cols = (gw - 1) * stride + 1
+    out = np.zeros((gh, gw))
+    uniform = bool(np.all(weights == weights.flat[0]))
+    for rows, src, span in _row_bands(gh, stride, k):
+        band = out[rows]
+        plane = np.multiply(values[src], weights.flat[0], dtype=np.float64) if uniform else values[src]
+        for m in range(k):
+            for n in range(k):
+                view = plane[m : m + span : stride, n : n + cols : stride]
+                band += view if uniform else weights[m, n] * view
+    return out
+
+
+def separable_sums(values: np.ndarray, kern1d: np.ndarray, stride: int = 1) -> np.ndarray:
+    """Windowed sums under the separable weights outer(kern1d, kern1d) over
+    the last two axes, on the stride grid of valid anchors.
+
+    Band by band of grid rows, a vertical 1-D pass runs on the grid's rows
+    only, then a horizontal pass on the grid's columns; each adds its k taps
+    in order, from zero. This costs 2k multiply-adds per sample where the
+    direct loop costs k^2.
+    """
+    k = len(kern1d)
+    *lead, h, w = values.shape
+    gh, gw = _grid_shape(h, w, k, stride)
+    cols = (gw - 1) * stride + 1
+    out = np.zeros((*lead, gh, gw))
+    for rows, src, span in _row_bands(gh, stride, k):
+        band, plane = out[..., rows, :], values[..., src, :]
+        vertical = np.zeros((*lead, band.shape[-2], w))
+        for m, weight in enumerate(kern1d):
+            vertical += weight * plane[..., m : m + span : stride, :]
+        for n, weight in enumerate(kern1d):
+            band += weight * vertical[..., n : n + cols : stride]
     return out
 
 
@@ -273,8 +333,10 @@ def local_statistics(
     """Windowed local statistics of a frame pair under a window spec.
 
     ``engine`` selects the computation route: ``integral`` (rectangular
-    windows only), ``naive`` (any shape), or ``auto`` (integral when the
-    window is rectangular). Both routes produce the same grids.
+    windows only), ``naive`` (the direct k^2 loop, any shape), or ``auto``
+    (integral for rectangular windows, two separable 1-D passes for
+    Gaussian ones). Rectangular routes produce the same grids; the Gaussian
+    passes round differently from the direct loop, within 1e-12 relative.
     """
     ref, dist = validate_frame_pair(ref, dist)
     a, b = plane_data(ref), plane_data(dist)
@@ -282,21 +344,23 @@ def local_statistics(
     k, stride = window.k, window.stride
     if k > h or k > w:
         raise WindowLargerThanImage(f"{k}x{k} window does not fit a {w}x{h} image")
-    if engine == "auto":
-        engine = "integral" if window.shape == "rect" else "naive"
-    if engine not in ("naive", "integral"):
+    if engine not in ("auto", "naive", "integral"):
         raise ValidationError(f"unknown engine {engine!r}")
-    if engine == "integral" and window.shape != "rect":
+    rect = window.shape == "rect"
+    if engine == "integral" and not rect:
         raise EngineShapeMismatch("the integral engine supports rectangular windows only")
 
-    integer = engine == "integral" and _exact_pair(a, b, k * k)
+    integer = engine != "naive" and rect and _exact_pair(a, b, k * k)
     terms = _pair_terms(a, b, integer)
-    if engine == "integral":
-        sums, area = _window_sums(terms, k, stride, integer), float(k * k)
-    else:
-        rect = window.shape == "rect"
-        kern, area = (np.ones((k, k)), float(k * k)) if rect else (gaussian_kernel(window.sigma, k), 1.0)
+    area = float(k * k) if rect else 1.0
+    if engine == "naive":
+        kern = np.ones((k, k)) if rect else gaussian_kernel(window.sigma, k)
         sums = [_sliding_weighted_sums(t, kern, stride) for t in terms]
+    elif rect:
+        sums = _window_sums(terms, k, stride, integer)
+    else:
+        kern1d = gaussian_kernel_1d(window.sigma, k)
+        sums = [separable_sums(t, kern1d, stride) for t in terms]
     mu1, mu2, var1, var2, cov = stats_from_sums(*sums, area=area)
 
     return LocalStatsMaps(

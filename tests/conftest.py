@@ -48,6 +48,19 @@ def blur_plane(plane: LumaPlane, passes: int = 1) -> LumaPlane:
     return LumaPlane(out, plane.bit_depth)
 
 
+def per_tap_sums(values, weights, stride):
+    """The direct weighted window sums one tap at a time: a product per tap,
+    added to a zero grid in row-major tap order."""
+    k = weights.shape[0]
+    h, w = values.shape
+    gh, gw = h - k + 1, w - k + 1
+    out = np.zeros(((gh - 1) // stride + 1, (gw - 1) // stride + 1))
+    for m in range(k):
+        for n in range(k):
+            out += weights[m, n] * values[m : m + gh : stride, n : n + gw : stride]
+    return out
+
+
 def random_rgb(rng, height=16, width=16) -> ColorFrame:
     chans = tuple(rng.integers(0, 256, (height, width)).astype(np.uint8) for _ in range(3))
     return ColorFrame(chans)

@@ -1,6 +1,7 @@
 import json
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -168,6 +169,26 @@ class TestRunScore:
         assert counts["decoded"] == counts["scored"] == 12
         assert counts["most"] <= 4
         assert threaded["records"] == serial["records"]
+
+    def test_worker_threads_keep_traced_memory_flat_in_clip_length(self, tmp_path, rng):
+        # The peak depends on how the two threads interleave, so each clip
+        # length reports its highest of five runs.
+        refs = [natural_plane(rng, 144, 176) for _ in range(4)]
+        dists = [noisy_version(rng, p, 15) for p in refs]
+        peaks = {}
+        for frames in (6, 24):
+            ref_path = make_y4m(tmp_path / f"ref{frames}.y4m", [refs[i % 4] for i in range(frames)])
+            dist_path = make_y4m(tmp_path / f"dist{frames}.y4m", [dists[i % 4] for i in range(frames)])
+            runs = []
+            for _ in range(5):
+                tracemalloc.start()
+                try:
+                    run_score(ref_path, dist_path, PipelineSpec(workers=2))
+                    runs.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            peaks[frames] = max(runs)
+        assert peaks[24] <= 1.1 * peaks[6], peaks
 
     def test_worker_errors_name_the_frame(self, media, monkeypatch):
         ref_path, dist_path, _, _ = media
@@ -371,6 +392,18 @@ class TestBenchmark:
         assert result.exit_code == 2
         assert "manifest row 2:" in result.output
 
+    @pytest.mark.parametrize("text, where", [
+        ("ref_path,dist_path,subjective_score\n", "file"),
+        ("ref_path,dist_path,subjective_score\nr.y4m,d.y4m,inf\n", "manifest row 2: 'inf' is not a finite number"),
+        ("ref_path,dist_path,subjective_score\nr.y4m,d.y4m,0.5\nr.y4m,d.y4m,NaN\n", "manifest row 3:"),
+    ])
+    def test_empty_manifest_or_non_finite_score_is_input_error(self, runner, tmp_path, text, where):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(text)
+        result = runner.invoke(main, ["benchmark", str(manifest), "--spec", "default"])
+        assert result.exit_code == 2
+        assert (str(manifest) if where == "file" else where) in result.output
+
     def test_manifest_that_is_not_utf8_is_input_error(self, runner, tmp_path):
         manifest = tmp_path / "manifest.csv"
         manifest.write_bytes(b"ref_path,dist_path,subjective_score\n\xff\xfer.y4m,d.y4m,0.5\n")
@@ -453,6 +486,12 @@ class TestOtherCommands:
         ("fit-5pl", "objective,subjective\n0.1,0.2\n0.3\n", "data row 3: no subjective field"),
         ("fit-5pl", "objective,subjective\n0.1,abc\n", "data row 2:"),
         ("fit-5pl", b"objective,subjective\n0.1,\xff\n", "file"),
+        ("pareto", "label,cost,perf\n", "file"),
+        ("fit-5pl", "objective,subjective\n", "file"),
+        ("pareto", "label,cost,perf\na,1,0.9\nb,nan,0.95\n", "points row 3: 'nan' is not a finite number"),
+        ("pareto", "label,cost,perf\na,1,-inf\n", "points row 2:"),
+        ("fit-5pl", "objective,subjective\n0.1,inf\n", "data row 2: 'inf' is not a finite number"),
+        ("fit-5pl", "objective,subjective\n0.1,0.2\nnan,0.3\n", "data row 3:"),
     ])
     def test_csv_input_errors_name_the_file_or_the_row(self, runner, tmp_path, command, text, where):
         data = tmp_path / "input.csv"

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ssimkit import color
 from ssimkit.color import (
+    _smooth,
     channelwise_cssim,
     cmssim,
     combine_channelwise,
@@ -22,8 +24,9 @@ from ssimkit.errors import DegenerateWeights, WrongSpace
 from ssimkit.frames import ColorFrame, LumaPlane
 from ssimkit.pipeline import score_frame_pair
 from ssimkit.ssim import mssim, ssim_map, ssim_score
+from ssimkit.stats import gaussian_kernel
 
-from conftest import blur_plane, natural_plane, noisy_version, random_rgb
+from conftest import blur_plane, natural_plane, noisy_version, per_tap_sums, random_rgb
 
 
 def cw(alpha, beta, **settings):
@@ -240,6 +243,16 @@ class TestQssim:
             got = qssim(ref, dist, rect(4))
             assert got == pytest.approx(brute_force_qssim(ref, dist), abs=1e-9)
 
+    @pytest.mark.parametrize("space", ["rgb", "ycbcr", "lab"])
+    @pytest.mark.parametrize("k,stride", [(11, 1), (8, 4), (7, 3)])
+    def test_scores_equal_per_tap_window_means_bit_for_bit(self, rng, monkeypatch, space, k, stride):
+        ref = natural_rgb(rng, 150, 90)
+        dist = ColorFrame(tuple(noisy_version(rng, LumaPlane(c), 20).samples for c in ref.channels))
+        config = SsimConfig(window=WindowSpec.rectangular(k, stride), color=ColorModelSpec("qssim", space=space))
+        fast = qssim(ref, dist, config)
+        monkeypatch.setattr(color, "_sliding_weighted_sums", per_tap_sums)
+        assert fast == qssim(ref, dist, config)
+
     def test_ycbcr_embedding_space(self, rng):
         frame = random_rgb(rng, 16, 16)
         assert qssim(frame, frame, SsimConfig(color=ColorModelSpec("qssim", space="ycbcr"))) == pytest.approx(1.0, abs=1e-9)
@@ -313,7 +326,26 @@ def reference_lab(rgb_frame, q_roundtrip=False):
     return out
 
 
+def padding_loop_smooth(values, sigma=2.0, k=13):
+    """The opponent-channel smoothing as a padding loop: reflect-pad the
+    rows and filter down, then reflect-pad the columns and filter across."""
+    kern1d = gaussian_kernel(sigma, k)[(k - 1) // 2]
+    kern1d = kern1d / kern1d.sum()
+    pad = (k - 1) // 2
+    out = np.pad(values, ((pad, pad), (0, 0)), mode="reflect")
+    out = sum(kern1d[m] * out[m : m + values.shape[0], :] for m in range(k))
+    out = np.pad(out, ((0, 0), (pad, pad)), mode="reflect")
+    return sum(kern1d[n] * out[:, n : n + values.shape[1]] for n in range(k))
+
+
 class TestCmssim:
+    def test_smoothing_equals_the_padding_loop_bit_for_bit(self, rng):
+        for _ in range(30):
+            h, w = (int(n) for n in rng.integers(2, 160, 2))
+            values = rng.normal(size=(h, w)) * 10.0 ** int(rng.integers(-3, 4))
+            values[::5, ::3] = -0.0
+            assert _smooth(values).tobytes() == padding_loop_smooth(values).tobytes()
+
     def test_identical_frames(self, rng):
         frame = natural_rgb(rng, 32, 32)
         assert cmssim(frame, frame) == pytest.approx(1.0, abs=1e-9)

@@ -15,17 +15,22 @@ from ssimkit.errors import (
 from ssimkit.frames import LumaPlane
 from ssimkit.stats import (
     _exact_sum_dtype,
+    _grid_window_sums,
     _pair_terms,
     _sat,
     _sliding_weighted_sums,
     _window_sums,
     box_sums,
     gaussian_kernel,
+    gaussian_kernel_1d,
     local_statistics,
     rect_equivalent,
+    separable_sums,
 )
 
-from conftest import random_plane
+from conftest import per_tap_sums, random_plane
+
+DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 
 def brute_force_prefix_sum(values, i, j):
@@ -73,6 +78,7 @@ class TestGaussianKernel:
     def test_separable(self):
         kern = gaussian_kernel(2.0, 13)
         row = kern[6] / kern[6].sum()
+        assert np.array_equal(gaussian_kernel_1d(2.0, 13), row)
         assert np.allclose(np.outer(row, row), kern / kern.sum(), atol=1e-15)
 
 
@@ -128,6 +134,22 @@ class TestIntegralSet:
                 for j in range(5):
                     assert table[i + 1, j + 1] == brute_force_prefix_sum(values, i, j)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 5), (300, 211)])
+    def test_in_place_table_equals_the_cumsum_formula_bit_for_bit(self, rng, shape):
+        values = rng.normal(size=shape) * 1e3
+        expected = np.zeros((shape[0] + 1, shape[1] + 1))
+        expected[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
+        assert _sat(values).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k,stride", [(1, 1), (5, 1), (8, 4), (11, 3)])
+    def test_window_sums_equal_the_four_corner_formula_bit_for_bit(self, rng, k, stride):
+        table = _sat(rng.normal(size=(90, 70)) * 1e3)
+        h, w = 90, 70
+        top, left = slice(0, h - k + 1, stride), slice(0, w - k + 1, stride)
+        bottom, right = slice(k, h + 1, stride), slice(k, w + 1, stride)
+        expected = (table[bottom, right] + table[top, left]) - (table[bottom, left] + table[top, right])
+        assert _grid_window_sums(table, k, stride).tobytes() == expected.tobytes()
+
     def test_recurrence(self, rng):
         a, b = random_plane(rng, 8, 8), random_plane(rng, 8, 8)
         f = float_terms(a, b)[0]
@@ -157,6 +179,76 @@ class TestWindowSum:
         for i in range(12):
             for j in range(12):
                 assert sums[i, j] == prod[i : i + 5, j : j + 5].sum()
+
+
+class TestDirectSums:
+    """The direct loop, against a per-tap loop kept here as its oracle."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 4, 11])
+    @pytest.mark.parametrize("kernel", ["ones", "mean"])
+    def test_uniform_fold_equals_per_tap_loop_bit_for_bit(self, rng, kernel, k, stride):
+        # 400 rows make several bands of grid rows at every stride.
+        values = rng.normal(size=(400, 37)) * 1e3
+        values[::7, ::3] = -0.0
+        values[::5, 1::4] = 0.0
+        weights = np.ones((k, k)) if kernel == "ones" else np.full((k, k), 1.0 / (k * k))
+        got = _sliding_weighted_sums(values, weights, stride)
+        assert got.tobytes() == per_tap_sums(values, weights, stride).tobytes()
+
+    def test_gaussian_weights_equal_per_tap_loop_bit_for_bit(self, rng):
+        values = rng.normal(size=(40, 33)) * 1e3
+        weights = gaussian_kernel(1.5, 7)
+        assert _sliding_weighted_sums(values, weights, 2).tobytes() == per_tap_sums(values, weights, 2).tobytes()
+
+
+class TestSeparableSums:
+    @pytest.mark.parametrize("stride", [1, 2, 5])
+    def test_leading_axes_are_independent_planes(self, rng, stride):
+        planes = rng.normal(size=(3, 150, 41)) * 1e3
+        kern1d = gaussian_kernel_1d(1.5, 11)
+        stacked = separable_sums(planes, kern1d, stride)
+        for plane, got in zip(planes, stacked):
+            assert got.tobytes() == separable_sums(plane, kern1d, stride).tobytes()
+
+    def test_matches_brute_force_windows(self, rng):
+        values = rng.normal(size=(20, 17))
+        kern1d = gaussian_kernel_1d(1.0, 5)
+        got = separable_sums(values, kern1d, 3)
+        weights = np.outer(kern1d, kern1d)
+        for i in range(got.shape[0]):
+            for j in range(got.shape[1]):
+                window = values[3 * i : 3 * i + 5, 3 * j : 3 * j + 5]
+                assert got[i, j] == pytest.approx((weights * window).sum(), rel=1e-13, abs=1e-13)
+
+
+@st.composite
+def gaussian_cases(draw):
+    """A 8- or 10-bit plane pair with a Gaussian window (sigma, odd k, stride) that fits it."""
+    bits = draw(st.sampled_from([8, 10]))
+    h, w = draw(st.integers(3, 80)), draw(st.integers(3, 40))
+    k = 2 * draw(st.integers(1, (min(h, w) - 1) // 2)) + 1
+    sigma = draw(st.floats(0.2, 6.0))
+    stride = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = np.uint8 if bits == 8 else np.uint16
+    a, b = (LumaPlane(rng.integers(0, 1 << bits, (h, w)).astype(dtype), bits) for _ in range(2))
+    return a, b, WindowSpec.gaussian(sigma, k=k, stride=stride)
+
+
+class TestGaussianRoute:
+    @DERANDOMIZED
+    @given(gaussian_cases())
+    def test_separable_statistics_within_1e_12_of_the_direct_loop(self, case):
+        # Tolerances are relative to the data's scale: var and cov are
+        # differences of second moments, so they are compared against peak^2.
+        a, b, window = case
+        fast = local_statistics(a, b, window, "auto")
+        slow = local_statistics(a, b, window, "naive")
+        peak = float(a.peak)
+        for name in ("mu1", "mu2", "var1", "var2", "cov"):
+            scale = peak if name.startswith("mu") else peak * peak
+            np.testing.assert_allclose(getattr(fast, name), getattr(slow, name), rtol=1e-12, atol=1e-12 * scale)
 
 
 @st.composite
@@ -337,6 +429,7 @@ class TestLocalStatistics:
         ("integral", WindowSpec.rectangular(11, stride=5)),
         ("naive", WindowSpec.rectangular(11, stride=3)),
         ("naive", WindowSpec.gaussian(1.5, stride=4)),
+        ("auto", WindowSpec.gaussian(1.5, stride=3)),
     ])
     def test_stride_equals_subsampled_stride_one(self, rng, engine, window):
         a, b = random_plane(rng, 48, 40), random_plane(rng, 48, 40)
