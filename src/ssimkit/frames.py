@@ -60,11 +60,13 @@ class LumaPlane:
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             raise ValidationError("plane samples must be finite")
         peak = (1 << self.bit_depth) - 1
-        lo, hi = arr.min(), arr.max()
-        if lo < 0 or hi > peak:
-            raise ValidationError(
-                f"samples outside [0, {peak}] for {self.bit_depth}-bit plane (min {lo}, max {hi})"
-            )
+        fits = arr.dtype.kind != "f" and np.iinfo(arr.dtype).min >= 0 and np.iinfo(arr.dtype).max <= peak
+        if not fits:  # the dtype alone does not bound the samples: scan them
+            lo, hi = arr.min(), arr.max()
+            if lo < 0 or hi > peak:
+                raise ValidationError(
+                    f"samples outside [0, {peak}] for {self.bit_depth}-bit plane (min {lo}, max {hi})"
+                )
         object.__setattr__(self, "samples", _freeze(arr))
 
     @property

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import mmap
 import os
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -79,15 +80,19 @@ def _plane_bytes(width: int, height: int, bit_depth: int) -> int:
     return width * height * (1 if bit_depth <= 8 else 2)
 
 
-def _read_plane(fh: IO[bytes], width: int, height: int, bit_depth: int) -> Optional[np.ndarray]:
-    nbytes = _plane_bytes(width, height, bit_depth)
-    raw = fh.read(nbytes)
-    if not raw:
-        return None
-    if len(raw) < nbytes:
-        raise TruncatedFrame(f"plane needs {nbytes} bytes, stream had {len(raw)}")
-    dtype = np.uint8 if bit_depth <= 8 else np.dtype("<u2")
-    return np.frombuffer(raw, dtype=dtype).reshape(height, width)
+def _map_bytes(fh: IO[bytes], start: int, length: int) -> np.ndarray:
+    """Bytes ``[start, start + length)`` of an open file as a read-only uint8
+    array over a read-only mapping of just that range.
+
+    The mapping lives as long as some array viewing it, so dropping a
+    frame's last array releases its pages. The caller checks that the range
+    lies inside the file: pages past the end of a file cannot be read.
+    """
+    if length == 0:  # mmap refuses empty maps
+        return np.frombuffer(b"", dtype=np.uint8)
+    lead = start % mmap.ALLOCATIONGRANULARITY  # map offsets must be aligned
+    mapped = mmap.mmap(fh.fileno(), lead + length, access=mmap.ACCESS_READ, offset=start - lead)
+    return np.frombuffer(mapped, dtype=np.uint8, count=length, offset=lead)
 
 
 def _decoded_frames(
@@ -181,17 +186,33 @@ def _parse_y4m_header(line: Optional[str]) -> StreamHeader:
 
 
 def _read_frame_planes(fh: IO[bytes], header: StreamHeader) -> Optional[FrameType]:
-    y = _read_plane(fh, header.width, header.height, header.bit_depth)
-    if y is None:
+    """The frame at ``fh``'s position as views of one mapping of its bytes,
+    or None at the end of the file; ``fh`` moves past the frame."""
+    shapes = [(header.height, header.width)]
+    if header.chroma != "mono":
+        cw, ch = _chroma_dims(header.width, header.height, header.chroma)
+        shapes += [(ch, cw)] * 2
+    sizes = [_plane_bytes(w, h, header.bit_depth) for h, w in shapes]
+    start = fh.tell()
+    left = os.fstat(fh.fileno()).st_size - start
+    if left <= 0:
         return None
+    for i, nbytes in enumerate(sizes):
+        if i and not left:
+            raise TruncatedFrame("frame payload ended inside the chroma planes")
+        if left < nbytes:
+            raise TruncatedFrame(f"plane needs {nbytes} bytes, stream had {left}")
+        left -= nbytes
+    data = _map_bytes(fh, start, sum(sizes))
+    fh.seek(start + data.size)
+    dtype = np.uint8 if header.bit_depth <= 8 else np.dtype("<u2")
+    planes, offset = [], 0
+    for shape, nbytes in zip(shapes, sizes):
+        planes.append(data[offset : offset + nbytes].view(dtype).reshape(shape))
+        offset += nbytes
     if header.chroma == "mono":
-        return LumaPlane(y, header.bit_depth)
-    cw, ch = _chroma_dims(header.width, header.height, header.chroma)
-    cb = _read_plane(fh, cw, ch, header.bit_depth)
-    cr = _read_plane(fh, cw, ch, header.bit_depth)
-    if cb is None or cr is None:
-        raise TruncatedFrame("frame payload ended inside the chroma planes")
-    return ColorFrame((y, cb, cr), SPACE_YCBCR, header.chroma, header.bit_depth)
+        return LumaPlane(planes[0], header.bit_depth)
+    return ColorFrame(tuple(planes), SPACE_YCBCR, header.chroma, header.bit_depth)
 
 
 def read_planar_raw(
@@ -223,21 +244,25 @@ def read_planar_raw(
 
 
 def read_pnm(path: Union[str, os.PathLike]) -> FrameType:
-    """Read a binary PNM image: P5 -> LumaPlane, P6 -> RGB ColorFrame."""
+    """Read a binary PNM image: P5 -> LumaPlane, P6 -> RGB ColorFrame.
+
+    The bit depth is the fewest bits that hold maxval (at least 8), so a
+    maxval of 1023 gives a 10-bit image.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = _map_bytes(fh, 0, os.fstat(fh.fileno()).st_size)
     fields, offset = _pnm_header_fields(data, path)
     kind, width, height, maxval = fields
     if maxval <= 0 or maxval > 65535:
         raise UnsupportedMaxval(f"maxval {maxval} outside (0, 65535]")
-    bit_depth = 8 if maxval <= 255 else 16
+    bit_depth = max(8, maxval.bit_length())
     dtype = np.uint8 if bit_depth == 8 else np.dtype(">u2")  # PNM 16-bit is big-endian
     channels = 1 if kind == "P5" else 3
     count = width * height * channels
-    found = max(len(data) - offset, 0) // np.dtype(dtype).itemsize
+    found = max(data.size - offset, 0) // np.dtype(dtype).itemsize
     if found < count:
         raise TruncatedFrame(f"{path}: expected {count} samples, found {found}")
-    payload = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+    payload = data[offset : offset + count * np.dtype(dtype).itemsize].view(dtype)
     if kind == "P5":
         return LumaPlane(payload.reshape(height, width), bit_depth)
     rgb = payload.reshape(height, width, 3)
@@ -246,26 +271,30 @@ def read_pnm(path: Union[str, os.PathLike]) -> FrameType:
     )
 
 
-def _pnm_header_fields(data: bytes, path) -> tuple[tuple[str, int, int, int], int]:
-    if data[:2] not in (b"P5", b"P6"):
+def _pnm_header_fields(data: np.ndarray, path) -> tuple[tuple[str, int, int, int], int]:
+    def byte(i: int) -> bytes:
+        return data[i : i + 1].tobytes()
+
+    magic = data[:2].tobytes()
+    if magic not in (b"P5", b"P6"):
         raise BadHeader(f"{path}: not a binary P5/P6 PNM file")
-    kind = data[:2].decode()
+    kind = magic.decode()
     fields: list[int] = []
     i = 2
     while len(fields) < 3:
-        if i >= len(data):
+        if i >= data.size:
             raise BadHeader(f"{path}: truncated PNM header")
-        c = data[i : i + 1]
+        c = byte(i)
         if c == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
+            while i < data.size and byte(i) != b"\n":
                 i += 1
         elif c.isspace():
             i += 1
         elif c.isdigit():
             j = i
-            while j < len(data) and data[j : j + 1].isdigit():
+            while j < data.size and byte(j).isdigit():
                 j += 1
-            fields.append(int(data[i:j]))
+            fields.append(int(data[i:j].tobytes()))
             i = j
         else:
             raise BadHeader(f"{path}: unexpected byte {c!r} in PNM header")

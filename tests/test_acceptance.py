@@ -33,7 +33,7 @@ from ssimkit.spatiotemporal import RollingVolume, ssim3d_map
 from ssimkit.ssim import mssim, ssim_map, ssim_score
 from ssimkit.stats import local_statistics
 
-from conftest import blur_plane, natural_plane, noisy_version, random_plane
+from helpers import blur_plane, natural_plane, noisy_version, random_plane
 from test_color import brute_force_qssim, cw
 from test_evaluation import brute_force_srocc
 

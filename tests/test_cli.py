@@ -25,7 +25,7 @@ from ssimkit.pipeline import (
 )
 from ssimkit.spatiotemporal import RollingVolume
 
-from conftest import natural_plane, noisy_version
+from helpers import natural_plane, noisy_version
 
 
 @pytest.fixture
@@ -100,6 +100,19 @@ class TestRunScore:
         report = run_score(ref_path, dist_path, PipelineSpec())
         assert len(report["records"]) == 1
         assert report["summary"]["pooled_score"] == report["records"][0]["score"]
+
+    @pytest.mark.parametrize("bit_depth", [8, 10, 16])
+    def test_pgm_scores_as_raw_mono_of_its_depth(self, tmp_path, rng, bit_depth):
+        ref = natural_plane(rng, 64, 96, bit_depth)
+        dist = noisy_version(rng, ref, 6 << (bit_depth - 8))
+        scores = []
+        for ext in (".pgm", ".yuv"):
+            paths = [tmp_path / f"{role}{ext}" for role in ("ref", "dist")]
+            for path, plane in zip(paths, (ref, dist)):
+                write_pnm(path, plane) if ext == ".pgm" else write_planar_raw(path, [plane], bit_depth)
+            report = run_score(*paths, PipelineSpec(), width=96, height=64, bit_depth=bit_depth, chroma="400")
+            scores.append(report["records"][0]["score"])
+        assert scores[0] == scores[1]
 
     def test_temporal_wam_matches_hand_computation(self, media):
         ref_path, dist_path, _, _ = media

@@ -26,7 +26,7 @@ from ssimkit.pipeline import score_frame_pair
 from ssimkit.ssim import mssim, ssim_map, ssim_score
 from ssimkit.stats import gaussian_kernel
 
-from conftest import blur_plane, natural_plane, noisy_version, per_tap_sums, random_rgb
+from helpers import blur_plane, natural_plane, noisy_version, per_tap_sums, random_rgb
 
 
 def cw(alpha, beta, **settings):

@@ -30,7 +30,7 @@ from ssimkit.frames import (
     validate_frame_pair,
 )
 
-from conftest import random_plane
+from helpers import random_plane
 
 
 class TestLumaPlane:
@@ -59,6 +59,24 @@ class TestLumaPlane:
         assert plane.peak == 1023.0
         with pytest.raises(ValidationError):
             LumaPlane(np.full((4, 4), 1024, dtype=np.uint16), bit_depth=10)
+
+    @pytest.mark.parametrize("dtype, bit_depth", [
+        (np.uint8, 8), (np.uint8, 12), (np.uint16, 16),
+    ])
+    def test_dtype_within_range_accepts_every_sample(self, dtype, bit_depth):
+        full = np.iinfo(dtype).max
+        plane = LumaPlane(np.array([[0, full]], dtype=dtype), bit_depth)
+        assert plane.samples.max() == full
+
+    @pytest.mark.parametrize("samples, bit_depth", [
+        (np.array([[0, -1]], dtype=np.int8), 8),
+        (np.array([[0, 1024]], dtype=np.uint16), 10),
+        (np.array([[0, 256]], dtype=np.int16), 8),
+        (np.array([[0, 70000]], dtype=np.int64), 16),
+    ])
+    def test_dtype_wider_than_range_is_scanned(self, samples, bit_depth):
+        with pytest.raises(ValidationError, match="samples outside"):
+            LumaPlane(samples, bit_depth)
 
     def test_immutable(self, rng):
         plane = random_plane(rng)

@@ -1,4 +1,6 @@
 import json
+import mmap
+import os
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from ssimkit.media import (
     write_y4m,
 )
 
-from conftest import random_plane
+from helpers import random_plane
 
 
 def make_ycbcr_frame(rng, width=4, height=4, chroma="420"):
@@ -232,6 +234,142 @@ class TestPnm:
         path = tmp_path / "rt.pgm"
         write_pnm(path, plane)
         assert np.array_equal(read_pnm(path).samples, plane.samples)
+
+
+    @pytest.mark.parametrize("maxval, bit_depth", [
+        (1, 8), (255, 8), (256, 9), (1023, 10), (4095, 12), (65535, 16),
+    ])
+    def test_bit_depth_is_the_bits_of_maxval(self, tmp_path, maxval, bit_depth):
+        path = tmp_path / "depth.pgm"
+        path.write_bytes(b"P5\n1 1\n%d\n" % maxval + maxval.to_bytes(1 if maxval < 256 else 2, "big"))
+        plane = read_pnm(path)
+        assert plane.bit_depth == bit_depth
+        assert plane.samples[0, 0] == maxval
+
+
+def mapping_of(arr):
+    """The buffer at the end of an array's chain of bases."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
+def write_clip(path, frames):
+    if path.suffix == ".y4m":
+        write_y4m(path, frames, StreamHeader(frames[0].width, frames[0].height, (30, 1), "420", 8))
+        return read_y4m(path)
+    write_planar_raw(path, frames)
+    return read_planar_raw(path, frames[0].width, frames[0].height, 8, "420")
+
+
+class TestMappedFrames:
+    """Decoded planes are read-only views of one file mapping per frame."""
+
+    @pytest.mark.parametrize("name", ["clip.y4m", "clip.yuv"])
+    def test_planes_view_one_read_only_mapping(self, tmp_path, rng, name):
+        stream = write_clip(tmp_path / name, [make_ycbcr_frame(rng, 6, 4) for _ in range(2)])
+        for frame in stream:
+            mappings = {id(mapping_of(c)) for c in frame.channels}
+            assert len(mappings) == 1
+            assert isinstance(mapping_of(frame.channels[0]), mmap.mmap)
+            assert not any(c.flags.writeable for c in frame.channels)
+
+    def test_pnm_samples_view_a_read_only_mapping(self, tmp_path):
+        path = tmp_path / "c.ppm"
+        path.write_bytes(b"P6\n2 1\n255\n" + bytes(range(6)))
+        frame = read_pnm(path)
+        assert isinstance(mapping_of(frame.channels[0]), mmap.mmap)
+        assert not any(c.flags.writeable for c in frame.channels)
+
+    @pytest.mark.parametrize("name", ["clip.y4m", "clip.yuv"])
+    @pytest.mark.parametrize("end", ["exhausted", "closed", "unlinked"])
+    def test_frames_outlive_their_iterator_and_file(self, tmp_path, rng, name, end):
+        frames = [make_ycbcr_frame(rng, 6, 4) for _ in range(3)]
+        path = tmp_path / name
+        it = iter(write_clip(path, frames))
+        got = [next(it)]
+        if end == "exhausted":
+            got += list(it)
+        elif end == "closed":
+            got.append(next(it))
+            it.close()
+        else:
+            path.unlink()
+            got += list(it)
+            assert not path.exists()
+        for want, frame in zip(frames, got):
+            for a, b in zip(want.channels, frame.channels):
+                assert np.array_equal(a, b)
+                assert not b.flags.writeable
+
+    def test_pnm_outlives_its_file(self, tmp_path, rng):
+        plane = random_plane(rng, 5, 7)
+        path = tmp_path / "gone.pgm"
+        write_pnm(path, plane)
+        back = read_pnm(path)
+        path.unlink()
+        assert np.array_equal(back.samples, plane.samples)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads the process's mappings (Linux)")
+    @pytest.mark.parametrize("name", ["clip.y4m", "clip.yuv"])
+    def test_live_mappings_do_not_grow_with_the_clip(self, tmp_path, rng, name):
+        path = tmp_path / name
+        stream = write_clip(path, [make_ycbcr_frame(rng, 64, 48) for _ in range(24)])
+        target = os.path.realpath(path)
+
+        def live() -> int:
+            with open("/proc/self/maps") as fh:
+                return sum(line.rstrip("\n").endswith(" " + target) for line in fh)
+
+        counts = []
+        latest = None
+        for latest in stream:
+            counts.append(live())
+        assert len(counts) == 24
+        assert 1 <= max(counts) <= 2
+        kept = list(stream)  # every frame kept alive keeps its own mapping
+        assert live() > 2
+        del kept, latest
+        assert live() == 0
+
+    @pytest.mark.parametrize("payload, message", [
+        (0, "FRAME marker with no payload"),
+        (10, "plane needs 16 bytes, stream had 10"),
+        (16, "frame payload ended inside the chroma planes"),
+        (18, "plane needs 4 bytes, stream had 2"),
+        (20, "frame payload ended inside the chroma planes"),
+        (23, "plane needs 4 bytes, stream had 3"),
+    ])
+    def test_truncated_y4m_message(self, tmp_path, payload, message):
+        path = tmp_path / "short.y4m"
+        path.write_bytes(b"YUV4MPEG2 W4 H4 F30:1 C420\nFRAME\n" + bytes(24) + b"FRAME\n" + bytes(payload))
+        with pytest.raises(TruncatedFrame) as info:
+            list(read_y4m(path))
+        assert str(info.value) == f"{path}: frame 1: {message}"
+
+    def test_raw_truncated_after_open_message(self, tmp_path, rng):
+        path = tmp_path / "shrunk.yuv"
+        stream = write_clip(path, [make_ycbcr_frame(rng) for _ in range(2)])
+        with open(path, "r+b") as fh:
+            fh.truncate(24 + 10)
+        with pytest.raises(TruncatedFrame) as info:
+            list(stream)
+        assert str(info.value) == f"{path}: frame 1: plane needs 16 bytes, stream had 10"
+
+    @pytest.mark.parametrize("content, error, message", [
+        (b"", BadHeader, "not a binary P5/P6 PNM file"),
+        (b"P5\n4 4\n255\nabc", TruncatedFrame, "expected 16 samples, found 3"),
+        (b"P5\n2 2\n255", TruncatedFrame, "expected 4 samples, found 0"),
+        (b"P6\n1 1\n255\n\x01\x02", TruncatedFrame, "expected 3 samples, found 2"),
+        (b"P5\n1 1\n65535\n\x01", TruncatedFrame, "expected 1 samples, found 0"),
+        (b"P5\n1 1 ", BadHeader, "truncated PNM header"),
+    ])
+    def test_truncated_pnm_message(self, tmp_path, content, error, message):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(content)
+        with pytest.raises(error) as info:
+            read_pnm(path)
+        assert str(info.value) == f"{path}: {message}"
 
 
 class TestReportWriter:

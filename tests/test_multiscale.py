@@ -11,7 +11,7 @@ from ssimkit.frames import LumaPlane
 from ssimkit.multiscale import dyadic_downsample, msssim, scale_scores
 from ssimkit.ssim import mssim, ssim_map, ssim_score
 
-from conftest import natural_plane, noisy_version, random_plane
+from helpers import natural_plane, noisy_version, random_plane
 
 
 def reshape_downsample(values):

@@ -15,7 +15,7 @@ from ssimkit.spatiotemporal import (
 )
 from ssimkit.ssim import mssim, ssim_map
 
-from conftest import natural_plane, noisy_version, random_plane
+from helpers import natural_plane, noisy_version, random_plane
 
 CFG5 = SsimConfig(window=WindowSpec.rectangular(5))
 

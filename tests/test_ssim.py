@@ -1,16 +1,24 @@
+import os
+import tempfile
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ssimkit.config import MultiscaleSpec, SsimConfig, WindowSpec
+from ssimkit.adaptation import box_downsample, policy_factor
+from ssimkit.config import MultiscaleSpec, ScalePolicy, SsimConfig, WindowSpec
 from ssimkit.errors import EmptyMap
-from ssimkit.frames import LumaPlane
+from ssimkit.frames import ColorFrame, LumaPlane
+from ssimkit.media import StreamHeader, write_planar_raw, write_y4m
 from ssimkit.multiscale import msssim
-from ssimkit.pipeline import score_frame_pair
+from ssimkit.pipeline import PipelineSpec, run_score, score_frame_pair
 from ssimkit.pooling import pool_spatial
 from ssimkit.spatiotemporal import msssim3d, ssim3d_series
 from ssimkit.ssim import mssim, ssim_map, ssim_score
 
-from conftest import noisy_version, random_plane
+from helpers import natural_plane, noisy_version, random_plane
 
 # Direct evaluation of the zero-variance closed form for means (100, 110),
 # 8-bit, K1 = 0.01: (2*100*110 + 6.5025) / (100^2 + 110^2 + 6.5025).
@@ -209,3 +217,59 @@ class TestOneRuler:
         assert msssim3d([a], [b], 1, ms).scores[0] == want_ms
         # bare arrays carry no depth: config.bit_depth sets the constants
         assert ssim_score(a.samples, b.samples, SsimConfig(bit_depth=bit_depth)) == want
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        window=st.one_of(
+            st.builds(WindowSpec.rectangular, st.integers(2, 7), st.integers(1, 3)),
+            st.builds(WindowSpec.gaussian, st.sampled_from([0.8, 1.5]), st.sampled_from([5, 7]), st.integers(1, 3)),
+        ),
+        bit_depth=st.sampled_from([8, 10]),
+        scaling=st.sampled_from([
+            ScalePolicy.none(), ScalePolicy.legacy256(), ScalePolicy.enhanced_dh(0.5), ScalePolicy.sast(50.0),
+        ]),
+        multiscale=st.sampled_from([MultiscaleSpec.off(), MultiscaleSpec.product(2), MultiscaleSpec.weighted_sum(2)]),
+        size=st.sampled_from([(64, 96), (67, 101)]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_route_gives_identical_floats(self, window, bit_depth, scaling, multiscale, size, seed):
+        rng = np.random.default_rng(seed)
+        height, width = size
+        a = natural_plane(rng, height, width, bit_depth)
+        b = noisy_version(rng, a, 5 << (bit_depth - 8))
+        config = SsimConfig(window=window, scaling=scaling, multiscale=multiscale)
+        want = score_frame_pair(a, b, config).score
+
+        # direct calls, with the scale policy applied by hand
+        factor = policy_factor(scaling, width, height)
+        sa, sb = box_downsample(a, factor), box_downsample(b, factor)
+        direct = replace(config, scaling=ScalePolicy.none())
+        if multiscale.enabled:
+            assert msssim(sa, sb, direct) == want
+        else:
+            assert ssim_score(sa, sb, direct) == want
+        if window.shape == "rect":
+            series = msssim3d if multiscale.enabled else ssim3d_series
+            assert series([sa], [sb], 1, direct).scores[0] == want
+
+        # whole runs on written files, luma with random chroma around it
+        chroma_shape = (-(-height // 2), -(-width // 2))
+        dtype = a.samples.dtype
+        frames = [
+            ColorFrame((p.samples, *(rng.integers(0, 256, chroma_shape).astype(dtype) for _ in "uv")),
+                       "ycbcr-bt709", "420", bit_depth)
+            for p in (a, b)
+        ]
+        spec = PipelineSpec(config)
+        with tempfile.TemporaryDirectory() as tmp:
+            ref, dist = os.path.join(tmp, "ref.yuv"), os.path.join(tmp, "dist.yuv")
+            write_planar_raw(ref, [frames[0]], bit_depth)
+            write_planar_raw(dist, [frames[1]], bit_depth)
+            out = run_score(ref, dist, spec, width=width, height=height, bit_depth=bit_depth)
+            assert out["records"][0]["score"] == want
+            if bit_depth == 8:
+                header = StreamHeader(width, height, (30, 1), "420", 8)
+                ref, dist = os.path.join(tmp, "ref.y4m"), os.path.join(tmp, "dist.y4m")
+                write_y4m(ref, [frames[0]], header)
+                write_y4m(dist, [frames[1]], header)
+                assert run_score(ref, dist, spec)["records"][0]["score"] == want

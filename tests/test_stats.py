@@ -28,7 +28,7 @@ from ssimkit.stats import (
     separable_sums,
 )
 
-from conftest import per_tap_sums, random_plane
+from helpers import per_tap_sums, random_plane
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
