@@ -1,8 +1,9 @@
 """Full-reference structural-similarity toolkit.
 
-Local statistics under rectangular/Gaussian windows (with exact box sums for
-integer frames and summed-area tables for float ones), SSIM and multiscale
-SSIM, spatio-temporal SSIM over rolling temporal windows, color similarity
+Local statistics under rectangular/Gaussian windows, from one path shared by
+frames and rolling temporal volumes (exact box sums for integer samples,
+summed-area tables for float ones), SSIM and multiscale SSIM,
+spatio-temporal SSIM over rolling temporal windows, color similarity
 models, one table of spatial/temporal pooling operators, resolution/viewing
 adaptation, scaled-score prediction, and a 5PL + correlation benchmarking
 harness with a batch CLI.

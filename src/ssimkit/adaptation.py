@@ -27,12 +27,9 @@ def round_half_away(x: float) -> int:
 
 
 def legacy_scale_factor(width: int, height: int, rounding: str = "round") -> int:
-    """The 256-rule: max(1, round(min(W, H) / 256))."""
-    if width <= 0 or height <= 0:
-        raise ValidationError("dimensions must be positive")
-    ratio = min(width, height) / 256.0
-    scaled = math.ceil(ratio) if rounding == "ceil" else round_half_away(ratio)
-    return max(1, scaled)
+    """The 256-rule: max(1, round(min(W, H) / 256)), the viewing-distance
+    rule at D/H = 3.0."""
+    return enhanced_scale_factor(width, height, 3.0, rounding)
 
 
 def enhanced_scale_factor(width: int, height: int, d_over_h: float, rounding: str = "round") -> int:
@@ -220,9 +217,9 @@ class HistogramMatcher:
         """Predicted mean rendering-scale score for one frame."""
         comp = comp_map.values if isinstance(comp_map, QualityMap) else np.asarray(comp_map, dtype=np.float64)
         comp = comp.reshape(-1)
-        refresh_due = self._calls % self.refresh_interval == 0
-        self._calls += 1
-        if refresh_due:
+        # Only calls that return are counted, so a rejected call leaves the
+        # schedule where it was; the first counted call always set a reference.
+        if self._calls % self.refresh_interval == 0:
             if true_map is None:
                 raise NoReferenceYet(
                     "this call must supply the rendering-scale map to (re)build the reference"
@@ -232,9 +229,8 @@ class HistogramMatcher:
             self._counts = self._histogram(true)
             self._ref_mean = float(true.mean())
             self._ref_binned_mean = self._binned_mean(self._counts)
+            self._calls += 1
             return self._ref_mean
-        if self._counts is None:
-            raise NoReferenceYet("no reference map has been supplied yet")
         counts = self._histogram(comp)
         n = counts.sum()
         occupied = np.nonzero(counts)[0]
@@ -242,6 +238,7 @@ class HistogramMatcher:
         mid_mass = (cum[occupied] - counts[occupied] / 2.0) / n * self._counts.sum()
         mapped = self._ref_quantile(mid_mass)
         shift = self._ref_mean - self._ref_binned_mean
+        self._calls += 1
         return float(((counts[occupied] * mapped).sum() / n) + shift)
 
     def transform(self, comp_map: Union[QualityMap, np.ndarray]) -> np.ndarray:

@@ -18,6 +18,7 @@ import click
 
 from . import __version__
 from .config import (
+    ENGINES,
     SsimConfig,
     parse_color,
     parse_multiscale,
@@ -147,7 +148,7 @@ def main() -> None:
 @click.option("--temporal-pool", default=None,
               help="am | gm | hm | median | cov | wam:k=.. | wgm:k=.. | whm:k=.. | wcov:k=.. "
                    "| md:p=..,o=.. | fns | dw:p=.. | mink:p=.. | pp:ps=..,rs=..")
-@click.option("--engine", type=click.Choice(["auto", "naive", "integral"]), default=None)
+@click.option("--engine", type=click.Choice(ENGINES), default=None)
 @click.option("--kt", type=int, default=None, help="Temporal window depth (SSIM-3D when > 1).")
 @click.option("--format", "report_format", type=click.Choice(["jsonl", "csv"]), default=None)
 @click.option("--workers", type=int, default=None, help="Worker threads for frame scoring.")

@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from .config import SsimConfig
-from .errors import DegenerateWeights, ValidationError, WrongSpace
+from .errors import DegenerateWeights, ValidationError, WindowLargerThanImage, WrongSpace
 from .frames import (
     CHROMA_444,
     SPACE_RGB,
@@ -196,7 +196,7 @@ def qssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) 
     c1, c2 = config.c1, config.c2
     k, stride = window.k, window.stride
     if k > r1.shape[0] or k > r1.shape[1]:
-        raise ValidationError(f"{k}x{k} window does not fit a {r1.shape[1]}x{r1.shape[0]} frame")
+        raise WindowLargerThanImage(f"{k}x{k} window does not fit a {r1.shape[1]}x{r1.shape[0]} image")
 
     kern = np.full((k, k), 1.0 / (k * k))
 

@@ -349,6 +349,11 @@ _COLOR = KindTable(
 )
 
 
+#: Window-sum engines: ``auto`` takes the fast route for the window and
+#: sample type, ``naive`` the direct k^2 loop.
+ENGINES = ("auto", "naive")
+
+
 @dataclass(frozen=True)
 class SsimConfig:
     """Everything needed to score a frame pair, as one immutable value."""
@@ -357,7 +362,7 @@ class SsimConfig:
     k2: float = 0.03
     bit_depth: int = 8
     window: WindowSpec = field(default_factory=lambda: WindowSpec.rectangular(11))
-    engine: str = "auto"  # auto | naive | integral
+    engine: str = "auto"  # one of ENGINES
     scaling: ScalePolicy = field(default_factory=ScalePolicy.none)
     color: ColorModelSpec = field(default_factory=ColorModelSpec.luma)
     spatial_pool: str = "am"
@@ -369,10 +374,8 @@ class SsimConfig:
             raise ValidationError("k1 and k2 must be positive")
         if not isinstance(self.bit_depth, int) or not 8 <= self.bit_depth <= 16:
             raise ValidationError(f"bit depth must be an integer in [8, 16], got {self.bit_depth!r}")
-        if self.engine not in ("auto", "naive", "integral"):
+        if self.engine not in ENGINES:
             raise ValidationError(f"unknown engine {self.engine!r}")
-        if self.window.shape != "rect" and self.engine == "integral":
-            raise ValidationError("the integral engine supports rectangular windows only")
         if self.window.shape != "rect" and self.color.model == "qssim":
             raise ValidationError("quaternion similarity uses rectangular windows")
         # Validate the pooling selectors eagerly so a config is always runnable.

@@ -60,11 +60,7 @@ class NonPositiveSigma(SsimkitError, ValueError):
     """Gaussian sigma must be positive."""
 
 
-class EngineShapeMismatch(SsimkitError):
-    """The integral engine only supports rectangular windows."""
-
-
-class WindowLargerThanImage(SsimkitError):
+class WindowLargerThanImage(ValidationError):
     """Window does not fit inside the image."""
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -158,14 +158,11 @@ class ColorFrame:
 class QualityMap:
     """Grid of local quality values plus the geometry that produced it.
 
-    ``origin_x``/``origin_y`` give the pixel anchor (top-left sample) of the
-    first window; cell (r, c) covers the window anchored at
-    (origin_y + r*stride, origin_x + c*stride) in the source image.
+    Cell (r, c) covers the window anchored at (r*stride, c*stride) in the
+    source image.
     """
 
     values: np.ndarray
-    origin_x: int = 0
-    origin_y: int = 0
     stride: int = 1
     source_dims: tuple[int, int] = (0, 0)  # (height, width) of the scored image
 
@@ -177,8 +174,6 @@ class QualityMap:
             raise ValidationError("quality map values must be finite")
         if self.stride < 1:
             raise ValidationError("stride must be >= 1")
-        if self.origin_x < 0 or self.origin_y < 0:
-            raise ValidationError("map origin must be non-negative")
         object.__setattr__(self, "values", _freeze(arr))
         object.__setattr__(self, "source_dims", tuple(int(d) for d in self.source_dims))
 
@@ -195,14 +190,11 @@ class ScoreSeries:
     """Per-frame pooled scores in temporal order."""
 
     scores: np.ndarray
-    frame_rate: Optional[float] = None
 
     def __post_init__(self):
         arr = np.asarray(self.scores, dtype=np.float64).reshape(-1)
         if not np.isfinite(arr).all():
             raise ValidationError("scores must be finite (no missing entries)")
-        if self.frame_rate is not None and self.frame_rate <= 0:
-            raise ValidationError("frame rate must be positive")
         object.__setattr__(self, "scores", _freeze(arr))
 
     def __len__(self) -> int:

@@ -12,7 +12,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -98,7 +98,7 @@ class PipelineSpec:
 def _enhanced_config() -> SsimConfig:
     return SsimConfig(
         window=WindowSpec.rectangular(11, stride=5),
-        engine="integral",
+        engine="auto",
         scaling=ScalePolicy.enhanced_dh(3.0),
         color=ColorModelSpec.luma(),
         spatial_pool="cov",
@@ -237,14 +237,17 @@ def score_frame_pair(
 # whole-run drivers
 # ---------------------------------------------------------------------------
 
-def _user_seconds() -> tuple[float, str]:
+def _stopwatch() -> Callable[[], tuple[float, str]]:
+    """Start a clock. The returned function gives the seconds since then and
+    their source: "user" CPU time of the process, or "wall" time on a
+    platform without ``resource``."""
     try:
         import resource
-
-        usage = resource.getrusage(resource.RUSAGE_SELF)
-        return usage.ru_utime, "user"
-    except ImportError:  # platform without resource: fall back to wall time
-        return time.perf_counter(), "wall"
+    except ImportError:
+        start = time.perf_counter()
+        return lambda: (time.perf_counter() - start, "wall")
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_utime
+    return lambda: (resource.getrusage(resource.RUSAGE_SELF).ru_utime - start, "user")
 
 
 def _score_pairs(
@@ -306,8 +309,7 @@ def run_score(
         raise DimensionMismatch("streams differ in bit depth or chroma subsampling")
 
     config = spec.config
-    start, timing_source = _user_seconds()
-    wall_start = time.perf_counter()
+    elapsed = _stopwatch()
 
     volumes = None
     if spec.kt > 1:
@@ -320,8 +322,7 @@ def run_score(
     if not results:
         raise ValidationError(f"{ref_path} vs {dist_path}: no frames to score")
 
-    end, _ = _user_seconds()
-    elapsed = end - start if timing_source == "user" else time.perf_counter() - wall_start
+    seconds, timing_source = elapsed()
 
     records = [
         {
@@ -341,7 +342,7 @@ def run_score(
         "temporal_pool": config.temporal_pool,
         "pooled_score": pooled,
         "mean_score": float(series.scores.mean()),
-        "user_seconds": elapsed,
+        "user_seconds": seconds,
         "timing_source": timing_source,
     }
     ams = [r.am for r in results if r.am is not None]
@@ -390,8 +391,7 @@ def run_benchmark(manifest_path: Union[str, os.PathLike], specs: dict[str, Pipel
         subjective = normalize_scores(subjective)  # protocol: scale/shift to [0, 1]
     results = []
     for name, spec in specs.items():
-        start, timing_source = _user_seconds()
-        wall_start = time.perf_counter()
+        elapsed = _stopwatch()
         scores = []
         for row_idx, row in enumerate(rows):
             try:
@@ -407,8 +407,7 @@ def run_benchmark(manifest_path: Union[str, os.PathLike], specs: dict[str, Pipel
             except (SsimkitError, OSError) as exc:
                 raise type(exc)(f"manifest row {row_idx + 2}: {exc}") from exc
             scores.append(out["summary"]["pooled_score"])
-        end, _ = _user_seconds()
-        elapsed = end - start if timing_source == "user" else time.perf_counter() - wall_start
+        seconds, _ = elapsed()
         note = ""
         try:
             _, pcc, srocc, rmse, monotone = fit_and_correlate(scores, subjective)
@@ -424,7 +423,7 @@ def run_benchmark(manifest_path: Union[str, os.PathLike], specs: dict[str, Pipel
                 "srocc": srocc,
                 "rmse": rmse,
                 "fit_monotone": monotone,
-                "user_seconds": elapsed,
+                "user_seconds": seconds,
                 "pareto": False,
                 "note": note,
             }

@@ -2,7 +2,9 @@
 
 Local statistics extend to a temporal depth of Kt frames. Keeping rolling
 per-pixel sums of the last Kt frames (subtract the frame leaving the window,
-add the one entering) makes the per-frame cost independent of Kt. Integer
+add the one entering) makes the per-frame cost independent of Kt. The
+running sums go through the same :func:`~ssimkit.stats.window_statistics`
+as a frame pair's planes, so spatial sums take the same routes. Integer
 frames keep int64 running sums, which never drift, and their spatial window
 sums come from the exact separable :func:`~ssimkit.stats.box_sums` (wrapping
 uint32 while k^2 times the largest running sum fits in 32 bits, int64
@@ -29,7 +31,7 @@ from .errors import (
 from .frames import PlaneLike, ScoreSeries, paired_frames, plane_data, validate_frame_pair
 from .multiscale import dyadic_downsample, msssim  # noqa: F401  (perfbench traces dyadic_downsample here)
 from .ssim import SsimTermMaps, frame_config, mssim, term_maps_from_stats
-from .stats import LocalStatsMaps, _exact_pair, _pair_terms, _window_sums, stats_from_sums
+from .stats import LocalStatsMaps, _exact_pair, _pair_terms, window_statistics
 
 #: Rolling sums are rebuilt from the buffered frames this often, bounding
 #: floating-point drift from the subtract/add recursion.
@@ -127,17 +129,8 @@ class RollingVolume:
         """Spatio-temporal local statistics over k x k x depth neighborhoods."""
         if window.shape != "rect":
             raise GaussianNotSupported3D("3-D statistics support rectangular windows only")
-        sums = self.temporal_sums()
-        h, w = self._dims
-        k, stride = window.k, window.stride
-        if k > h or k > w:
-            raise ValidationError(f"{k}x{k} window does not fit a {w}x{h} frame")
-        grids = _window_sums(sums, k, stride, self._integer)
-        area = float(k * k * self.depth)
-        mu1, mu2, var1, var2, cov = stats_from_sums(*grids, area=area)
-        return LocalStatsMaps(
-            mu1=mu1, mu2=mu2, var1=var1, var2=var2, cov=cov,
-            window_size=k, stride=stride, source_dims=(h, w),
+        return window_statistics(
+            self.temporal_sums(), self._dims, window, integer=self._integer, depth=self.depth
         )
 
 

@@ -1,21 +1,25 @@
 """Windowed local statistics (means, variances, covariance) for image pairs.
 
-Two engines produce identical grids for rectangular windows: a direct one
-that slides the window and accumulates weighted sums (any window shape; a
-rectangular window is a uniform kernel), and a fast one whose cost per pixel
-does not depend on k. Gaussian windows are separable, so outside the direct
-engine they take two 1-D passes (:func:`separable_sums`), 2k multiply-adds
-per sample instead of k^2. Only fully interior windows are evaluated (valid
-region, no padding); the grid is sampled every ``stride`` pixels from anchor
-(0, 0).
+Two engines produce identical grids for rectangular windows: ``naive``
+slides the window and accumulates weighted sums (any window shape; a
+rectangular window is a uniform kernel), and ``auto``'s cost per pixel does
+not depend on k. Gaussian windows are separable, so under ``auto`` they take
+two 1-D passes (:func:`separable_sums`), 2k multiply-adds per sample instead
+of k^2. Only fully interior windows are evaluated (valid region, no
+padding); the grid is sampled every ``stride`` pixels from anchor (0, 0).
 
-The fast engine's route depends on the sample type. Integer planes go through
-:func:`box_sums`: two separable passes (a row-wise cumulative sum and its
-k-apart difference, then a running-row recurrence down the columns) in
-wrapping uint32 arithmetic. Modular differences are exact whenever the
-largest true window sum fits in 32 bits, e.g. k^2 * peak^2 < 2^32 for the
-product planes (k <= 257 at 8 bits, k <= 64 at 10 bits); past that bound the
-same passes run in int64. The sums are exact integers either way, so the
+Frames and spatio-temporal volumes share one path, :func:`window_statistics`:
+it checks the window fits, picks the route, sums the five planes and turns
+the sums into statistics. :func:`local_statistics` hands it a frame pair's
+planes; ``RollingVolume`` its running sums over the last frames.
+
+Under ``auto`` the rectangular route depends on the sample type. Integer
+planes go through :func:`box_sums`: two separable passes (a row-wise
+cumulative sum and its k-apart difference, then a running-row recurrence
+down the columns) in wrapping uint32 arithmetic. Modular differences are
+exact whenever the largest true window sum fits in 32 bits, e.g. k^2 *
+peak^2 < 2^32 for the product planes (k <= 257 at 8 bits, k <= 64 at 10
+bits); past that bound the same passes run in int64. The sums are exact integers either way, so the
 grids equal the direct engine's bit for bit. Float planes (converted colour,
 pyramid levels, box-downsampled frames) keep float64 summed-area tables with
 the four-corner rule, whose rounding the published scores depend on.
@@ -38,13 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import WindowSpec, default_gaussian_size
-from .errors import (
-    EngineShapeMismatch,
-    NonPositiveSigma,
-    ValidationError,
-    WindowLargerThanImage,
-)
+from .config import ENGINES, WindowSpec, default_gaussian_size
+from .errors import NonPositiveSigma, ValidationError, WindowLargerThanImage
 from .frames import PlaneLike, plane_data, validate_frame_pair
 
 
@@ -208,17 +207,6 @@ def _pair_terms(a: np.ndarray, b: np.ndarray, integer: bool):
         yield np.multiply(x, y, dtype=dtype, casting="unsafe")
 
 
-def _window_sums(planes, k: int, stride: int, integer: bool) -> list[np.ndarray]:
-    """Float64 k x k window sums of each plane on the stride grid.
-
-    Integer planes take the exact :func:`box_sums`; float planes keep the
-    float64 summed-area tables whose rounding published scores carry.
-    """
-    if not integer:
-        return [_grid_window_sums(_sat(p), k, stride) for p in planes]
-    return [box_sums(p, k, stride, np.empty(_grid_shape(*p.shape, k, stride))) for p in planes]
-
-
 #: Grid rows per band in the folds below and in ssim.term_maps_from_stats: a
 #: band's planes and scratch stay in cache between passes, instead of each
 #: pass sweeping whole grids.
@@ -324,6 +312,46 @@ def stats_from_sums(
     return mu1, mu2, var1, var2, cov
 
 
+def window_statistics(
+    terms,
+    dims: tuple[int, int],
+    window: WindowSpec,
+    engine: str = "auto",
+    integer: bool = False,
+    depth: int = 1,
+) -> LocalStatsMaps:
+    """Local statistics from the five planes I1, I2, I1^2, I2^2, I1*I2.
+
+    ``terms`` yields the five ``dims``-shaped planes, summed one at a time;
+    they may be sums over ``depth`` frames. ``integer`` marks exact integer
+    planes, which rectangular windows sum with :func:`box_sums` under ``auto``.
+    """
+    h, w = dims
+    k, stride = window.k, window.stride
+    if k > h or k > w:
+        raise WindowLargerThanImage(f"{k}x{k} window does not fit a {w}x{h} image")
+    if engine not in ENGINES:
+        raise ValidationError(f"unknown engine {engine!r}")
+    rect = window.shape == "rect"
+    if engine == "naive":
+        kern = np.ones((k, k)) if rect else gaussian_kernel(window.sigma, k)
+        sums = [_sliding_weighted_sums(t, kern, stride) for t in terms]
+    elif not rect:
+        kern1d = gaussian_kernel_1d(window.sigma, k)
+        sums = [separable_sums(t, kern1d, stride) for t in terms]
+    elif integer:
+        sums = [box_sums(t, k, stride, np.empty(_grid_shape(h, w, k, stride))) for t in terms]
+    else:
+        sums = [_grid_window_sums(_sat(t), k, stride) for t in terms]
+    # A Gaussian kernel sums to 1, so its window covers one sample per frame.
+    area = float((k * k if rect else 1) * depth)
+    mu1, mu2, var1, var2, cov = stats_from_sums(*sums, area=area)
+    return LocalStatsMaps(
+        mu1=mu1, mu2=mu2, var1=var1, var2=var2, cov=cov,
+        window_size=k, stride=stride, source_dims=(h, w),
+    )
+
+
 def local_statistics(
     ref: PlaneLike,
     dist: PlaneLike,
@@ -332,38 +360,13 @@ def local_statistics(
 ) -> LocalStatsMaps:
     """Windowed local statistics of a frame pair under a window spec.
 
-    ``engine`` selects the computation route: ``integral`` (rectangular
-    windows only), ``naive`` (the direct k^2 loop, any shape), or ``auto``
-    (integral for rectangular windows, two separable 1-D passes for
-    Gaussian ones). Rectangular routes produce the same grids; the Gaussian
-    passes round differently from the direct loop, within 1e-12 relative.
+    ``engine`` selects the computation route: ``naive`` (the direct k^2
+    loop, any shape) or ``auto`` (exact box sums or summed-area tables for
+    rectangular windows, two separable 1-D passes for Gaussian ones).
+    Rectangular routes produce the same grids; the Gaussian passes round
+    differently from the direct loop, within 1e-12 relative.
     """
     ref, dist = validate_frame_pair(ref, dist)
     a, b = plane_data(ref), plane_data(dist)
-    h, w = a.shape
-    k, stride = window.k, window.stride
-    if k > h or k > w:
-        raise WindowLargerThanImage(f"{k}x{k} window does not fit a {w}x{h} image")
-    if engine not in ("auto", "naive", "integral"):
-        raise ValidationError(f"unknown engine {engine!r}")
-    rect = window.shape == "rect"
-    if engine == "integral" and not rect:
-        raise EngineShapeMismatch("the integral engine supports rectangular windows only")
-
-    integer = engine != "naive" and rect and _exact_pair(a, b, k * k)
-    terms = _pair_terms(a, b, integer)
-    area = float(k * k) if rect else 1.0
-    if engine == "naive":
-        kern = np.ones((k, k)) if rect else gaussian_kernel(window.sigma, k)
-        sums = [_sliding_weighted_sums(t, kern, stride) for t in terms]
-    elif rect:
-        sums = _window_sums(terms, k, stride, integer)
-    else:
-        kern1d = gaussian_kernel_1d(window.sigma, k)
-        sums = [separable_sums(t, kern1d, stride) for t in terms]
-    mu1, mu2, var1, var2, cov = stats_from_sums(*sums, area=area)
-
-    return LocalStatsMaps(
-        mu1=mu1, mu2=mu2, var1=var1, var2=var2, cov=cov,
-        window_size=k, stride=stride, source_dims=(h, w),
-    )
+    integer = engine != "naive" and window.shape == "rect" and _exact_pair(a, b, window.k**2)
+    return window_statistics(_pair_terms(a, b, integer), a.shape, window, engine, integer)

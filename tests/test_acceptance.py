@@ -43,7 +43,7 @@ def report(criterion: int, message: str):
 
 
 def test_criterion_01_integral_oracle_equivalence():
-    """Integral fast path equals the direct path on 200 random pairs."""
+    """The auto engine's fast path equals the direct path on 200 random pairs."""
     rng = np.random.default_rng(101)
     sizes = [k for k in (3, 8, 11, 16)]
     start = time.perf_counter()
@@ -56,7 +56,7 @@ def test_criterion_01_integral_oracle_equivalence():
             if k > min(h, w):
                 continue
             window = WindowSpec.rectangular(k)
-            cfg_f = SsimConfig(window=window, engine="integral")
+            cfg_f = SsimConfig(window=window, engine="auto")
             cfg_s = SsimConfig(window=window, engine="naive")
             fast = ssim_map(a, b, cfg_f)
             slow = ssim_map(a, b, cfg_s)
@@ -68,7 +68,7 @@ def test_criterion_01_integral_oracle_equivalence():
     elapsed = time.perf_counter() - start
     assert pairs == 200
     assert elapsed < 10.0, f"took {elapsed:.1f}s, budget is 10s"
-    report(1, f"integral == naive on 200 pairs x k in {sizes} in {elapsed:.2f}s")
+    report(1, f"auto == naive on 200 pairs x k in {sizes} in {elapsed:.2f}s")
 
 
 def test_criterion_02_ssim_axioms():
@@ -96,7 +96,7 @@ def test_criterion_03_stride_consistency():
     """Strided maps subsample the dense grid exactly; MSSIM barely moves."""
     rng = np.random.default_rng(303)
     for engine, window in [
-        ("integral", WindowSpec.rectangular(11)),
+        ("auto", WindowSpec.rectangular(11)),
         ("naive", WindowSpec.gaussian(1.5)),
     ]:
         for s in (2, 3, 5):
@@ -182,7 +182,7 @@ def test_criterion_05_pooling_identities():
     assert pool_temporal(example, "hm") == pytest.approx(0.4, abs=1e-12)
 
     assert pool_spatial(q, "mink:p=1") == pytest.approx(1.0 - q.values.mean(), abs=1e-12)
-    mu1 = local_statistics(ref, dist, SsimConfig().window, "integral").mu1
+    mu1 = local_statistics(ref, dist, SsimConfig().window, "auto").mu1
     assert pool_spatial(q, "lw:a=0,b=0", ref_luma=mu1) == pool_spatial(q, "am")
     assert pool_spatial(q, "pp:ps=6,rs=1") == pool_spatial(q, "am")
     std = np.sqrt(((q.values - q.values.mean()) ** 2).mean())

@@ -293,6 +293,17 @@ class TestHistogramMatcher:
         with pytest.raises(NoReferenceYet):
             matcher.predict(rng.uniform(0.4, 1.0, 300))  # call 3: refresh due
 
+    def test_rejected_call_leaves_the_schedule(self, rng):
+        matcher = HistogramMatcher(5)
+        values = rng.uniform(0.4, 1.0, 300)
+        with pytest.raises(NoReferenceYet):
+            matcher.predict(values)  # call 0 must refresh
+        assert matcher.predict(values, values) == values.mean()  # the retry is call 0
+        for _ in range(4):
+            matcher.predict(values)  # calls 1-4 map without a reference
+        with pytest.raises(NoReferenceYet):
+            matcher.predict(values)  # call 5: refresh due again
+
     def test_prediction_depends_on_comp_mass_structure(self, rng):
         # the transform carries the comp map's rank/mass structure onto the
         # reference distribution: a point mass lands on the reference median,

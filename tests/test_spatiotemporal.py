@@ -20,6 +20,10 @@ from helpers import natural_plane, noisy_version, random_plane
 CFG5 = SsimConfig(window=WindowSpec.rectangular(5))
 
 
+def float_plane(rng, height, width, bit_depth):
+    return LumaPlane(rng.uniform(0.0, (1 << bit_depth) - 1, (height, width)), bit_depth)
+
+
 def frame_pairs(rng, count, height=16, width=16, noise=12):
     refs = [natural_plane(rng, height, width) for _ in range(count)]
     dists = [noisy_version(rng, r, noise) for r in refs]
@@ -156,15 +160,17 @@ class TestSsim3dMap:
 
     @pytest.mark.parametrize("bits,stride", [(8, 3), (10, 1), (10, 4)])
     def test_kt_one_equals_framewise_bit_for_bit(self, rng, bits, stride):
+        # Integer planes take the exact box sums, float64 ones the summed-area tables.
         config = SsimConfig(bit_depth=bits, window=WindowSpec.rectangular(7, stride=stride))
-        vol = RollingVolume(1)
-        for _ in range(3):
-            a, b = random_plane(rng, 30, 26, bits), random_plane(rng, 30, 26, bits)
-            vol.push(a, b)
-            maps3d = ssim3d_map(vol, config)
-            maps2d = ssim_map(a, b, config)
-            for name in ("l_map", "cs_map", "q_map"):
-                assert np.array_equal(getattr(maps3d, name).values, getattr(maps2d, name).values)
+        for make in (random_plane, float_plane):
+            vol = RollingVolume(1)
+            for _ in range(3):
+                a, b = make(rng, 30, 26, bits), make(rng, 30, 26, bits)
+                vol.push(a, b)
+                maps3d = ssim3d_map(vol, config)
+                maps2d = ssim_map(a, b, config)
+                for name in ("l_map", "cs_map", "q_map"):
+                    assert np.array_equal(getattr(maps3d, name).values, getattr(maps2d, name).values)
 
     def test_static_video_equals_single_frame(self, rng):
         a, b = random_plane(rng, 20, 20), random_plane(rng, 20, 20)

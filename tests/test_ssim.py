@@ -41,7 +41,7 @@ class TestSsimMap:
         assert np.allclose(maps.cs_map.values, 1.0, atol=1e-12)
         assert np.allclose(maps.q_map.values, CONSTANT_PAIR_L, atol=1e-12)
 
-    @pytest.mark.parametrize("engine", ["integral", "naive"])
+    @pytest.mark.parametrize("engine", ["auto", "naive"])
     def test_symmetry_exact(self, rng, engine):
         cfg = SsimConfig(engine=engine)
         a = random_plane(rng, 32, 32)

@@ -5,21 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssimkit.config import WindowSpec
+from ssimkit.color import qssim
+from ssimkit.config import ColorModelSpec, SsimConfig, WindowSpec
 from ssimkit.errors import (
-    EngineShapeMismatch,
     NonPositiveSigma,
     ValidationError,
     WindowLargerThanImage,
 )
 from ssimkit.frames import LumaPlane
+from ssimkit.spatiotemporal import RollingVolume
 from ssimkit.stats import (
     _exact_sum_dtype,
     _grid_window_sums,
     _pair_terms,
     _sat,
     _sliding_weighted_sums,
-    _window_sums,
     box_sums,
     gaussian_kernel,
     gaussian_kernel_1d,
@@ -28,7 +28,7 @@ from ssimkit.stats import (
     separable_sums,
 )
 
-from helpers import per_tap_sums, random_plane
+from helpers import per_tap_sums, random_plane, random_rgb
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -164,16 +164,16 @@ class TestWindowSum:
 
     def test_whole_image_window(self):
         a = LumaPlane(np.array([[1, 2], [3, 4]], dtype=np.uint8))
-        assert _window_sums(float_terms(a, a)[:1], 2, 1, integer=False)[0].tolist() == [[10.0]]
+        assert _grid_window_sums(_sat(float_terms(a, a)[0]), 2, 1).tolist() == [[10.0]]
 
     def test_single_sample_window(self, rng):
         a = random_plane(rng, 5, 5)
-        sums = _window_sums(float_terms(a, a)[:1], 1, 1, integer=False)[0]
+        sums = _grid_window_sums(_sat(float_terms(a, a)[0]), 1, 1)
         assert np.array_equal(sums, a.samples)
 
     def test_matches_direct_loop(self, rng):
         a, b = random_plane(rng, 16, 16), random_plane(rng, 16, 16)
-        sums = _window_sums(float_terms(a, b)[4:], 5, 1, integer=False)[0]
+        sums = _grid_window_sums(_sat(float_terms(a, b)[4]), 5, 1)
         prod = a.samples.astype(np.int64) * b.samples.astype(np.int64)
         assert sums.shape == (12, 12)
         for i in range(12):
@@ -311,7 +311,7 @@ class TestBoxSums:
         rng = np.random.default_rng(seed)
         other = rng.integers(0, int(plane.max()) + 1, plane.shape).astype(plane.dtype)
         window = WindowSpec.rectangular(k, stride=stride)
-        fast = local_statistics(plane, other, window, "integral")
+        fast = local_statistics(plane, other, window, "auto")
         slow = local_statistics(plane, other, window, "naive")
         for name in ("mu1", "mu2", "var1", "var2", "cov"):
             assert np.array_equal(getattr(fast, name), getattr(slow, name))
@@ -352,7 +352,7 @@ class TestWideIntegerStatistics:
         a = rng.integers(lo, hi, (20, 23), endpoint=True).astype(dtype)
         b = rng.integers(lo, hi, (20, 23), endpoint=True).astype(dtype)
         window = WindowSpec.rectangular(7)
-        fast = local_statistics(a, b, window, "integral")
+        fast = local_statistics(a, b, window, "auto")
         slow = local_statistics(a, b, window, "naive")
         for name in ("mu1", "mu2", "var1", "var2", "cov"):
             np.testing.assert_allclose(getattr(fast, name), getattr(slow, name), rtol=1e-9, atol=0)
@@ -362,7 +362,7 @@ class TestWideIntegerStatistics:
         a = rng.integers(0, 2**20, (12, 13)).astype(np.uint32)
         b = rng.integers(0, 2**20, (12, 13)).astype(np.uint32)
         window = WindowSpec.rectangular(7)
-        fast = local_statistics(a, b, window, "integral")
+        fast = local_statistics(a, b, window, "auto")
         slow = local_statistics(a, b, window, "naive")
         for name in ("mu1", "mu2", "var1", "var2", "cov"):
             assert np.array_equal(getattr(fast, name), getattr(slow, name))
@@ -372,7 +372,7 @@ class TestLocalStatistics:
     def test_constant_pair(self):
         a = LumaPlane(np.full((16, 16), 100, dtype=np.uint8))
         b = LumaPlane(np.full((16, 16), 110, dtype=np.uint8))
-        for engine in ("naive", "integral"):
+        for engine in ("naive", "auto"):
             stats = local_statistics(a, b, WindowSpec.rectangular(5), engine)
             assert np.allclose(stats.mu1, 100.0, atol=1e-10)
             assert np.allclose(stats.mu2, 110.0, atol=1e-10)
@@ -382,7 +382,7 @@ class TestLocalStatistics:
 
     def test_self_statistics(self, rng):
         a = random_plane(rng, 20, 20)
-        stats = local_statistics(a, a, WindowSpec.rectangular(7), "integral")
+        stats = local_statistics(a, a, WindowSpec.rectangular(7), "auto")
         assert np.array_equal(stats.var1, stats.var2)
         assert np.allclose(stats.var1, stats.cov, atol=1e-9)
 
@@ -393,7 +393,7 @@ class TestLocalStatistics:
             w = int(rng.integers(k, 65))
             a, b = random_plane(rng, h, w), random_plane(rng, h, w)
             window = WindowSpec.rectangular(k)
-            fast = local_statistics(a, b, window, "integral")
+            fast = local_statistics(a, b, window, "auto")
             slow = local_statistics(a, b, window, "naive")
             for name in ("mu1", "mu2", "var1", "var2", "cov"):
                 x, y = getattr(fast, name), getattr(slow, name)
@@ -403,7 +403,7 @@ class TestLocalStatistics:
         a, b = random_plane(rng, 12, 14), random_plane(rng, 12, 14)
         k = 4
         weights = np.full((k, k), 1.0 / (k * k))
-        stats = local_statistics(a, b, WindowSpec.rectangular(k), "integral")
+        stats = local_statistics(a, b, WindowSpec.rectangular(k), "auto")
         for i in range(stats.grid_shape[0]):
             for j in range(stats.grid_shape[1]):
                 mu1, mu2, var1, var2, cov = brute_force_local_stats(
@@ -426,7 +426,7 @@ class TestLocalStatistics:
                 assert stats.cov[i, j] == pytest.approx(cov, abs=1e-7)
 
     @pytest.mark.parametrize("engine,window", [
-        ("integral", WindowSpec.rectangular(11, stride=5)),
+        ("auto", WindowSpec.rectangular(11, stride=5)),
         ("naive", WindowSpec.rectangular(11, stride=3)),
         ("naive", WindowSpec.gaussian(1.5, stride=4)),
         ("auto", WindowSpec.gaussian(1.5, stride=3)),
@@ -442,7 +442,7 @@ class TestLocalStatistics:
     def test_grid_shape_formula(self, rng):
         a, b = random_plane(rng, 37, 23), random_plane(rng, 37, 23)
         for k, s in [(5, 1), (5, 3), (8, 4), (11, 5)]:
-            stats = local_statistics(a, b, WindowSpec.rectangular(k, stride=s), "integral")
+            stats = local_statistics(a, b, WindowSpec.rectangular(k, stride=s), "auto")
             expected = ((37 - k) // s + 1, (23 - k) // s + 1)
             assert stats.grid_shape == expected
 
@@ -450,7 +450,7 @@ class TestLocalStatistics:
         eps = 1e-6 * 255.0**2
         for _ in range(20):
             a, b = random_plane(rng, 24, 24), random_plane(rng, 24, 24)
-            stats = local_statistics(a, b, WindowSpec.rectangular(7), "integral")
+            stats = local_statistics(a, b, WindowSpec.rectangular(7), "auto")
             bound = np.sqrt(stats.var1 * stats.var2) + eps
             assert np.all(np.abs(stats.cov) <= bound)
 
@@ -463,19 +463,26 @@ class TestLocalStatistics:
         assert np.array_equal(stats.mu1, a.samples[1:-1, 1:-1].astype(float))
         assert np.array_equal(stats.mu2, b.samples[1:-1, 1:-1].astype(float))
 
-    def test_engine_shape_mismatch(self, rng):
-        a = random_plane(rng, 16, 16)
-        with pytest.raises(EngineShapeMismatch):
-            local_statistics(a, a, WindowSpec.gaussian(1.5), "integral")
-
     def test_window_larger_than_image(self, rng):
         a = random_plane(rng, 8, 8)
         with pytest.raises(WindowLargerThanImage):
-            local_statistics(a, a, WindowSpec.rectangular(11), "integral")
+            local_statistics(a, a, WindowSpec.rectangular(11), "auto")
+
+    @pytest.mark.parametrize("score", [
+        lambda rng, config: local_statistics(random_plane(rng, 8, 12), random_plane(rng, 8, 12), config.window),
+        lambda rng, config: RollingVolume(2).push(random_plane(rng, 8, 12), random_plane(rng, 8, 12))
+        .local_statistics(config.window),
+        lambda rng, config: qssim(random_rgb(rng, 8, 12), random_rgb(rng, 8, 12), config),
+    ], ids=["frame", "volume", "qssim"])
+    def test_one_window_fit_error_for_frames_volumes_and_qssim(self, rng, score):
+        config = SsimConfig(window=WindowSpec.rectangular(11), color=ColorModelSpec("qssim"))
+        with pytest.raises(WindowLargerThanImage, match="11x11 window does not fit a 12x8 image"):
+            score(rng, config)
+        assert issubclass(WindowLargerThanImage, ValidationError)
 
     def test_variances_never_negative(self, rng):
         for _ in range(10):
             a, b = random_plane(rng, 16, 16), random_plane(rng, 16, 16)
-            stats = local_statistics(a, b, WindowSpec.rectangular(3), "integral")
+            stats = local_statistics(a, b, WindowSpec.rectangular(3), "auto")
             assert stats.var1.min() >= 0.0
             assert stats.var2.min() >= 0.0
