@@ -36,11 +36,13 @@ def enhanced_scale_factor(width: int, height: int, d_over_h: float, rounding: st
     """Viewing-distance-aware 256-rule: max(1, round((min/256) * (3 / (D/H)))).
 
     Calibrated so the default TV-viewing ratio D/H = 3.0 reproduces the
-    legacy factor; larger viewing distances yield smaller factors.
+    legacy factor; larger viewing distances yield smaller factors. A factor
+    past the frame's larger side averages the whole frame, as that side does,
+    so it is clamped there before rounding.
     """
-    if width <= 0 or height <= 0 or d_over_h <= 0:
-        raise ValidationError("dimensions and d/h ratio must be positive")
-    ratio = (min(width, height) / 256.0) * (3.0 / d_over_h)
+    if not all(0 < v < math.inf for v in (width, height, d_over_h)):
+        raise ValidationError("dimensions and d/h ratio must be positive and finite")
+    ratio = min((min(width, height) / 256.0) * (3.0 / d_over_h), max(width, height))
     scaled = math.ceil(ratio) if rounding == "ceil" else round_half_away(ratio)
     return max(1, scaled)
 
@@ -50,8 +52,8 @@ def viewing_geometry(display_height: float, distance: float, lines: int) -> tupl
 
     alpha = 2*arctan(H / 2D); f_max = L / (2*alpha) cycles/degree for L lines.
     """
-    if display_height <= 0 or distance <= 0 or lines <= 0:
-        raise ValidationError("geometry inputs must be positive")
+    if not all(0 < v < math.inf for v in (display_height, distance, lines)):
+        raise ValidationError("geometry inputs must be positive and finite")
     alpha = 2.0 * math.degrees(math.atan(display_height / (2.0 * distance)))
     f_max = lines / (2.0 * alpha)
     return alpha, f_max
@@ -69,8 +71,10 @@ def sast_factor(
     Z = sqrt(H_I * W_I / (4 tan(theta_H/2) tan(theta_W/2) D^2)) with the
     common 40/50 degree viewing angles.
     """
-    if min(display_height, display_width, distance, theta_h, theta_w) <= 0:
-        raise ValidationError("geometry inputs must be positive")
+    if not all(0 < v < math.inf for v in (display_height, display_width, distance)):
+        raise ValidationError("geometry inputs must be positive and finite")
+    if not (0 < theta_h < 180 and 0 < theta_w < 180):
+        raise ValidationError("sast viewing angles must lie in (0, 180) degrees")
     denom = 4.0 * math.tan(math.radians(theta_h) / 2.0) * math.tan(math.radians(theta_w) / 2.0)
     z = math.sqrt((display_height / distance) * (display_width / distance) / denom)
     return max(1.0, z)
@@ -85,7 +89,7 @@ def policy_factor(policy: ScalePolicy, width: int, height: int) -> int:
     if policy.kind == "dh":
         return enhanced_scale_factor(width, height, policy.d_over_h, policy.rounding)
     z = sast_factor(height, width, policy.distance, policy.theta_h, policy.theta_w)
-    return max(1, round_half_away(z))
+    return max(1, round_half_away(min(z, max(width, height))))  # clamped as enhanced_scale_factor's
 
 
 def box_downsample(plane: PlaneLike, factor: int) -> PlaneLike:
@@ -107,9 +111,10 @@ def box_downsample(plane: PlaneLike, factor: int) -> PlaneLike:
         return plane
     arr = np.asarray(plane_data(plane))
     h, w = arr.shape
+    factor = min(factor, max(h, w))  # a larger block is the whole frame too
     work = _exact_sum_dtype(arr, factor * factor)
     rows = arr[::factor].astype(work)
-    for j in range(1, factor):
+    for j in range(1, min(factor, h)):
         part = arr[j::factor]
         block = rows[: len(part)]
         np.add(block, part, out=block, dtype=work, casting="unsafe")

@@ -137,12 +137,18 @@ def fixed_weight_cssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = S
     return float(sum(w * s for w, s in zip(config.color.weights, scores)))
 
 
-def _channel_scores(ref: ColorFrame, dist: ColorFrame, config: SsimConfig) -> tuple[float, float, float]:
+def _pair_in(ref: ColorFrame, dist: ColorFrame, space: str) -> tuple[ColorFrame, ColorFrame]:
+    """The validated pair in ``space`` (SPACE_RGB or SPACE_YCBCR), converted
+    by the BT.709 transform where it is in the other space."""
     validate_color_pair(ref, dist)
-    if ref.space == SPACE_RGB:
-        ref, dist = rgb_to_ycbcr_bt709(ref), rgb_to_ycbcr_bt709(dist)
-    elif ref.space != SPACE_YCBCR:
-        raise WrongSpace(f"channel-wise scoring needs RGB or YCbCr frames, got {ref.space}")
+    if ref.space == space:
+        return ref, dist
+    convert = rgb_to_ycbcr_bt709 if space == SPACE_YCBCR else ycbcr_bt709_to_rgb
+    return convert(ref), convert(dist)
+
+
+def _channel_scores(ref: ColorFrame, dist: ColorFrame, config: SsimConfig) -> tuple[float, float, float]:
+    ref, dist = _pair_in(ref, dist, SPACE_YCBCR)
     config = config.for_bit_depth(ref.bit_depth)
     return tuple(
         mssim(ssim_map(a, b, config)) for a, b in zip(ref.channels, dist.channels)
@@ -154,17 +160,10 @@ def _channel_scores(ref: ColorFrame, dist: ColorFrame, config: SsimConfig) -> tu
 # ---------------------------------------------------------------------------
 
 def _embedding_channels(frame: ColorFrame, space: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tristimulus channels to embed on the (i, j, k) axes, in storage order."""
-    if space == "rgb":
-        frame.require_space(SPACE_RGB)
+    """Tristimulus channels to embed on the (i, j, k) axes, in storage order,
+    of a 4:4:4 frame already in the embedding's space (RGB for ``lab``)."""
+    if space != "lab":
         return tuple(np.asarray(c, dtype=np.float64) for c in frame.channels)
-    if space == "ycbcr":
-        if frame.space == SPACE_RGB:
-            frame = rgb_to_ycbcr_bt709(frame)
-        frame.require_space(SPACE_YCBCR)
-        frame = upsample_chroma(frame)
-        return tuple(np.asarray(c, dtype=np.float64) for c in frame.channels)
-    frame.require_space(SPACE_RGB)  # lab
     lab = _rgb_frame_to_lab(frame)
     # Lab is O(100)-scale; rescale to the frame's range so the saturation
     # constants keep their meaning.
@@ -183,12 +182,10 @@ def qssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) 
     embedding space is ``config.color.space``; YCbCr input is converted to
     RGB for the ``rgb`` and ``lab`` embeddings.
     """
-    validate_color_pair(ref, dist)
     window, space = config.window, config.color.space
     if window.shape != "rect":
         raise ValidationError("quaternion similarity uses rectangular windows")
-    if space in ("rgb", "lab") and ref.space == SPACE_YCBCR:
-        ref, dist = ycbcr_bt709_to_rgb(ref), ycbcr_bt709_to_rgb(dist)
+    ref, dist = _pair_in(ref, dist, SPACE_YCBCR if space == "ycbcr" else SPACE_RGB)
     ref, dist = upsample_chroma(ref), upsample_chroma(dist)
     r1, g1, b1 = _embedding_channels(ref, space)
     r2, g2, b2 = _embedding_channels(dist, space)
@@ -289,9 +286,7 @@ def cmssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig())
     Weight is clamp(1 - deltaE/45, 0, 1); deltaE is sampled at each window's
     center so the weight grid co-registers with the quality map.
     """
-    validate_color_pair(ref, dist)
-    if ref.space == SPACE_YCBCR:
-        ref, dist = ycbcr_bt709_to_rgb(ref), ycbcr_bt709_to_rgb(dist)
+    ref, dist = _pair_in(ref, dist, SPACE_RGB)
     maps = ssim_map(luma_of(ref), luma_of(dist), config)
     de = delta_e_map(ref, dist)
     weight = np.clip(1.0 - de / DELTA_E_FULL_MASK, 0.0, 1.0)
@@ -331,9 +326,7 @@ def hue_plane(frame: ColorFrame) -> LumaPlane:
 
 def hssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) -> float:
     """(SSIM + 0.2 * hue-channel SSIM) / 1.2."""
-    validate_color_pair(ref, dist)
-    if ref.space == SPACE_YCBCR:
-        ref, dist = ycbcr_bt709_to_rgb(ref), ycbcr_bt709_to_rgb(dist)
+    ref, dist = _pair_in(ref, dist, SPACE_RGB)
     luma_score = mssim(ssim_map(luma_of(ref), luma_of(dist), config))
     hue_score = mssim(ssim_map(hue_plane(ref), hue_plane(dist), config))
     return (luma_score + 0.2 * hue_score) / 1.2

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, NamedTuple, Optional
 
@@ -75,6 +76,7 @@ class KindTable:
 
     def settle(self, spec) -> None:
         """Fill the unset (None) fields of a new ``spec`` from its kind's row,
+        reject a float that is not finite in any field (or in a tuple field),
         run its ``_check``, then reject each field the kind does not read
         that is away from its resting value."""
         kind = getattr(spec, self.kind_field)
@@ -87,6 +89,10 @@ class KindTable:
                 if default is REQUIRED:
                     raise ValidationError(f"{kind} {self.part} needs {read[name].key or name}")
                 object.__setattr__(spec, name, default(spec) if callable(default) else default)
+            value = getattr(spec, name)
+            items = value if isinstance(value, (tuple, list)) else (value,)
+            if not all(math.isfinite(v) for v in items if isinstance(v, float)):
+                raise ValidationError(f"{kind} {self.part} needs a finite {name}, got {value!r}")
         spec._check()
         for name, rest in self.rest.items():
             if name not in read and getattr(spec, name) != rest:
@@ -132,9 +138,15 @@ def _format(value) -> str:
 
 
 def default_gaussian_size(sigma: float) -> int:
-    """Window size derived from sigma: 2*ceil(3*sigma) + 1 (so 1.5 -> 11)."""
+    """Window size derived from sigma: 2*ceil(3*sigma) + 1 (so 1.5 -> 11).
+
+    A sigma whose 3*sigma is not finite has no size, and one whose square is
+    below the normal floats has no kernel: its exponents divide by zero.
+    """
     if sigma <= 0:
         raise NonPositiveSigma(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(3.0 * sigma) and sigma * sigma >= sys.float_info.min):
+        raise ValidationError(f"gaussian sigma must be finite and not below about 1.5e-154, got {sigma!r}")
     return 2 * math.ceil(3.0 * sigma) + 1
 
 
@@ -160,8 +172,9 @@ class WindowSpec:
             if self.sigma is not None:
                 raise ValidationError("rectangular windows take no sigma")
         else:
-            if self.sigma is None or self.sigma <= 0:
-                raise NonPositiveSigma(f"gaussian window needs sigma > 0, got {self.sigma}")
+            if self.sigma is None:
+                raise NonPositiveSigma("gaussian window needs sigma > 0, got None")
+            default_gaussian_size(self.sigma)  # rejects a sigma no Gaussian window can use
             if self.k < 3 or self.k % 2 == 0:
                 raise ValidationError(f"gaussian window size must be odd and >= 3, got {self.k}")
 
@@ -269,8 +282,8 @@ class ScalePolicy(ConfigPart):
             raise ValidationError(f"unknown rounding mode {self.rounding!r}")
         if self.distance is not None and self.distance <= 0:
             raise ValidationError("sast policy needs a positive viewing distance")
-        if self.theta_h <= 0 or self.theta_w <= 0:
-            raise ValidationError("sast viewing angles must be positive")
+        if not (0 < self.theta_h < 180 and 0 < self.theta_w < 180):
+            raise ValidationError("sast viewing angles must lie in (0, 180) degrees")
         if self.d_over_h <= 0:
             raise ValidationError("d/h ratio must be positive")
 
@@ -370,8 +383,8 @@ class SsimConfig:
     multiscale: MultiscaleSpec = field(default_factory=MultiscaleSpec.off)
 
     def __post_init__(self):
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ValidationError("k1 and k2 must be positive")
+        if not (0 < self.k1 < math.inf and 0 < self.k2 < math.inf):
+            raise ValidationError(f"k1 and k2 must be positive and finite, got {self.k1!r} and {self.k2!r}")
         if not isinstance(self.bit_depth, int) or not 8 <= self.bit_depth <= 16:
             raise ValidationError(f"bit depth must be an integer in [8, 16], got {self.bit_depth!r}")
         if self.engine not in ENGINES:

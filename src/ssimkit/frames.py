@@ -83,7 +83,7 @@ class LumaPlane:
         return float((1 << self.bit_depth) - 1)
 
     def as_float(self) -> np.ndarray:
-        """Samples promoted to float64 (the boundary of all statistics)."""
+        """Samples promoted to float64, as a copy; the statistics read integer samples as they are."""
         return np.asarray(self.samples, dtype=np.float64)
 
 

@@ -9,10 +9,11 @@ frames keep int64 running sums, which never drift, and their spatial window
 sums come from the exact separable :func:`~ssimkit.stats.box_sums` (wrapping
 uint32 while k^2 times the largest running sum fits in 32 bits, int64
 beyond). Once a float frame arrives, or an integer frame whose running sums
-could pass int64 (Kt * max|sample|^2 >= 2^63), the sums turn float64 and
-spatial sums come from float64 summed-area tables, as for 2-D float planes.
-With Kt = 1 everything reduces exactly to frame-wise SSIM. Scorers take the window,
-constants and multiscale settings from their ``SsimConfig``.
+could pass int64 (Kt * max|sample|^2 >= 2^63), the sums turn float64 for
+good, and spatial sums come from float64 summed-area tables, as for 2-D
+float planes: the sums' dtype is the only record of whether they are exact.
+With Kt = 1 everything reduces exactly to frame-wise SSIM. Scorers take the
+window, constants and multiscale settings from their ``SsimConfig``.
 """
 
 from __future__ import annotations
@@ -53,9 +54,7 @@ class RollingVolume:
         self.kt = kt
         self._buffer: deque[tuple[np.ndarray, np.ndarray]] = deque()
         self._sums: Optional[list[np.ndarray]] = None  # I1, I2, I1^2, I2^2, I1*I2
-        self._integer = True
         self._pushes = 0
-        self._dims: Optional[tuple[int, int]] = None
 
     @property
     def depth(self) -> int:
@@ -67,31 +66,24 @@ class RollingVolume:
         """(buffered frame pairs, running sum planes) for memory accounting."""
         return len(self._buffer), 0 if self._sums is None else len(self._sums)
 
-    @property
-    def _sum_dtype(self) -> type:
-        return np.int64 if self._integer else np.float64
-
     def push(self, ref: PlaneLike, dist: PlaneLike) -> "RollingVolume":
         """Advance the temporal window by one frame pair."""
         ref, dist = validate_frame_pair(ref, dist)
         a, b = plane_data(ref), plane_data(dist)
-        if self._dims is None:
-            self._dims = a.shape
-        elif a.shape != self._dims:
+        if self._buffer and a.shape != self._buffer[0][0].shape:
             raise DimensionMismatch(
-                f"frame {a.shape[::-1]} pushed into a {self._dims[::-1]} volume"
+                f"frame {a.shape[::-1]} pushed into a {self._buffer[0][0].shape[::-1]} volume"
             )
-        if self._integer and not _exact_pair(a, b, self.kt):
-            self._integer = False
-            if self._sums is not None:
-                self._sums = [s.astype(np.float64) for s in self._sums]
-        terms = _pair_terms(a, b, self._integer)
+        exact = (self._sums is None or self._sums[0].dtype == np.int64) and _exact_pair(a, b, self.kt)
+        if self._sums is not None and not exact:
+            self._sums = [s.astype(np.float64, copy=False) for s in self._sums]
+        terms = _pair_terms(a, b, exact)
         if self._sums is None or self.kt == 1:
             # Kt = 1 degenerates to the newest frame exactly; no recursion.
-            self._sums = [np.array(t, dtype=self._sum_dtype) for t in terms]
+            self._sums = [np.array(t, dtype=np.int64 if exact else np.float64) for t in terms]
         elif len(self._buffer) == self.kt:
             # T(k) = T(k-1) - I(k-Kt) + I(k), per plane.
-            for s, new, old in zip(self._sums, terms, _pair_terms(*self._buffer[0], self._integer)):
+            for s, new, old in zip(self._sums, terms, _pair_terms(*self._buffer[0], exact)):
                 s -= old
                 s += new
         else:
@@ -102,20 +94,14 @@ class RollingVolume:
         self._buffer.append((a, b))
         self._pushes += 1
         if self._pushes % REFRESH_INTERVAL == 0:
-            self._refresh()
+            self._sums = self.direct_sums()
         return self
-
-    def _refresh(self) -> None:
-        """Recompute the running sums directly from the buffer."""
-        self._sums = self.direct_sums()
 
     def direct_sums(self) -> list[np.ndarray]:
         """Sums recomputed from scratch over the buffered frames (drift oracle)."""
-        if not self._buffer:
-            raise ValidationError("no frames buffered")
-        sums = [np.zeros(self._dims, dtype=self._sum_dtype) for _ in range(5)]
+        sums = [np.zeros_like(s) for s in self.temporal_sums()]
         for a, b in self._buffer:
-            for s, t in zip(sums, _pair_terms(a, b, self._integer)):
+            for s, t in zip(sums, _pair_terms(a, b, sums[0].dtype == np.int64)):
                 s += t
         return sums
 
@@ -129,9 +115,8 @@ class RollingVolume:
         """Spatio-temporal local statistics over k x k x depth neighborhoods."""
         if window.shape != "rect":
             raise GaussianNotSupported3D("3-D statistics support rectangular windows only")
-        return window_statistics(
-            self.temporal_sums(), self._dims, window, integer=self._integer, depth=self.depth
-        )
+        sums = self.temporal_sums()
+        return window_statistics(sums, sums[0].shape, window, depth=self.depth)
 
 
 def ssim3d_map(vol: RollingVolume, config: SsimConfig = SsimConfig()) -> SsimTermMaps:

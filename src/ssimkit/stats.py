@@ -13,16 +13,21 @@ it checks the window fits, picks the route, sums the five planes and turns
 the sums into statistics. :func:`local_statistics` hands it a frame pair's
 planes; ``RollingVolume`` its running sums over the last frames.
 
-Under ``auto`` the rectangular route depends on the sample type. Integer
-planes go through :func:`box_sums`: two separable passes (a row-wise
-cumulative sum and its k-apart difference, then a running-row recurrence
-down the columns) in wrapping uint32 arithmetic. Modular differences are
-exact whenever the largest true window sum fits in 32 bits, e.g. k^2 *
-peak^2 < 2^32 for the product planes (k <= 257 at 8 bits, k <= 64 at 10
-bits); past that bound the same passes run in int64. The sums are exact integers either way, so the
-grids equal the direct engine's bit for bit. Float planes (converted colour,
-pyramid levels, box-downsampled frames) keep float64 summed-area tables with
-the four-corner rule, whose rounding the published scores depend on.
+Under ``auto`` the rectangular route follows each plane's dtype, the one
+record of whether its values are exact. Integer planes go through
+:func:`box_sums`: two separable passes (a row-wise cumulative sum and its
+k-apart difference, then a running-row recurrence down the columns) in
+wrapping uint32 arithmetic. Modular differences are exact whenever the
+largest true window sum fits in 32 bits, e.g. k^2 * peak^2 < 2^32 for the
+product planes (k <= 257 at 8 bits, k <= 64 at 10 bits); past that bound
+the same passes run in int64. The sums are exact integers either way, so
+the grids equal the direct engine's bit for bit. Float planes (converted
+colour, pyramid levels, box-downsampled frames) keep float64 summed-area
+tables with the four-corner rule, whose rounding the published scores
+depend on. The direct loop and the Gaussian passes read integer planes as
+they are, with no float64 copy: each sample converts to float64 exactly
+before its first multiply, so their grids equal those of float64 copies
+bit for bit.
 
 One rule picks every exact integer accumulator in the package
 (:func:`_exact_sum_dtype`, used by :func:`box_sums` and by the box and
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ENGINES, WindowSpec, default_gaussian_size
-from .errors import NonPositiveSigma, ValidationError, WindowLargerThanImage
+from .errors import ValidationError, WindowLargerThanImage
 from .frames import PlaneLike, plane_data, validate_frame_pair
 
 
@@ -52,10 +57,8 @@ def gaussian_kernel(sigma: float, k: int | None = None) -> np.ndarray:
 
     Size defaults to 2*ceil(3*sigma) + 1.
     """
-    if sigma <= 0:
-        raise NonPositiveSigma(f"sigma must be positive, got {sigma}")
-    if k is None:
-        k = default_gaussian_size(sigma)
+    size = default_gaussian_size(sigma)  # rejects a sigma no kernel can use
+    k = size if k is None else k
     if k < 1:
         raise ValidationError(f"kernel size must be >= 1, got {k}")
     coords = np.arange(k, dtype=np.float64) - (k - 1) / 2.0
@@ -80,10 +83,9 @@ def rect_equivalent(sigma: float, mode: str) -> int:
     matches the 3 dB bandwidths (half-width ceil(1.602*sigma)). Returns the
     full window size 2K + 1.
     """
-    if sigma <= 0:
-        raise NonPositiveSigma(f"sigma must be positive, got {sigma}")
+    size = default_gaussian_size(sigma)  # rejects a sigma no window can use
     if mode == "same-size":
-        return default_gaussian_size(sigma)
+        return size
     if mode == "same-variance":
         return 2 * math.ceil(sigma * math.sqrt(3.0)) + 1
     if mode == "same-bandwidth":
@@ -277,7 +279,6 @@ class LocalStatsMaps:
     var1: np.ndarray
     var2: np.ndarray
     cov: np.ndarray
-    window_size: int
     stride: int
     source_dims: tuple[int, int]  # (height, width)
 
@@ -317,14 +318,14 @@ def window_statistics(
     dims: tuple[int, int],
     window: WindowSpec,
     engine: str = "auto",
-    integer: bool = False,
     depth: int = 1,
 ) -> LocalStatsMaps:
     """Local statistics from the five planes I1, I2, I1^2, I2^2, I1*I2.
 
     ``terms`` yields the five ``dims``-shaped planes, summed one at a time;
-    they may be sums over ``depth`` frames. ``integer`` marks exact integer
-    planes, which rectangular windows sum with :func:`box_sums` under ``auto``.
+    they may be sums over ``depth`` frames. An integer plane holds exact
+    values, which rectangular windows sum with :func:`box_sums` under
+    ``auto``; a float plane takes the float64 summed-area table.
     """
     h, w = dims
     k, stride = window.k, window.stride
@@ -339,16 +340,17 @@ def window_statistics(
     elif not rect:
         kern1d = gaussian_kernel_1d(window.sigma, k)
         sums = [separable_sums(t, kern1d, stride) for t in terms]
-    elif integer:
-        sums = [box_sums(t, k, stride, np.empty(_grid_shape(h, w, k, stride))) for t in terms]
     else:
-        sums = [_grid_window_sums(_sat(t), k, stride) for t in terms]
+        sums = [
+            box_sums(t, k, stride, np.empty(_grid_shape(h, w, k, stride)))
+            if t.dtype.kind in "ui" else _grid_window_sums(_sat(t), k, stride)
+            for t in terms
+        ]
     # A Gaussian kernel sums to 1, so its window covers one sample per frame.
     area = float((k * k if rect else 1) * depth)
     mu1, mu2, var1, var2, cov = stats_from_sums(*sums, area=area)
     return LocalStatsMaps(
-        mu1=mu1, mu2=mu2, var1=var1, var2=var2, cov=cov,
-        window_size=k, stride=stride, source_dims=(h, w),
+        mu1=mu1, mu2=mu2, var1=var1, var2=var2, cov=cov, stride=stride, source_dims=(h, w),
     )
 
 
@@ -368,5 +370,4 @@ def local_statistics(
     """
     ref, dist = validate_frame_pair(ref, dist)
     a, b = plane_data(ref), plane_data(dist)
-    integer = engine != "naive" and window.shape == "rect" and _exact_pair(a, b, window.k**2)
-    return window_statistics(_pair_terms(a, b, integer), a.shape, window, engine, integer)
+    return window_statistics(_pair_terms(a, b, _exact_pair(a, b, window.k**2)), a.shape, window, engine)

@@ -97,6 +97,27 @@ class TestScaleFactors:
         sast = ScalePolicy.sast(distance=1.0)
         assert policy_factor(sast, 1, 1) == 1  # z = 1.21 rounds to 1
 
+    def test_factors_past_the_larger_side_clamp_to_it(self):
+        # Any factor that large averages the whole frame; rounding never sees inf.
+        assert policy_factor(ScalePolicy.enhanced_dh(1e-9), 3840, 2160) == 3840
+        assert policy_factor(ScalePolicy("dh", d_over_h=1e-300, rounding="ceil"), 64, 48) == 64
+        assert policy_factor(ScalePolicy.sast(distance=1e-300), 64, 48) == 64
+
+    @pytest.mark.parametrize("fn, args", [
+        (enhanced_scale_factor, (1920, 1080, math.nan)),
+        (enhanced_scale_factor, (1920, 1080, math.inf)),
+        (enhanced_scale_factor, (math.inf, 1080, 3.0)),
+        (sast_factor, (1.0, 1.0, math.nan)),
+        (sast_factor, (math.inf, 1.0, 1.0)),
+        (sast_factor, (1.0, 1.0, 1.0, math.nan)),
+        (sast_factor, (1.0, 1.0, 1.0, 40.0, 180.0)),
+        (viewing_geometry, (math.nan, 3.0, 1080)),
+        (viewing_geometry, (1.0, math.inf, 1080)),
+    ], ids=lambda v: getattr(v, "__name__", None) or repr(v))
+    def test_non_finite_geometry_is_a_validation_error(self, fn, args):
+        with pytest.raises(ValidationError):
+            fn(*args)
+
 
 class TestViewingGeometry:
     def test_three_heights_distance(self):
@@ -145,6 +166,11 @@ class TestBoxDownsample:
         out = box_downsample(plane, 2)
         assert out.samples.shape == (1, 1)
         assert out.samples[0, 0] == 2.5
+
+    def test_huge_factor_is_the_whole_frame_mean(self, rng):
+        arr = rng.integers(0, 256, (48, 64), dtype=np.uint8)
+        out = box_downsample(arr, 10**12)
+        assert out.shape == (1, 1) and out[0, 0] == arr.sum() / arr.size
 
     def test_partial_trailing_blocks(self):
         row = LumaPlane(np.arange(7, dtype=np.uint8).reshape(1, 7), 8)

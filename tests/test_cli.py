@@ -1,7 +1,10 @@
 import json
+import math
+import signal
 import threading
 import time
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +13,17 @@ from click.testing import CliRunner
 
 from ssimkit import pipeline
 from ssimkit.cli import main
-from ssimkit.config import ColorModelSpec, MultiscaleSpec, ScalePolicy, SsimConfig, WindowSpec
-from ssimkit.errors import LengthMismatch, TruncatedFrame, ValidationError
+from ssimkit.config import (
+    ColorModelSpec,
+    MultiscaleSpec,
+    ScalePolicy,
+    SsimConfig,
+    WindowSpec,
+    parse_color,
+    parse_scale,
+    parse_window,
+)
+from ssimkit.errors import LengthMismatch, SsimkitError, TruncatedFrame, ValidationError
 from ssimkit.evaluation import Logistic5, eval_5pl
 from ssimkit.frames import ColorFrame, LumaPlane
 from ssimkit.media import StreamHeader, write_planar_raw, write_pnm, write_y4m
@@ -23,6 +35,7 @@ from ssimkit.pipeline import (
     run_score,
     score_frame_pair,
 )
+from ssimkit.pooling import parse_spatial, parse_temporal
 from ssimkit.spatiotemporal import RollingVolume
 
 from helpers import natural_plane, noisy_version
@@ -319,6 +332,98 @@ class TestScoreCommand:
             main, ["score", str(ref_path), str(dist_path), "--window", "gauss:1.5"]
         )
         assert result.exit_code == 0
+
+
+#: Every numeric slot of the selector options, with the values of
+#: SLOT_VALUES that reach the scorer and the exit code each gives there.
+#: Every other value is rejected when the spec is built, with exit 2:
+#: nan and the infinities always, float text in an integer slot, and finite
+#: values outside the slot's own range (a sigma whose 3*sigma overflows or
+#: whose square underflows, weights that do not sum to 1, a view angle
+#: past 180 degrees, a percentile past 100, a divisor below 1). On the
+#: 64x48 clip, a 1e-300 viewing distance or angle clamps the scale factor to
+#: 64, and the 1x1 frame left fits no window: exit 2 from the scorer.
+NUMERIC_SLOTS = {
+    ("--window", "gauss:{}"): {},
+    ("--window", "gauss:1.5,k={}"): {},
+    ("--window", "rect:{}"): {},
+    ("--window", "rect:7,stride={}"): {},
+    ("--scale", "dh:{}"): {"1e308": 0, "1e-300": 2},
+    ("--scale", "sast:D={}"): {"1e308": 0, "1e-300": 2},
+    ("--scale", "sast:D=3000,th={}"): {"1e-300": 2},
+    ("--scale", "sast:D=3000,tw={}"): {"1e-300": 2},
+    ("--color", "cw:a={}"): {"1e308": 0, "1e-300": 0},
+    ("--color", "cw:b={}"): {"1e308": 0, "1e-300": 0},
+    ("--color", "fixed:{},0.1,0.1"): {},
+    **{
+        (option, template): {"1e308": 0, "1e-300": 0}
+        for option in ("--spatial-pool", "--temporal-pool")
+        for template in ("md:p={}", "md:o={}", "dw:p={}", "mink:p={}")
+    },
+    ("--spatial-pool", "lw:a={}"): {"1e308": 0, "1e-300": 0},
+    ("--spatial-pool", "lw:a=16,b={}"): {"1e308": 0, "1e-300": 0},
+    **{(option, "pp:ps={}"): {"1e-300": 0} for option in ("--spatial-pool", "--temporal-pool")},
+    **{(option, "pp:rs={}"): {"1e308": 0} for option in ("--spatial-pool", "--temporal-pool")},
+    ("--temporal-pool", "wam:k={}"): {},
+}
+SLOT_VALUES = ("nan", "inf", "-inf", "1e308", "1e-300")
+SELECTOR_PARSERS = {
+    "--window": parse_window, "--scale": parse_scale, "--color": parse_color,
+    "--spatial-pool": parse_spatial, "--temporal-pool": parse_temporal,
+}
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the test from inside the block after ``seconds``, so a hang is a
+    failure. pytest's failure is a BaseException: no handler in the program
+    turns it into an exit code."""
+
+    def expire(signum, frame):
+        pytest.fail(f"did not finish in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestNumericSlots:
+    @pytest.fixture(scope="class")
+    def clip(self, tmp_path_factory):
+        rng = np.random.default_rng(7)
+        refs = [natural_plane(rng, 48, 64) for _ in range(3)]
+        root = tmp_path_factory.mktemp("slots")
+        ref = make_y4m(root / "ref.y4m", refs)
+        dist = make_y4m(root / "dist.y4m", [noisy_version(rng, p, 15) for p in refs])
+        return str(ref), str(dist)
+
+    @pytest.mark.parametrize("value", SLOT_VALUES)
+    @pytest.mark.parametrize("option, template", list(NUMERIC_SLOTS), ids=lambda v: v.strip("-").replace("{}", "X"))
+    def test_every_value_ends_in_a_typed_exit_in_time(self, runner, clip, option, template, value):
+        arg, scored = template.format(value), NUMERIC_SLOTS[option, template]
+        try:
+            SELECTOR_PARSERS[option](arg)
+            built = True
+        except SsimkitError:
+            built = False
+        assert built == (value in scored)
+        with time_limit(30):
+            result = runner.invoke(main, ["score", *clip, option, arg])
+        assert result.exit_code == scored.get(value, 2), result.output
+        if result.exit_code == 0:
+            assert math.isfinite(float(json.loads(result.output.splitlines()[-1])["summary"]["pooled_score"]))
+        else:
+            assert result.output.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--k1", "--k2"])
+    def test_non_finite_constant_is_rejected_before_any_file_is_opened(self, runner, tmp_path, flag):
+        result = runner.invoke(main, ["score", str(tmp_path / "no.y4m"), str(tmp_path / "pe.y4m"), flag, "nan"])
+        assert result.exit_code == 2
+        assert "k1 and k2 must be positive and finite" in result.output
 
 
 class TestBenchmark:

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import math
 
 import pytest
 
@@ -12,11 +13,13 @@ from ssimkit.config import (
     MultiscaleSpec,
     ScalePolicy,
     SsimConfig,
+    WindowSpec,
     parse_color,
     parse_multiscale,
     parse_scale,
+    parse_window,
 )
-from ssimkit.errors import ValidationError
+from ssimkit.errors import SsimkitError, ValidationError
 from ssimkit.pooling import SpatialPooler, TemporalPooler, parse_spatial, parse_temporal
 
 
@@ -110,3 +113,61 @@ def test_every_kind_is_parsed_printed_and_checked_from_its_row(cls, parse, part,
             config[part] = {**dataclasses.asdict(spec), name: OTHER[name]}
             with pytest.raises(ValidationError):
                 SsimConfig.from_json(json.dumps(config))
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+#: The SsimConfig field that holds each pooler as a selector string.
+POOL_FIELDS = {SpatialPooler: "spatial_pool", TemporalPooler: "temporal_pool"}
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("cls, parse, part, kind, params", kind_rows())
+def test_every_float_field_rejects_non_finite_values(cls, parse, part, kind, params, bad):
+    """Through the constructor, the selector and the JSON config alike."""
+    required = {p.field: OTHER[p.field] for p in params if p.default is REQUIRED}
+    spec = cls(kind, **required)
+    keys = {p.field: p.key for p in params}
+    for name in cls._table.rest:
+        current = getattr(spec, name)
+        if isinstance(current, float):
+            value = bad
+        elif isinstance(current, tuple) and current:
+            value = (bad, *current[1:])
+        else:
+            continue
+        with pytest.raises(ValidationError):
+            cls(kind, **{**required, name: value})
+        if name not in keys:
+            continue
+        selector = None  # multiscale exponents have none
+        if keys[name]:
+            given = {keys[f]: v for f, v in required.items() if keys[f]}
+            selector = f"{kind}:" + ",".join(f"{k}={v}" for k, v in {**given, keys[name]: bad}.items())
+        elif cls is ColorModelSpec:  # fixed's weights, given by position
+            selector = f"{kind}:" + ",".join(map(str, value))
+        if selector:
+            with pytest.raises(ValidationError):
+                parse(selector)
+        config = json.loads(SsimConfig().to_json())
+        if part is not None:
+            config[part] = {**dataclasses.asdict(spec), name: value}
+        elif keys[name]:
+            config[POOL_FIELDS[cls]] = selector
+        with pytest.raises(ValidationError):
+            SsimConfig.from_json(json.dumps(config))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+def test_window_sigma_and_constants_reject_non_finite_values(bad):
+    with pytest.raises(SsimkitError):
+        WindowSpec("gauss", 11, bad)
+    with pytest.raises(SsimkitError):
+        parse_window(f"gauss:{bad}")
+    for name, value in (("window", {"shape": "gauss", "k": 11, "sigma": bad, "stride": 1}), ("k1", bad), ("k2", bad)):
+        config = {**json.loads(SsimConfig().to_json()), name: value}
+        with pytest.raises(SsimkitError):
+            SsimConfig.from_json(json.dumps(config))
+        if name != "window":
+            with pytest.raises(ValidationError):
+                SsimConfig(**{name: bad})

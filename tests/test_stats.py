@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssimkit.color import qssim
-from ssimkit.config import ColorModelSpec, SsimConfig, WindowSpec
+from ssimkit.config import ENGINES, ColorModelSpec, SsimConfig, WindowSpec
 from ssimkit.errors import (
     NonPositiveSigma,
     ValidationError,
@@ -16,6 +16,7 @@ from ssimkit.frames import LumaPlane
 from ssimkit.spatiotemporal import RollingVolume
 from ssimkit.stats import (
     _exact_sum_dtype,
+    _grid_shape,
     _grid_window_sums,
     _pair_terms,
     _sat,
@@ -26,6 +27,8 @@ from ssimkit.stats import (
     local_statistics,
     rect_equivalent,
     separable_sums,
+    stats_from_sums,
+    window_statistics,
 )
 
 from helpers import per_tap_sums, random_plane, random_rgb
@@ -74,6 +77,11 @@ class TestGaussianKernel:
             gaussian_kernel(0.0)
         with pytest.raises(NonPositiveSigma):
             gaussian_kernel(-1.5)
+        for sigma in (math.nan, math.inf, 1e308, 1e-300):  # no finite size, or a kernel that divides by 0
+            with pytest.raises(ValidationError):
+                gaussian_kernel(sigma)
+            with pytest.raises(ValidationError):
+                gaussian_kernel(sigma, 11)
 
     def test_separable(self):
         kern = gaussian_kernel(2.0, 13)
@@ -99,6 +107,10 @@ class TestRectEquivalent:
             rect_equivalent(0.0, "same-size")
         with pytest.raises(ValidationError):
             rect_equivalent(1.5, "same-everything")
+        for mode in ("same-size", "same-variance", "same-bandwidth"):
+            for sigma in (math.nan, math.inf):
+                with pytest.raises(ValidationError):
+                    rect_equivalent(sigma, mode)
 
 
 def uniform_sums(values, k, stride):
@@ -315,6 +327,40 @@ class TestBoxSums:
         slow = local_statistics(plane, other, window, "naive")
         for name in ("mu1", "mu2", "var1", "var2", "cov"):
             assert np.array_equal(getattr(fast, name), getattr(slow, name))
+
+
+@st.composite
+def typed_pairs(draw):
+    """A uint8, 10-bit or int32 plane pair with a rectangular or Gaussian window that fits it."""
+    dtype, lo, hi = draw(st.sampled_from([(np.uint8, 0, 256), (np.uint16, 0, 1024), (np.int32, -(2**20), 2**20)]))
+    h, w = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    k = 2 * draw(st.integers(1, (min(h, w) - 1) // 2)) + 1
+    stride = draw(st.integers(1, 4))
+    window = draw(st.sampled_from([WindowSpec.rectangular(k, stride), WindowSpec.gaussian(1.5, k, stride)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = (rng.integers(lo, hi, (h, w)).astype(dtype) for _ in range(2))
+    return a, b, window
+
+
+class TestRouteFromPlanes:
+    @DERANDOMIZED
+    @given(typed_pairs(), st.sampled_from(ENGINES))
+    def test_window_statistics_picks_its_route_from_the_planes(self, case, engine):
+        a, b, window = case
+        terms = list(_pair_terms(a, b, integer=True))
+        assert all(t.dtype.kind in "ui" for t in terms)
+        got = window_statistics(iter(terms), a.shape, window, engine)
+        if engine == "naive" or window.shape == "gauss":
+            # the direct loop and the Gaussian passes read integer planes as their float64 copies
+            floats = [t.astype(np.float64) for t in terms]
+            want = window_statistics(iter(floats), a.shape, window, engine)
+            want = (want.mu1, want.mu2, want.var1, want.var2, want.cov)
+        else:
+            grid = _grid_shape(*a.shape, window.k, window.stride)
+            sums = [box_sums(t, window.k, window.stride, np.empty(grid)) for t in terms]
+            want = stats_from_sums(*sums, area=float(window.k**2))
+        for x, y in zip((got.mu1, got.mu2, got.var1, got.var2, got.cov), want):
+            assert x.dtype == y.dtype == np.float64 and x.tobytes() == y.tobytes()
 
 
 class TestExactSumDtype:
