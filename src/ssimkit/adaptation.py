@@ -18,7 +18,7 @@ import numpy as np
 from .config import ScalePolicy
 from .errors import NoReferenceYet, ValidationError
 from .frames import LumaPlane, PlaneLike, QualityMap, plane_data
-from .stats import _exact_sum_dtype
+from .stats import BAND_ROWS, _exact_sum_dtype
 
 
 def round_half_away(x: float) -> int:
@@ -69,14 +69,19 @@ def sast_factor(
     """Self-adaptive scale transform factor, clamped below at 1.
 
     Z = sqrt(H_I * W_I / (4 tan(theta_H/2) tan(theta_W/2) D^2)) with the
-    common 40/50 degree viewing angles.
+    common 40/50 degree viewing angles, taken as a product of one square
+    root per side so that tiny angles do not underflow the denominator.
     """
     if not all(0 < v < math.inf for v in (display_height, display_width, distance)):
         raise ValidationError("geometry inputs must be positive and finite")
     if not (0 < theta_h < 180 and 0 < theta_w < 180):
         raise ValidationError("sast viewing angles must lie in (0, 180) degrees")
-    denom = 4.0 * math.tan(math.radians(theta_h) / 2.0) * math.tan(math.radians(theta_w) / 2.0)
-    z = math.sqrt((display_height / distance) * (display_width / distance) / denom)
+    z = 1.0
+    for size, theta in ((display_height, theta_h), (display_width, theta_w)):
+        half_tan = math.tan(math.radians(theta) / 2.0)
+        if half_tan == 0.0:
+            raise ValidationError(f"sast viewing angle {theta!r} is too small to take its tangent")
+        z *= math.sqrt(size / distance / (2.0 * half_tan))
     return max(1.0, z)
 
 
@@ -96,14 +101,16 @@ def box_downsample(plane: PlaneLike, factor: int) -> PlaneLike:
     """Block-average by an integer factor; trailing partial blocks average
     over their actual size. Factor 1 is the identity.
 
-    Block sums never pass through a float64 copy of the plane. Each block
-    row is the sum of ``factor`` strided row slices, then ``np.add.reduceat``
-    sums its columns. The accumulator is the one :func:`_exact_sum_dtype`
-    picks for factor^2 samples: uint32 (e.g. 8-bit planes up to factor 4104,
-    16-bit up to 256), int64 for other integer planes, float64 for float
-    planes. Integer sums are exact and each mean is one division by the
-    block's sample count, so integer planes come out bit-identical to
-    averaging in float64; float planes differ only in summation order.
+    Block sums never pass through a float64 copy of the plane. Band by band
+    of BAND_ROWS block rows, each block row is the sum of ``factor`` strided
+    row slices, in one reused band of scratch, then ``np.add.reduceat`` sums
+    its columns and the band's means go straight into the output grid. The
+    accumulator is the one :func:`_exact_sum_dtype` picks for factor^2
+    samples: uint32 (e.g. 8-bit planes up to factor 4104, 16-bit up to 256),
+    int64 for other integer planes, float64 for float planes. Integer sums
+    are exact and each mean is one division by the block's sample count, so
+    integer planes come out bit-identical to averaging in float64; float
+    planes differ only in summation order, which is the same in every band.
     """
     if not isinstance(factor, int) or factor < 1:
         raise ValidationError(f"factor must be an integer >= 1, got {factor!r}")
@@ -113,18 +120,25 @@ def box_downsample(plane: PlaneLike, factor: int) -> PlaneLike:
     h, w = arr.shape
     factor = min(factor, max(h, w))  # a larger block is the whole frame too
     work = _exact_sum_dtype(arr, factor * factor)
-    rows = arr[::factor].astype(work)
-    for j in range(1, min(factor, h)):
-        part = arr[j::factor]
-        block = rows[: len(part)]
-        np.add(block, part, out=block, dtype=work, casting="unsafe")
     row_edges = np.arange(0, h, factor)
     col_edges = np.arange(0, w, factor)
-    sums = np.add.reduceat(rows, col_edges, axis=1)
     row_counts = np.minimum(row_edges + factor, h) - row_edges
     col_counts = np.minimum(col_edges + factor, w) - col_edges
-    out = sums / np.outer(row_counts, col_counts)
+    out = np.empty((len(row_edges), len(col_edges)))
+    scratch = np.empty((min(BAND_ROWS, len(row_edges)), w), dtype=work)
+    for top in range(0, len(out), BAND_ROWS):
+        grid_rows = slice(top, top + BAND_ROWS)
+        band = arr[top * factor : (top + BAND_ROWS) * factor]
+        rows = scratch[: len(out[grid_rows])]
+        np.copyto(rows, band[::factor], casting="unsafe")
+        for j in range(1, min(factor, len(band))):
+            part = band[j::factor]
+            block = rows[: len(part)]
+            np.add(block, part, out=block, dtype=work, casting="unsafe")
+        sums = np.add.reduceat(rows, col_edges, axis=1, dtype=work)  # not add's widened default
+        np.divide(sums, np.outer(row_counts[grid_rows], col_counts), out=out[grid_rows])
     if isinstance(plane, LumaPlane):
+        out.setflags(write=False)  # LumaPlane keeps read-only arrays without a copy
         return LumaPlane(out, plane.bit_depth)
     return out
 

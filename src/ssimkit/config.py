@@ -385,6 +385,10 @@ class SsimConfig:
     def __post_init__(self):
         if not (0 < self.k1 < math.inf and 0 < self.k2 < math.inf):
             raise ValidationError(f"k1 and k2 must be positive and finite, got {self.k1!r} and {self.k2!r}")
+        for name, k in (("k1", self.k1), ("k2", self.k2)):
+            widest = k * 65535.0  # the peak of 16-bit samples, the widest for_bit_depth gives
+            if not math.isfinite(widest * widest):
+                raise ValidationError(f"{name}={k!r} makes its constant (k * 65535)^2 overflow")
         if not isinstance(self.bit_depth, int) or not 8 <= self.bit_depth <= 16:
             raise ValidationError(f"bit depth must be an integer in [8, 16], got {self.bit_depth!r}")
         if self.engine not in ENGINES:

@@ -16,7 +16,7 @@ import numpy as np
 from .config import MultiscaleSpec, SsimConfig
 from .errors import TooManyLevels, TooSmall, ValidationError
 from .frames import LumaPlane, PlaneLike, plane_data, validate_frame_pair
-from .ssim import frame_config, mssim, ssim_map, term_maps_from_stats
+from .ssim import _volume_term_maps, frame_config, mssim, ssim_map
 from .stats import _exact_sum_dtype
 
 if TYPE_CHECKING:
@@ -77,8 +77,7 @@ def scale_scores(
         if volumes is None:
             maps = ssim_map(cur_ref, cur_dist, config)
         else:
-            stats = volumes[level].push(cur_ref, cur_dist).local_statistics(config.window)
-            maps = term_maps_from_stats(stats, config.c1, config.c2)
+            maps = _volume_term_maps(volumes[level].push(cur_ref, cur_dist), config)
         if level == levels - 1:
             scores.append(mssim(maps.q_map))
         else:

@@ -49,8 +49,9 @@ from .media import StreamHeader, VideoStream, read_pnm, read_planar_raw, read_y4
 from .multiscale import msssim
 from .pooling import parse_spatial, parse_temporal, pool_spatial, pool_temporal
 from .spatiotemporal import RollingVolume
-from .ssim import mssim, term_maps_from_stats
-from .stats import local_statistics
+from .ssim import _frame_term_maps, _volume_term_maps, mssim
+from .ssim import term_maps_from_stats  # noqa: F401  (perfbench traces this binding)
+from .stats import local_statistics  # noqa: F401  (perfbench traces this binding)
 
 FrameType = Union[LumaPlane, ColorFrame]
 
@@ -219,12 +220,12 @@ def score_frame_pair(
         return FrameScore(scorer(ref, dist, config), None, None, None)
     if config.multiscale.enabled:
         return FrameScore(msssim(ref, dist, config, volumes), None, None, None)
+    pooler = parse_spatial(config.spatial_pool)
     if volumes is None:
-        stats = local_statistics(ref, dist, config.window, config.engine)
+        maps = _frame_term_maps(ref, dist, config, pooler.reads_ref_luma)
     else:
-        stats = volumes[0].push(ref, dist).local_statistics(config.window)
-    maps = term_maps_from_stats(stats, config.c1, config.c2)
-    pooled = pool_spatial(maps.q_map, parse_spatial(config.spatial_pool), ref_luma=stats.mu1)
+        maps = _volume_term_maps(volumes[0].push(ref, dist), config, pooler.reads_ref_luma)
+    pooled = pool_spatial(maps.q_map, pooler, ref_luma=maps.mu1)
     return FrameScore(
         pooled,
         mssim(maps.q_map),

@@ -82,6 +82,11 @@ class SpatialPooler(_Pooler):
     ps: Optional[float] = None  # pp percentile of lowest values
     rs: Optional[float] = None  # pp down-weighting divisor
 
+    @property
+    def reads_ref_luma(self) -> bool:
+        """Whether the pooler weighs by the reference's local means (``lw``)."""
+        return self.kind == "lw"
+
 
 @dataclass(frozen=True)
 class TemporalPooler(_Pooler):
@@ -209,7 +214,7 @@ def pool_spatial(
     if v.size == 0:
         raise EmptyMap("cannot pool an empty quality map")
     v = v.reshape(-1)
-    if pool.kind != "lw":
+    if not pool.reads_ref_luma:
         return _STATS[pool.kind](v, *_SPATIAL.values(pool))
     if ref_luma is None:
         raise MissingLumaForLW("lw pooling needs the reference mean-luminance map")

@@ -4,16 +4,21 @@ Local statistics extend to a temporal depth of Kt frames. Keeping rolling
 per-pixel sums of the last Kt frames (subtract the frame leaving the window,
 add the one entering) makes the per-frame cost independent of Kt. The
 running sums go through the same :func:`~ssimkit.stats.window_statistics`
-as a frame pair's planes, so spatial sums take the same routes. Integer
-frames keep int64 running sums, which never drift, and their spatial window
-sums come from the exact separable :func:`~ssimkit.stats.box_sums` (wrapping
-uint32 while k^2 times the largest running sum fits in 32 bits, int64
-beyond). Once a float frame arrives, or an integer frame whose running sums
-could pass int64 (Kt * max|sample|^2 >= 2^63), the sums turn float64 for
-good, and spatial sums come from float64 summed-area tables, as for 2-D
-float planes: the sums' dtype is the only record of whether they are exact.
-With Kt = 1 everything reduces exactly to frame-wise SSIM. Scorers take the
-window, constants and multiscale settings from their ``SsimConfig``.
+as a frame pair's planes, so spatial sums take the same routes, band by band
+of grid rows as for frames (:func:`ssim3d_map`). Integer frames keep exact
+running sums, which never drift, in the accumulator
+``stats._exact_sum_dtype`` picks for Kt products of two samples: uint32
+while Kt * peak^2 < 2^32 (8- and 10-bit frames at any practical Kt; a
+LumaPlane's bit depth gives the peak), where the subtract/add recursion
+wraps and comes back in range, and int64 beyond (16-bit frames at Kt >= 2).
+Their spatial window sums come from the exact separable
+:func:`~ssimkit.stats.box_sums`. Once a float frame arrives, or an integer
+frame whose running sums could pass int64 (Kt * max|sample|^2 >= 2^63), the
+sums turn float64 for good, and spatial sums come from float64 summed-area
+tables over whole planes, as for 2-D float planes: the sums' dtype is the
+only record of whether they are exact. With Kt = 1 everything reduces
+exactly to frame-wise SSIM. Scorers take the window, constants and
+multiscale settings from their ``SsimConfig``.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ from .errors import (
 )
 from .frames import PlaneLike, ScoreSeries, paired_frames, plane_data, validate_frame_pair
 from .multiscale import dyadic_downsample, msssim  # noqa: F401  (perfbench traces dyadic_downsample here)
-from .ssim import SsimTermMaps, frame_config, mssim, term_maps_from_stats
-from .stats import LocalStatsMaps, _exact_pair, _pair_terms, window_statistics
+from .ssim import SsimTermMaps, _volume_term_maps, frame_config, mssim
+from .ssim import term_maps_from_stats  # noqa: F401  (perfbench traces this binding)
+from .stats import LocalStatsMaps, _exact_sum_dtype, _pair_terms, window_statistics
 
 #: Rolling sums are rebuilt from the buffered frames this often, bounding
 #: floating-point drift from the subtract/add recursion.
@@ -44,8 +50,9 @@ class RollingVolume:
 
     Single-owner and sequential: push frames in temporal order, then ask for
     maps. Before Kt frames arrive, statistics cover only the buffered depth.
-    The sums are int64 while every pushed frame is integer and small enough
-    for them to stay exact, float64 after.
+    The sums are held in the accumulator ``_exact_sum_dtype`` picks for Kt
+    products of two samples of every pushed frame: uint32 or int64 while
+    they are exact, float64 after.
     """
 
     def __init__(self, kt: int):
@@ -74,21 +81,24 @@ class RollingVolume:
             raise DimensionMismatch(
                 f"frame {a.shape[::-1]} pushed into a {self._buffer[0][0].shape[::-1]} volume"
             )
-        exact = (self._sums is None or self._sums[0].dtype == np.int64) and _exact_pair(a, b, self.kt)
-        if self._sums is not None and not exact:
-            self._sums = [s.astype(np.float64, copy=False) for s in self._sums]
+        held = [] if self._sums is None else [self._sums[0].dtype]
+        dtype = np.result_type(*held, *(_exact_sum_dtype(x, self.kt, degree=2) for x in (ref, dist)))
+        if self._sums is not None and dtype != self._sums[0].dtype:
+            self._sums = [s.astype(dtype) for s in self._sums]
+        exact = dtype != np.float64
         terms = _pair_terms(a, b, exact)
         if self._sums is None or self.kt == 1:
             # Kt = 1 degenerates to the newest frame exactly; no recursion.
-            self._sums = [np.array(t, dtype=np.int64 if exact else np.float64) for t in terms]
+            self._sums = [np.array(t, dtype=dtype) for t in terms]
         elif len(self._buffer) == self.kt:
-            # T(k) = T(k-1) - I(k-Kt) + I(k), per plane.
+            # T(k) = T(k-1) - I(k-Kt) + I(k), per plane; exact sums wrap
+            # through their accumulator's modulus and come back in range.
             for s, new, old in zip(self._sums, terms, _pair_terms(*self._buffer[0], exact)):
-                s -= old
-                s += new
+                np.subtract(s, old, out=s, casting="unsafe")
+                np.add(s, new, out=s, casting="unsafe")
         else:
             for s, new in zip(self._sums, terms):
-                s += new
+                np.add(s, new, out=s, casting="unsafe")
         if len(self._buffer) == self.kt:
             self._buffer.popleft()
         self._buffer.append((a, b))
@@ -101,8 +111,8 @@ class RollingVolume:
         """Sums recomputed from scratch over the buffered frames (drift oracle)."""
         sums = [np.zeros_like(s) for s in self.temporal_sums()]
         for a, b in self._buffer:
-            for s, t in zip(sums, _pair_terms(a, b, sums[0].dtype == np.int64)):
-                s += t
+            for s, t in zip(sums, _pair_terms(a, b, sums[0].dtype != np.float64)):
+                np.add(s, t, out=s, casting="unsafe")
         return sums
 
     def temporal_sums(self) -> list[np.ndarray]:
@@ -111,19 +121,22 @@ class RollingVolume:
             raise ValidationError("no frames buffered")
         return list(self._sums)
 
-    def local_statistics(self, window: WindowSpec) -> LocalStatsMaps:
-        """Spatio-temporal local statistics over k x k x depth neighborhoods."""
+    def local_statistics(self, window: WindowSpec, rows: slice = slice(None), out=None) -> LocalStatsMaps:
+        """Spatio-temporal local statistics over k x k x depth neighborhoods,
+        of the windows that read input ``rows`` (all by default), written
+        into ``out`` as in :func:`~ssimkit.stats.window_statistics`."""
         if window.shape != "rect":
             raise GaussianNotSupported3D("3-D statistics support rectangular windows only")
-        sums = self.temporal_sums()
-        return window_statistics(sums, sums[0].shape, window, depth=self.depth)
+        sums = [s[rows] for s in self.temporal_sums()]
+        return window_statistics(sums, sums[0].shape, window, depth=self.depth, out=out)
 
 
 def ssim3d_map(vol: RollingVolume, config: SsimConfig = SsimConfig()) -> SsimTermMaps:
     """SSIM term maps over the volume's current temporal window, with
-    ``config.window`` as the spatial window."""
-    stats = vol.local_statistics(config.window)
-    return term_maps_from_stats(stats, config.c1, config.c2)
+    ``config.window`` as the spatial window. Statistics and maps are formed
+    together, BAND_ROWS grid rows of the running sums at a time, as for
+    frames (see ``ssim._volume_term_maps``)."""
+    return _volume_term_maps(vol, config)
 
 
 def ssim3d_series(

@@ -13,6 +13,22 @@ it checks the window fits, picks the route, sums the five planes and turns
 the sums into statistics. :func:`local_statistics` hands it a frame pair's
 planes; ``RollingVolume`` its running sums over the last frames.
 
+Scoring forms statistics band by band. :func:`banded_statistics` drives
+either of them BAND_ROWS grid rows at a time: each band forms its
+five planes from the input rows its windows read (the k - 1 rows below a
+band are read again by the next), sums them into one reused band of
+scratch and turns the sums into statistics, which ``ssim.ssim_map`` (frame
+pairs) and ``ssim._volume_term_maps`` (volumes, for ``ssim3d_map`` and the
+multiscale 3-D levels) turn into term-map rows straight away. So a frame's
+working set is its l, cs and q grids (and mu1's, when the caller keeps it for
+the ``lw`` pooler) plus one band. Box sums are exact, and the
+separable passes and the direct loop add the same taps in the same order per
+grid row, so bands equal whole grids bit for bit. Whole grids remain where
+they are asked for (:func:`local_statistics` and
+``RollingVolume.local_statistics`` called on their own, and
+``ssim.term_maps_from_stats``) and on the one route whose rounding depends
+on every row above: float64 summed-area tables.
+
 Under ``auto`` the rectangular route follows each plane's dtype, the one
 record of whether its values are exact. Integer planes go through
 :func:`box_sums`: two separable passes (a row-wise cumulative sum and its
@@ -49,7 +65,7 @@ import numpy as np
 
 from .config import ENGINES, WindowSpec, default_gaussian_size
 from .errors import ValidationError, WindowLargerThanImage
-from .frames import PlaneLike, plane_data, validate_frame_pair
+from .frames import LumaPlane, PlaneLike, plane_data, validate_frame_pair
 
 
 def gaussian_kernel(sigma: float, k: int | None = None) -> np.ndarray:
@@ -103,8 +119,9 @@ def _sat(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_window_sums(table: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """Window sums for every valid anchor on the stride grid.
+def _grid_window_sums(table: np.ndarray, k: int, stride: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Window sums for every valid anchor on the stride grid, into ``out``
+    when given.
 
     Strided basic slicing keeps the four corner grids as views, so this costs
     three elementwise passes over the output grid.
@@ -114,7 +131,7 @@ def _grid_window_sums(table: np.ndarray, k: int, stride: int) -> np.ndarray:
     left = slice(0, w - k + 1, stride)
     bottom = slice(k, h + 1, stride)
     right = slice(k, w + 1, stride)
-    out = np.add(table[bottom, right], table[top, left])
+    out = np.add(table[bottom, right], table[top, left], out=out)
     return np.subtract(out, np.add(table[bottom, left], table[top, right]), out=out)
 
 
@@ -122,17 +139,19 @@ def _grid_shape(h: int, w: int, k: int, stride: int) -> tuple[int, int]:
     return (h - k) // stride + 1, (w - k) // stride + 1
 
 
-def _exact_sum_dtype(plane: np.ndarray, count: int, degree: int = 1) -> type:
+def _exact_sum_dtype(plane: PlaneLike, count: int, degree: int = 1) -> type:
     """Accumulator in which sums of ``count`` terms of ``plane`` are exact.
 
     A term is one sample, or a product of ``degree`` samples. The result is
     uint32 while count * peak^degree < 2^32 for non-negative samples, int64
     while count * peak^degree < 2^63 (peak = max |sample|), and float64 for
-    float planes and past both bounds. The dtype's range decides without
-    reading the samples when it proves uint32, and for dtypes of 16 bits or
-    less; otherwise the plane's min and max decide.
+    float planes and past both bounds. A LumaPlane's bit depth bounds its
+    samples; otherwise the dtype's range decides without reading the samples
+    when it proves uint32, and for dtypes of 16 bits or less, and the
+    plane's min and max decide the rest.
     """
-    if plane.dtype.kind not in "ui":
+    data = plane_data(plane)
+    if data.dtype.kind not in "ui":
         return np.float64
 
     def accumulator(lo: int, hi: int) -> type:
@@ -141,12 +160,14 @@ def _exact_sum_dtype(plane: np.ndarray, count: int, degree: int = 1) -> type:
             return np.uint32
         return np.int64 if count * peak < 1 << 63 else np.float64
 
-    info = np.iinfo(plane.dtype)
+    info = np.iinfo(data.dtype)
+    if isinstance(plane, LumaPlane):
+        return accumulator(0, min(int(info.max), (1 << plane.bit_depth) - 1))
     work = accumulator(int(info.min), int(info.max))
-    if work is np.uint32 or plane.dtype.itemsize <= 2:
+    if work is np.uint32 or data.dtype.itemsize <= 2:
         return work
-    lo = 0 if plane.dtype.kind == "u" else int(plane.min())
-    return accumulator(lo, int(plane.max()))
+    lo = 0 if data.dtype.kind == "u" else int(data.min())
+    return accumulator(lo, int(data.max()))
 
 
 def box_sums(plane: np.ndarray, k: int, stride: int = 1, out: np.ndarray | None = None) -> np.ndarray:
@@ -190,28 +211,45 @@ def _exact_pair(a: np.ndarray, b: np.ndarray, count: int) -> bool:
     return all(_exact_sum_dtype(x, count, degree=2) is not np.float64 for x in (a, b))
 
 
+def _exact_sums(sums, count: int) -> bool:
+    """Whether sums of ``count`` samples of each of the five running-sum
+    planes (I1, I2, I1^2, I2^2, I1*I2 summed over frames) are exact in
+    int64. Float sums are not; uint32 sums are while count * (2^32 - 1) <
+    2^63, which their dtype proves without reading them; int64 sums are
+    bounded by the larger squared sum (|I| <= I^2 for integers, and
+    Cauchy-Schwarz for I1*I2), so only those two planes are read."""
+    dtype = sums[0].dtype
+    if dtype.kind == "f":
+        return False
+    if count * int(np.iinfo(dtype).max) < 1 << 63:
+        return True
+    return all(_exact_sum_dtype(s, count) is not np.float64 for s in sums[2:4])
+
+
 def _pair_terms(a: np.ndarray, b: np.ndarray, integer: bool):
     """The five planes I1, I2, I1^2, I2^2, I1*I2, one at a time.
 
     Integer products are exact in uint32 up to 16-bit unsigned samples and
     in int64 beyond (the caller checks :func:`_exact_pair`); anything else is
-    promoted to float64.
+    read as float64, with no copy of a plane that already is.
     """
     if integer:
         small = all(x.dtype.kind == "u" and x.dtype.itemsize <= 2 for x in (a, b))
         dtype = np.uint32 if small else np.int64
     else:
         dtype = np.float64
-        a, b = a.astype(dtype), b.astype(dtype)
+        a, b = np.asarray(a, dtype), np.asarray(b, dtype)
     yield a
     yield b
     for x, y in ((a, a), (b, b), (a, b)):
         yield np.multiply(x, y, dtype=dtype, casting="unsafe")
 
 
-#: Grid rows per band in the folds below and in ssim.term_maps_from_stats: a
-#: band's planes and scratch stay in cache between passes, instead of each
-#: pass sweeping whole grids.
+#: Grid rows per band: statistics and term maps are formed this many grid
+#: rows at a time (see :func:`banded_statistics`), as are the folds below and
+#: box downsampling's block rows, so a band's planes and scratch stay in
+#: cache between passes and a frame's working set is its result grids plus
+#: one band.
 BAND_ROWS = 64
 
 
@@ -223,9 +261,10 @@ def _row_bands(gh: int, stride: int, k: int):
         yield slice(top, top + BAND_ROWS), slice(top * stride, top * stride + span + k - 1), span
 
 
-def _sliding_weighted_sums(values: np.ndarray, weights: np.ndarray, stride: int) -> np.ndarray:
-    """Direct weighted windowed sums for an arbitrary weight grid: the k^2
-    taps are added in row-major order, band by band of grid rows.
+def _sliding_weighted_sums(values: np.ndarray, weights: np.ndarray, stride: int, out: np.ndarray | None = None):
+    """Direct weighted windowed sums for an arbitrary weight grid, into
+    ``out`` when given: the k^2 taps are added in row-major order, band by
+    band of grid rows.
 
     A uniform grid (a rectangular window's ones, or 1/k^2) scales each band
     of the plane once and adds shifted views of it: every product w * x
@@ -234,7 +273,8 @@ def _sliding_weighted_sums(values: np.ndarray, weights: np.ndarray, stride: int)
     k = weights.shape[0]
     gh, gw = _grid_shape(*values.shape, k, stride)
     cols = (gw - 1) * stride + 1
-    out = np.zeros((gh, gw))
+    out = np.empty((gh, gw)) if out is None else out
+    out.fill(0.0)
     uniform = bool(np.all(weights == weights.flat[0]))
     for rows, src, span in _row_bands(gh, stride, k):
         band = out[rows]
@@ -246,9 +286,10 @@ def _sliding_weighted_sums(values: np.ndarray, weights: np.ndarray, stride: int)
     return out
 
 
-def separable_sums(values: np.ndarray, kern1d: np.ndarray, stride: int = 1) -> np.ndarray:
+def separable_sums(values: np.ndarray, kern1d: np.ndarray, stride: int = 1, out: np.ndarray | None = None):
     """Windowed sums under the separable weights outer(kern1d, kern1d) over
-    the last two axes, on the stride grid of valid anchors.
+    the last two axes, on the stride grid of valid anchors, into ``out``
+    when given.
 
     Band by band of grid rows, a vertical 1-D pass runs on the grid's rows
     only, then a horizontal pass on the grid's columns; each adds its k taps
@@ -259,7 +300,8 @@ def separable_sums(values: np.ndarray, kern1d: np.ndarray, stride: int = 1) -> n
     *lead, h, w = values.shape
     gh, gw = _grid_shape(h, w, k, stride)
     cols = (gw - 1) * stride + 1
-    out = np.zeros((*lead, gh, gw))
+    out = np.empty((*lead, gh, gw)) if out is None else out
+    out.fill(0.0)
     for rows, src, span in _row_bands(gh, stride, k):
         band, plane = out[..., rows, :], values[..., src, :]
         vertical = np.zeros((*lead, band.shape[-2], w))
@@ -285,6 +327,14 @@ class LocalStatsMaps:
     @property
     def grid_shape(self) -> tuple[int, int]:
         return self.mu1.shape
+
+    def bands(self):
+        """(grid rows, (mu1, mu2, var1, var2, cov) of those rows) for each
+        band of BAND_ROWS grid rows, as views."""
+        grids = (self.mu1, self.mu2, self.var1, self.var2, self.cov)
+        for top in range(0, self.grid_shape[0], BAND_ROWS):
+            rows = slice(top, top + BAND_ROWS)
+            yield rows, tuple(g[rows] for g in grids)
 
 
 def stats_from_sums(
@@ -313,39 +363,56 @@ def stats_from_sums(
     return mu1, mu2, var1, var2, cov
 
 
+def _check_fit(dims: tuple[int, int], window: WindowSpec) -> None:
+    h, w = dims
+    if window.k > h or window.k > w:
+        raise WindowLargerThanImage(f"{window.k}x{window.k} window does not fit a {w}x{h} image")
+
+
 def window_statistics(
     terms,
     dims: tuple[int, int],
     window: WindowSpec,
     engine: str = "auto",
     depth: int = 1,
+    out=None,
 ) -> LocalStatsMaps:
     """Local statistics from the five planes I1, I2, I1^2, I2^2, I1*I2.
 
     ``terms`` yields the five ``dims``-shaped planes, summed one at a time;
     they may be sums over ``depth`` frames. An integer plane holds exact
     values, which rectangular windows sum with :func:`box_sums` under
-    ``auto``; a float plane takes the float64 summed-area table.
+    ``auto``; a float plane takes the float64 summed-area table. ``out``,
+    five float64 grids of the window grid's shape, receives the statistics
+    (one reused band of scratch, say); by default they are new grids.
     """
     h, w = dims
     k, stride = window.k, window.stride
-    if k > h or k > w:
-        raise WindowLargerThanImage(f"{k}x{k} window does not fit a {w}x{h} image")
+    _check_fit(dims, window)
     if engine not in ENGINES:
         raise ValidationError(f"unknown engine {engine!r}")
     rect = window.shape == "rect"
     if engine == "naive":
         kern = np.ones((k, k)) if rect else gaussian_kernel(window.sigma, k)
-        sums = [_sliding_weighted_sums(t, kern, stride) for t in terms]
     elif not rect:
         kern1d = gaussian_kernel_1d(window.sigma, k)
-        sums = [separable_sums(t, kern1d, stride) for t in terms]
-    else:
-        sums = [
-            box_sums(t, k, stride, np.empty(_grid_shape(h, w, k, stride)))
-            if t.dtype.kind in "ui" else _grid_window_sums(_sat(t), k, stride)
-            for t in terms
-        ]
+    grid = _grid_shape(h, w, k, stride)
+    if out is not None and [(o.shape, o.dtype) for o in out] != [(grid, np.float64)] * 5:
+        raise ValidationError(f"out needs five float64 grids of shape {grid}")
+
+    def window_sums(t, s):
+        if engine == "naive":
+            return _sliding_weighted_sums(t, kern, stride, out=s)
+        if not rect:
+            return separable_sums(t, kern1d, stride, out=s)
+        if t.dtype.kind in "ui":
+            return box_sums(t, k, stride, out=np.empty(grid) if s is None else s)
+        return _grid_window_sums(_sat(t), k, stride, out=s)
+
+    # New grids are made one at a time, after their term's temporaries: five
+    # made up front would sit below them, so the allocator would hand the
+    # freed temporaries back to the OS and fault them in again every call.
+    sums = [window_sums(t, s) for t, s in zip(terms, [None] * 5 if out is None else out)]
     # A Gaussian kernel sums to 1, so its window covers one sample per frame.
     area = float((k * k if rect else 1) * depth)
     mu1, mu2, var1, var2, cov = stats_from_sums(*sums, area=area)
@@ -354,11 +421,44 @@ def window_statistics(
     )
 
 
+def banded_statistics(compute, dims: tuple[int, int], window: WindowSpec, engine: str, exact: bool):
+    """The window grid's shape over a ``dims`` plane, and an iterator of
+    (grid rows, (mu1, mu2, var1, var2, cov) of those rows) over its bands of
+    BAND_ROWS grid rows.
+
+    ``compute(rows, out)`` returns the LocalStatsMaps of the windows that
+    read input ``rows``, written into ``out``. Each band takes its own input
+    rows (the k - 1 rows below it are read again by the next band) and one
+    reused band of scratch: box sums of ``exact`` planes are exact, and the
+    separable passes and the direct loop add the same taps in the same order
+    per grid row, so every band equals the whole grid's rows bit for bit.
+    A rectangular window under ``auto`` rounds inexact sums over the whole
+    plane (float64 summed-area tables, whose rounding depends on every row
+    above): that grid is computed whole (``rows`` covers the plane, ``out``
+    is None) and handed out band by band.
+    """
+    _check_fit(dims, window)
+    k, stride = window.k, window.stride
+    gh, gw = _grid_shape(*dims, k, stride)
+    if not (exact or window.shape != "rect" or engine == "naive"):
+        return (gh, gw), compute(slice(None), None).bands()
+
+    def bands():
+        scratch = [np.empty((min(BAND_ROWS, gh), gw)) for _ in range(5)]
+        for rows, src, _ in _row_bands(gh, stride, k):
+            n = min(BAND_ROWS, gh - rows.start)
+            stats = compute(src, [s[:n] for s in scratch])
+            yield rows, (stats.mu1, stats.mu2, stats.var1, stats.var2, stats.cov)
+
+    return (gh, gw), bands()
+
+
 def local_statistics(
     ref: PlaneLike,
     dist: PlaneLike,
     window: WindowSpec,
     engine: str = "auto",
+    out=None,
 ) -> LocalStatsMaps:
     """Windowed local statistics of a frame pair under a window spec.
 
@@ -366,8 +466,10 @@ def local_statistics(
     loop, any shape) or ``auto`` (exact box sums or summed-area tables for
     rectangular windows, two separable 1-D passes for Gaussian ones).
     Rectangular routes produce the same grids; the Gaussian passes round
-    differently from the direct loop, within 1e-12 relative.
+    differently from the direct loop, within 1e-12 relative. ``out`` is as
+    for :func:`window_statistics`.
     """
     ref, dist = validate_frame_pair(ref, dist)
     a, b = plane_data(ref), plane_data(dist)
-    return window_statistics(_pair_terms(a, b, _exact_pair(a, b, window.k**2)), a.shape, window, engine)
+    terms = _pair_terms(a, b, _exact_pair(a, b, window.k**2))
+    return window_statistics(terms, a.shape, window, engine, out=out)

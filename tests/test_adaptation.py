@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssimkit import adaptation
 from ssimkit.adaptation import (
     HistogramMatcher,
     ProductPredictor,
@@ -22,7 +23,7 @@ from ssimkit.adaptation import (
 from ssimkit.config import ScalePolicy
 from ssimkit.errors import NoReferenceYet, ValidationError
 from ssimkit.frames import LumaPlane
-from ssimkit.stats import _exact_sum_dtype
+from ssimkit.stats import BAND_ROWS, _exact_sum_dtype
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -102,6 +103,17 @@ class TestScaleFactors:
         assert policy_factor(ScalePolicy.enhanced_dh(1e-9), 3840, 2160) == 3840
         assert policy_factor(ScalePolicy("dh", d_over_h=1e-300, rounding="ceil"), 64, 48) == 64
         assert policy_factor(ScalePolicy.sast(distance=1e-300), 64, 48) == 64
+
+    def test_two_tiny_view_angles_clamp_like_one(self):
+        # 4 tan(th/2) tan(tw/2) underflows to 0 here; one square root per side does not.
+        assert policy_factor(ScalePolicy.sast(3000.0, 1e-300, 1e-300), 64, 48) == 64
+        assert policy_factor(ScalePolicy.sast(3000.0, 1e-300, 40.0), 64, 48) == 64
+        assert sast_factor(48, 64, 3000.0, 1e-300, 1e-300) > 1e290
+
+    def test_angle_whose_tangent_underflows_is_a_validation_error(self):
+        # 5e-324 degrees is 0 radians: no factor can be formed from it.
+        with pytest.raises(ValidationError, match="too small"):
+            policy_factor(ScalePolicy.sast(3000.0, 5e-324, 40.0), 64, 48)
 
     @pytest.mark.parametrize("fn, args", [
         (enhanced_scale_factor, (1920, 1080, math.nan)),
@@ -217,7 +229,7 @@ class TestBoxDownsample:
 
     def test_peak_memory_below_a_quarter_of_a_float64_copy(self, rng):
         # The 2160p plane the enhanced preset downsamples by 8; a float64
-        # copy of it alone is 63 MiB.
+        # copy of it alone is 63 MiB, its 270 block rows in uint32 4 MiB.
         plane = LumaPlane(rng.integers(0, 256, (2160, 3840), dtype=np.uint8))
         tracemalloc.start()
         try:
@@ -227,6 +239,30 @@ class TestBoxDownsample:
             tracemalloc.stop()
         assert out.samples.shape == (270, 480)
         assert peak < plane.samples.size * 8 / 4
+        # The output plane plus one band of block rows, counted as float64.
+        assert peak <= out.samples.nbytes + BAND_ROWS * plane.width * 8
+
+    @pytest.mark.parametrize("kind", ["u8", "u10", "f64"])
+    @pytest.mark.parametrize("factor, shape", [
+        (2, (2 * BAND_ROWS * 2 + 3, 37)),  # two bands and a partial third of block rows
+        (3, (BAND_ROWS * 3 - 1, 50)),  # one band, its last block partial
+        (8, (BAND_ROWS * 8 + 9, 41)),  # a band edge, then two block rows
+        (8, (BAND_ROWS * 8 * 2 + 8, 16)),  # a band of one block row after two full ones
+        (300, (5, 700)),  # a factor taller than the frame
+        (50, (3, 2)),  # a factor past both sides: the whole-frame mean
+    ])
+    def test_bands_equal_one_band(self, monkeypatch, rng, kind, factor, shape):
+        if kind == "f64":
+            arr = rng.uniform(0.0, 255.0, shape)
+        else:
+            arr = rng.integers(0, 256 if kind == "u8" else 1024, shape).astype(np.uint8 if kind == "u8" else np.uint16)
+        banded = box_downsample(arr, factor)
+        with monkeypatch.context() as patch:
+            patch.setattr(adaptation, "BAND_ROWS", 10**9)
+            whole = box_downsample(arr, factor)
+        assert banded.dtype == whole.dtype == np.float64
+        assert banded.shape == whole.shape == (-(-shape[0] // factor), -(-shape[1] // factor))
+        assert banded.tobytes() == whole.tobytes()
 
 
 class TestScaledPrediction:

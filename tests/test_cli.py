@@ -420,6 +420,21 @@ class TestNumericSlots:
             assert result.output.startswith("error: ")
 
     @pytest.mark.parametrize("flag", ["--k1", "--k2"])
+    def test_constant_that_overflows_exits_2(self, runner, clip, flag):
+        result = runner.invoke(main, ["score", *clip, flag, "1e200"])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ") and "overflow" in result.output
+        assert "Traceback" not in result.output
+
+    def test_two_tiny_view_angles_exit_2_from_the_scorer(self, runner, clip):
+        # Both angles clamp the factor to 64, as one does; the 1x1 frame fits no window.
+        with time_limit(30):
+            result = runner.invoke(main, ["score", *clip, "--scale", "sast:D=3000,th=1e-300,tw=1e-300"])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ") and "window does not fit" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("flag", ["--k1", "--k2"])
     def test_non_finite_constant_is_rejected_before_any_file_is_opened(self, runner, tmp_path, flag):
         result = runner.invoke(main, ["score", str(tmp_path / "no.y4m"), str(tmp_path / "pe.y4m"), flag, "nan"])
         assert result.exit_code == 2

@@ -2,7 +2,9 @@ import dataclasses
 import inspect
 import json
 import math
+import sys
 
+import numpy as np
 import pytest
 
 import ssimkit
@@ -21,6 +23,7 @@ from ssimkit.config import (
 )
 from ssimkit.errors import SsimkitError, ValidationError
 from ssimkit.pooling import SpatialPooler, TemporalPooler, parse_spatial, parse_temporal
+from ssimkit.ssim import ssim_map
 
 
 def test_every_export_resolves():
@@ -171,3 +174,28 @@ def test_window_sigma_and_constants_reject_non_finite_values(bad):
         if name != "window":
             with pytest.raises(ValidationError):
                 SsimConfig(**{name: bad})
+
+
+#: The largest k whose constant (k * 65535)^2, at the widest peak
+#: ``for_bit_depth`` gives, is still a finite float.
+K_BOUND = math.sqrt(sys.float_info.max) / 65535.0
+
+
+@pytest.mark.parametrize("name", ["k1", "k2"])
+@pytest.mark.parametrize("value", [1e200, 1e308, K_BOUND * 1.001])
+def test_constants_that_overflow_are_rejected(name, value):
+    with pytest.raises(ValidationError, match="overflow"):
+        SsimConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["k1", "k2"])
+def test_constants_just_inside_the_bound_give_finite_maps(name):
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, 65536, (16, 16)).astype(np.uint16)
+    b = rng.integers(0, 65536, (16, 16)).astype(np.uint16)
+    for bits in (8, 16):
+        config = SsimConfig(**{name: K_BOUND * 0.999}, bit_depth=bits)
+        assert math.isfinite(config.c1) and math.isfinite(config.c2)
+        maps = ssim_map(a if bits == 16 else a >> 8, b if bits == 16 else b >> 8, config)
+        for m in (maps.l_map, maps.cs_map, maps.q_map):
+            assert np.isfinite(m.values).all()

@@ -105,7 +105,7 @@ class TestRollingSums:
         for _ in range(40):
             vol.push(random_plane(rng, 9, 11, bits), random_plane(rng, 9, 11, bits))
             for rolled, direct in zip(vol.temporal_sums(), vol.direct_sums()):
-                assert rolled.dtype == np.int64
+                assert rolled.dtype == np.uint32  # 3 * 1023^2 < 2^32
                 assert np.array_equal(rolled, direct)
 
     def test_float_frame_turns_integer_sums_float(self, rng):
@@ -122,7 +122,7 @@ class TestRollingSums:
         vol = RollingVolume(2)
         small = [rng.integers(0, 256, (10, 11)).astype(np.uint32) for _ in range(2)]
         vol.push(*small)
-        assert vol.temporal_sums()[0].dtype == np.int64
+        assert vol.temporal_sums()[0].dtype == np.uint32  # 2 * 255^2 < 2^32
         # 2 * (2^32 - 1)^2 >= 2^63: int64 running sums of these products wrap.
         wide = [rng.integers(0, 2**32, (10, 11)).astype(np.uint32) for _ in range(2)]
         wide[0][0, 0] = 2**32 - 1
@@ -139,6 +139,27 @@ class TestRollingSums:
             assert stats.mu1[i, j] == pytest.approx(mu1, rel=1e-12)
             assert stats.var1[i, j] == pytest.approx((wa * wa).mean() - mu1 * mu1, rel=1e-9)
             assert stats.cov[i, j] == pytest.approx((wa * wb).mean() - mu1 * mu2, rel=1e-9)
+
+    @pytest.mark.parametrize("bits, dtype", [(8, np.uint32), (10, np.uint32), (16, np.int64)])
+    def test_sums_take_the_narrowest_exact_accumulator(self, rng, bits, dtype):
+        # kt * peak^2: 5 * 1023^2 < 2^32 <= 5 * 65535^2 < 2^63. The plane's
+        # bit depth bounds its uint16 samples.
+        vol = RollingVolume(5)
+        for _ in range(7):
+            vol.push(random_plane(rng, 9, 11, bits), random_plane(rng, 9, 11, bits))
+            for rolled, direct in zip(vol.temporal_sums(), vol.direct_sums()):
+                assert rolled.dtype == direct.dtype == dtype
+                assert np.array_equal(rolled, direct)
+
+    def test_wider_frame_widens_the_sums(self, rng):
+        vol = RollingVolume(3)
+        first = [random_plane(rng, 9, 11, 10) for _ in range(4)]
+        vol.push(*first[:2]).push(*first[2:])
+        assert vol.temporal_sums()[0].dtype == np.uint32
+        vol.push(random_plane(rng, 9, 11, 16), random_plane(rng, 9, 11, 16))
+        for rolled, direct in zip(vol.temporal_sums(), vol.direct_sums()):
+            assert rolled.dtype == np.int64
+            assert np.array_equal(rolled, direct)
 
     def test_dimension_mismatch(self, rng):
         vol = RollingVolume(2)

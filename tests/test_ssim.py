@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssimkit import pipeline, ssim
 from ssimkit.adaptation import box_downsample, policy_factor
 from ssimkit.config import MultiscaleSpec, ScalePolicy, SsimConfig, WindowSpec
 from ssimkit.errors import EmptyMap
@@ -17,6 +19,7 @@ from ssimkit.pipeline import PipelineSpec, run_score, score_frame_pair
 from ssimkit.pooling import pool_spatial
 from ssimkit.spatiotemporal import msssim3d, ssim3d_series
 from ssimkit.ssim import mssim, ssim_map, ssim_score
+from ssimkit.stats import local_statistics
 
 from helpers import natural_plane, noisy_version, random_plane
 
@@ -273,3 +276,40 @@ class TestOneRuler:
                 write_y4m(ref, [frames[0]], header)
                 write_y4m(dist, [frames[1]], header)
                 assert run_score(ref, dist, spec)["records"][0]["score"] == want
+
+
+class TestWorkingSet:
+    def test_frame_pair_peak_is_its_three_maps_and_a_band(self, rng):
+        # The l, cs and q grids take 2.95 float64 planes of a 1080p pair;
+        # whole statistics grids (five more) do not fit under 3.5.
+        shape = (1080, 1920)
+        a = LumaPlane(rng.integers(0, 256, shape, dtype=np.uint8))
+        b = LumaPlane(rng.integers(0, 256, shape, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            score_frame_pair(a, b, SsimConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * shape[0] * shape[1] * 8
+
+    def test_local_means_are_kept_only_when_asked_for(self, rng):
+        a, b = random_plane(rng, 150, 40), random_plane(rng, 150, 40)
+        config = SsimConfig(spatial_pool="lw:a=20,b=40")
+        assert ssim_map(a, b, config).mu1 is None
+        maps = ssim._frame_term_maps(a, b, config, keep_mu1=True)
+        assert maps.mu1.tobytes() == local_statistics(a, b, config.window).mu1.tobytes()
+
+    @pytest.mark.parametrize("pool, kept", [("am", False), ("cov", False), ("lw:a=20,b=40", True)])
+    def test_the_pipeline_keeps_local_means_for_the_pooler_that_reads_them(self, monkeypatch, rng, pool, kept):
+        seen = []
+
+        def recording(*args):
+            maps = ssim._frame_term_maps(*args)
+            seen.append(maps.mu1 is not None)
+            return maps
+
+        monkeypatch.setattr(pipeline, "_frame_term_maps", recording)
+        a, b = random_plane(rng, 150, 40), random_plane(rng, 150, 40)
+        score_frame_pair(a, b, SsimConfig(spatial_pool=pool))
+        assert seen == [kept]

@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssimkit import ssim, stats
 from ssimkit.color import qssim
-from ssimkit.config import ENGINES, ColorModelSpec, SsimConfig, WindowSpec
+from ssimkit.config import ENGINES, ColorModelSpec, MultiscaleSpec, SsimConfig, WindowSpec
 from ssimkit.errors import (
     NonPositiveSigma,
     ValidationError,
     WindowLargerThanImage,
 )
 from ssimkit.frames import LumaPlane
+from ssimkit.multiscale import dyadic_downsample, scale_scores
 from ssimkit.spatiotemporal import RollingVolume
 from ssimkit.stats import (
     _exact_sum_dtype,
+    _exact_sums,
     _grid_shape,
     _grid_window_sums,
     _pair_terms,
@@ -532,3 +535,149 @@ class TestLocalStatistics:
             stats = local_statistics(a, b, WindowSpec.rectangular(3), "auto")
             assert stats.var1.min() >= 0.0
             assert stats.var2.min() >= 0.0
+
+
+#: One band of the statistics and term-map loops.
+BAND = stats.BAND_ROWS
+
+
+def one_band(monkeypatch, call):
+    """``call()`` with a band taller than any grid: the whole-grid oracle."""
+    with monkeypatch.context() as patch:
+        patch.setattr(stats, "BAND_ROWS", 10**9)
+        return call()
+
+
+def map_bytes(maps):
+    grids = [maps.l_map.values, maps.cs_map.values, maps.q_map.values]
+    return [g.tobytes() for g in grids + ([] if maps.mu1 is None else [maps.mu1])]
+
+
+#: Plane kinds of the band-edge cases: (make plane, bit depth).
+BAND_PLANES = {
+    "u8": (lambda rng, shape: rng.integers(0, 256, shape, dtype=np.uint8), 8),
+    "u10": (lambda rng, shape: rng.integers(0, 1024, shape, dtype=np.uint16), 10),
+    "f64": (lambda rng, shape: rng.uniform(0.0, 255.0, shape), 8),
+}
+
+
+class TestBandEdges:
+    """Banded statistics and term maps equal the one-band computation byte
+    for byte, at grid heights on either side of a band edge."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("grid_rows", [BAND - 1, BAND, BAND + 1, 2 * BAND + 1])
+    def test_frame_maps_equal_one_band(self, monkeypatch, grid_rows, stride):
+        rng = np.random.default_rng(grid_rows * 10 + stride)
+        windows = [WindowSpec.rectangular(k, stride) for k in (1, 7, 11, BAND + 6)]
+        windows.append(WindowSpec.gaussian(1.5, stride=stride))
+        calls = []
+        counted = stats.local_statistics
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(ssim, "local_statistics", counting)
+        for window in windows:
+            shape = ((grid_rows - 1) * stride + window.k, 2 * stride + window.k)
+            for kind, (make, bits) in BAND_PLANES.items():
+                a, b = make(rng, shape), make(rng, shape)
+                for engine in ENGINES:
+                    if engine == "naive" and window.k > BAND and stride > 1:
+                        continue  # k^2 taps a band; stride 1 covers this route
+                    cfg = SsimConfig(bit_depth=bits, window=window, engine=engine)
+                    calls.clear()
+                    banded = ssim._frame_term_maps(a, b, cfg, keep_mu1=True)
+                    bands = len(calls)
+                    whole = one_band(monkeypatch, lambda: ssim._frame_term_maps(a, b, cfg, keep_mu1=True))
+                    assert map_bytes(banded) == map_bytes(whole), (window, kind, engine)
+                    summed_area = kind == "f64" and engine == "auto" and window.shape == "rect"
+                    assert bands == (1 if summed_area else -(-grid_rows // BAND))
+
+    def test_out_must_be_five_float64_grids_of_the_window_grid(self, rng):
+        a, b = random_plane(rng, 20, 30), random_plane(rng, 20, 30)
+        window = WindowSpec.rectangular(7, 2)
+        want = local_statistics(a, b, window)
+        out = [np.empty((7, 12)) for _ in range(5)]
+        got = local_statistics(a, b, window, out=out)
+        assert all(g is o for g, o in zip((got.mu1, got.mu2, got.var1, got.var2, got.cov), out))
+        assert got.cov.tobytes() == want.cov.tobytes()
+        for bad in ([np.empty((7, 11))] * 5, [np.empty((7, 12), np.float32)] * 5, out[:4]):
+            with pytest.raises(ValidationError):
+                local_statistics(a, b, window, out=bad)
+
+    @pytest.mark.parametrize("kt", [1, 3, 5])
+    @pytest.mark.parametrize("grid_rows", [BAND - 1, BAND, BAND + 1, 2 * BAND + 1])
+    def test_volume_maps_equal_one_band(self, monkeypatch, kt, grid_rows):
+        rng = np.random.default_rng(grid_rows * 10 + kt)
+        windows = [WindowSpec.rectangular(7), WindowSpec.rectangular(11, 3), WindowSpec.rectangular(BAND + 6)]
+        vols = {w: RollingVolume(kt) for w in windows}
+        for t in range(kt + 2):
+            for window, vol in vols.items():
+                shape = ((grid_rows - 1) * window.stride + window.k, window.k + 9)
+                if t == kt:  # a float frame turns the running sums float64 for good
+                    a, b = (LumaPlane(rng.uniform(0.0, 1023.0, shape), 10) for _ in range(2))
+                else:
+                    a, b = (LumaPlane(rng.integers(0, 1024, shape, dtype=np.uint16), 10) for _ in range(2))
+                vol.push(a, b)
+                assert vol.temporal_sums()[0].dtype == (np.uint32 if t < kt else np.float64)
+                for engine in ENGINES:  # volumes sum under auto whatever the config says
+                    cfg = SsimConfig(bit_depth=10, window=window, engine=engine)
+                    banded = ssim._volume_term_maps(vol, cfg, keep_mu1=True)
+                    whole = one_band(monkeypatch, lambda: ssim._volume_term_maps(vol, cfg, keep_mu1=True))
+                    assert map_bytes(banded) == map_bytes(whole), (window, t, engine)
+                stats_whole = vol.local_statistics(window)
+                assert banded.mu1.tobytes() == stats_whole.mu1.tobytes()
+
+    def test_16_bit_volume_maps_equal_one_band(self, monkeypatch, rng):
+        window = WindowSpec.rectangular(7, 2)
+        shape = (2 * BAND * 2 + window.k, 20)
+        vol = RollingVolume(3)
+        for _ in range(4):
+            vol.push(*(LumaPlane(rng.integers(0, 65536, shape, dtype=np.uint16), 16) for _ in range(2)))
+        assert vol.temporal_sums()[0].dtype == np.int64
+        cfg = SsimConfig(bit_depth=16, window=window)
+        banded = ssim._volume_term_maps(vol, cfg, keep_mu1=True)
+        assert map_bytes(banded) == map_bytes(one_band(monkeypatch, lambda: ssim._volume_term_maps(vol, cfg, keep_mu1=True)))
+
+    def test_multiscale_volume_scores_equal_whole_statistics(self, monkeypatch, rng):
+        # Level 0 has 2 * BAND + 1 grid rows, level 1 BAND - 2.
+        window = WindowSpec.rectangular(7)
+        cfg = SsimConfig(bit_depth=10, window=window, multiscale=MultiscaleSpec.product(2, (0.4, 0.6)))
+        shape = (2 * BAND + window.k, 30)
+        frames = [[LumaPlane(rng.integers(0, 1024, shape, dtype=np.uint16), 10) for _ in range(2)] for _ in range(4)]
+        counted = RollingVolume.local_statistics
+        calls = []
+
+        def counting(vol, *args, **kwargs):
+            calls.append(None)
+            return counted(vol, *args, **kwargs)
+
+        banded, whole = [RollingVolume(3), RollingVolume(3)], [RollingVolume(3), RollingVolume(3)]
+        for a, b in frames:
+            with monkeypatch.context() as patch:
+                patch.setattr(RollingVolume, "local_statistics", counting)
+                calls.clear()
+                got = scale_scores(a, b, cfg, banded)
+                assert len(calls) == 3 + 1  # bands of each level
+            want = []
+            for level, vol in enumerate(whole):
+                if level:
+                    a, b = dyadic_downsample(a), dyadic_downsample(b)
+                maps = ssim.term_maps_from_stats(vol.push(a, b).local_statistics(window), cfg.c1, cfg.c2)
+                want.append(ssim.mssim(maps.q_map if level else maps.cs_map))
+            assert got == want
+
+    def test_exact_volume_sums_need_reads_only_past_uint32(self, monkeypatch):
+        def unread(*args, **kwargs):
+            raise AssertionError("read a running-sum plane")
+
+        monkeypatch.setattr(stats, "_exact_sum_dtype", unread)
+        assert stats._exact_sums([np.zeros((4, 4), np.uint32)] * 5, 2**30)
+        assert not stats._exact_sums([np.zeros((4, 4))] * 5, 1)
+        monkeypatch.undo()
+        squares = np.full((4, 4), 2**40, dtype=np.int64)
+        sums = [np.zeros((4, 4), np.int64), np.zeros((4, 4), np.int64), squares, squares, -squares]
+        assert _exact_sums(sums, 2**22)
+        assert not _exact_sums(sums, 2**23)
