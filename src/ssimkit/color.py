@@ -106,8 +106,14 @@ def luma_of(frame: Union[LumaPlane, ColorFrame]) -> LumaPlane:
     if frame.space == SPACE_YCBCR:
         return LumaPlane(frame.channels[0], frame.bit_depth)
     if frame.space == SPACE_RGB:
-        r, g, b = (np.asarray(c, dtype=np.float64) for c in frame.channels)
-        return LumaPlane(_KR * r + _KG * g + _KB * b, frame.bit_depth)
+        # (Kr r + Kg g) + Kb b, each channel read as float64 by its multiply
+        # (exactly, as a float64 copy would be), into one read-only plane.
+        r, g, b = frame.channels
+        luma = np.multiply(r, _KR, dtype=np.float64)
+        luma += np.multiply(g, _KG, dtype=np.float64)
+        luma += np.multiply(b, _KB, dtype=np.float64)
+        luma.setflags(write=False)  # LumaPlane keeps a read-only array without a copy
+        return LumaPlane(luma, frame.bit_depth)
     raise WrongSpace(f"no luminance definition for {frame.space} frames")
 
 
@@ -321,7 +327,10 @@ def hue_plane(frame: ColorFrame) -> LumaPlane:
         ),
     )
     hue *= 60.0
-    return LumaPlane(hue / 360.0 * frame.peak, frame.bit_depth)
+    hue /= 360.0
+    hue *= frame.peak
+    hue.setflags(write=False)  # LumaPlane keeps a read-only array without a copy
+    return LumaPlane(hue, frame.bit_depth)
 
 
 def hssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) -> float:

@@ -41,6 +41,7 @@ def dyadic_downsample(plane: PlaneLike) -> PlaneLike:
     first = arr[0::2, 0::2].astype(_exact_sum_dtype(arr, 4), copy=False)
     pooled = (((first + arr[0::2, 1::2]) + arr[1::2, 0::2]) + arr[1::2, 1::2]) / 4.0
     if isinstance(plane, LumaPlane):
+        pooled.setflags(write=False)  # LumaPlane keeps a read-only array without a copy
         return LumaPlane(pooled, plane.bit_depth)
     return pooled
 

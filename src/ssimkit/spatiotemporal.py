@@ -2,7 +2,9 @@
 
 Local statistics extend to a temporal depth of Kt frames. Keeping rolling
 per-pixel sums of the last Kt frames (subtract the frame leaving the window,
-add the one entering) makes the per-frame cost independent of Kt. The
+add the one entering) makes the per-frame cost independent of Kt. A push
+updates the five running sums BAND_ROWS rows at a time, so the products of
+the entering and leaving frames take band-sized temporaries. The
 running sums go through the same :func:`~ssimkit.stats.window_statistics`
 as a frame pair's planes, so spatial sums take the same routes, band by band
 of grid rows as for frames (:func:`ssim3d_map`). Integer frames keep exact
@@ -11,7 +13,7 @@ running sums, which never drift, in the accumulator
 while Kt * peak^2 < 2^32 (8- and 10-bit frames at any practical Kt; a
 LumaPlane's bit depth gives the peak), where the subtract/add recursion
 wraps and comes back in range, and int64 beyond (16-bit frames at Kt >= 2).
-Their spatial window sums come from the exact separable
+Their spatial window sums come from the exact doubling passes of
 :func:`~ssimkit.stats.box_sums`. Once a float frame arrives, or an integer
 frame whose running sums could pass int64 (Kt * max|sample|^2 >= 2^63), the
 sums turn float64 for good, and spatial sums come from float64 summed-area
@@ -38,7 +40,7 @@ from .frames import PlaneLike, ScoreSeries, paired_frames, plane_data, validate_
 from .multiscale import dyadic_downsample, msssim  # noqa: F401  (perfbench traces dyadic_downsample here)
 from .ssim import SsimTermMaps, _volume_term_maps, frame_config, mssim
 from .ssim import term_maps_from_stats  # noqa: F401  (perfbench traces this binding)
-from .stats import LocalStatsMaps, _exact_sum_dtype, _pair_terms, window_statistics
+from .stats import BAND_ROWS, LocalStatsMaps, _exact_sum_dtype, _pair_terms, window_statistics
 
 #: Rolling sums are rebuilt from the buffered frames this often, bounding
 #: floating-point drift from the subtract/add recursion.
@@ -86,18 +88,27 @@ class RollingVolume:
         if self._sums is not None and dtype != self._sums[0].dtype:
             self._sums = [s.astype(dtype) for s in self._sums]
         exact = dtype != np.float64
-        terms = _pair_terms(a, b, exact)
-        if self._sums is None or self.kt == 1:
-            # Kt = 1 degenerates to the newest frame exactly; no recursion.
-            self._sums = [np.array(t, dtype=dtype) for t in terms]
-        elif len(self._buffer) == self.kt:
-            # T(k) = T(k-1) - I(k-Kt) + I(k), per plane; exact sums wrap
-            # through their accumulator's modulus and come back in range.
-            for s, new, old in zip(self._sums, terms, _pair_terms(*self._buffer[0], exact)):
-                np.subtract(s, old, out=s, casting="unsafe")
-                np.add(s, new, out=s, casting="unsafe")
-        else:
-            for s, new in zip(self._sums, terms):
+        replace = self._sums is None or self.kt == 1  # Kt = 1 is the newest frame exactly; no recursion
+        if self._sums is None:
+            self._sums = [np.empty(a.shape, dtype) for _ in range(5)]
+        full = len(self._buffer) == self.kt
+        # Band by band, so the products of the entering and leaving frames
+        # take band-sized temporaries, never whole planes.
+        for top in range(0, a.shape[0], BAND_ROWS):
+            rows = slice(top, top + BAND_ROWS)
+            sums = [s[rows] for s in self._sums]
+            entering = _pair_terms(a[rows], b[rows], exact)
+            if replace:
+                for s, new in zip(sums, entering):
+                    np.copyto(s, new, casting="unsafe")
+                continue
+            if full:
+                # T(k) = T(k-1) - I(k-Kt) + I(k), per plane; exact sums wrap
+                # through their accumulator's modulus and come back in range.
+                leaving = _pair_terms(*(x[rows] for x in self._buffer[0]), exact)
+                for s, old in zip(sums, leaving):
+                    np.subtract(s, old, out=s, casting="unsafe")
+            for s, new in zip(sums, entering):
                 np.add(s, new, out=s, casting="unsafe")
         if len(self._buffer) == self.kt:
             self._buffer.popleft()
@@ -121,14 +132,17 @@ class RollingVolume:
             raise ValidationError("no frames buffered")
         return list(self._sums)
 
-    def local_statistics(self, window: WindowSpec, rows: slice = slice(None), out=None) -> LocalStatsMaps:
+    def local_statistics(
+        self, window: WindowSpec, rows: slice = slice(None), out=None, scratch: Optional[list] = None,
+    ) -> LocalStatsMaps:
         """Spatio-temporal local statistics over k x k x depth neighborhoods,
         of the windows that read input ``rows`` (all by default), written
-        into ``out`` as in :func:`~ssimkit.stats.window_statistics`."""
+        into ``out`` with ``scratch`` as in
+        :func:`~ssimkit.stats.window_statistics`."""
         if window.shape != "rect":
             raise GaussianNotSupported3D("3-D statistics support rectangular windows only")
         sums = [s[rows] for s in self.temporal_sums()]
-        return window_statistics(sums, sums[0].shape, window, depth=self.depth, out=out)
+        return window_statistics(sums, sums[0].shape, window, depth=self.depth, out=out, scratch=scratch)
 
 
 def ssim3d_map(vol: RollingVolume, config: SsimConfig = SsimConfig()) -> SsimTermMaps:

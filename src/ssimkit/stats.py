@@ -31,19 +31,24 @@ on every row above: float64 summed-area tables.
 
 Under ``auto`` the rectangular route follows each plane's dtype, the one
 record of whether its values are exact. Integer planes go through
-:func:`box_sums`: two separable passes (a row-wise cumulative sum and its
-k-apart difference, then a running-row recurrence down the columns) in
-wrapping uint32 arithmetic. Modular differences are exact whenever the
-largest true window sum fits in 32 bits, e.g. k^2 * peak^2 < 2^32 for the
-product planes (k <= 257 at 8 bits, k <= 64 at 10 bits); past that bound
-the same passes run in int64. The sums are exact integers either way, so
-the grids equal the direct engine's bit for bit. Float planes (converted
-colour, pyramid levels, box-downsampled frames) keep float64 summed-area
-tables with the four-corner rule, whose rounding the published scores
-depend on. The direct loop and the Gaussian passes read integer planes as
-they are, with no float64 copy: each sample converts to float64 exactly
-before its first multiply, so their grids equal those of float64 copies
-bit for bit.
+:func:`box_sums`: power-of-two doubling along the band's flattened rows,
+then down its columns, log2 k + popcount k - 1 contiguous adds per axis (5
+at k=11), with no scan and no loop over rows. Every partial sum is part of
+a window sum, so uint32 holds them exactly whenever the largest true window
+sum fits in 32 bits, e.g. k^2 * peak^2 < 2^32 for the product planes
+(k <= 257 at 8 bits, k <= 64 at 10 bits); past that bound the same passes
+run in int64. The sums are exact integers either way, so the grids equal
+the direct engine's bit for bit, and they are divided straight into the
+float64 means. Doubling's cost grows with log2 k where a cumulative-sum
+scan's does not: on a 64-row band of a 1080p plane doubling was the faster
+up to k=32 (k=11: 0.38 against 0.75 ms) and the slower from k=63 (k=255:
+4.71 against 2.59 ms). No preset uses k > 11, so it is the one route.
+Float planes (converted colour, pyramid levels, box-downsampled frames) keep
+float64 summed-area tables with the four-corner rule, whose rounding the
+published scores depend on. The direct loop and the Gaussian passes read
+integer planes as they are, with no float64 copy: each sample converts to
+float64 exactly before its first multiply, so their grids equal those of
+float64 copies bit for bit.
 
 One rule picks every exact integer accumulator in the package
 (:func:`_exact_sum_dtype`, used by :func:`box_sums` and by the box and
@@ -170,39 +175,81 @@ def _exact_sum_dtype(plane: PlaneLike, count: int, degree: int = 1) -> type:
     return accumulator(lo, int(data.max()))
 
 
-def box_sums(plane: np.ndarray, k: int, stride: int = 1, out: np.ndarray | None = None) -> np.ndarray:
+def _work_buffers(scratch: list, count: int, dtype, parts: int = 2) -> list[np.ndarray]:
+    """``parts`` flat ``dtype`` buffers of ``count`` elements, carved from
+    the one byte buffer ``scratch`` holds (replaced by a larger one when too
+    small), so later calls with the same list reuse its memory."""
+    size = count * np.dtype(dtype).itemsize
+    if not scratch or scratch[0].size < parts * size:
+        scratch[:] = [np.empty(parts * size, np.uint8)]
+    return [scratch[0][i * size : (i + 1) * size].view(dtype) for i in range(parts)]
+
+
+def _run_sums(bufs: list[np.ndarray], i: int, n: int, k: int, step: int) -> tuple[int, int]:
+    """Sums of k terms ``step`` apart along the first ``n`` elements x of
+    the flat buffer ``bufs[i]``, y[j] = x[j] + x[j + step] + ... +
+    x[j + (k-1) step], as (index of the buffer holding y, its length
+    n - (k-1) step). Both buffers are overwritten.
+
+    Power-of-two doubling: sums of 2p terms are two sums of p terms p steps
+    apart, and y adds the sums whose widths are the set bits of k, lowest
+    first, each shifted past the terms already covered. That is
+    log2 k + popcount k - 1 contiguous adds, each over the whole array. A
+    doubling runs in place (its reads run ahead of its writes) unless its
+    sums are also y's, which then keep the other buffer.
+    """
+    pi, ti, width, done = i, None, 1, 0
+    while True:
+        if k & width:
+            if ti is None:
+                ti = pi
+            else:
+                m = n - (done + width - 1) * step
+                np.add(bufs[ti][:m], bufs[pi][done * step : done * step + m], out=bufs[ti][:m])
+            done += width
+            if done == k:
+                return ti, n - (k - 1) * step
+        dst = pi if pi != ti else 1 - pi
+        m = n - (2 * width - 1) * step
+        np.add(bufs[pi][:m], bufs[pi][width * step : width * step + m], out=bufs[dst][:m])
+        pi, width = dst, 2 * width
+
+
+def box_sums(
+    plane: np.ndarray, k: int, stride: int = 1, out: np.ndarray | None = None, scratch: list | None = None,
+) -> np.ndarray:
     """Exact k x k window sums of an integer plane on the stride grid.
 
-    A horizontal pass takes each row's cumulative sum and its k-apart
-    difference h (at the grid's columns only); a vertical pass runs
-    v[i] = v[i-1] - h[i-1] + h[i+k-1] down the rows in place. Both run in
-    the accumulator :func:`_exact_sum_dtype` picks for k^2 samples: wrapping
-    uint32 while the largest possible window sum fits in 32 bits, int64
-    beyond, and float64 (no longer exact) only past int64. The sums are
-    written into ``out`` when given (any dtype that holds them, e.g.
-    float64), else returned in the working dtype.
+    Two passes of power-of-two doubling (:func:`_run_sums`) over a copy of
+    the plane's flattened rows: one along each row, then one down the
+    columns, reading row sums a row's pitch apart; sums that would run off
+    the end of a row land in columns no window reads. Each pass is
+    log2 k + popcount k - 1 contiguous adds (5 at k=11), with no scan and
+    no loop over rows. Both run in the accumulator :func:`_exact_sum_dtype`
+    picks for k^2 samples: uint32 while the largest possible window sum
+    fits in 32 bits, int64 beyond, and float64 (no longer exact) only past
+    int64. The sums are written into ``out`` when given (any dtype that
+    holds them, e.g. float64); else they are returned in the working dtype,
+    as a view into ``scratch`` (a list whose buffers later calls reuse) when
+    given, which stays valid until its next use, or as a new array.
     """
     h, w = plane.shape
     gw = _grid_shape(h, w, k, stride)[1]
-    work = _exact_sum_dtype(plane, k * k)
-    cum = np.empty((h, w + 1), dtype=work)
-    cum[:, 0] = 0
-    np.cumsum(plane, axis=1, dtype=work, out=cum[:, 1:])
-    span = (gw - 1) * stride + 1
-    # h[j] sits in row j + 1, so v[i] can overwrite h[i-1], its last use.
-    rows = np.empty((h + 1, gw), dtype=work)
-    np.subtract(cum[:, k : k + span : stride], cum[:, :span:stride], out=rows[1:])
-    del cum
-    rows[1 : k + 1].sum(axis=0, dtype=work, out=rows[0])
-    views = list(rows)  # one view per row, made once: the loop allocates nothing
-    for prev, cur, entering in zip(views, views[1:], views[k + 1 :]):
-        np.subtract(prev, cur, out=cur)
-        np.add(cur, entering, out=cur)
-    sums = rows[: h - k + 1 : stride]
-    if out is None:
-        return np.ascontiguousarray(sums)
-    out[...] = sums
-    return out
+    bufs = _work_buffers([] if scratch is None else scratch, h * w, _exact_sum_dtype(plane, k * k))
+    np.copyto(bufs[0].reshape(h, w), plane, casting="unsafe")
+    i, n = _run_sums(bufs, 0, h * w, k, 1)
+    pitch = w
+    if stride > 1:  # only the grid's columns go down the columns
+        pitch = gw
+        grid_cols = bufs[i][: h * w].reshape(h, w)[:, : (gw - 1) * stride + 1 : stride]
+        i, n = 1 - i, h * gw
+        np.copyto(bufs[i][:n].reshape(h, gw), grid_cols)
+    i, _ = _run_sums(bufs, i, n, k, pitch)
+    sums = bufs[i][: (h - k + 1) * pitch].reshape(h - k + 1, pitch)[::stride, :gw]
+    if out is not None:
+        out[...] = sums
+        return out
+    return np.array(sums) if scratch is None else sums
 
 
 def _exact_pair(a: np.ndarray, b: np.ndarray, count: int) -> bool:
@@ -337,29 +384,30 @@ class LocalStatsMaps:
             yield rows, tuple(g[rows] for g in grids)
 
 
-def stats_from_sums(
-    s1: np.ndarray,
-    s2: np.ndarray,
-    q1: np.ndarray,
-    q2: np.ndarray,
-    p12: np.ndarray,
-    area: float,
+def stats_from_means(
+    mu1: np.ndarray,
+    mu2: np.ndarray,
+    e11: np.ndarray,
+    e22: np.ndarray,
+    e12: np.ndarray,
+    square: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Means/variances/covariance from raw window sums over ``area`` samples.
+    """Means/variances/covariance from the window means of I1, I2, I1^2,
+    I2^2 and I1*I2 (window sums divided by their sample count).
 
     Variances use E[X^2] - E[X]^2 with negative floating residue clamped to 0.
-    The float64 sum grids are consumed: each result is written over its sum.
+    The float64 grids of E[I1^2], E[I2^2] and E[I1*I2] are consumed: each
+    result is written over its mean. ``square``, a float64 grid of the same
+    shape, is the scratch for the squared means.
     """
-    mu1 = np.divide(s1, area, out=s1)
-    mu2 = np.divide(s2, area, out=s2)
-    square = np.multiply(mu1, mu1)
-    var1 = np.subtract(np.divide(q1, area, out=q1), square, out=q1)
+    np.multiply(mu1, mu1, out=square)
+    var1 = np.subtract(e11, square, out=e11)
     np.maximum(var1, 0.0, out=var1)
     np.multiply(mu2, mu2, out=square)
-    var2 = np.subtract(np.divide(q2, area, out=q2), square, out=q2)
+    var2 = np.subtract(e22, square, out=e22)
     np.maximum(var2, 0.0, out=var2)
     np.multiply(mu1, mu2, out=square)
-    cov = np.subtract(np.divide(p12, area, out=p12), square, out=p12)
+    cov = np.subtract(e12, square, out=e12)
     return mu1, mu2, var1, var2, cov
 
 
@@ -376,15 +424,19 @@ def window_statistics(
     engine: str = "auto",
     depth: int = 1,
     out=None,
+    scratch: list | None = None,
 ) -> LocalStatsMaps:
     """Local statistics from the five planes I1, I2, I1^2, I2^2, I1*I2.
 
     ``terms`` yields the five ``dims``-shaped planes, summed one at a time;
     they may be sums over ``depth`` frames. An integer plane holds exact
     values, which rectangular windows sum with :func:`box_sums` under
-    ``auto``; a float plane takes the float64 summed-area table. ``out``,
-    five float64 grids of the window grid's shape, receives the statistics
-    (one reused band of scratch, say); by default they are new grids.
+    ``auto``, divided straight from its integer sums into the float64
+    means; a float plane takes the float64 summed-area table. ``out``, five
+    float64 grids of the window grid's shape, receives the statistics (one
+    reused band of scratch, say); by default they are new grids. ``scratch``
+    is a list holding the work buffer that the box sums and the squared
+    means reuse across calls.
     """
     h, w = dims
     k, stride = window.k, window.stride
@@ -399,23 +451,31 @@ def window_statistics(
     grid = _grid_shape(h, w, k, stride)
     if out is not None and [(o.shape, o.dtype) for o in out] != [(grid, np.float64)] * 5:
         raise ValidationError(f"out needs five float64 grids of shape {grid}")
+    scratch = [] if scratch is None else scratch
+    # A Gaussian kernel sums to 1, so its window covers one sample per frame.
+    area = float((k * k if rect else 1) * depth)
 
-    def window_sums(t, s):
+    def window_means(t, s):
         if engine == "naive":
-            return _sliding_weighted_sums(t, kern, stride, out=s)
-        if not rect:
-            return separable_sums(t, kern1d, stride, out=s)
-        if t.dtype.kind in "ui":
-            return box_sums(t, k, stride, out=np.empty(grid) if s is None else s)
-        return _grid_window_sums(_sat(t), k, stride, out=s)
+            sums = _sliding_weighted_sums(t, kern, stride, out=s)
+        elif not rect:
+            sums = separable_sums(t, kern1d, stride, out=s)
+        elif t.dtype.kind in "ui":
+            sums = box_sums(t, k, stride, scratch=scratch)  # integers, divided straight into float64
+            return np.divide(sums, area, out=np.empty(grid) if s is None else s)
+        else:
+            sums = _grid_window_sums(_sat(t), k, stride, out=s)
+        return np.divide(sums, area, out=sums)
 
     # New grids are made one at a time, after their term's temporaries: five
     # made up front would sit below them, so the allocator would hand the
     # freed temporaries back to the OS and fault them in again every call.
-    sums = [window_sums(t, s) for t, s in zip(terms, [None] * 5 if out is None else out)]
-    # A Gaussian kernel sums to 1, so its window covers one sample per frame.
-    area = float((k * k if rect else 1) * depth)
-    mu1, mu2, var1, var2, cov = stats_from_sums(*sums, area=area)
+    # Each term is dropped before the next is made, so one is held at a time.
+    terms = iter(terms)
+    means = [window_means(next(terms), s) for s in ([None] * 5 if out is None else out)]
+    # The box sums are spent by now, so their scratch holds the squared means.
+    square = _work_buffers(scratch, grid[0] * grid[1], np.float64, parts=1)[0].reshape(grid)
+    mu1, mu2, var1, var2, cov = stats_from_means(*means, square)
     return LocalStatsMaps(
         mu1=mu1, mu2=mu2, var1=var1, var2=var2, cov=cov, stride=stride, source_dims=(h, w),
     )
@@ -426,28 +486,29 @@ def banded_statistics(compute, dims: tuple[int, int], window: WindowSpec, engine
     (grid rows, (mu1, mu2, var1, var2, cov) of those rows) over its bands of
     BAND_ROWS grid rows.
 
-    ``compute(rows, out)`` returns the LocalStatsMaps of the windows that
-    read input ``rows``, written into ``out``. Each band takes its own input
-    rows (the k - 1 rows below it are read again by the next band) and one
-    reused band of scratch: box sums of ``exact`` planes are exact, and the
+    ``compute(rows, out, scratch)`` returns the LocalStatsMaps of the
+    windows that read input ``rows``, written into ``out``, with ``scratch``
+    as :func:`window_statistics`'s. Each band takes its own input rows (the
+    k - 1 rows below it are read again by the next band) and one reused band
+    of scratch: box sums of ``exact`` planes are exact, and the
     separable passes and the direct loop add the same taps in the same order
     per grid row, so every band equals the whole grid's rows bit for bit.
     A rectangular window under ``auto`` rounds inexact sums over the whole
     plane (float64 summed-area tables, whose rounding depends on every row
     above): that grid is computed whole (``rows`` covers the plane, ``out``
-    is None) and handed out band by band.
+    and ``scratch`` are None) and handed out band by band.
     """
     _check_fit(dims, window)
     k, stride = window.k, window.stride
     gh, gw = _grid_shape(*dims, k, stride)
     if not (exact or window.shape != "rect" or engine == "naive"):
-        return (gh, gw), compute(slice(None), None).bands()
+        return (gh, gw), compute(slice(None), None, None).bands()
 
     def bands():
-        scratch = [np.empty((min(BAND_ROWS, gh), gw)) for _ in range(5)]
+        grids, work = [np.empty((min(BAND_ROWS, gh), gw)) for _ in range(5)], []
         for rows, src, _ in _row_bands(gh, stride, k):
             n = min(BAND_ROWS, gh - rows.start)
-            stats = compute(src, [s[:n] for s in scratch])
+            stats = compute(src, [g[:n] for g in grids], work)
             yield rows, (stats.mu1, stats.mu2, stats.var1, stats.var2, stats.cov)
 
     return (gh, gw), bands()
@@ -459,6 +520,7 @@ def local_statistics(
     window: WindowSpec,
     engine: str = "auto",
     out=None,
+    scratch: list | None = None,
 ) -> LocalStatsMaps:
     """Windowed local statistics of a frame pair under a window spec.
 
@@ -466,10 +528,10 @@ def local_statistics(
     loop, any shape) or ``auto`` (exact box sums or summed-area tables for
     rectangular windows, two separable 1-D passes for Gaussian ones).
     Rectangular routes produce the same grids; the Gaussian passes round
-    differently from the direct loop, within 1e-12 relative. ``out`` is as
-    for :func:`window_statistics`.
+    differently from the direct loop, within 1e-12 relative. ``out`` and
+    ``scratch`` are as for :func:`window_statistics`.
     """
     ref, dist = validate_frame_pair(ref, dist)
     a, b = plane_data(ref), plane_data(dist)
     terms = _pair_terms(a, b, _exact_pair(a, b, window.k**2))
-    return window_statistics(terms, a.shape, window, engine, out=out)
+    return window_statistics(terms, a.shape, window, engine, out=out, scratch=scratch)

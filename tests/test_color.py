@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,6 +420,34 @@ class TestHssim:
         assert np.allclose(hue_plane(frame).samples, 120.0 / 360.0 * 255.0)
         frame = flat_rgb(0, 0, 255)
         assert np.allclose(hue_plane(frame).samples, 240.0 / 360.0 * 255.0)
+
+
+class TestFreshPlanes:
+    """Luma and hue planes are built once, read-only, and wrapped without a copy."""
+
+    @pytest.mark.parametrize("dtype, peak", [(np.uint8, 255), (np.uint16, 1023), (np.float64, 255)])
+    def test_rgb_luma_equals_the_float64_formula_byte_for_byte(self, rng, dtype, peak):
+        chans = tuple(rng.integers(0, peak + 1, (37, 53)).astype(dtype) for _ in range(3))
+        frame = ColorFrame(chans, bit_depth=8 if peak == 255 else 10)
+        r, g, b = (c.astype(np.float64) for c in chans)
+        luma = luma_of(frame).samples
+        assert not luma.flags.writeable
+        assert luma.tobytes() == (0.213 * r + 0.715 * g + 0.072 * b).tobytes()
+
+    def test_rgb_luma_peaks_at_most_four_outputs(self, rng):
+        # Float64 copies of the three channels and a copy of the result
+        # took five outputs (7.50 MiB at 512x384).
+        frame = random_rgb(rng, 384, 512)
+        tracemalloc.start()
+        try:
+            luma = luma_of(frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * luma.samples.nbytes
+
+    def test_hue_plane_is_read_only(self, rng):
+        assert not hue_plane(random_rgb(rng)).samples.flags.writeable
 
 
 def box_by_hand(frame, f):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -77,6 +78,21 @@ class TestDyadicDownsample:
     def test_too_small(self):
         with pytest.raises(TooSmall):
             dyadic_downsample(LumaPlane(np.zeros((1, 8), dtype=np.uint8)))
+
+    def test_luma_plane_peak_is_the_bare_array_peak(self, rng):
+        # Wrapping the pooled plane in a LumaPlane used to copy it: 9.89
+        # against 7.97 MiB on a 1080p plane.
+        plane = LumaPlane(rng.integers(0, 256, (1080, 1920), dtype=np.uint8))
+        peaks = []
+        for arg in (plane.samples, plane):
+            tracemalloc.start()
+            try:
+                out = dyadic_downsample(arg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+        assert out.samples.tobytes() == float64_dyadic(plane.samples).tobytes()
 
 
 SMALL_WINDOW = SsimConfig(window=WindowSpec.rectangular(5))

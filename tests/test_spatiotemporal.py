@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from ssimkit.spatiotemporal import (
     ssim3d_series,
 )
 from ssimkit.ssim import mssim, ssim_map
+from ssimkit.stats import BAND_ROWS
 
 from helpers import natural_plane, noisy_version, random_plane
 
@@ -159,6 +161,45 @@ class TestRollingSums:
         vol.push(random_plane(rng, 9, 11, 16), random_plane(rng, 9, 11, 16))
         for rolled, direct in zip(vol.temporal_sums(), vol.direct_sums()):
             assert rolled.dtype == np.int64
+            assert np.array_equal(rolled, direct)
+
+    @pytest.mark.parametrize("bits, dtype", [(8, np.uint32), (10, np.uint32), (16, np.int64)])
+    @pytest.mark.parametrize("height", [BAND_ROWS - 1, BAND_ROWS, BAND_ROWS + 1, 2 * BAND_ROWS + 1])
+    def test_banded_update_equals_direct_sums(self, rng, bits, dtype, height):
+        # Pushes past kt update the sums band by band, rows on either side of
+        # a band edge; the float frames then turn them float64 for good. Up
+        # to the first float frame both sides round once at most, the same
+        # way; after it the recurrence rounds its own way.
+        vol = RollingVolume(3)
+        for t in range(9):
+            if t < 6:
+                a, b = random_plane(rng, height, 13, bits), random_plane(rng, height, 13, bits)
+            else:
+                a, b = float_plane(rng, height, 13, bits), float_plane(rng, height, 13, bits)
+            vol.push(a, b)
+            for rolled, direct in zip(vol._sums, vol.direct_sums()):
+                assert rolled.dtype == direct.dtype == (dtype if t < 6 else np.float64)
+                if t <= 6:
+                    assert rolled.tobytes() == direct.tobytes()
+                else:
+                    np.testing.assert_allclose(rolled, direct, rtol=1e-13, atol=1e-13 * np.abs(direct).max())
+
+    def test_push_into_a_full_volume_takes_band_sized_temporaries(self, rng):
+        # One 1080p 10-bit plane's products in uint32 take 7.9 MiB; pushing
+        # whole-plane products of the entering and leaving frames took 31.7.
+        shape = (1080, 1920)
+        frames = [LumaPlane(rng.integers(0, 1024, shape, dtype=np.uint16), 10) for _ in range(7)]
+        vol = RollingVolume(5)
+        for t in range(5):
+            vol.push(frames[t], frames[t + 1])
+        tracemalloc.start()
+        try:
+            vol.push(frames[5], frames[6])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        for rolled, direct in zip(vol.temporal_sums(), vol.direct_sums()):
             assert np.array_equal(rolled, direct)
 
     def test_dimension_mismatch(self, rng):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from ssimkit.stats import (
     local_statistics,
     rect_equivalent,
     separable_sums,
-    stats_from_sums,
+    stats_from_means,
     window_statistics,
 )
 
@@ -278,7 +279,86 @@ def integer_planes(draw):
     return plane, k, stride
 
 
+def cumsum_box_sums(plane, k, stride):
+    """The scan route box sums took before doubling, kept as an oracle: a
+    row-wise cumulative sum and its k-apart difference, then the running-row
+    recurrence v[i] = v[i-1] - h[i-1] + h[i+k-1] down the columns, in the
+    same accumulator."""
+    h, w = plane.shape
+    gw = _grid_shape(h, w, k, stride)[1]
+    work = _exact_sum_dtype(plane, k * k)
+    cum = np.empty((h, w + 1), dtype=work)
+    cum[:, 0] = 0
+    np.cumsum(plane, axis=1, dtype=work, out=cum[:, 1:])
+    span = (gw - 1) * stride + 1
+    rows = np.empty((h + 1, gw), dtype=work)
+    np.subtract(cum[:, k : k + span : stride], cum[:, :span:stride], out=rows[1:])
+    rows[1 : k + 1].sum(axis=0, dtype=work, out=rows[0])
+    views = list(rows)
+    for prev, cur, entering in zip(views, views[1:], views[k + 1 :]):
+        np.subtract(prev, cur, out=cur)
+        np.add(cur, entering, out=cur)
+    return np.ascontiguousarray(rows[: h - k + 1 : stride])
+
+
+#: Box-sum planes per accumulator: (dtype, low, high) of their samples.
+ACCUMULATOR_PLANES = {
+    "uint32": (np.uint16, 0, 1023),  # 10-bit samples: k^2 * 1023 < 2^32 for every k here
+    "int64": (np.int64, -(2**40), 2**40),  # signed samples
+    "float64": (np.int64, 2**60, 2**62),  # k^2 * max >= 2^63 from k = 2
+}
+
+
+@st.composite
+def box_planes(draw):
+    """A plane of up to 33 x 33 samples for one of the three accumulators,
+    C-ordered or a view that is not C-contiguous."""
+    kind = draw(st.sampled_from(sorted(ACCUMULATOR_PLANES)))
+    dtype, lo, hi = ACCUMULATOR_PLANES[kind]
+    h, w = draw(st.integers(1, 33)), draw(st.integers(1, 33))
+    layout = draw(st.sampled_from(["C", "F", "reversed", "every-other-column"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    plane = rng.integers(lo, hi, (h, 2 * w if layout == "every-other-column" else w), endpoint=True).astype(dtype)
+    plane = {
+        "C": plane, "F": np.asfortranarray(plane), "reversed": plane[::-1, ::-1], "every-other-column": plane[:, ::2],
+    }[layout]
+    return kind, plane
+
+
 class TestBoxSums:
+    @DERANDOMIZED
+    @given(box_planes())
+    def test_equals_the_cumsum_oracle_for_every_k_and_stride(self, case):
+        # Every k that fits (powers of two and 2^m - 1 among them), strides
+        # 1-5: exact accumulators give the oracle's bytes, float64 sums
+        # (past int64) its values within 1e-14.
+        kind, plane = case
+        for k in range(1, min(plane.shape) + 1):
+            for stride in range(1, 6):
+                want = cumsum_box_sums(plane, k, stride)
+                got = box_sums(plane, k, stride)
+                assert got.dtype == want.dtype and got.shape == want.shape, (k, stride)
+                if want.dtype == np.float64:
+                    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+                else:
+                    assert got.tobytes() == want.tobytes(), (k, stride)
+        assert kind == "float64" or want.dtype == np.dtype(kind)
+
+    def test_scratch_is_reused_across_calls(self, rng):
+        plane = rng.integers(0, 1024, (74, 1920)).astype(np.uint16) ** 2
+        scratch = []
+        first = box_sums(plane, 11, 1, scratch=scratch).copy()
+        buffers = [b.ctypes.data for b in scratch]
+        tracemalloc.start()
+        try:
+            again = box_sums(plane, 11, 1, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [b.ctypes.data for b in scratch] == buffers
+        assert again.tobytes() == first.tobytes() == cumsum_box_sums(plane, 11, 1).tobytes()
+        assert peak < 64 * 1024  # views and bookkeeping, not a plane
+
     @settings(max_examples=150, deadline=None)
     @given(integer_planes())
     def test_equals_direct_sums_exactly(self, case):
@@ -361,7 +441,7 @@ class TestRouteFromPlanes:
         else:
             grid = _grid_shape(*a.shape, window.k, window.stride)
             sums = [box_sums(t, window.k, window.stride, np.empty(grid)) for t in terms]
-            want = stats_from_sums(*sums, area=float(window.k**2))
+            want = stats_from_means(*(s / float(window.k**2) for s in sums), np.empty(grid))
         for x, y in zip((got.mu1, got.mu2, got.var1, got.var2, got.cov), want):
             assert x.dtype == y.dtype == np.float64 and x.tobytes() == y.tobytes()
 
