@@ -5,6 +5,13 @@ fixed weights), quaternion similarity on tristimulus pixels, the CIELAB
 delta-E weighted map, and the hue-similarity blend. All return 1 on identical
 frames. Every scorer takes ``(ref, dist, config)`` and reads each setting,
 the model's own in ``config.color`` too, from the config alone.
+
+Quaternion similarity and the hue plane run band by band, as statistics do
+(``stats.BAND_ROWS`` grid or pixel rows at a time): each band reads the
+input rows it needs as float64 and runs the whole-plane arithmetic on them,
+operation for operation, into its rows of the one whole result (qssim's
+value grid, whose single mean is the score), so scores equal the
+whole-plane arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from .frames import (
     LumaPlane,
     validate_color_pair,
 )
-from .stats import _sliding_weighted_sums, gaussian_kernel_1d, separable_sums
+from .stats import BAND_ROWS, _grid_shape, _row_bands, _sliding_weighted_sums, gaussian_kernel_1d, separable_sums
 from .ssim import mssim, ssim_map
 
 # BT.709 luma coefficients; the chroma scale factors put Cb/Cr in +-L/2 around
@@ -167,9 +174,11 @@ def _channel_scores(ref: ColorFrame, dist: ColorFrame, config: SsimConfig) -> tu
 
 def _embedding_channels(frame: ColorFrame, space: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tristimulus channels to embed on the (i, j, k) axes, in storage order,
-    of a 4:4:4 frame already in the embedding's space (RGB for ``lab``)."""
+    of a 4:4:4 frame already in the embedding's space (RGB for ``lab``): the
+    stored channels, which each band reads as float64, or the rescaled Lab
+    planes."""
     if space != "lab":
-        return tuple(np.asarray(c, dtype=np.float64) for c in frame.channels)
+        return frame.channels
     lab = _rgb_frame_to_lab(frame)
     # Lab is O(100)-scale; rescale to the frame's range so the saturation
     # constants keep their meaning.
@@ -193,14 +202,21 @@ def qssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) 
         raise ValidationError("quaternion similarity uses rectangular windows")
     ref, dist = _pair_in(ref, dist, SPACE_YCBCR if space == "ycbcr" else SPACE_RGB)
     ref, dist = upsample_chroma(ref), upsample_chroma(dist)
-    r1, g1, b1 = _embedding_channels(ref, space)
-    r2, g2, b2 = _embedding_channels(dist, space)
+    channels = _embedding_channels(ref, space) + _embedding_channels(dist, space)
     config = config.for_bit_depth(ref.bit_depth)
-    c1, c2 = config.c1, config.c2
     k, stride = window.k, window.stride
-    if k > r1.shape[0] or k > r1.shape[1]:
-        raise WindowLargerThanImage(f"{k}x{k} window does not fit a {r1.shape[1]}x{r1.shape[0]} image")
+    if k > ref.height or k > ref.width:
+        raise WindowLargerThanImage(f"{k}x{k} window does not fit a {ref.width}x{ref.height} image")
+    gh, gw = _grid_shape(ref.height, ref.width, k, stride)
+    values = np.empty((gh, gw))
+    for rows, src, _ in _row_bands(gh, stride, k):
+        band = (np.asarray(c[src], dtype=np.float64) for c in channels)
+        values[rows] = _qssim_values(*band, k, stride, config.c1, config.c2)
+    return float(values.mean())
 
+
+def _qssim_values(r1, g1, b1, r2, g2, b2, k: int, stride: int, c1: float, c2: float) -> np.ndarray:
+    """Per-window quaternion similarity of the float64 embedded channels."""
     kern = np.full((k, k), 1.0 / (k * k))
 
     def wmean(x):
@@ -242,8 +258,7 @@ def qssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) 
     den1 = mu1_sq + mu2_sq + c1
     num2 = np.sqrt((2.0 * cov_w + c2) ** 2 + (2.0 * cov_i) ** 2 + (2.0 * cov_j) ** 2 + (2.0 * cov_k) ** 2)
     den2 = var1 + var2 + c2
-    values = (num1 / den1) * (num2 / den2)
-    return float(values.mean())
+    return (num1 / den1) * (num2 / den2)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +327,16 @@ def cmssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig())
 def hue_plane(frame: ColorFrame) -> LumaPlane:
     """HSV hue rescaled to [0, L]; achromatic pixels get hue 0."""
     frame.require_space(SPACE_RGB)
-    r, g, b = (np.asarray(c, dtype=np.float64) for c in frame.channels)
+    hue = np.empty((frame.height, frame.width))
+    for top in range(0, frame.height, BAND_ROWS):
+        rows = slice(top, top + BAND_ROWS)
+        hue[rows] = _hue_band(*(np.asarray(c[rows], dtype=np.float64) for c in frame.channels), frame.peak)
+    hue.setflags(write=False)  # LumaPlane keeps a read-only array without a copy
+    return LumaPlane(hue, frame.bit_depth)
+
+
+def _hue_band(r: np.ndarray, g: np.ndarray, b: np.ndarray, peak: float) -> np.ndarray:
+    """Hue of float64 channel rows, rescaled to [0, peak]."""
     mx = np.maximum(np.maximum(r, g), b)
     mn = np.minimum(np.minimum(r, g), b)
     delta = mx - mn
@@ -328,9 +352,8 @@ def hue_plane(frame: ColorFrame) -> LumaPlane:
     )
     hue *= 60.0
     hue /= 360.0
-    hue *= frame.peak
-    hue.setflags(write=False)  # LumaPlane keeps a read-only array without a copy
-    return LumaPlane(hue, frame.bit_depth)
+    hue *= peak
+    return hue
 
 
 def hssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) -> float:

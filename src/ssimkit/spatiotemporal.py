@@ -8,7 +8,7 @@ the entering and leaving frames take band-sized temporaries. The
 running sums go through the same :func:`~ssimkit.stats.window_statistics`
 as a frame pair's planes, so spatial sums take the same routes, band by band
 of grid rows as for frames (:func:`ssim3d_map`). Integer frames keep exact
-running sums, which never drift, in the accumulator
+running sums, which never drift and are never rebuilt, in the accumulator
 ``stats._exact_sum_dtype`` picks for Kt products of two samples: uint32
 while Kt * peak^2 < 2^32 (8- and 10-bit frames at any practical Kt; a
 LumaPlane's bit depth gives the peak), where the subtract/add recursion
@@ -42,8 +42,9 @@ from .ssim import SsimTermMaps, _volume_term_maps, frame_config, mssim
 from .ssim import term_maps_from_stats  # noqa: F401  (perfbench traces this binding)
 from .stats import BAND_ROWS, LocalStatsMaps, _exact_sum_dtype, _pair_terms, window_statistics
 
-#: Rolling sums are rebuilt from the buffered frames this often, bounding
-#: floating-point drift from the subtract/add recursion.
+#: Float64 rolling sums are rebuilt from the buffered frames this often,
+#: bounding floating-point drift from the subtract/add recursion. Integer
+#: sums are exact and never drift, so they are never rebuilt.
 REFRESH_INTERVAL = 300
 
 
@@ -114,7 +115,7 @@ class RollingVolume:
             self._buffer.popleft()
         self._buffer.append((a, b))
         self._pushes += 1
-        if self._pushes % REFRESH_INTERVAL == 0:
+        if not exact and self._pushes % REFRESH_INTERVAL == 0:
             self._sums = self.direct_sums()
         return self
 

@@ -22,10 +22,10 @@ from ssimkit.color import (
 )
 from ssimkit.config import ColorModelSpec, ScalePolicy, SsimConfig, WindowSpec
 from ssimkit.errors import DegenerateWeights, WrongSpace
-from ssimkit.frames import ColorFrame, LumaPlane
+from ssimkit.frames import SPACE_RGB, SPACE_YCBCR, ColorFrame, LumaPlane
 from ssimkit.pipeline import score_frame_pair
 from ssimkit.ssim import mssim, ssim_map, ssim_score
-from ssimkit.stats import gaussian_kernel
+from ssimkit.stats import BAND_ROWS, _sliding_weighted_sums, gaussian_kernel
 
 from helpers import blur_plane, natural_plane, noisy_version, per_tap_sums, random_rgb
 
@@ -259,6 +259,120 @@ class TestQssim:
         assert qssim(frame, frame, SsimConfig(color=ColorModelSpec("qssim", space="ycbcr"))) == pytest.approx(1.0, abs=1e-9)
 
 
+def whole_plane_qssim(ref, dist, config):
+    """qssim with every window mean and product formed over whole planes,
+    in the same arithmetic and order as each band of :func:`qssim`."""
+    window, space = config.window, config.color.space
+    ref, dist = color._pair_in(ref, dist, SPACE_YCBCR if space == "ycbcr" else SPACE_RGB)
+    ref, dist = upsample_chroma(ref), upsample_chroma(dist)
+
+    def embed(frame):
+        if space != "lab":
+            return tuple(np.asarray(c, dtype=np.float64) for c in frame.channels)
+        return tuple(np.asarray(c, dtype=np.float64) * (frame.peak / 100.0) for c in color._rgb_frame_to_lab(frame))
+
+    r1, g1, b1 = embed(ref)
+    r2, g2, b2 = embed(dist)
+    config = config.for_bit_depth(ref.bit_depth)
+    c1, c2 = config.c1, config.c2
+    k, stride = window.k, window.stride
+    kern = np.full((k, k), 1.0 / (k * k))
+
+    def wmean(x):
+        return _sliding_weighted_sums(x, kern, stride)
+
+    m1 = [wmean(r1), wmean(g1), wmean(b1)]
+    m2 = [wmean(r2), wmean(g2), wmean(b2)]
+    dot12 = r1 * r2 + g1 * g2 + b1 * b2
+    cross_i = g1 * b2 - b1 * g2
+    cross_j = b1 * r2 - r1 * b2
+    cross_k = r1 * g2 - g1 * r2
+    e_dot = wmean(dot12)
+    e_cr_i, e_cr_j, e_cr_k = wmean(-cross_i), wmean(-cross_j), wmean(-cross_k)
+    e_sq1 = wmean(r1 * r1 + g1 * g1 + b1 * b1)
+    e_sq2 = wmean(r2 * r2 + g2 * g2 + b2 * b2)
+    mdot = m1[0] * m2[0] + m1[1] * m2[1] + m1[2] * m2[2]
+    mcr_i = -(m1[1] * m2[2] - m1[2] * m2[1])
+    mcr_j = -(m1[2] * m2[0] - m1[0] * m2[2])
+    mcr_k = -(m1[0] * m2[1] - m1[1] * m2[0])
+    mu1_sq = m1[0] ** 2 + m1[1] ** 2 + m1[2] ** 2
+    mu2_sq = m2[0] ** 2 + m2[1] ** 2 + m2[2] ** 2
+    var1 = e_sq1 - mu1_sq
+    var2 = e_sq2 - mu2_sq
+    cov_w = e_dot - mdot
+    cov_i = e_cr_i - mcr_i
+    cov_j = e_cr_j - mcr_j
+    cov_k = e_cr_k - mcr_k
+    num1 = np.sqrt((2.0 * mdot + c1) ** 2 + (2.0 * mcr_i) ** 2 + (2.0 * mcr_j) ** 2 + (2.0 * mcr_k) ** 2)
+    den1 = mu1_sq + mu2_sq + c1
+    num2 = np.sqrt((2.0 * cov_w + c2) ** 2 + (2.0 * cov_i) ** 2 + (2.0 * cov_j) ** 2 + (2.0 * cov_k) ** 2)
+    den2 = var1 + var2 + c2
+    values = (num1 / den1) * (num2 / den2)
+    return float(values.mean())
+
+
+def qssim_config(k, stride, space):
+    return SsimConfig(window=WindowSpec.rectangular(k, stride), color=ColorModelSpec("qssim", space=space))
+
+
+class TestBandedQssim:
+    """qssim runs band by band and scores as the whole-plane arithmetic does."""
+
+    @pytest.mark.parametrize("space", ["rgb", "ycbcr", "lab"])
+    @pytest.mark.parametrize("k, stride", [(11, 1), (7, 3), (8, 5), (3, 1)])
+    @pytest.mark.parametrize("grid_rows", [3 * BAND_ROWS - 1, 3 * BAND_ROWS, 3 * BAND_ROWS + 1])
+    def test_scores_equal_the_whole_plane_oracle(self, rng, space, k, stride, grid_rows):
+        # Three bands whose last ends one row before, on, or one row past a
+        # band edge (a fourth band of one row).
+        ref = natural_rgb(rng, (grid_rows - 1) * stride + k, 19)
+        dist = ColorFrame(tuple(noisy_version(rng, LumaPlane(c), 20).samples for c in ref.channels))
+        config = qssim_config(k, stride, space)
+        assert repr(qssim(ref, dist, config)) == repr(whole_plane_qssim(ref, dist, config))
+
+    @pytest.mark.parametrize("space", ["rgb", "ycbcr", "lab"])
+    @pytest.mark.parametrize("k, stride", [(11, 1), (7, 3), (8, 5), (3, 1)])
+    def test_420_ycbcr_scores_equal_the_whole_plane_oracle(self, rng, space, k, stride):
+        rgb = natural_rgb(rng, 2 * BAND_ROWS + 15, 23)
+        ref = ycbcr_420(rgb)
+        dist = ycbcr_420(ColorFrame(tuple(noisy_version(rng, LumaPlane(c), 20).samples for c in rgb.channels)))
+        config = qssim_config(k, stride, space)
+        assert repr(qssim(ref, dist, config)) == repr(whole_plane_qssim(ref, dist, config))
+
+    def test_peak_memory_is_bounded_by_bands(self, rng):
+        # About thirty whole-plane float64 temporaries peaked at 58.0 MiB.
+        ref, dist = random_rgb(rng, 384, 512), random_rgb(rng, 384, 512)
+        tracemalloc.start()
+        try:
+            qssim(ref, dist, rect(11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 2**20
+
+
+class TestPinnedColourScores:
+    """Every colour scorer's value on one seeded pair, to the last bit."""
+
+    SCORES = {
+        "qssim/rgb": "0x1.c98bcae5dc7b3p-1",
+        "qssim/ycbcr": "0x1.c5008adbb8376p-1",
+        "qssim/lab": "0x1.c2f402ff9150fp-1",
+        "hssim": "0x1.a55a0716a550ep-1",
+        "cmssim": "0x1.810f19e132274p-1",
+        "cw": "0x1.aa2ff77ddc385p-1",
+    }
+
+    def test_scores_are_pinned(self):
+        rng = np.random.default_rng(150200)
+        ref = ColorFrame(tuple(natural_plane(rng, 150, 200).samples for _ in range(3)))
+        dist = ColorFrame(tuple(noisy_version(rng, LumaPlane(c), 20).samples for c in ref.channels))
+        got = {f"qssim/{space}": qssim(ref, dist, qssim_config(11, 1, space)) for space in ("rgb", "ycbcr", "lab")}
+        got["hssim"] = hssim(ref, dist)
+        got["cmssim"] = cmssim(ref, dist)
+        got["cw"] = channelwise_cssim(ref, dist, cw(-0.3, -0.3))
+        assert {name: score.hex() for name, score in got.items()} == self.SCORES
+
+
 class TestSettingsFromConfig:
     """Each colour scorer takes every setting from the config it is given."""
 
@@ -448,6 +562,42 @@ class TestFreshPlanes:
 
     def test_hue_plane_is_read_only(self, rng):
         assert not hue_plane(random_rgb(rng)).samples.flags.writeable
+
+    @pytest.mark.parametrize("dtype, peak", [(np.uint8, 255), (np.uint16, 1023), (np.float64, 255)])
+    def test_hue_plane_equals_the_whole_plane_formula_byte_for_byte(self, rng, dtype, peak):
+        chans = tuple(rng.integers(0, peak + 1, (2 * BAND_ROWS + 1, 53)).astype(dtype) for _ in range(3))
+        chans[1][:9] = chans[0][:9]  # ties between the largest channels
+        chans[2][:5] = chans[0][:5]  # achromatic rows
+        r, g, b = (c.astype(np.float64) for c in chans)
+        mx, mn = np.maximum(np.maximum(r, g), b), np.minimum(np.minimum(r, g), b)
+        delta = mx - mn
+        safe = np.where(delta == 0.0, 1.0, delta)
+        hue = np.where(
+            delta == 0.0,
+            0.0,
+            np.where(
+                mx == r,
+                np.mod((g - b) / safe, 6.0),
+                np.where(mx == g, (b - r) / safe + 2.0, (r - g) / safe + 4.0),
+            ),
+        )
+        hue *= 60.0
+        hue /= 360.0
+        hue *= peak
+        frame = ColorFrame(chans, bit_depth=8 if peak == 255 else 10)
+        assert hue_plane(frame).samples.tobytes() == hue.tobytes()
+
+    def test_hue_plane_peaks_below_8_mib(self, rng):
+        # Float64 copies of the channels and the nested np.where's
+        # whole-plane temporaries peaked at 17.1 MiB at 512x384.
+        frame = random_rgb(rng, 384, 512)
+        tracemalloc.start()
+        try:
+            hue_plane(frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def box_by_hand(frame, f):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ssimkit import spatiotemporal
 from ssimkit.config import MultiscaleSpec, SsimConfig, WindowSpec
 from ssimkit.errors import DimensionMismatch, GaussianNotSupported3D, LengthMismatch
 from ssimkit.frames import LumaPlane
@@ -201,6 +202,25 @@ class TestRollingSums:
         assert peak <= 4 * 2**20
         for rolled, direct in zip(vol.temporal_sums(), vol.direct_sums()):
             assert np.array_equal(rolled, direct)
+
+    @pytest.mark.parametrize("bits, dtype, rebuilds", [(8, np.uint32, 0), (16, np.int64, 0), (None, np.float64, 3)])
+    def test_only_float_sums_are_rebuilt(self, rng, monkeypatch, bits, dtype, rebuilds):
+        # Integer sums never drift; rebuilding them every REFRESH_INTERVAL
+        # pushes only costs whole-plane products of every buffered frame.
+        calls = []
+        direct_sums = RollingVolume.direct_sums
+        monkeypatch.setattr(spatiotemporal, "REFRESH_INTERVAL", 4)
+        monkeypatch.setattr(RollingVolume, "direct_sums", lambda vol: calls.append(vol) or direct_sums(vol))
+        vol = RollingVolume(3)
+        for _ in range(12):  # the last push is the third rebuild of float sums
+            if bits is None:
+                vol.push(float_plane(rng, 9, 11, 8), float_plane(rng, 9, 11, 8))
+            else:
+                vol.push(random_plane(rng, 9, 11, bits), random_plane(rng, 9, 11, bits))
+        assert len(calls) == rebuilds
+        for rolled, direct in zip(vol.temporal_sums(), direct_sums(vol)):
+            assert rolled.dtype == direct.dtype == dtype
+            assert rolled.tobytes() == direct.tobytes()
 
     def test_dimension_mismatch(self, rng):
         vol = RollingVolume(2)
