@@ -18,7 +18,7 @@ import numpy as np
 from .config import ScalePolicy
 from .errors import NoReferenceYet, ValidationError
 from .frames import LumaPlane, PlaneLike, QualityMap, plane_data
-from .stats import BAND_ROWS, _exact_sum_dtype
+from .stats import _exact_sum_dtype, _row_bands, _scratch
 
 
 def round_half_away(x: float) -> int:
@@ -103,11 +103,12 @@ def box_downsample(plane: PlaneLike, factor: int) -> PlaneLike:
 
     Block sums never pass through a float64 copy of the plane. Band by band
     of BAND_ROWS block rows, each block row is the sum of ``factor`` strided
-    row slices, in one reused band of scratch, then ``np.add.reduceat`` sums
-    its columns and the band's means go straight into the output grid. The
-    accumulator is the one :func:`_exact_sum_dtype` picks for factor^2
-    samples: uint32 (e.g. 8-bit planes up to factor 4104, 16-bit up to 256),
-    int64 for other integer planes, float64 for float planes. Integer sums
+    row slices, in the thread's reused ``blocks`` buffer (``stats._scratch``),
+    then ``np.add.reduceat`` sums its columns and the band's means go
+    straight into the output grid. The accumulator is the one
+    :func:`_exact_sum_dtype` picks for factor^2 samples: uint32 (e.g. 8-bit
+    planes up to factor 4104, 16-bit up to 256), int64 for other integer
+    planes, float64 for float planes. Integer sums
     are exact and each mean is one division by the block's sample count, so
     integer planes come out bit-identical to averaging in float64; float
     planes differ only in summation order, which is the same in every band.
@@ -125,11 +126,9 @@ def box_downsample(plane: PlaneLike, factor: int) -> PlaneLike:
     row_counts = np.minimum(row_edges + factor, h) - row_edges
     col_counts = np.minimum(col_edges + factor, w) - col_edges
     out = np.empty((len(row_edges), len(col_edges)))
-    scratch = np.empty((min(BAND_ROWS, len(row_edges)), w), dtype=work)
-    for top in range(0, len(out), BAND_ROWS):
-        grid_rows = slice(top, top + BAND_ROWS)
-        band = arr[top * factor : (top + BAND_ROWS) * factor]
-        rows = scratch[: len(out[grid_rows])]
+    for grid_rows, src, _ in _row_bands(len(row_edges), factor, factor):
+        band = arr[src]
+        rows = _scratch("blocks", (len(out[grid_rows]), w), work)
         np.copyto(rows, band[::factor], casting="unsafe")
         for j in range(1, min(factor, len(band))):
             part = band[j::factor]

@@ -30,7 +30,7 @@ from .frames import (
     LumaPlane,
     validate_color_pair,
 )
-from .stats import BAND_ROWS, _grid_shape, _row_bands, _sliding_weighted_sums, gaussian_kernel_1d, separable_sums
+from .stats import _grid_shape, _row_bands, _sliding_weighted_sums, gaussian_kernel_1d, separable_sums
 from .ssim import mssim, ssim_map
 
 # BT.709 luma coefficients; the chroma scale factors put Cb/Cr in +-L/2 around
@@ -328,8 +328,7 @@ def hue_plane(frame: ColorFrame) -> LumaPlane:
     """HSV hue rescaled to [0, L]; achromatic pixels get hue 0."""
     frame.require_space(SPACE_RGB)
     hue = np.empty((frame.height, frame.width))
-    for top in range(0, frame.height, BAND_ROWS):
-        rows = slice(top, top + BAND_ROWS)
+    for rows, _, _ in _row_bands(frame.height):
         hue[rows] = _hue_band(*(np.asarray(c[rows], dtype=np.float64) for c in frame.channels), frame.peak)
     hue.setflags(write=False)  # LumaPlane keeps a read-only array without a copy
     return LumaPlane(hue, frame.bit_depth)

@@ -4,7 +4,8 @@ Local statistics extend to a temporal depth of Kt frames. Keeping rolling
 per-pixel sums of the last Kt frames (subtract the frame leaving the window,
 add the one entering) makes the per-frame cost independent of Kt. A push
 updates the five running sums BAND_ROWS rows at a time, so the products of
-the entering and leaving frames take band-sized temporaries. The
+the entering and leaving frames take band-sized temporaries, as do those of
+the buffered frames when float sums are rebuilt against drift. The
 running sums go through the same :func:`~ssimkit.stats.window_statistics`
 as a frame pair's planes, so spatial sums take the same routes, band by band
 of grid rows as for frames (:func:`ssim3d_map`). Integer frames keep exact
@@ -40,11 +41,12 @@ from .frames import PlaneLike, ScoreSeries, paired_frames, plane_data, validate_
 from .multiscale import dyadic_downsample, msssim  # noqa: F401  (perfbench traces dyadic_downsample here)
 from .ssim import SsimTermMaps, _volume_term_maps, frame_config, mssim
 from .ssim import term_maps_from_stats  # noqa: F401  (perfbench traces this binding)
-from .stats import BAND_ROWS, LocalStatsMaps, _exact_sum_dtype, _pair_terms, window_statistics
+from .stats import LocalStatsMaps, _exact_sum_dtype, _pair_terms, _row_bands, window_statistics
 
-#: Float64 rolling sums are rebuilt from the buffered frames this often,
-#: bounding floating-point drift from the subtract/add recursion. Integer
-#: sums are exact and never drift, so they are never rebuilt.
+#: Float64 rolling sums are rebuilt from the buffered frames this often, band
+#: by band within the push, bounding floating-point drift from the
+#: subtract/add recursion. Integer sums are exact and never drift, so they
+#: are never rebuilt.
 REFRESH_INTERVAL = 300
 
 
@@ -89,34 +91,34 @@ class RollingVolume:
         if self._sums is not None and dtype != self._sums[0].dtype:
             self._sums = [s.astype(dtype) for s in self._sums]
         exact = dtype != np.float64
-        replace = self._sums is None or self.kt == 1  # Kt = 1 is the newest frame exactly; no recursion
+        # The first push and Kt = 1 form the sums from the newest frame alone
+        # (no recursion), and float sums are rebuilt every REFRESH_INTERVAL
+        # pushes, bounding drift: from the frames buffered after this push,
+        # oldest first, as direct_sums() adds them.
+        rebuild = self._sums is None or self.kt == 1 or (not exact and (self._pushes + 1) % REFRESH_INTERVAL == 0)
         if self._sums is None:
             self._sums = [np.empty(a.shape, dtype) for _ in range(5)]
         full = len(self._buffer) == self.kt
-        # Band by band, so the products of the entering and leaving frames
-        # take band-sized temporaries, never whole planes.
-        for top in range(0, a.shape[0], BAND_ROWS):
-            rows = slice(top, top + BAND_ROWS)
+        window = [*list(self._buffer)[full:], (a, b)]
+        # Band by band, so the products of the entering, leaving and
+        # buffered frames take band-sized temporaries, never whole planes.
+        for rows, _, _ in _row_bands(a.shape[0]):
             sums = [s[rows] for s in self._sums]
-            entering = _pair_terms(a[rows], b[rows], exact)
-            if replace:
-                for s, new in zip(sums, entering):
-                    np.copyto(s, new, casting="unsafe")
-                continue
-            if full:
+            if rebuild:
+                for s in sums:
+                    s.fill(0)
+            elif full:
                 # T(k) = T(k-1) - I(k-Kt) + I(k), per plane; exact sums wrap
                 # through their accumulator's modulus and come back in range.
-                leaving = _pair_terms(*(x[rows] for x in self._buffer[0]), exact)
-                for s, old in zip(sums, leaving):
+                for s, old in zip(sums, _pair_terms(*(x[rows] for x in self._buffer[0]), exact)):
                     np.subtract(s, old, out=s, casting="unsafe")
-            for s, new in zip(sums, entering):
-                np.add(s, new, out=s, casting="unsafe")
+            for x, y in window if rebuild else [(a, b)]:
+                for s, new in zip(sums, _pair_terms(x[rows], y[rows], exact)):
+                    np.add(s, new, out=s, casting="unsafe")
         if len(self._buffer) == self.kt:
             self._buffer.popleft()
         self._buffer.append((a, b))
         self._pushes += 1
-        if not exact and self._pushes % REFRESH_INTERVAL == 0:
-            self._sums = self.direct_sums()
         return self
 
     def direct_sums(self) -> list[np.ndarray]:
@@ -133,17 +135,14 @@ class RollingVolume:
             raise ValidationError("no frames buffered")
         return list(self._sums)
 
-    def local_statistics(
-        self, window: WindowSpec, rows: slice = slice(None), out=None, scratch: Optional[list] = None,
-    ) -> LocalStatsMaps:
+    def local_statistics(self, window: WindowSpec, rows: slice = slice(None), out=None) -> LocalStatsMaps:
         """Spatio-temporal local statistics over k x k x depth neighborhoods,
         of the windows that read input ``rows`` (all by default), written
-        into ``out`` with ``scratch`` as in
-        :func:`~ssimkit.stats.window_statistics`."""
+        into ``out`` as in :func:`~ssimkit.stats.window_statistics`."""
         if window.shape != "rect":
             raise GaussianNotSupported3D("3-D statistics support rectangular windows only")
         sums = [s[rows] for s in self.temporal_sums()]
-        return window_statistics(sums, sums[0].shape, window, depth=self.depth, out=out, scratch=scratch)
+        return window_statistics(sums, sums[0].shape, window, depth=self.depth, out=out)
 
 
 def ssim3d_map(vol: RollingVolume, config: SsimConfig = SsimConfig()) -> SsimTermMaps:

@@ -73,7 +73,7 @@ def _term_maps(bands, shape, geometry: dict, c1: float, c2: float, keep_mu1: boo
 def _banded_term_maps(compute, dims: tuple[int, int], engine: str, exact: bool, config: SsimConfig,
                       keep_mu1: bool) -> SsimTermMaps:
     """Term maps formed band by band with the statistics that
-    ``compute(rows, out, scratch)`` gives under ``engine`` (see
+    ``compute(rows, out)`` gives under ``engine`` (see
     stats.banded_statistics), and the mu1 grid if ``keep_mu1``."""
     window = config.window
     shape, bands = banded_statistics(compute, dims, window, engine, exact)
@@ -113,8 +113,8 @@ def _frame_term_maps(ref: PlaneLike, dist: PlaneLike, config: SsimConfig, keep_m
     ref, dist = validate_frame_pair(ref, dist)
     a, b = plane_data(ref), plane_data(dist)
 
-    def compute(rows, out, scratch):
-        return local_statistics(a[rows], b[rows], config.window, config.engine, out, scratch)
+    def compute(rows, out):
+        return local_statistics(a[rows], b[rows], config.window, config.engine, out)
 
     exact = _exact_pair(a, b, config.window.k**2)
     return _banded_term_maps(compute, a.shape, config.engine, exact, config, keep_mu1)
@@ -128,8 +128,8 @@ def _volume_term_maps(vol, config: SsimConfig, keep_mu1: bool = False) -> SsimTe
     the reference's local means (``mu1``) if ``keep_mu1``."""
     sums = vol.temporal_sums()
 
-    def compute(rows, out, scratch):
-        return vol.local_statistics(config.window, rows, out, scratch)
+    def compute(rows, out):
+        return vol.local_statistics(config.window, rows, out)
 
     exact = _exact_sums(sums, config.window.k**2)
     return _banded_term_maps(compute, sums[0].shape, "auto", exact, config, keep_mu1)

@@ -16,12 +16,13 @@ planes; ``RollingVolume`` its running sums over the last frames.
 Scoring forms statistics band by band. :func:`banded_statistics` drives
 either of them BAND_ROWS grid rows at a time: each band forms its
 five planes from the input rows its windows read (the k - 1 rows below a
-band are read again by the next), sums them into one reused band of
-scratch and turns the sums into statistics, which ``ssim.ssim_map`` (frame
-pairs) and ``ssim._volume_term_maps`` (volumes, for ``ssim3d_map`` and the
-multiscale 3-D levels) turn into term-map rows straight away. So a frame's
-working set is its l, cs and q grids (and mu1's, when the caller keeps it for
-the ``lw`` pooler) plus one band. Box sums are exact, and the
+band are read again by the next), sums them in the thread's scratch arena
+(:func:`_scratch`) and turns the sums into statistics, which
+``ssim.ssim_map`` (frame pairs) and ``ssim._volume_term_maps`` (volumes, for
+``ssim3d_map`` and the multiscale 3-D levels) turn into term-map rows
+straight away. So a frame's working set is its l, cs and q grids (and
+mu1's, when the caller keeps it for the ``lw`` pooler) plus one band. Box
+sums are exact, and the
 separable passes and the direct loop add the same taps in the same order per
 grid row, so bands equal whole grids bit for bit. Whole grids remain where
 they are asked for (:func:`local_statistics` and
@@ -38,7 +39,7 @@ a window sum, so uint32 holds them exactly whenever the largest true window
 sum fits in 32 bits, e.g. k^2 * peak^2 < 2^32 for the product planes
 (k <= 257 at 8 bits, k <= 64 at 10 bits); past that bound the same passes
 run in int64. The sums are exact integers either way, so the grids equal
-the direct engine's bit for bit, and they are divided straight into the
+the direct engine's bit for bit, and they are written exactly into the
 float64 means. Doubling's cost grows with log2 k where a cumulative-sum
 scan's does not: on a 64-row band of a 1080p plane doubling was the faster
 up to k=32 (k=11: 0.38 against 0.75 ms) and the slower from k=63 (k=255:
@@ -64,6 +65,7 @@ float64 like float planes, never wrapped.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,14 +177,43 @@ def _exact_sum_dtype(plane: PlaneLike, count: int, degree: int = 1) -> type:
     return accumulator(lo, int(data.max()))
 
 
-def _work_buffers(scratch: list, count: int, dtype, parts: int = 2) -> list[np.ndarray]:
-    """``parts`` flat ``dtype`` buffers of ``count`` elements, carved from
-    the one byte buffer ``scratch`` holds (replaced by a larger one when too
-    small), so later calls with the same list reuse its memory."""
-    size = count * np.dtype(dtype).itemsize
-    if not scratch or scratch[0].size < parts * size:
-        scratch[:] = [np.empty(parts * size, np.uint8)]
-    return [scratch[0][i * size : (i + 1) * size].view(dtype) for i in range(parts)]
+#: Grid rows per band: statistics and term maps are formed this many grid
+#: rows at a time (see :func:`banded_statistics`), as are the rolling-sum
+#: update, the hue plane and box downsampling's block rows, so a band's
+#: planes and work buffers stay in cache between passes and a frame's
+#: working set is its result grids plus one band.
+BAND_ROWS = 64
+
+
+def _row_bands(gh: int, stride: int = 1, k: int = 1):
+    """(grid rows, input rows, strided span) of each band of BAND_ROWS grid
+    rows; the input rows are the ones the band's windows read."""
+    for top in range(0, gh, BAND_ROWS):
+        span = (min(BAND_ROWS, gh - top) - 1) * stride + 1
+        yield slice(top, top + BAND_ROWS), slice(top * stride, top * stride + span + k - 1), span
+
+
+_arena = threading.local()  # the scratch arena: one byte buffer per role
+
+
+def _scratch(role: str, shape: tuple, dtype=np.float64, band: bool = True) -> np.ndarray:
+    """An uninitialised ``shape`` array of ``dtype`` for the band loops'
+    work: the box sums' two buffers and then the squared means (``work``),
+    the five band grids (``band``), box downsampling's block rows
+    (``blocks``). It is carved from this thread's byte buffer for ``role``,
+    grown when too small and kept, so every band of every frame reuses the
+    same memory, no thread shares it, and it is valid until the thread's
+    next request for ``role``. Work on more than a band (``band`` False)
+    gets a new array, so neither whole planes nor results stay in it.
+    """
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if not band:
+        return np.empty(shape, dtype)
+    buf = getattr(_arena, role, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, np.uint8)
+        setattr(_arena, role, buf)
+    return buf[:size].view(dtype).reshape(shape)
 
 
 def _run_sums(bufs: list[np.ndarray], i: int, n: int, k: int, step: int) -> tuple[int, int]:
@@ -215,9 +246,7 @@ def _run_sums(bufs: list[np.ndarray], i: int, n: int, k: int, step: int) -> tupl
         pi, width = dst, 2 * width
 
 
-def box_sums(
-    plane: np.ndarray, k: int, stride: int = 1, out: np.ndarray | None = None, scratch: list | None = None,
-) -> np.ndarray:
+def box_sums(plane: np.ndarray, k: int, stride: int = 1, out: np.ndarray | None = None) -> np.ndarray:
     """Exact k x k window sums of an integer plane on the stride grid.
 
     Two passes of power-of-two doubling (:func:`_run_sums`) over a copy of
@@ -228,14 +257,14 @@ def box_sums(
     no loop over rows. Both run in the accumulator :func:`_exact_sum_dtype`
     picks for k^2 samples: uint32 while the largest possible window sum
     fits in 32 bits, int64 beyond, and float64 (no longer exact) only past
-    int64. The sums are written into ``out`` when given (any dtype that
-    holds them, e.g. float64); else they are returned in the working dtype,
-    as a view into ``scratch`` (a list whose buffers later calls reuse) when
-    given, which stays valid until its next use, or as a new array.
+    int64. For a grid of at most BAND_ROWS rows the two work buffers are
+    the thread's (:func:`_scratch`). The sums are written into ``out`` when
+    given (any dtype that holds them, e.g. float64); else they are returned
+    in the working dtype as a new array.
     """
     h, w = plane.shape
-    gw = _grid_shape(h, w, k, stride)[1]
-    bufs = _work_buffers([] if scratch is None else scratch, h * w, _exact_sum_dtype(plane, k * k))
+    gh, gw = _grid_shape(h, w, k, stride)
+    bufs = _scratch("work", (2, h * w), _exact_sum_dtype(plane, k * k), band=gh <= BAND_ROWS)
     np.copyto(bufs[0].reshape(h, w), plane, casting="unsafe")
     i, n = _run_sums(bufs, 0, h * w, k, 1)
     pitch = w
@@ -246,10 +275,10 @@ def box_sums(
         np.copyto(bufs[i][:n].reshape(h, gw), grid_cols)
     i, _ = _run_sums(bufs, i, n, k, pitch)
     sums = bufs[i][: (h - k + 1) * pitch].reshape(h - k + 1, pitch)[::stride, :gw]
-    if out is not None:
-        out[...] = sums
-        return out
-    return np.array(sums) if scratch is None else sums
+    if out is None:
+        return np.array(sums)
+    out[...] = sums
+    return out
 
 
 def _exact_pair(a: np.ndarray, b: np.ndarray, count: int) -> bool:
@@ -290,22 +319,6 @@ def _pair_terms(a: np.ndarray, b: np.ndarray, integer: bool):
     yield b
     for x, y in ((a, a), (b, b), (a, b)):
         yield np.multiply(x, y, dtype=dtype, casting="unsafe")
-
-
-#: Grid rows per band: statistics and term maps are formed this many grid
-#: rows at a time (see :func:`banded_statistics`), as are the folds below and
-#: box downsampling's block rows, so a band's planes and scratch stay in
-#: cache between passes and a frame's working set is its result grids plus
-#: one band.
-BAND_ROWS = 64
-
-
-def _row_bands(gh: int, stride: int, k: int):
-    """(grid rows, input rows, strided span) of each band of BAND_ROWS grid
-    rows; the input rows are the ones the band's windows read."""
-    for top in range(0, gh, BAND_ROWS):
-        span = (min(BAND_ROWS, gh - top) - 1) * stride + 1
-        yield slice(top, top + BAND_ROWS), slice(top * stride, top * stride + span + k - 1), span
 
 
 def _sliding_weighted_sums(values: np.ndarray, weights: np.ndarray, stride: int, out: np.ndarray | None = None):
@@ -379,8 +392,7 @@ class LocalStatsMaps:
         """(grid rows, (mu1, mu2, var1, var2, cov) of those rows) for each
         band of BAND_ROWS grid rows, as views."""
         grids = (self.mu1, self.mu2, self.var1, self.var2, self.cov)
-        for top in range(0, self.grid_shape[0], BAND_ROWS):
-            rows = slice(top, top + BAND_ROWS)
+        for rows, _, _ in _row_bands(self.grid_shape[0]):
             yield rows, tuple(g[rows] for g in grids)
 
 
@@ -418,25 +430,19 @@ def _check_fit(dims: tuple[int, int], window: WindowSpec) -> None:
 
 
 def window_statistics(
-    terms,
-    dims: tuple[int, int],
-    window: WindowSpec,
-    engine: str = "auto",
-    depth: int = 1,
-    out=None,
-    scratch: list | None = None,
+    terms, dims: tuple[int, int], window: WindowSpec, engine: str = "auto", depth: int = 1, out=None,
 ) -> LocalStatsMaps:
     """Local statistics from the five planes I1, I2, I1^2, I2^2, I1*I2.
 
     ``terms`` yields the five ``dims``-shaped planes, summed one at a time;
     they may be sums over ``depth`` frames. An integer plane holds exact
     values, which rectangular windows sum with :func:`box_sums` under
-    ``auto``, divided straight from its integer sums into the float64
-    means; a float plane takes the float64 summed-area table. ``out``, five
-    float64 grids of the window grid's shape, receives the statistics (one
-    reused band of scratch, say); by default they are new grids. ``scratch``
-    is a list holding the work buffer that the box sums and the squared
-    means reuse across calls.
+    ``auto``, written exactly into the float64 means; a float plane takes
+    the float64 summed-area table. ``out``, five float64 grids of the window
+    grid's shape, receives the statistics (a band of the band loop's grids,
+    say); by default they are new grids. On a grid of at most BAND_ROWS
+    rows the box sums and then the squared means take the thread's ``work``
+    buffer (:func:`_scratch`).
     """
     h, w = dims
     k, stride = window.k, window.stride
@@ -451,7 +457,6 @@ def window_statistics(
     grid = _grid_shape(h, w, k, stride)
     if out is not None and [(o.shape, o.dtype) for o in out] != [(grid, np.float64)] * 5:
         raise ValidationError(f"out needs five float64 grids of shape {grid}")
-    scratch = [] if scratch is None else scratch
     # A Gaussian kernel sums to 1, so its window covers one sample per frame.
     area = float((k * k if rect else 1) * depth)
 
@@ -460,9 +465,8 @@ def window_statistics(
             sums = _sliding_weighted_sums(t, kern, stride, out=s)
         elif not rect:
             sums = separable_sums(t, kern1d, stride, out=s)
-        elif t.dtype.kind in "ui":
-            sums = box_sums(t, k, stride, scratch=scratch)  # integers, divided straight into float64
-            return np.divide(sums, area, out=np.empty(grid) if s is None else s)
+        elif t.dtype.kind in "ui":  # exact integer sums, divided in float64
+            sums = box_sums(t, k, stride, out=np.empty(grid) if s is None else s)
         else:
             sums = _grid_window_sums(_sat(t), k, stride, out=s)
         return np.divide(sums, area, out=sums)
@@ -473,8 +477,8 @@ def window_statistics(
     # Each term is dropped before the next is made, so one is held at a time.
     terms = iter(terms)
     means = [window_means(next(terms), s) for s in ([None] * 5 if out is None else out)]
-    # The box sums are spent by now, so their scratch holds the squared means.
-    square = _work_buffers(scratch, grid[0] * grid[1], np.float64, parts=1)[0].reshape(grid)
+    # The box sums are spent by now, so their buffer holds the squared means.
+    square = _scratch("work", grid, band=grid[0] <= BAND_ROWS)
     mu1, mu2, var1, var2, cov = stats_from_means(*means, square)
     return LocalStatsMaps(
         mu1=mu1, mu2=mu2, var1=var1, var2=var2, cov=cov, stride=stride, source_dims=(h, w),
@@ -486,41 +490,35 @@ def banded_statistics(compute, dims: tuple[int, int], window: WindowSpec, engine
     (grid rows, (mu1, mu2, var1, var2, cov) of those rows) over its bands of
     BAND_ROWS grid rows.
 
-    ``compute(rows, out, scratch)`` returns the LocalStatsMaps of the
-    windows that read input ``rows``, written into ``out``, with ``scratch``
-    as :func:`window_statistics`'s. Each band takes its own input rows (the
-    k - 1 rows below it are read again by the next band) and one reused band
-    of scratch: box sums of ``exact`` planes are exact, and the
-    separable passes and the direct loop add the same taps in the same order
-    per grid row, so every band equals the whole grid's rows bit for bit.
+    ``compute(rows, out)`` returns the LocalStatsMaps of the windows that
+    read input ``rows``, written into ``out``. Each band takes its own input
+    rows (the k - 1 rows below it are read again by the next band) and the
+    thread's five ``band`` grids (:func:`_scratch`), which the next band
+    overwrites. Box sums of ``exact`` planes are exact, and the separable
+    passes and the direct loop add the same taps in the same order per grid
+    row, so every band equals the whole grid's rows bit for bit.
     A rectangular window under ``auto`` rounds inexact sums over the whole
     plane (float64 summed-area tables, whose rounding depends on every row
     above): that grid is computed whole (``rows`` covers the plane, ``out``
-    and ``scratch`` are None) and handed out band by band.
+    is None) and handed out band by band.
     """
     _check_fit(dims, window)
     k, stride = window.k, window.stride
     gh, gw = _grid_shape(*dims, k, stride)
     if not (exact or window.shape != "rect" or engine == "naive"):
-        return (gh, gw), compute(slice(None), None, None).bands()
+        return (gh, gw), compute(slice(None), None).bands()
 
     def bands():
-        grids, work = [np.empty((min(BAND_ROWS, gh), gw)) for _ in range(5)], []
+        grids = _scratch("band", (5, min(BAND_ROWS, gh), gw))
         for rows, src, _ in _row_bands(gh, stride, k):
-            n = min(BAND_ROWS, gh - rows.start)
-            stats = compute(src, [g[:n] for g in grids], work)
+            stats = compute(src, list(grids[:, : min(BAND_ROWS, gh - rows.start)]))
             yield rows, (stats.mu1, stats.mu2, stats.var1, stats.var2, stats.cov)
 
     return (gh, gw), bands()
 
 
 def local_statistics(
-    ref: PlaneLike,
-    dist: PlaneLike,
-    window: WindowSpec,
-    engine: str = "auto",
-    out=None,
-    scratch: list | None = None,
+    ref: PlaneLike, dist: PlaneLike, window: WindowSpec, engine: str = "auto", out=None,
 ) -> LocalStatsMaps:
     """Windowed local statistics of a frame pair under a window spec.
 
@@ -528,10 +526,10 @@ def local_statistics(
     loop, any shape) or ``auto`` (exact box sums or summed-area tables for
     rectangular windows, two separable 1-D passes for Gaussian ones).
     Rectangular routes produce the same grids; the Gaussian passes round
-    differently from the direct loop, within 1e-12 relative. ``out`` and
-    ``scratch`` are as for :func:`window_statistics`.
+    differently from the direct loop, within 1e-12 relative. ``out`` is as
+    for :func:`window_statistics`.
     """
     ref, dist = validate_frame_pair(ref, dist)
     a, b = plane_data(ref), plane_data(dist)
     terms = _pair_terms(a, b, _exact_pair(a, b, window.k**2))
-    return window_statistics(terms, a.shape, window, engine, out=out, scratch=scratch)
+    return window_statistics(terms, a.shape, window, engine, out=out)

@@ -4,9 +4,19 @@ They live here, not in conftest.py, so that test modules import them by a
 name no other conftest.py on the test paths shadows.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from ssimkit.frames import ColorFrame, LumaPlane
+
+
+def in_fresh_thread(call):
+    """``call()`` on a new thread, whose scratch arena starts empty, so
+    buffers that earlier calls left in this thread's arena cannot hide its
+    allocations; its result, or its exception raised here."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(call).result()
 
 
 def random_plane(rng, height=32, width=32, bit_depth=8) -> LumaPlane:

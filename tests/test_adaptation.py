@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssimkit import adaptation
+from ssimkit import stats
 from ssimkit.adaptation import (
     HistogramMatcher,
     ProductPredictor,
@@ -258,7 +258,7 @@ class TestBoxDownsample:
             arr = rng.integers(0, 256 if kind == "u8" else 1024, shape).astype(np.uint8 if kind == "u8" else np.uint16)
         banded = box_downsample(arr, factor)
         with monkeypatch.context() as patch:
-            patch.setattr(adaptation, "BAND_ROWS", 10**9)
+            patch.setattr(stats, "BAND_ROWS", 10**9)
             whole = box_downsample(arr, factor)
         assert banded.dtype == whole.dtype == np.float64
         assert banded.shape == whole.shape == (-(-shape[0] // factor), -(-shape[1] // factor))

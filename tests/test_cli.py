@@ -37,6 +37,7 @@ from ssimkit.pipeline import (
 )
 from ssimkit.pooling import parse_spatial, parse_temporal
 from ssimkit.spatiotemporal import RollingVolume
+from ssimkit.stats import BAND_ROWS
 
 from helpers import natural_plane, noisy_version
 
@@ -164,6 +165,17 @@ class TestRunScore:
         assert [r["score"] for r in sequential["records"]] == [
             r["score"] for r in threaded["records"]
         ]
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_worker_threads_on_frames_of_several_bands_match_serial(self, tmp_path, rng, workers):
+        # Three bands of grid rows per frame, so every worker's band loop
+        # reuses its own arena's buffers band after band.
+        refs = [natural_plane(rng, 2 * BAND_ROWS + 40, 56) for _ in range(8)]
+        ref_path = make_y4m(tmp_path / "ref.y4m", refs)
+        dist_path = make_y4m(tmp_path / "dist.y4m", [noisy_version(rng, p, 15) for p in refs])
+        serial = run_score(ref_path, dist_path, PipelineSpec())
+        threaded = run_score(ref_path, dist_path, PipelineSpec(workers=workers))
+        assert threaded["records"] == serial["records"]
 
     def test_worker_threads_bound_frames_in_flight(self, tmp_path, rng, monkeypatch):
         refs = [natural_plane(rng, 24, 24) for _ in range(12)]

@@ -18,7 +18,7 @@ from ssimkit.spatiotemporal import (
 from ssimkit.ssim import mssim, ssim_map
 from ssimkit.stats import BAND_ROWS
 
-from helpers import natural_plane, noisy_version, random_plane
+from helpers import in_fresh_thread, natural_plane, noisy_version, random_plane
 
 CFG5 = SsimConfig(window=WindowSpec.rectangular(5))
 
@@ -206,20 +206,50 @@ class TestRollingSums:
     @pytest.mark.parametrize("bits, dtype, rebuilds", [(8, np.uint32, 0), (16, np.int64, 0), (None, np.float64, 3)])
     def test_only_float_sums_are_rebuilt(self, rng, monkeypatch, bits, dtype, rebuilds):
         # Integer sums never drift; rebuilding them every REFRESH_INTERVAL
-        # pushes only costs whole-plane products of every buffered frame.
+        # pushes only costs the products of every buffered frame. A full
+        # push forms the products of two frames (leaving and entering), a
+        # rebuild those of all kt buffered frames.
         calls = []
-        direct_sums = RollingVolume.direct_sums
+        pair_terms = spatiotemporal._pair_terms
         monkeypatch.setattr(spatiotemporal, "REFRESH_INTERVAL", 4)
-        monkeypatch.setattr(RollingVolume, "direct_sums", lambda vol: calls.append(vol) or direct_sums(vol))
+        monkeypatch.setattr(spatiotemporal, "_pair_terms", lambda *args: calls.append(None) or pair_terms(*args))
         vol = RollingVolume(3)
+        rebuilt = 0
         for _ in range(12):  # the last push is the third rebuild of float sums
+            calls.clear()
             if bits is None:
                 vol.push(float_plane(rng, 9, 11, 8), float_plane(rng, 9, 11, 8))
             else:
                 vol.push(random_plane(rng, 9, 11, bits), random_plane(rng, 9, 11, bits))
-        assert len(calls) == rebuilds
-        for rolled, direct in zip(vol.temporal_sums(), direct_sums(vol)):
+            rebuilt += len(calls) >= vol.kt
+        assert rebuilt == rebuilds
+        for rolled, direct in zip(vol.temporal_sums(), vol.direct_sums()):
             assert rolled.dtype == direct.dtype == dtype
+            assert rolled.tobytes() == direct.tobytes()
+
+    def test_float_sums_are_rebuilt_band_by_band(self, rng, monkeypatch):
+        # Rebuilding from whole-plane products of the five buffered 1080p
+        # float frames and five new sum planes peaked at 117 MiB traced.
+        monkeypatch.setattr(spatiotemporal, "REFRESH_INTERVAL", 4)
+        shape = (1080, 1920)
+        frames = [LumaPlane(rng.uniform(0.0, 255.0, shape)) for _ in range(3)]
+        vol = RollingVolume(5)
+
+        def pushes():
+            peaks = []
+            for t in range(8):  # pushes 4 and 8 rebuild, the second into a full volume
+                tracemalloc.start()
+                try:
+                    vol.push(frames[t % 3], frames[(t + 1) % 3])
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return peaks
+
+        peaks = in_fresh_thread(pushes)
+        assert max(peaks[3], peaks[7]) < 4 * 2**20, peaks
+        for rolled, direct in zip(vol.temporal_sums(), vol.direct_sums()):
+            assert rolled.dtype == direct.dtype == np.float64
             assert rolled.tobytes() == direct.tobytes()
 
     def test_dimension_mismatch(self, rng):

@@ -1,6 +1,9 @@
 import os
+import sys
 import tempfile
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +22,7 @@ from ssimkit.pipeline import PipelineSpec, run_score, score_frame_pair
 from ssimkit.pooling import pool_spatial
 from ssimkit.spatiotemporal import msssim3d, ssim3d_series
 from ssimkit.ssim import mssim, ssim_map, ssim_score
-from ssimkit.stats import local_statistics
+from ssimkit.stats import BAND_ROWS, local_statistics
 
 from helpers import natural_plane, noisy_version, random_plane
 
@@ -313,3 +316,33 @@ class TestWorkingSet:
         a, b = random_plane(rng, 150, 40), random_plane(rng, 150, 40)
         score_frame_pair(a, b, SsimConfig(spatial_pool=pool))
         assert seen == [kept]
+
+
+class TestThreads:
+    def test_concurrent_maps_of_different_shapes_get_the_serial_bytes(self, rng):
+        # Each thread's band loop has its own arena, so threads forming bands
+        # of different widths at once never write each other's buffers. More
+        # threads than cores, switching often.
+        shapes = [(2 * BAND_ROWS + 30, 71), (3 * BAND_ROWS + 17, 133), (BAND_ROWS + 20, 40), (2 * BAND_ROWS, 97)]
+        pairs = [(random_plane(rng, *shape), random_plane(rng, *shape)) for shape in shapes]
+
+        def map_bytes(a, b):
+            maps = ssim_map(a, b)
+            return [m.values.tobytes() for m in (maps.l_map, maps.cs_map, maps.q_map)]
+
+        serial = [map_bytes(a, b) for a, b in pairs]
+        start = threading.Barrier(len(pairs))
+
+        def repeatedly(pair):
+            start.wait(timeout=30)
+            return [map_bytes(*pair) for _ in range(10)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(pairs)) as pool:
+                runs = [f.result(timeout=120) for f in [pool.submit(repeatedly, pair) for pair in pairs]]
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(serial, runs):
+            assert all(bytes_ == want for bytes_ in got)

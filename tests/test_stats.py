@@ -35,7 +35,7 @@ from ssimkit.stats import (
     window_statistics,
 )
 
-from helpers import per_tap_sums, random_plane, random_rgb
+from helpers import in_fresh_thread, per_tap_sums, random_plane, random_rgb
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -345,19 +345,40 @@ class TestBoxSums:
         assert kind == "float64" or want.dtype == np.dtype(kind)
 
     def test_scratch_is_reused_across_calls(self, rng):
+        # A band's grid (64 rows) takes its work buffers from the thread's
+        # arena; the second call of the same shape finds them there.
         plane = rng.integers(0, 1024, (74, 1920)).astype(np.uint16) ** 2
-        scratch = []
-        first = box_sums(plane, 11, 1, scratch=scratch).copy()
-        buffers = [b.ctypes.data for b in scratch]
-        tracemalloc.start()
-        try:
-            again = box_sums(plane, 11, 1, scratch=scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert [b.ctypes.data for b in scratch] == buffers
+
+        def twice():
+            first = box_sums(plane, 11, 1)
+            buffer = stats._arena.work
+            address = buffer.ctypes.data
+            again = np.empty_like(first)
+            tracemalloc.start()
+            try:
+                box_sums(plane, 11, 1, again)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert stats._arena.work is buffer and buffer.ctypes.data == address
+            return first, again, peak
+
+        first, again, peak = in_fresh_thread(twice)
         assert again.tobytes() == first.tobytes() == cumsum_box_sums(plane, 11, 1).tobytes()
         assert peak < 64 * 1024  # views and bookkeeping, not a plane
+
+    def test_whole_plane_work_never_stays_in_the_arena(self, rng):
+        shape = (1080, 1920)
+        a = rng.integers(0, 256, shape, dtype=np.uint8)
+        b = rng.integers(0, 256, shape, dtype=np.uint8)
+
+        def whole():
+            got = local_statistics(a, b, WindowSpec.rectangular(11))
+            return got, {role: buf.nbytes for role, buf in vars(stats._arena).items()}
+
+        got, arena = in_fresh_thread(whole)
+        assert got.mu1.shape == (1070, 1910)
+        assert sum(arena.values()) < shape[0] * shape[1], arena  # less than one uint8 plane
 
     @settings(max_examples=150, deadline=None)
     @given(integer_planes())
