@@ -9,9 +9,10 @@ the model's own in ``config.color`` too, from the config alone.
 Quaternion similarity and the hue plane run band by band, as statistics do
 (``stats.BAND_ROWS`` grid or pixel rows at a time): each band reads the
 input rows it needs as float64 and runs the whole-plane arithmetic on them,
-operation for operation, into its rows of the one whole result (qssim's
-value grid, whose single mean is the score), so scores equal the
-whole-plane arithmetic bit for bit.
+operation for operation. The hue band goes into its rows of the plane;
+qssim's band of values is summed as numpy sums the whole grid
+(``stats.BandedSum``), so neither score moves by a bit. Channel scores are
+map means, pooled as their bands are formed (``ssim._band_sums``).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .frames import (
     LumaPlane,
     validate_color_pair,
 )
-from .stats import _grid_shape, _row_bands, _sliding_weighted_sums, gaussian_kernel_1d, separable_sums
-from .ssim import mssim, ssim_map
+from .stats import BandedSum, _grid_shape, _row_bands, _sliding_weighted_sums, gaussian_kernel_1d, separable_sums
+from .ssim import _frame_bands, _term_mean, mssim, ssim_map
 
 # BT.709 luma coefficients; the chroma scale factors put Cb/Cr in +-L/2 around
 # an L/2 storage offset.
@@ -163,9 +164,7 @@ def _pair_in(ref: ColorFrame, dist: ColorFrame, space: str) -> tuple[ColorFrame,
 def _channel_scores(ref: ColorFrame, dist: ColorFrame, config: SsimConfig) -> tuple[float, float, float]:
     ref, dist = _pair_in(ref, dist, SPACE_YCBCR)
     config = config.for_bit_depth(ref.bit_depth)
-    return tuple(
-        mssim(ssim_map(a, b, config)) for a, b in zip(ref.channels, dist.channels)
-    )
+    return tuple(_term_mean(_frame_bands(a, b, config), config, 3) for a, b in zip(ref.channels, dist.channels))
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +207,11 @@ def qssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) 
     if k > ref.height or k > ref.width:
         raise WindowLargerThanImage(f"{k}x{k} window does not fit a {ref.width}x{ref.height} image")
     gh, gw = _grid_shape(ref.height, ref.width, k, stride)
-    values = np.empty((gh, gw))
-    for rows, src, _ in _row_bands(gh, stride, k):
+    total = BandedSum(gh * gw)
+    for _, src, _ in _row_bands(gh, stride, k):
         band = (np.asarray(c[src], dtype=np.float64) for c in channels)
-        values[rows] = _qssim_values(*band, k, stride, config.c1, config.c2)
-    return float(values.mean())
+        total.add(_qssim_values(*band, k, stride, config.c1, config.c2))
+    return total.total() / total.n
 
 
 def _qssim_values(r1, g1, b1, r2, g2, b2, k: int, stride: int, c1: float, c2: float) -> np.ndarray:

@@ -16,7 +16,8 @@ import numpy as np
 from .config import MultiscaleSpec, SsimConfig
 from .errors import TooManyLevels, TooSmall, ValidationError
 from .frames import LumaPlane, PlaneLike, plane_data, validate_frame_pair
-from .ssim import _volume_term_maps, frame_config, mssim, ssim_map
+from .ssim import _frame_bands, _term_mean, _volume_bands, frame_config
+from .ssim import mssim, ssim_map  # noqa: F401  (perfbench traces these bindings)
 from .stats import _exact_sum_dtype
 
 if TYPE_CHECKING:
@@ -53,7 +54,8 @@ def scale_scores(
     volumes: Optional[Sequence["RollingVolume"]] = None,
 ) -> list[float]:
     """Per-scale scores over ``config.multiscale.levels`` scales: mean cs at
-    scales 1..L-1, mean l*cs at the coarsest.
+    scales 1..L-1, mean l*cs at the coarsest, each pooled as its bands are
+    formed (``ssim._band_sums``).
 
     With ``volumes`` (one rolling volume per scale) each scale's pair is
     pushed into its volume and scored over the volume's temporal window.
@@ -76,13 +78,10 @@ def scale_scores(
             cur_ref = dyadic_downsample(cur_ref)
             cur_dist = dyadic_downsample(cur_dist)
         if volumes is None:
-            maps = ssim_map(cur_ref, cur_dist, config)
+            source = _frame_bands(cur_ref, cur_dist, config)
         else:
-            maps = _volume_term_maps(volumes[level].push(cur_ref, cur_dist), config)
-        if level == levels - 1:
-            scores.append(mssim(maps.q_map))
-        else:
-            scores.append(mssim(maps.cs_map))
+            source = _volume_bands(volumes[level].push(cur_ref, cur_dist), config)
+        scores.append(_term_mean(source, config, 3 if level == levels - 1 else 2))
     return scores
 
 

@@ -47,10 +47,10 @@ from .frames import (
 )
 from .media import StreamHeader, VideoStream, read_pnm, read_planar_raw, read_y4m
 from .multiscale import msssim
-from .pooling import parse_spatial, parse_temporal, pool_spatial, pool_temporal
+from .pooling import band_terms, parse_spatial, parse_temporal, pool_spatial, pool_temporal
 from .spatiotemporal import RollingVolume
-from .ssim import _frame_term_maps, _volume_term_maps, mssim
-from .ssim import term_maps_from_stats  # noqa: F401  (perfbench traces this binding)
+from .ssim import _band_sums, _frame_bands, _volume_bands
+from .ssim import mssim, term_maps_from_stats  # noqa: F401  (perfbench traces these bindings)
 from .stats import local_statistics  # noqa: F401  (perfbench traces this binding)
 
 FrameType = Union[LumaPlane, ColorFrame]
@@ -212,7 +212,9 @@ def score_frame_pair(
     ``volumes`` (one rolling volume per pyramid level, so one unless
     multiscale is on) make scoring 3-D; the pair is pushed into them.
     Multiscale and colour scores are map means, so only luma SSIM maps go
-    through the spatial pooler.
+    through the spatial pooler. The maps are pooled as their bands are
+    formed (``ssim._band_sums``): no l or cs grid is ever whole, and q is
+    only for a pooler that needs the whole map (``pooling.band_terms``).
     """
     ref, dist, config = _prepare(ref, dist, config)
     if config.color.model != "luma":
@@ -220,18 +222,15 @@ def score_frame_pair(
         return FrameScore(scorer(ref, dist, config), None, None, None)
     if config.multiscale.enabled:
         return FrameScore(msssim(ref, dist, config, volumes), None, None, None)
+    source = _frame_bands(ref, dist, config) if volumes is None else _volume_bands(volumes[0].push(ref, dist), config)
     pooler = parse_spatial(config.spatial_pool)
-    if volumes is None:
-        maps = _frame_term_maps(ref, dist, config, pooler.reads_ref_luma)
-    else:
-        maps = _volume_term_maps(volumes[0].push(ref, dist), config, pooler.reads_ref_luma)
-    pooled = pool_spatial(maps.q_map, pooler, ref_luma=maps.mu1)
-    return FrameScore(
-        pooled,
-        mssim(maps.q_map),
-        float(maps.l_map.values.mean()),
-        float(maps.cs_map.values.mean()),
+    terms, score = band_terms(pooler)
+    q = None if score else np.empty(source[1])
+    sums, n = _band_sums(
+        source, config.c1, config.c2, lambda mu1, l, cs, qb: (l, cs, *terms(qb, mu1)), (None, None, q)
     )
+    pooled = score(sums[2:], n) if score else pool_spatial(q, pooler)
+    return FrameScore(pooled, sums[2] / n, sums[0] / n, sums[1] / n)
 
 
 # ---------------------------------------------------------------------------

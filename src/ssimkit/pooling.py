@@ -8,11 +8,14 @@ positive floor.
 
 Both domains share one row per kind, read through the same
 :class:`~ssimkit.config.KindTable` as every config part; dispatch passes the
-kind's parameters, in row order, to its statistic.
+kind's parameters, in row order, to its statistic. The am, mink, lw and dw
+statistics are functions of sums over the map, so the scorer pools them as
+the map's bands are formed (:func:`band_terms`); the others get a whole map.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -82,11 +85,6 @@ class SpatialPooler(_Pooler):
     ps: Optional[float] = None  # pp percentile of lowest values
     rs: Optional[float] = None  # pp down-weighting divisor
 
-    @property
-    def reads_ref_luma(self) -> bool:
-        """Whether the pooler weighs by the reference's local means (``lw``)."""
-        return self.kind == "lw"
-
 
 @dataclass(frozen=True)
 class TemporalPooler(_Pooler):
@@ -143,16 +141,44 @@ def _fns_stat(v: np.ndarray) -> float:
     return float((v.min() + q1 + med + q3 + v.max()) / 5.0)
 
 
-def _dw_stat(v: np.ndarray, p: float) -> float:
+def _dw_terms(v: np.ndarray, mu, p: float) -> tuple:
     w = (1.0 - v) ** p
-    total = w.sum()
-    if total == 0.0:
-        return float(v.mean())  # all values exactly 1: uniform-weight fallback
-    return float((w * v).sum() / total)
+    return w, w * v
 
 
-def _mink_stat(v: np.ndarray, p: float) -> float:
-    return float(((1.0 - v) ** p).mean())
+def _lw_terms(v: np.ndarray, mu: np.ndarray, a: float, b: float) -> tuple:
+    w = (mu >= a).astype(np.float64) if b == 0.0 else np.clip((mu - a) / b, 0.0, 1.0)
+    return (w * v,)
+
+
+#: The kinds whose statistic is a function of sums, so that a map pools band by
+#: band (:func:`band_terms`): the terms each sums besides the values v (mu: the
+#: reference's local means), and its statistic of the sums (v's first), the
+#: value count and its parameters. dw weighs uniformly when every v is 1.
+_SUMMED = {
+    "am": (lambda v, mu: (), lambda s, n: s[0] / n),
+    "mink": (lambda v, mu, p: ((1.0 - v) ** p,), lambda s, n, p: s[1] / n),
+    "lw": (_lw_terms, lambda s, n, a, b: s[1] / n),
+    "dw": (_dw_terms, lambda s, n, p: s[0] / n if s[1] == 0.0 else s[2] / s[1]),
+}
+
+
+def _summed_stat(kind: str, v: np.ndarray, *params, mu=None) -> float:
+    terms, stat = _SUMMED[kind]
+    return float(stat([np.add.reduce(t) for t in (v, *terms(v, mu, *params))], v.size, *params))
+
+
+def band_terms(pool: SpatialPooler):
+    """``(terms, score)`` that pool a map band by band as :func:`pool_spatial`
+    pools it whole, bit for bit: ``terms(v, mu)`` are the arrays to sum over
+    a band's values and reference local means (v first), ``score(sums, n)``
+    the score of their totals (``stats.BandedSum``) over all n values. The
+    kinds that need the whole map (cov, md, fns, pp) sum v and have no score."""
+    if pool.kind not in _SUMMED:
+        return (lambda v, mu: (v,)), None
+    terms, stat = _SUMMED[pool.kind]
+    params = _SPATIAL.values(pool)
+    return (lambda v, mu: (v, *terms(v, mu, *params))), (lambda sums, n: float(stat(sums, n, *params)))
 
 
 def _pp_stat(v: np.ndarray, ps: float, rs: float) -> float:
@@ -183,17 +209,15 @@ def _windowed(base):
 
 
 #: Each kind's statistic; it takes the values and then the kind's parameters
-#: in table order. lw, which also needs the reference luma, is pool_spatial's.
+#: in table order (lw, spatial only, also the reference's local means, mu=).
 _STATS = {
-    "am": lambda v: float(v.mean()),
+    **{kind: functools.partial(_summed_stat, kind) for kind in _SUMMED},
     "gm": _gm_stat,
     "hm": _hm_stat,
     "median": lambda v: float(np.median(v)),
     "cov": _cov_stat,
     "md": _md_stat,
     "fns": _fns_stat,
-    "dw": _dw_stat,
-    "mink": _mink_stat,
     "pp": _pp_stat,
 }
 _STATS.update({"w" + kind: _windowed(_STATS[kind]) for kind in ("am", "gm", "hm", "cov")})
@@ -214,7 +238,7 @@ def pool_spatial(
     if v.size == 0:
         raise EmptyMap("cannot pool an empty quality map")
     v = v.reshape(-1)
-    if not pool.reads_ref_luma:
+    if pool.kind != "lw":
         return _STATS[pool.kind](v, *_SPATIAL.values(pool))
     if ref_luma is None:
         raise MissingLumaForLW("lw pooling needs the reference mean-luminance map")
@@ -222,11 +246,7 @@ def pool_spatial(
     mu = mu.reshape(-1)
     if mu.shape != v.shape:
         raise MissingLumaForLW("mean-luminance map is not co-registered with the quality map")
-    if pool.b == 0.0:
-        w = (mu >= pool.a).astype(np.float64)
-    else:
-        w = np.clip((mu - pool.a) / pool.b, 0.0, 1.0)
-    return float((w * v).mean())
+    return _STATS["lw"](v, pool.a, pool.b, mu=mu)
 
 
 def pool_temporal(series: Union[ScoreSeries, np.ndarray], method: Union[TemporalPooler, str]) -> float:

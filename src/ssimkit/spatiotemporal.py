@@ -39,7 +39,7 @@ from .errors import (
 )
 from .frames import PlaneLike, ScoreSeries, paired_frames, plane_data, validate_frame_pair
 from .multiscale import dyadic_downsample, msssim  # noqa: F401  (perfbench traces dyadic_downsample here)
-from .ssim import SsimTermMaps, _volume_term_maps, frame_config, mssim
+from .ssim import SsimTermMaps, _term_maps, _volume_bands, frame_config, mssim
 from .ssim import term_maps_from_stats  # noqa: F401  (perfbench traces this binding)
 from .stats import LocalStatsMaps, _exact_sum_dtype, _pair_terms, _row_bands, window_statistics
 
@@ -149,8 +149,8 @@ def ssim3d_map(vol: RollingVolume, config: SsimConfig = SsimConfig()) -> SsimTer
     """SSIM term maps over the volume's current temporal window, with
     ``config.window`` as the spatial window. Statistics and maps are formed
     together, BAND_ROWS grid rows of the running sums at a time, as for
-    frames (see ``ssim._volume_term_maps``)."""
-    return _volume_term_maps(vol, config)
+    frames (see ``ssim._volume_bands``)."""
+    return _term_maps(_volume_bands(vol, config), config.c1, config.c2)
 
 
 def ssim3d_series(

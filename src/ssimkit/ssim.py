@@ -4,88 +4,97 @@ The luminance term compares local means; the combined contrast-structure term
 compares local variances and covariance (the common C3 = C2/2 choice folds
 contrast and structure into one ratio). The per-window quality value is their
 product, and has a unique maximum of 1 at identical inputs.
+
+The terms are formed band by band with the statistics (:func:`_band_sums`).
+The public map functions write them into whole grids; the scorers pool each
+band as it is formed, bit for bit as numpy pools a whole grid, and keep none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from .config import SsimConfig
 from .errors import EmptyMap
 from .frames import LumaPlane, PlaneLike, QualityMap, plane_data, validate_frame_pair
-from .stats import LocalStatsMaps, _exact_pair, _exact_sums, banded_statistics, local_statistics
+from .stats import BandedSum, LocalStatsMaps, _exact_pair, _exact_sums, banded_statistics, local_statistics
 
 
 @dataclass(frozen=True)
 class SsimTermMaps:
-    """Luminance, contrast-structure, and combined quality maps, co-registered;
-    ``mu1`` holds the reference's local means when they were asked for."""
+    """Luminance, contrast-structure, and combined quality maps, co-registered."""
 
     l_map: QualityMap
     cs_map: QualityMap
     q_map: QualityMap
-    mu1: Optional[np.ndarray] = None
 
 
-def _term_maps(bands, shape, geometry: dict, c1: float, c2: float, keep_mu1: bool = False) -> SsimTermMaps:
-    """The l / cs / q maps (and the mu1 grid, if kept) of a ``shape`` grid
-    from ``bands``: (grid rows, (mu1, mu2, var1, var2, cov) of those rows)
-    pairs that cover it.
+def _band_sums(source, c1: float, c2: float, terms, grids=(None, None, None)) -> tuple[list[float], int]:
+    """Totals of the arrays ``terms(mu1, l, cs, q)`` gives for each band of
+    ``source`` (:func:`_frame_bands`), each numpy's sum of its whole grid bit
+    for bit (stats.BandedSum), and the window count.
 
-    l = (2 mu1 mu2 + C1) / (mu1^2 + mu2^2 + C1)
     cs = (2 cov + C2) / (var1 + var2 + C2)
+    l = (2 mu1 mu2 + C1) / (mu1^2 + mu2^2 + C1)
     q = l * cs
 
-    Evaluated in place, in the order written, band by band into the three
-    result grids, with no other scratch: q's band holds each denominator
-    until the last step, and cs's band holds mu2^2 until cs is formed. The
-    statistics are left untouched.
+    Evaluated in place, cs and then l (its denominator first), into the
+    rows of the whole ``grids`` given, with no other scratch: q's band holds
+    each denominator until the last step, and l's band holds mu2^2 until
+    l's denominator is formed. A term with no grid is formed over
+    statistics it has spent (cs over cov, l over var2, q over var1), so no
+    band is allocated for it and only mu1 survives; with all three grids
+    the statistics are untouched.
     """
-    l, cs, q = np.empty(shape), np.empty(shape), np.empty(shape)
-    means = np.empty(shape) if keep_mu1 else None
+    _, shape, bands = source
+    n, sums = shape[0] * shape[1], None
     for rows, (mu1, mu2, var1, var2, cov) in bands:
-        lb, csb, den = l[rows], cs[rows], q[rows]
-        np.multiply(2.0, mu1, out=lb)
-        lb *= mu2
-        lb += c1
-        np.multiply(mu1, mu1, out=den)
-        den += np.multiply(mu2, mu2, out=csb)
-        den += c1
-        lb /= den
+        lb, csb, den = (spent if g is None else g[rows] for g, spent in zip(grids, (var2, cov, var1)))
         np.multiply(2.0, cov, out=csb)
         csb += c2
         np.add(var1, var2, out=den)
         den += c2
         csb /= den
+        np.multiply(mu1, mu1, out=den)
+        den += np.multiply(mu2, mu2, out=lb)
+        den += c1
+        np.multiply(2.0, mu1, out=lb)
+        lb *= mu2
+        lb += c1
+        lb /= den
         np.multiply(lb, csb, out=den)  # q
-        if means is not None:
-            means[rows] = mu1
-    maps = []
-    for values in (l, cs, q):
+        values = terms(mu1, lb, csb, den)
+        sums = sums or [BandedSum(n) for _ in values]
+        for total, x in zip(sums, values):
+            total.add(x)
+    return [total.total() for total in sums], n
+
+
+def _term_maps(source, c1: float, c2: float) -> SsimTermMaps:
+    """The whole l / cs / q maps of ``source``'s grid."""
+    geometry, shape, _ = source
+    grids = [np.empty(shape) for _ in range(3)]
+    _band_sums(source, c1, c2, lambda *band: (), grids)
+    for values in grids:
         values.setflags(write=False)  # QualityMap keeps read-only arrays without a copy
-        maps.append(QualityMap(values, **geometry))
-    return SsimTermMaps(*maps, mu1=means)
+    return SsimTermMaps(*(QualityMap(values, **geometry) for values in grids))
 
 
-def _banded_term_maps(compute, dims: tuple[int, int], engine: str, exact: bool, config: SsimConfig,
-                      keep_mu1: bool) -> SsimTermMaps:
-    """Term maps formed band by band with the statistics that
-    ``compute(rows, out)`` gives under ``engine`` (see
-    stats.banded_statistics), and the mu1 grid if ``keep_mu1``."""
-    window = config.window
-    shape, bands = banded_statistics(compute, dims, window, engine, exact)
-    geometry = dict(stride=window.stride, source_dims=dims)
-    return _term_maps(bands, shape, geometry, config.c1, config.c2, keep_mu1)
+def _term_mean(source, config: SsimConfig, term: int) -> float:
+    """The mean of ``source``'s l (term 1), cs (2) or q (3) grid, pooled as
+    its bands are formed."""
+    (total,), n = _band_sums(source, config.c1, config.c2, lambda *band: (band[term],))
+    return total / n
 
 
 def term_maps_from_stats(stats: LocalStatsMaps, c1: float, c2: float) -> SsimTermMaps:
     """Build the l / cs / q maps from whole local statistics grids, band by
-    band (see :func:`_term_maps`)."""
+    band (see :func:`_band_sums`)."""
     geometry = dict(stride=stats.stride, source_dims=stats.source_dims)
-    return _term_maps(stats.bands(), stats.grid_shape, geometry, c1, c2)
+    return _term_maps((geometry, stats.grid_shape, stats.bands()), c1, c2)
 
 
 def frame_config(config: SsimConfig, ref: PlaneLike, dist: PlaneLike) -> SsimConfig:
@@ -96,20 +105,19 @@ def frame_config(config: SsimConfig, ref: PlaneLike, dist: PlaneLike) -> SsimCon
 
 def ssim_map(ref: PlaneLike, dist: PlaneLike, config: SsimConfig = SsimConfig()) -> SsimTermMaps:
     """SSIM term maps of a frame pair, with constants for its bit depth (see frame_config)."""
-    return _frame_term_maps(ref, dist, config)
+    config = frame_config(config, ref, dist)
+    return _term_maps(_frame_bands(ref, dist, config), config.c1, config.c2)
 
 
-def _frame_term_maps(ref: PlaneLike, dist: PlaneLike, config: SsimConfig, keep_mu1: bool = False) -> SsimTermMaps:
-    """:func:`ssim_map`, with the reference's local means (``mu1``) if
-    ``keep_mu1``.
+def _frame_bands(ref: PlaneLike, dist: PlaneLike, config: SsimConfig):
+    """The map geometry, grid shape and statistics bands of a frame pair.
 
-    Statistics and maps are formed together, BAND_ROWS grid rows at a time
-    (see :func:`~ssimkit.stats.banded_statistics`): each band's
+    Statistics are formed BAND_ROWS grid rows at a time (see
+    :func:`~ssimkit.stats.banded_statistics`): each band's
     ``local_statistics`` reads only the rows its windows cover, so only
     float planes under rectangular windows (whose summed-area tables round
     over the whole plane) ever hold whole statistics grids.
     """
-    config = frame_config(config, ref, dist)
     ref, dist = validate_frame_pair(ref, dist)
     a, b = plane_data(ref), plane_data(dist)
 
@@ -117,22 +125,22 @@ def _frame_term_maps(ref: PlaneLike, dist: PlaneLike, config: SsimConfig, keep_m
         return local_statistics(a[rows], b[rows], config.window, config.engine, out)
 
     exact = _exact_pair(a, b, config.window.k**2)
-    return _banded_term_maps(compute, a.shape, config.engine, exact, config, keep_mu1)
+    geometry = dict(stride=config.window.stride, source_dims=a.shape)
+    return geometry, *banded_statistics(compute, a.shape, config.window, config.engine, exact)
 
 
-def _volume_term_maps(vol, config: SsimConfig, keep_mu1: bool = False) -> SsimTermMaps:
-    """SSIM term maps over a ``RollingVolume``'s current temporal window
-    (any object with its ``temporal_sums`` and ``local_statistics``), with
-    ``config.window`` as the spatial window, formed band by band of the
-    running sums as :func:`_frame_term_maps` forms a frame pair's, with
-    the reference's local means (``mu1``) if ``keep_mu1``."""
+def _volume_bands(vol, config: SsimConfig):
+    """:func:`_frame_bands` of a ``RollingVolume``'s current temporal window
+    (any object with its ``temporal_sums`` and ``local_statistics``), band
+    by band of the running sums."""
     sums = vol.temporal_sums()
 
     def compute(rows, out):
         return vol.local_statistics(config.window, rows, out)
 
     exact = _exact_sums(sums, config.window.k**2)
-    return _banded_term_maps(compute, sums[0].shape, "auto", exact, config, keep_mu1)
+    geometry = dict(stride=config.window.stride, source_dims=sums[0].shape)
+    return geometry, *banded_statistics(compute, sums[0].shape, config.window, "auto", exact)
 
 
 def mssim(maps: Union[SsimTermMaps, QualityMap, np.ndarray]) -> float:

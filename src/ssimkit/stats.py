@@ -18,13 +18,13 @@ either of them BAND_ROWS grid rows at a time: each band forms its
 five planes from the input rows its windows read (the k - 1 rows below a
 band are read again by the next), sums them in the thread's scratch arena
 (:func:`_scratch`) and turns the sums into statistics, which
-``ssim.ssim_map`` (frame pairs) and ``ssim._volume_term_maps`` (volumes, for
-``ssim3d_map`` and the multiscale 3-D levels) turn into term-map rows
-straight away. So a frame's working set is its l, cs and q grids (and
-mu1's, when the caller keeps it for the ``lw`` pooler) plus one band. Box
-sums are exact, and the
-separable passes and the direct loop add the same taps in the same order per
-grid row, so bands equal whole grids bit for bit. Whole grids remain where
+``ssim._band_sums`` turns into l, cs and q bands straight away. Scores pool
+those bands as they are formed (:class:`BandedSum` adds them up as numpy
+sums a whole grid), so a frame's working set is one band: whole l, cs and q
+grids are made only for the public map functions, and a whole q grid for a
+pooler that needs one. Box sums are exact, and the separable passes and the
+direct loop add the same taps in the same order per grid row, so bands
+equal whole grids bit for bit. Whole grids remain where
 they are asked for (:func:`local_statistics` and
 ``RollingVolume.local_statistics`` called on their own, and
 ``ssim.term_maps_from_stats``) and on the one route whose rounding depends
@@ -181,7 +181,7 @@ def _exact_sum_dtype(plane: PlaneLike, count: int, degree: int = 1) -> type:
 #: rows at a time (see :func:`banded_statistics`), as are the rolling-sum
 #: update, the hue plane and box downsampling's block rows, so a band's
 #: planes and work buffers stay in cache between passes and a frame's
-#: working set is its result grids plus one band.
+#: working set is one band.
 BAND_ROWS = 64
 
 
@@ -214,6 +214,49 @@ def _scratch(role: str, shape: tuple, dtype=np.float64, band: bool = True) -> np
         buf = np.empty(size, np.uint8)
         setattr(_arena, role, buf)
     return buf[:size].view(dtype).reshape(shape)
+
+
+class BandedSum:
+    """``np.add.reduce`` of ``n`` float64 values that arrive band by band,
+    bit for bit: ``total() / n`` is their ``mean()``.
+
+    numpy sums pairwise: a run of more than 128 values splits at half its
+    length, rounded down to a multiple of 8 (Higham, SIAM J. Sci. Comput.
+    1993). ``add`` sums the largest parts inside the band with
+    ``np.add.reduce``, gathers a leaf that crosses a band edge in ``tail``,
+    and adds each part to its sibling as soon as both are summed.
+    """
+
+    def __init__(self, n: int):
+        self.n, self.done, self.held, self.tail, self.sums = n, 0, 0, np.empty(128), []
+
+    def add(self, band: np.ndarray) -> None:
+        self._walk(0, self.n, band.reshape(-1), self.done + self.held)
+
+    def _walk(self, lo: int, size: int, values: np.ndarray, start: int) -> bool:
+        """Sum the ``size`` values from ``lo`` that ``values`` (from ``start``) reach; whether all are."""
+        hi, half, got = lo + size, size // 2 // 8 * 8, start + values.size
+        if hi <= self.done:
+            return True
+        if size <= 128 and (lo < start or hi > got):  # a leaf across a band edge
+            offset, copied = max(start - lo, 0), values[max(lo - start, 0) : hi - start]
+            self.tail[offset : offset + copied.size] = copied
+            if hi > got:
+                self.done, self.held = lo, offset + copied.size
+                return False
+            part = self.tail[:size]
+        elif lo >= start and hi <= got:
+            part = values[lo - start : hi - start]
+        elif self._walk(lo, half, values, start) and self._walk(lo + half, size - half, values, start):
+            self.sums.append(self.sums.pop() + self.sums.pop())  # the part's two halves
+            return True
+        else:
+            return False
+        self.sums.append(np.add.reduce(part))
+        return True
+
+    def total(self) -> float:
+        return float(self.sums[0])
 
 
 def _run_sums(bufs: list[np.ndarray], i: int, n: int, k: int, step: int) -> tuple[int, int]:

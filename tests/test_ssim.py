@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssimkit import pipeline, ssim
 from ssimkit.adaptation import box_downsample, policy_factor
 from ssimkit.config import MultiscaleSpec, ScalePolicy, SsimConfig, WindowSpec
 from ssimkit.errors import EmptyMap
@@ -24,7 +23,7 @@ from ssimkit.spatiotemporal import msssim3d, ssim3d_series
 from ssimkit.ssim import mssim, ssim_map, ssim_score
 from ssimkit.stats import BAND_ROWS, local_statistics
 
-from helpers import natural_plane, noisy_version, random_plane
+from helpers import in_fresh_thread, natural_plane, noisy_version, random_plane
 
 # Direct evaluation of the zero-variance closed form for means (100, 110),
 # 8-bit, K1 = 0.01: (2*100*110 + 6.5025) / (100^2 + 110^2 + 6.5025).
@@ -296,26 +295,32 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert peak <= 3.5 * shape[0] * shape[1] * 8
 
-    def test_local_means_are_kept_only_when_asked_for(self, rng):
-        a, b = random_plane(rng, 150, 40), random_plane(rng, 150, 40)
-        config = SsimConfig(spatial_pool="lw:a=20,b=40")
-        assert ssim_map(a, b, config).mu1 is None
-        maps = ssim._frame_term_maps(a, b, config, keep_mu1=True)
-        assert maps.mu1.tobytes() == local_statistics(a, b, config.window).mu1.tobytes()
+    def test_frame_pair_pooled_as_its_bands_form_peaks_below_one_plane(self, rng):
+        # Under am no l, cs or q grid is whole: what stays is the thread's
+        # arena, a few bands wide, which a fresh thread has to allocate.
+        shape = (1080, 1920)
+        a = LumaPlane(rng.integers(0, 256, shape, dtype=np.uint8))
+        b = LumaPlane(rng.integers(0, 256, shape, dtype=np.uint8))
 
-    @pytest.mark.parametrize("pool, kept", [("am", False), ("cov", False), ("lw:a=20,b=40", True)])
-    def test_the_pipeline_keeps_local_means_for_the_pooler_that_reads_them(self, monkeypatch, rng, pool, kept):
-        seen = []
+        def traced_peak():
+            tracemalloc.start()
+            try:
+                score_frame_pair(a, b, SsimConfig(spatial_pool="am"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        def recording(*args):
-            maps = ssim._frame_term_maps(*args)
-            seen.append(maps.mu1 is not None)
-            return maps
+        assert in_fresh_thread(traced_peak) < shape[0] * shape[1] * 8
 
-        monkeypatch.setattr(pipeline, "_frame_term_maps", recording)
-        a, b = random_plane(rng, 150, 40), random_plane(rng, 150, 40)
-        score_frame_pair(a, b, SsimConfig(spatial_pool=pool))
-        assert seen == [kept]
+    @pytest.mark.parametrize("pool", ["lw:a=60,b=80", "lw:a=100", "am", "mink:p=3", "dw:p=2"])
+    def test_streamed_scores_equal_whole_map_pooling(self, rng, pool):
+        # 140 grid rows: three bands, the last one short.
+        a = natural_plane(rng, 150, 60)
+        b = noisy_version(rng, a)
+        config = SsimConfig(spatial_pool=pool)
+        mu1 = local_statistics(a, b, config.window).mu1
+        want = pool_spatial(ssim_map(a, b, config).q_map, pool, ref_luma=mu1)
+        assert score_frame_pair(a, b, config).score.hex() == want.hex()
 
 
 class TestThreads:

@@ -16,7 +16,7 @@ from ssimkit.errors import (
 )
 from ssimkit.frames import LumaPlane
 from ssimkit.multiscale import dyadic_downsample, scale_scores
-from ssimkit.spatiotemporal import RollingVolume
+from ssimkit.spatiotemporal import RollingVolume, ssim3d_map
 from ssimkit.stats import (
     _exact_sum_dtype,
     _exact_sums,
@@ -650,8 +650,17 @@ def one_band(monkeypatch, call):
 
 
 def map_bytes(maps):
-    grids = [maps.l_map.values, maps.cs_map.values, maps.q_map.values]
-    return [g.tobytes() for g in grids + ([] if maps.mu1 is None else [maps.mu1])]
+    return [m.values.tobytes() for m in (maps.l_map, maps.cs_map, maps.q_map)]
+
+
+def streamed_means(source, cfg):
+    """The l, cs and q means pooled as the bands of ``source`` are formed."""
+    sums, n = ssim._band_sums(source, cfg.c1, cfg.c2, lambda mu1, l, cs, q: (l, cs, q))
+    return [total / n for total in sums]
+
+
+def map_means(maps):
+    return [float(m.values.mean()) for m in (maps.l_map, maps.cs_map, maps.q_map)]
 
 
 #: Plane kinds of the band-edge cases: (make plane, bit depth).
@@ -660,6 +669,33 @@ BAND_PLANES = {
     "u10": (lambda rng, shape: rng.integers(0, 1024, shape, dtype=np.uint16), 10),
     "f64": (lambda rng, shape: rng.uniform(0.0, 255.0, shape), 8),
 }
+
+
+#: Grid shapes of the BandedSum checks: runs of fewer than 8 values, one
+#: leaf of 128 and the first split at 129, single rows and columns, and
+#: several bands of rows.
+SUM_SHAPES = (
+    [(1, n) for n in range(1, 8)] + [(n, 1) for n in range(1, 8)]
+    + [(1, 128), (128, 1), (1, 129), (129, 1), (1, 3001), (1000, 1), (BAND + 1, 97), (3 * BAND + 5, 211)]
+)
+
+
+class TestBandedSum:
+    """BandedSum rebuilds numpy's pairwise sum of a grid from its bands bit
+    for bit; this guards it against a change in how numpy reduces."""
+
+    @pytest.mark.parametrize("zeros", [0.2, 1.0])
+    @pytest.mark.parametrize("shape", SUM_SHAPES)
+    def test_bands_sum_as_numpy_sums_the_whole(self, shape, zeros):
+        rng = np.random.default_rng([*shape, int(zeros * 10)])
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 13, shape)
+        values[rng.random(shape) < zeros] = -0.0
+        whole, mean = float(np.add.reduce(values.reshape(-1))).hex(), float(values.mean()).hex()
+        for rows in range(1, BAND + 2):
+            total = stats.BandedSum(values.size)
+            for top in range(0, shape[0], rows):
+                total.add(values[top : top + rows])
+            assert (total.total().hex(), (total.total() / values.size).hex()) == (whole, mean), rows
 
 
 class TestBandEdges:
@@ -689,12 +725,13 @@ class TestBandEdges:
                         continue  # k^2 taps a band; stride 1 covers this route
                     cfg = SsimConfig(bit_depth=bits, window=window, engine=engine)
                     calls.clear()
-                    banded = ssim._frame_term_maps(a, b, cfg, keep_mu1=True)
+                    banded = ssim.ssim_map(a, b, cfg)
                     bands = len(calls)
-                    whole = one_band(monkeypatch, lambda: ssim._frame_term_maps(a, b, cfg, keep_mu1=True))
+                    whole = one_band(monkeypatch, lambda: ssim.ssim_map(a, b, cfg))
                     assert map_bytes(banded) == map_bytes(whole), (window, kind, engine)
                     summed_area = kind == "f64" and engine == "auto" and window.shape == "rect"
                     assert bands == (1 if summed_area else -(-grid_rows // BAND))
+                    assert streamed_means(ssim._frame_bands(a, b, cfg), cfg) == map_means(whole)
 
     def test_out_must_be_five_float64_grids_of_the_window_grid(self, rng):
         a, b = random_plane(rng, 20, 30), random_plane(rng, 20, 30)
@@ -725,11 +762,10 @@ class TestBandEdges:
                 assert vol.temporal_sums()[0].dtype == (np.uint32 if t < kt else np.float64)
                 for engine in ENGINES:  # volumes sum under auto whatever the config says
                     cfg = SsimConfig(bit_depth=10, window=window, engine=engine)
-                    banded = ssim._volume_term_maps(vol, cfg, keep_mu1=True)
-                    whole = one_band(monkeypatch, lambda: ssim._volume_term_maps(vol, cfg, keep_mu1=True))
+                    banded = ssim3d_map(vol, cfg)
+                    whole = one_band(monkeypatch, lambda: ssim3d_map(vol, cfg))
                     assert map_bytes(banded) == map_bytes(whole), (window, t, engine)
-                stats_whole = vol.local_statistics(window)
-                assert banded.mu1.tobytes() == stats_whole.mu1.tobytes()
+                    assert streamed_means(ssim._volume_bands(vol, cfg), cfg) == map_means(whole)
 
     def test_16_bit_volume_maps_equal_one_band(self, monkeypatch, rng):
         window = WindowSpec.rectangular(7, 2)
@@ -739,8 +775,9 @@ class TestBandEdges:
             vol.push(*(LumaPlane(rng.integers(0, 65536, shape, dtype=np.uint16), 16) for _ in range(2)))
         assert vol.temporal_sums()[0].dtype == np.int64
         cfg = SsimConfig(bit_depth=16, window=window)
-        banded = ssim._volume_term_maps(vol, cfg, keep_mu1=True)
-        assert map_bytes(banded) == map_bytes(one_band(monkeypatch, lambda: ssim._volume_term_maps(vol, cfg, keep_mu1=True)))
+        banded = ssim3d_map(vol, cfg)
+        assert map_bytes(banded) == map_bytes(one_band(monkeypatch, lambda: ssim3d_map(vol, cfg)))
+        assert streamed_means(ssim._volume_bands(vol, cfg), cfg) == map_means(banded)
 
     def test_multiscale_volume_scores_equal_whole_statistics(self, monkeypatch, rng):
         # Level 0 has 2 * BAND + 1 grid rows, level 1 BAND - 2.
