@@ -2,7 +2,8 @@
 
 Scale factors: the legacy 256-line rule, its viewing-distance generalization
 (calibrated so D/H = 3.0 reproduces the legacy rule), and the viewing-geometry
-transform. Scaled-score prediction estimates the rendering-resolution mean
+transform, applied by box downsampling, which keeps integer luma as exact
+block sums. Scaled-score prediction estimates the rendering-resolution mean
 score from compression-resolution quality maps, either by periodic-reference
 histogram matching or by the learning-free product of the scaling and
 compression scores.
@@ -98,20 +99,28 @@ def policy_factor(policy: ScalePolicy, width: int, height: int) -> int:
 
 
 def box_downsample(plane: PlaneLike, factor: int) -> PlaneLike:
-    """Block-average by an integer factor; trailing partial blocks average
-    over their actual size. Factor 1 is the identity.
+    """Downsample by an integer factor: one sample per factor x factor
+    block, trailing partial blocks over their actual size. Factor 1 is the
+    identity.
+
+    An integer LumaPlane comes back as its exact block sums, in the
+    accumulator :func:`_exact_sum_dtype` picks for ``scale`` samples of it
+    (uint16 for 8-bit planes up to factor 16, uint32 for 16-bit ones up to
+    256), with the plane's scale multiplied by the blocks' sample count. The
+    sum of a partial block is multiplied up to the least common multiple
+    of the block counts, so every sample sums the same number of samples:
+    that multiple is the scale, and ``samples / scale`` equals averaging
+    in float64 bit for bit. Bare arrays, float planes, and integer planes
+    whose scaled sums would pass int64 come back as float64 block means.
 
     Block sums never pass through a float64 copy of the plane. Band by band
     of BAND_ROWS block rows, each block row is the sum of ``factor`` strided
     row slices, in the thread's reused ``blocks`` buffer (``stats._scratch``),
-    then ``np.add.reduceat`` sums its columns and the band's means go
-    straight into the output grid. The accumulator is the one
-    :func:`_exact_sum_dtype` picks for factor^2 samples: uint32 (e.g. 8-bit
-    planes up to factor 4104, 16-bit up to 256), int64 for other integer
-    planes, float64 for float planes. Integer sums
-    are exact and each mean is one division by the block's sample count, so
-    integer planes come out bit-identical to averaging in float64; float
-    planes differ only in summation order, which is the same in every band.
+    then the sums of ``factor`` strided column slices go into the output
+    (``np.add.reduceat`` for float means, which keeps numpy's pairwise order
+    in each block). Integer sums are exact; float planes differ from
+    averaging a float64 copy only in summation order, which is the same in
+    every band.
     """
     if not isinstance(factor, int) or factor < 1:
         raise ValidationError(f"factor must be an integer >= 1, got {factor!r}")
@@ -120,25 +129,43 @@ def box_downsample(plane: PlaneLike, factor: int) -> PlaneLike:
     arr = np.asarray(plane_data(plane))
     h, w = arr.shape
     factor = min(factor, max(h, w))  # a larger block is the whole frame too
-    work = _exact_sum_dtype(arr, factor * factor)
     row_edges = np.arange(0, h, factor)
     col_edges = np.arange(0, w, factor)
     row_counts = np.minimum(row_edges + factor, h) - row_edges
     col_counts = np.minimum(col_edges + factor, w) - col_edges
-    out = np.empty((len(row_edges), len(col_edges)))
+    # The lcm of the block counts r * c is lcm(r) * lcm(c), prime by prime.
+    rows_lcm, cols_lcm = math.lcm(*row_counts.tolist()), math.lcm(*col_counts.tolist())
+    scale = rows_lcm * cols_lcm
+    exact = isinstance(plane, LumaPlane) and _exact_sum_dtype(plane, scale) is not np.float64
+    work = _exact_sum_dtype(plane, scale) if exact else _exact_sum_dtype(arr, factor * factor)
+    out = np.empty((len(row_edges), len(col_edges)), work if exact else np.float64)
     for grid_rows, src, _ in _row_bands(len(row_edges), factor, factor):
-        band = arr[src]
-        rows = _scratch("blocks", (len(out[grid_rows]), w), work)
-        np.copyto(rows, band[::factor], casting="unsafe")
-        for j in range(1, min(factor, len(band))):
-            part = band[j::factor]
-            block = rows[: len(part)]
-            np.add(block, part, out=block, dtype=work, casting="unsafe")
-        sums = np.add.reduceat(rows, col_edges, axis=1, dtype=work)  # not add's widened default
-        np.divide(sums, np.outer(row_counts[grid_rows], col_counts), out=out[grid_rows])
-    if isinstance(plane, LumaPlane):
-        out.setflags(write=False)  # LumaPlane keeps read-only arrays without a copy
-        return LumaPlane(out, plane.bit_depth)
+        rows = _strided_sums(arr[src], factor, 0, _scratch("blocks", (len(out[grid_rows]), w), work))
+        if not exact:  # reduceat keeps numpy's pairwise order within a float block
+            sums = np.add.reduceat(rows, col_edges, axis=1, dtype=work)  # not add's widened default
+            np.divide(sums, np.outer(row_counts[grid_rows], col_counts), out=out[grid_rows])
+            continue
+        _strided_sums(rows, factor, 1, out[grid_rows])
+        if (row_counts[-1], col_counts[-1]) != (rows_lcm, cols_lcm):  # partial blocks: up to the common count
+            out[grid_rows] *= np.outer(rows_lcm // row_counts[grid_rows], cols_lcm // col_counts).astype(work)
+    if not isinstance(plane, LumaPlane):
+        return out
+    out.setflags(write=False)  # LumaPlane keeps read-only arrays without a copy
+    return LumaPlane(out, plane.bit_depth, plane.scale * scale if exact else plane.scale)
+
+
+def _strided_sums(values: np.ndarray, factor: int, axis: int, out: np.ndarray) -> np.ndarray:
+    """Sums of each run of ``factor`` entries of ``values`` along ``axis``
+    (0 or 1), a trailing partial run over the entries it has, into ``out``
+    in its dtype: the strided slices ``values[j::factor]`` added one by one,
+    each a single elementwise add, which is faster than a reduction over
+    runs this short."""
+    lead = (slice(None),) * axis
+    np.copyto(out, values[lead + (slice(None, None, factor),)], casting="unsafe")
+    for j in range(1, min(factor, values.shape[axis])):
+        part = values[lead + (slice(j, None, factor),)]
+        head = out[lead + (slice(part.shape[axis]),)]
+        np.add(head, part, out=head, dtype=out.dtype, casting="unsafe")
     return out
 
 

@@ -24,6 +24,10 @@ class BitDepthMismatch(SsimkitError):
     """Reference and distorted inputs differ in bit depth."""
 
 
+class ScaleMismatch(SsimkitError):
+    """Reference and distorted planes sum different numbers of samples per sample."""
+
+
 class WrongSpace(SsimkitError):
     """A color operation received a frame in the wrong color space."""
 

@@ -2,7 +2,9 @@
 
 All containers are immutable after construction (arrays are marked read-only)
 and validate their invariants up front, so downstream numerics never have to
-re-check shapes or ranges.
+re-check shapes or ranges. A LumaPlane may hold sums of ``scale`` signal
+samples per sample (box-downsampled luma keeps its exact block sums); a
+reference/distorted pair must agree in scale as in size and bit depth.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .errors import (
     BitDepthMismatch,
     DimensionMismatch,
     LengthMismatch,
+    ScaleMismatch,
     ValidationError,
     WrongSpace,
 )
@@ -40,14 +43,21 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LumaPlane:
-    """Single-channel raster with samples in [0, 2**bit_depth - 1].
+    """Single-channel raster of ``bit_depth``-bit luma.
 
-    Samples read from media keep their integer dtype; derived planes
-    (downsampled, converted) may carry float64 samples in the same range.
+    Each sample is the sum of ``scale`` signal samples in
+    [0, 2**bit_depth - 1], so it lies in [0, scale * (2**bit_depth - 1)].
+    Samples read from media keep their integer dtype with scale 1; a
+    box-downsampled integer plane keeps its exact block sums, with the
+    block's sample count as its scale; other derived planes (pyramid
+    levels, luma converted from RGB) carry float64 means with scale 1.
+    Statistics read the samples as they are and divide by the scale, so
+    they come out in signal units whatever it is.
     """
 
     samples: np.ndarray
     bit_depth: int = 8
+    scale: int = 1
 
     def __post_init__(self):
         arr = np.asarray(self.samples)
@@ -55,17 +65,20 @@ class LumaPlane:
             raise ValidationError("plane samples must form a non-empty 2-D grid")
         if not isinstance(self.bit_depth, int) or not 8 <= self.bit_depth <= 16:
             raise ValidationError(f"bit depth must be an integer in [8, 16], got {self.bit_depth!r}")
+        if type(self.scale) is not int or self.scale < 1:
+            raise ValidationError(f"scale must be an integer >= 1, got {self.scale!r}")
         if arr.dtype.kind not in "uif":
             raise ValidationError(f"unsupported sample dtype {arr.dtype}")
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             raise ValidationError("plane samples must be finite")
-        peak = (1 << self.bit_depth) - 1
+        peak = self.scale * ((1 << self.bit_depth) - 1)
         fits = arr.dtype.kind != "f" and np.iinfo(arr.dtype).min >= 0 and np.iinfo(arr.dtype).max <= peak
         if not fits:  # the dtype alone does not bound the samples: scan them
             lo, hi = arr.min(), arr.max()
             if lo < 0 or hi > peak:
                 raise ValidationError(
-                    f"samples outside [0, {peak}] for {self.bit_depth}-bit plane (min {lo}, max {hi})"
+                    f"samples outside [0, {peak}] for {self.bit_depth}-bit plane of scale {self.scale}"
+                    f" (min {lo}, max {hi})"
                 )
         object.__setattr__(self, "samples", _freeze(arr))
 
@@ -79,15 +92,21 @@ class LumaPlane:
 
     @property
     def peak(self) -> float:
-        """Dynamic range L = 2**bit_depth - 1."""
+        """Dynamic range L = 2**bit_depth - 1 of the signal (not of the scaled samples)."""
         return float((1 << self.bit_depth) - 1)
 
     def as_float(self) -> np.ndarray:
-        """Samples promoted to float64, as a copy; the statistics read integer samples as they are."""
-        return np.asarray(self.samples, dtype=np.float64)
+        """The signal values as a float64 copy: the samples divided by the
+        scale. The statistics read integer samples as they are."""
+        return np.divide(self.samples, self.scale, dtype=np.float64)
 
 
 PlaneLike = Union[LumaPlane, np.ndarray]
+
+
+def plane_scale(plane: PlaneLike) -> int:
+    """Signal samples summed per sample: a LumaPlane's scale, 1 for a bare array."""
+    return plane.scale if isinstance(plane, LumaPlane) else 1
 
 
 def plane_data(plane: PlaneLike) -> np.ndarray:
@@ -208,6 +227,8 @@ def validate_frame_pair(ref: PlaneLike, dist: PlaneLike) -> tuple[PlaneLike, Pla
         raise DimensionMismatch(f"reference is {a.shape[::-1]}, distorted is {b.shape[::-1]}")
     if isinstance(ref, LumaPlane) and isinstance(dist, LumaPlane) and ref.bit_depth != dist.bit_depth:
         raise BitDepthMismatch(f"reference is {ref.bit_depth}-bit, distorted is {dist.bit_depth}-bit")
+    if plane_scale(ref) != plane_scale(dist):
+        raise ScaleMismatch(f"reference sums {plane_scale(ref)} samples per sample, distorted {plane_scale(dist)}")
     return ref, dist
 
 
@@ -229,9 +250,19 @@ def validate_color_pair(ref: ColorFrame, dist: ColorFrame) -> tuple[ColorFrame, 
 
 
 def paired_frames(ref: Iterable, dist: Iterable) -> Iterator[tuple]:
-    """The frames of two streams in pairs; LengthMismatch if one ends first."""
+    """The frames of two streams in pairs; LengthMismatch if one ends first.
+
+    No pair is kept once it is handed out, so a caller that drops a pair
+    frees its frames (``zip`` and ``enumerate`` each keep their last result
+    tuple, which held up to two decoded pairs past their use).
+    """
     end = object()
-    for index, (a, b) in enumerate(itertools.zip_longest(ref, dist, fillvalue=end)):
-        if a is end or b is end:
+    ref, dist = iter(ref), iter(dist)
+    for index in itertools.count():
+        pair = next(ref, end), next(dist, end)
+        if pair[0] is end and pair[1] is end:
+            return
+        if pair[0] is end or pair[1] is end:
             raise LengthMismatch(f"streams differ in length (one ended at frame {index})")
-        yield a, b
+        yield pair
+        del pair

@@ -330,16 +330,22 @@ def write_planar_raw(path: Union[str, os.PathLike], frames: Iterable[FrameType],
             _write_frame_planes(fh, frame, bit_depth)
 
 
+def _signal(plane: LumaPlane) -> np.ndarray:
+    """A plane's samples in signal units: a scaled plane's block sums are
+    written as their float means, which the cast to the file's dtype truncates."""
+    return plane.samples if plane.scale == 1 else plane.as_float()
+
+
 def _write_frame_planes(fh: IO[bytes], frame: FrameType, bit_depth: int) -> None:
     dtype = np.uint8 if bit_depth <= 8 else np.dtype("<u2")
-    planes = [frame.samples] if isinstance(frame, LumaPlane) else list(frame.channels)
+    planes = [_signal(frame)] if isinstance(frame, LumaPlane) else list(frame.channels)
     for plane in planes:
         fh.write(np.ascontiguousarray(plane, dtype=dtype).tobytes())
 
 
 def write_pnm(path: Union[str, os.PathLike], image: FrameType) -> None:
     if isinstance(image, LumaPlane):
-        kind, planes, bit_depth = b"P5", [image.samples], image.bit_depth
+        kind, planes, bit_depth = b"P5", [_signal(image)], image.bit_depth
         h, w = image.samples.shape
     else:
         image.require_space(SPACE_RGB)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import MultiscaleSpec, SsimConfig
 from .errors import TooManyLevels, TooSmall, ValidationError
-from .frames import LumaPlane, PlaneLike, plane_data, validate_frame_pair
+from .frames import LumaPlane, PlaneLike, plane_data, plane_scale, validate_frame_pair
 from .ssim import _frame_bands, _term_mean, _volume_bands, frame_config
 from .ssim import mssim, ssim_map  # noqa: F401  (perfbench traces these bindings)
 from .stats import _exact_sum_dtype
@@ -27,11 +27,11 @@ if TYPE_CHECKING:
 def dyadic_downsample(plane: PlaneLike) -> PlaneLike:
     """Half-resolution plane by 2x2 average pooling; odd trailing row/column dropped.
 
-    A LumaPlane comes back as a LumaPlane; a raw array comes back raw.
-    Integer planes are summed in the exact accumulator
+    A LumaPlane comes back as a LumaPlane of float64 means (scale 1); a raw
+    array comes back raw. Integer planes are summed in the exact accumulator
     :func:`~ssimkit.stats._exact_sum_dtype` picks for 4 samples, float
-    planes in float64 in the same order, so both equal averaging in float64
-    bit for bit.
+    planes in float64 in the same order, and each sum is divided once by 4
+    times the plane's scale, so both equal averaging in float64 bit for bit.
     """
     arr = np.asarray(plane_data(plane))
     h, w = arr.shape
@@ -39,8 +39,8 @@ def dyadic_downsample(plane: PlaneLike) -> PlaneLike:
         raise TooSmall(f"cannot downsample a {w}x{h} plane")
     h2, w2 = h // 2, w // 2
     arr = arr[: 2 * h2, : 2 * w2]
-    first = arr[0::2, 0::2].astype(_exact_sum_dtype(arr, 4), copy=False)
-    pooled = (((first + arr[0::2, 1::2]) + arr[1::2, 0::2]) + arr[1::2, 1::2]) / 4.0
+    first = arr[0::2, 0::2].astype(_exact_sum_dtype(plane, 4), copy=False)
+    pooled = (((first + arr[0::2, 1::2]) + arr[1::2, 0::2]) + arr[1::2, 1::2]) / (4.0 * plane_scale(plane))
     if isinstance(plane, LumaPlane):
         pooled.setflags(write=False)  # LumaPlane keeps a read-only array without a copy
         return LumaPlane(pooled, plane.bit_depth)

@@ -7,11 +7,12 @@ inputs; only the timing fields vary between runs.
 
 from __future__ import annotations
 
+import itertools
 import os
+import threading
 import time
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -250,6 +251,19 @@ def _stopwatch() -> Callable[[], tuple[float, str]]:
     return lambda: (resource.getrusage(resource.RUSAGE_SELF).ru_utime - start, "user")
 
 
+#: Worker threads by pool size, kept from one run to the next so that each
+#: keeps its scratch arena (``stats._scratch``) warm between clips.
+_pools: dict[int, ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
+
+
+def _worker_pool(workers: int) -> ThreadPoolExecutor:
+    with _pools_lock:
+        if workers not in _pools:
+            _pools[workers] = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="ssimkit-worker")
+        return _pools[workers]
+
+
 def _score_pairs(
     pairs: Iterator[tuple[FrameType, FrameType]],
     config: SsimConfig,
@@ -258,29 +272,49 @@ def _score_pairs(
 ) -> list[FrameScore]:
     """Score frame pairs in order; errors name the frame they came from.
 
-    With ``workers`` > 1 the pairs are scored on a thread pool, and at most
-    2 * workers decoded pairs are in flight: the next pair is decoded only
-    after the oldest pending one is scored, so memory stays bounded however
-    long the clip is.
+    With ``workers`` > 1 each worker pulls the next pair from ``pairs``
+    under a lock, prepares it (``_prepare``: luma, scaled) and drops the
+    full-resolution frames before it scores the prepared pair, whose scale
+    policy is then "none", so nothing is scaled twice. At most one decoded
+    pair per worker is alive, however long the clip is. The workers are
+    kept from one call to the next (``_worker_pool``). A failure stops
+    every worker at its next pull; the failure of the earliest frame is
+    raised.
     """
 
-    def score(i: int, a: FrameType, b: FrameType) -> FrameScore:
+    def named(i: int, call, *args):
         try:
-            return score_frame_pair(a, b, config, volumes)
+            return call(*args)
         except SsimkitError as exc:
             raise type(exc)(f"frame {i}: {exc}") from exc
 
     if workers == 1:
-        return [score(i, a, b) for i, (a, b) in enumerate(pairs)]
-    results: list[FrameScore] = []
-    pending: deque[Future] = deque()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i, (a, b) in enumerate(pairs):
-            pending.append(pool.submit(score, i, a, b))
-            if len(pending) == 2 * workers:
-                results.append(pending.popleft().result())
-        results.extend(f.result() for f in pending)
-    return results
+        return [named(i, score_frame_pair, a, b, config, volumes) for i, (a, b) in enumerate(pairs)]
+    unscaled = replace(config, scaling=ScalePolicy.none())
+    lock, stop, pulled, scores, failures = threading.Lock(), threading.Event(), itertools.count(), {}, []
+
+    def work() -> None:
+        i = None
+        try:
+            while not stop.is_set():
+                with lock:
+                    i, pair = next(pulled), next(pairs, None)
+                if pair is None:
+                    return
+                pair = named(i, _prepare, *pair, config)[:2]  # drops the decoded frames
+                scores[i] = named(i, score_frame_pair, *pair, unscaled, volumes)
+        except Exception as exc:
+            failures.append((i, exc))
+            stop.set()
+
+    try:
+        for future in [_worker_pool(workers).submit(work) for _ in range(workers)]:
+            future.result()
+    finally:
+        stop.set()  # an interrupted caller leaves no worker scoring the rest of the clip
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [scores[i] for i in range(len(scores))]
 
 
 def run_score(

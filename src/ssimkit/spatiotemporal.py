@@ -11,9 +11,13 @@ as a frame pair's planes, so spatial sums take the same routes, band by band
 of grid rows as for frames (:func:`ssim3d_map`). Integer frames keep exact
 running sums, which never drift and are never rebuilt, in the accumulator
 ``stats._exact_sum_dtype`` picks for Kt products of two samples: uint32
-while Kt * peak^2 < 2^32 (8- and 10-bit frames at any practical Kt; a
-LumaPlane's bit depth gives the peak), where the subtract/add recursion
-wraps and comes back in range, and int64 beyond (16-bit frames at Kt >= 2).
+while Kt * peak^2 < 2^32 (8- and 10-bit frames at any practical Kt, uint16
+for 8-bit frames at Kt = 1; a LumaPlane's bit depth and scale give the
+peak), where the subtract/add recursion wraps and comes back in range, and
+int64 beyond (16-bit frames at Kt >= 2). A volume takes the scale of its
+first frame (box-downsampled frames sum several samples each) and divides
+its window sums by it as :func:`~ssimkit.stats.window_statistics` does, so
+its statistics are in signal units.
 Their spatial window sums come from the exact doubling passes of
 :func:`~ssimkit.stats.box_sums`. Once a float frame arrives, or an integer
 frame whose running sums could pass int64 (Kt * max|sample|^2 >= 2^63), the
@@ -35,12 +39,13 @@ from .config import MultiscaleSpec, SsimConfig, WindowSpec
 from .errors import (
     DimensionMismatch,
     GaussianNotSupported3D,
+    ScaleMismatch,
     ValidationError,
 )
-from .frames import PlaneLike, ScoreSeries, paired_frames, plane_data, validate_frame_pair
+from .frames import PlaneLike, ScoreSeries, paired_frames, plane_data, plane_scale, validate_frame_pair
 from .multiscale import dyadic_downsample, msssim  # noqa: F401  (perfbench traces dyadic_downsample here)
-from .ssim import SsimTermMaps, _term_maps, _volume_bands, frame_config, mssim
-from .ssim import term_maps_from_stats  # noqa: F401  (perfbench traces this binding)
+from .ssim import SsimTermMaps, _term_maps, _term_mean, _volume_bands, frame_config
+from .ssim import mssim, term_maps_from_stats  # noqa: F401  (perfbench traces these bindings)
 from .stats import LocalStatsMaps, _exact_sum_dtype, _pair_terms, _row_bands, window_statistics
 
 #: Float64 rolling sums are rebuilt from the buffered frames this often, band
@@ -56,14 +61,17 @@ class RollingVolume:
     Single-owner and sequential: push frames in temporal order, then ask for
     maps. Before Kt frames arrive, statistics cover only the buffered depth.
     The sums are held in the accumulator ``_exact_sum_dtype`` picks for Kt
-    products of two samples of every pushed frame: uint32 or int64 while
-    they are exact, float64 after.
+    products of two samples of every pushed frame: uint16, uint32 or int64
+    while they are exact, float64 after. The first push fixes ``scale``, the
+    signal samples each sample sums; a frame of another scale raises
+    ScaleMismatch.
     """
 
     def __init__(self, kt: int):
         if not isinstance(kt, int) or kt < 1:
             raise ValidationError(f"temporal window must be an integer >= 1, got {kt!r}")
         self.kt = kt
+        self.scale: Optional[int] = None  # signal samples per sample, fixed by the first push
         self._buffer: deque[tuple[np.ndarray, np.ndarray]] = deque()
         self._sums: Optional[list[np.ndarray]] = None  # I1, I2, I1^2, I2^2, I1*I2
         self._pushes = 0
@@ -86,6 +94,9 @@ class RollingVolume:
             raise DimensionMismatch(
                 f"frame {a.shape[::-1]} pushed into a {self._buffer[0][0].shape[::-1]} volume"
             )
+        if self.scale not in (None, plane_scale(ref)):
+            raise ScaleMismatch(f"frame of scale {plane_scale(ref)} pushed into a volume of scale {self.scale}")
+        self.scale = plane_scale(ref)
         held = [] if self._sums is None else [self._sums[0].dtype]
         dtype = np.result_type(*held, *(_exact_sum_dtype(x, self.kt, degree=2) for x in (ref, dist)))
         if self._sums is not None and dtype != self._sums[0].dtype:
@@ -142,7 +153,7 @@ class RollingVolume:
         if window.shape != "rect":
             raise GaussianNotSupported3D("3-D statistics support rectangular windows only")
         sums = [s[rows] for s in self.temporal_sums()]
-        return window_statistics(sums, sums[0].shape, window, depth=self.depth, out=out)
+        return window_statistics(sums, sums[0].shape, window, depth=self.depth, out=out, scale=self.scale)
 
 
 def ssim3d_map(vol: RollingVolume, config: SsimConfig = SsimConfig()) -> SsimTermMaps:
@@ -159,12 +170,14 @@ def ssim3d_series(
     kt: int,
     config: SsimConfig = SsimConfig(),
 ) -> ScoreSeries:
-    """Frame-by-frame mean 3-D SSIM of two aligned luma streams."""
+    """Frame-by-frame mean 3-D SSIM of two aligned luma streams, each
+    pooled as its bands are formed (``mssim`` of :func:`ssim3d_map` bit for
+    bit, with no whole map)."""
     vol = RollingVolume(kt)
     scores = []
     for ref, dist in paired_frames(ref_frames, dist_frames):
-        vol.push(ref, dist)
-        scores.append(mssim(ssim3d_map(vol, frame_config(config, ref, dist))))
+        frame = frame_config(config, ref, dist)
+        scores.append(_term_mean(_volume_bands(vol.push(ref, dist), frame), frame, 3))
     return ScoreSeries(np.asarray(scores))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import SsimConfig
 from .errors import EmptyMap
-from .frames import LumaPlane, PlaneLike, QualityMap, plane_data, validate_frame_pair
+from .frames import LumaPlane, PlaneLike, QualityMap, plane_data, plane_scale, validate_frame_pair
 from .stats import BandedSum, LocalStatsMaps, _exact_pair, _exact_sums, banded_statistics, local_statistics
 
 
@@ -119,10 +119,10 @@ def _frame_bands(ref: PlaneLike, dist: PlaneLike, config: SsimConfig):
     over the whole plane) ever hold whole statistics grids.
     """
     ref, dist = validate_frame_pair(ref, dist)
-    a, b = plane_data(ref), plane_data(dist)
+    a, b, scale = plane_data(ref), plane_data(dist), plane_scale(ref)
 
     def compute(rows, out):
-        return local_statistics(a[rows], b[rows], config.window, config.engine, out)
+        return local_statistics(a[rows], b[rows], config.window, config.engine, out, scale)
 
     exact = _exact_pair(a, b, config.window.k**2)
     geometry = dict(stride=config.window.stride, source_dims=a.shape)
@@ -157,6 +157,8 @@ def mssim(maps: Union[SsimTermMaps, QualityMap, np.ndarray]) -> float:
 
 
 def ssim_score(ref: PlaneLike, dist: PlaneLike, config: SsimConfig = SsimConfig()) -> float:
-    """Convenience wrapper: mean SSIM of a frame pair."""
-    return mssim(ssim_map(ref, dist, config))
+    """Mean SSIM of a frame pair: ``mssim(ssim_map(...))`` bit for bit,
+    pooled as the bands are formed, with no whole map."""
+    config = frame_config(config, ref, dist)
+    return _term_mean(_frame_bands(ref, dist, config), config, 3)
 

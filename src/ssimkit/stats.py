@@ -35,16 +35,20 @@ record of whether its values are exact. Integer planes go through
 :func:`box_sums`: power-of-two doubling along the band's flattened rows,
 then down its columns, log2 k + popcount k - 1 contiguous adds per axis (5
 at k=11), with no scan and no loop over rows. Every partial sum is part of
-a window sum, so uint32 holds them exactly whenever the largest true window
-sum fits in 32 bits, e.g. k^2 * peak^2 < 2^32 for the product planes
-(k <= 257 at 8 bits, k <= 64 at 10 bits); past that bound the same passes
-run in int64. The sums are exact integers either way, so the grids equal
+a window sum, so uint16 holds them exactly whenever the largest true window
+sum fits in 16 bits (8-bit sample planes at k <= 16) and uint32 whenever it
+fits in 32 bits, e.g. k^2 * peak^2 < 2^32 for the product planes (k <= 257
+at 8 bits, k <= 64 at 10 bits); past that bound the same passes run in
+int64. The sums are exact integers either way, so the grids equal
 the direct engine's bit for bit, and they are written exactly into the
 float64 means. Doubling's cost grows with log2 k where a cumulative-sum
 scan's does not: on a 64-row band of a 1080p plane doubling was the faster
 up to k=32 (k=11: 0.38 against 0.75 ms) and the slower from k=63 (k=255:
 4.71 against 2.59 ms). No preset uses k > 11, so it is the one route.
-Float planes (converted colour, pyramid levels, box-downsampled frames) keep
+Box-downsampled luma is integer too: it keeps its exact block sums, and
+its ``scale`` (signal samples per sample) divides the window sums, so the
+statistics are in signal units (:func:`window_statistics`). Float planes
+(luma converted from RGB, pyramid levels, downsampled colour channels) keep
 float64 summed-area tables with the four-corner rule, whose rounding the
 published scores depend on. The direct loop and the Gaussian passes read
 integer planes as they are, with no float64 copy: each sample converts to
@@ -53,13 +57,14 @@ float64 copies bit for bit.
 
 One rule picks every exact integer accumulator in the package
 (:func:`_exact_sum_dtype`, used by :func:`box_sums` and by the box and
-dyadic downsamples): for sums of n samples it is uint32 while n * max < 2^32
-for non-negative samples, int64 while n * max|sample| < 2^63, and float64
-beyond that and for float planes. Sums in uint32 or int64 are exact, so
-results built on them are bit-identical to the same arithmetic on exact
-values. A pair of integer planes takes the exact route only when its product
-sums fit int64 (k^2 * max|sample|^2 < 2^63); wider pairs are summed in
-float64 like float planes, never wrapped.
+dyadic downsamples): for sums of n samples it is uint16 while n * max < 2^16
+and uint32 while n * max < 2^32 for non-negative samples, int64 while
+n * max|sample| < 2^63, and float64 beyond that and for float planes; a
+LumaPlane's max is scale * (2^bit_depth - 1). Sums in uint16, uint32 or
+int64 are exact, so results built on them are bit-identical to the same
+arithmetic on exact values. A pair of integer planes takes the exact route
+only when its product sums fit int64 (k^2 * max|sample|^2 < 2^63); wider
+pairs are summed in float64 like float planes, never wrapped.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ import numpy as np
 
 from .config import ENGINES, WindowSpec, default_gaussian_size
 from .errors import ValidationError, WindowLargerThanImage
-from .frames import LumaPlane, PlaneLike, plane_data, validate_frame_pair
+from .frames import LumaPlane, PlaneLike, plane_data, plane_scale, validate_frame_pair
 
 
 def gaussian_kernel(sigma: float, k: int | None = None) -> np.ndarray:
@@ -149,29 +154,31 @@ def _grid_shape(h: int, w: int, k: int, stride: int) -> tuple[int, int]:
 def _exact_sum_dtype(plane: PlaneLike, count: int, degree: int = 1) -> type:
     """Accumulator in which sums of ``count`` terms of ``plane`` are exact.
 
-    A term is one sample, or a product of ``degree`` samples. The result is
-    uint32 while count * peak^degree < 2^32 for non-negative samples, int64
-    while count * peak^degree < 2^63 (peak = max |sample|), and float64 for
-    float planes and past both bounds. A LumaPlane's bit depth bounds its
-    samples; otherwise the dtype's range decides without reading the samples
-    when it proves uint32, and for dtypes of 16 bits or less, and the
-    plane's min and max decide the rest.
+    A term is one sample, or a product of ``degree`` samples. For
+    non-negative samples the result is uint16 while count * peak^degree <
+    2^16 and uint32 while it is < 2^32; then int64 while count *
+    peak^degree < 2^63 (peak = max |sample|), and float64 for float planes
+    and past every bound. A LumaPlane's bit depth and scale bound its
+    samples by scale * (2^bit_depth - 1); otherwise the dtype's range
+    decides without reading the samples when it proves uint16 or uint32,
+    and for dtypes of 16 bits or less, and the plane's min and max decide
+    the rest.
     """
     data = plane_data(plane)
     if data.dtype.kind not in "ui":
         return np.float64
 
     def accumulator(lo: int, hi: int) -> type:
-        peak = max(hi, -lo) ** degree
-        if lo >= 0 and count * peak < 1 << 32:
-            return np.uint32
-        return np.int64 if count * peak < 1 << 63 else np.float64
+        bound = count * max(hi, -lo) ** degree
+        if lo >= 0 and bound < 1 << 32:
+            return np.uint16 if bound < 1 << 16 else np.uint32
+        return np.int64 if bound < 1 << 63 else np.float64
 
     info = np.iinfo(data.dtype)
     if isinstance(plane, LumaPlane):
-        return accumulator(0, min(int(info.max), (1 << plane.bit_depth) - 1))
+        return accumulator(0, min(int(info.max), plane.scale * ((1 << plane.bit_depth) - 1)))
     work = accumulator(int(info.min), int(info.max))
-    if work is np.uint32 or data.dtype.itemsize <= 2:
+    if work in (np.uint16, np.uint32) or data.dtype.itemsize <= 2:
         return work
     lo = 0 if data.dtype.kind == "u" else int(data.min())
     return accumulator(lo, int(data.max()))
@@ -350,7 +357,10 @@ def _pair_terms(a: np.ndarray, b: np.ndarray, integer: bool):
 
     Integer products are exact in uint32 up to 16-bit unsigned samples and
     in int64 beyond (the caller checks :func:`_exact_pair`); anything else is
-    read as float64, with no copy of a plane that already is.
+    read as float64, with no copy of a plane that already is. An integer
+    square is a copy in the product's dtype multiplied by itself, which is
+    about twice as fast as numpy's buffered casting multiply; the cross
+    product keeps the cast, which is faster than two copies.
     """
     if integer:
         small = all(x.dtype.kind == "u" and x.dtype.itemsize <= 2 for x in (a, b))
@@ -360,8 +370,16 @@ def _pair_terms(a: np.ndarray, b: np.ndarray, integer: bool):
         a, b = np.asarray(a, dtype), np.asarray(b, dtype)
     yield a
     yield b
-    for x, y in ((a, a), (b, b), (a, b)):
-        yield np.multiply(x, y, dtype=dtype, casting="unsafe")
+    for x in (a, b):
+        yield _square(x, dtype) if integer else np.multiply(x, x)
+    yield np.multiply(a, b, dtype=dtype, casting="unsafe")
+
+
+def _square(x: np.ndarray, dtype) -> np.ndarray:
+    """x^2 as a copy in ``dtype`` multiplied by itself (a function, so that
+    no generator frame keeps the copy alive once its consumer drops it)."""
+    x = x.astype(dtype)
+    return np.multiply(x, x, out=x)
 
 
 def _sliding_weighted_sums(values: np.ndarray, weights: np.ndarray, stride: int, out: np.ndarray | None = None):
@@ -473,15 +491,18 @@ def _check_fit(dims: tuple[int, int], window: WindowSpec) -> None:
 
 
 def window_statistics(
-    terms, dims: tuple[int, int], window: WindowSpec, engine: str = "auto", depth: int = 1, out=None,
+    terms, dims: tuple[int, int], window: WindowSpec, engine: str = "auto", depth: int = 1, out=None, scale: int = 1,
 ) -> LocalStatsMaps:
     """Local statistics from the five planes I1, I2, I1^2, I2^2, I1*I2.
 
     ``terms`` yields the five ``dims``-shaped planes, summed one at a time;
-    they may be sums over ``depth`` frames. An integer plane holds exact
-    values, which rectangular windows sum with :func:`box_sums` under
-    ``auto``, written exactly into the float64 means; a float plane takes
-    the float64 summed-area table. ``out``, five float64 grids of the window
+    they may be sums over ``depth`` frames, of samples that are each the
+    sum of ``scale`` signal samples. An integer plane holds exact values,
+    which rectangular windows sum with :func:`box_sums` under ``auto``,
+    written exactly into the float64 grids; a float plane takes the float64
+    summed-area table. Window sums of I1 and I2 are divided by area * scale
+    and those of the products by area * scale^2, each in one division, so
+    the statistics are in signal units whatever the scale. ``out``, five float64 grids of the window
     grid's shape, receives the statistics (a band of the band loop's grids,
     say); by default they are new grids. On a grid of at most BAND_ROWS
     rows the box sums and then the squared means take the thread's ``work``
@@ -501,9 +522,10 @@ def window_statistics(
     if out is not None and [(o.shape, o.dtype) for o in out] != [(grid, np.float64)] * 5:
         raise ValidationError(f"out needs five float64 grids of shape {grid}")
     # A Gaussian kernel sums to 1, so its window covers one sample per frame.
-    area = float((k * k if rect else 1) * depth)
+    area = (k * k if rect else 1) * depth
+    divisors = [float(area * scale**degree) for degree in (1, 1, 2, 2, 2)]
 
-    def window_means(t, s):
+    def window_means(t, s, divisor):
         if engine == "naive":
             sums = _sliding_weighted_sums(t, kern, stride, out=s)
         elif not rect:
@@ -512,14 +534,14 @@ def window_statistics(
             sums = box_sums(t, k, stride, out=np.empty(grid) if s is None else s)
         else:
             sums = _grid_window_sums(_sat(t), k, stride, out=s)
-        return np.divide(sums, area, out=sums)
+        return np.divide(sums, divisor, out=sums)
 
     # New grids are made one at a time, after their term's temporaries: five
     # made up front would sit below them, so the allocator would hand the
     # freed temporaries back to the OS and fault them in again every call.
     # Each term is dropped before the next is made, so one is held at a time.
     terms = iter(terms)
-    means = [window_means(next(terms), s) for s in ([None] * 5 if out is None else out)]
+    means = [window_means(next(terms), s, d) for s, d in zip([None] * 5 if out is None else out, divisors)]
     # The box sums are spent by now, so their buffer holds the squared means.
     square = _scratch("work", grid, band=grid[0] <= BAND_ROWS)
     mu1, mu2, var1, var2, cov = stats_from_means(*means, square)
@@ -561,7 +583,7 @@ def banded_statistics(compute, dims: tuple[int, int], window: WindowSpec, engine
 
 
 def local_statistics(
-    ref: PlaneLike, dist: PlaneLike, window: WindowSpec, engine: str = "auto", out=None,
+    ref: PlaneLike, dist: PlaneLike, window: WindowSpec, engine: str = "auto", out=None, scale: int | None = None,
 ) -> LocalStatsMaps:
     """Windowed local statistics of a frame pair under a window spec.
 
@@ -570,9 +592,11 @@ def local_statistics(
     rectangular windows, two separable 1-D passes for Gaussian ones).
     Rectangular routes produce the same grids; the Gaussian passes round
     differently from the direct loop, within 1e-12 relative. ``out`` is as
-    for :func:`window_statistics`.
+    for :func:`window_statistics`. ``scale`` is the number of signal
+    samples each sample sums; by default the planes' own (1 for bare arrays).
     """
     ref, dist = validate_frame_pair(ref, dist)
     a, b = plane_data(ref), plane_data(dist)
     terms = _pair_terms(a, b, _exact_pair(a, b, window.k**2))
-    return window_statistics(terms, a.shape, window, engine, out=out)
+    scale = plane_scale(ref) if scale is None else scale
+    return window_statistics(terms, a.shape, window, engine, out=out, scale=scale)

@@ -168,6 +168,20 @@ class TestSast:
         assert sast_factor(0.01, 0.01, 100.0) == 1.0
 
 
+@st.composite
+def scaled_downsample_cases(draw):
+    """An 8-, 10- or 16-bit LumaPlane, at full scale or not, of a shape that
+    leaves partial trailing blocks or not, and a factor from 2 to 17 or past
+    the plane's larger side."""
+    bits = draw(st.sampled_from([8, 10, 16]))
+    h, w = draw(st.integers(1, 70)), draw(st.integers(1, 70))
+    factor = draw(st.one_of(st.integers(2, 17), st.integers(max(h, w, 2), max(h, w) + 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    peak = (1 << bits) - 1
+    samples = np.full((h, w), peak) if draw(st.booleans()) else rng.integers(0, peak, (h, w), endpoint=True)
+    return LumaPlane(samples.astype(np.uint8 if bits == 8 else np.uint16), bits), factor
+
+
 class TestBoxDownsample:
     def test_identity_factor(self, rng):
         plane = LumaPlane(rng.integers(0, 256, (6, 6), dtype=np.uint8))
@@ -177,7 +191,7 @@ class TestBoxDownsample:
         plane = LumaPlane(np.array([[1, 2], [3, 4]], dtype=np.uint8))
         out = box_downsample(plane, 2)
         assert out.samples.shape == (1, 1)
-        assert out.samples[0, 0] == 2.5
+        assert out.samples[0, 0] / out.scale == 2.5
 
     def test_huge_factor_is_the_whole_frame_mean(self, rng):
         arr = rng.integers(0, 256, (48, 64), dtype=np.uint8)
@@ -188,9 +202,9 @@ class TestBoxDownsample:
         row = LumaPlane(np.arange(7, dtype=np.uint8).reshape(1, 7), 8)
         out = box_downsample(row, 3)
         assert out.samples.shape == (1, 3)
-        assert out.samples[0, 0] == pytest.approx(1.0)  # mean(0, 1, 2)
-        assert out.samples[0, 1] == pytest.approx(4.0)  # mean(3, 4, 5)
-        assert out.samples[0, 2] == pytest.approx(6.0)  # single trailing sample
+        assert out.samples[0, 0] / out.scale == pytest.approx(1.0)  # mean(0, 1, 2)
+        assert out.samples[0, 1] / out.scale == pytest.approx(4.0)  # mean(3, 4, 5)
+        assert out.samples[0, 2] / out.scale == pytest.approx(6.0)  # single trailing sample
 
     def test_matches_block_loop(self, rng):
         arr = rng.uniform(0, 255, (11, 7))
@@ -215,6 +229,26 @@ class TestBoxDownsample:
             assert out.dtype == expected.dtype and out.shape == expected.shape
             assert out.tobytes() == expected.tobytes()
 
+    @DERANDOMIZED
+    @given(scaled_downsample_cases())
+    def test_luma_planes_keep_block_sums_whose_means_equal_float64_reduceat(self, case):
+        plane, factor = case
+        out = box_downsample(plane, factor)
+        h, w = plane.samples.shape
+        counts = {min(factor, h - r) * min(factor, w - c) for r in range(0, h, factor) for c in range(0, w, factor)}
+        assert out.scale == math.lcm(*counts) and out.bit_depth == plane.bit_depth
+        assert out.samples.dtype == _exact_sum_dtype(plane, out.scale)
+        means = out.samples / out.scale
+        assert means.tobytes() == reduceat_downsample(plane.samples, factor).tobytes()
+
+    def test_a_scaled_plane_downsamples_to_sums_of_its_sums(self, rng):
+        # Partial blocks both times: 37 x 29 -> 19 x 15 (scale 2 * 2) -> 7 x 5 (scale 3 * 3).
+        plane = LumaPlane(rng.integers(0, 1024, (37, 29)).astype(np.uint16), 10)
+        twice = box_downsample(box_downsample(plane, 2), 3)
+        assert twice.scale == 36 and twice.samples.dtype == np.uint16  # 36 * 1023 < 2^16
+        oracle = reduceat_downsample(reduceat_downsample(plane.samples, 2), 3)  # exact quarter means first
+        assert (twice.samples / twice.scale).tobytes() == oracle.tobytes()
+
     @pytest.mark.parametrize("factor", [256, 257])
     def test_full_scale_16_bit_either_side_of_the_uint32_bound(self, rng, factor):
         # 256^2 * 65535 < 2^32 <= 257^2 * 65535: uint32 sums, then int64 sums.
@@ -223,8 +257,8 @@ class TestBoxDownsample:
         noisy[0, 0] = 65535
         assert (_exact_sum_dtype(full, factor * factor) is np.uint32) == (factor == 256)
         for arr in (full, noisy):
-            out = box_downsample(LumaPlane(arr, 16), factor).samples
-            assert out.tobytes() == reduceat_downsample(arr, factor).tobytes()
+            out = box_downsample(LumaPlane(arr, 16), factor)
+            assert (out.samples / out.scale).tobytes() == reduceat_downsample(arr, factor).tobytes()
         assert np.all(box_downsample(full, factor) == 65535.0)
 
     def test_peak_memory_below_a_quarter_of_a_float64_copy(self, rng):

@@ -1,9 +1,11 @@
 import json
 import math
 import signal
+import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -207,6 +209,58 @@ class TestRunScore:
         assert counts["decoded"] == counts["scored"] == 12
         assert counts["most"] <= 4
         assert threaded["records"] == serial["records"]
+
+    def test_workers_hold_at_most_one_full_resolution_pair_each(self, rng):
+        # Each worker pulls its next pair only after it has scaled the last
+        # one and dropped it, so two workers hold at most two decoded pairs,
+        # however far decoding could run ahead of scoring.
+        lock = threading.Lock()
+        alive = {"now": 0, "most": 0}
+
+        def dropped():
+            with lock:
+                alive["now"] -= 1
+
+        def decoded(samples):
+            plane = LumaPlane(samples)
+            weakref.finalize(plane, dropped)
+            with lock:
+                alive["now"] += 1
+                alive["most"] = max(alive["most"], alive["now"])
+            return plane
+
+        planes = [natural_plane(rng, 64, 96).samples for _ in range(3)]
+
+        def stream(shift):  # keeps no frame once it is handed out, as a decoder does not
+            for t in range(16):
+                yield decoded(planes[(t + shift) % 3])
+
+        config = SsimConfig(scaling=ScalePolicy.enhanced_dh(64 / 256 * 3 / 4))  # factor 4
+        serial = pipeline._score_pairs(pipeline._stream_pairs(stream(0), stream(1)), config, 1)
+        alive["most"] = 0
+        threaded = pipeline._score_pairs(pipeline._stream_pairs(stream(0), stream(1)), config, 2)
+        assert threaded == serial
+        assert alive == {"now": 0, "most": alive["most"]} and alive["most"] <= 4, alive
+
+    def test_more_workers_than_cores_switching_often_score_every_frame_once(self, rng):
+        # The workers share the stream, its frame counter and the scores:
+        # a lost update would drop, repeat or misplace a frame.
+        planes = [natural_plane(rng, 40, 48).samples for _ in range(5)]
+
+        def stream():
+            for t in range(40):
+                yield LumaPlane(planes[t % 5]), LumaPlane(planes[(t * 3 + 1) % 5])
+
+        config = SsimConfig(window=WindowSpec.rectangular(7), scaling=ScalePolicy.enhanced_dh(40 / 256 * 3 / 2))
+        serial = pipeline._score_pairs(stream(), config, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with time_limit(60):
+                threaded = pipeline._score_pairs(stream(), config, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
     def test_worker_threads_keep_traced_memory_flat_in_clip_length(self, tmp_path, rng):
         # The peak depends on how the two threads interleave, so each clip

@@ -20,6 +20,7 @@ from ssimkit.errors import (
     DegenerateWeights,
     DimensionMismatch,
     NonPositiveSigma,
+    ScaleMismatch,
     ValidationError,
 )
 from ssimkit.frames import (
@@ -49,6 +50,23 @@ class TestLumaPlane:
             LumaPlane(np.full((4, 4), 300.0), bit_depth=8)
         with pytest.raises(ValidationError):
             LumaPlane(np.full((4, 4), -1.0), bit_depth=8)
+
+    @pytest.mark.parametrize("scale", [0, -4, 2.0, True, np.int64(4), None])
+    def test_rejects_a_scale_that_is_not_a_positive_int(self, scale):
+        with pytest.raises(ValidationError, match="scale"):
+            LumaPlane(np.zeros((4, 4), dtype=np.uint16), 8, scale)
+
+    def test_scaled_samples_are_bounded_by_scale_times_peak(self):
+        sums = np.full((4, 4), 4 * 255, dtype=np.uint16)
+        plane = LumaPlane(sums, 8, 4)
+        assert plane.peak == 255.0 and plane.scale == 4
+        assert plane.as_float().tobytes() == np.full((4, 4), 255.0).tobytes()
+        with pytest.raises(ValidationError, match="scale 4"):
+            LumaPlane(sums + 1, 8, 4)
+        with pytest.raises(ValidationError):
+            LumaPlane(sums, 8, 3)
+        with pytest.raises(ValidationError):
+            LumaPlane(np.full((4, 4), 4 * 255 + 0.5), 8, 4)
 
     def test_rejects_bad_bit_depth(self):
         with pytest.raises(ValidationError):
@@ -123,6 +141,14 @@ class TestValidateFramePair:
         b = LumaPlane(a.samples.astype(np.uint16), 10)
         with pytest.raises(BitDepthMismatch):
             validate_frame_pair(a, b)
+
+    def test_scale_mismatch(self, rng):
+        a = random_plane(rng, 8, 8)
+        sums = LumaPlane(a.samples.astype(np.uint16) * 4, 8, 4)
+        assert validate_frame_pair(sums, sums) == (sums, sums)
+        for pair in ((a, sums), (sums, a), (sums, a.samples), (a.samples, sums)):
+            with pytest.raises(ScaleMismatch):
+                validate_frame_pair(*pair)
 
 
 class TestQualityMapAndSeries:

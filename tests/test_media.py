@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from ssimkit.adaptation import box_downsample
 from ssimkit.errors import (
     BadHeader,
     BadMagic,
@@ -234,6 +235,16 @@ class TestPnm:
         path = tmp_path / "rt.pgm"
         write_pnm(path, plane)
         assert np.array_equal(read_pnm(path).samples, plane.samples)
+
+    def test_a_box_downsampled_plane_is_written_as_its_truncated_means(self, tmp_path, rng):
+        plane = random_plane(rng, 9, 14)
+        sums = box_downsample(plane, 3)
+        assert sums.scale == 3 * 6  # rows: lcm(3) = 3; columns, with a partial block: lcm(3, 2) = 6
+        write_pnm(tmp_path / "sums.pgm", sums)
+        write_pnm(tmp_path / "means.pgm", LumaPlane(box_downsample(plane.samples, 3)))
+        assert (tmp_path / "sums.pgm").read_bytes() == (tmp_path / "means.pgm").read_bytes()
+        write_planar_raw(tmp_path / "sums.yuv", [sums])
+        assert (tmp_path / "sums.yuv").read_bytes() == np.floor(sums.as_float()).astype(np.uint8).tobytes()
 
 
     @pytest.mark.parametrize("maxval, bit_depth", [

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ssimkit import spatiotemporal
+from ssimkit.adaptation import box_downsample
 from ssimkit.config import MultiscaleSpec, SsimConfig, WindowSpec
-from ssimkit.errors import DimensionMismatch, GaussianNotSupported3D, LengthMismatch
+from ssimkit.errors import DimensionMismatch, GaussianNotSupported3D, LengthMismatch, ScaleMismatch
 from ssimkit.frames import LumaPlane
 from ssimkit.multiscale import msssim
 from ssimkit.spatiotemporal import (
@@ -257,6 +258,23 @@ class TestRollingSums:
         vol.push(random_plane(rng, 8, 8), random_plane(rng, 8, 8))
         with pytest.raises(DimensionMismatch):
             vol.push(random_plane(rng, 8, 10), random_plane(rng, 8, 10))
+
+    def test_scale_is_fixed_at_the_first_push(self, rng):
+        planes = [random_plane(rng, 16, 16) for _ in range(2)]
+        sums = [box_downsample(LumaPlane(np.repeat(np.repeat(p.samples, 2, 0), 2, 1)), 2) for p in planes]
+        assert [s.scale for s in sums] == [4, 4]
+        vol = RollingVolume(2).push(*sums)
+        assert vol.scale == 4
+        with pytest.raises(ScaleMismatch):
+            vol.push(*planes)
+        assert vol.depth == 1
+        # The sums of four equal samples score as those samples do.
+        config = SsimConfig(window=WindowSpec.rectangular(5))
+        plain = ssim3d_map(RollingVolume(2).push(*planes), config)
+        scaled = ssim3d_map(vol, config)
+        assert scaled.q_map.values.tobytes() == plain.q_map.values.tobytes()
+        with pytest.raises(ScaleMismatch):
+            RollingVolume(2).push(sums[0], planes[1])
 
 
 class TestSsim3dMap:

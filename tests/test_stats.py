@@ -301,7 +301,8 @@ def cumsum_box_sums(plane, k, stride):
     return np.ascontiguousarray(rows[: h - k + 1 : stride])
 
 
-#: Box-sum planes per accumulator: (dtype, low, high) of their samples.
+#: Box-sum planes per accumulator: (dtype, low, high) of their samples. Sums
+#: of one sample (k = 1) of the uint16 plane fit in its own dtype.
 ACCUMULATOR_PLANES = {
     "uint32": (np.uint16, 0, 1023),  # 10-bit samples: k^2 * 1023 < 2^32 for every k here
     "int64": (np.int64, -(2**40), 2**40),  # signed samples
@@ -342,7 +343,7 @@ class TestBoxSums:
                     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
                 else:
                     assert got.tobytes() == want.tobytes(), (k, stride)
-        assert kind == "float64" or want.dtype == np.dtype(kind)
+        assert kind == "float64" or want.dtype == np.dtype("uint16" if (kind, k) == ("uint32", 1) else kind)
 
     def test_scratch_is_reused_across_calls(self, rng):
         # A band's grid (64 rows) takes its work buffers from the thread's
@@ -469,6 +470,7 @@ class TestRouteFromPlanes:
 
 class TestExactSumDtype:
     @pytest.mark.parametrize("dtype,count,work", [
+        (np.uint8, 257, np.uint16), (np.uint8, 258, np.uint32),
         (np.uint8, 4104**2, np.uint32), (np.uint8, 4105**2, np.int64),
         (np.uint16, 256**2, np.uint32), (np.uint16, 257**2, np.int64),
         (np.int16, 4, np.int64), (np.float32, 4, np.float64), (np.float64, 1, np.float64),
@@ -478,11 +480,24 @@ class TestExactSumDtype:
 
     def test_wider_dtypes_read_the_samples(self):
         small = np.array([[0, 255]], dtype=np.uint32)
-        assert _exact_sum_dtype(small, 64) is np.uint32
+        assert _exact_sum_dtype(small, 64) is np.uint16  # 64 * 255 < 2^16
+        assert _exact_sum_dtype(small, 258) is np.uint32  # 258 * 255 >= 2^16
         assert _exact_sum_dtype(small - np.int64(1), 64) is np.int64
         assert _exact_sum_dtype(np.array([[2**40]], dtype=np.uint64), 2**22) is np.int64
         assert _exact_sum_dtype(np.array([[2**40]], dtype=np.uint64), 2**23) is np.float64
         assert _exact_sum_dtype(np.array([[-(2**40)]], dtype=np.int64), 2**23) is np.float64
+
+    @pytest.mark.parametrize("bits, scale, count, work", [
+        (8, 64, 4, np.uint16), (8, 64, 5, np.uint32),  # 4 * 64 * 255 < 2^16 <= 5 * 64 * 255
+        (8, 64, 263_172, np.uint32), (8, 64, 263_173, np.int64),  # either side of 2^32
+        (16, 4, 35_184_908_967_936, np.int64), (16, 4, 35_184_908_967_937, np.float64),  # of 2^63
+    ])
+    def test_a_luma_plane_is_bounded_by_scale_times_peak(self, bits, scale, count, work):
+        # The dtype (uint32) does not bound these samples; the bit depth and
+        # scale do, so nothing is read.
+        plane = LumaPlane(np.zeros((2, 2), np.uint32), bits, scale)
+        assert _exact_sum_dtype(plane, count) is work
+        assert _exact_sum_dtype(LumaPlane(np.zeros((2, 2), np.uint32), bits), count * scale) is work
 
     def test_products_raise_the_sample_peak_to_the_degree(self):
         plane = np.zeros((2, 2), dtype=np.uint8)
