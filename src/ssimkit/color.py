@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .config import SsimConfig
-from .errors import DegenerateWeights, ValidationError, WindowLargerThanImage, WrongSpace
+from .errors import DegenerateWeights, ValidationError, WrongSpace
 from .frames import (
     CHROMA_444,
     SPACE_RGB,
@@ -31,7 +31,7 @@ from .frames import (
     LumaPlane,
     validate_color_pair,
 )
-from .stats import BandedSum, _grid_shape, _row_bands, _sliding_weighted_sums, gaussian_kernel_1d, separable_sums
+from .stats import BandedSum, _check_fit, _grid_shape, _row_bands, _sliding_weighted_sums, gaussian_kernel_1d, separable_sums
 from .ssim import _frame_bands, _term_mean, mssim, ssim_map
 
 # BT.709 luma coefficients; the chroma scale factors put Cb/Cr in +-L/2 around
@@ -204,8 +204,7 @@ def qssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) 
     channels = _embedding_channels(ref, space) + _embedding_channels(dist, space)
     config = config.for_bit_depth(ref.bit_depth)
     k, stride = window.k, window.stride
-    if k > ref.height or k > ref.width:
-        raise WindowLargerThanImage(f"{k}x{k} window does not fit a {ref.width}x{ref.height} image")
+    _check_fit((ref.height, ref.width), window)
     gh, gw = _grid_shape(ref.height, ref.width, k, stride)
     total = BandedSum(gh * gw)
     for _, src, _ in _row_bands(gh, stride, k):

@@ -5,10 +5,11 @@ piece is expressible in a compact selector string (``rect:11``, ``dh:3.0``,
 ``cw:a=-0.3,b=-0.3``, ...) used by the CLI and round-trips bit-exactly through
 JSON.
 
-Each part that comes in kinds (scale policy, color model, multiscale mode,
-and the poolers in :mod:`ssimkit.pooling`) has one :class:`KindTable`, whose
-rows give each kind's fields, selector keys and defaults. The rows fill and
-check the dataclass, parse the selector and print ``selector()``.
+Each part that comes in kinds (window, scale policy, color model,
+multiscale mode, and the poolers in :mod:`ssimkit.pooling`) has one
+:class:`KindTable`, whose rows give each kind's fields, selector keys and
+defaults. The rows fill and check the dataclass, parse the selector and
+print ``selector()``.
 """
 
 from __future__ import annotations
@@ -151,29 +152,22 @@ def default_gaussian_size(sigma: float) -> int:
 
 
 @dataclass(frozen=True)
-class WindowSpec:
+class WindowSpec(ConfigPart):
     """Shape, size, and stride of the local-statistics window."""
 
-    shape: str  # "rect" | "gauss"
-    k: int
+    shape: str  # rect | gauss; k None: the kind's default (see _WINDOW)
+    k: Optional[int] = None
     sigma: Optional[float] = None
     stride: int = 1
 
-    def __post_init__(self):
-        if self.shape not in ("rect", "gauss"):
-            raise ValidationError(f"unknown window shape {self.shape!r}")
+    def _check(self) -> None:
         if not isinstance(self.k, int) or isinstance(self.k, bool):
             raise ValidationError("window size must be an integer")
         if not isinstance(self.stride, int) or self.stride < 1:
             raise ValidationError(f"stride must be an integer >= 1, got {self.stride!r}")
-        if self.shape == "rect":
-            if self.k < 1:
-                raise ValidationError(f"rectangular window size must be >= 1, got {self.k}")
-            if self.sigma is not None:
-                raise ValidationError("rectangular windows take no sigma")
-        else:
-            if self.sigma is None:
-                raise NonPositiveSigma("gaussian window needs sigma > 0, got None")
+        if self.shape == "rect" and self.k < 1:
+            raise ValidationError(f"rectangular window size must be >= 1, got {self.k}")
+        if self.shape == "gauss":
             default_gaussian_size(self.sigma)  # rejects a sigma no Gaussian window can use
             if self.k < 3 or self.k % 2 == 0:
                 raise ValidationError(f"gaussian window size must be odd and >= 3, got {self.k}")
@@ -184,18 +178,26 @@ class WindowSpec:
 
     @classmethod
     def gaussian(cls, sigma: float, k: Optional[int] = None, stride: int = 1) -> "WindowSpec":
-        if k is None:
-            k = default_gaussian_size(sigma)
         return cls("gauss", k, float(sigma), stride)
 
     def with_stride(self, stride: int) -> "WindowSpec":
         return replace(self, stride=stride)
 
-    def selector(self) -> str:
-        parts = [f"rect:{self.k}" if self.shape == "rect" else f"gauss:{self.sigma:g},k={self.k}"]
-        if self.stride != 1:
-            parts.append(f"stride={self.stride}")
-        return ",".join(parts)
+
+#: sigma comes first in ``rest``, so gauss's default k can read it. Both
+#: kinds read k, so its resting value only gives the selector's type.
+_WINDOW = KindTable(
+    "window", WindowSpec, "shape",
+    rest=dict(sigma=None, k=11, stride=1),
+    kinds=dict(
+        rect=(Param("k", "k", REQUIRED, positional=True), Param("stride", "stride")),
+        gauss=(
+            Param("sigma", "sigma", REQUIRED, positional=True),
+            Param("k", "k", lambda spec: default_gaussian_size(spec.sigma)),
+            Param("stride", "stride"),
+        ),
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -489,22 +491,7 @@ def _cast(text: str, cast: type, what: str):
 
 def parse_window(text: str) -> WindowSpec:
     """Parse ``rect:11``, ``rect:8,stride=4``, ``gauss:1.5`` or ``gauss:1.5,k=11``."""
-    name, pos, kw = split_selector(text)
-    stride = _cast(kw.pop("stride", "1"), int, "window")
-    if name == "rect":
-        if len(pos) != 1:
-            raise ValidationError("rect window needs a size, e.g. rect:11")
-        spec = WindowSpec.rectangular(_cast(pos[0], int, "window"), stride)
-    elif name == "gauss":
-        if len(pos) != 1:
-            raise ValidationError("gauss window needs a sigma, e.g. gauss:1.5")
-        k = _cast(kw.pop("k"), int, "window") if "k" in kw else None
-        spec = WindowSpec.gaussian(_cast(pos[0], float, "window"), k, stride)
-    else:
-        raise ValidationError(f"unknown window {name!r} (expected rect or gauss)")
-    if kw:
-        raise ValidationError(f"unknown window options {sorted(kw)}")
-    return spec
+    return _WINDOW.parse(text)
 
 
 def parse_scale(text: str) -> ScalePolicy:

@@ -272,14 +272,14 @@ def _score_pairs(
 ) -> list[FrameScore]:
     """Score frame pairs in order; errors name the frame they came from.
 
-    With ``workers`` > 1 each worker pulls the next pair from ``pairs``
-    under a lock, prepares it (``_prepare``: luma, scaled) and drops the
-    full-resolution frames before it scores the prepared pair, whose scale
-    policy is then "none", so nothing is scaled twice. At most one decoded
-    pair per worker is alive, however long the clip is. The workers are
-    kept from one call to the next (``_worker_pool``). A failure stops
-    every worker at its next pull; the failure of the earliest frame is
-    raised.
+    Each worker pulls the next pair from ``pairs`` under a lock, prepares
+    it (``_prepare``: luma, scaled) and drops the full-resolution frames
+    before it scores the prepared pair, whose scale policy is then "none",
+    so nothing is scaled twice. At most one decoded pair per worker is
+    alive, however long the clip is. One worker runs in the caller's
+    thread; more are kept from one call to the next (``_worker_pool``). A
+    failure stops every worker at its next pull; the failure of the
+    earliest frame is raised.
     """
 
     def named(i: int, call, *args):
@@ -288,8 +288,6 @@ def _score_pairs(
         except SsimkitError as exc:
             raise type(exc)(f"frame {i}: {exc}") from exc
 
-    if workers == 1:
-        return [named(i, score_frame_pair, a, b, config, volumes) for i, (a, b) in enumerate(pairs)]
     unscaled = replace(config, scaling=ScalePolicy.none())
     lock, stop, pulled, scores, failures = threading.Lock(), threading.Event(), itertools.count(), {}, []
 
@@ -308,8 +306,11 @@ def _score_pairs(
             stop.set()
 
     try:
-        for future in [_worker_pool(workers).submit(work) for _ in range(workers)]:
-            future.result()
+        if workers == 1:
+            work()
+        else:
+            for future in [_worker_pool(workers).submit(work) for _ in range(workers)]:
+                future.result()
     finally:
         stop.set()  # an interrupted caller leaves no worker scoring the rest of the clip
     if failures:

@@ -18,8 +18,9 @@ int64 beyond (16-bit frames at Kt >= 2). A volume takes the scale of its
 first frame (box-downsampled frames sum several samples each) and divides
 its window sums by it as :func:`~ssimkit.stats.window_statistics` does, so
 its statistics are in signal units.
-Their spatial window sums come from the exact doubling passes of
-:func:`~ssimkit.stats.box_sums`. Once a float frame arrives, or an integer
+Their spatial window sums come from the doubling passes of
+:func:`~ssimkit.stats.box_sums`, band by band, exact unless the window sums
+of int64 running sums could pass int64. Once a float frame arrives, or an integer
 frame whose running sums could pass int64 (Kt * max|sample|^2 >= 2^63), the
 sums turn float64 for good, and spatial sums come from float64 summed-area
 tables over whole planes, as for 2-D float planes: the sums' dtype is the
@@ -101,12 +102,11 @@ class RollingVolume:
         dtype = np.result_type(*held, *(_exact_sum_dtype(x, self.kt, degree=2) for x in (ref, dist)))
         if self._sums is not None and dtype != self._sums[0].dtype:
             self._sums = [s.astype(dtype) for s in self._sums]
-        exact = dtype != np.float64
         # The first push and Kt = 1 form the sums from the newest frame alone
         # (no recursion), and float sums are rebuilt every REFRESH_INTERVAL
         # pushes, bounding drift: from the frames buffered after this push,
         # oldest first, as direct_sums() adds them.
-        rebuild = self._sums is None or self.kt == 1 or (not exact and (self._pushes + 1) % REFRESH_INTERVAL == 0)
+        rebuild = self._sums is None or self.kt == 1 or (dtype == np.float64 and (self._pushes + 1) % REFRESH_INTERVAL == 0)
         if self._sums is None:
             self._sums = [np.empty(a.shape, dtype) for _ in range(5)]
         full = len(self._buffer) == self.kt
@@ -121,10 +121,10 @@ class RollingVolume:
             elif full:
                 # T(k) = T(k-1) - I(k-Kt) + I(k), per plane; exact sums wrap
                 # through their accumulator's modulus and come back in range.
-                for s, old in zip(sums, _pair_terms(*(x[rows] for x in self._buffer[0]), exact)):
+                for s, old in zip(sums, _pair_terms(*(x[rows] for x in self._buffer[0]))):
                     np.subtract(s, old, out=s, casting="unsafe")
             for x, y in window if rebuild else [(a, b)]:
-                for s, new in zip(sums, _pair_terms(x[rows], y[rows], exact)):
+                for s, new in zip(sums, _pair_terms(x[rows], y[rows])):
                     np.add(s, new, out=s, casting="unsafe")
         if len(self._buffer) == self.kt:
             self._buffer.popleft()
@@ -136,7 +136,7 @@ class RollingVolume:
         """Sums recomputed from scratch over the buffered frames (drift oracle)."""
         sums = [np.zeros_like(s) for s in self.temporal_sums()]
         for a, b in self._buffer:
-            for s, t in zip(sums, _pair_terms(a, b, sums[0].dtype != np.float64)):
+            for s, t in zip(sums, _pair_terms(a, b)):
                 np.add(s, t, out=s, casting="unsafe")
         return sums
 

@@ -20,7 +20,7 @@ import numpy as np
 from .config import SsimConfig
 from .errors import EmptyMap
 from .frames import LumaPlane, PlaneLike, QualityMap, plane_data, plane_scale, validate_frame_pair
-from .stats import BandedSum, LocalStatsMaps, _exact_pair, _exact_sums, banded_statistics, local_statistics
+from .stats import BandedSum, LocalStatsMaps, _product_dtype, banded_statistics, local_statistics
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,8 @@ def _frame_bands(ref: PlaneLike, dist: PlaneLike, config: SsimConfig):
     :func:`~ssimkit.stats.banded_statistics`): each band's
     ``local_statistics`` reads only the rows its windows cover, so only
     float planes under rectangular windows (whose summed-area tables round
-    over the whole plane) ever hold whole statistics grids.
+    over the whole plane), and integer pairs whose products could pass
+    int64, ever hold whole statistics grids.
     """
     ref, dist = validate_frame_pair(ref, dist)
     a, b, scale = plane_data(ref), plane_data(dist), plane_scale(ref)
@@ -124,9 +125,9 @@ def _frame_bands(ref: PlaneLike, dist: PlaneLike, config: SsimConfig):
     def compute(rows, out):
         return local_statistics(a[rows], b[rows], config.window, config.engine, out, scale)
 
-    exact = _exact_pair(a, b, config.window.k**2)
+    integer = _product_dtype(ref, dist).kind in "ui"
     geometry = dict(stride=config.window.stride, source_dims=a.shape)
-    return geometry, *banded_statistics(compute, a.shape, config.window, config.engine, exact)
+    return geometry, *banded_statistics(compute, a.shape, config.window, config.engine, integer)
 
 
 def _volume_bands(vol, config: SsimConfig):
@@ -138,9 +139,8 @@ def _volume_bands(vol, config: SsimConfig):
     def compute(rows, out):
         return vol.local_statistics(config.window, rows, out)
 
-    exact = _exact_sums(sums, config.window.k**2)
     geometry = dict(stride=config.window.stride, source_dims=sums[0].shape)
-    return geometry, *banded_statistics(compute, sums[0].shape, config.window, "auto", exact)
+    return geometry, *banded_statistics(compute, sums[0].shape, config.window, "auto", sums[0].dtype.kind in "ui")
 
 
 def mssim(maps: Union[SsimTermMaps, QualityMap, np.ndarray]) -> float:

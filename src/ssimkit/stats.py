@@ -24,7 +24,8 @@ sums a whole grid), so a frame's working set is one band: whole l, cs and q
 grids are made only for the public map functions, and a whole q grid for a
 pooler that needs one. Box sums are exact, and the separable passes and the
 direct loop add the same taps in the same order per grid row, so bands
-equal whole grids bit for bit. Whole grids remain where
+equal whole grids bit for bit (bare integer arrays whose window sums pass
+int64 aside, see :func:`banded_statistics`). Whole grids remain where
 they are asked for (:func:`local_statistics` and
 ``RollingVolume.local_statistics`` called on their own, and
 ``ssim.term_maps_from_stats``) and on the one route whose rounding depends
@@ -56,15 +57,18 @@ float64 exactly before its first multiply, so their grids equal those of
 float64 copies bit for bit.
 
 One rule picks every exact integer accumulator in the package
-(:func:`_exact_sum_dtype`, used by :func:`box_sums` and by the box and
-dyadic downsamples): for sums of n samples it is uint16 while n * max < 2^16
-and uint32 while n * max < 2^32 for non-negative samples, int64 while
-n * max|sample| < 2^63, and float64 beyond that and for float planes; a
-LumaPlane's max is scale * (2^bit_depth - 1). Sums in uint16, uint32 or
+(:func:`_exact_sum_dtype`, used by :func:`box_sums`, by the product planes
+of :func:`_pair_terms` and by the box and dyadic downsamples): for sums of
+n samples it is uint16 while n * max < 2^16 and uint32 while n * max < 2^32
+for non-negative samples, int64 while n * max|sample| < 2^63, and float64
+beyond that and for float planes; a LumaPlane's max is
+scale * (2^bit_depth - 1). Products of two samples follow it with n = 1:
+uint16 for 8-bit samples, uint32 up to 16 bits. Sums in uint16, uint32 or
 int64 are exact, so results built on them are bit-identical to the same
 arithmetic on exact values. A pair of integer planes takes the exact route
-only when its product sums fit int64 (k^2 * max|sample|^2 < 2^63); wider
-pairs are summed in float64 like float planes, never wrapped.
+only when its products fit int64 (max|sample|^2 < 2^63), with window sums
+past int64 doubled in float64 band by band; wider pairs are summed in
+float64 like float planes, never wrapped.
 """
 
 from __future__ import annotations
@@ -305,12 +309,12 @@ def box_sums(plane: np.ndarray, k: int, stride: int = 1, out: np.ndarray | None 
     the end of a row land in columns no window reads. Each pass is
     log2 k + popcount k - 1 contiguous adds (5 at k=11), with no scan and
     no loop over rows. Both run in the accumulator :func:`_exact_sum_dtype`
-    picks for k^2 samples: uint32 while the largest possible window sum
-    fits in 32 bits, int64 beyond, and float64 (no longer exact) only past
-    int64. For a grid of at most BAND_ROWS rows the two work buffers are
-    the thread's (:func:`_scratch`). The sums are written into ``out`` when
-    given (any dtype that holds them, e.g. float64); else they are returned
-    in the working dtype as a new array.
+    picks for k^2 samples: uint16 or uint32 while the largest possible
+    window sum fits in 16 or 32 bits, int64 beyond, and float64 (no longer
+    exact) only past int64. For a grid of at most BAND_ROWS rows the two
+    work buffers are the thread's (:func:`_scratch`). The sums are written
+    into ``out`` when given (any dtype that holds them, e.g. float64); else
+    they are returned in the working dtype as a new array.
     """
     h, w = plane.shape
     gh, gw = _grid_shape(h, w, k, stride)
@@ -331,47 +335,31 @@ def box_sums(plane: np.ndarray, k: int, stride: int = 1, out: np.ndarray | None 
     return out
 
 
-def _exact_pair(a: np.ndarray, b: np.ndarray, count: int) -> bool:
-    """Whether sums of ``count`` terms of each of I1, I2, I1^2, I2^2, I1*I2
-    are exact in int64: both planes are integer and |I1*I2| <= max(I1^2, I2^2)."""
-    return all(_exact_sum_dtype(x, count, degree=2) is not np.float64 for x in (a, b))
+def _product_dtype(a: PlaneLike, b: PlaneLike) -> np.dtype:
+    """The dtype of a pair's products (:func:`_pair_terms`): the accumulator
+    :func:`_exact_sum_dtype` picks for one product of two samples of either
+    plane, so uint16 for 8-bit samples, uint32 up to 16 bits, int64 beyond,
+    and float64 for float planes or where one product could pass int64."""
+    return np.result_type(*(_exact_sum_dtype(x, 1, degree=2) for x in (a, b)))
 
 
-def _exact_sums(sums, count: int) -> bool:
-    """Whether sums of ``count`` samples of each of the five running-sum
-    planes (I1, I2, I1^2, I2^2, I1*I2 summed over frames) are exact in
-    int64. Float sums are not; uint32 sums are while count * (2^32 - 1) <
-    2^63, which their dtype proves without reading them; int64 sums are
-    bounded by the larger squared sum (|I| <= I^2 for integers, and
-    Cauchy-Schwarz for I1*I2), so only those two planes are read."""
-    dtype = sums[0].dtype
-    if dtype.kind == "f":
-        return False
-    if count * int(np.iinfo(dtype).max) < 1 << 63:
-        return True
-    return all(_exact_sum_dtype(s, count) is not np.float64 for s in sums[2:4])
-
-
-def _pair_terms(a: np.ndarray, b: np.ndarray, integer: bool):
+def _pair_terms(a: np.ndarray, b: np.ndarray):
     """The five planes I1, I2, I1^2, I2^2, I1*I2, one at a time.
 
-    Integer products are exact in uint32 up to 16-bit unsigned samples and
-    in int64 beyond (the caller checks :func:`_exact_pair`); anything else is
-    read as float64, with no copy of a plane that already is. An integer
-    square is a copy in the product's dtype multiplied by itself, which is
-    about twice as fast as numpy's buffered casting multiply; the cross
-    product keeps the cast, which is faster than two copies.
+    The products are formed in :func:`_product_dtype`, so integer products
+    are exact. Where that is float64, the planes are read as float64 too,
+    with no copy of a plane that already is. An integer square is a copy in
+    the product's dtype multiplied by itself, which is about twice as fast
+    as numpy's buffered casting multiply; the cross product keeps the cast,
+    which is faster than two copies.
     """
-    if integer:
-        small = all(x.dtype.kind == "u" and x.dtype.itemsize <= 2 for x in (a, b))
-        dtype = np.uint32 if small else np.int64
-    else:
-        dtype = np.float64
+    dtype = _product_dtype(a, b)
+    if dtype == np.float64:
         a, b = np.asarray(a, dtype), np.asarray(b, dtype)
     yield a
     yield b
     for x in (a, b):
-        yield _square(x, dtype) if integer else np.multiply(x, x)
+        yield np.multiply(x, x) if dtype == np.float64 else _square(x, dtype)
     yield np.multiply(a, b, dtype=dtype, casting="unsafe")
 
 
@@ -550,7 +538,7 @@ def window_statistics(
     )
 
 
-def banded_statistics(compute, dims: tuple[int, int], window: WindowSpec, engine: str, exact: bool):
+def banded_statistics(compute, dims: tuple[int, int], window: WindowSpec, engine: str, integer: bool):
     """The window grid's shape over a ``dims`` plane, and an iterator of
     (grid rows, (mu1, mu2, var1, var2, cov) of those rows) over its bands of
     BAND_ROWS grid rows.
@@ -559,18 +547,20 @@ def banded_statistics(compute, dims: tuple[int, int], window: WindowSpec, engine
     read input ``rows``, written into ``out``. Each band takes its own input
     rows (the k - 1 rows below it are read again by the next band) and the
     thread's five ``band`` grids (:func:`_scratch`), which the next band
-    overwrites. Box sums of ``exact`` planes are exact, and the separable
-    passes and the direct loop add the same taps in the same order per grid
-    row, so every band equals the whole grid's rows bit for bit.
-    A rectangular window under ``auto`` rounds inexact sums over the whole
-    plane (float64 summed-area tables, whose rounding depends on every row
-    above): that grid is computed whole (``rows`` covers the plane, ``out``
-    is None) and handed out band by band.
+    overwrites. Box sums of ``integer`` planes, the separable passes and
+    the direct loop add each window's taps in the same order wherever it
+    lies, so every band equals the whole grid's rows bit for bit. (A bare
+    integer pair whose window sums pass int64 is the exception: a band
+    whose own sums fit int64 sums them exactly, where the whole plane
+    would double them in float64.) A rectangular window under ``auto``
+    sums float planes with float64 summed-area tables, whose rounding
+    depends on every row above: that grid is computed whole (``rows``
+    covers the plane, ``out`` is None) and handed out band by band.
     """
     _check_fit(dims, window)
     k, stride = window.k, window.stride
     gh, gw = _grid_shape(*dims, k, stride)
-    if not (exact or window.shape != "rect" or engine == "naive"):
+    if not (integer or window.shape != "rect" or engine == "naive"):
         return (gh, gw), compute(slice(None), None).bands()
 
     def bands():
@@ -597,6 +587,6 @@ def local_statistics(
     """
     ref, dist = validate_frame_pair(ref, dist)
     a, b = plane_data(ref), plane_data(dist)
-    terms = _pair_terms(a, b, _exact_pair(a, b, window.k**2))
+    terms = _pair_terms(a, b)
     scale = plane_scale(ref) if scale is None else scale
     return window_statistics(terms, a.shape, window, engine, out=out, scale=scale)

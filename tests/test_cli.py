@@ -212,8 +212,9 @@ class TestRunScore:
 
     def test_workers_hold_at_most_one_full_resolution_pair_each(self, rng):
         # Each worker pulls its next pair only after it has scaled the last
-        # one and dropped it, so two workers hold at most two decoded pairs,
-        # however far decoding could run ahead of scoring.
+        # one and dropped it, so one worker holds one decoded pair and two
+        # workers at most two, however far decoding could run ahead of
+        # scoring.
         lock = threading.Lock()
         alive = {"now": 0, "most": 0}
 
@@ -237,6 +238,7 @@ class TestRunScore:
 
         config = SsimConfig(scaling=ScalePolicy.enhanced_dh(64 / 256 * 3 / 4))  # factor 4
         serial = pipeline._score_pairs(pipeline._stream_pairs(stream(0), stream(1)), config, 1)
+        assert alive == {"now": 0, "most": alive["most"]} and alive["most"] <= 2, alive
         alive["most"] = 0
         threaded = pipeline._score_pairs(pipeline._stream_pairs(stream(0), stream(1)), config, 2)
         assert threaded == serial

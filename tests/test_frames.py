@@ -246,6 +246,11 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             WindowSpec.rectangular(11, stride=0)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_gaussian_window_with_its_size_given_still_checks_sigma(self, sigma):
+        with pytest.raises(NonPositiveSigma):
+            WindowSpec("gauss", 11, sigma)
+
     def test_rect_even_size_allowed(self):
         assert WindowSpec.rectangular(8, stride=4).k == 8
 

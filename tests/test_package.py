@@ -72,11 +72,13 @@ OTHER = dict(
     alpha=-0.2123456789012345, beta=0.1, weights=(0.6, 0.3, 0.1), space="lab",
     levels=3, exponents=(0.2, 0.3, 0.5),
     k=5, p=3.141592653589793, o=2.25, a=10.125, b=40.5, ps=10.25, rs=4.125,
+    sigma=2.125, stride=3,
 )
 
 #: Each part, its parser, and its field in a JSON config (None: the
 #: config holds the part as a selector string).
 PARTS = [
+    (WindowSpec, parse_window, "window"),
     (ScalePolicy, parse_scale, "scaling"),
     (ColorModelSpec, parse_color, "color"),
     (MultiscaleSpec, parse_multiscale, "multiscale"),

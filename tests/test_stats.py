@@ -19,7 +19,6 @@ from ssimkit.multiscale import dyadic_downsample, scale_scores
 from ssimkit.spatiotemporal import RollingVolume, ssim3d_map
 from ssimkit.stats import (
     _exact_sum_dtype,
-    _exact_sums,
     _grid_shape,
     _grid_window_sums,
     _pair_terms,
@@ -124,7 +123,7 @@ def uniform_sums(values, k, stride):
 
 def float_terms(a, b):
     """The five float64 planes I1, I2, I1^2, I2^2, I1*I2 of a frame pair."""
-    return list(_pair_terms(a.samples, b.samples, integer=False))
+    return list(_pair_terms(a.samples.astype(np.float64), b.samples.astype(np.float64)))
 
 
 class TestIntegralSet:
@@ -447,12 +446,64 @@ def typed_pairs(draw):
     return a, b, window
 
 
+#: Sample planes for the product rule: (dtype, lowest, highest sample). The
+#: int64 peaks sit either side of 3_037_000_499.98..., the sample whose
+#: square is 2^63.
+PRODUCT_PLANES = [
+    (np.uint8, 0, 255), (np.uint16, 0, 1023), (np.uint16, 0, 65535), (np.dtype(">u2"), 0, 65535),
+    (np.int8, -128, 127), (np.int16, -(2**15), 2**15 - 1), (np.int32, -(2**31), 2**31 - 1),
+    (np.int64, 0, 2**20), (np.int64, 0, 3_037_000_499), (np.int64, -3_037_000_499, 0),
+    (np.int64, 0, 3_037_000_500), (np.int64, -(2**40), 2**40),
+]
+
+
+def product_dtype(x):
+    """The accumulator for one product of two samples of ``x``: the dtype's
+    range decides up to 16 bits, the samples beyond."""
+    info = np.iinfo(x.dtype)
+    lo, hi = (int(info.min), int(info.max)) if x.dtype.itemsize <= 2 else (int(x.min()), int(x.max()))
+    peak = max(hi, -lo) ** 2
+    for dtype, bound in ((np.uint16, 2**16), (np.uint32, 2**32)):
+        if lo >= 0 and peak < bound:
+            return dtype
+    return np.int64 if peak < 2**63 else np.float64
+
+
+@st.composite
+def product_planes(draw):
+    """An integer plane whose extreme samples are drawn too, so the bounds are reached."""
+    dtype, lo, hi = draw(st.sampled_from(PRODUCT_PLANES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(lo, hi, (5, 6), endpoint=True)
+    x[0, 0], x[-1, -1] = draw(st.sampled_from([lo, hi])), draw(st.sampled_from([lo, hi]))
+    return x.astype(dtype)
+
+
+class TestPairTerms:
+    @DERANDOMIZED
+    @given(product_planes(), product_planes())
+    def test_products_take_the_rule_dtype_and_are_exact(self, a, b):
+        want = np.result_type(product_dtype(a), product_dtype(b))
+        terms = list(_pair_terms(a, b))
+        if want == np.float64:
+            x, y = a.astype(np.float64), b.astype(np.float64)
+            products = [x * x, y * y, x * y]
+            assert all(t.dtype == np.float64 for t in terms)
+            assert [t.tobytes() for t in terms] == [t.tobytes() for t in (x, y, *products)]
+        else:
+            assert terms[0] is a and terms[1] is b
+            x, y = a.astype(object), b.astype(object)  # Python integers: exact
+            products = [x * x, y * y, x * y]
+            for term, exact in zip(terms[2:], products):
+                assert term.dtype == want and (term.astype(object) == exact).all()
+
+
 class TestRouteFromPlanes:
     @DERANDOMIZED
     @given(typed_pairs(), st.sampled_from(ENGINES))
     def test_window_statistics_picks_its_route_from_the_planes(self, case, engine):
         a, b, window = case
-        terms = list(_pair_terms(a, b, integer=True))
+        terms = list(_pair_terms(a, b))
         assert all(t.dtype.kind in "ui" for t in terms)
         got = window_statistics(iter(terms), a.shape, window, engine)
         if engine == "naive" or window.shape == "gauss":
@@ -531,6 +582,25 @@ class TestWideIntegerStatistics:
         slow = local_statistics(a, b, window, "naive")
         for name in ("mu1", "mu2", "var1", "var2", "cov"):
             assert np.array_equal(getattr(fast, name), getattr(slow, name))
+
+    def test_products_within_int64_are_banded_past_int64_window_sums(self, monkeypatch):
+        # 3e9^2 < 2^63 <= 121 * 3e9^2: exact products, whose window sums
+        # double in float64 band by band rather than over the whole plane.
+        rng = np.random.default_rng(11)
+        shape = (3 * BAND - 20 + 10, 37)  # 3 * BAND - 20 grid rows at k=11: three bands
+        a = rng.integers(0, 3 * 10**9, shape, endpoint=True, dtype=np.int64)
+        b = np.clip(a + rng.integers(-3 * 10**8, 3 * 10**8, shape), 0, 3 * 10**9)
+        cfg = SsimConfig(window=WindowSpec.rectangular(11))
+        calls = []
+        counted = stats.local_statistics
+        monkeypatch.setattr(ssim, "local_statistics", lambda *args: calls.append(None) or counted(*args))
+        banded = ssim.ssim_map(a, b, cfg)
+        assert len(calls) == 3
+        whole = ssim.term_maps_from_stats(local_statistics(a, b, cfg.window), cfg.c1, cfg.c2)
+        assert map_bytes(banded) == map_bytes(whole)
+        naive = ssim.ssim_map(a, b, SsimConfig(window=cfg.window, engine="naive"))
+        for got, want in zip((banded.l_map, banded.cs_map, banded.q_map), (naive.l_map, naive.cs_map, naive.q_map)):
+            np.testing.assert_allclose(got.values, want.values, rtol=5e-14, atol=0)
 
 
 class TestLocalStatistics:
@@ -822,15 +892,22 @@ class TestBandEdges:
                 want.append(ssim.mssim(maps.q_map if level else maps.cs_map))
             assert got == want
 
-    def test_exact_volume_sums_need_reads_only_past_uint32(self, monkeypatch):
+    @pytest.mark.parametrize("frames, kt, banded", [
+        (lambda rng: rng.integers(0, 256, (20, 9), dtype=np.uint8), 2, True),  # uint32 sums
+        (lambda rng: rng.integers(0, 2**31, (20, 9), dtype=np.int64), 1, True),  # int64 sums, window sums past int64
+        (lambda rng: rng.uniform(0.0, 255.0, (20, 9)), 2, False),  # float64 sums: one summed-area table each
+    ])
+    def test_volume_route_reads_only_the_sums_dtype(self, monkeypatch, rng, frames, kt, banded):
+        vol = RollingVolume(kt)
+        for _ in range(kt):
+            vol.push(frames(rng), frames(rng))
+        calls = []
+        counted = vol.local_statistics
+
         def unread(*args, **kwargs):
             raise AssertionError("read a running-sum plane")
 
         monkeypatch.setattr(stats, "_exact_sum_dtype", unread)
-        assert stats._exact_sums([np.zeros((4, 4), np.uint32)] * 5, 2**30)
-        assert not stats._exact_sums([np.zeros((4, 4))] * 5, 1)
-        monkeypatch.undo()
-        squares = np.full((4, 4), 2**40, dtype=np.int64)
-        sums = [np.zeros((4, 4), np.int64), np.zeros((4, 4), np.int64), squares, squares, -squares]
-        assert _exact_sums(sums, 2**22)
-        assert not _exact_sums(sums, 2**23)
+        monkeypatch.setattr(vol, "local_statistics", lambda *args: calls.append(args[1]) or counted(*args))
+        ssim._volume_bands(vol, SsimConfig(window=WindowSpec.rectangular(7)))
+        assert calls == ([] if banded else [slice(None)])  # a banded route sums nothing until its bands are read
