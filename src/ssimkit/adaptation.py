@@ -116,13 +116,11 @@ def box_downsample(plane: PlaneLike, factor: int) -> PlaneLike:
     Block sums never pass through a float64 copy of the plane. Band by band
     of BAND_ROWS block rows, each block row is the sum of ``factor`` strided
     row slices, in the thread's reused ``blocks`` buffer (``stats._scratch``),
-    then the sums of ``factor`` strided column slices go into the output
-    (``np.add.reduceat`` for float means, which keeps numpy's pairwise order
-    in each block). Integer sums are exact; float planes differ from
-    averaging a float64 copy only in summation order, which is the same in
-    every band.
+    then the sums of ``factor`` strided column slices go into the output.
+    Integer sums are exact; float planes differ from averaging a float64
+    copy only in summation order, which is the same in every band.
     """
-    if not isinstance(factor, int) or factor < 1:
+    if not isinstance(factor, int) or isinstance(factor, bool) or factor < 1:
         raise ValidationError(f"factor must be an integer >= 1, got {factor!r}")
     if factor == 1:
         return plane
@@ -138,16 +136,14 @@ def box_downsample(plane: PlaneLike, factor: int) -> PlaneLike:
     scale = rows_lcm * cols_lcm
     exact = isinstance(plane, LumaPlane) and _exact_sum_dtype(plane, scale) is not np.float64
     work = _exact_sum_dtype(plane, scale) if exact else _exact_sum_dtype(arr, factor * factor)
-    out = np.empty((len(row_edges), len(col_edges)), work if exact else np.float64)
+    out = np.empty((len(row_edges), len(col_edges)), work)
     for grid_rows, src, _ in _row_bands(len(row_edges), factor, factor):
         rows = _strided_sums(arr[src], factor, 0, _scratch("blocks", (len(out[grid_rows]), w), work))
-        if not exact:  # reduceat keeps numpy's pairwise order within a float block
-            sums = np.add.reduceat(rows, col_edges, axis=1, dtype=work)  # not add's widened default
-            np.divide(sums, np.outer(row_counts[grid_rows], col_counts), out=out[grid_rows])
-            continue
         _strided_sums(rows, factor, 1, out[grid_rows])
-        if (row_counts[-1], col_counts[-1]) != (rows_lcm, cols_lcm):  # partial blocks: up to the common count
-            out[grid_rows] *= np.outer(rows_lcm // row_counts[grid_rows], cols_lcm // col_counts).astype(work)
+    if not exact:
+        out = out / np.outer(row_counts, col_counts)
+    elif (row_counts[-1], col_counts[-1]) != (rows_lcm, cols_lcm):  # partial blocks: up to the common count
+        out *= np.outer(rows_lcm // row_counts, cols_lcm // col_counts).astype(work)
     if not isinstance(plane, LumaPlane):
         return out
     out.setflags(write=False)  # LumaPlane keeps read-only arrays without a copy
@@ -212,14 +208,16 @@ class HistogramMatcher:
     monotone transform F_ref^-1(F_comp(.)) built from binned histograms, and
     the mean of the transformed values is returned. Mapping happens at each
     comp bin's mid-mass, and the transform is anchored by the exact reference
-    mean so matching distributions reproduce it bit-for-bit.
+    mean so matching distributions reproduce it within rounding.
     """
 
     def __init__(self, refresh_interval: int = 5, bins: int = 201, value_range: tuple[float, float] = (-1.0, 1.0)):
         if not isinstance(refresh_interval, int) or refresh_interval < 1:
             raise ValidationError("refresh interval must be an integer >= 1")
-        if bins < 2:
-            raise ValidationError("need at least 2 histogram bins")
+        if not isinstance(bins, int) or isinstance(bins, bool) or bins < 2:
+            raise ValidationError(f"bins must be an integer >= 2, got {bins!r}")
+        if not all(math.isfinite(v) for v in value_range):
+            raise ValidationError(f"value range must be finite, got {value_range!r}")
         if value_range[1] <= value_range[0]:
             raise ValidationError("empty value range")
         self.refresh_interval = refresh_interval
@@ -260,8 +258,6 @@ class HistogramMatcher:
         true_map: Optional[Union[QualityMap, np.ndarray]] = None,
     ) -> float:
         """Predicted mean rendering-scale score for one frame."""
-        comp = comp_map.values if isinstance(comp_map, QualityMap) else np.asarray(comp_map, dtype=np.float64)
-        comp = comp.reshape(-1)
         # Only calls that return are counted, so a rejected call leaves the
         # schedule where it was; the first counted call always set a reference.
         if self._calls % self.refresh_interval == 0:
@@ -276,15 +272,9 @@ class HistogramMatcher:
             self._ref_binned_mean = self._binned_mean(self._counts)
             self._calls += 1
             return self._ref_mean
-        counts = self._histogram(comp)
-        n = counts.sum()
-        occupied = np.nonzero(counts)[0]
-        cum = np.cumsum(counts)
-        mid_mass = (cum[occupied] - counts[occupied] / 2.0) / n * self._counts.sum()
-        mapped = self._ref_quantile(mid_mass)
-        shift = self._ref_mean - self._ref_binned_mean
+        predicted = float(self.transform(comp_map).mean())
         self._calls += 1
-        return float(((counts[occupied] * mapped).sum() / n) + shift)
+        return predicted
 
     def transform(self, comp_map: Union[QualityMap, np.ndarray]) -> np.ndarray:
         """Per-value monotone transform (diagnostic; predict() averages it)."""

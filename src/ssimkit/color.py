@@ -11,8 +11,8 @@ Quaternion similarity and the hue plane run band by band, as statistics do
 input rows it needs as float64 and runs the whole-plane arithmetic on them,
 operation for operation. The hue band goes into its rows of the plane;
 qssim's band of values is summed as numpy sums the whole grid
-(``stats.BandedSum``), so neither score moves by a bit. Channel scores are
-map means, pooled as their bands are formed (``ssim._band_sums``).
+(``stats.BandedSum``), so neither score moves by a bit. Channel and hue
+scores are ``ssim.ssim_score``'s, pooled as their bands are formed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .frames import (
     validate_color_pair,
 )
 from .stats import BandedSum, _check_fit, _grid_shape, _row_bands, _sliding_weighted_sums, gaussian_kernel_1d, separable_sums
-from .ssim import _frame_bands, _term_mean, mssim, ssim_map
+from .ssim import mssim, ssim_map, ssim_score  # noqa: F401  (perfbench traces mssim here)
 
 # BT.709 luma coefficients; the chroma scale factors put Cb/Cr in +-L/2 around
 # an L/2 storage offset.
@@ -75,10 +75,19 @@ def rgb_to_ycbcr_bt709(frame: ColorFrame) -> ColorFrame:
     frame.require_space(SPACE_RGB)
     r, g, b = (np.asarray(c, dtype=np.float64) for c in frame.channels)
     offset = frame.peak / 2.0
-    y = _KR * r + _KG * g + _KB * b
+    y = _bt709_luma(r, g, b)
     cb = _CB_SCALE * (b - y) + offset
     cr = _CR_SCALE * (r - y) + offset
     return ColorFrame((y, cb, cr), SPACE_YCBCR, frame.subsampling, frame.bit_depth)
+
+
+def _bt709_luma(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """BT.709 luma (Kr r + Kg g) + Kb b in float64, each channel read as
+    float64 by its multiply (exactly, as a float64 copy would be)."""
+    luma = np.multiply(r, _KR, dtype=np.float64)
+    luma += np.multiply(g, _KG, dtype=np.float64)
+    luma += np.multiply(b, _KB, dtype=np.float64)
+    return luma
 
 
 def ycbcr_bt709_to_rgb(frame: ColorFrame) -> ColorFrame:
@@ -114,12 +123,7 @@ def luma_of(frame: Union[LumaPlane, ColorFrame]) -> LumaPlane:
     if frame.space == SPACE_YCBCR:
         return LumaPlane(frame.channels[0], frame.bit_depth)
     if frame.space == SPACE_RGB:
-        # (Kr r + Kg g) + Kb b, each channel read as float64 by its multiply
-        # (exactly, as a float64 copy would be), into one read-only plane.
-        r, g, b = frame.channels
-        luma = np.multiply(r, _KR, dtype=np.float64)
-        luma += np.multiply(g, _KG, dtype=np.float64)
-        luma += np.multiply(b, _KB, dtype=np.float64)
+        luma = _bt709_luma(*frame.channels)
         luma.setflags(write=False)  # LumaPlane keeps a read-only array without a copy
         return LumaPlane(luma, frame.bit_depth)
     raise WrongSpace(f"no luminance definition for {frame.space} frames")
@@ -164,7 +168,7 @@ def _pair_in(ref: ColorFrame, dist: ColorFrame, space: str) -> tuple[ColorFrame,
 def _channel_scores(ref: ColorFrame, dist: ColorFrame, config: SsimConfig) -> tuple[float, float, float]:
     ref, dist = _pair_in(ref, dist, SPACE_YCBCR)
     config = config.for_bit_depth(ref.bit_depth)
-    return tuple(_term_mean(_frame_bands(a, b, config), config, 3) for a, b in zip(ref.channels, dist.channels))
+    return tuple(ssim_score(a, b, config) for a, b in zip(ref.channels, dist.channels))
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +360,6 @@ def _hue_band(r: np.ndarray, g: np.ndarray, b: np.ndarray, peak: float) -> np.nd
 def hssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) -> float:
     """(SSIM + 0.2 * hue-channel SSIM) / 1.2."""
     ref, dist = _pair_in(ref, dist, SPACE_RGB)
-    luma_score = mssim(ssim_map(luma_of(ref), luma_of(dist), config))
-    hue_score = mssim(ssim_map(hue_plane(ref), hue_plane(dist), config))
+    luma_score = ssim_score(luma_of(ref), luma_of(dist), config)
+    hue_score = ssim_score(hue_plane(ref), hue_plane(dist), config)
     return (luma_score + 0.2 * hue_score) / 1.2

@@ -106,6 +106,8 @@ class LabeledDataset:
 def normalize_scores(raw: Sequence[float]) -> np.ndarray:
     """Scale and shift raw subjective scores onto [0, 1]."""
     arr = np.asarray(raw, dtype=np.float64)
+    if arr.size == 0:
+        raise ValidationError("cannot normalize an empty score set")
     lo, hi = arr.min(), arr.max()
     if hi == lo:
         raise DegenerateData("cannot normalize a constant score set")
@@ -126,6 +128,10 @@ def fit_5pl(
     steps and grows x10 on rejected ones, so RMSE never increases. Converges
     when the relative RMSE improvement drops below ``tol``.
     """
+    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 0:
+        raise ValidationError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    if not tol >= 0.0:
+        raise ValidationError(f"tol must be a number >= 0, got {tol!r}")
     x = data.objective
     y = data.subjective
     if np.unique(x).size < 5:
@@ -179,14 +185,11 @@ def fit_5pl(
     return Logistic5(*best)
 
 
-def fit_rmse(params: Logistic5, data: LabeledDataset) -> float:
-    r = np.asarray(eval_5pl(params, data.objective)) - data.subjective
-    return float(np.sqrt(np.mean(r * r)))
-
-
 def cross_apply(fit: Logistic5, target: LabeledDataset) -> float:
-    """RMSE of a fitted mapping applied, unchanged, to another dataset."""
-    return fit_rmse(fit, target)
+    """RMSE of a fitted mapping applied, unchanged, to a dataset: its own
+    training data or another."""
+    r = np.asarray(eval_5pl(fit, target.objective)) - target.subjective
+    return float(np.sqrt(np.mean(r * r)))
 
 
 def is_rank_preserving(params: Logistic5, x_lo: float, x_hi: float, points: int = 1000) -> bool:
@@ -195,6 +198,8 @@ def is_rank_preserving(params: Logistic5, x_lo: float, x_hi: float, points: int 
     A decreasing fit (e.g. from dissimilarity-style pooled scores) still
     preserves ranks after mapping.
     """
+    if not isinstance(points, int) or isinstance(points, bool) or points < 2:
+        raise ValidationError(f"points must be an integer >= 2, got {points!r}")
     grid = np.linspace(x_lo, x_hi, points)
     vals = np.asarray(eval_5pl(params, grid))
     diffs = np.diff(vals)
@@ -228,6 +233,8 @@ def correlations(pred: Sequence[float], subj: Sequence[float]) -> tuple[float, f
         raise LengthMismatch(f"{p.size} predictions vs {s.size} subjective scores")
     if p.size < 2:
         raise TooFew("need at least two points for correlations")
+    if not (np.isfinite(p).all() and np.isfinite(s).all()):
+        raise ValidationError("predictions and subjective scores must be finite")
     pcc = _pearson(p, s)
     srocc = _pearson(rank_with_ties(p), rank_with_ties(s))
     rmse = float(np.sqrt(np.mean((p - s) ** 2)))

@@ -3,8 +3,9 @@
 Supported media: YUV4MPEG2 (Y4M), headerless planar YUV with out-of-band
 dimensions, and binary PNM (P5/P6). Frames are yielded lazily, one at a time.
 Raw multi-byte samples are little-endian; PNM 16-bit is big-endian per its
-own convention. Reports are JSON-lines or CSV with deterministic field order
-and floats rendered to 9 significant digits.
+own convention. Y4M and raw frames share one plane layout, and the PNM
+header is one bytes pattern's match. Reports are JSON-lines or CSV with
+deterministic field order and floats rendered to 9 significant digits.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 import json
 import mmap
 import os
+import re
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -70,14 +72,18 @@ class VideoStream:
             yield luma_of(frame)
 
 
-def _chroma_dims(width: int, height: int, chroma: str) -> tuple[int, int]:
+def _plane_shapes(width: int, height: int, chroma: str) -> list[tuple[int, int]]:
+    """(rows, columns) of each stored plane of a frame: luma, then Cb and Cr
+    unless ``chroma`` is mono (4:2:0 chroma rounds odd sides up)."""
+    if chroma == "mono":
+        return [(height, width)]
     if chroma == CHROMA_420:
-        return (-(-width // 2), -(-height // 2))
-    return (width, height)
+        return [(height, width)] + [(-(-height // 2), -(-width // 2))] * 2
+    return [(height, width)] * 3
 
 
-def _plane_bytes(width: int, height: int, bit_depth: int) -> int:
-    return width * height * (1 if bit_depth <= 8 else 2)
+def _plane_bytes(shape: tuple[int, int], bit_depth: int) -> int:
+    return shape[0] * shape[1] * (1 if bit_depth <= 8 else 2)
 
 
 def _map_bytes(fh: IO[bytes], start: int, length: int) -> np.ndarray:
@@ -137,16 +143,16 @@ def read_y4m(path: Union[str, os.PathLike]) -> VideoStream:
 
 
 def _read_line(fh: IO[bytes]) -> Optional[str]:
-    chars = bytearray()
-    while True:
-        c = fh.read(1)
-        if not c:
-            return None if not chars else chars.decode("ascii", "replace")
-        if c == b"\n":
-            return chars.decode("ascii", "replace")
-        chars.extend(c)
-        if len(chars) > 512:
-            raise BadHeader("unterminated header line")
+    """The next line of at most 512 bytes without its newline (the file's
+    last line may have none), or None at the end of the file."""
+    line = fh.readline(513)
+    if not line:
+        return None
+    if line.endswith(b"\n"):
+        line = line[:-1]
+    elif len(line) > 512:
+        raise BadHeader("unterminated header line")
+    return line.decode("ascii", "replace")
 
 
 def _header_int(token: str, digits: str) -> int:
@@ -188,11 +194,8 @@ def _parse_y4m_header(line: Optional[str]) -> StreamHeader:
 def _read_frame_planes(fh: IO[bytes], header: StreamHeader) -> Optional[FrameType]:
     """The frame at ``fh``'s position as views of one mapping of its bytes,
     or None at the end of the file; ``fh`` moves past the frame."""
-    shapes = [(header.height, header.width)]
-    if header.chroma != "mono":
-        cw, ch = _chroma_dims(header.width, header.height, header.chroma)
-        shapes += [(ch, cw)] * 2
-    sizes = [_plane_bytes(w, h, header.bit_depth) for h, w in shapes]
+    shapes = _plane_shapes(header.width, header.height, header.chroma)
+    sizes = [_plane_bytes(shape, header.bit_depth) for shape in shapes]
     start = fh.tell()
     left = os.fstat(fh.fileno()).st_size - start
     if left <= 0:
@@ -230,12 +233,7 @@ def read_planar_raw(
         raise UnsupportedChroma(f"chroma {chroma!r} not supported for raw input")
     if chroma == "400":
         chroma = "mono"
-    y_bytes = _plane_bytes(width, height, bit_depth)
-    if chroma == "mono":
-        frame_bytes = y_bytes
-    else:
-        cw, ch = _chroma_dims(width, height, chroma)
-        frame_bytes = y_bytes + 2 * _plane_bytes(cw, ch, bit_depth)
+    frame_bytes = sum(_plane_bytes(shape, bit_depth) for shape in _plane_shapes(width, height, chroma))
     size = os.path.getsize(path)
     if size == 0 or size % frame_bytes != 0:
         raise SizeNotMultiple(f"{path}: {size} bytes is not a whole number of {frame_bytes}-byte frames")
@@ -271,38 +269,28 @@ def read_pnm(path: Union[str, os.PathLike]) -> FrameType:
     )
 
 
-def _pnm_header_fields(data: np.ndarray, path) -> tuple[tuple[str, int, int, int], int]:
-    def byte(i: int) -> bytes:
-        return data[i : i + 1].tobytes()
+# A gap of whitespace and comments, each comment to the end of its line, so
+# that backtracking within a gap cannot read the rest of a comment as a field.
+_PNM_GAP = rb"(?:\s|#[^\n]*(?![^\n]))*"
+# The magic and up to three fields, each a whole digit run (nothing after a
+# field can fail, so none is ever split); short of three, the gap after the
+# last, so that the match ends where the header stops being one.
+_PNM_HEADER = re.compile(rb"P[56]" + rb"(?:%b(\d+))?" % _PNM_GAP * 3 + rb"(?(3)|%b)" % _PNM_GAP)
 
-    magic = data[:2].tobytes()
-    if magic not in (b"P5", b"P6"):
+
+def _pnm_header_fields(data: np.ndarray, path) -> tuple[tuple[str, int, int, int], int]:
+    match = _PNM_HEADER.match(data)
+    if match is None:
         raise BadHeader(f"{path}: not a binary P5/P6 PNM file")
-    kind = magic.decode()
-    fields: list[int] = []
-    i = 2
-    while len(fields) < 3:
-        if i >= data.size:
+    if match[3] is None:
+        end = match.end()
+        if end == data.size:
             raise BadHeader(f"{path}: truncated PNM header")
-        c = byte(i)
-        if c == b"#":
-            while i < data.size and byte(i) != b"\n":
-                i += 1
-        elif c.isspace():
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < data.size and byte(j).isdigit():
-                j += 1
-            fields.append(int(data[i:j].tobytes()))
-            i = j
-        else:
-            raise BadHeader(f"{path}: unexpected byte {c!r} in PNM header")
-    i += 1  # single whitespace byte after maxval
-    width, height, maxval = fields
+        raise BadHeader(f"{path}: unexpected byte {data[end : end + 1].tobytes()!r} in PNM header")
+    width, height, maxval = (int(field) for field in match.groups())
     if width <= 0 or height <= 0:
         raise BadHeader(f"{path}: bad dimensions {width}x{height}")
-    return (kind, width, height, maxval), i
+    return (data[:2].tobytes().decode(), width, height, maxval), match.end(3) + 1  # one byte after maxval
 
 
 # ---------------------------------------------------------------------------
@@ -368,26 +356,17 @@ def format_float(x: float) -> str:
     return format(float(x), "#.9g")
 
 
-def _render_csv(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return "" if value != value else format_float(value)
-    return str(value)
-
-
-def _render_json(value) -> str:
-    if value is None:
-        return "null"
+def _render(value, missing: str, text: Callable[[str], str]) -> str:
+    """One report field: ``missing`` for None and NaN, JSON's booleans,
+    :func:`format_float` floats, and any other value but an int as
+    ``text`` of its str."""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if value is None or (isinstance(value, float) and value != value):
+        return missing
     if isinstance(value, float):
-        return "null" if value != value else format_float(value)
-    if isinstance(value, int):
-        return str(value)
-    return json.dumps(str(value))
+        return format_float(value)
+    return str(value) if isinstance(value, int) else text(str(value))
 
 
 def write_report(
@@ -413,9 +392,9 @@ def write_report(
     if fmt == "csv":
         lines.append(",".join(fields))
         for rec in records:
-            lines.append(",".join(_render_csv(rec[f]) for f in fields))
+            lines.append(",".join(_render(rec[f], "", str) for f in fields))
     else:
         for rec in records:
-            body = ", ".join(f"{json.dumps(f)}: {_render_json(rec[f])}" for f in fields)
+            body = ", ".join(f"{json.dumps(f)}: {_render(rec[f], 'null', json.dumps)}" for f in fields)
             lines.append("{" + body + "}")
     return ("\n".join(lines) + "\n").encode()

@@ -91,8 +91,8 @@ def gaussian_kernel(sigma: float, k: int | None = None) -> np.ndarray:
     """
     size = default_gaussian_size(sigma)  # rejects a sigma no kernel can use
     k = size if k is None else k
-    if k < 1:
-        raise ValidationError(f"kernel size must be >= 1, got {k}")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValidationError(f"kernel size must be an integer >= 1, got {k!r}")
     coords = np.arange(k, dtype=np.float64) - (k - 1) / 2.0
     g = np.exp(-(coords * coords) / (2.0 * sigma * sigma))
     kern = np.outer(g, g)

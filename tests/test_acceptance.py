@@ -21,9 +21,9 @@ from ssimkit.evaluation import (
     LabeledDataset,
     Logistic5,
     correlations,
+    cross_apply,
     eval_5pl,
     fit_5pl,
-    fit_rmse,
     pareto_front,
 )
 from ssimkit.frames import ColorFrame, LumaPlane
@@ -259,7 +259,7 @@ def test_criterion_08_evaluation():
     y = np.asarray(eval_5pl(true, x))
     y = (y - y.min()) / (y.max() - y.min())
     fit = fit_5pl(LabeledDataset.from_pairs(x, y))
-    assert fit_rmse(fit, LabeledDataset.from_pairs(x, y)) <= 1e-6
+    assert cross_apply(fit, LabeledDataset.from_pairs(x, y)) <= 1e-6
 
     for _ in range(50):
         n = int(rng.integers(3, 11))

@@ -187,6 +187,12 @@ class TestBoxDownsample:
         plane = LumaPlane(rng.integers(0, 256, (6, 6), dtype=np.uint8))
         assert box_downsample(plane, 1) is plane
 
+    @pytest.mark.parametrize("factor", [True, False, 2.0, 2.5, "2", 0, -1])
+    def test_rejects_a_factor_that_is_not_a_positive_integer(self, rng, factor):
+        plane = LumaPlane(rng.integers(0, 256, (6, 6), dtype=np.uint8))
+        with pytest.raises(ValidationError, match="factor"):
+            box_downsample(plane, factor)
+
     def test_block_mean(self):
         plane = LumaPlane(np.array([[1, 2], [3, 4]], dtype=np.uint8))
         out = box_downsample(plane, 2)
@@ -341,6 +347,16 @@ def binned_quantile_oracle(values, q, bins=201, lo=-1.0, hi=1.0):
 
 
 class TestHistogramMatcher:
+    @pytest.mark.parametrize("kwargs", [
+        dict(bins=2.5), dict(bins=201.0), dict(bins=True), dict(bins=1),
+        dict(value_range=(float("nan"), 1.0)), dict(value_range=(-1.0, float("nan"))),
+        dict(value_range=(-1.0, float("inf"))), dict(value_range=(-float("inf"), 1.0)),
+        dict(value_range=(1.0, 1.0)),
+    ], ids=repr)
+    def test_rejects_bad_histogram_settings(self, kwargs):
+        with pytest.raises(ValidationError):
+            HistogramMatcher(5, **kwargs)
+
     def test_first_call_needs_reference(self, rng):
         matcher = HistogramMatcher(5)
         with pytest.raises(NoReferenceYet):
@@ -399,6 +415,17 @@ class TestHistogramMatcher:
             matcher.predict(values)  # calls 1-4 map without a reference
         with pytest.raises(NoReferenceYet):
             matcher.predict(values)  # call 5: refresh due again
+
+    @pytest.mark.parametrize("bins", [11, 201, 1001])
+    def test_prediction_is_the_mean_of_the_transform(self, rng, bins):
+        # predict's definition, bit for bit, on every call between refreshes
+        matcher = HistogramMatcher(4, bins=bins)
+        ref = rng.beta(8, 1.5, (30, 40)) * 2 - 1
+        matcher.predict(ref, ref)
+        for shape in ((30, 40), (7, 9), (1, 1)):
+            comp = np.clip(rng.beta(5, 2, shape) * 2.2 - 1.1, -1.05, 1.0)
+            expected = matcher.transform(comp).mean()
+            assert matcher.predict(comp) == expected
 
     def test_prediction_depends_on_comp_mass_structure(self, rng):
         # the transform carries the comp map's rank/mass structure onto the

@@ -15,7 +15,6 @@ from ssimkit.evaluation import (
     dominates,
     eval_5pl,
     fit_5pl,
-    fit_rmse,
     is_rank_preserving,
     normalize_scores,
     pareto_front,
@@ -78,14 +77,14 @@ class TestFit5pl:
         y = (y - y.min()) / (y.max() - y.min())
         data = LabeledDataset.from_pairs(x, y)
         fit = fit_5pl(data)
-        assert fit_rmse(fit, data) <= 1e-6
+        assert cross_apply(fit, data) <= 1e-6
 
     def test_linear_data(self, rng):
         x = np.linspace(0.1, 1.0, 25)
         y = 0.6 * x + 0.2
         data = LabeledDataset.from_pairs(x, y)
         fit = fit_5pl(data)
-        assert fit_rmse(fit, data) <= 1e-8
+        assert cross_apply(fit, data) <= 1e-8
 
     def test_degenerate_all_equal(self):
         with pytest.raises(DegenerateData):
@@ -120,6 +119,20 @@ class TestFit5pl:
         assert is_rank_preserving(increasing, 0.0, 1.0)
         assert not is_rank_preserving(wiggly, 0.0, 1.0)
         assert is_rank_preserving(decreasing, 0.0, 1.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(max_iter=2.5), dict(max_iter=True), dict(max_iter=-1), dict(max_iter="500"),
+        dict(tol=float("nan")), dict(tol=-1e-10),
+    ], ids=repr)
+    def test_rejects_bad_loop_settings(self, kwargs):
+        x = np.linspace(0.1, 1.0, 12)
+        with pytest.raises(ValidationError):
+            fit_5pl(LabeledDataset.from_pairs(x, 0.6 * x + 0.2), **kwargs)
+
+    @pytest.mark.parametrize("points", [2.5, 1000.0, True, 1, 0])
+    def test_rank_check_rejects_a_grid_that_is_not_an_integer_of_two_or_more(self, points):
+        with pytest.raises(ValidationError, match="points"):
+            is_rank_preserving(Logistic5(1.0, 8.0, 0.5, 0.2, 0.0), 0.0, 1.0, points=points)
 
     def test_monotone_whenever_b1b2_and_b4_nonnegative(self, rng):
         # sufficient condition: beta1*beta2 >= 0 and beta4 >= 0
@@ -176,6 +189,16 @@ class TestCorrelations:
             correlations([1.0, 2.0], [1.0])
         with pytest.raises(TooFew):
             correlations([1.0], [1.0])
+
+    @pytest.mark.parametrize("pred, subj", [
+        ([1.0, float("nan")], [1.0, 2.0]),
+        ([1.0, 2.0], [float("nan"), 2.0]),
+        ([1.0, float("inf"), 3.0], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, -float("inf")]),
+    ], ids=repr)
+    def test_non_finite_scores_are_rejected(self, pred, subj):
+        with pytest.raises(ValidationError, match="finite"):
+            correlations(pred, subj)
 
     def test_rmse_definition(self, rng):
         a, b = rng.uniform(0, 1, 12), rng.uniform(0, 1, 12)
@@ -242,13 +265,6 @@ class TestPareto:
 
 
 class TestCrossApply:
-    def test_training_data_equals_fit_rmse(self, rng):
-        x = rng.uniform(0.1, 1.0, 30)
-        y = np.clip(0.7 * x + 0.1, 0.0, 1.0)
-        data = LabeledDataset.from_pairs(x, y)
-        fit = fit_5pl(data)
-        assert cross_apply(fit, data) == fit_rmse(fit, data)
-
     def test_identity_fit_on_identical_pairs(self):
         identity = Logistic5(0.0, 1.0, 0.5, 1.0, 0.0)
         x = np.linspace(0.0, 1.0, 9)
@@ -288,3 +304,8 @@ class TestLabeledDataset:
         assert np.array_equal(out, [0.0, 0.5, 1.0])
         with pytest.raises(DegenerateData):
             normalize_scores([3.0, 3.0])
+
+    @pytest.mark.parametrize("raw", [[], (), np.empty(0), np.empty((3, 0))], ids=repr)
+    def test_normalize_scores_rejects_an_empty_set(self, raw):
+        with pytest.raises(ValidationError, match="empty"):
+            normalize_scores(raw)

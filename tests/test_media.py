@@ -1,9 +1,12 @@
 import json
 import mmap
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssimkit.adaptation import box_downsample
 from ssimkit.errors import (
@@ -26,9 +29,40 @@ from ssimkit.media import (
     write_pnm,
     write_report,
     write_y4m,
+    _pnm_header_fields,
 )
 
 from helpers import random_plane
+
+
+def pnm_fields(header: bytes):
+    return _pnm_header_fields(np.frombuffer(header, dtype=np.uint8), "f")
+
+
+#: Whitespace and comments that may sit between PNM header fields; a
+#: comment runs to the end of its line, and here always has one.
+PNM_GAPS = st.lists(
+    st.one_of(
+        st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\r\n", b"\x0b", b"\x0c"]),
+        st.binary(max_size=12).map(lambda text: b"#" + text.replace(b"\n", b"") + b"\n"),
+    ),
+    min_size=1,
+    max_size=4,
+).map(b"".join)
+
+
+@st.composite
+def pnm_headers(draw):
+    """A P5/P6 header with random fields and gaps (sometimes none between
+    the magic and the width), the fields, and the payload offset."""
+    kind = draw(st.sampled_from(["P5", "P6"]))
+    fields = [draw(st.integers(1, 5000)), draw(st.integers(1, 5000)), draw(st.integers(0, 70000))]
+    head = kind.encode()
+    for i, value in enumerate(fields):
+        glued = i == 0 and draw(st.booleans())
+        head += (b"" if glued else draw(PNM_GAPS)) + b"%d" % value
+    head += draw(st.sampled_from([b" ", b"\t", b"\r", b"\n"]))  # the one byte before the payload
+    return head, (kind, *fields), len(head)
 
 
 def make_ycbcr_frame(rng, width=4, height=4, chroma="420"):
@@ -62,6 +96,23 @@ class TestY4m:
         assert len(got) == 3
         for frame in got:
             assert frame.channels[1].shape == (2, 2)
+
+    @pytest.mark.parametrize("line", ["stream", "frame"])
+    def test_lines_of_512_characters_read_and_longer_ones_are_rejected(self, tmp_path, line):
+        payload = bytes(24)
+        for length in (512, 513):
+            head, marker = b" W4 H4 F30:1 C420", b"FRAME"
+            if line == "stream":
+                head += b" X" + b"x" * (length - len(head) - 2)
+            else:
+                marker += b" X" + b"x" * (length - len(marker) - 2)
+            path = tmp_path / f"{line}{length}.y4m"
+            path.write_bytes(b"YUV4MPEG2" + head + b"\n" + marker + b"\n" + payload)
+            if length == 512:
+                assert [f.channels[0].shape for f in read_y4m(path)] == [(4, 4)]
+            else:
+                with pytest.raises(BadHeader, match="unterminated header line"):
+                    list(read_y4m(path))
 
     def test_truncated_frame(self, tmp_path):
         path = tmp_path / "short.y4m"
@@ -198,6 +249,37 @@ class TestPnm:
         path = tmp_path / "n.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n255\n" + bytes([9, 8]))
         assert np.array_equal(read_pnm(path).samples, [[9, 8]])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(pnm_headers(), st.binary(max_size=8))
+    def test_header_fields_and_payload_offset(self, header, payload):
+        head, fields, offset = header
+        assert pnm_fields(head + payload) == (fields, offset)
+
+    def test_every_prefix_short_of_maxval_is_truncated(self):
+        head = b"P6#c 9\n12\t# x 3 4\r\n 34 \x0b# m\n255\n"
+        for end in range(2, head.index(b"255") + 1):
+            with pytest.raises(BadHeader, match="truncated PNM header$"):
+                pnm_fields(head[:end])
+
+    @pytest.mark.parametrize("byte", [b"x", b"-", b"+", b"\xff", b"\x00"])
+    def test_a_stray_byte_before_maxval_is_unexpected(self, byte):
+        head = b"P5 12\t34\n255\n"
+        for at in range(2, head.index(b"255") + 1):
+            with pytest.raises(BadHeader, match=re.escape(f"unexpected byte {byte!r} in PNM header")):
+                pnm_fields(head[:at] + byte + head[at:])
+
+    @pytest.mark.parametrize("head", [b"P5 12 345", b"P5 1234\n", b"P5123 45"])
+    def test_a_digit_run_is_never_split_into_two_fields(self, head):
+        with pytest.raises(BadHeader, match="truncated PNM header$"):
+            pnm_fields(head)
+
+    def test_a_comment_runs_to_the_end_of_its_line(self):
+        with pytest.raises(BadHeader, match="truncated PNM header$"):
+            pnm_fields(b"P5 2 2 # 255")
+        with pytest.raises(BadHeader, match="truncated PNM header$"):
+            pnm_fields(b"P5 2 2 #1 255\r")
+        assert pnm_fields(b"P5 4 #5 6\n7 255\n") == (("P5", 4, 7, 255), 16)
 
     def test_unsupported_subtype(self, tmp_path):
         path = tmp_path / "bit.pbm"

@@ -1,7 +1,10 @@
+import ast
 import dataclasses
 import inspect
 import json
 import math
+import pathlib
+import re
 import sys
 
 import numpy as np
@@ -24,6 +27,73 @@ from ssimkit.config import (
 from ssimkit.errors import SsimkitError, ValidationError
 from ssimkit.pooling import SpatialPooler, TemporalPooler, parse_spatial, parse_temporal
 from ssimkit.ssim import ssim_map
+
+
+def imported_names(tree):
+    """(name, import node, under TYPE_CHECKING) for every name a module binds by import."""
+    guarded = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and isinstance(block.test, ast.Name) and block.test.id == "TYPE_CHECKING"
+        for stmt in block.body
+        for node in ast.walk(stmt)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                yield name, node, id(node) in guarded
+
+
+def string_annotations(tree):
+    """The text of every string constant inside an annotation."""
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            annotations = [a.annotation for a in every if a is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for annotation in filter(None, annotations):
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    yield part.value
+
+
+#: Every string in perfbench's tracer, among them each attribute it wraps.
+TRACED = {
+    node.value
+    for node in ast.walk(ast.parse((pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text()))
+    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+}
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(ssimkit.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used_or_kept_for_perfbench(path):
+    """An import a deletion left behind fails here. A name counts as used
+    when the module loads it, lists it in ``__all__``, or (imported only
+    for type checking) names it in a string annotation. Otherwise it must
+    be a binding perfbench's tracer wraps, and its import line says so
+    beside its ``noqa``."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = {
+        item.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for item in node.value.elts
+    }
+    annotated = {word for text in string_annotations(tree) for word in re.findall(r"\w+", text)}
+    unused = []
+    for name, node, type_only in imported_names(tree):
+        if name in loaded or name in exported or (type_only and name in annotated):
+            continue
+        if name not in TRACED or not re.search(r"# noqa: F401 .*perfbench", lines[node.lineno - 1]):
+            unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []
 
 
 def test_every_export_resolves():

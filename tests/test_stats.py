@@ -86,6 +86,11 @@ class TestGaussianKernel:
             with pytest.raises(ValidationError):
                 gaussian_kernel(sigma, 11)
 
+    @pytest.mark.parametrize("k", [2.5, 11.0, True, "11", 0, -3])
+    def test_rejects_a_size_that_is_not_a_positive_integer(self, k):
+        with pytest.raises(ValidationError, match="kernel size"):
+            gaussian_kernel(1.5, k)
+
     def test_separable(self):
         kern = gaussian_kernel(2.0, 13)
         row = kern[6] / kern[6].sum()
