@@ -1,8 +1,9 @@
 """Full-reference structural-similarity toolkit.
 
-Local statistics under rectangular/Gaussian windows, from one path shared by
-frames and rolling temporal volumes (exact box sums for integer samples,
-summed-area tables for float ones), SSIM and multiscale SSIM,
+Local statistics under rectangular/Gaussian windows, from one band loop
+shared by frames and rolling temporal volumes and formed when read (exact
+box sums for integer samples, band rows of summed-area tables for float
+ones), SSIM and multiscale SSIM,
 spatio-temporal SSIM over rolling temporal windows, color similarity
 models, one table of spatial/temporal pooling operators, resolution/viewing
 adaptation, scaled-score prediction, and a 5PL + correlation benchmarking

@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .config import ScalePolicy
-from .errors import NoReferenceYet, ValidationError
+from .errors import NoReferenceYet, ValidationError, check_integer
 from .frames import LumaPlane, PlaneLike, QualityMap, plane_data
 from .stats import _exact_sum_dtype, _row_bands, _scratch
 
@@ -120,8 +120,7 @@ def box_downsample(plane: PlaneLike, factor: int) -> PlaneLike:
     Integer sums are exact; float planes differ from averaging a float64
     copy only in summation order, which is the same in every band.
     """
-    if not isinstance(factor, int) or isinstance(factor, bool) or factor < 1:
-        raise ValidationError(f"factor must be an integer >= 1, got {factor!r}")
+    check_integer(factor, "factor")
     if factor == 1:
         return plane
     arr = np.asarray(plane_data(plane))
@@ -212,10 +211,8 @@ class HistogramMatcher:
     """
 
     def __init__(self, refresh_interval: int = 5, bins: int = 201, value_range: tuple[float, float] = (-1.0, 1.0)):
-        if not isinstance(refresh_interval, int) or refresh_interval < 1:
-            raise ValidationError("refresh interval must be an integer >= 1")
-        if not isinstance(bins, int) or isinstance(bins, bool) or bins < 2:
-            raise ValidationError(f"bins must be an integer >= 2, got {bins!r}")
+        check_integer(refresh_interval, "refresh interval")
+        check_integer(bins, "bins", 2)
         if not all(math.isfinite(v) for v in value_range):
             raise ValidationError(f"value range must be finite, got {value_range!r}")
         if value_range[1] <= value_range[0]:

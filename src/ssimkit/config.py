@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, NamedTuple, Optional
 
-from .errors import DegenerateWeights, NonPositiveSigma, SsimkitError, ValidationError
+from .errors import DegenerateWeights, NonPositiveSigma, SsimkitError, ValidationError, check_integer
 
 #: Standard per-scale exponents of the 5-level multiscale formulation. The
 #: values are the canonical constants of that formulation, external to this
@@ -161,12 +161,8 @@ class WindowSpec(ConfigPart):
     stride: int = 1
 
     def _check(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool):
-            raise ValidationError("window size must be an integer")
-        if not isinstance(self.stride, int) or self.stride < 1:
-            raise ValidationError(f"stride must be an integer >= 1, got {self.stride!r}")
-        if self.shape == "rect" and self.k < 1:
-            raise ValidationError(f"rectangular window size must be >= 1, got {self.k}")
+        check_integer(self.k, "window size")
+        check_integer(self.stride, "stride")
         if self.shape == "gauss":
             default_gaussian_size(self.sigma)  # rejects a sigma no Gaussian window can use
             if self.k < 3 or self.k % 2 == 0:
@@ -209,8 +205,7 @@ class MultiscaleSpec(ConfigPart):
     exponents: Optional[tuple[float, ...]] = None
 
     def _check(self) -> None:
-        if not isinstance(self.levels, int) or self.levels < 1:
-            raise ValidationError(f"levels must be an integer >= 1, got {self.levels!r}")
+        check_integer(self.levels, "levels")
         exps = tuple(float(e) for e in self.exponents)
         if len(exps) != self.levels:
             raise ValidationError(f"{self.levels} levels need {self.levels} exponents, got {len(exps)}")

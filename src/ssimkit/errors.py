@@ -1,4 +1,5 @@
-"""Exception types raised across the toolkit.
+"""Exception types raised across the toolkit, and the one check of an
+integer setting.
 
 Every error raised by ssimkit derives from :class:`SsimkitError`; the CLI maps
 these to exit code 2 (bad input) except :class:`DegenerateData`, which maps to
@@ -122,3 +123,14 @@ class LengthMismatch(SsimkitError):
 
 class TooFew(SsimkitError):
     """Not enough samples for the requested statistic."""
+
+
+def is_integer(value, lo: int) -> bool:
+    """Whether ``value`` is an int of at least ``lo``; a bool is not."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= lo
+
+
+def check_integer(value, what: str, lo: int = 1) -> None:
+    """Raise ValidationError unless ``value`` is an integer setting of at least ``lo``."""
+    if not is_integer(value, lo):
+        raise ValidationError(f"{what} must be an integer >= {lo}, got {value!r}")

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateData, LengthMismatch, TooFew, ValidationError
+from .errors import DegenerateData, LengthMismatch, TooFew, ValidationError, check_integer
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,7 @@ def fit_5pl(
     steps and grows x10 on rejected ones, so RMSE never increases. Converges
     when the relative RMSE improvement drops below ``tol``.
     """
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 0:
-        raise ValidationError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    check_integer(max_iter, "max_iter", 0)
     if not tol >= 0.0:
         raise ValidationError(f"tol must be a number >= 0, got {tol!r}")
     x = data.objective
@@ -198,8 +197,7 @@ def is_rank_preserving(params: Logistic5, x_lo: float, x_hi: float, points: int 
     A decreasing fit (e.g. from dissimilarity-style pooled scores) still
     preserves ranks after mapping.
     """
-    if not isinstance(points, int) or isinstance(points, bool) or points < 2:
-        raise ValidationError(f"points must be an integer >= 2, got {points!r}")
+    check_integer(points, "points", 2)
     grid = np.linspace(x_lo, x_hi, points)
     vals = np.asarray(eval_5pl(params, grid))
     diffs = np.diff(vals)

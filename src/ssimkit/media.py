@@ -287,7 +287,10 @@ def _pnm_header_fields(data: np.ndarray, path) -> tuple[tuple[str, int, int, int
         if end == data.size:
             raise BadHeader(f"{path}: truncated PNM header")
         raise BadHeader(f"{path}: unexpected byte {data[end : end + 1].tobytes()!r} in PNM header")
-    width, height, maxval = (int(field) for field in match.groups())
+    try:
+        width, height, maxval = (int(field) for field in match.groups())
+    except ValueError:  # more digits than Python converts (sys.get_int_max_str_digits)
+        raise BadHeader(f"{path}: PNM header number too long") from None
     if width <= 0 or height <= 0:
         raise BadHeader(f"{path}: bad dimensions {width}x{height}")
     return (data[:2].tobytes().decode(), width, height, maxval), match.end(3) + 1  # one byte after maxval

@@ -16,7 +16,7 @@ import numpy as np
 from .config import MultiscaleSpec, SsimConfig
 from .errors import TooManyLevels, TooSmall, ValidationError
 from .frames import LumaPlane, PlaneLike, plane_data, plane_scale, validate_frame_pair
-from .ssim import _frame_bands, _term_mean, _volume_bands, frame_config
+from .ssim import _statistics, _term_mean, frame_config
 from .ssim import mssim, ssim_map  # noqa: F401  (perfbench traces these bindings)
 from .stats import _exact_sum_dtype
 
@@ -77,11 +77,8 @@ def scale_scores(
         if level > 0:
             cur_ref = dyadic_downsample(cur_ref)
             cur_dist = dyadic_downsample(cur_dist)
-        if volumes is None:
-            source = _frame_bands(cur_ref, cur_dist, config)
-        else:
-            source = _volume_bands(volumes[level].push(cur_ref, cur_dist), config)
-        scores.append(_term_mean(source, config, 3 if level == levels - 1 else 2))
+        stats = _statistics(cur_ref, cur_dist, config, None if volumes is None else volumes[level])
+        scores.append(_term_mean(stats, config, 3 if level == levels - 1 else 2))
     return scores
 
 

@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatch,
     SsimkitError,
     ValidationError,
+    check_integer,
 )
 from .evaluation import (
     CostPerfPoint,
@@ -50,7 +51,7 @@ from .media import StreamHeader, VideoStream, read_pnm, read_planar_raw, read_y4
 from .multiscale import msssim
 from .pooling import band_terms, parse_spatial, parse_temporal, pool_spatial, pool_temporal
 from .spatiotemporal import RollingVolume
-from .ssim import _band_sums, _frame_bands, _volume_bands
+from .ssim import _band_sums, _statistics
 from .ssim import mssim, term_maps_from_stats  # noqa: F401  (perfbench traces these bindings)
 from .stats import local_statistics  # noqa: F401  (perfbench traces this binding)
 
@@ -77,18 +78,14 @@ class PipelineSpec:
     def __post_init__(self):
         if self.report_format not in ("jsonl", "csv"):
             raise ValidationError(f"unknown report format {self.report_format!r}")
-        if not isinstance(self.kt, int) or self.kt < 1:
-            raise ValidationError("kt must be an integer >= 1")
+        check_integer(self.kt, "kt")
         if self.kt > 1 and self.config.color.model != "luma":
             raise ValidationError("spatio-temporal scoring operates on the luminance channel only")
         if self.kt > 1 and self.config.window.shape != "rect":
             raise ValidationError("spatio-temporal scoring needs a rectangular window")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ValidationError("workers must be an integer >= 1")
+        check_integer(self.workers, "workers")
         if self.kt > 1 and self.workers > 1:
             raise ValidationError("spatio-temporal scoring runs frames in order; it takes one worker")
-        if self.kt > 1 and self.config.engine == "naive":
-            raise ValidationError("spatio-temporal scoring has no naive engine")
         if parse_spatial(self.config.spatial_pool).kind != "am" and (
             self.config.multiscale.enabled or self.config.color.model != "luma"
         ):
@@ -223,12 +220,12 @@ def score_frame_pair(
         return FrameScore(scorer(ref, dist, config), None, None, None)
     if config.multiscale.enabled:
         return FrameScore(msssim(ref, dist, config, volumes), None, None, None)
-    source = _frame_bands(ref, dist, config) if volumes is None else _volume_bands(volumes[0].push(ref, dist), config)
+    stats = _statistics(ref, dist, config, None if volumes is None else volumes[0])
     pooler = parse_spatial(config.spatial_pool)
     terms, score = band_terms(pooler)
-    q = None if score else np.empty(source[1])
+    q = None if score else np.empty(stats.grid_shape)
     sums, n = _band_sums(
-        source, config.c1, config.c2, lambda mu1, l, cs, qb: (l, cs, *terms(qb, mu1)), (None, None, q)
+        stats, config.c1, config.c2, lambda mu1, l, cs, qb: (l, cs, *terms(qb, mu1)), (None, None, q)
     )
     pooled = score(sums[2:], n) if score else pool_spatial(q, pooler)
     return FrameScore(pooled, sums[2] / n, sums[0] / n, sums[1] / n)

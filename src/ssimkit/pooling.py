@@ -28,6 +28,7 @@ from .errors import (
     MissingLumaForLW,
     ValidationError,
     ZeroMeanCoV,
+    is_integer,
 )
 from .frames import QualityMap, ScoreSeries
 
@@ -59,7 +60,7 @@ _ALIASES = {"p": "ps", "pt": "ps", "r": "rs", "rt": "rs"}
 
 #: What a parameter must satisfy, and the message when it does not.
 _CHECKS = {
-    "k": (lambda v: isinstance(v, int) and v >= 1, "an integer window k >= 1"),
+    "k": (lambda v: is_integer(v, 1), "an integer window k >= 1"),
     "p": (lambda v: v > 0, "p > 0"),
     "o": (lambda v: v > 0, "o > 0"),
     "b": (lambda v: v >= 0, "a ramp length b >= 0"),

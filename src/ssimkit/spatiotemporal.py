@@ -6,26 +6,24 @@ add the one entering) makes the per-frame cost independent of Kt. A push
 updates the five running sums BAND_ROWS rows at a time, so the products of
 the entering and leaving frames take band-sized temporaries, as do those of
 the buffered frames when float sums are rebuilt against drift. The
-running sums go through the same :func:`~ssimkit.stats.window_statistics`
-as a frame pair's planes, so spatial sums take the same routes, band by band
-of grid rows as for frames (:func:`ssim3d_map`). Integer frames keep exact
-running sums, which never drift and are never rebuilt, in the accumulator
+running sums go through the same band loop as a frame pair's planes,
+:func:`~ssimkit.stats.window_statistics`, under the config's engine, so
+their statistics are formed band by band when read, and must be read
+before the next push changes the sums. Integer frames keep exact running
+sums, which never drift and are never rebuilt, in the accumulator
 ``stats._exact_sum_dtype`` picks for Kt products of two samples: uint32
 while Kt * peak^2 < 2^32 (8- and 10-bit frames at any practical Kt, uint16
 for 8-bit frames at Kt = 1; a LumaPlane's bit depth and scale give the
 peak), where the subtract/add recursion wraps and comes back in range, and
-int64 beyond (16-bit frames at Kt >= 2). A volume takes the scale of its
-first frame (box-downsampled frames sum several samples each) and divides
-its window sums by it as :func:`~ssimkit.stats.window_statistics` does, so
-its statistics are in signal units.
-Their spatial window sums come from the doubling passes of
-:func:`~ssimkit.stats.box_sums`, band by band, exact unless the window sums
-of int64 running sums could pass int64. Once a float frame arrives, or an integer
-frame whose running sums could pass int64 (Kt * max|sample|^2 >= 2^63), the
-sums turn float64 for good, and spatial sums come from float64 summed-area
-tables over whole planes, as for 2-D float planes: the sums' dtype is the
-only record of whether they are exact. With Kt = 1 everything reduces
-exactly to frame-wise SSIM. Scorers take the window, constants and
+int64 beyond (16-bit frames at Kt >= 2). Their window sums are exact box
+sums under ``auto``, and exact in the direct loop under ``naive`` while
+they stay below 2^53 (8- to 16-bit frames at any practical k and Kt), so
+both engines give the same bits. Once a float frame arrives, or an integer
+frame whose running sums could pass int64 (Kt * max|sample|^2 >= 2^63),
+the sums turn float64 for good and take the band rows of float64
+summed-area tables, as 2-D float planes do: the sums' dtype is the only
+record of whether they are exact. With Kt = 1 everything reduces exactly
+to frame-wise SSIM. Scorers take the window, engine, constants and
 multiscale settings from their ``SsimConfig``.
 """
 
@@ -42,11 +40,12 @@ from .errors import (
     GaussianNotSupported3D,
     ScaleMismatch,
     ValidationError,
+    check_integer,
 )
 from .frames import PlaneLike, ScoreSeries, paired_frames, plane_data, plane_scale, validate_frame_pair
 from .multiscale import dyadic_downsample, msssim  # noqa: F401  (perfbench traces dyadic_downsample here)
-from .ssim import SsimTermMaps, _term_maps, _term_mean, _volume_bands, frame_config
-from .ssim import mssim, term_maps_from_stats  # noqa: F401  (perfbench traces these bindings)
+from .ssim import SsimTermMaps, _term_mean, frame_config, term_maps_from_stats
+from .ssim import mssim  # noqa: F401  (perfbench traces this binding)
 from .stats import LocalStatsMaps, _exact_sum_dtype, _pair_terms, _row_bands, window_statistics
 
 #: Float64 rolling sums are rebuilt from the buffered frames this often, band
@@ -64,13 +63,12 @@ class RollingVolume:
     The sums are held in the accumulator ``_exact_sum_dtype`` picks for Kt
     products of two samples of every pushed frame: uint16, uint32 or int64
     while they are exact, float64 after. The first push fixes ``scale``, the
-    signal samples each sample sums; a frame of another scale raises
-    ScaleMismatch.
+    signal samples each sample sums, which divides the window sums; a frame
+    of another scale raises ScaleMismatch.
     """
 
     def __init__(self, kt: int):
-        if not isinstance(kt, int) or kt < 1:
-            raise ValidationError(f"temporal window must be an integer >= 1, got {kt!r}")
+        check_integer(kt, "temporal window")
         self.kt = kt
         self.scale: Optional[int] = None  # signal samples per sample, fixed by the first push
         self._buffer: deque[tuple[np.ndarray, np.ndarray]] = deque()
@@ -146,22 +144,27 @@ class RollingVolume:
             raise ValidationError("no frames buffered")
         return list(self._sums)
 
-    def local_statistics(self, window: WindowSpec, rows: slice = slice(None), out=None) -> LocalStatsMaps:
+    def local_statistics(self, window: WindowSpec, engine: str = "auto") -> LocalStatsMaps:
         """Spatio-temporal local statistics over k x k x depth neighborhoods,
-        of the windows that read input ``rows`` (all by default), written
-        into ``out`` as in :func:`~ssimkit.stats.window_statistics`."""
+        formed band by band when read (:func:`~ssimkit.stats.window_statistics`);
+        they must be read before the next push."""
         if window.shape != "rect":
             raise GaussianNotSupported3D("3-D statistics support rectangular windows only")
-        sums = [s[rows] for s in self.temporal_sums()]
-        return window_statistics(sums, sums[0].shape, window, depth=self.depth, out=out, scale=self.scale)
+        sums, pushes = self.temporal_sums(), self._pushes
+
+        def terms(rows):
+            if self._pushes != pushes:
+                raise ValidationError("a volume's statistics must be read before its next push")
+            return (s[rows] for s in sums)
+
+        return window_statistics(terms, sums[0].shape, window, engine, self.depth, self.scale)
 
 
 def ssim3d_map(vol: RollingVolume, config: SsimConfig = SsimConfig()) -> SsimTermMaps:
     """SSIM term maps over the volume's current temporal window, with
-    ``config.window`` as the spatial window. Statistics and maps are formed
-    together, BAND_ROWS grid rows of the running sums at a time, as for
-    frames (see ``ssim._volume_bands``)."""
-    return _term_maps(_volume_bands(vol, config), config.c1, config.c2)
+    ``config.window`` as the spatial window and ``config.engine`` summing
+    it."""
+    return term_maps_from_stats(vol.local_statistics(config.window, config.engine), config.c1, config.c2)
 
 
 def ssim3d_series(
@@ -177,7 +180,7 @@ def ssim3d_series(
     scores = []
     for ref, dist in paired_frames(ref_frames, dist_frames):
         frame = frame_config(config, ref, dist)
-        scores.append(_term_mean(_volume_bands(vol.push(ref, dist), frame), frame, 3))
+        scores.append(_term_mean(vol.push(ref, dist).local_statistics(frame.window, frame.engine), frame, 3))
     return ScoreSeries(np.asarray(scores))
 
 

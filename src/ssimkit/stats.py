@@ -8,28 +8,17 @@ two 1-D passes (:func:`separable_sums`), 2k multiply-adds per sample instead
 of k^2. Only fully interior windows are evaluated (valid region, no
 padding); the grid is sampled every ``stride`` pixels from anchor (0, 0).
 
-Frames and spatio-temporal volumes share one path, :func:`window_statistics`:
-it checks the window fits, picks the route, sums the five planes and turns
-the sums into statistics. :func:`local_statistics` hands it a frame pair's
-planes; ``RollingVolume`` its running sums over the last frames.
-
-Scoring forms statistics band by band. :func:`banded_statistics` drives
-either of them BAND_ROWS grid rows at a time: each band forms its
-five planes from the input rows its windows read (the k - 1 rows below a
-band are read again by the next), sums them in the thread's scratch arena
-(:func:`_scratch`) and turns the sums into statistics, which
-``ssim._band_sums`` turns into l, cs and q bands straight away. Scores pool
-those bands as they are formed (:class:`BandedSum` adds them up as numpy
-sums a whole grid), so a frame's working set is one band: whole l, cs and q
-grids are made only for the public map functions, and a whole q grid for a
-pooler that needs one. Box sums are exact, and the separable passes and the
-direct loop add the same taps in the same order per grid row, so bands
-equal whole grids bit for bit (bare integer arrays whose window sums pass
-int64 aside, see :func:`banded_statistics`). Whole grids remain where
-they are asked for (:func:`local_statistics` and
-``RollingVolume.local_statistics`` called on their own, and
-``ssim.term_maps_from_stats``) and on the one route whose rounding depends
-on every row above: float64 summed-area tables.
+Frames and spatio-temporal volumes share one band loop,
+:func:`window_statistics`, fed a frame pair's planes by
+:func:`local_statistics` and its running sums by ``RollingVolume``. Its
+:class:`LocalStatsMaps` are formed BAND_ROWS grid rows at a time as they
+are read: each band forms its five planes from the input rows its windows
+read, sums them in the thread's scratch arena (:func:`_scratch`) and turns
+the sums into statistics, which ``ssim._band_sums`` turns into l, cs and q
+bands and pools straight away (:class:`BandedSum` adds them up as numpy
+sums a whole grid). So a frame's working set is one band on every route,
+and bands equal whole grids bit for bit; whole statistics grids are formed
+only when ``mu1`` ... ``cov`` are read.
 
 Under ``auto`` the rectangular route follows each plane's dtype, the one
 record of whether its values are exact. Integer planes go through
@@ -49,12 +38,12 @@ up to k=32 (k=11: 0.38 against 0.75 ms) and the slower from k=63 (k=255:
 Box-downsampled luma is integer too: it keeps its exact block sums, and
 its ``scale`` (signal samples per sample) divides the window sums, so the
 statistics are in signal units (:func:`window_statistics`). Float planes
-(luma converted from RGB, pyramid levels, downsampled colour channels) keep
-float64 summed-area tables with the four-corner rule, whose rounding the
-published scores depend on. The direct loop and the Gaussian passes read
-integer planes as they are, with no float64 copy: each sample converts to
-float64 exactly before its first multiply, so their grids equal those of
-float64 copies bit for bit.
+(luma converted from RGB, pyramid levels, downsampled colour channels) take
+the four-corner rule on their band's rows of the float64 summed-area table
+(:func:`_table_sums`), whose rounding the published scores depend on. The
+direct loop and the Gaussian passes read integer planes as they are, with
+no float64 copy: each sample converts to float64 exactly before its first
+multiply, so their grids equal those of float64 copies bit for bit.
 
 One rule picks every exact integer accumulator in the package
 (:func:`_exact_sum_dtype`, used by :func:`box_sums`, by the product planes
@@ -67,21 +56,20 @@ uint16 for 8-bit samples, uint32 up to 16 bits. Sums in uint16, uint32 or
 int64 are exact, so results built on them are bit-identical to the same
 arithmetic on exact values. A pair of integer planes takes the exact route
 only when its products fit int64 (max|sample|^2 < 2^63), with window sums
-past int64 doubled in float64 band by band; wider pairs are summed in
-float64 like float planes, never wrapped.
+past int64 doubled in float64 band by band (each band by its own maximum);
+wider pairs are summed in float64 like float planes, never wrapped.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ENGINES, WindowSpec, default_gaussian_size
-from .errors import ValidationError, WindowLargerThanImage
-from .frames import LumaPlane, PlaneLike, plane_data, plane_scale, validate_frame_pair
+from .errors import ValidationError, WindowLargerThanImage, check_integer
+from .frames import LumaPlane, PlaneLike, _freeze, plane_data, plane_scale, validate_frame_pair
 
 
 def gaussian_kernel(sigma: float, k: int | None = None) -> np.ndarray:
@@ -91,8 +79,7 @@ def gaussian_kernel(sigma: float, k: int | None = None) -> np.ndarray:
     """
     size = default_gaussian_size(sigma)  # rejects a sigma no kernel can use
     k = size if k is None else k
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValidationError(f"kernel size must be an integer >= 1, got {k!r}")
+    check_integer(k, "kernel size")
     coords = np.arange(k, dtype=np.float64) - (k - 1) / 2.0
     g = np.exp(-(coords * coords) / (2.0 * sigma * sigma))
     kern = np.outer(g, g)
@@ -123,16 +110,6 @@ def rect_equivalent(sigma: float, mode: str) -> int:
     if mode == "same-bandwidth":
         return 2 * math.ceil(1.602 * sigma) + 1
     raise ValidationError(f"unknown equivalence mode {mode!r}")
-
-
-def _sat(values: np.ndarray) -> np.ndarray:
-    """Summed-area table with a zero first row/column."""
-    h, w = values.shape
-    out = np.zeros((h + 1, w + 1), dtype=values.dtype)
-    inner = out[1:, 1:]
-    np.cumsum(values, axis=0, out=inner)
-    np.cumsum(inner, axis=1, out=inner)
-    return out
 
 
 def _grid_window_sums(table: np.ndarray, k: int, stride: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -189,7 +166,7 @@ def _exact_sum_dtype(plane: PlaneLike, count: int, degree: int = 1) -> type:
 
 
 #: Grid rows per band: statistics and term maps are formed this many grid
-#: rows at a time (see :func:`banded_statistics`), as are the rolling-sum
+#: rows at a time (see :func:`window_statistics`), as are the rolling-sum
 #: update, the hue plane and box downsampling's block rows, so a band's
 #: planes and work buffers stay in cache between passes and a frame's
 #: working set is one band.
@@ -207,19 +184,16 @@ def _row_bands(gh: int, stride: int = 1, k: int = 1):
 _arena = threading.local()  # the scratch arena: one byte buffer per role
 
 
-def _scratch(role: str, shape: tuple, dtype=np.float64, band: bool = True) -> np.ndarray:
+def _scratch(role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     """An uninitialised ``shape`` array of ``dtype`` for the band loops'
-    work: the box sums' two buffers and then the squared means (``work``),
-    the five band grids (``band``), box downsampling's block rows
-    (``blocks``). It is carved from this thread's byte buffer for ``role``,
-    grown when too small and kept, so every band of every frame reuses the
-    same memory, no thread shares it, and it is valid until the thread's
-    next request for ``role``. Work on more than a band (``band`` False)
-    gets a new array, so neither whole planes nor results stay in it.
+    work: the box sums' two buffers or a float band's summed-area table,
+    then the squared means (``work``), the five band grids (``band``), box
+    downsampling's block rows (``blocks``). It is carved from this thread's
+    byte buffer for ``role``, grown when too small and kept, so every band
+    of every frame reuses the same memory, no thread shares it, and it is
+    valid until the thread's next request for ``role``.
     """
     size = math.prod(shape) * np.dtype(dtype).itemsize
-    if not band:
-        return np.empty(shape, dtype)
     buf = getattr(_arena, role, None)
     if buf is None or buf.size < size:
         buf = np.empty(size, np.uint8)
@@ -311,14 +285,14 @@ def box_sums(plane: np.ndarray, k: int, stride: int = 1, out: np.ndarray | None 
     no loop over rows. Both run in the accumulator :func:`_exact_sum_dtype`
     picks for k^2 samples: uint16 or uint32 while the largest possible
     window sum fits in 16 or 32 bits, int64 beyond, and float64 (no longer
-    exact) only past int64. For a grid of at most BAND_ROWS rows the two
-    work buffers are the thread's (:func:`_scratch`). The sums are written
-    into ``out`` when given (any dtype that holds them, e.g. float64); else
-    they are returned in the working dtype as a new array.
+    exact) only past int64. The two work buffers are the thread's
+    (:func:`_scratch`). The sums are written into ``out`` when given (any
+    dtype that holds them, e.g. float64); else they are returned in the
+    working dtype as a new array.
     """
     h, w = plane.shape
     gh, gw = _grid_shape(h, w, k, stride)
-    bufs = _scratch("work", (2, h * w), _exact_sum_dtype(plane, k * k), band=gh <= BAND_ROWS)
+    bufs = _scratch("work", (2, h * w), _exact_sum_dtype(plane, k * k))
     np.copyto(bufs[0].reshape(h, w), plane, casting="unsafe")
     i, n = _run_sums(bufs, 0, h * w, k, 1)
     pitch = w
@@ -343,17 +317,18 @@ def _product_dtype(a: PlaneLike, b: PlaneLike) -> np.dtype:
     return np.result_type(*(_exact_sum_dtype(x, 1, degree=2) for x in (a, b)))
 
 
-def _pair_terms(a: np.ndarray, b: np.ndarray):
+def _pair_terms(a: np.ndarray, b: np.ndarray, dtype=None):
     """The five planes I1, I2, I1^2, I2^2, I1*I2, one at a time.
 
-    The products are formed in :func:`_product_dtype`, so integer products
-    are exact. Where that is float64, the planes are read as float64 too,
-    with no copy of a plane that already is. An integer square is a copy in
+    The products are formed in ``dtype``, by default :func:`_product_dtype`
+    of the two planes, so integer products are exact. Where that is
+    float64, the planes are read as float64 too, with no copy of a plane
+    that already is. An integer square is a copy in
     the product's dtype multiplied by itself, which is about twice as fast
     as numpy's buffered casting multiply; the cross product keeps the cast,
     which is faster than two copies.
     """
-    dtype = _product_dtype(a, b)
+    dtype = _product_dtype(a, b) if dtype is None else dtype
     if dtype == np.float64:
         a, b = np.asarray(a, dtype), np.asarray(b, dtype)
     yield a
@@ -421,28 +396,44 @@ def separable_sums(values: np.ndarray, kern1d: np.ndarray, stride: int = 1, out:
     return out
 
 
-@dataclass(frozen=True)
 class LocalStatsMaps:
-    """Co-registered grids of mu1, mu2, var1, var2, cov for a frame pair."""
+    """Co-registered grids of mu1, mu2, var1, var2, cov for a frame pair or
+    a volume, formed band by band when they are read.
 
-    mu1: np.ndarray
-    mu2: np.ndarray
-    var1: np.ndarray
-    var2: np.ndarray
-    cov: np.ndarray
-    stride: int
-    source_dims: tuple[int, int]  # (height, width)
+    ``form(whole)`` forms the statistics BAND_ROWS grid rows at a time,
+    yielding (grid rows, (mu1, mu2, var1, var2, cov) of those rows): rows of
+    ``whole``, five grids of ``grid_shape``, when given, else the thread's
+    ``band`` grids (:func:`_scratch`). The grids ``mu1`` ... ``cov`` are
+    formed whole on first read and kept read-only.
+    """
 
-    @property
-    def grid_shape(self) -> tuple[int, int]:
-        return self.mu1.shape
+    def __init__(self, grid_shape: tuple[int, int], stride: int, source_dims: tuple[int, int], form):
+        self.grid_shape, self.stride, self.source_dims = grid_shape, stride, source_dims  # source: (height, width)
+        self._form, self._whole = form, None
 
     def bands(self):
         """(grid rows, (mu1, mu2, var1, var2, cov) of those rows) for each
-        band of BAND_ROWS grid rows, as views."""
-        grids = (self.mu1, self.mu2, self.var1, self.var2, self.cov)
+        band of BAND_ROWS grid rows, in the thread's ``band`` grids, which
+        the reader may overwrite and the next band does. Each band is formed
+        as it is asked for, or copied from the whole grids once they are."""
+        if self._whole is None:
+            yield from self._form(None)
+            return
         for rows, _, _ in _row_bands(self.grid_shape[0]):
-            yield rows, tuple(g[rows] for g in grids)
+            band = _scratch("band", self._whole[:, rows].shape)
+            np.copyto(band, self._whole[:, rows])
+            yield rows, tuple(band)
+
+    def _grids(self) -> np.ndarray:
+        if self._whole is None:
+            whole = np.empty((5, *self.grid_shape))
+            for _ in self._form(whole):
+                pass
+            whole.setflags(write=False)
+            self._whole = whole
+        return self._whole
+
+    mu1, mu2, var1, var2, cov = (property(lambda self, i=i: self._grids()[i]) for i in range(5))
 
 
 def stats_from_means(
@@ -478,23 +469,48 @@ def _check_fit(dims: tuple[int, int], window: WindowSpec) -> None:
         raise WindowLargerThanImage(f"{window.k}x{window.k} window does not fit a {w}x{h} image")
 
 
-def window_statistics(
-    terms, dims: tuple[int, int], window: WindowSpec, engine: str = "auto", depth: int = 1, out=None, scale: int = 1,
-) -> LocalStatsMaps:
-    """Local statistics from the five planes I1, I2, I1^2, I2^2, I1*I2.
+def _table_sums(values: np.ndarray, k: int, stride: int, carry, out: np.ndarray) -> np.ndarray:
+    """k x k window sums of a band of a float plane on the stride grid, into
+    ``out``, by the four-corner rule on the band's rows of the plane's
+    float64 summed-area table, built in the thread's ``work`` buffer.
 
-    ``terms`` yields the five ``dims``-shaped planes, summed one at a time;
-    they may be sums over ``depth`` frames, of samples that are each the
-    sum of ``scale`` signal samples. An integer plane holds exact values,
-    which rectangular windows sum with :func:`box_sums` under ``auto``,
-    written exactly into the float64 grids; a float plane takes the float64
-    summed-area table. Window sums of I1 and I2 are divided by area * scale
-    and those of the products by area * scale^2, each in one division, so
-    the statistics are in signal units whatever the scale. ``out``, five float64 grids of the window
-    grid's shape, receives the statistics (a band of the band loop's grids,
-    say); by default they are new grids. On a grid of at most BAND_ROWS
-    rows the box sums and then the squared means take the thread's ``work``
-    buffer (:func:`_scratch`).
+    ``carry`` holds the column sums of every plane row above the band (0.0
+    above the first band); np.cumsum adds rows in order, so the table built on
+    it equals those rows of the whole plane's table bit for bit, but for a
+    -0.0 that starting from 0.0 makes +0.0 (a window sum x - y never keeps
+    the sign of a zero it read). Returns the carry of the next band,
+    BAND_ROWS * stride rows down.
+    """
+    h, w = values.shape
+    table = _scratch("work", (h + 1, w + 1))
+    table[:, 0] = 0.0
+    cols = table[:, 1:]
+    cols[0] = carry
+    cols[1:] = values
+    np.cumsum(cols, axis=0, out=cols)
+    carry = cols[min(BAND_ROWS * stride, h)].copy()
+    np.cumsum(cols, axis=1, out=cols)
+    _grid_window_sums(table, k, stride, out=out)
+    return carry
+
+
+def window_statistics(
+    terms, dims: tuple[int, int], window: WindowSpec, engine: str = "auto", depth: int = 1, scale: int = 1,
+) -> LocalStatsMaps:
+    """Local statistics from the five planes I1, I2, I1^2, I2^2, I1*I2 of a
+    ``dims`` plane, formed band by band when read (:class:`LocalStatsMaps`).
+
+    ``terms(rows)`` yields the five planes of input ``rows`` one at a time;
+    they may be sums over ``depth`` frames of samples that each sum
+    ``scale`` signal samples. A band reads the input rows its windows cover
+    (with stride > k, on to the next band's first row). Under ``auto``,
+    rectangular windows sum integer planes exactly (:func:`box_sums`) and
+    float planes on their band of the summed-area table
+    (:func:`_table_sums`). Every route adds each window's taps in the same
+    order wherever it lies, so bands equal whole grids bit for bit. Sums of
+    I1 and I2 are divided by area * scale and those of the products by
+    area * scale^2, in one division each, so the statistics are in signal
+    units.
     """
     h, w = dims
     k, stride = window.k, window.stride
@@ -506,87 +522,55 @@ def window_statistics(
         kern = np.ones((k, k)) if rect else gaussian_kernel(window.sigma, k)
     elif not rect:
         kern1d = gaussian_kernel_1d(window.sigma, k)
-    grid = _grid_shape(h, w, k, stride)
-    if out is not None and [(o.shape, o.dtype) for o in out] != [(grid, np.float64)] * 5:
-        raise ValidationError(f"out needs five float64 grids of shape {grid}")
+    gh, gw = _grid_shape(h, w, k, stride)
     # A Gaussian kernel sums to 1, so its window covers one sample per frame.
     area = (k * k if rect else 1) * depth
     divisors = [float(area * scale**degree) for degree in (1, 1, 2, 2, 2)]
 
-    def window_means(t, s, divisor):
+    def window_means(t, s, divisor, carry):
         if engine == "naive":
-            sums = _sliding_weighted_sums(t, kern, stride, out=s)
+            _sliding_weighted_sums(t, kern, stride, out=s)
         elif not rect:
-            sums = separable_sums(t, kern1d, stride, out=s)
+            separable_sums(t, kern1d, stride, out=s)
         elif t.dtype.kind in "ui":  # exact integer sums, divided in float64
-            sums = box_sums(t, k, stride, out=np.empty(grid) if s is None else s)
+            box_sums(t, k, stride, out=s)
         else:
-            sums = _grid_window_sums(_sat(t), k, stride, out=s)
-        return np.divide(sums, divisor, out=sums)
+            carry = _table_sums(t, k, stride, carry, s)
+        np.divide(s, divisor, out=s)
+        return carry
 
-    # New grids are made one at a time, after their term's temporaries: five
-    # made up front would sit below them, so the allocator would hand the
-    # freed temporaries back to the OS and fault them in again every call.
-    # Each term is dropped before the next is made, so one is held at a time.
-    terms = iter(terms)
-    means = [window_means(next(terms), s, d) for s, d in zip([None] * 5 if out is None else out, divisors)]
-    # The box sums are spent by now, so their buffer holds the squared means.
-    square = _scratch("work", grid, band=grid[0] <= BAND_ROWS)
-    mu1, mu2, var1, var2, cov = stats_from_means(*means, square)
-    return LocalStatsMaps(
-        mu1=mu1, mu2=mu2, var1=var1, var2=var2, cov=cov, stride=stride, source_dims=(h, w),
-    )
-
-
-def banded_statistics(compute, dims: tuple[int, int], window: WindowSpec, engine: str, integer: bool):
-    """The window grid's shape over a ``dims`` plane, and an iterator of
-    (grid rows, (mu1, mu2, var1, var2, cov) of those rows) over its bands of
-    BAND_ROWS grid rows.
-
-    ``compute(rows, out)`` returns the LocalStatsMaps of the windows that
-    read input ``rows``, written into ``out``. Each band takes its own input
-    rows (the k - 1 rows below it are read again by the next band) and the
-    thread's five ``band`` grids (:func:`_scratch`), which the next band
-    overwrites. Box sums of ``integer`` planes, the separable passes and
-    the direct loop add each window's taps in the same order wherever it
-    lies, so every band equals the whole grid's rows bit for bit. (A bare
-    integer pair whose window sums pass int64 is the exception: a band
-    whose own sums fit int64 sums them exactly, where the whole plane
-    would double them in float64.) A rectangular window under ``auto``
-    sums float planes with float64 summed-area tables, whose rounding
-    depends on every row above: that grid is computed whole (``rows``
-    covers the plane, ``out`` is None) and handed out band by band.
-    """
-    _check_fit(dims, window)
-    k, stride = window.k, window.stride
-    gh, gw = _grid_shape(*dims, k, stride)
-    if not (integer or window.shape != "rect" or engine == "naive"):
-        return (gh, gw), compute(slice(None), None).bands()
-
-    def bands():
-        grids = _scratch("band", (5, min(BAND_ROWS, gh), gw))
+    def form(whole):
+        carries = [0.0] * 5  # column sums above the band: rows for float planes only
         for rows, src, _ in _row_bands(gh, stride, k):
-            stats = compute(src, list(grids[:, : min(BAND_ROWS, gh - rows.start)]))
-            yield rows, (stats.mu1, stats.mu2, stats.var1, stats.var2, stats.cov)
+            out = _scratch("band", (5, min(BAND_ROWS, gh - rows.start), gw)) if whole is None else whole[:, rows]
+            planes = iter(terms(slice(src.start, max(src.stop, src.start + BAND_ROWS * stride))))
+            # One plane is held at a time: each is dropped before the next is made.
+            for i in range(5):
+                carries[i] = window_means(next(planes), out[i], divisors[i], carries[i])
+            # The sums are spent by now, so the work buffer holds the squared means.
+            stats_from_means(*out, _scratch("work", out[0].shape))
+            yield rows, tuple(out)
 
-    return (gh, gw), bands()
+    return LocalStatsMaps((gh, gw), stride, (h, w), form)
 
 
-def local_statistics(
-    ref: PlaneLike, dist: PlaneLike, window: WindowSpec, engine: str = "auto", out=None, scale: int | None = None,
-) -> LocalStatsMaps:
-    """Windowed local statistics of a frame pair under a window spec.
+def local_statistics(ref: PlaneLike, dist: PlaneLike, window: WindowSpec, engine: str = "auto") -> LocalStatsMaps:
+    """Windowed local statistics of a frame pair under a window spec,
+    formed band by band when read (:func:`window_statistics`).
 
     ``engine`` selects the computation route: ``naive`` (the direct k^2
     loop, any shape) or ``auto`` (exact box sums or summed-area tables for
     rectangular windows, two separable 1-D passes for Gaussian ones).
     Rectangular routes produce the same grids; the Gaussian passes round
-    differently from the direct loop, within 1e-12 relative. ``out`` is as
-    for :func:`window_statistics`. ``scale`` is the number of signal
-    samples each sample sums; by default the planes' own (1 for bare arrays).
+    differently from the direct loop, within 1e-12 relative. A writable
+    array is copied read-only first, so later writes to it do not reach
+    statistics not yet read. The products take one dtype for the whole
+    pair (:func:`_product_dtype`), and the statistics are in signal units
+    of the planes' scale (1 for bare arrays).
     """
     ref, dist = validate_frame_pair(ref, dist)
-    a, b = plane_data(ref), plane_data(dist)
-    terms = _pair_terms(a, b)
-    scale = plane_scale(ref) if scale is None else scale
-    return window_statistics(terms, a.shape, window, engine, out=out, scale=scale)
+    a, b = _freeze(plane_data(ref)), _freeze(plane_data(dist))
+    dtype = _product_dtype(ref, dist)
+    return window_statistics(
+        lambda rows: _pair_terms(a[rows], b[rows], dtype), a.shape, window, engine, scale=plane_scale(ref)
+    )

@@ -361,6 +361,13 @@ class TestScoreCommand:
         result = runner.invoke(main, ["score", str(tmp_path / "no.y4m"), str(tmp_path / "pe.y4m")])
         assert result.exit_code == 2
 
+    def test_pnm_header_number_past_the_integer_string_limit_is_input_error(self, runner, tmp_path):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5 " + b"1" * 5000 + b" 1 255\n\x00")
+        result = runner.invoke(main, ["score", str(path), str(path)])
+        assert result.exit_code == 2
+        assert "PNM header number too long" in result.output
+
     def test_zero_workers_is_rejected(self, runner, media):
         ref_path, dist_path, _, _ = media
         result = runner.invoke(main, ["score", str(ref_path), str(dist_path), "--workers", "0"])
@@ -746,7 +753,6 @@ class TestOneScoringPath:
         "spec, flags",
         [
             (dict(kt=2, workers=2), ["--kt", "2", "--workers", "2"]),
-            (dict(config=SsimConfig(engine="naive"), kt=2), ["--kt", "2", "--engine", "naive"]),
             (
                 dict(config=SsimConfig(spatial_pool="cov", multiscale=MultiscaleSpec.product(2))),
                 ["--preset", "enhanced", "--multiscale", "product:levels=2"],

@@ -274,6 +274,15 @@ class TestPnm:
         with pytest.raises(BadHeader, match="truncated PNM header$"):
             pnm_fields(head)
 
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_a_number_past_the_integer_string_limit_is_a_bad_header(self, tmp_path, field):
+        fields = [b"1", b"1", b"255"]
+        fields[field] = b"1" * 5000
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5 " + b" ".join(fields) + b"\n\x00")
+        with pytest.raises(BadHeader, match="PNM header number too long"):
+            read_pnm(path)
+
     def test_a_comment_runs_to_the_end_of_its_line(self):
         with pytest.raises(BadHeader, match="truncated PNM header$"):
             pnm_fields(b"P5 2 2 # 255")

@@ -271,3 +271,26 @@ def test_constants_just_inside_the_bound_give_finite_maps(name):
         maps = ssim_map(a if bits == 16 else a >> 8, b if bits == 16 else b >> 8, config)
         for m in (maps.l_map, maps.cs_map, maps.q_map):
             assert np.isfinite(m.values).all()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: pipeline.PipelineSpec(kt=True),
+    lambda: pipeline.PipelineSpec(workers=True),
+    lambda: WindowSpec.rectangular(True),
+    lambda: WindowSpec.rectangular(11, stride=True),
+    lambda: MultiscaleSpec.product(True),
+    lambda: spatiotemporal.RollingVolume(True),
+    lambda: TemporalPooler("wam", k=True),
+    lambda: ssimkit.adaptation.HistogramMatcher(refresh_interval=True),
+    lambda: ssimkit.adaptation.HistogramMatcher(bins=True),
+    lambda: ssimkit.adaptation.box_downsample(np.zeros((4, 4)), True),
+    lambda: ssimkit.stats.gaussian_kernel(1.5, True),
+    lambda: ssimkit.evaluation.is_rank_preserving(ssimkit.evaluation.Logistic5(1.0, 1.0, 0.0, 0.0, 0.0), 0.0, 1.0, True),
+], ids=[
+    "kt", "workers", "window k", "stride", "levels", "volume kt", "temporal k", "refresh interval", "bins",
+    "factor", "kernel size", "points",
+])
+def test_a_bool_is_not_an_integer_setting(make):
+    # One check serves every integer setting: True is an int to Python, not a count.
+    with pytest.raises(ValidationError, match="integer"):
+        make()

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ssimkit import spatiotemporal
+from ssimkit import spatiotemporal, stats
 from ssimkit.adaptation import box_downsample
 from ssimkit.config import MultiscaleSpec, SsimConfig, WindowSpec
 from ssimkit.errors import DimensionMismatch, GaussianNotSupported3D, LengthMismatch, ScaleMismatch
@@ -339,6 +339,31 @@ class TestSsim3dMap:
         dense = ssim3d_map(vol, replace(CFG5, window=WindowSpec.rectangular(5)))
         strided = ssim3d_map(vol, replace(CFG5, window=WindowSpec.rectangular(5, stride=4)))
         assert np.array_equal(strided.q_map.values, dense.q_map.values[::4, ::4])
+
+
+class TestEngine:
+    @pytest.mark.parametrize("bits", [8, 10])
+    def test_a_naive_volume_runs_the_direct_loop_and_equals_auto_bit_for_bit(self, monkeypatch, rng, bits):
+        # Integer running sums stay below 2^53, so the direct loop reads them exactly.
+        refs = [random_plane(rng, BAND_ROWS + 30, 40, bits) for _ in range(4)]
+        dists = [noisy_version(rng, r) for r in refs]
+        cfg = SsimConfig(bit_depth=bits, window=WindowSpec.rectangular(11))
+        naive = replace(cfg, engine="naive")
+        calls = []
+        counted = stats._sliding_weighted_sums
+        monkeypatch.setattr(stats, "_sliding_weighted_sums", lambda *args, **kw: calls.append(None) or counted(*args, **kw))
+        auto_scores = ssim3d_series(refs, dists, 3, cfg).scores
+        assert calls == []
+        naive_scores = ssim3d_series(refs, dists, 3, naive).scores
+        assert len(calls) == 4 * 2 * 5  # five planes in each of two bands of each frame
+        assert naive_scores.tobytes() == auto_scores.tobytes()
+        vol = RollingVolume(3)
+        for r, d in zip(refs, dists):
+            vol.push(r, d)
+        for got, want in zip(ssim3d_map(vol, naive).__dict__.values(), ssim3d_map(vol, cfg).__dict__.values()):
+            assert got.values.tobytes() == want.values.tobytes()
+        levels = replace(cfg, multiscale=MultiscaleSpec.product(2, (0.4, 0.6)))
+        assert msssim3d(refs, dists, 3, replace(levels, engine="naive")).scores.tobytes() == msssim3d(refs, dists, 3, levels).scores.tobytes()
 
 
 class TestSeries:

@@ -19,7 +19,7 @@ from ssimkit.media import StreamHeader, write_planar_raw, write_y4m
 from ssimkit.multiscale import msssim
 from ssimkit.pipeline import PipelineSpec, run_score, score_frame_pair
 from ssimkit.pooling import pool_spatial
-from ssimkit.spatiotemporal import msssim3d, ssim3d_series
+from ssimkit.spatiotemporal import RollingVolume, msssim3d, ssim3d_series
 from ssimkit.ssim import mssim, ssim_map, ssim_score
 from ssimkit.stats import BAND_ROWS, local_statistics
 
@@ -295,17 +295,26 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert peak <= 3.5 * shape[0] * shape[1] * 8
 
-    def test_frame_pair_pooled_as_its_bands_form_peaks_below_one_plane(self, rng):
-        # Under am no l, cs or q grid is whole: what stays is the thread's
-        # arena, a few bands wide, which a fresh thread has to allocate.
+    @pytest.mark.parametrize("frames", ["8-bit", "float64", "float64 kt=3"])
+    def test_frame_pair_pooled_as_its_bands_form_peaks_below_one_plane(self, rng, frames):
+        # Under am no l, cs or q grid is whole, nor any statistics grid or
+        # summed-area table: what stays is the thread's arena, a few bands
+        # wide, which a fresh thread has to allocate.
         shape = (1080, 1920)
-        a = LumaPlane(rng.integers(0, 256, shape, dtype=np.uint8))
-        b = LumaPlane(rng.integers(0, 256, shape, dtype=np.uint8))
+        if frames == "8-bit":
+            a, b = (LumaPlane(rng.integers(0, 256, shape, dtype=np.uint8)) for _ in range(2))
+        else:
+            a, b = (LumaPlane(rng.uniform(0.0, 255.0, shape)) for _ in range(2))
+        volumes = None
+        if frames.endswith("kt=3"):
+            volumes = [RollingVolume(3)]
+            for _ in range(3):
+                volumes[0].push(a, b)
 
         def traced_peak():
             tracemalloc.start()
             try:
-                score_frame_pair(a, b, SsimConfig(spatial_pool="am"))
+                score_frame_pair(a, b, SsimConfig(spatial_pool="am"), volumes)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -22,7 +22,6 @@ from ssimkit.stats import (
     _grid_shape,
     _grid_window_sums,
     _pair_terms,
-    _sat,
     _sliding_weighted_sums,
     box_sums,
     gaussian_kernel,
@@ -37,6 +36,22 @@ from ssimkit.stats import (
 from helpers import in_fresh_thread, per_tap_sums, random_plane, random_rgb
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+def _sat(values: np.ndarray) -> np.ndarray:
+    """Summed-area table of a whole plane with a zero first row/column: the
+    oracle for the band tables of window_statistics."""
+    h, w = values.shape
+    out = np.zeros((h + 1, w + 1), dtype=values.dtype)
+    inner = out[1:, 1:]
+    np.cumsum(values, axis=0, out=inner)
+    np.cumsum(inner, axis=1, out=inner)
+    return out
+
+
+def rows_of(planes):
+    """A ``terms`` function for window_statistics over whole ``planes``."""
+    return lambda rows: (t[rows] for t in planes)
 
 
 def brute_force_prefix_sum(values, i, j):
@@ -169,6 +184,21 @@ class TestIntegralSet:
         bottom, right = slice(k, h + 1, stride), slice(k, w + 1, stride)
         expected = (table[bottom, right] + table[top, left]) - (table[bottom, left] + table[top, right])
         assert _grid_window_sums(table, k, stride).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k,stride", [(1, 3), (11, 1), (7, 2), (3, 13)])
+    def test_band_tables_equal_the_whole_table_bit_for_bit(self, rng, k, stride):
+        # Three bands, each carrying the column sums of the rows above it.
+        # The -0.0 rows on top are +0.0 in a band table, which starts from
+        # 0.0; no window sum keeps the difference.
+        h = (2 * BAND + 10 - 1) * stride + k
+        planes = [rng.normal(size=(h, 41)) * 1e3 for _ in range(5)]
+        for t in planes:
+            t[:2] = -0.0
+        got = window_statistics(rows_of(planes), (h, 41), WindowSpec.rectangular(k, stride))
+        sums = [_grid_window_sums(_sat(t), k, stride) / float(k * k) for t in planes]
+        want = stats_from_means(*sums, np.empty(sums[0].shape))
+        for x, y in zip((got.mu1, got.mu2, got.var1, got.var2, got.cov), want):
+            assert x.tobytes() == y.tobytes()
 
     def test_recurrence(self, rng):
         a, b = random_plane(rng, 8, 8), random_plane(rng, 8, 8)
@@ -379,6 +409,7 @@ class TestBoxSums:
 
         def whole():
             got = local_statistics(a, b, WindowSpec.rectangular(11))
+            got.mu1  # forms the whole grids in this thread
             return got, {role: buf.nbytes for role, buf in vars(stats._arena).items()}
 
         got, arena = in_fresh_thread(whole)
@@ -510,11 +541,11 @@ class TestRouteFromPlanes:
         a, b, window = case
         terms = list(_pair_terms(a, b))
         assert all(t.dtype.kind in "ui" for t in terms)
-        got = window_statistics(iter(terms), a.shape, window, engine)
+        got = window_statistics(rows_of(terms), a.shape, window, engine)
         if engine == "naive" or window.shape == "gauss":
             # the direct loop and the Gaussian passes read integer planes as their float64 copies
             floats = [t.astype(np.float64) for t in terms]
-            want = window_statistics(iter(floats), a.shape, window, engine)
+            want = window_statistics(rows_of(floats), a.shape, window, engine)
             want = (want.mu1, want.mu2, want.var1, want.var2, want.cov)
         else:
             grid = _grid_shape(*a.shape, window.k, window.stride)
@@ -597,8 +628,8 @@ class TestWideIntegerStatistics:
         b = np.clip(a + rng.integers(-3 * 10**8, 3 * 10**8, shape), 0, 3 * 10**9)
         cfg = SsimConfig(window=WindowSpec.rectangular(11))
         calls = []
-        counted = stats.local_statistics
-        monkeypatch.setattr(ssim, "local_statistics", lambda *args: calls.append(None) or counted(*args))
+        counted = stats._pair_terms
+        monkeypatch.setattr(stats, "_pair_terms", lambda *args: calls.append(None) or counted(*args))
         banded = ssim.ssim_map(a, b, cfg)
         assert len(calls) == 3
         whole = ssim.term_maps_from_stats(local_statistics(a, b, cfg.window), cfg.c1, cfg.c2)
@@ -743,9 +774,9 @@ def map_bytes(maps):
     return [m.values.tobytes() for m in (maps.l_map, maps.cs_map, maps.q_map)]
 
 
-def streamed_means(source, cfg):
-    """The l, cs and q means pooled as the bands of ``source`` are formed."""
-    sums, n = ssim._band_sums(source, cfg.c1, cfg.c2, lambda mu1, l, cs, q: (l, cs, q))
+def streamed_means(local, cfg):
+    """The l, cs and q means pooled as the bands of statistics ``local`` are formed."""
+    sums, n = ssim._band_sums(local, cfg.c1, cfg.c2, lambda mu1, l, cs, q: (l, cs, q))
     return [total / n for total in sums]
 
 
@@ -799,13 +830,13 @@ class TestBandEdges:
         windows = [WindowSpec.rectangular(k, stride) for k in (1, 7, 11, BAND + 6)]
         windows.append(WindowSpec.gaussian(1.5, stride=stride))
         calls = []
-        counted = stats.local_statistics
+        counted = stats._pair_terms
 
         def counting(*args, **kwargs):
             calls.append(None)
             return counted(*args, **kwargs)
 
-        monkeypatch.setattr(ssim, "local_statistics", counting)
+        monkeypatch.setattr(stats, "_pair_terms", counting)
         for window in windows:
             shape = ((grid_rows - 1) * stride + window.k, 2 * stride + window.k)
             for kind, (make, bits) in BAND_PLANES.items():
@@ -819,21 +850,8 @@ class TestBandEdges:
                     bands = len(calls)
                     whole = one_band(monkeypatch, lambda: ssim.ssim_map(a, b, cfg))
                     assert map_bytes(banded) == map_bytes(whole), (window, kind, engine)
-                    summed_area = kind == "f64" and engine == "auto" and window.shape == "rect"
-                    assert bands == (1 if summed_area else -(-grid_rows // BAND))
-                    assert streamed_means(ssim._frame_bands(a, b, cfg), cfg) == map_means(whole)
-
-    def test_out_must_be_five_float64_grids_of_the_window_grid(self, rng):
-        a, b = random_plane(rng, 20, 30), random_plane(rng, 20, 30)
-        window = WindowSpec.rectangular(7, 2)
-        want = local_statistics(a, b, window)
-        out = [np.empty((7, 12)) for _ in range(5)]
-        got = local_statistics(a, b, window, out=out)
-        assert all(g is o for g, o in zip((got.mu1, got.mu2, got.var1, got.var2, got.cov), out))
-        assert got.cov.tobytes() == want.cov.tobytes()
-        for bad in ([np.empty((7, 11))] * 5, [np.empty((7, 12), np.float32)] * 5, out[:4]):
-            with pytest.raises(ValidationError):
-                local_statistics(a, b, window, out=bad)
+                    assert bands == -(-grid_rows // BAND)
+                    assert streamed_means(local_statistics(a, b, window, engine), cfg) == map_means(whole)
 
     @pytest.mark.parametrize("kt", [1, 3, 5])
     @pytest.mark.parametrize("grid_rows", [BAND - 1, BAND, BAND + 1, 2 * BAND + 1])
@@ -850,12 +868,12 @@ class TestBandEdges:
                     a, b = (LumaPlane(rng.integers(0, 1024, shape, dtype=np.uint16), 10) for _ in range(2))
                 vol.push(a, b)
                 assert vol.temporal_sums()[0].dtype == (np.uint32 if t < kt else np.float64)
-                for engine in ENGINES:  # volumes sum under auto whatever the config says
+                for engine in ENGINES:
                     cfg = SsimConfig(bit_depth=10, window=window, engine=engine)
                     banded = ssim3d_map(vol, cfg)
                     whole = one_band(monkeypatch, lambda: ssim3d_map(vol, cfg))
                     assert map_bytes(banded) == map_bytes(whole), (window, t, engine)
-                    assert streamed_means(ssim._volume_bands(vol, cfg), cfg) == map_means(whole)
+                    assert streamed_means(vol.local_statistics(window, engine), cfg) == map_means(whole)
 
     def test_16_bit_volume_maps_equal_one_band(self, monkeypatch, rng):
         window = WindowSpec.rectangular(7, 2)
@@ -867,7 +885,7 @@ class TestBandEdges:
         cfg = SsimConfig(bit_depth=16, window=window)
         banded = ssim3d_map(vol, cfg)
         assert map_bytes(banded) == map_bytes(one_band(monkeypatch, lambda: ssim3d_map(vol, cfg)))
-        assert streamed_means(ssim._volume_bands(vol, cfg), cfg) == map_means(banded)
+        assert streamed_means(vol.local_statistics(window), cfg) == map_means(banded)
 
     def test_multiscale_volume_scores_equal_whole_statistics(self, monkeypatch, rng):
         # Level 0 has 2 * BAND + 1 grid rows, level 1 BAND - 2.
@@ -888,7 +906,7 @@ class TestBandEdges:
                 patch.setattr(RollingVolume, "local_statistics", counting)
                 calls.clear()
                 got = scale_scores(a, b, cfg, banded)
-                assert len(calls) == 3 + 1  # bands of each level
+                assert len(calls) == 2  # once per level
             want = []
             for level, vol in enumerate(whole):
                 if level:
@@ -897,22 +915,83 @@ class TestBandEdges:
                 want.append(ssim.mssim(maps.q_map if level else maps.cs_map))
             assert got == want
 
-    @pytest.mark.parametrize("frames, kt, banded", [
-        (lambda rng: rng.integers(0, 256, (20, 9), dtype=np.uint8), 2, True),  # uint32 sums
-        (lambda rng: rng.integers(0, 2**31, (20, 9), dtype=np.int64), 1, True),  # int64 sums, window sums past int64
-        (lambda rng: rng.uniform(0.0, 255.0, (20, 9)), 2, False),  # float64 sums: one summed-area table each
+    @pytest.mark.parametrize("frames, kt", [
+        (lambda rng: rng.integers(0, 256, (20, 9), dtype=np.uint8), 2),  # uint32 sums
+        (lambda rng: rng.integers(0, 2**31, (20, 9), dtype=np.int64), 1),  # int64 sums, window sums past int64
+        (lambda rng: rng.uniform(0.0, 255.0, (20, 9)), 2),  # float64 sums: summed-area table bands
     ])
-    def test_volume_route_reads_only_the_sums_dtype(self, monkeypatch, rng, frames, kt, banded):
+    def test_volume_route_reads_only_the_sums_dtype(self, monkeypatch, rng, frames, kt):
         vol = RollingVolume(kt)
         for _ in range(kt):
             vol.push(frames(rng), frames(rng))
-        calls = []
-        counted = vol.local_statistics
 
         def unread(*args, **kwargs):
             raise AssertionError("read a running-sum plane")
 
         monkeypatch.setattr(stats, "_exact_sum_dtype", unread)
-        monkeypatch.setattr(vol, "local_statistics", lambda *args: calls.append(args[1]) or counted(*args))
-        ssim._volume_bands(vol, SsimConfig(window=WindowSpec.rectangular(7)))
-        assert calls == ([] if banded else [slice(None)])  # a banded route sums nothing until its bands are read
+        local = vol.local_statistics(WindowSpec.rectangular(7))  # sums nothing until its bands are read
+        if vol.temporal_sums()[0].dtype == np.float64:
+            assert local.mu1.shape == (14, 3)  # the band tables need no accumulator
+
+
+class TestStreamedStatistics:
+    """Statistics are formed when read: what they read must not change first."""
+
+    def test_bare_int64_pair_past_int64_in_some_bands_maps_as_its_statistics(self):
+        # Rows 0-99 sum exactly in int64, rows 100-149 pass it: the map and
+        # the statistics take the same bands, so they agree byte for byte.
+        rng = np.random.default_rng(150)
+        a = np.vstack([rng.integers(0, 10**8, (100, 40)), rng.integers(0, 3 * 10**9, (50, 40), endpoint=True)])
+        b = np.clip(a + rng.integers(-10**7, 10**7, a.shape), 0, 3 * 10**9)
+        cfg = SsimConfig(window=WindowSpec.rectangular(11))
+        whole = ssim.term_maps_from_stats(local_statistics(a, b, cfg.window), cfg.c1, cfg.c2)
+        assert map_bytes(ssim.ssim_map(a, b, cfg)) == map_bytes(whole)
+
+    def test_writes_after_the_call_do_not_reach_unread_statistics(self, rng):
+        a, b = (rng.integers(0, 256, (BAND + 20, 30)).astype(np.uint8) for _ in range(2))
+        window = WindowSpec.rectangular(7)
+        want = local_statistics(a.copy(), b.copy(), window).cov.tobytes()
+        local = local_statistics(a, b, window)
+        a[:] = 0
+        b[:] = 255
+        assert local.cov.tobytes() == want
+
+    def test_only_writable_arrays_are_copied(self, monkeypatch, rng):
+        frame = random_rgb(rng, 20, 30)
+        planes = [random_plane(rng, 20, 30).samples, frame.channels[0], rng.integers(0, 256, (20, 30))]
+        copied = []
+        freeze = stats._freeze
+
+        def counting(arr):
+            out = freeze(arr)
+            copied.append(out is not arr)
+            return out
+
+        monkeypatch.setattr(stats, "_freeze", counting)
+        for plane in planes:
+            local_statistics(plane, plane, WindowSpec.rectangular(7))
+        assert copied == [False, False, False, False, True, True]  # LumaPlanes and ColorFrame channels are read-only
+
+    def test_a_volume_read_after_its_next_push_is_refused(self, rng):
+        vol = RollingVolume(2).push(random_plane(rng, 20, 20), random_plane(rng, 20, 20))
+        kept = vol.local_statistics(WindowSpec.rectangular(7))
+        read = vol.local_statistics(WindowSpec.rectangular(7))
+        read.mu1  # formed now, before the push
+        vol.push(random_plane(rng, 20, 20), random_plane(rng, 20, 20))
+        with pytest.raises(ValidationError, match="before its next push"):
+            kept.mu1
+        assert read.mu1.shape == (14, 14)  # formed before the push
+
+    @pytest.mark.parametrize("kind", BAND_PLANES)
+    def test_carried_column_sums_are_made_for_float_planes_only(self, monkeypatch, kind):
+        make, bits = BAND_PLANES[kind]
+        rng = np.random.default_rng(3)
+        a, b = make(rng, (2 * BAND + 20, 17)), make(rng, (2 * BAND + 20, 17))  # three bands at k=11
+        calls = []
+        counted = stats._table_sums
+        monkeypatch.setattr(stats, "_table_sums", lambda *args: calls.append(args[3]) or counted(*args))
+        local_statistics(a, b, WindowSpec.rectangular(11)).mu1
+        if kind == "f64":  # five planes in each of three bands, carried rows from the second on
+            assert [np.ndim(c) for c in calls] == [0] * 5 + [1] * 10
+        else:
+            assert calls == []
