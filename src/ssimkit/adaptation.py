@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ScalePolicy
 from .errors import NoReferenceYet, ValidationError, check_integer
-from .frames import LumaPlane, PlaneLike, QualityMap, plane_data
+from .frames import LumaPlane, PlaneLike, QualityMap, owned, plane_data
 from .stats import _exact_sum_dtype, _row_bands, _scratch
 
 
@@ -90,9 +90,7 @@ def policy_factor(policy: ScalePolicy, width: int, height: int) -> int:
     """Integer downsampling factor a scale policy prescribes for a frame."""
     if policy.kind == "none":
         return 1
-    if policy.kind == "legacy":
-        return legacy_scale_factor(width, height, policy.rounding)
-    if policy.kind == "dh":
+    if policy.kind in ("legacy", "dh"):  # legacy's d_over_h rests at 3.0
         return enhanced_scale_factor(width, height, policy.d_over_h, policy.rounding)
     z = sast_factor(height, width, policy.distance, policy.theta_h, policy.theta_w)
     return max(1, round_half_away(min(z, max(width, height))))  # clamped as enhanced_scale_factor's
@@ -145,8 +143,7 @@ def box_downsample(plane: PlaneLike, factor: int) -> PlaneLike:
         out *= np.outer(rows_lcm // row_counts, cols_lcm // col_counts).astype(work)
     if not isinstance(plane, LumaPlane):
         return out
-    out.setflags(write=False)  # LumaPlane keeps read-only arrays without a copy
-    return LumaPlane(out, plane.bit_depth, plane.scale * scale if exact else plane.scale)
+    return LumaPlane(owned(out), plane.bit_depth, plane.scale * scale if exact else plane.scale)
 
 
 def _strided_sums(values: np.ndarray, factor: int, axis: int, out: np.ndarray) -> np.ndarray:
@@ -191,8 +188,7 @@ def compute_ratio(k: int, alpha: float, beta: float, gamma: float) -> float:
     (1 - 1/k) * alpha^2 * (1 + beta + gamma) + (1/k) * (1 + beta); tends to
     alpha^2 * (1 + beta + gamma) as the refresh interval k grows.
     """
-    if k < 1:
-        raise ValidationError("refresh interval must be >= 1")
+    check_integer(k, "refresh interval")
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie in (0, 1)")
     return (1.0 - 1.0 / k) * alpha * alpha * (1.0 + beta + gamma) + (1.0 / k) * (1.0 + beta)

@@ -12,7 +12,9 @@ input rows it needs as float64 and runs the whole-plane arithmetic on them,
 operation for operation. The hue band goes into its rows of the plane;
 qssim's band of values is summed as numpy sums the whole grid
 (``stats.BandedSum``), so neither score moves by a bit. Channel and hue
-scores are ``ssim.ssim_score``'s, pooled as their bands are formed.
+scores are ``ssim.ssim_score``'s; cmssim weights and pools its luma map as
+the bands form (``ssim._band_sums``). Conversions hand their new channels
+over read-only (``frames.owned``), so ColorFrame keeps them without a copy.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ from .frames import (
     SPACE_YCBCR,
     ColorFrame,
     LumaPlane,
+    owned,
     validate_color_pair,
 )
 from .stats import BandedSum, _check_fit, _grid_shape, _row_bands, _sliding_weighted_sums, gaussian_kernel_1d, separable_sums
-from .ssim import mssim, ssim_map, ssim_score  # noqa: F401  (perfbench traces mssim here)
+from .ssim import _band_sums, _statistics, frame_config, ssim_score
+from .ssim import mssim, ssim_map  # noqa: F401  (perfbench traces these bindings)
 
 # BT.709 luma coefficients; the chroma scale factors put Cb/Cr in +-L/2 around
 # an L/2 storage offset.
@@ -78,7 +82,7 @@ def rgb_to_ycbcr_bt709(frame: ColorFrame) -> ColorFrame:
     y = _bt709_luma(r, g, b)
     cb = _CB_SCALE * (b - y) + offset
     cr = _CR_SCALE * (r - y) + offset
-    return ColorFrame((y, cb, cr), SPACE_YCBCR, frame.subsampling, frame.bit_depth)
+    return ColorFrame((owned(y), owned(cb), owned(cr)), SPACE_YCBCR, frame.subsampling, frame.bit_depth)
 
 
 def _bt709_luma(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,7 +104,7 @@ def ycbcr_bt709_to_rgb(frame: ColorFrame) -> ColorFrame:
     b = (cb - offset) / _CB_SCALE + y
     r = (cr - offset) / _CR_SCALE + y
     g = (y - _KR * r - _KB * b) / _KG
-    chans = tuple(np.clip(c, 0.0, frame.peak) for c in (r, g, b))
+    chans = tuple(owned(np.clip(c, 0.0, frame.peak)) for c in (r, g, b))
     return ColorFrame(chans, SPACE_RGB, CHROMA_444, frame.bit_depth)
 
 
@@ -109,11 +113,8 @@ def upsample_chroma(frame: ColorFrame) -> ColorFrame:
     if frame.subsampling == CHROMA_444:
         return frame
     h, w = frame.height, frame.width
-    up = []
-    for c in frame.channels[1:]:
-        big = np.repeat(np.repeat(c, 2, axis=0), 2, axis=1)[:h, :w]
-        up.append(big)
-    return ColorFrame((frame.channels[0], up[0], up[1]), frame.space, CHROMA_444, frame.bit_depth)
+    up = (owned(np.repeat(np.repeat(c, 2, axis=0), 2, axis=1)[:h, :w]) for c in frame.channels[1:])
+    return ColorFrame((frame.channels[0], *up), frame.space, CHROMA_444, frame.bit_depth)
 
 
 def luma_of(frame: Union[LumaPlane, ColorFrame]) -> LumaPlane:
@@ -123,9 +124,7 @@ def luma_of(frame: Union[LumaPlane, ColorFrame]) -> LumaPlane:
     if frame.space == SPACE_YCBCR:
         return LumaPlane(frame.channels[0], frame.bit_depth)
     if frame.space == SPACE_RGB:
-        luma = _bt709_luma(*frame.channels)
-        luma.setflags(write=False)  # LumaPlane keeps a read-only array without a copy
-        return LumaPlane(luma, frame.bit_depth)
+        return LumaPlane(owned(_bt709_luma(*frame.channels)), frame.bit_depth)
     raise WrongSpace(f"no luminance definition for {frame.space} frames")
 
 
@@ -167,7 +166,7 @@ def _pair_in(ref: ColorFrame, dist: ColorFrame, space: str) -> tuple[ColorFrame,
 
 def _channel_scores(ref: ColorFrame, dist: ColorFrame, config: SsimConfig) -> tuple[float, float, float]:
     ref, dist = _pair_in(ref, dist, SPACE_YCBCR)
-    config = config.for_bit_depth(ref.bit_depth)
+    config = frame_config(config, ref, dist)
     return tuple(ssim_score(a, b, config) for a, b in zip(ref.channels, dist.channels))
 
 
@@ -206,20 +205,20 @@ def qssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig()) 
     ref, dist = _pair_in(ref, dist, SPACE_YCBCR if space == "ycbcr" else SPACE_RGB)
     ref, dist = upsample_chroma(ref), upsample_chroma(dist)
     channels = _embedding_channels(ref, space) + _embedding_channels(dist, space)
-    config = config.for_bit_depth(ref.bit_depth)
+    config = frame_config(config, ref, dist)
     k, stride = window.k, window.stride
+    kern = np.full((k, k), 1.0 / (k * k))
     _check_fit((ref.height, ref.width), window)
     gh, gw = _grid_shape(ref.height, ref.width, k, stride)
     total = BandedSum(gh * gw)
     for _, src, _ in _row_bands(gh, stride, k):
         band = (np.asarray(c[src], dtype=np.float64) for c in channels)
-        total.add(_qssim_values(*band, k, stride, config.c1, config.c2))
+        total.add(_qssim_values(*band, kern, stride, config.c1, config.c2))
     return total.total() / total.n
 
 
-def _qssim_values(r1, g1, b1, r2, g2, b2, k: int, stride: int, c1: float, c2: float) -> np.ndarray:
-    """Per-window quaternion similarity of the float64 embedded channels."""
-    kern = np.full((k, k), 1.0 / (k * k))
+def _qssim_values(r1, g1, b1, r2, g2, b2, kern: np.ndarray, stride: int, c1: float, c2: float) -> np.ndarray:
+    """Per-window quaternion similarity of the float64 embedded channels; ``kern`` takes the window means."""
 
     def wmean(x):
         return _sliding_weighted_sums(x, kern, stride)
@@ -307,19 +306,17 @@ def cmssim(ref: ColorFrame, dist: ColorFrame, config: SsimConfig = SsimConfig())
     """Luma SSIM map weighted down by the CIELAB difference of the pixels.
 
     Weight is clamp(1 - deltaE/45, 0, 1); deltaE is sampled at each window's
-    center so the weight grid co-registers with the quality map.
+    center so the weight grid co-registers with the quality map, and each
+    band of the map is weighted and pooled as it is formed.
     """
     ref, dist = _pair_in(ref, dist, SPACE_RGB)
-    maps = ssim_map(luma_of(ref), luma_of(dist), config)
-    de = delta_e_map(ref, dist)
-    weight = np.clip(1.0 - de / DELTA_E_FULL_MASK, 0.0, 1.0)
-    gh, gw = maps.q_map.shape
-    k, s = config.window.k, config.window.stride
-    center = (k - 1) // 2
-    rows = np.arange(gh) * s + center
-    cols = np.arange(gw) * s + center
-    w_grid = weight[np.ix_(rows, cols)]
-    return float((maps.q_map.values * w_grid).mean())
+    config = frame_config(config, ref, dist)
+    k, s, c = config.window.k, config.window.stride, (config.window.k - 1) // 2
+    gh, gw = _grid_shape(ref.height, ref.width, k, s)
+    weight = np.clip(1.0 - delta_e_map(ref, dist)[c::s, c::s][:gh, :gw] / DELTA_E_FULL_MASK, 0.0, 1.0)
+    stats = _statistics(luma_of(ref), luma_of(dist), config)
+    (total,), n = _band_sums(stats, config.c1, config.c2, lambda rows, mu1, l, cs, q: (q * weight[rows],))
+    return total / n
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +329,7 @@ def hue_plane(frame: ColorFrame) -> LumaPlane:
     hue = np.empty((frame.height, frame.width))
     for rows, _, _ in _row_bands(frame.height):
         hue[rows] = _hue_band(*(np.asarray(c[rows], dtype=np.float64) for c in frame.channels), frame.peak)
-    hue.setflags(write=False)  # LumaPlane keeps a read-only array without a copy
-    return LumaPlane(hue, frame.bit_depth)
+    return LumaPlane(owned(hue), frame.bit_depth)
 
 
 def _hue_band(r: np.ndarray, g: np.ndarray, b: np.ndarray, peak: float) -> np.ndarray:

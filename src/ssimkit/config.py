@@ -433,7 +433,7 @@ class SsimConfig:
             return cls(**{**d, **{name: part(**d[name]) for name, part in parts.items()}})
         except SsimkitError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"not a config: {type(exc).__name__}: {exc}") from None
 
     def to_json(self) -> str:
@@ -455,6 +455,8 @@ class SsimConfig:
 
 def split_selector(text: str) -> tuple[str, list[str], dict[str, str]]:
     """Split ``name:pos1,key=val`` into (name, positional, keyword) parts."""
+    if not isinstance(text, str):
+        raise ValidationError(f"a selector is a string, got {text!r}")
     text = text.strip()
     if not text:
         raise ValidationError("empty selector")

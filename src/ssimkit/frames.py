@@ -22,6 +22,7 @@ from .errors import (
     ScaleMismatch,
     ValidationError,
     WrongSpace,
+    check_integer,
 )
 
 # Color spaces a ColorFrame may be tagged with.
@@ -35,10 +36,25 @@ CHROMA_420 = "420"
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.asarray(arr)
-    if out.flags.writeable:
-        out = out.copy()
-        out.setflags(write=False)
-    return out
+    return owned(out.copy()) if out.flags.writeable else out
+
+
+def owned(arr: np.ndarray) -> np.ndarray:
+    """``arr``, which its caller has just made, marked read-only, so that
+    LumaPlane, ColorFrame and QualityMap keep it without a copy."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _samples(values) -> np.ndarray:
+    """``values`` as a non-empty 2-D grid of integer or float samples, judged
+    by its shape and dtype alone (no sample is read); else ValidationError."""
+    arr = np.asarray(values)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValidationError("samples must form a non-empty 2-D grid")
+    if arr.dtype.kind not in "uif":
+        raise ValidationError(f"unsupported sample dtype {arr.dtype}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -60,15 +76,10 @@ class LumaPlane:
     scale: int = 1
 
     def __post_init__(self):
-        arr = np.asarray(self.samples)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValidationError("plane samples must form a non-empty 2-D grid")
+        arr = _samples(self.samples)
         if not isinstance(self.bit_depth, int) or not 8 <= self.bit_depth <= 16:
             raise ValidationError(f"bit depth must be an integer in [8, 16], got {self.bit_depth!r}")
-        if type(self.scale) is not int or self.scale < 1:
-            raise ValidationError(f"scale must be an integer >= 1, got {self.scale!r}")
-        if arr.dtype.kind not in "uif":
-            raise ValidationError(f"unsupported sample dtype {arr.dtype}")
+        check_integer(self.scale, "scale")
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             raise ValidationError("plane samples must be finite")
         peak = self.scale * ((1 << self.bit_depth) - 1)
@@ -111,21 +122,17 @@ def plane_scale(plane: PlaneLike) -> int:
 
 def plane_data(plane: PlaneLike) -> np.ndarray:
     """Raw 2-D sample array behind a plane-like argument (no copy, no promote)."""
-    if isinstance(plane, LumaPlane):
-        return plane.samples
-    arr = np.asarray(plane)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValidationError("expected a non-empty 2-D sample array")
-    return arr
+    return plane.samples if isinstance(plane, LumaPlane) else _samples(plane)
 
 
 @dataclass(frozen=True)
 class ColorFrame:
     """Tri-channel frame with a color-space tag and chroma subsampling.
 
-    Channels are plane-shaped arrays rather than LumaPlane instances: BT.709
-    chroma may overshoot the nominal range by a fraction of a percent at full
-    saturation.
+    Channels are plane-shaped arrays of integer or float samples rather than
+    LumaPlane instances: BT.709 chroma may overshoot the nominal range by a
+    fraction of a percent at full saturation. Only YCbCr frames have chroma
+    to subsample; RGB frames are 4:4:4.
     """
 
     channels: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -138,11 +145,13 @@ class ColorFrame:
             raise ValidationError(f"unknown color space {self.space!r}")
         if self.subsampling not in (CHROMA_444, CHROMA_420):
             raise ValidationError(f"unknown chroma subsampling {self.subsampling!r}")
+        if self.space == SPACE_RGB and self.subsampling != CHROMA_444:
+            raise ValidationError(f"an RGB frame is 4:4:4, got {self.subsampling} subsampling")
         if not isinstance(self.bit_depth, int) or not 8 <= self.bit_depth <= 16:
             raise ValidationError(f"bit depth must be an integer in [8, 16], got {self.bit_depth!r}")
-        chans = tuple(np.asarray(c) for c in self.channels)
-        if len(chans) != 3 or any(c.ndim != 2 or c.size == 0 for c in chans):
-            raise ValidationError("a color frame needs three non-empty 2-D channels")
+        chans = tuple(_samples(c) for c in self.channels)
+        if len(chans) != 3:
+            raise ValidationError("a color frame needs three channels")
         h, w = chans[0].shape
         if self.subsampling == CHROMA_444:
             want = (h, w)
@@ -191,8 +200,7 @@ class QualityMap:
             raise ValidationError("quality map must be a non-empty 2-D grid")
         if not np.isfinite(arr).all():
             raise ValidationError("quality map values must be finite")
-        if self.stride < 1:
-            raise ValidationError("stride must be >= 1")
+        check_integer(self.stride, "stride")
         object.__setattr__(self, "values", _freeze(arr))
         object.__setattr__(self, "source_dims", tuple(int(d) for d in self.source_dims))
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import MultiscaleSpec, SsimConfig
 from .errors import TooManyLevels, TooSmall, ValidationError
-from .frames import LumaPlane, PlaneLike, plane_data, plane_scale, validate_frame_pair
+from .frames import LumaPlane, PlaneLike, owned, plane_data, plane_scale, validate_frame_pair
 from .ssim import _statistics, _term_mean, frame_config
 from .ssim import mssim, ssim_map  # noqa: F401  (perfbench traces these bindings)
 from .stats import _exact_sum_dtype
@@ -41,10 +41,7 @@ def dyadic_downsample(plane: PlaneLike) -> PlaneLike:
     arr = arr[: 2 * h2, : 2 * w2]
     first = arr[0::2, 0::2].astype(_exact_sum_dtype(plane, 4), copy=False)
     pooled = (((first + arr[0::2, 1::2]) + arr[1::2, 0::2]) + arr[1::2, 1::2]) / (4.0 * plane_scale(plane))
-    if isinstance(plane, LumaPlane):
-        pooled.setflags(write=False)  # LumaPlane keeps a read-only array without a copy
-        return LumaPlane(pooled, plane.bit_depth)
-    return pooled
+    return LumaPlane(owned(pooled), plane.bit_depth) if isinstance(plane, LumaPlane) else pooled
 
 
 def scale_scores(

@@ -43,6 +43,7 @@ from .frames import (
     ColorFrame,
     LumaPlane,
     ScoreSeries,
+    owned,
     paired_frames as _stream_pairs,
     validate_color_pair,
     validate_frame_pair,
@@ -51,14 +52,24 @@ from .media import StreamHeader, VideoStream, read_pnm, read_planar_raw, read_y4
 from .multiscale import msssim
 from .pooling import band_terms, parse_spatial, parse_temporal, pool_spatial, pool_temporal
 from .spatiotemporal import RollingVolume
-from .ssim import _band_sums, _statistics
+from .ssim import _band_sums, _statistics, frame_config
 from .ssim import mssim, term_maps_from_stats  # noqa: F401  (perfbench traces these bindings)
 from .stats import local_statistics  # noqa: F401  (perfbench traces this binding)
 
 FrameType = Union[LumaPlane, ColorFrame]
 
+
+class FrameScore(NamedTuple):
+    """A frame pair's score, and its q, l and cs map means where they are pooled."""
+
+    score: float
+    am: Optional[float]
+    l_mean: Optional[float]
+    cs_mean: Optional[float]
+
+
 #: Per-frame record schema, in report column order.
-FRAME_FIELDS = ("frame", "score", "am", "l_mean", "cs_mean")
+FRAME_FIELDS = ("frame", *FrameScore._fields)
 
 BENCH_FIELDS = (
     "spec", "clips", "pcc", "srocc", "rmse", "fit_monotone",
@@ -155,7 +166,7 @@ def _scale_frame(frame: FrameType, factor: int) -> FrameType:
         return frame
     if isinstance(frame, LumaPlane):
         return box_downsample(frame, factor)
-    chans = tuple(box_downsample(c, factor) for c in frame.channels)
+    chans = tuple(owned(box_downsample(c, factor)) for c in frame.channels)
     return ColorFrame(chans, frame.space, frame.subsampling, frame.bit_depth)
 
 
@@ -164,12 +175,11 @@ def _prepare(
 ) -> tuple[FrameType, FrameType, SsimConfig]:
     """The pair as its scorer takes it: luma (or both colour frames), scaled
     per the scale policy, with constants for the pair's bit depth."""
-    if isinstance(ref, LumaPlane) or isinstance(dist, LumaPlane):
-        if type(ref) is not type(dist):
-            raise DimensionMismatch("one stream is luma-only, the other tri-channel")
-        validate_frame_pair(ref, dist)
-    else:
-        validate_color_pair(ref, dist)
+    if not all(isinstance(frame, (LumaPlane, ColorFrame)) for frame in (ref, dist)):
+        raise ValidationError("a frame pair is two LumaPlanes or two ColorFrames")
+    if type(ref) is not type(dist):
+        raise DimensionMismatch("one stream is luma-only, the other tri-channel")
+    (validate_frame_pair if isinstance(ref, LumaPlane) else validate_color_pair)(ref, dist)
     model = config.color.model
     if model == "luma":
         ref, dist = colormod.luma_of(ref), colormod.luma_of(dist)
@@ -177,7 +187,7 @@ def _prepare(
         raise ValidationError(f"color model {model!r} needs tri-channel input, stream is luma-only")
     factor = policy_factor(config.scaling, ref.width, ref.height)
     ref, dist = _scale_frame(ref, factor), _scale_frame(dist, factor)
-    return ref, dist, config.for_bit_depth(ref.bit_depth)
+    return ref, dist, frame_config(config, ref, dist)
 
 
 #: Each colour model's ``colormod`` scorer, by name; looked up per call, so a
@@ -189,14 +199,6 @@ _COLOR_SCORERS = {
     "cmssim": "cmssim",
     "hssim": "hssim",
 }
-
-
-@dataclass
-class FrameScore:
-    score: float
-    am: Optional[float]
-    l_mean: Optional[float]
-    cs_mean: Optional[float]
 
 
 def score_frame_pair(
@@ -225,7 +227,7 @@ def score_frame_pair(
     terms, score = band_terms(pooler)
     q = None if score else np.empty(stats.grid_shape)
     sums, n = _band_sums(
-        stats, config.c1, config.c2, lambda mu1, l, cs, qb: (l, cs, *terms(qb, mu1)), (None, None, q)
+        stats, config.c1, config.c2, lambda rows, mu1, l, cs, qb: (l, cs, *terms(qb, mu1)), (None, None, q)
     )
     pooled = score(sums[2:], n) if score else pool_spatial(q, pooler)
     return FrameScore(pooled, sums[2] / n, sums[0] / n, sums[1] / n)
@@ -356,16 +358,7 @@ def run_score(
 
     seconds, timing_source = elapsed()
 
-    records = [
-        {
-            "frame": i,
-            "score": r.score,
-            "am": r.am,
-            "l_mean": r.l_mean,
-            "cs_mean": r.cs_mean,
-        }
-        for i, r in enumerate(results)
-    ]
+    records = [{"frame": i, **r._asdict()} for i, r in enumerate(results)]
     series = ScoreSeries(np.array([r.score for r in results]))
     pooled = pool_temporal(series, parse_temporal(config.temporal_pool))
     summary = {

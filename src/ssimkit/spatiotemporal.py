@@ -44,7 +44,7 @@ from .errors import (
 )
 from .frames import PlaneLike, ScoreSeries, paired_frames, plane_data, plane_scale, validate_frame_pair
 from .multiscale import dyadic_downsample, msssim  # noqa: F401  (perfbench traces dyadic_downsample here)
-from .ssim import SsimTermMaps, _term_mean, frame_config, term_maps_from_stats
+from .ssim import SsimTermMaps, _statistics, _term_mean, frame_config, term_maps_from_stats
 from .ssim import mssim  # noqa: F401  (perfbench traces this binding)
 from .stats import LocalStatsMaps, _exact_sum_dtype, _pair_terms, _row_bands, window_statistics
 
@@ -180,7 +180,7 @@ def ssim3d_series(
     scores = []
     for ref, dist in paired_frames(ref_frames, dist_frames):
         frame = frame_config(config, ref, dist)
-        scores.append(_term_mean(vol.push(ref, dist).local_statistics(frame.window, frame.engine), frame, 3))
+        scores.append(_term_mean(_statistics(ref, dist, frame, vol), frame, 3))
     return ScoreSeries(np.asarray(scores))
 
 

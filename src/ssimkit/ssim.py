@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import SsimConfig
 from .errors import EmptyMap
-from .frames import LumaPlane, PlaneLike, QualityMap
+from .frames import ColorFrame, LumaPlane, PlaneLike, QualityMap, owned
 from .stats import BandedSum, LocalStatsMaps, local_statistics
 
 
@@ -34,9 +34,10 @@ class SsimTermMaps:
 
 
 def _band_sums(stats: LocalStatsMaps, c1: float, c2: float, terms, grids=(None, None, None)) -> tuple[list[float], int]:
-    """Totals of the arrays ``terms(mu1, l, cs, q)`` gives for each band of
-    ``stats`` (``LocalStatsMaps.bands``), each numpy's sum of its whole grid
-    bit for bit (stats.BandedSum), and the window count.
+    """Totals of the arrays ``terms(rows, mu1, l, cs, q)`` gives for each
+    band of ``stats`` (``LocalStatsMaps.bands``) and its grid ``rows``, each
+    numpy's sum of its whole grid bit for bit (stats.BandedSum), and the
+    window count: the one way an SSIM map is pooled.
 
     cs = (2 cov + C2) / (var1 + var2 + C2)
     l = (2 mu1 mu2 + C1) / (mu1^2 + mu2^2 + C1)
@@ -65,7 +66,7 @@ def _band_sums(stats: LocalStatsMaps, c1: float, c2: float, terms, grids=(None, 
         lb += c1
         lb /= den
         np.multiply(lb, csb, out=den)  # q
-        values = terms(mu1, lb, csb, den)
+        values = terms(rows, mu1, lb, csb, den)
         sums = sums or [BandedSum(n) for _ in values]
         for total, x in zip(sums, values):
             total.add(x)
@@ -75,7 +76,7 @@ def _band_sums(stats: LocalStatsMaps, c1: float, c2: float, terms, grids=(None, 
 def _term_mean(stats: LocalStatsMaps, config: SsimConfig, term: int) -> float:
     """The mean of the l (term 1), cs (2) or q (3) grid of ``stats``,
     pooled as its bands are formed."""
-    (total,), n = _band_sums(stats, config.c1, config.c2, lambda *band: (band[term],))
+    (total,), n = _band_sums(stats, config.c1, config.c2, lambda rows, *band: (band[term],))
     return total / n
 
 
@@ -84,14 +85,12 @@ def term_maps_from_stats(stats: LocalStatsMaps, c1: float, c2: float) -> SsimTer
     (see :func:`_band_sums`)."""
     grids = [np.empty(stats.grid_shape) for _ in range(3)]
     _band_sums(stats, c1, c2, lambda *band: (), grids)
-    for values in grids:
-        values.setflags(write=False)  # QualityMap keeps read-only arrays without a copy
-    return SsimTermMaps(*(QualityMap(values, stats.stride, stats.source_dims) for values in grids))
+    return SsimTermMaps(*(QualityMap(owned(values), stats.stride, stats.source_dims) for values in grids))
 
 
-def frame_config(config: SsimConfig, ref: PlaneLike, dist: PlaneLike) -> SsimConfig:
-    """``config`` with the bit depth of the pair's LumaPlanes; bare arrays keep ``config.bit_depth``."""
-    depths = [plane.bit_depth for plane in (ref, dist) if isinstance(plane, LumaPlane)]
+def frame_config(config: SsimConfig, ref: PlaneLike | ColorFrame, dist: PlaneLike | ColorFrame) -> SsimConfig:
+    """``config`` with the bit depth of the pair's LumaPlanes or ColorFrames; bare arrays keep ``config.bit_depth``."""
+    depths = [frame.bit_depth for frame in (ref, dist) if isinstance(frame, (LumaPlane, ColorFrame))]
     return config.for_bit_depth(depths[0]) if depths else config
 
 

@@ -69,7 +69,7 @@ import numpy as np
 
 from .config import ENGINES, WindowSpec, default_gaussian_size
 from .errors import ValidationError, WindowLargerThanImage, check_integer
-from .frames import LumaPlane, PlaneLike, _freeze, plane_data, plane_scale, validate_frame_pair
+from .frames import LumaPlane, PlaneLike, _freeze, owned, plane_data, plane_scale, validate_frame_pair
 
 
 def gaussian_kernel(sigma: float, k: int | None = None) -> np.ndarray:
@@ -429,8 +429,7 @@ class LocalStatsMaps:
             whole = np.empty((5, *self.grid_shape))
             for _ in self._form(whole):
                 pass
-            whole.setflags(write=False)
-            self._whole = whole
+            self._whole = owned(whole)
         return self._whole
 
     mu1, mu2, var1, var2, cov = (property(lambda self, i=i: self._grids()[i]) for i in range(5))

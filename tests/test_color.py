@@ -27,7 +27,7 @@ from ssimkit.pipeline import score_frame_pair
 from ssimkit.ssim import mssim, ssim_map, ssim_score
 from ssimkit.stats import BAND_ROWS, _sliding_weighted_sums, gaussian_kernel
 
-from helpers import blur_plane, natural_plane, noisy_version, per_tap_sums, random_rgb
+from helpers import blur_plane, in_fresh_thread, natural_plane, noisy_version, per_tap_sums, random_rgb
 
 
 def cw(alpha, beta, **settings):
@@ -371,6 +371,36 @@ class TestPinnedColourScores:
         got["cmssim"] = cmssim(ref, dist)
         got["cw"] = channelwise_cssim(ref, dist, cw(-0.3, -0.3))
         assert {name: score.hex() for name, score in got.items()} == self.SCORES
+
+
+class TestColourWorkingSet:
+    """Peaks of one score on a 512x384 8-bit RGB pair, traced on a fresh
+    thread, with the score pinned to the last bit."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        rng = np.random.default_rng(512384)
+        ref = ColorFrame(tuple(natural_plane(rng, 384, 512).samples for _ in range(3)))
+        return ref, ColorFrame(tuple(noisy_version(rng, LumaPlane(c), 20).samples for c in ref.channels))
+
+    # cmssim: its whole l, cs and q maps (1.4 MiB each) and the luma planes
+    # held while delta-E is formed do not fit under the bound. cw: a copy of
+    # each channel the YCbCr conversion makes (1.5 MiB each) does not.
+    @pytest.mark.parametrize("scorer, config, score, bound_mib", [
+        (cmssim, SsimConfig(), "0x1.7879d8f872da7p-1", 30.0),
+        (channelwise_cssim, cw(-0.3, -0.3), "0x1.b420f4187a3fdp-1", 15.5),
+    ], ids=["cmssim", "cw"])
+    def test_peak(self, pair, scorer, config, score, bound_mib):
+        def traced():
+            tracemalloc.start()
+            try:
+                return scorer(*pair, config), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        got, peak = in_fresh_thread(traced)
+        assert got.hex() == score
+        assert peak < bound_mib * 2**20
 
 
 class TestSettingsFromConfig:

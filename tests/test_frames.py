@@ -30,6 +30,8 @@ from ssimkit.frames import (
     ScoreSeries,
     validate_frame_pair,
 )
+from ssimkit.pipeline import score_frame_pair
+from ssimkit.stats import local_statistics
 
 from helpers import random_plane
 
@@ -126,6 +128,45 @@ class TestColorFrame:
         with pytest.raises(ValidationError):
             ColorFrame((y, y, y), "cmyk")
 
+    def test_rgb_is_444(self):
+        # Every colour scorer and conversion reads RGB channels co-sited.
+        y = np.zeros((6, 6), dtype=np.uint8)
+        c = np.zeros((3, 3), dtype=np.uint8)
+        with pytest.raises(ValidationError, match="4:4:4"):
+            ColorFrame((y, c, c), "rgb", "420")
+
+
+#: Sample grids of dtypes that are neither integer nor float.
+NOT_NUMERIC = {
+    "str": np.full((16, 16), "1"),
+    "complex": np.ones((16, 16), complex),
+    "bool": np.ones((16, 16), bool),
+    "object": np.ones((16, 16), object),
+}
+
+
+class TestNumericGrids:
+    """One rule for every plane: integer or float samples, judged by dtype."""
+
+    @pytest.mark.parametrize("kind", sorted(NOT_NUMERIC))
+    def test_bare_arrays_are_rejected(self, kind):
+        grid = NOT_NUMERIC[kind]
+        with pytest.raises(ValidationError, match="dtype"):
+            local_statistics(grid, grid, WindowSpec.rectangular(3))
+
+    @pytest.mark.parametrize("kind", sorted(NOT_NUMERIC))
+    def test_colour_channels_are_rejected(self, kind):
+        with pytest.raises(ValidationError, match="dtype"):
+            ColorFrame((np.zeros((16, 16), np.uint8), np.zeros((16, 16), np.uint8), NOT_NUMERIC[kind]))
+
+    @pytest.mark.parametrize("ref, dist", [
+        (np.ones((20, 20)), np.ones((20, 20))),
+        (LumaPlane(np.ones((20, 20), np.uint8)), np.ones((20, 20), np.uint8)),
+    ], ids=["arrays", "plane and array"])
+    def test_a_frame_pair_is_two_planes_or_two_colour_frames(self, ref, dist):
+        with pytest.raises(ValidationError, match="two LumaPlanes or two ColorFrames"):
+            score_frame_pair(ref, dist, SsimConfig())
+
 
 class TestValidateFramePair:
     def test_matching_pair_passes(self, rng):
@@ -188,9 +229,11 @@ class TestSsimConfig:
         with pytest.raises(ValidationError):
             SsimConfig(k2=-0.03)
 
-    def test_rejects_bad_pool_selector(self):
+    @pytest.mark.parametrize("settings", [{"spatial_pool": "nope"}, {"spatial_pool": 3}, {"temporal_pool": None}],
+                             ids=["unknown", "int", "none"])
+    def test_rejects_bad_pool_selector(self, settings):
         with pytest.raises(ValidationError):
-            SsimConfig(spatial_pool="nope")
+            SsimConfig(**settings)
 
     @pytest.mark.parametrize(
         "config",
@@ -226,6 +269,9 @@ class TestSsimConfig:
         SsimConfig().to_json().replace('"k": 11', '"k": 11, "size": 3'),
         SsimConfig().to_json().replace('"k1": 0.01', '"k1": "big"'),
         SsimConfig().to_json().replace('"window": {"k": 11, "shape": "rect", "sigma": null, "stride": 1}', '"window": 11'),
+        SsimConfig().to_json().replace('"spatial_pool": "am"', '"spatial_pool": 3'),
+        SsimConfig().to_json().replace('"temporal_pool": "am"', '"temporal_pool": null'),
+        SsimConfig().to_json().replace('"k1": 0.01', '"k1": 1' + "0" * 400),
         "[1, 2]",
         "not json",
         SsimConfig().to_json()[:-1],

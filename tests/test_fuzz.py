@@ -1,11 +1,17 @@
-"""Mutated media, manifest and CSV files raise only typed errors.
+"""Mutated media, manifest, CSV and config files, and malformed colour
+frames, raise only typed errors.
 
 Each example overwrites a few bytes of a valid file, most often in its
 header, and sometimes truncates it; then it reads the file to the end. The
 reader may succeed, or raise SsimkitError or OSError, and nothing else. The
 CLI reads a mutated manifest, points CSV or fit CSV with exit code 0, 2 or
-3. Runs are derandomized, so every run draws the same cases.
+3. A config with one field of another JSON type loads or raises
+ValidationError; a colour frame of any space, subsampling and channel dtypes
+is rejected, or converts and scores, with SsimkitError as the only error.
+Runs are derandomized, so every run draws the same cases.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssimkit.cli import main
-from ssimkit.errors import SsimkitError
+from ssimkit.color import (
+    channelwise_cssim,
+    cmssim,
+    fixed_weight_cssim,
+    hssim,
+    luma_of,
+    qssim,
+    rgb_to_ycbcr_bt709,
+    ycbcr_bt709_to_rgb,
+)
+from ssimkit.config import SsimConfig, WindowSpec
+from ssimkit.errors import SsimkitError, ValidationError
 from ssimkit.evaluation import load_manifest
 from ssimkit.frames import ColorFrame, LumaPlane
 from ssimkit.media import (
@@ -116,3 +133,59 @@ def test_csv_commands_exit_0_2_or_3_on_mutated_input(valid, command, kind, data)
     result = CliRunner().invoke(main, [command, str(path)])
     assert result.exit_code in (0, 2, 3), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+#: A value of each JSON type: int, float, string, null, list, object, bool.
+JSON_VALUES = st.one_of(
+    st.integers(), st.floats(), st.text(max_size=8), st.none(),
+    st.lists(st.integers(-5, 20), max_size=6), st.dictionaries(st.text(max_size=6), st.integers(), max_size=2),
+    st.booleans(),
+)
+
+
+@FUZZ
+@given(data=st.data())
+def test_configs_with_a_field_of_another_type_load_or_raise_validation_errors(data):
+    doc = json.loads(SsimConfig().to_json())
+    fields = [(doc, key) for key in doc] + [(part, key) for part in doc.values() if isinstance(part, dict) for key in part]
+    owner, key = data.draw(st.sampled_from(fields))
+    owner[key] = data.draw(JSON_VALUES)
+    try:
+        SsimConfig.from_json(json.dumps(doc))
+    except ValidationError:
+        pass
+
+
+#: Channel dtypes of colour frames, integer and float ones and others.
+CHANNEL_DTYPES = ("uint8", "uint16", "int16", "int64", "float32", "float64", "bool", "complex128", "object", "U4")
+COLOUR_SCORERS = (channelwise_cssim, fixed_weight_cssim, qssim, cmssim, hssim)
+
+
+@FUZZ
+@given(data=st.data())
+def test_colour_frames_convert_and_score_or_raise_typed_errors(data):
+    space = data.draw(st.sampled_from(["rgb", "ycbcr-bt709"]))
+    subsampling = data.draw(st.sampled_from(["444", "420"]))
+    dtypes = data.draw(st.lists(st.sampled_from(CHANNEL_DTYPES), min_size=3, max_size=3))
+    lo, hi = data.draw(st.sampled_from([(0, 256), (-40, 300), (0, 1024)]))
+    bit_depth = data.draw(st.sampled_from([8, 10, 17]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    chroma = (H // 2, W // 2) if subsampling == "420" else (H, W)
+    shapes = ((H, W), chroma, chroma)
+
+    def frame():
+        return ColorFrame(tuple(rng.integers(lo, hi, s).astype(d) for s, d in zip(shapes, dtypes)),
+                          space, subsampling, bit_depth)
+
+    try:
+        ref, dist = frame(), frame()
+    except SsimkitError:
+        return
+    config = SsimConfig(window=WindowSpec.rectangular(3))
+    calls = [luma_of, rgb_to_ycbcr_bt709, ycbcr_bt709_to_rgb]
+    calls += [lambda ref, scorer=scorer: scorer(ref, dist, config) for scorer in COLOUR_SCORERS]
+    for call in calls:
+        try:
+            call(ref)
+        except SsimkitError:
+            pass

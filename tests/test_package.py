@@ -286,9 +286,13 @@ def test_constants_just_inside_the_bound_give_finite_maps(name):
     lambda: ssimkit.adaptation.box_downsample(np.zeros((4, 4)), True),
     lambda: ssimkit.stats.gaussian_kernel(1.5, True),
     lambda: ssimkit.evaluation.is_rank_preserving(ssimkit.evaluation.Logistic5(1.0, 1.0, 0.0, 0.0, 0.0), 0.0, 1.0, True),
+    lambda: ssimkit.frames.QualityMap(np.ones((2, 2)), stride=True),
+    lambda: ssimkit.frames.QualityMap(np.ones((2, 2)), stride=2.5),
+    lambda: ssimkit.adaptation.compute_ratio(True, 0.5, 0.1, 0.1),
+    lambda: ssimkit.adaptation.compute_ratio(1.5, 0.5, 0.1, 0.1),
 ], ids=[
     "kt", "workers", "window k", "stride", "levels", "volume kt", "temporal k", "refresh interval", "bins",
-    "factor", "kernel size", "points",
+    "factor", "kernel size", "points", "map stride", "map stride 2.5", "ratio interval", "ratio interval 1.5",
 ])
 def test_a_bool_is_not_an_integer_setting(make):
     # One check serves every integer setting: True is an int to Python, not a count.

@@ -776,7 +776,7 @@ def map_bytes(maps):
 
 def streamed_means(local, cfg):
     """The l, cs and q means pooled as the bands of statistics ``local`` are formed."""
-    sums, n = ssim._band_sums(local, cfg.c1, cfg.c2, lambda mu1, l, cs, q: (l, cs, q))
+    sums, n = ssim._band_sums(local, cfg.c1, cfg.c2, lambda rows, mu1, l, cs, q: (l, cs, q))
     return [total / n for total in sums]
 
 
