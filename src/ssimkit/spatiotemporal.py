@@ -15,16 +15,16 @@ sums, which never drift and are never rebuilt, in the accumulator
 while Kt * peak^2 < 2^32 (8- and 10-bit frames at any practical Kt, uint16
 for 8-bit frames at Kt = 1; a LumaPlane's bit depth and scale give the
 peak), where the subtract/add recursion wraps and comes back in range, and
-int64 beyond (16-bit frames at Kt >= 2). Their window sums are exact box
-sums under ``auto``, and exact in the direct loop under ``naive`` while
-they stay below 2^53 (8- to 16-bit frames at any practical k and Kt), so
-both engines give the same bits. Once a float frame arrives, or an integer
-frame whose running sums could pass int64 (Kt * max|sample|^2 >= 2^63),
-the sums turn float64 for good and take the band rows of float64
-summed-area tables, as 2-D float planes do: the sums' dtype is the only
-record of whether they are exact. With Kt = 1 everything reduces exactly
-to frame-wise SSIM. Scorers take the window, engine, constants and
-multiscale settings from their ``SsimConfig``.
+int64 beyond (16-bit frames at Kt >= 2). Their window sums are exact under
+either engine, and SSIM is formed from them in integer algebra bounded by
+the buffered frames' peak as pushed (``stats._exact_terms``), for 8- to
+16-bit frames at k = 11 up to Kt = 8, so both engines give the same bits. Once a
+float frame arrives, or an integer frame whose running sums could pass
+int64 (Kt * max|sample|^2 >= 2^63), the sums turn float64 for good and
+take the band rows of float64 summed-area tables, as 2-D float planes do:
+the sums' dtype is the only record of whether they are exact. With Kt = 1
+everything reduces exactly to frame-wise SSIM. Scorers take the window,
+engine, constants and multiscale settings from their ``SsimConfig``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .frames import PlaneLike, ScoreSeries, paired_frames, plane_data, plane_sca
 from .multiscale import dyadic_downsample, msssim  # noqa: F401  (perfbench traces dyadic_downsample here)
 from .ssim import SsimTermMaps, _statistics, _term_mean, frame_config, term_maps_from_stats
 from .ssim import mssim  # noqa: F401  (perfbench traces this binding)
-from .stats import LocalStatsMaps, _exact_sum_dtype, _pair_terms, _row_bands, window_statistics
+from .stats import LocalStatsMaps, _exact_sum_dtype, _pair_terms, _peak, _row_bands, window_statistics
 
 #: Float64 rolling sums are rebuilt from the buffered frames this often, band
 #: by band within the push, bounding floating-point drift from the
@@ -72,6 +72,7 @@ class RollingVolume:
         self.kt = kt
         self.scale: Optional[int] = None  # signal samples per sample, fixed by the first push
         self._buffer: deque[tuple[np.ndarray, np.ndarray]] = deque()
+        self._peaks: deque[float] = deque(maxlen=kt)  # stats._peak of each buffered pair
         self._sums: Optional[list[np.ndarray]] = None  # I1, I2, I1^2, I2^2, I1*I2
         self._pushes = 0
 
@@ -127,6 +128,7 @@ class RollingVolume:
         if len(self._buffer) == self.kt:
             self._buffer.popleft()
         self._buffer.append((a, b))
+        self._peaks.append(max(_peak(ref), _peak(dist)))
         self._pushes += 1
         return self
 
@@ -157,7 +159,8 @@ class RollingVolume:
                 raise ValidationError("a volume's statistics must be read before its next push")
             return (s[rows] for s in sums)
 
-        return window_statistics(terms, sums[0].shape, window, engine, self.depth, self.scale)
+        peak = max(self._peaks) if sums[0].dtype.kind in "ui" else np.inf  # float sums are not exact
+        return window_statistics(terms, sums[0].shape, window, engine, self.depth, self.scale, peak)
 
 
 def ssim3d_map(vol: RollingVolume, config: SsimConfig = SsimConfig()) -> SsimTermMaps:

@@ -39,34 +39,18 @@ def _band_sums(stats: LocalStatsMaps, c1: float, c2: float, terms, grids=(None, 
     numpy's sum of its whole grid bit for bit (stats.BandedSum), and the
     window count: the one way an SSIM map is pooled.
 
-    cs = (2 cov + C2) / (var1 + var2 + C2)
-    l = (2 mu1 mu2 + C1) / (mu1^2 + mu2^2 + C1)
-    q = l * cs
-
-    Evaluated in place, cs and then l (its denominator first), into the
-    rows of the whole ``grids`` given, with no other scratch: q's band holds
-    each denominator until the last step, and l's band holds mu2^2 until
-    l's denominator is formed. A term with no grid is formed over
-    statistics it has spent (cs over cov, l over var2, q over var1), so no
-    band is allocated for it and only mu1 survives.
+    Each band's l and cs are the quotients of the numerators and denominators
+    every statistics route yields (``stats.window_statistics``), and q = l * cs,
+    written into the rows of the whole ``grids`` given or, with no grid, over
+    the band's l and cs numerators and l denominator.
     """
     n, sums = stats.grid_shape[0] * stats.grid_shape[1], None
-    for rows, (mu1, mu2, var1, var2, cov) in stats.bands():
-        lb, csb, den = (spent if g is None else g[rows] for g, spent in zip(grids, (var2, cov, var1)))
-        np.multiply(2.0, cov, out=csb)
-        csb += c2
-        np.add(var1, var2, out=den)
-        den += c2
-        csb /= den
-        np.multiply(mu1, mu1, out=den)
-        den += np.multiply(mu2, mu2, out=lb)
-        den += c1
-        np.multiply(2.0, mu1, out=lb)
-        lb *= mu2
-        lb += c1
-        lb /= den
-        np.multiply(lb, csb, out=den)  # q
-        values = terms(rows, mu1, lb, csb, den)
+    for rows, (mu1, l_num, l_den, cs_num, cs_den) in stats.bands(c1, c2):
+        lb, csb, qb = (spent if g is None else g[rows] for g, spent in zip(grids, (l_num, cs_num, l_den)))
+        np.divide(cs_num, cs_den, out=csb)
+        np.divide(l_num, l_den, out=lb)
+        np.multiply(lb, csb, out=qb)
+        values = terms(rows, mu1, lb, csb, qb)
         sums = sums or [BandedSum(n) for _ in values]
         for total, x in zip(sums, values):
             total.add(x)

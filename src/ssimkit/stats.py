@@ -14,50 +14,39 @@ Frames and spatio-temporal volumes share one band loop,
 :class:`LocalStatsMaps` are formed BAND_ROWS grid rows at a time as they
 are read: each band forms its five planes from the input rows its windows
 read, sums them in the thread's scratch arena (:func:`_scratch`) and turns
-the sums into statistics, which ``ssim._band_sums`` turns into l, cs and q
-bands and pools straight away (:class:`BandedSum` adds them up as numpy
-sums a whole grid). So a frame's working set is one band on every route,
-and bands equal whole grids bit for bit; whole statistics grids are formed
-only when ``mu1`` ... ``cov`` are read.
+the sums into the numerators and denominators of SSIM's l and cs, which
+``ssim._band_sums`` divides and pools straight away (:class:`BandedSum`
+adds them up as numpy sums a whole grid). So a frame's working set is one
+band on every route, and bands equal whole grids bit for bit; whole
+statistics grids are formed only when ``mu1`` ... ``cov`` are read.
 
-Under ``auto`` the rectangular route follows each plane's dtype, the one
-record of whether its values are exact. Integer planes go through
-:func:`box_sums`: power-of-two doubling along the band's flattened rows,
-then down its columns, log2 k + popcount k - 1 contiguous adds per axis (5
-at k=11), with no scan and no loop over rows. Every partial sum is part of
-a window sum, so uint16 holds them exactly whenever the largest true window
-sum fits in 16 bits (8-bit sample planes at k <= 16) and uint32 whenever it
-fits in 32 bits, e.g. k^2 * peak^2 < 2^32 for the product planes (k <= 257
-at 8 bits, k <= 64 at 10 bits); past that bound the same passes run in
-int64. The sums are exact integers either way, so the grids equal
-the direct engine's bit for bit, and they are written exactly into the
-float64 means. Doubling's cost grows with log2 k where a cumulative-sum
-scan's does not: on a 64-row band of a 1080p plane doubling was the faster
-up to k=32 (k=11: 0.38 against 0.75 ms) and the slower from k=63 (k=255:
-4.71 against 2.59 ms). No preset uses k > 11, so it is the one route.
-Box-downsampled luma is integer too: it keeps its exact block sums, and
-its ``scale`` (signal samples per sample) divides the window sums, so the
-statistics are in signal units (:func:`window_statistics`). Float planes
-(luma converted from RGB, pyramid levels, downsampled colour channels) take
-the four-corner rule on their band's rows of the float64 summed-area table
-(:func:`_table_sums`), whose rounding the published scores depend on. The
-direct loop and the Gaussian passes read integer planes as they are, with
-no float64 copy: each sample converts to float64 exactly before its first
-multiply, so their grids equal those of float64 copies bit for bit.
+Integer planes under a rectangular window have exact integer window sums
+under either engine. ``auto`` forms them by :func:`box_sums`: power-of-two
+doubling along the band's flattened rows, then down its columns, in an
+accumulator that holds the largest true window sum and so every partial
+sum. Doubling's cost grows with log2 k where a cumulative-sum scan's does
+not: on a 64-row band of a 1080p plane doubling was the faster up to k=32
+(k=11: 0.38 against 0.75 ms) and the slower from k=63 (k=255: 4.71 against
+2.59 ms), and no preset uses k > 11. SSIM is formed from the sums of n
+samples of peak P in integer algebra, held exactly in float64 while
+2 (n P)^2 < 2^53 (:func:`_exact_terms`), with no float means, no
+E[X^2] - E[X]^2 cancellation and no clamp. Box-downsampled luma is integer
+too: it keeps its exact block sums, and its ``scale`` (signal samples per
+sample) scales the constants, so the statistics are in signal units. Float
+planes (luma converted from RGB, pyramid levels, downsampled colour
+channels), Gaussian windows and integer sums past that bound take the
+float route, window means and :func:`stats_from_means`, summing float planes
+under ``auto`` by the four-corner rule on their band's rows of the float64
+summed-area table (:func:`_table_sums`), whose rounding the published
+scores depend on.
 
 One rule picks every exact integer accumulator in the package
-(:func:`_exact_sum_dtype`, used by :func:`box_sums`, by the product planes
-of :func:`_pair_terms` and by the box and dyadic downsamples): for sums of
-n samples it is uint16 while n * max < 2^16 and uint32 while n * max < 2^32
-for non-negative samples, int64 while n * max|sample| < 2^63, and float64
-beyond that and for float planes; a LumaPlane's max is
-scale * (2^bit_depth - 1). Products of two samples follow it with n = 1:
-uint16 for 8-bit samples, uint32 up to 16 bits. Sums in uint16, uint32 or
-int64 are exact, so results built on them are bit-identical to the same
-arithmetic on exact values. A pair of integer planes takes the exact route
-only when its products fit int64 (max|sample|^2 < 2^63), with window sums
-past int64 doubled in float64 band by band (each band by its own maximum);
-wider pairs are summed in float64 like float planes, never wrapped.
+(:func:`_exact_sum_dtype`): for sums of n samples it is uint16 while
+n * max < 2^16 and uint32 while n * max < 2^32 for non-negative samples,
+int64 while n * max|sample| < 2^63, and float64 beyond that and for float
+planes; a LumaPlane's max is scale * (2^bit_depth - 1). Products of two
+samples follow it with n = 1. Integer pairs whose products pass int64 are
+summed in float64 like float planes, never wrapped.
 """
 
 from __future__ import annotations
@@ -157,12 +146,27 @@ def _exact_sum_dtype(plane: PlaneLike, count: int, degree: int = 1) -> type:
 
     info = np.iinfo(data.dtype)
     if isinstance(plane, LumaPlane):
-        return accumulator(0, min(int(info.max), plane.scale * ((1 << plane.bit_depth) - 1)))
+        return accumulator(0, _peak(plane))
     work = accumulator(int(info.min), int(info.max))
     if work in (np.uint16, np.uint32) or data.dtype.itemsize <= 2:
         return work
     lo = 0 if data.dtype.kind == "u" else int(data.min())
     return accumulator(lo, int(data.max()))
+
+
+def _peak(plane: PlaneLike) -> float:
+    """The bound :func:`_exact_sum_dtype` puts on |sample|: a LumaPlane's
+    scale * (2^bit_depth - 1) within its dtype's range, else that range up to
+    16 bits and the samples' own beyond; inf for a float plane."""
+    data = plane_data(plane)
+    if data.dtype.kind not in "ui":
+        return math.inf
+    info = np.iinfo(data.dtype)
+    if isinstance(plane, LumaPlane):
+        return min(int(info.max), plane.scale * ((1 << plane.bit_depth) - 1))
+    if data.dtype.itemsize <= 2:
+        return max(int(info.max), -int(info.min))
+    return max(int(data.max()), -int(data.min()))
 
 
 #: Grid rows per band: statistics and term maps are formed this many grid
@@ -187,7 +191,7 @@ _arena = threading.local()  # the scratch arena: one byte buffer per role
 def _scratch(role: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     """An uninitialised ``shape`` array of ``dtype`` for the band loops'
     work: the box sums' two buffers or a float band's summed-area table,
-    then the squared means (``work``), the five band grids (``band``), box
+    then one grid of results (``work``), the five band grids (``band``), box
     downsampling's block rows (``blocks``). It is carved from this thread's
     byte buffer for ``role``, grown when too small and kept, so every band
     of every frame reuses the same memory, no thread shares it, and it is
@@ -400,34 +404,27 @@ class LocalStatsMaps:
     """Co-registered grids of mu1, mu2, var1, var2, cov for a frame pair or
     a volume, formed band by band when they are read.
 
-    ``form(whole)`` forms the statistics BAND_ROWS grid rows at a time,
-    yielding (grid rows, (mu1, mu2, var1, var2, cov) of those rows): rows of
-    ``whole``, five grids of ``grid_shape``, when given, else the thread's
-    ``band`` grids (:func:`_scratch`). The grids ``mu1`` ... ``cov`` are
-    formed whole on first read and kept read-only.
+    ``form(whole, constants)`` yields (grid rows, five grids of those rows)
+    BAND_ROWS grid rows at a time: the :meth:`bands` of ``constants`` = (C1,
+    C2), or the statistics, into rows of ``whole``, which ``mu1`` ... ``cov``
+    form on first read and keep read-only.
     """
 
     def __init__(self, grid_shape: tuple[int, int], stride: int, source_dims: tuple[int, int], form):
         self.grid_shape, self.stride, self.source_dims = grid_shape, stride, source_dims  # source: (height, width)
         self._form, self._whole = form, None
 
-    def bands(self):
-        """(grid rows, (mu1, mu2, var1, var2, cov) of those rows) for each
-        band of BAND_ROWS grid rows, in the thread's ``band`` grids, which
-        the reader may overwrite and the next band does. Each band is formed
-        as it is asked for, or copied from the whole grids once they are."""
-        if self._whole is None:
-            yield from self._form(None)
-            return
-        for rows, _, _ in _row_bands(self.grid_shape[0]):
-            band = _scratch("band", self._whole[:, rows].shape)
-            np.copyto(band, self._whole[:, rows])
-            yield rows, tuple(band)
+    def bands(self, c1: float, c2: float):
+        """(grid rows, (mu1, l numerator, l denominator, cs numerator, cs
+        denominator) under C1 and C2) of each band, in the thread's scratch,
+        which the reader may overwrite and the next band does. Each is formed
+        from the window sums, so no read of whole grids changes a bit."""
+        return self._form(None, (c1, c2))
 
     def _grids(self) -> np.ndarray:
         if self._whole is None:
             whole = np.empty((5, *self.grid_shape))
-            for _ in self._form(whole):
+            for _ in self._form(whole, None):
                 pass
             self._whole = owned(whole)
         return self._whole
@@ -435,16 +432,9 @@ class LocalStatsMaps:
     mu1, mu2, var1, var2, cov = (property(lambda self, i=i: self._grids()[i]) for i in range(5))
 
 
-def stats_from_means(
-    mu1: np.ndarray,
-    mu2: np.ndarray,
-    e11: np.ndarray,
-    e22: np.ndarray,
-    e12: np.ndarray,
-    square: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Means/variances/covariance from the window means of I1, I2, I1^2,
-    I2^2 and I1*I2 (window sums divided by their sample count).
+def stats_from_means(mu1, mu2, e11, e22, e12, square: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Float-route means/variances/covariance from the window means of I1,
+    I2, I1^2, I2^2 and I1*I2 (window sums over their sample count).
 
     Variances use E[X^2] - E[X]^2 with negative floating residue clamped to 0.
     The float64 grids of E[I1^2], E[I2^2] and E[I1*I2] are consumed: each
@@ -460,6 +450,58 @@ def stats_from_means(
     np.multiply(mu1, mu2, out=square)
     cov = np.subtract(e12, square, out=e12)
     return mu1, mu2, var1, var2, cov
+
+
+def _float_terms(mu1, mu2, var1, var2, cov, c1: float, c2: float):
+    """(mu1, 2 mu1 mu2 + C1, mu1^2 + mu2^2 + C1, 2 cov + C2, var1 + var2 +
+    C2): the terms of float statistics, over them and the ``work`` buffer."""
+    work = _scratch("work", mu1.shape)
+    np.multiply(2.0, cov, out=cov)
+    cov += c2
+    np.add(var1, var2, out=var1)
+    var1 += c2
+    np.multiply(mu1, mu1, out=var2)
+    var2 += np.multiply(mu2, mu2, out=work)
+    var2 += c1
+    np.multiply(2.0, mu1, out=work)
+    work *= mu2
+    work += c1
+    return mu1, work, var2, cov, var1
+
+
+def _exact_statistics(sums, n: int, scale: int):
+    """(S1, S2, n Q11 - S1^2, n Q22 - S2^2, n P12 - S1 S2) / (n scale)^(1
+    or 2), each the one division of an exact integer, over the window sums
+    ``sums`` of n samples (integers in float64)."""
+    s1, s2, q11, q22, p12 = sums
+    square = _scratch("work", s1.shape)
+    for x, y, q in ((s1, s1, q11), (s2, s2, q22), (s1, s2, p12)):
+        q *= n
+        q -= np.multiply(x, y, out=square)
+        q /= float((n * scale) ** 2)
+    sums[:2] /= float(n * scale)
+    return tuple(sums)
+
+
+def _exact_terms(sums, n: int, scale: int, k1: float, k2: float):
+    """(S1 / (n scale), 2 S1 S2 + K1, S1^2 + S2^2 + K1, 2 (n P12 - S1 S2) +
+    K2, n (Q11 + Q22) - S1^2 - S2^2 + K2), K = (n scale)^2 C, over the
+    window sums of n samples: integers in float64 that no step takes past
+    2 (n peak)^2 < 2^53, so each value rounds once, as K is added."""
+    s1, s2, q, t, p = sums
+    q += t  # Q11 + Q22
+    np.multiply(s1, s2, out=t)
+    t += t  # 2 S1 S2
+    s2 *= s2
+    s2 += np.multiply(s1, s1, out=_scratch("work", s1.shape))  # S1^2 + S2^2
+    q *= n
+    q -= s2
+    p *= 2 * n
+    p -= t  # 2 (n P12 - S1 S2)
+    s1 /= float(n * scale)
+    for x, k in zip((t, s2, p, q), (k1, k1, k2, k2)):
+        x += k
+    return s1, t, s2, p, q
 
 
 def _check_fit(dims: tuple[int, int], window: WindowSpec) -> None:
@@ -495,6 +537,7 @@ def _table_sums(values: np.ndarray, k: int, stride: int, carry, out: np.ndarray)
 
 def window_statistics(
     terms, dims: tuple[int, int], window: WindowSpec, engine: str = "auto", depth: int = 1, scale: int = 1,
+    peak: float = math.inf,
 ) -> LocalStatsMaps:
     """Local statistics from the five planes I1, I2, I1^2, I2^2, I1*I2 of a
     ``dims`` plane, formed band by band when read (:class:`LocalStatsMaps`).
@@ -506,10 +549,13 @@ def window_statistics(
     rectangular windows sum integer planes exactly (:func:`box_sums`) and
     float planes on their band of the summed-area table
     (:func:`_table_sums`). Every route adds each window's taps in the same
-    order wherever it lies, so bands equal whole grids bit for bit. Sums of
-    I1 and I2 are divided by area * scale and those of the products by
-    area * scale^2, in one division each, so the statistics are in signal
-    units.
+    order wherever it lies, so bands equal whole grids bit for bit.
+    ``peak``, the largest |sample| the terms add (:func:`_peak`; inf for
+    float samples), bounds integer sums: while 2 (n peak)^2 < 2^53 for
+    n = area, a rectangular window turns them straight into SSIM's terms
+    (:func:`_exact_terms`) and statistics. The float route (float samples,
+    Gaussian windows, larger sums) divides the sums by area * scale^(1 or 2)
+    first. Either way the statistics are in signal units.
     """
     h, w = dims
     k, stride = window.k, window.stride
@@ -524,31 +570,36 @@ def window_statistics(
     gh, gw = _grid_shape(h, w, k, stride)
     # A Gaussian kernel sums to 1, so its window covers one sample per frame.
     area = (k * k if rect else 1) * depth
-    divisors = [float(area * scale**degree) for degree in (1, 1, 2, 2, 2)]
 
-    def window_means(t, s, divisor, carry):
+    def window_sums(t, s, carry):
         if engine == "naive":
             _sliding_weighted_sums(t, kern, stride, out=s)
         elif not rect:
             separable_sums(t, kern1d, stride, out=s)
-        elif t.dtype.kind in "ui":  # exact integer sums, divided in float64
+        elif t.dtype.kind in "ui":
             box_sums(t, k, stride, out=s)
         else:
             carry = _table_sums(t, k, stride, carry, s)
-        np.divide(s, divisor, out=s)
         return carry
 
-    def form(whole):
+    def form(whole, constants):
+        ks = [float((area * scale) ** 2) * c for c in constants or ()]  # K1, K2 of _exact_terms
+        exact = rect and area * peak < 1 << 26 and all(map(math.isfinite, ks))  # 2 (n peak)^2 < 2^53
         carries = [0.0] * 5  # column sums above the band: rows for float planes only
         for rows, src, _ in _row_bands(gh, stride, k):
             out = _scratch("band", (5, min(BAND_ROWS, gh - rows.start), gw)) if whole is None else whole[:, rows]
             planes = iter(terms(slice(src.start, max(src.stop, src.start + BAND_ROWS * stride))))
             # One plane is held at a time: each is dropped before the next is made.
             for i in range(5):
-                carries[i] = window_means(next(planes), out[i], divisors[i], carries[i])
+                carries[i] = window_sums(next(planes), out[i], carries[i])
+            if exact:
+                yield rows, _exact_terms(out, area, scale, *ks) if constants else _exact_statistics(out, area, scale)
+                continue
+            for i, s in enumerate(out):
+                np.divide(s, float(area * scale ** (1 if i < 2 else 2)), out=s)
             # The sums are spent by now, so the work buffer holds the squared means.
-            stats_from_means(*out, _scratch("work", out[0].shape))
-            yield rows, tuple(out)
+            stats = stats_from_means(*out, _scratch("work", out[0].shape))
+            yield rows, stats if constants is None else _float_terms(*stats, *constants)
 
     return LocalStatsMaps((gh, gw), stride, (h, w), form)
 
@@ -571,5 +622,6 @@ def local_statistics(ref: PlaneLike, dist: PlaneLike, window: WindowSpec, engine
     a, b = _freeze(plane_data(ref)), _freeze(plane_data(dist))
     dtype = _product_dtype(ref, dist)
     return window_statistics(
-        lambda rows: _pair_terms(a[rows], b[rows], dtype), a.shape, window, engine, scale=plane_scale(ref)
+        lambda rows: _pair_terms(a[rows], b[rows], dtype), a.shape, window, engine, scale=plane_scale(ref),
+        peak=max(_peak(ref), _peak(dist)),
     )

@@ -302,6 +302,30 @@ class TestSsim3dMap:
                 for name in ("l_map", "cs_map", "q_map"):
                     assert np.array_equal(getattr(maps3d, name).values, getattr(maps2d, name).values)
 
+    @pytest.mark.parametrize("source", ["10-bit", "8-bit downsampled"])
+    def test_kt_one_is_bounded_by_its_planes_as_pushed(self, rng, source):
+        # uint16 samples whose bit depth or scale bounds them far below the
+        # dtype's 65,535: at k = 33 (n = 1089) only that bound keeps the
+        # frame pair on the exact route, and the volume must keep it too,
+        # also once a 16-bit frame has left its buffer.
+        def plane(bits):
+            if source == "10-bit":
+                return random_plane(rng, 40, 36, bits)
+            return box_downsample(random_plane(rng, 80, 72, bits), 2)
+
+        config = SsimConfig(bit_depth=10 if source == "10-bit" else 8, window=WindowSpec.rectangular(33))
+        vol = RollingVolume(1)
+        vol.push(plane(16), plane(16))
+        for _ in range(2):
+            a, b = plane(config.bit_depth), plane(config.bit_depth)
+            vol.push(a, b)
+            local3d, local2d = vol.local_statistics(config.window), stats.local_statistics(a, b, config.window)
+            for name in ("mu1", "mu2", "var1", "var2", "cov"):
+                assert getattr(local3d, name).tobytes() == getattr(local2d, name).tobytes()
+            maps3d, maps2d = ssim3d_map(vol, config), ssim_map(a, b, config)
+            for name in ("l_map", "cs_map", "q_map"):
+                assert getattr(maps3d, name).values.tobytes() == getattr(maps2d, name).values.tobytes()
+
     def test_static_video_equals_single_frame(self, rng):
         a, b = random_plane(rng, 20, 20), random_plane(rng, 20, 20)
         vol = RollingVolume(4)

@@ -1,12 +1,14 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssimkit import ssim, stats
+from ssimkit import pipeline, ssim, stats
+from ssimkit.adaptation import box_downsample
 from ssimkit.color import qssim
 from ssimkit.config import ENGINES, ColorModelSpec, MultiscaleSpec, SsimConfig, WindowSpec
 from ssimkit.errors import (
@@ -16,6 +18,7 @@ from ssimkit.errors import (
 )
 from ssimkit.frames import LumaPlane
 from ssimkit.multiscale import dyadic_downsample, scale_scores
+from ssimkit.pipeline import score_frame_pair
 from ssimkit.spatiotemporal import RollingVolume, ssim3d_map
 from ssimkit.stats import (
     _exact_sum_dtype,
@@ -538,19 +541,38 @@ class TestRouteFromPlanes:
     @DERANDOMIZED
     @given(typed_pairs(), st.sampled_from(ENGINES))
     def test_window_statistics_picks_its_route_from_the_planes(self, case, engine):
-        a, b, window = case
+        self.check_route(*case, engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("peak", [554_618, 554_619])  # 121 * peak either side of 2^26
+    def test_the_exact_route_ends_at_its_bound(self, engine, peak):
+        rng = np.random.default_rng(peak)
+        a, b = (rng.integers(-peak, peak + 1, (15, 16)).astype(np.int32) for _ in range(2))
+        a[0, 0] = peak
+        self.check_route(a, b, WindowSpec.rectangular(11), engine)
+
+    @staticmethod
+    def check_route(a, b, window, engine):
         terms = list(_pair_terms(a, b))
         assert all(t.dtype.kind in "ui" for t in terms)
-        got = window_statistics(rows_of(terms), a.shape, window, engine)
-        if engine == "naive" or window.shape == "gauss":
-            # the direct loop and the Gaussian passes read integer planes as their float64 copies
+        n, grid = window.k**2, _grid_shape(*a.shape, window.k, window.stride)
+        peak = max(np.iinfo(a.dtype).max if a.dtype.itemsize <= 2 else int(np.abs(x).max()) for x in (a, b))
+        assert peak == max(stats._peak(a), stats._peak(b))
+        got = window_statistics(rows_of(terms), a.shape, window, engine, peak=peak)
+        if window.shape == "gauss":
+            # the Gaussian passes read integer planes as their float64 copies
             floats = [t.astype(np.float64) for t in terms]
             want = window_statistics(rows_of(floats), a.shape, window, engine)
             want = (want.mu1, want.mu2, want.var1, want.var2, want.cov)
+        elif 2 * (n * peak) ** 2 < 2**53:
+            # either engine: exact integer sums, each statistic one division of an exact integer
+            s1, s2, q11, q22, p12 = (box_sums(t, window.k, window.stride).astype(np.int64) for t in terms)
+            want = [s / float(n) for s in (s1, s2)]
+            want += [(n * q - x * y) / float(n * n) for q, x, y in ((q11, s1, s1), (q22, s2, s2), (p12, s1, s2))]
         else:
-            grid = _grid_shape(*a.shape, window.k, window.stride)
+            # past 2^53 the float route: the same sums' means, E[X^2] - E[X]^2
             sums = [box_sums(t, window.k, window.stride, np.empty(grid)) for t in terms]
-            want = stats_from_means(*(s / float(window.k**2) for s in sums), np.empty(grid))
+            want = stats_from_means(*(s / float(n) for s in sums), np.empty(grid))
         for x, y in zip((got.mu1, got.mu2, got.var1, got.var2, got.cov), want):
             assert x.dtype == y.dtype == np.float64 and x.tobytes() == y.tobytes()
 
@@ -995,3 +1017,138 @@ class TestStreamedStatistics:
             assert [np.ndim(c) for c in calls] == [0] * 5 + [1] * 10
         else:
             assert calls == []
+
+
+def rational_terms(refs, dists, k, scale, c1, c2):
+    """The exact mu1, mu2, var1, var2, cov, l, cs and q of every k x k x
+    len(refs) window, as Fractions from the integer samples of the frames
+    ``refs`` and ``dists`` (each sample the sum of ``scale`` signal
+    samples): the statistics in signal units and their SSIM, with the float
+    constants ``c1`` and ``c2`` read exactly."""
+    n, c1, c2 = k * k * len(refs), Fraction(c1), Fraction(c2)
+    refs, dists = [x.astype(np.int64) for x in refs], [y.astype(np.int64) for y in dists]
+    planes = (sum(refs), sum(dists), sum(x * x for x in refs), sum(y * y for y in dists),
+              sum(map(np.multiply, refs, dists)))
+    s1, s2, q11, q22, p12 = (uniform_int_sums(t, k) for t in planes)
+    out = np.empty((8, *s1.shape), dtype=object)
+    for i, j in np.ndindex(s1.shape):
+        mu1, mu2 = Fraction(int(s1[i, j]), n * scale), Fraction(int(s2[i, j]), n * scale)
+        var1 = Fraction(int(q11[i, j]), n * scale * scale) - mu1 * mu1
+        var2 = Fraction(int(q22[i, j]), n * scale * scale) - mu2 * mu2
+        cov = Fraction(int(p12[i, j]), n * scale * scale) - mu1 * mu2
+        l = (2 * mu1 * mu2 + c1) / (mu1 * mu1 + mu2 * mu2 + c1)
+        cs = (2 * cov + c2) / (var1 + var2 + c2)
+        out[:, i, j] = mu1, mu2, var1, var2, cov, l, cs, l * cs
+    return out
+
+
+def uniform_int_sums(values, k):
+    """Exact k x k window sums of an int64 plane, by the direct loop."""
+    gh, gw = values.shape[0] - k + 1, values.shape[1] - k + 1
+    return sum(values[m : m + gh, c : c + gw] for m in range(k) for c in range(k))
+
+
+@st.composite
+def exact_route_cases(draw):
+    """Frames of a 26x30 patch (8, 10 or 16 bits; near-flat, or a ramp with
+    texture, with a distorted copy or its negative), and the route that
+    scores them: a frame pair, a kt = 1 or 3 volume, or a 2x box-downsampled
+    pair."""
+    bits = draw(st.sampled_from([8, 10, 16]))
+    route = draw(st.sampled_from(["pair", "kt1", "kt3", "scaled"]))
+    engine = draw(st.sampled_from(ENGINES))
+    flat, negative = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    peak = (1 << bits) - 1
+    size = (52, 60) if route == "scaled" else (26, 30)
+    frames = []
+    for _ in range(3 if route == "kt3" else 1):
+        if flat:
+            ref = rng.integers(0, peak - 3, (1, 1)) + rng.integers(0, 3, size)
+            dist = ref + rng.integers(0, 2, size)
+        else:
+            ref = np.linspace(0, peak * 0.6, size[1]) + rng.uniform(0, peak * 0.4, size)
+            dist = np.clip(ref + rng.normal(0, peak / 20, size), 0, peak)
+        if negative:  # negative covariance: cs numerators below zero
+            dist = peak - dist
+        dtype = np.uint8 if bits == 8 else np.uint16
+        frames.append([LumaPlane(np.round(x).astype(dtype), bits) for x in (ref, dist)])
+    return route, engine, frames
+
+
+def within_ulps(got: np.ndarray, exact: np.ndarray, ulps: int) -> bool:
+    return all(
+        abs(Fraction(g) - e) <= ulps * Fraction(math.ulp(float(e))) for g, e in zip(got.reshape(-1), exact.reshape(-1))
+    )
+
+
+class TestExactIntegerSsim:
+    """Integer window sums give SSIM's numerators and denominators exactly,
+    so every route that sums integer samples rounds each once."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(exact_route_cases())
+    def test_every_window_is_within_4_ulp_of_the_rational_ssim(self, case):
+        route, engine, frames = case
+        config = SsimConfig(bit_depth=frames[0][0].bit_depth, engine=engine)
+        if route == "scaled":
+            frames = [[box_downsample(x, 2) for x in pair] for pair in frames]
+        if route in ("kt1", "kt3"):
+            vol = RollingVolume(len(frames))
+            for a, b in frames:
+                vol.push(a, b)
+            maps, local = ssim3d_map(vol, config), vol.local_statistics(config.window, engine)
+        else:
+            maps, local = ssim.ssim_map(*frames[0], config), local_statistics(*frames[0], config.window, engine)
+        refs, dists = ([pair[i].samples for pair in frames] for i in (0, 1))
+        exact = rational_terms(refs, dists, config.window.k, frames[0][0].scale, config.c1, config.c2)
+        for got, want in zip((maps.l_map, maps.cs_map, maps.q_map), exact[5:]):
+            assert within_ulps(got.values, want, 4)
+        for got, want in zip((local.mu1, local.mu2, local.var1, local.var2, local.cov), exact):
+            assert within_ulps(got, want, 1)  # one division of exact integers
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("bits, shift", [(8, 17), (10, 300), (16, 40_000)])
+    def test_a_shifted_pair_has_equal_variances_and_covariance(self, engine, bits, shift):
+        rng = np.random.default_rng(bits)
+        dtype = np.uint8 if bits == 8 else np.uint16
+        a = rng.integers(0, (1 << bits) - shift, (BAND + 20, 33)).astype(dtype)
+        ref, dist = LumaPlane(a, bits), LumaPlane(a + dtype(shift), bits)
+        config = SsimConfig(bit_depth=bits, window=WindowSpec.rectangular(11), engine=engine)
+        local = local_statistics(ref, dist, config.window, engine)
+        assert local.var1.tobytes() == local.var2.tobytes() == local.cov.tobytes()
+        assert (ssim.ssim_map(ref, dist, config).cs_map.values == 1.0).all()
+        vol = RollingVolume(3)
+        for _ in range(3):
+            vol.push(ref, dist)
+        assert (ssim3d_map(vol, config).cs_map.values == 1.0).all()
+
+    @pytest.mark.parametrize("kind", ["u8", "u10", "f64", "kt3"])
+    def test_reading_the_statistics_first_changes_no_bit(self, monkeypatch, kind):
+        make, bits = BAND_PLANES["u10" if kind == "kt3" else kind]
+        rng = np.random.default_rng(list(kind.encode()))
+        frames = [[LumaPlane(make(rng, (2 * BAND + 15, 40)), bits) for _ in range(2)] for _ in range(4)]
+        config = SsimConfig(bit_depth=bits)
+        read = pipeline._statistics
+
+        def read_first(*args):
+            local = read(*args)
+            assert local.mu1.size  # as a tracer counting windows does
+            return local
+
+        got = {}
+        for first in (False, True):
+            volumes = [RollingVolume(3)] if kind == "kt3" else None
+            with monkeypatch.context() as patch:
+                if first:
+                    patch.setattr(pipeline, "_statistics", read_first)
+                records = [score_frame_pair(a, b, config, volumes) for a, b in frames]
+            volume = RollingVolume(3) if kind == "kt3" else None
+            means = []
+            for a, b in frames:
+                local = ssim._statistics(a, b, config, volume)
+                if first:
+                    assert local.mu1.size
+                means.append(ssim._term_mean(local, config, 3).hex())
+            got[first] = [(r.score.hex(), r.am.hex(), r.l_mean.hex(), r.cs_mean.hex()) for r in records], means
+        assert got[True] == got[False]
