@@ -19,7 +19,7 @@ import numpy as np
 from .config import ScalePolicy
 from .errors import NoReferenceYet, ValidationError, check_integer
 from .frames import LumaPlane, PlaneLike, QualityMap, owned, plane_data
-from .stats import _exact_sum_dtype, _row_bands, _scratch
+from .stats import _accumulator, _peak, _row_bands, _scratch
 
 
 def round_half_away(x: float) -> int:
@@ -102,7 +102,7 @@ def box_downsample(plane: PlaneLike, factor: int) -> PlaneLike:
     identity.
 
     An integer LumaPlane comes back as its exact block sums, in the
-    accumulator :func:`_exact_sum_dtype` picks for ``scale`` samples of it
+    accumulator ``stats._accumulator`` gives ``scale`` times its peak
     (uint16 for 8-bit planes up to factor 16, uint32 for 16-bit ones up to
     256), with the plane's scale multiplied by the blocks' sample count. The
     sum of a partial block is multiplied up to the least common multiple
@@ -131,8 +131,9 @@ def box_downsample(plane: PlaneLike, factor: int) -> PlaneLike:
     # The lcm of the block counts r * c is lcm(r) * lcm(c), prime by prime.
     rows_lcm, cols_lcm = math.lcm(*row_counts.tolist()), math.lcm(*col_counts.tolist())
     scale = rows_lcm * cols_lcm
-    exact = isinstance(plane, LumaPlane) and _exact_sum_dtype(plane, scale) is not np.float64
-    work = _exact_sum_dtype(plane, scale) if exact else _exact_sum_dtype(arr, factor * factor)
+    peak = _peak(plane)
+    exact = isinstance(plane, LumaPlane) and _accumulator(scale * peak) is not np.float64
+    work = _accumulator((scale if exact else factor * factor) * peak, plane)
     out = np.empty((len(row_edges), len(col_edges)), work)
     for grid_rows, src, _ in _row_bands(len(row_edges), factor, factor):
         rows = _strided_sums(arr[src], factor, 0, _scratch("blocks", (len(out[grid_rows]), w), work))

@@ -62,7 +62,8 @@ class LumaPlane:
     """Single-channel raster of ``bit_depth``-bit luma.
 
     Each sample is the sum of ``scale`` signal samples in
-    [0, 2**bit_depth - 1], so it lies in [0, scale * (2**bit_depth - 1)].
+    [0, 2**bit_depth - 1], so it lies in [0, scale * (2**bit_depth - 1)],
+    a bound that must stay below 2**63.
     Samples read from media keep their integer dtype with scale 1; a
     box-downsampled integer plane keeps its exact block sums, with the
     block's sample count as its scale; other derived planes (pyramid
@@ -83,6 +84,8 @@ class LumaPlane:
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             raise ValidationError("plane samples must be finite")
         peak = self.scale * ((1 << self.bit_depth) - 1)
+        if peak >= 1 << 63:  # past every exact accumulator (stats._accumulator)
+            raise ValidationError(f"scale * (2^{self.bit_depth} - 1) must stay below 2^63, got scale {self.scale}")
         fits = arr.dtype.kind != "f" and np.iinfo(arr.dtype).min >= 0 and np.iinfo(arr.dtype).max <= peak
         if not fits:  # the dtype alone does not bound the samples: scan them
             lo, hi = arr.min(), arr.max()

@@ -18,7 +18,7 @@ from .errors import TooManyLevels, TooSmall, ValidationError
 from .frames import LumaPlane, PlaneLike, owned, plane_data, plane_scale, validate_frame_pair
 from .ssim import _statistics, _term_mean, frame_config
 from .ssim import mssim, ssim_map  # noqa: F401  (perfbench traces these bindings)
-from .stats import _exact_sum_dtype
+from .stats import _accumulator, _peak
 
 if TYPE_CHECKING:
     from .spatiotemporal import RollingVolume
@@ -29,7 +29,7 @@ def dyadic_downsample(plane: PlaneLike) -> PlaneLike:
 
     A LumaPlane comes back as a LumaPlane of float64 means (scale 1); a raw
     array comes back raw. Integer planes are summed in the exact accumulator
-    :func:`~ssimkit.stats._exact_sum_dtype` picks for 4 samples, float
+    :func:`~ssimkit.stats._accumulator` gives 4 times their peak, float
     planes in float64 in the same order, and each sum is divided once by 4
     times the plane's scale, so both equal averaging in float64 bit for bit.
     """
@@ -39,7 +39,7 @@ def dyadic_downsample(plane: PlaneLike) -> PlaneLike:
         raise TooSmall(f"cannot downsample a {w}x{h} plane")
     h2, w2 = h // 2, w // 2
     arr = arr[: 2 * h2, : 2 * w2]
-    first = arr[0::2, 0::2].astype(_exact_sum_dtype(plane, 4), copy=False)
+    first = arr[0::2, 0::2].astype(_accumulator(4 * _peak(plane), plane), copy=False)
     pooled = (((first + arr[0::2, 1::2]) + arr[1::2, 0::2]) + arr[1::2, 1::2]) / (4.0 * plane_scale(plane))
     return LumaPlane(owned(pooled), plane.bit_depth) if isinstance(plane, LumaPlane) else pooled
 

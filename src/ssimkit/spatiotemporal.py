@@ -11,11 +11,12 @@ running sums go through the same band loop as a frame pair's planes,
 their statistics are formed band by band when read, and must be read
 before the next push changes the sums. Integer frames keep exact running
 sums, which never drift and are never rebuilt, in the accumulator
-``stats._exact_sum_dtype`` picks for Kt products of two samples: uint32
-while Kt * peak^2 < 2^32 (8- and 10-bit frames at any practical Kt, uint16
-for 8-bit frames at Kt = 1; a LumaPlane's bit depth and scale give the
-peak), where the subtract/add recursion wraps and comes back in range, and
-int64 beyond (16-bit frames at Kt >= 2). Their window sums are exact under
+``stats._accumulator`` gives Kt products of two samples of the frames'
+peak (``stats._peak``, read once per push): uint32 while Kt * peak^2 <
+2^32 (8- and 10-bit frames at any practical Kt, uint16 for 8-bit frames
+at Kt = 1), where the subtract/add recursion wraps and comes back in
+range, and int64 beyond (16-bit frames at Kt >= 2). No push or band reads
+samples to choose a dtype. Their window sums are exact under
 either engine, and SSIM is formed from them in integer algebra bounded by
 the buffered frames' peak as pushed (``stats._exact_terms``), for 8- to
 16-bit frames at k = 11 up to Kt = 8, so both engines give the same bits. Once a
@@ -46,7 +47,7 @@ from .frames import PlaneLike, ScoreSeries, paired_frames, plane_data, plane_sca
 from .multiscale import dyadic_downsample, msssim  # noqa: F401  (perfbench traces dyadic_downsample here)
 from .ssim import SsimTermMaps, _statistics, _term_mean, frame_config, term_maps_from_stats
 from .ssim import mssim  # noqa: F401  (perfbench traces this binding)
-from .stats import LocalStatsMaps, _exact_sum_dtype, _pair_terms, _peak, _row_bands, window_statistics
+from .stats import LocalStatsMaps, _accumulator, _pair_terms, _peak, _row_bands, window_statistics
 
 #: Float64 rolling sums are rebuilt from the buffered frames this often, band
 #: by band within the push, bounding floating-point drift from the
@@ -60,19 +61,19 @@ class RollingVolume:
 
     Single-owner and sequential: push frames in temporal order, then ask for
     maps. Before Kt frames arrive, statistics cover only the buffered depth.
-    The sums are held in the accumulator ``_exact_sum_dtype`` picks for Kt
-    products of two samples of every pushed frame: uint16, uint32 or int64
-    while they are exact, float64 after. The first push fixes ``scale``, the
-    signal samples each sample sums, which divides the window sums; a frame
-    of another scale raises ScaleMismatch.
+    The sums are held in the accumulator ``_accumulator`` gives Kt
+    products of two samples of the largest peak pushed: uint16, uint32 or
+    int64 while they are exact, float64 after. Each buffered pair keeps its
+    peak (``_peak``), which gives its products' dtype. The first push fixes
+    ``scale``, the signal samples each sample sums, which divides the
+    window sums; a frame of another scale raises ScaleMismatch.
     """
 
     def __init__(self, kt: int):
         check_integer(kt, "temporal window")
         self.kt = kt
         self.scale: Optional[int] = None  # signal samples per sample, fixed by the first push
-        self._buffer: deque[tuple[np.ndarray, np.ndarray]] = deque()
-        self._peaks: deque[float] = deque(maxlen=kt)  # stats._peak of each buffered pair
+        self._buffer: deque[tuple[np.ndarray, np.ndarray, float]] = deque()  # I1, I2, the pair's stats._peak
         self._sums: Optional[list[np.ndarray]] = None  # I1, I2, I1^2, I2^2, I1*I2
         self._pushes = 0
 
@@ -97,8 +98,9 @@ class RollingVolume:
         if self.scale not in (None, plane_scale(ref)):
             raise ScaleMismatch(f"frame of scale {plane_scale(ref)} pushed into a volume of scale {self.scale}")
         self.scale = plane_scale(ref)
+        peak = max(_peak(ref), _peak(dist))
         held = [] if self._sums is None else [self._sums[0].dtype]
-        dtype = np.result_type(*held, *(_exact_sum_dtype(x, self.kt, degree=2) for x in (ref, dist)))
+        dtype = np.result_type(*held, _accumulator(self.kt * peak**2, ref, dist))
         if self._sums is not None and dtype != self._sums[0].dtype:
             self._sums = [s.astype(dtype) for s in self._sums]
         # The first push and Kt = 1 form the sums from the newest frame alone
@@ -109,7 +111,8 @@ class RollingVolume:
         if self._sums is None:
             self._sums = [np.empty(a.shape, dtype) for _ in range(5)]
         full = len(self._buffer) == self.kt
-        window = [*list(self._buffer)[full:], (a, b)]
+        entering = (a, b, peak)
+        window = [*list(self._buffer)[full:], entering]
         # Band by band, so the products of the entering, leaving and
         # buffered frames take band-sized temporaries, never whole planes.
         for rows, _, _ in _row_bands(a.shape[0]):
@@ -120,23 +123,22 @@ class RollingVolume:
             elif full:
                 # T(k) = T(k-1) - I(k-Kt) + I(k), per plane; exact sums wrap
                 # through their accumulator's modulus and come back in range.
-                for s, old in zip(sums, _pair_terms(*(x[rows] for x in self._buffer[0]))):
+                for s, old in zip(sums, _frame_terms(self._buffer[0], rows)):
                     np.subtract(s, old, out=s, casting="unsafe")
-            for x, y in window if rebuild else [(a, b)]:
-                for s, new in zip(sums, _pair_terms(x[rows], y[rows])):
+            for frame in window if rebuild else [entering]:
+                for s, new in zip(sums, _frame_terms(frame, rows)):
                     np.add(s, new, out=s, casting="unsafe")
-        if len(self._buffer) == self.kt:
+        if full:
             self._buffer.popleft()
-        self._buffer.append((a, b))
-        self._peaks.append(max(_peak(ref), _peak(dist)))
+        self._buffer.append(entering)
         self._pushes += 1
         return self
 
     def direct_sums(self) -> list[np.ndarray]:
         """Sums recomputed from scratch over the buffered frames (drift oracle)."""
         sums = [np.zeros_like(s) for s in self.temporal_sums()]
-        for a, b in self._buffer:
-            for s, t in zip(sums, _pair_terms(a, b)):
+        for frame in self._buffer:
+            for s, t in zip(sums, _frame_terms(frame, slice(None))):
                 np.add(s, t, out=s, casting="unsafe")
         return sums
 
@@ -153,14 +155,25 @@ class RollingVolume:
         if window.shape != "rect":
             raise GaussianNotSupported3D("3-D statistics support rectangular windows only")
         sums, pushes = self.temporal_sums(), self._pushes
+        if sums[0].dtype == np.int64 and all(x.dtype.kind == "u" for a, b, _ in self._buffer for x in (a, b)):
+            # Exact sums of unsigned frames are non-negative: as uint64 they
+            # take the unsigned box-sum accumulators their peak allows.
+            sums = [s.view(np.uint64) for s in sums]
 
         def terms(rows):
             if self._pushes != pushes:
                 raise ValidationError("a volume's statistics must be read before its next push")
             return (s[rows] for s in sums)
 
-        peak = max(self._peaks) if sums[0].dtype.kind in "ui" else np.inf  # float sums are not exact
+        peak = max(p for _, _, p in self._buffer) if sums[0].dtype.kind in "ui" else np.inf  # float sums are not exact
         return window_statistics(terms, sums[0].shape, window, engine, self.depth, self.scale, peak)
+
+
+def _frame_terms(frame, rows):
+    """The five planes (``stats._pair_terms``) of ``rows`` of a buffered
+    pair (a, b, peak), products in the accumulator for peak^2."""
+    a, b, peak = frame
+    return _pair_terms(a[rows], b[rows], _accumulator(peak**2, a, b))
 
 
 def ssim3d_map(vol: RollingVolume, config: SsimConfig = SsimConfig()) -> SsimTermMaps:

@@ -41,12 +41,12 @@ summed-area table (:func:`_table_sums`), whose rounding the published
 scores depend on.
 
 One rule picks every exact integer accumulator in the package
-(:func:`_exact_sum_dtype`): for sums of n samples it is uint16 while
-n * max < 2^16 and uint32 while n * max < 2^32 for non-negative samples,
-int64 while n * max|sample| < 2^63, and float64 beyond that and for float
-planes; a LumaPlane's max is scale * (2^bit_depth - 1). Products of two
-samples follow it with n = 1. Integer pairs whose products pass int64 are
-summed in float64 like float planes, never wrapped.
+(:func:`_accumulator`), from the bound :func:`_peak` reads once per call:
+sums of n samples of peak P take uint16 while n P < 2^16 and uint32 while
+n P < 2^32 when no sample can be negative, int64 while n P < 2^63, and
+float64 beyond that and for float planes; products take P^2 for P. No
+band reads its samples to choose a dtype. Integer pairs whose products
+pass int64 are summed in float64 like float planes, never wrapped.
 """
 
 from __future__ import annotations
@@ -121,43 +121,10 @@ def _grid_shape(h: int, w: int, k: int, stride: int) -> tuple[int, int]:
     return (h - k) // stride + 1, (w - k) // stride + 1
 
 
-def _exact_sum_dtype(plane: PlaneLike, count: int, degree: int = 1) -> type:
-    """Accumulator in which sums of ``count`` terms of ``plane`` are exact.
-
-    A term is one sample, or a product of ``degree`` samples. For
-    non-negative samples the result is uint16 while count * peak^degree <
-    2^16 and uint32 while it is < 2^32; then int64 while count *
-    peak^degree < 2^63 (peak = max |sample|), and float64 for float planes
-    and past every bound. A LumaPlane's bit depth and scale bound its
-    samples by scale * (2^bit_depth - 1); otherwise the dtype's range
-    decides without reading the samples when it proves uint16 or uint32,
-    and for dtypes of 16 bits or less, and the plane's min and max decide
-    the rest.
-    """
-    data = plane_data(plane)
-    if data.dtype.kind not in "ui":
-        return np.float64
-
-    def accumulator(lo: int, hi: int) -> type:
-        bound = count * max(hi, -lo) ** degree
-        if lo >= 0 and bound < 1 << 32:
-            return np.uint16 if bound < 1 << 16 else np.uint32
-        return np.int64 if bound < 1 << 63 else np.float64
-
-    info = np.iinfo(data.dtype)
-    if isinstance(plane, LumaPlane):
-        return accumulator(0, _peak(plane))
-    work = accumulator(int(info.min), int(info.max))
-    if work in (np.uint16, np.uint32) or data.dtype.itemsize <= 2:
-        return work
-    lo = 0 if data.dtype.kind == "u" else int(data.min())
-    return accumulator(lo, int(data.max()))
-
-
 def _peak(plane: PlaneLike) -> float:
-    """The bound :func:`_exact_sum_dtype` puts on |sample|: a LumaPlane's
-    scale * (2^bit_depth - 1) within its dtype's range, else that range up to
-    16 bits and the samples' own beyond; inf for a float plane."""
+    """The largest |sample| of ``plane``, read once per call: a LumaPlane's
+    scale * (2^bit_depth - 1) within its dtype's range, else that range up
+    to 16 bits and the samples' own beyond; inf for a float plane."""
     data = plane_data(plane)
     if data.dtype.kind not in "ui":
         return math.inf
@@ -166,7 +133,19 @@ def _peak(plane: PlaneLike) -> float:
         return min(int(info.max), plane.scale * ((1 << plane.bit_depth) - 1))
     if data.dtype.itemsize <= 2:
         return max(int(info.max), -int(info.min))
-    return max(int(data.max()), -int(data.min()))
+    return max(int(data.max()), -int(data.min()) if data.dtype.kind == "i" else 0)
+
+
+def _accumulator(bound: float, *planes: PlaneLike) -> type:
+    """The accumulator that holds every integer up to ``bound`` in magnitude
+    exactly: uint16 below 2^16 and uint32 below 2^32 unless one of
+    ``planes`` is a bare array of a signed dtype (a LumaPlane's samples are
+    checked non-negative), int64 below 2^63, float64 past that and for a
+    float plane's infinite bound."""
+    signed = any(not isinstance(p, LumaPlane) and plane_data(p).dtype.kind == "i" for p in planes)
+    if bound < 1 << 32 and not signed:
+        return np.uint16 if bound < 1 << 16 else np.uint32
+    return np.int64 if bound < 1 << 63 else np.float64
 
 
 #: Grid rows per band: statistics and term maps are formed this many grid
@@ -278,25 +257,24 @@ def _run_sums(bufs: list[np.ndarray], i: int, n: int, k: int, step: int) -> tupl
         pi, width = dst, 2 * width
 
 
-def box_sums(plane: np.ndarray, k: int, stride: int = 1, out: np.ndarray | None = None) -> np.ndarray:
-    """Exact k x k window sums of an integer plane on the stride grid.
+def box_sums(plane: np.ndarray, k: int, stride: int, work: type, out: np.ndarray) -> np.ndarray:
+    """Exact k x k window sums of an integer plane on the stride grid, into
+    ``out`` (any dtype that holds them, e.g. float64).
 
     Two passes of power-of-two doubling (:func:`_run_sums`) over a copy of
     the plane's flattened rows: one along each row, then one down the
     columns, reading row sums a row's pitch apart; sums that would run off
     the end of a row land in columns no window reads. Each pass is
     log2 k + popcount k - 1 contiguous adds (5 at k=11), with no scan and
-    no loop over rows. Both run in the accumulator :func:`_exact_sum_dtype`
-    picks for k^2 samples: uint16 or uint32 while the largest possible
-    window sum fits in 16 or 32 bits, int64 beyond, and float64 (no longer
-    exact) only past int64. The two work buffers are the thread's
-    (:func:`_scratch`). The sums are written into ``out`` when given (any
-    dtype that holds them, e.g. float64); else they are returned in the
-    working dtype as a new array.
+    no loop over rows. Both run in ``work``, the caller's accumulator for
+    the largest possible window sum (:func:`_accumulator`): uint16 or
+    uint32 while it fits in 16 or 32 bits, int64 beyond, and float64 (no
+    longer exact) only past int64. The two work buffers are the thread's
+    (:func:`_scratch`).
     """
     h, w = plane.shape
     gh, gw = _grid_shape(h, w, k, stride)
-    bufs = _scratch("work", (2, h * w), _exact_sum_dtype(plane, k * k))
+    bufs = _scratch("work", (2, h * w), work)
     np.copyto(bufs[0].reshape(h, w), plane, casting="unsafe")
     i, n = _run_sums(bufs, 0, h * w, k, 1)
     pitch = w
@@ -306,33 +284,21 @@ def box_sums(plane: np.ndarray, k: int, stride: int = 1, out: np.ndarray | None 
         i, n = 1 - i, h * gw
         np.copyto(bufs[i][:n].reshape(h, gw), grid_cols)
     i, _ = _run_sums(bufs, i, n, k, pitch)
-    sums = bufs[i][: (h - k + 1) * pitch].reshape(h - k + 1, pitch)[::stride, :gw]
-    if out is None:
-        return np.array(sums)
-    out[...] = sums
+    out[...] = bufs[i][: (h - k + 1) * pitch].reshape(h - k + 1, pitch)[::stride, :gw]
     return out
 
 
-def _product_dtype(a: PlaneLike, b: PlaneLike) -> np.dtype:
-    """The dtype of a pair's products (:func:`_pair_terms`): the accumulator
-    :func:`_exact_sum_dtype` picks for one product of two samples of either
-    plane, so uint16 for 8-bit samples, uint32 up to 16 bits, int64 beyond,
-    and float64 for float planes or where one product could pass int64."""
-    return np.result_type(*(_exact_sum_dtype(x, 1, degree=2) for x in (a, b)))
-
-
-def _pair_terms(a: np.ndarray, b: np.ndarray, dtype=None):
+def _pair_terms(a: np.ndarray, b: np.ndarray, dtype):
     """The five planes I1, I2, I1^2, I2^2, I1*I2, one at a time.
 
-    The products are formed in ``dtype``, by default :func:`_product_dtype`
-    of the two planes, so integer products are exact. Where that is
-    float64, the planes are read as float64 too, with no copy of a plane
-    that already is. An integer square is a copy in
-    the product's dtype multiplied by itself, which is about twice as fast
-    as numpy's buffered casting multiply; the cross product keeps the cast,
-    which is faster than two copies.
+    The products are formed in ``dtype``, the caller's
+    :func:`_accumulator` for one product of the planes' :func:`_peak`, so
+    integer products are exact. Where that is float64, the planes are read
+    as float64 too, with no copy of a plane that already is. An integer
+    square is a copy in the product's dtype multiplied by itself, which is
+    about twice as fast as numpy's buffered casting multiply; the cross
+    product keeps the cast, which is faster than two copies.
     """
-    dtype = _product_dtype(a, b) if dtype is None else dtype
     if dtype == np.float64:
         a, b = np.asarray(a, dtype), np.asarray(b, dtype)
     yield a
@@ -550,12 +516,16 @@ def window_statistics(
     float planes on their band of the summed-area table
     (:func:`_table_sums`). Every route adds each window's taps in the same
     order wherever it lies, so bands equal whole grids bit for bit.
-    ``peak``, the largest |sample| the terms add (:func:`_peak`; inf for
-    float samples), bounds integer sums: while 2 (n peak)^2 < 2^53 for
-    n = area, a rectangular window turns them straight into SSIM's terms
-    (:func:`_exact_terms`) and statistics. The float route (float samples,
-    Gaussian windows, larger sums) divides the sums by area * scale^(1 or 2)
-    first. Either way the statistics are in signal units.
+    ``peak``, the largest |sample| the terms add (:func:`_peak`, read once
+    by the caller; inf for float samples), bounds every integer sum: the
+    box sums of the sample planes run in the :func:`_accumulator` for
+    area * peak, those of the product planes for area * peak^2, so no band
+    reads its samples to choose a dtype. While 2 (n peak)^2 < 2^53 for
+    n = area, a rectangular window turns the sums straight into SSIM's
+    terms (:func:`_exact_terms`) and statistics. The float route (float
+    samples, Gaussian windows, larger sums) divides the sums by
+    area * scale^(1 or 2) first. Either way the statistics are in signal
+    units.
     """
     h, w = dims
     k, stride = window.k, window.stride
@@ -571,13 +541,13 @@ def window_statistics(
     # A Gaussian kernel sums to 1, so its window covers one sample per frame.
     area = (k * k if rect else 1) * depth
 
-    def window_sums(t, s, carry):
+    def window_sums(i, t, s, carry):
         if engine == "naive":
             _sliding_weighted_sums(t, kern, stride, out=s)
         elif not rect:
             separable_sums(t, kern1d, stride, out=s)
         elif t.dtype.kind in "ui":
-            box_sums(t, k, stride, out=s)
+            box_sums(t, k, stride, _accumulator(area * peak ** (1 if i < 2 else 2), t), s)
         else:
             carry = _table_sums(t, k, stride, carry, s)
         return carry
@@ -591,7 +561,7 @@ def window_statistics(
             planes = iter(terms(slice(src.start, max(src.stop, src.start + BAND_ROWS * stride))))
             # One plane is held at a time: each is dropped before the next is made.
             for i in range(5):
-                carries[i] = window_sums(next(planes), out[i], carries[i])
+                carries[i] = window_sums(i, next(planes), out[i], carries[i])
             if exact:
                 yield rows, _exact_terms(out, area, scale, *ks) if constants else _exact_statistics(out, area, scale)
                 continue
@@ -614,14 +584,15 @@ def local_statistics(ref: PlaneLike, dist: PlaneLike, window: WindowSpec, engine
     Rectangular routes produce the same grids; the Gaussian passes round
     differently from the direct loop, within 1e-12 relative. A writable
     array is copied read-only first, so later writes to it do not reach
-    statistics not yet read. The products take one dtype for the whole
-    pair (:func:`_product_dtype`), and the statistics are in signal units
-    of the planes' scale (1 for bare arrays).
+    statistics not yet read. The pair's peak (:func:`_peak`) is read once:
+    the products take its :func:`_accumulator` for the whole pair, as do
+    the box sums of every band. The statistics are in signal units of the
+    planes' scale (1 for bare arrays).
     """
     ref, dist = validate_frame_pair(ref, dist)
     a, b = _freeze(plane_data(ref)), _freeze(plane_data(dist))
-    dtype = _product_dtype(ref, dist)
+    peak = max(_peak(ref), _peak(dist))
+    dtype = _accumulator(peak**2, ref, dist)
     return window_statistics(
-        lambda rows: _pair_terms(a[rows], b[rows], dtype), a.shape, window, engine, scale=plane_scale(ref),
-        peak=max(_peak(ref), _peak(dist)),
+        lambda rows: _pair_terms(a[rows], b[rows], dtype), a.shape, window, engine, scale=plane_scale(ref), peak=peak
     )

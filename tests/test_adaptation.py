@@ -23,7 +23,7 @@ from ssimkit.adaptation import (
 from ssimkit.config import ScalePolicy
 from ssimkit.errors import NoReferenceYet, ValidationError
 from ssimkit.frames import LumaPlane
-from ssimkit.stats import BAND_ROWS, _exact_sum_dtype
+from ssimkit.stats import BAND_ROWS, _accumulator, _peak
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -243,7 +243,7 @@ class TestBoxDownsample:
         h, w = plane.samples.shape
         counts = {min(factor, h - r) * min(factor, w - c) for r in range(0, h, factor) for c in range(0, w, factor)}
         assert out.scale == math.lcm(*counts) and out.bit_depth == plane.bit_depth
-        assert out.samples.dtype == _exact_sum_dtype(plane, out.scale)
+        assert out.samples.dtype == _accumulator(out.scale * _peak(plane), plane)
         means = out.samples / out.scale
         assert means.tobytes() == reduceat_downsample(plane.samples, factor).tobytes()
 
@@ -261,7 +261,7 @@ class TestBoxDownsample:
         full = np.full((factor + 3, 2 * factor + 1), 65535, dtype=np.uint16)
         noisy = rng.integers(0, 65536, full.shape).astype(np.uint16)
         noisy[0, 0] = 65535
-        assert (_exact_sum_dtype(full, factor * factor) is np.uint32) == (factor == 256)
+        assert (_accumulator(factor * factor * _peak(full), full) is np.uint32) == (factor == 256)
         for arr in (full, noisy):
             out = box_downsample(LumaPlane(arr, 16), factor)
             assert (out.samples / out.scale).tobytes() == reduceat_downsample(arr, factor).tobytes()

@@ -31,6 +31,7 @@ from ssimkit.frames import (
     validate_frame_pair,
 )
 from ssimkit.pipeline import score_frame_pair
+from ssimkit.ssim import ssim_score
 from ssimkit.stats import local_statistics
 
 from helpers import random_plane
@@ -69,6 +70,18 @@ class TestLumaPlane:
             LumaPlane(sums, 8, 3)
         with pytest.raises(ValidationError):
             LumaPlane(np.full((4, 4), 4 * 255 + 0.5), 8, 4)
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_a_scale_past_every_exact_accumulator_is_rejected(self, bits):
+        # scale * (2^bits - 1) is the samples' bound: below 2^63 the plane
+        # is scored; from 2^63 on no integer accumulator holds it.
+        peak = (1 << bits) - 1
+        edge = -(-(1 << 63) // peak)  # the least scale whose bound reaches 2^63
+        a, b = (LumaPlane(np.full((12, 12), v, dtype=np.uint8), bits, edge - 1) for v in (100, 110))
+        assert np.isfinite(ssim_score(a, b, SsimConfig(bit_depth=bits, window=WindowSpec.rectangular(11))))
+        for scale in (edge, 10**200):
+            with pytest.raises(ValidationError, match="2\\^63"):
+                LumaPlane(np.zeros((4, 4), dtype=np.uint8), bits, scale)
 
     def test_rejects_bad_bit_depth(self):
         with pytest.raises(ValidationError):

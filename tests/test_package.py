@@ -96,6 +96,36 @@ def test_every_import_is_used_or_kept_for_perfbench(path):
     assert unused == []
 
 
+def iinfo_callers(tree, scope=""):
+    """The qualified name of the function or class around every call of
+    ``np.iinfo`` in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "iinfo"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+        ):
+            yield scope
+        yield from iinfo_callers(node, inner)
+
+
+def test_the_sample_bound_has_one_owner():
+    """A dtype's integer range is read in two places: ``stats._peak``, the
+    bound every exact accumulator comes from, and LumaPlane's check of its
+    samples. Any other reader would be a second copy of the rule."""
+    callers = {
+        f"{path.stem}.{caller}"
+        for path in pathlib.Path(ssimkit.__file__).parent.glob("*.py")
+        for caller in iinfo_callers(ast.parse(path.read_text()))
+    }
+    assert callers == {"stats._peak", "frames.LumaPlane.__post_init__"}
+
+
 def test_every_export_resolves():
     missing = [name for name in ssimkit.__all__ if not hasattr(ssimkit, name)]
     assert missing == []

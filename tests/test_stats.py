@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -19,9 +20,9 @@ from ssimkit.errors import (
 from ssimkit.frames import LumaPlane
 from ssimkit.multiscale import dyadic_downsample, scale_scores
 from ssimkit.pipeline import score_frame_pair
-from ssimkit.spatiotemporal import RollingVolume, ssim3d_map
+from ssimkit.spatiotemporal import RollingVolume, ssim3d_map, ssim3d_series
 from ssimkit.stats import (
-    _exact_sum_dtype,
+    _accumulator,
     _grid_shape,
     _grid_window_sums,
     _pair_terms,
@@ -146,7 +147,7 @@ def uniform_sums(values, k, stride):
 
 def float_terms(a, b):
     """The five float64 planes I1, I2, I1^2, I2^2, I1*I2 of a frame pair."""
-    return list(_pair_terms(a.samples.astype(np.float64), b.samples.astype(np.float64)))
+    return list(_pair_terms(a.samples.astype(np.float64), b.samples.astype(np.float64), np.float64))
 
 
 class TestIntegralSet:
@@ -316,6 +317,14 @@ def integer_planes(draw):
     return plane, k, stride
 
 
+def rule_box_sums(plane, k, stride, peak=None, out=None):
+    """box_sums in the accumulator the rule gives k^2 samples of ``peak``
+    (by default the plane's own), into ``out`` or a new array of that dtype."""
+    work = _accumulator(k * k * (stats._peak(plane) if peak is None else peak), plane)
+    out = np.empty(_grid_shape(*plane.shape, k, stride), work) if out is None else out
+    return box_sums(plane, k, stride, work, out)
+
+
 def cumsum_box_sums(plane, k, stride):
     """The scan route box sums took before doubling, kept as an oracle: a
     row-wise cumulative sum and its k-apart difference, then the running-row
@@ -323,7 +332,7 @@ def cumsum_box_sums(plane, k, stride):
     same accumulator."""
     h, w = plane.shape
     gw = _grid_shape(h, w, k, stride)[1]
-    work = _exact_sum_dtype(plane, k * k)
+    work = _accumulator(k * k * stats._peak(plane), plane)
     cum = np.empty((h, w + 1), dtype=work)
     cum[:, 0] = 0
     np.cumsum(plane, axis=1, dtype=work, out=cum[:, 1:])
@@ -374,7 +383,7 @@ class TestBoxSums:
         for k in range(1, min(plane.shape) + 1):
             for stride in range(1, 6):
                 want = cumsum_box_sums(plane, k, stride)
-                got = box_sums(plane, k, stride)
+                got = rule_box_sums(plane, k, stride)
                 assert got.dtype == want.dtype and got.shape == want.shape, (k, stride)
                 if want.dtype == np.float64:
                     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
@@ -388,13 +397,13 @@ class TestBoxSums:
         plane = rng.integers(0, 1024, (74, 1920)).astype(np.uint16) ** 2
 
         def twice():
-            first = box_sums(plane, 11, 1)
+            first = rule_box_sums(plane, 11, 1)
             buffer = stats._arena.work
             address = buffer.ctypes.data
             again = np.empty_like(first)
             tracemalloc.start()
             try:
-                box_sums(plane, 11, 1, again)
+                rule_box_sums(plane, 11, 1, out=again)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -425,8 +434,8 @@ class TestBoxSums:
         plane, k, stride = case
         for values in (plane, plane.astype(np.uint32) ** 2):
             expected = uniform_sums(values, k, stride)
-            assert np.array_equal(box_sums(values, k, stride), expected)
-            out = box_sums(values, k, stride, np.empty(expected.shape))
+            assert np.array_equal(rule_box_sums(values, k, stride), expected)
+            out = rule_box_sums(values, k, stride, out=np.empty(expected.shape))
             assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("bits,k,work", [
@@ -440,7 +449,7 @@ class TestBoxSums:
         noisy = rng.integers(0, peak + 1, full.shape).astype(np.uint32) ** 2
         noisy[0, 0] = peak * peak
         for values in (full, noisy):
-            sums = box_sums(values, k, 1)
+            sums = rule_box_sums(values, k, 1)
             assert sums.dtype == work
             assert np.array_equal(sums, uniform_sums(values, k, 1))
         assert (work is np.uint32) == (k * k * peak * peak < 2**32)
@@ -448,14 +457,14 @@ class TestBoxSums:
     def test_float64_past_int64(self):
         values = np.full((4, 5), 2**61, dtype=np.int64)
         values[1, 2] = 2**61 + 12345
-        sums = box_sums(values, 3, 1)
+        sums = rule_box_sums(values, 3, 1)
         assert sums.dtype == np.float64
         expected = uniform_sums(values.astype(np.float64), 3, 1)
         np.testing.assert_allclose(sums, expected, rtol=1e-14, atol=0)
 
     def test_signed_input_uses_int64(self):
         values = np.array([[-3, 4, 5], [6, -7, 8]], dtype=np.int16)
-        sums = box_sums(values, 2, 1)
+        sums = rule_box_sums(values, 2, 1)
         assert sums.dtype == np.int64
         assert np.array_equal(sums, [[0, 10]])
 
@@ -498,14 +507,21 @@ PRODUCT_PLANES = [
 
 def product_dtype(x):
     """The accumulator for one product of two samples of ``x``: the dtype's
-    range decides up to 16 bits, the samples beyond."""
+    range decides up to 16 bits, the samples beyond; a signed dtype never
+    takes an unsigned accumulator."""
     info = np.iinfo(x.dtype)
     lo, hi = (int(info.min), int(info.max)) if x.dtype.itemsize <= 2 else (int(x.min()), int(x.max()))
     peak = max(hi, -lo) ** 2
     for dtype, bound in ((np.uint16, 2**16), (np.uint32, 2**32)):
-        if lo >= 0 and peak < bound:
+        if x.dtype.kind == "u" and peak < bound:
             return dtype
     return np.int64 if peak < 2**63 else np.float64
+
+
+def rule_pair_terms(a, b):
+    """The five planes of a bare pair, products in the accumulator the rule
+    gives the square of the pair's peak."""
+    return list(_pair_terms(a, b, _accumulator(max(stats._peak(a), stats._peak(b)) ** 2, a, b)))
 
 
 @st.composite
@@ -523,7 +539,7 @@ class TestPairTerms:
     @given(product_planes(), product_planes())
     def test_products_take_the_rule_dtype_and_are_exact(self, a, b):
         want = np.result_type(product_dtype(a), product_dtype(b))
-        terms = list(_pair_terms(a, b))
+        terms = rule_pair_terms(a, b)
         if want == np.float64:
             x, y = a.astype(np.float64), b.astype(np.float64)
             products = [x * x, y * y, x * y]
@@ -553,7 +569,7 @@ class TestRouteFromPlanes:
 
     @staticmethod
     def check_route(a, b, window, engine):
-        terms = list(_pair_terms(a, b))
+        terms = rule_pair_terms(a, b)
         assert all(t.dtype.kind in "ui" for t in terms)
         n, grid = window.k**2, _grid_shape(*a.shape, window.k, window.stride)
         peak = max(np.iinfo(a.dtype).max if a.dtype.itemsize <= 2 else int(np.abs(x).max()) for x in (a, b))
@@ -566,18 +582,48 @@ class TestRouteFromPlanes:
             want = (want.mu1, want.mu2, want.var1, want.var2, want.cov)
         elif 2 * (n * peak) ** 2 < 2**53:
             # either engine: exact integer sums, each statistic one division of an exact integer
-            s1, s2, q11, q22, p12 = (box_sums(t, window.k, window.stride).astype(np.int64) for t in terms)
+            s1, s2, q11, q22, p12 = (rule_box_sums(t, window.k, window.stride).astype(np.int64) for t in terms)
             want = [s / float(n) for s in (s1, s2)]
             want += [(n * q - x * y) / float(n * n) for q, x, y in ((q11, s1, s1), (q22, s2, s2), (p12, s1, s2))]
         else:
-            # past 2^53 the float route: the same sums' means, E[X^2] - E[X]^2
-            sums = [box_sums(t, window.k, window.stride, np.empty(grid)) for t in terms]
+            # past 2^53 the float route: the same sums' means, E[X^2] - E[X]^2,
+            # each summed in the accumulator for n peak or n peak^2
+            sums = [
+                rule_box_sums(t, window.k, window.stride, peak ** (1 if i < 2 else 2), np.empty(grid))
+                for i, t in enumerate(terms)
+            ]
             want = stats_from_means(*(s / float(n) for s in sums), np.empty(grid))
         for x, y in zip((got.mu1, got.mu2, got.var1, got.var2, got.cov), want):
             assert x.dtype == y.dtype == np.float64 and x.tobytes() == y.tobytes()
 
 
-class TestExactSumDtype:
+def sample_reads(call):
+    """``call()`` and the shapes of the integer arrays whose min or max it
+    read, in order: ndarray.min and max run numpy's ``_amin`` and ``_amax``,
+    which a profile hook sees with the array."""
+    reads = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in ("_amin", "_amax"):
+            a = frame.f_locals.get("a")
+            if isinstance(a, np.ndarray) and a.dtype.kind in "ui":
+                reads.append(a.shape)
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, reads
+
+
+def accumulator_for(plane, count, degree=1):
+    """The rule's accumulator for sums of ``count`` products of ``degree``
+    samples of ``plane``, from its peak."""
+    return _accumulator(count * stats._peak(plane) ** degree, plane)
+
+
+class TestAccumulator:
     @pytest.mark.parametrize("dtype,count,work", [
         (np.uint8, 257, np.uint16), (np.uint8, 258, np.uint32),
         (np.uint8, 4104**2, np.uint32), (np.uint8, 4105**2, np.int64),
@@ -585,16 +631,27 @@ class TestExactSumDtype:
         (np.int16, 4, np.int64), (np.float32, 4, np.float64), (np.float64, 1, np.float64),
     ])
     def test_dtype_range_decides_up_to_16_bits(self, dtype, count, work):
-        assert _exact_sum_dtype(np.zeros((2, 2), dtype=dtype), count) is work
+        plane = np.zeros((2, 2), dtype=dtype)
+        assert sample_reads(lambda: accumulator_for(plane, count)) == (work, [])  # the range alone
 
-    def test_wider_dtypes_read_the_samples(self):
+    def test_wider_dtypes_read_the_samples_once(self):
         small = np.array([[0, 255]], dtype=np.uint32)
-        assert _exact_sum_dtype(small, 64) is np.uint16  # 64 * 255 < 2^16
-        assert _exact_sum_dtype(small, 258) is np.uint32  # 258 * 255 >= 2^16
-        assert _exact_sum_dtype(small - np.int64(1), 64) is np.int64
-        assert _exact_sum_dtype(np.array([[2**40]], dtype=np.uint64), 2**22) is np.int64
-        assert _exact_sum_dtype(np.array([[2**40]], dtype=np.uint64), 2**23) is np.float64
-        assert _exact_sum_dtype(np.array([[-(2**40)]], dtype=np.int64), 2**23) is np.float64
+        assert accumulator_for(small, 64) is np.uint16  # 64 * 255 < 2^16
+        assert accumulator_for(small, 258) is np.uint32  # 258 * 255 >= 2^16
+        assert accumulator_for(small - np.int64(1), 64) is np.int64
+        assert accumulator_for(np.array([[2**40]], dtype=np.uint64), 2**22) is np.int64
+        assert accumulator_for(np.array([[2**40]], dtype=np.uint64), 2**23) is np.float64
+        assert accumulator_for(np.array([[-(2**40)]], dtype=np.int64), 2**23) is np.float64
+        # The peak reads the samples once, their max; the rule takes it and reads nothing.
+        peak, reads = sample_reads(lambda: stats._peak(small))
+        assert (peak, reads) == (255, [small.shape])
+        assert sample_reads(lambda: _accumulator(64 * peak, small)) == (np.uint16, [])
+
+    def test_only_a_bare_signed_array_may_be_negative(self):
+        # Non-negative int64 samples still take int64; a LumaPlane of a
+        # signed dtype is checked non-negative, so it takes uint16.
+        assert accumulator_for(np.array([[0, 255]], dtype=np.int64), 64) is np.int64
+        assert accumulator_for(LumaPlane(np.array([[0, 255]], dtype=np.int16)), 64) is np.uint16
 
     @pytest.mark.parametrize("bits, scale, count, work", [
         (8, 64, 4, np.uint16), (8, 64, 5, np.uint32),  # 4 * 64 * 255 < 2^16 <= 5 * 64 * 255
@@ -605,16 +662,16 @@ class TestExactSumDtype:
         # The dtype (uint32) does not bound these samples; the bit depth and
         # scale do, so nothing is read.
         plane = LumaPlane(np.zeros((2, 2), np.uint32), bits, scale)
-        assert _exact_sum_dtype(plane, count) is work
-        assert _exact_sum_dtype(LumaPlane(np.zeros((2, 2), np.uint32), bits), count * scale) is work
+        assert sample_reads(lambda: accumulator_for(plane, count)) == (work, [])
+        assert accumulator_for(LumaPlane(np.zeros((2, 2), np.uint32), bits), count * scale) is work
 
     def test_products_raise_the_sample_peak_to_the_degree(self):
         plane = np.zeros((2, 2), dtype=np.uint8)
-        assert _exact_sum_dtype(plane, 257**2, degree=2) is np.uint32
-        assert _exact_sum_dtype(plane, 258**2, degree=2) is np.int64
+        assert accumulator_for(plane, 257**2, degree=2) is np.uint32
+        assert accumulator_for(plane, 258**2, degree=2) is np.int64
         wide = np.array([[2**31]], dtype=np.uint32)
-        assert _exact_sum_dtype(wide, 1, degree=2) is np.int64
-        assert _exact_sum_dtype(wide, 2, degree=2) is np.float64
+        assert accumulator_for(wide, 1, degree=2) is np.int64
+        assert accumulator_for(wide, 2, degree=2) is np.float64
 
 
 class TestWideIntegerStatistics:
@@ -641,9 +698,11 @@ class TestWideIntegerStatistics:
         for name in ("mu1", "mu2", "var1", "var2", "cov"):
             assert np.array_equal(getattr(fast, name), getattr(slow, name))
 
-    def test_products_within_int64_are_banded_past_int64_window_sums(self, monkeypatch):
-        # 3e9^2 < 2^63 <= 121 * 3e9^2: exact products, whose window sums
-        # double in float64 band by band rather than over the whole plane.
+    def test_products_within_int64_sum_in_float64_band_by_band_past_int64_window_sums(self, monkeypatch):
+        # 3e9^2 < 2^63 <= 121 * 3e9^2: exact int64 products, whose window
+        # sums, bounded by the pair's peak rather than a band's samples,
+        # double in float64 in every band, band by band rather than over
+        # the whole plane.
         rng = np.random.default_rng(11)
         shape = (3 * BAND - 20 + 10, 37)  # 3 * BAND - 20 grid rows at k=11: three bands
         a = rng.integers(0, 3 * 10**9, shape, endpoint=True, dtype=np.int64)
@@ -937,31 +996,61 @@ class TestBandEdges:
                 want.append(ssim.mssim(maps.q_map if level else maps.cs_map))
             assert got == want
 
+    def test_no_band_reads_samples_to_choose_a_dtype(self, rng):
+        # A 10-bit pair and a 10-bit Kt = 3 volume under auto, three bands
+        # each: their peak (1023, from the bit depth) picks every
+        # accumulator, so no band reads the min or max of a term plane or a
+        # running sum, and the scores equal the naive engine's bit for bit.
+        shape = (2 * BAND + 20, 40)
+        frames = [[LumaPlane(rng.integers(0, 1024, shape, dtype=np.uint16), 10) for _ in range(2)] for _ in range(3)]
+        refs, dists = [r for r, _ in frames], [d for _, d in frames]
+        auto = SsimConfig(bit_depth=10, window=WindowSpec.rectangular(11))
+        naive = SsimConfig(bit_depth=10, window=auto.window, engine="naive")
+        score, reads = sample_reads(lambda: ssim.ssim_score(refs[0], dists[0], auto))
+        assert reads == [] and score == ssim.ssim_score(refs[0], dists[0], naive)
+        series, reads = sample_reads(lambda: ssim3d_series(refs, dists, 3, auto))
+        assert reads == [] and series.scores.tobytes() == ssim3d_series(refs, dists, 3, naive).scores.tobytes()
+
     @pytest.mark.parametrize("frames, kt", [
         (lambda rng: rng.integers(0, 256, (20, 9), dtype=np.uint8), 2),  # uint32 sums
+        (lambda rng: rng.integers(0, 65536, (20, 9), dtype=np.uint16), 2),  # int64 sums of unsigned frames
         (lambda rng: rng.integers(0, 2**31, (20, 9), dtype=np.int64), 1),  # int64 sums, window sums past int64
         (lambda rng: rng.uniform(0.0, 255.0, (20, 9)), 2),  # float64 sums: summed-area table bands
-    ])
-    def test_volume_route_reads_only_the_sums_dtype(self, monkeypatch, rng, frames, kt):
+    ], ids=["uint8", "uint16", "int64", "float64"])
+    def test_volume_statistics_read_no_running_sum(self, rng, frames, kt):
+        # A push reads a bare frame's samples for its peak; the statistics
+        # of the running sums read none.
         vol = RollingVolume(kt)
         for _ in range(kt):
             vol.push(frames(rng), frames(rng))
+        local, reads = sample_reads(lambda: vol.local_statistics(WindowSpec.rectangular(7)).mu1)
+        assert local.shape == (14, 3) and reads == []
 
-        def unread(*args, **kwargs):
-            raise AssertionError("read a running-sum plane")
 
-        monkeypatch.setattr(stats, "_exact_sum_dtype", unread)
-        local = vol.local_statistics(WindowSpec.rectangular(7))  # sums nothing until its bands are read
-        if vol.temporal_sums()[0].dtype == np.float64:
-            assert local.mu1.shape == (14, 3)  # the band tables need no accumulator
+    def test_16_bit_volume_sample_sums_take_uint32(self, monkeypatch, rng):
+        # Kt = 2 keeps 16-bit frames in int64 running sums. Unsigned frames
+        # make them non-negative, so the sample planes' window sums
+        # (49 * 2 * 65535 < 2^32) take uint32 and only the products int64.
+        vol = RollingVolume(2)
+        for _ in range(2):
+            vol.push(*(LumaPlane(rng.integers(0, 65536, (20, 9), dtype=np.uint16), 16) for _ in range(2)))
+        assert vol.temporal_sums()[0].dtype == np.int64
+        works = []
+        summed = stats.box_sums
+        monkeypatch.setattr(stats, "box_sums", lambda *args: works.append(args[3]) or summed(*args))
+        vol.local_statistics(WindowSpec.rectangular(7)).mu1
+        assert works == [np.uint32, np.uint32, np.int64, np.int64, np.int64]
+        assert vol.temporal_sums()[0].dtype == np.int64
 
 
 class TestStreamedStatistics:
     """Statistics are formed when read: what they read must not change first."""
 
-    def test_bare_int64_pair_past_int64_in_some_bands_maps_as_its_statistics(self):
-        # Rows 0-99 sum exactly in int64, rows 100-149 pass it: the map and
-        # the statistics take the same bands, so they agree byte for byte.
+    def test_bare_int64_pair_past_int64_in_every_band_maps_as_its_statistics(self):
+        # Rows 0-99 stay below 10^8, rows 100-149 reach 3e9: the pair's
+        # peak, read once, puts every band's product sums past int64, so
+        # every band sums them in float64. The map and the statistics take
+        # the same bands, so they agree byte for byte.
         rng = np.random.default_rng(150)
         a = np.vstack([rng.integers(0, 10**8, (100, 40)), rng.integers(0, 3 * 10**9, (50, 40), endpoint=True)])
         b = np.clip(a + rng.integers(-10**7, 10**7, a.shape), 0, 3 * 10**9)
