@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ScalePolicy
 from .errors import NoReferenceYet, ValidationError, check_integer
-from .frames import LumaPlane, PlaneLike, QualityMap, owned, plane_data
+from .frames import LumaPlane, PlaneLike, QualityMap, _map_values, owned, plane_data
 from .stats import _accumulator, _peak, _row_bands, _scratch
 
 
@@ -204,27 +204,23 @@ class HistogramMatcher:
     monotone transform F_ref^-1(F_comp(.)) built from binned histograms, and
     the mean of the transformed values is returned. Mapping happens at each
     comp bin's mid-mass, and the transform is anchored by the exact reference
-    mean so matching distributions reproduce it within rounding.
+    mean so matching distributions reproduce it within rounding. The bins
+    span SSIM's range, [-1, 1].
     """
 
-    def __init__(self, refresh_interval: int = 5, bins: int = 201, value_range: tuple[float, float] = (-1.0, 1.0)):
+    def __init__(self, refresh_interval: int = 5, bins: int = 201):
         check_integer(refresh_interval, "refresh interval")
         check_integer(bins, "bins", 2)
-        if not all(math.isfinite(v) for v in value_range):
-            raise ValidationError(f"value range must be finite, got {value_range!r}")
-        if value_range[1] <= value_range[0]:
-            raise ValidationError("empty value range")
         self.refresh_interval = refresh_interval
         self.bins = bins
-        self.lo, self.hi = float(value_range[0]), float(value_range[1])
-        self._edges = np.linspace(self.lo, self.hi, bins + 1)
+        self._edges = np.linspace(-1.0, 1.0, bins + 1)
         self._counts: Optional[np.ndarray] = None
         self._ref_mean = 0.0
         self._ref_binned_mean = 0.0
         self._calls = 0
 
     def _histogram(self, values: np.ndarray) -> np.ndarray:
-        counts, _ = np.histogram(np.clip(values, self.lo, self.hi), bins=self._edges)
+        counts, _ = np.histogram(np.clip(values, -1.0, 1.0), bins=self._edges)
         return counts.astype(np.float64)
 
     def _binned_mean(self, counts: np.ndarray) -> float:
@@ -251,7 +247,8 @@ class HistogramMatcher:
         comp_map: Union[QualityMap, np.ndarray],
         true_map: Optional[Union[QualityMap, np.ndarray]] = None,
     ) -> float:
-        """Predicted mean rendering-scale score for one frame."""
+        """Predicted mean rendering-scale score for one frame. Bare maps are
+        checked as ``frames._map_values`` checks them."""
         # Only calls that return are counted, so a rejected call leaves the
         # schedule where it was; the first counted call always set a reference.
         if self._calls % self.refresh_interval == 0:
@@ -259,8 +256,7 @@ class HistogramMatcher:
                 raise NoReferenceYet(
                     "this call must supply the rendering-scale map to (re)build the reference"
                 )
-            true = true_map.values if isinstance(true_map, QualityMap) else np.asarray(true_map, dtype=np.float64)
-            true = true.reshape(-1)
+            true = _map_values(true_map).reshape(-1)
             self._counts = self._histogram(true)
             self._ref_mean = float(true.mean())
             self._ref_binned_mean = self._binned_mean(self._counts)
@@ -274,7 +270,7 @@ class HistogramMatcher:
         """Per-value monotone transform (diagnostic; predict() averages it)."""
         if self._counts is None:
             raise NoReferenceYet("no reference map has been supplied yet")
-        comp = comp_map.values if isinstance(comp_map, QualityMap) else np.asarray(comp_map, dtype=np.float64)
+        comp = _map_values(comp_map)
         flat = comp.reshape(-1)
         counts = self._histogram(flat)
         n = counts.sum()

@@ -28,7 +28,7 @@ from .config import (
 from .errors import DegenerateData, SsimkitError, ValidationError
 import numpy as np
 
-from .evaluation import CostPerfPoint, finite_float, normalize_scores, pareto_front, read_csv
+from .evaluation import CostPerfPoint, _unit_subjective, finite_float, pareto_front, read_csv
 from .media import format_float, write_report
 from .pipeline import (
     BENCH_FIELDS,
@@ -107,7 +107,7 @@ def _spec_from_string(text: str) -> tuple[str, PipelineSpec]:
         key, _, value = part.partition("=")
         key = key.strip().lower()
         if key not in keys:
-            raise SsimkitError(f"unknown spec key {key!r} in {text!r}")
+            raise ValidationError(f"unknown spec key {key!r} in {text!r}")
         name = keys[key]
         try:
             overrides[name] = _OVERRIDES[name][0](value.strip())
@@ -211,9 +211,7 @@ def fit_5pl_command(data_csv) -> None:
         rows = read_csv(data_csv, "data", ("objective", "subjective"),
                         lambda row: (finite_float(row["objective"]), finite_float(row["subjective"])))
         obj, subj = np.asarray(rows, dtype=float).T
-        normalized = bool(subj.min() < 0.0 or subj.max() > 1.0)
-        if normalized:
-            subj = normalize_scores(subj)
+        subj, normalized = _unit_subjective(subj)
         fit, pcc, srocc, rmse, monotone = fit_and_correlate(obj, subj)
     out = {
         "beta": [format_float(b) for b in fit.as_array()],

@@ -24,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from .config import SsimConfig
-from .errors import DegenerateWeights, ValidationError, WrongSpace
+from .errors import DegenerateWeights, ValidationError
 from .frames import (
     CHROMA_444,
     SPACE_RGB,
@@ -123,9 +123,7 @@ def luma_of(frame: Union[LumaPlane, ColorFrame]) -> LumaPlane:
         return frame
     if frame.space == SPACE_YCBCR:
         return LumaPlane(frame.channels[0], frame.bit_depth)
-    if frame.space == SPACE_RGB:
-        return LumaPlane(owned(_bt709_luma(*frame.channels)), frame.bit_depth)
-    raise WrongSpace(f"no luminance definition for {frame.space} frames")
+    return LumaPlane(owned(_bt709_luma(*frame.channels)), frame.bit_depth)
 
 
 def combine_channelwise(fy: float, fcb: float, fcr: float, alpha: float, beta: float) -> float:
@@ -294,11 +292,11 @@ def _rgb_frame_to_lab(frame: ColorFrame, smooth_opponent: bool = False) -> tuple
     return _xyz_to_lab(x, y, z)
 
 
-def delta_e_map(ref: ColorFrame, dist: ColorFrame, smooth_opponent: bool = True) -> np.ndarray:
+def delta_e_map(ref: ColorFrame, dist: ColorFrame) -> np.ndarray:
     """Per-pixel CIELAB distance after the opponent-space chroma smoothing."""
     validate_color_pair(ref, dist)
-    lab1 = _rgb_frame_to_lab(ref.require_space(SPACE_RGB), smooth_opponent)
-    lab2 = _rgb_frame_to_lab(dist.require_space(SPACE_RGB), smooth_opponent)
+    lab1 = _rgb_frame_to_lab(ref.require_space(SPACE_RGB), smooth_opponent=True)
+    lab2 = _rgb_frame_to_lab(dist.require_space(SPACE_RGB), smooth_opponent=True)
     return np.sqrt(sum((a - b) ** 2 for a, b in zip(lab1, lab2)))
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateData, LengthMismatch, TooFew, ValidationError, check_integer
+from .errors import DegenerateData, LengthMismatch, TooFew, ValidationError
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,6 @@ class LabeledDataset:
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "subjective", subj)
 
-    def __len__(self) -> int:
-        return len(self.content_ids)
-
     @classmethod
     def from_pairs(cls, objective: Iterable[float], subjective: Iterable[float]) -> "LabeledDataset":
         obj = list(objective)
@@ -114,23 +111,27 @@ def normalize_scores(raw: Sequence[float]) -> np.ndarray:
     return (arr - lo) / (hi - lo)
 
 
-def fit_5pl(
-    data: LabeledDataset,
-    max_iter: int = 500,
-    tol: float = 1e-10,
-    trace: Optional[list] = None,
-) -> Logistic5:
+def _unit_subjective(raw: Sequence[float]) -> tuple[np.ndarray, bool]:
+    """Subjective scores on [0, 1], and whether a score outside it had them
+    scaled and shifted there (:func:`normalize_scores`)."""
+    arr = np.asarray(raw, dtype=np.float64)
+    outside = bool(arr.min() < 0.0 or arr.max() > 1.0)
+    return (normalize_scores(arr) if outside else arr), outside
+
+
+_MAX_STEPS = 500
+_MIN_GAIN = 1e-10
+
+
+def fit_5pl(data: LabeledDataset, trace: Optional[list] = None) -> Logistic5:
     """Least-squares 5PL fit by damped Gauss-Newton.
 
     Initialization: beta1 = subjective range, beta2 = 10 / objective range,
     beta3 = median objective, beta4/beta5 from the least-squares line. Steps
     solve (J'J + lam*(diag(J'J) + eps)) d = -J'r; lam shrinks x10 on accepted
     steps and grows x10 on rejected ones, so RMSE never increases. Converges
-    when the relative RMSE improvement drops below ``tol``.
+    when the relative RMSE improvement drops below 1e-10, or after 500 steps.
     """
-    check_integer(max_iter, "max_iter", 0)
-    if not tol >= 0.0:
-        raise ValidationError(f"tol must be a number >= 0, got {tol!r}")
     x = data.objective
     y = data.subjective
     if np.unique(x).size < 5:
@@ -151,7 +152,7 @@ def fit_5pl(
     if trace is not None:
         trace.append(best_rmse)
     lam = 1e-3
-    for _ in range(max_iter):
+    for _ in range(_MAX_STEPS):
         r = _eval_raw(best, x) - y
         jac = _jacobian(best, x)
         jtj = jac.T @ jac
@@ -179,7 +180,7 @@ def fit_5pl(
                 break
         if not accepted:
             break
-        if improvement < tol:
+        if improvement < _MIN_GAIN:
             break
     return Logistic5(*best)
 
@@ -191,14 +192,14 @@ def cross_apply(fit: Logistic5, target: LabeledDataset) -> float:
     return float(np.sqrt(np.mean(r * r)))
 
 
-def is_rank_preserving(params: Logistic5, x_lo: float, x_hi: float, points: int = 1000) -> bool:
-    """True when the curve is monotone in either direction on the interval.
+def is_rank_preserving(params: Logistic5, x_lo: float, x_hi: float) -> bool:
+    """True when the curve is monotone in either direction on the interval,
+    read on a grid of 1000 evenly spaced points.
 
     A decreasing fit (e.g. from dissimilarity-style pooled scores) still
     preserves ranks after mapping.
     """
-    check_integer(points, "points", 2)
-    grid = np.linspace(x_lo, x_hi, points)
+    grid = np.linspace(x_lo, x_hi, 1000)
     vals = np.asarray(eval_5pl(params, grid))
     diffs = np.diff(vals)
     return bool(np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12))

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     BitDepthMismatch,
     DimensionMismatch,
+    EmptyMap,
     LengthMismatch,
     ScaleMismatch,
     ValidationError,
@@ -213,6 +214,20 @@ class QualityMap:
 
     def mean(self) -> float:
         return float(self.values.mean())
+
+
+def _map_values(qmap: Union[QualityMap, np.ndarray]) -> np.ndarray:
+    """The values of a QualityMap, or a bare map as float64 (no copy of a
+    float64 array): EmptyMap for no values, ValidationError for a value
+    that is not finite, as QualityMap rejects one."""
+    if isinstance(qmap, QualityMap):
+        return qmap.values
+    arr = np.asarray(qmap, dtype=np.float64)
+    if arr.size == 0:
+        raise EmptyMap("empty quality map")
+    if not np.isfinite(arr).all():
+        raise ValidationError("quality map values must be finite")
+    return arr
 
 
 @dataclass(frozen=True)

@@ -224,9 +224,9 @@ def read_planar_raw(
     height: int,
     bit_depth: int = 8,
     chroma: str = CHROMA_420,
-    frame_rate: tuple[int, int] = (30, 1),
 ) -> VideoStream:
-    """Open a headerless planar YUV file; dimensions come from the caller."""
+    """Open a headerless planar YUV file; dimensions come from the caller.
+    Raw files carry no frame rate, so the header states 30 frames/s."""
     if width <= 0 or height <= 0:
         raise ValidationError("dimensions must be positive")
     if chroma not in (CHROMA_420, CHROMA_444, "mono", "400"):
@@ -237,7 +237,7 @@ def read_planar_raw(
     size = os.path.getsize(path)
     if size == 0 or size % frame_bytes != 0:
         raise SizeNotMultiple(f"{path}: {size} bytes is not a whole number of {frame_bytes}-byte frames")
-    header = StreamHeader(width, height, frame_rate, chroma, bit_depth)
+    header = StreamHeader(width, height, (30, 1), chroma, bit_depth)
     return VideoStream(header, lambda: _decoded_frames(path, lambda fh: _read_frame_planes(fh, header)))
 
 
@@ -372,22 +372,13 @@ def _render(value, missing: str, text: Callable[[str], str]) -> str:
     return str(value) if isinstance(value, int) else text(str(value))
 
 
-def write_report(
-    records: Sequence[Mapping],
-    fmt: str = "jsonl",
-    fields: Optional[Sequence[str]] = None,
-) -> bytes:
-    """Serialize records (one frame each) with a deterministic field order.
-
-    ``fields`` fixes the schema; it defaults to the first record's keys. CSV
-    output always carries exactly one header row, including for no records.
+def write_report(records: Sequence[Mapping], fmt: str, fields: Sequence[str]) -> bytes:
+    """Serialize records (one frame each) as ``fmt``, "jsonl" or "csv", with
+    ``fields`` as the schema and its order. CSV output always carries exactly
+    one header row, including for no records.
     """
     if fmt not in ("jsonl", "csv"):
         raise ValidationError(f"unknown report format {fmt!r}")
-    if fields is None:
-        if not records:
-            raise ValidationError("empty record list needs an explicit field list")
-        fields = list(records[0].keys())
     for i, rec in enumerate(records):
         if set(rec.keys()) != set(fields):
             raise ValidationError(f"record {i} does not match the report schema {list(fields)}")

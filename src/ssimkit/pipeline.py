@@ -31,12 +31,12 @@ from .evaluation import (
     CostPerfPoint,
     LabeledDataset,
     Logistic5,
+    _unit_subjective,
     correlations,
     eval_5pl,
     fit_5pl,
     is_rank_preserving,
     load_manifest,
-    normalize_scores,
     pareto_front,
 )
 from .frames import (
@@ -411,9 +411,7 @@ def run_benchmark(manifest_path: Union[str, os.PathLike], specs: dict[str, Pipel
     if not specs:
         raise ValidationError("no pipeline specs to benchmark")
     rows = load_manifest(str(manifest_path))
-    subjective = np.array([row["subjective_score"] for row in rows])
-    if subjective.min() < 0.0 or subjective.max() > 1.0:
-        subjective = normalize_scores(subjective)  # protocol: scale/shift to [0, 1]
+    subjective, _ = _unit_subjective([row["subjective_score"] for row in rows])
     results = []
     for name, spec in specs.items():
         elapsed = _stopwatch()

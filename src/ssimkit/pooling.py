@@ -23,14 +23,13 @@ import numpy as np
 
 from .config import REQUIRED, ConfigPart, KindTable, Param
 from .errors import (
-    EmptyMap,
     EmptySeries,
     MissingLumaForLW,
     ValidationError,
     ZeroMeanCoV,
     is_integer,
 )
-from .frames import QualityMap, ScoreSeries
+from .frames import QualityMap, ScoreSeries, _map_values
 
 #: Floor applied to geometric/harmonic mean inputs.
 MEAN_EPS = 1e-6
@@ -232,29 +231,26 @@ def pool_spatial(
     """Collapse a quality map to one frame score.
 
     ``ref_luma`` is the reference image's local-mean map on the same window
-    grid; it is required by (and only by) luminance-weighted pooling.
+    grid; it is required by (and only by) luminance-weighted pooling. Bare
+    maps are checked as ``frames._map_values`` checks them.
     """
     pool = parse_spatial(method) if isinstance(method, str) else method
-    v = qmap.values if isinstance(qmap, QualityMap) else np.asarray(qmap, dtype=np.float64)
-    if v.size == 0:
-        raise EmptyMap("cannot pool an empty quality map")
-    v = v.reshape(-1)
+    v = _map_values(qmap).reshape(-1)
     if pool.kind != "lw":
         return _STATS[pool.kind](v, *_SPATIAL.values(pool))
     if ref_luma is None:
         raise MissingLumaForLW("lw pooling needs the reference mean-luminance map")
-    mu = ref_luma.values if isinstance(ref_luma, QualityMap) else np.asarray(ref_luma, dtype=np.float64)
-    mu = mu.reshape(-1)
+    mu = _map_values(ref_luma).reshape(-1)
     if mu.shape != v.shape:
         raise MissingLumaForLW("mean-luminance map is not co-registered with the quality map")
     return _STATS["lw"](v, pool.a, pool.b, mu=mu)
 
 
 def pool_temporal(series: Union[ScoreSeries, np.ndarray], method: Union[TemporalPooler, str]) -> float:
-    """Collapse a per-frame score series to one sequence score."""
+    """Collapse a per-frame score series to one sequence score; a bare
+    series is checked as a ScoreSeries."""
     pool = parse_temporal(method) if isinstance(method, str) else method
-    v = series.scores if isinstance(series, ScoreSeries) else np.asarray(series, dtype=np.float64)
-    v = v.reshape(-1)
+    v = (series if isinstance(series, ScoreSeries) else ScoreSeries(series)).scores
     if v.size == 0:
         raise EmptySeries("cannot pool an empty score series")
     return _STATS[pool.kind](v, *_TEMPORAL.values(pool))

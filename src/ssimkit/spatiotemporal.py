@@ -43,8 +43,9 @@ from .errors import (
     ValidationError,
     check_integer,
 )
-from .frames import PlaneLike, ScoreSeries, paired_frames, plane_data, plane_scale, validate_frame_pair
-from .multiscale import dyadic_downsample, msssim  # noqa: F401  (perfbench traces dyadic_downsample here)
+from .frames import PlaneLike, ScoreSeries, _freeze, paired_frames, plane_data, plane_scale, validate_frame_pair
+from .multiscale import dyadic_downsample  # noqa: F401  (perfbench traces this binding)
+from .multiscale import msssim
 from .ssim import SsimTermMaps, _statistics, _term_mean, frame_config, term_maps_from_stats
 from .ssim import mssim  # noqa: F401  (perfbench traces this binding)
 from .stats import LocalStatsMaps, _accumulator, _pair_terms, _peak, _row_bands, window_statistics
@@ -82,15 +83,12 @@ class RollingVolume:
         """Number of frame pairs currently buffered (= min(pushes, Kt))."""
         return len(self._buffer)
 
-    @property
-    def buffer_planes(self) -> tuple[int, int]:
-        """(buffered frame pairs, running sum planes) for memory accounting."""
-        return len(self._buffer), 0 if self._sums is None else len(self._sums)
-
     def push(self, ref: PlaneLike, dist: PlaneLike) -> "RollingVolume":
-        """Advance the temporal window by one frame pair."""
+        """Advance the temporal window by one frame pair. A writable array is
+        copied read-only first, so that a caller reusing its buffer does not
+        change the frames the volume holds and later subtracts."""
         ref, dist = validate_frame_pair(ref, dist)
-        a, b = plane_data(ref), plane_data(dist)
+        a, b = _freeze(plane_data(ref)), _freeze(plane_data(dist))
         if self._buffer and a.shape != self._buffer[0][0].shape:
             raise DimensionMismatch(
                 f"frame {a.shape[::-1]} pushed into a {self._buffer[0][0].shape[::-1]} volume"

@@ -19,8 +19,7 @@ from typing import Union
 import numpy as np
 
 from .config import SsimConfig
-from .errors import EmptyMap
-from .frames import ColorFrame, LumaPlane, PlaneLike, QualityMap, owned
+from .frames import ColorFrame, LumaPlane, PlaneLike, QualityMap, _map_values, owned
 from .stats import BandedSum, LocalStatsMaps, local_statistics
 
 
@@ -94,16 +93,9 @@ def ssim_map(ref: PlaneLike, dist: PlaneLike, config: SsimConfig = SsimConfig())
 
 
 def mssim(maps: Union[SsimTermMaps, QualityMap, np.ndarray]) -> float:
-    """Mean of the quality map: the conventional single score per image."""
-    if isinstance(maps, SsimTermMaps):
-        values = maps.q_map.values
-    elif isinstance(maps, QualityMap):
-        values = maps.values
-    else:
-        values = np.asarray(maps, dtype=np.float64)
-    if values.size == 0:
-        raise EmptyMap("cannot average an empty quality map")
-    return float(values.mean())
+    """Mean of the quality map: the conventional single score per image. A
+    bare map is checked as ``frames._map_values`` checks it."""
+    return float(_map_values(maps.q_map if isinstance(maps, SsimTermMaps) else maps).mean())
 
 
 def ssim_score(ref: PlaneLike, dist: PlaneLike, config: SsimConfig = SsimConfig()) -> float:

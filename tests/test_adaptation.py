@@ -349,9 +349,6 @@ def binned_quantile_oracle(values, q, bins=201, lo=-1.0, hi=1.0):
 class TestHistogramMatcher:
     @pytest.mark.parametrize("kwargs", [
         dict(bins=2.5), dict(bins=201.0), dict(bins=True), dict(bins=1),
-        dict(value_range=(float("nan"), 1.0)), dict(value_range=(-1.0, float("nan"))),
-        dict(value_range=(-1.0, float("inf"))), dict(value_range=(-float("inf"), 1.0)),
-        dict(value_range=(1.0, 1.0)),
     ], ids=repr)
     def test_rejects_bad_histogram_settings(self, kwargs):
         with pytest.raises(ValidationError):

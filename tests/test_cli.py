@@ -26,7 +26,7 @@ from ssimkit.config import (
     parse_window,
 )
 from ssimkit.errors import LengthMismatch, SsimkitError, TruncatedFrame, ValidationError
-from ssimkit.evaluation import Logistic5, eval_5pl
+from ssimkit.evaluation import Logistic5, eval_5pl, normalize_scores
 from ssimkit.frames import ColorFrame, LumaPlane
 from ssimkit.media import StreamHeader, write_planar_raw, write_pnm, write_y4m
 from ssimkit.pipeline import (
@@ -561,6 +561,23 @@ class TestBenchmark:
         rows = run_benchmark(labeled, {"default": expand_preset("default")})
         assert rows[0]["srocc"] == pytest.approx(1.0, abs=1e-9)
         assert rows[0]["rmse"] <= 1e-6
+
+    def test_scores_outside_the_unit_interval_are_normalized(self, tmp_path, rng):
+        manifest = self.make_manifest(tmp_path, rng)
+        header, *lines = manifest.read_text().splitlines()
+        paths = [line.rsplit(",", 1)[0] for line in lines]
+        raw = [100.0 * float(line.rsplit(",", 1)[1]) for line in lines]  # a 0-100 scale
+        rows = {}
+        for name, scores in (("raw", raw), ("normalized", normalize_scores(raw).tolist())):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("\n".join([header, *(f"{p},{s!r}" for p, s in zip(paths, scores))]) + "\n")
+            specs = {"default": expand_preset("default"), "enhanced": expand_preset("enhanced")}
+            rows[name] = [
+                {key: value for key, value in row.items() if key not in ("user_seconds", "pareto")}
+                for row in run_benchmark(path, specs)
+            ]
+        assert rows["raw"] == rows["normalized"]
+        assert all(row["note"] == "" for row in rows["raw"])
 
     def test_degenerate_manifest_reports_nan(self, runner, tmp_path, rng):
         refs = [natural_plane(rng, 32, 32) for _ in range(2)]

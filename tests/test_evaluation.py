@@ -120,20 +120,6 @@ class TestFit5pl:
         assert not is_rank_preserving(wiggly, 0.0, 1.0)
         assert is_rank_preserving(decreasing, 0.0, 1.0)
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(max_iter=2.5), dict(max_iter=True), dict(max_iter=-1), dict(max_iter="500"),
-        dict(tol=float("nan")), dict(tol=-1e-10),
-    ], ids=repr)
-    def test_rejects_bad_loop_settings(self, kwargs):
-        x = np.linspace(0.1, 1.0, 12)
-        with pytest.raises(ValidationError):
-            fit_5pl(LabeledDataset.from_pairs(x, 0.6 * x + 0.2), **kwargs)
-
-    @pytest.mark.parametrize("points", [2.5, 1000.0, True, 1, 0])
-    def test_rank_check_rejects_a_grid_that_is_not_an_integer_of_two_or_more(self, points):
-        with pytest.raises(ValidationError, match="points"):
-            is_rank_preserving(Logistic5(1.0, 8.0, 0.5, 0.2, 0.0), 0.0, 1.0, points=points)
-
     def test_monotone_whenever_b1b2_and_b4_nonnegative(self, rng):
         # sufficient condition: beta1*beta2 >= 0 and beta4 >= 0
         for _ in range(50):

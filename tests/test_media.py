@@ -515,5 +515,3 @@ class TestReportWriter:
     def test_schema_enforced(self):
         with pytest.raises(ValidationError):
             write_report([{"frame": 0}, {"other": 1}], "csv", ("frame",))
-        with pytest.raises(ValidationError):
-            write_report([], "csv")

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib.util
 import inspect
 import json
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import ssimkit
-from ssimkit import color, multiscale, pipeline, spatiotemporal, ssim
+from ssimkit import cli, color, multiscale, pipeline, spatiotemporal, ssim
 from ssimkit.config import (
     REQUIRED,
     ColorModelSpec,
@@ -25,6 +26,7 @@ from ssimkit.config import (
     parse_window,
 )
 from ssimkit.errors import SsimkitError, ValidationError
+from ssimkit.frames import ColorFrame
 from ssimkit.pooling import SpatialPooler, TemporalPooler, parse_spatial, parse_temporal
 from ssimkit.ssim import ssim_map
 
@@ -61,10 +63,12 @@ def string_annotations(tree):
                     yield part.value
 
 
+ROOT = pathlib.Path(__file__).parents[1]
+
 #: Every string in perfbench's tracer, among them each attribute it wraps.
 TRACED = {
     node.value
-    for node in ast.walk(ast.parse((pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text()))
+    for node in ast.walk(ast.parse((ROOT / "perfbench" / "tracer.py").read_text()))
     if isinstance(node, ast.Constant) and isinstance(node.value, str)
 }
 
@@ -94,6 +98,30 @@ def test_every_import_is_used_or_kept_for_perfbench(path):
         if name not in TRACED or not re.search(r"# noqa: F401 .*perfbench", lines[node.lineno - 1]):
             unused.append(f"{path.name}:{node.lineno}: {name}")
     assert unused == []
+
+
+def test_every_binding_perfbench_traces_is_found_and_each_kept_import_is_traced(monkeypatch):
+    """perfbench's tracer looks each binding it wraps up in its owner's
+    ``__dict__``, so a deleted import breaks every traced run; an import
+    kept only for the tracer (``# noqa: F401``) must be a binding it wraps."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses read their module's namespace
+    spec.loader.exec_module(tracer)
+    rows, _ = tracer._bindings()
+    before = [owner.__dict__[attr] for owner, attr, *_ in rows]
+    with tracer.Tracer().installed():
+        pass
+    assert [owner.__dict__[attr] for owner, attr, *_ in rows] == before
+    wrapped = {(owner.__name__, attr) for owner, attr, *_ in rows}
+    kept = []
+    for path in sorted(pathlib.Path(ssimkit.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        for name, node, _ in imported_names(ast.parse(source)):
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                kept.append((f"ssimkit.{path.stem}", name))
+    assert kept and [binding for binding in kept if binding not in wrapped] == []
 
 
 def iinfo_callers(tree, scope=""):
@@ -315,16 +343,93 @@ def test_constants_just_inside_the_bound_give_finite_maps(name):
     lambda: ssimkit.adaptation.HistogramMatcher(bins=True),
     lambda: ssimkit.adaptation.box_downsample(np.zeros((4, 4)), True),
     lambda: ssimkit.stats.gaussian_kernel(1.5, True),
-    lambda: ssimkit.evaluation.is_rank_preserving(ssimkit.evaluation.Logistic5(1.0, 1.0, 0.0, 0.0, 0.0), 0.0, 1.0, True),
     lambda: ssimkit.frames.QualityMap(np.ones((2, 2)), stride=True),
     lambda: ssimkit.frames.QualityMap(np.ones((2, 2)), stride=2.5),
     lambda: ssimkit.adaptation.compute_ratio(True, 0.5, 0.1, 0.1),
     lambda: ssimkit.adaptation.compute_ratio(1.5, 0.5, 0.1, 0.1),
 ], ids=[
     "kt", "workers", "window k", "stride", "levels", "volume kt", "temporal k", "refresh interval", "bins",
-    "factor", "kernel size", "points", "map stride", "map stride 2.5", "ratio interval", "ratio interval 1.5",
+    "factor", "kernel size", "map stride", "map stride 2.5", "ratio interval", "ratio interval 1.5",
 ])
 def test_a_bool_is_not_an_integer_setting(make):
     # One check serves every integer setting: True is an int to Python, not a count.
     with pytest.raises(ValidationError, match="integer"):
         make()
+
+
+def _bytes(path, data):
+    path.write_bytes(data)
+    return path
+
+
+def _y4m(path, height, chroma="mono", frames=1):
+    """A flat 8-bit Y4M clip, 16 samples wide; its path."""
+    flat = np.full((height, 16), 128, np.uint8)
+    frame = ssimkit.frames.LumaPlane(flat) if chroma == "mono" else ColorFrame((flat,) * 3, "ycbcr-bt709")
+    ssimkit.media.write_y4m(path, [frame] * frames, ssimkit.media.StreamHeader(16, height, (30, 1), chroma))
+    return path
+
+
+def _rgb(height=4, width=4, bit_depth=8, space="rgb", subsampling="444"):
+    chroma = (height + 1) // 2, (width + 1) // 2
+    shape = (height, width) if subsampling == "444" else chroma
+    return ColorFrame((np.zeros((height, width)), np.zeros(shape), np.zeros(shape)), space, subsampling, bit_depth)
+
+
+GRAY = ssimkit.frames.LumaPlane(np.zeros((16, 16), np.uint8))
+SPEC = pipeline.PipelineSpec()
+
+
+@pytest.mark.parametrize("error, make", [
+    ("ValidationError", lambda tmp: ssimkit.adaptation.compute_ratio(5, 1.5, 0.1, 0.1)),
+    ("NoReferenceYet", lambda tmp: ssimkit.adaptation.HistogramMatcher().transform(np.zeros((2, 2)))),
+    ("ValidationError", lambda tmp: cli._spec_from_string("fast=preset=default;speed=2")),
+    ("DegenerateWeights", lambda tmp: color.combine_channelwise(0.9, 0.9, 0.9, -0.5, -0.5)),
+    ("ValidationError", lambda tmp: color.qssim(_rgb(16, 16), _rgb(16, 16), SsimConfig(window=WindowSpec.gaussian(1.5)))),
+    ("ValidationError", lambda tmp: ColorModelSpec("fixed", weights=(0.5, 0.5))),
+    ("ValidationError", lambda tmp: parse_spatial("  ")),
+    ("ValidationError", lambda tmp: ssimkit.evaluation.Logistic5(math.nan, 1.0, 0.0, 0.0, 0.0)),
+    ("LengthMismatch", lambda tmp: ssimkit.evaluation.LabeledDataset(("a",), [0.1, 0.2], [0.5])),
+    ("ValidationError", lambda tmp: ssimkit.evaluation.LabeledDataset(("a",), [math.inf], [0.5])),
+    ("ValidationError", lambda tmp: ssimkit.frames.LumaPlane(np.full((2, 2), math.nan))),
+    ("ValidationError", lambda tmp: _rgb(space="ycbcr-bt709", subsampling="422")),
+    ("ValidationError", lambda tmp: ColorFrame((np.zeros((2, 2)),) * 2)),
+    ("DimensionMismatch", lambda tmp: ssimkit.frames.validate_color_pair(_rgb(4, 4), _rgb(4, 6))),
+    ("BitDepthMismatch", lambda tmp: ssimkit.frames.validate_color_pair(_rgb(), _rgb(bit_depth=10))),
+    ("WrongSpace", lambda tmp: ssimkit.frames.validate_color_pair(_rgb(), _rgb(space="ycbcr-bt709"))),
+    ("DimensionMismatch", lambda tmp: ssimkit.frames.validate_color_pair(
+        _rgb(space="ycbcr-bt709"), _rgb(space="ycbcr-bt709", subsampling="420"))),
+    ("BadHeader", lambda tmp: ssimkit.media.read_y4m(_bytes(tmp / "magic.y4m", b"YUV4MPEG2"))),
+    ("ValidationError", lambda tmp: ssimkit.media.read_planar_raw(_bytes(tmp / "a.yuv", b"\0" * 6), 0, 4)),
+    ("UnsupportedChroma", lambda tmp: ssimkit.media.read_planar_raw(_bytes(tmp / "a.yuv", b"\0" * 6), 2, 2, chroma="422")),
+    ("BadHeader", lambda tmp: ssimkit.media.read_pnm(_bytes(tmp / "a.pgm", b"P5\n0 4\n255\n"))),
+    ("ValidationError", lambda tmp: ssimkit.media.write_report([], "xml", ("frame",))),
+    ("ValidationError", lambda tmp: multiscale.msssim(GRAY, GRAY, SsimConfig(multiscale=MultiscaleSpec.product()), [])),
+    ("ValidationError", lambda tmp: multiscale.combine_scale_scores([0.5], MultiscaleSpec.product())),
+    ("ValidationError", lambda tmp: pipeline.PipelineSpec(report_format="xml")),
+    ("ValidationError", lambda tmp: pipeline.PipelineSpec(SsimConfig(color=ColorModelSpec("hssim")), kt=2)),
+    ("ValidationError", lambda tmp: pipeline.PipelineSpec(SsimConfig(window=WindowSpec.gaussian(1.5)), kt=2)),
+    ("DimensionMismatch", lambda tmp: pipeline.score_frame_pair(GRAY, _rgb(16, 16), SsimConfig())),
+    ("ValidationError", lambda tmp: pipeline.score_frame_pair(GRAY, GRAY, SsimConfig(color=ColorModelSpec("hssim")))),
+    ("DimensionMismatch", lambda tmp: pipeline.run_score(_y4m(tmp / "r.y4m", 16), _y4m(tmp / "d.y4m", 18), SPEC)),
+    ("DimensionMismatch", lambda tmp: pipeline.run_score(_y4m(tmp / "r.y4m", 16), _y4m(tmp / "d.y4m", 16, "444"), SPEC)),
+    ("ValidationError", lambda tmp: pipeline.run_score(_y4m(tmp / "r.y4m", 16, frames=0), _y4m(tmp / "d.y4m", 16, frames=0), SPEC)),
+    ("ValidationError", lambda tmp: pipeline.run_benchmark(tmp / "unread.csv", {})),
+    ("ValidationError", lambda tmp: spatiotemporal.RollingVolume(2).temporal_sums()),
+    ("ValidationError", lambda tmp: ssimkit.stats.local_statistics(GRAY, GRAY, WindowSpec.rectangular(3), "fast")),
+], ids=[
+    "ratio alpha", "transform before a reference", "unknown spec key", "channel weights sum to zero",
+    "qssim gaussian window", "fixed weights not three", "empty selector", "non-finite beta",
+    "dataset lengths", "non-finite dataset score", "non-finite plane sample", "chroma subsampling",
+    "two channels", "colour pair dimensions", "colour pair bit depth", "colour pair space",
+    "colour pair subsampling", "y4m without header", "raw dimensions", "raw chroma", "pnm zero width",
+    "report format", "volumes per scale", "scores per exponent", "spec report format", "kt with colour",
+    "kt with gaussian window", "luma against colour", "colour model on luma", "stream dimensions",
+    "stream chroma", "no frames", "no benchmark specs", "volume without frames", "unknown engine",
+])
+def test_every_typed_error_is_raised(tmp_path, error, make):
+    # One case per check that raises a typed error and that no other test reaches.
+    with pytest.raises(getattr(ssimkit.errors, error)) as info:
+        make(tmp_path)
+    assert type(info.value).__name__ == error
+

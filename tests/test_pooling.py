@@ -10,6 +10,8 @@ from ssimkit.errors import (
     ValidationError,
     ZeroMeanCoV,
 )
+from ssimkit.adaptation import HistogramMatcher
+from ssimkit.ssim import mssim
 from ssimkit.pooling import (
     SpatialPooler,
     TemporalPooler,
@@ -180,6 +182,42 @@ def test_temporal_mean_ordering_property(values):
     s = np.array(values)
     assert pool_temporal(s, "hm") <= pool_temporal(s, "gm") + 1e-12
     assert pool_temporal(s, "gm") <= pool_temporal(s, "am") + 1e-12
+
+
+def matcher_with_reference():
+    matcher = HistogramMatcher(5)
+    matcher.predict(None, np.full((4, 4), 0.5))
+    return matcher
+
+
+#: Every function that takes a bare map or series, called with ``bad`` in its
+#: place, and the error an empty one raises.
+BARE_INPUTS = {
+    "mssim": (lambda bad: mssim(bad), EmptyMap),
+    "pool_spatial": (lambda bad: pool_spatial(bad, "am"), EmptyMap),
+    "pool_spatial lw": (lambda bad: pool_spatial(bad, "lw:a=0,b=0", ref_luma=np.ones(bad.shape)), EmptyMap),
+    "pool_spatial ref_luma": (lambda bad: pool_spatial(np.ones((4, 4)), "lw:a=0,b=0", ref_luma=bad), EmptyMap),
+    "predict reference": (lambda bad: HistogramMatcher(5).predict(None, bad), EmptyMap),
+    "predict": (lambda bad: matcher_with_reference().predict(bad), EmptyMap),
+    "transform": (lambda bad: matcher_with_reference().transform(bad), EmptyMap),
+    "pool_temporal": (lambda bad: pool_temporal(bad, "am"), EmptySeries),
+}
+
+
+class TestBareInputs:
+    """A bare array is checked as the container it stands for would check it."""
+
+    @pytest.mark.parametrize("call, error", BARE_INPUTS.values(), ids=BARE_INPUTS.keys())
+    def test_empty(self, call, error):
+        with pytest.raises(error):
+            call(np.zeros((0, 4)))
+
+    @pytest.mark.parametrize("call, error", BARE_INPUTS.values(), ids=BARE_INPUTS.keys())
+    def test_not_finite(self, call, error):
+        bad = np.full((4, 4), 0.5)
+        bad[1, 2] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            call(bad)
 
 
 class TestSelectors:

@@ -89,7 +89,26 @@ class TestRollingSums:
         for i in range(5):
             plane = random_plane(rng, 8, 8)
             vol.push(plane, plane)
-            assert vol.buffer_planes == (min(i + 1, 3), 5)
+            assert (vol.depth, len(vol.temporal_sums())) == (min(i + 1, 3), 5)
+
+    def test_a_reused_buffer_scores_as_copies(self, rng):
+        # A decoder that writes every frame into one buffer: the volume must
+        # keep each pushed frame as it was, to subtract it when it leaves.
+        refs, dists = frame_pairs(rng, 4, 32, 32)
+
+        def reused(planes):
+            buffer = np.empty((32, 32), np.uint8)
+            for plane in planes:
+                buffer[...] = plane.samples
+                yield buffer
+
+        vol = RollingVolume(2)
+        for ref, dist in zip(reused(refs), reused(dists)):
+            vol.push(ref, dist)
+            for rolled, direct in zip(vol.temporal_sums(), vol.direct_sums()):
+                assert np.array_equal(rolled, direct)
+        copies = ssim3d_series([r.samples.copy() for r in refs], [d.samples.copy() for d in dists], 2)
+        assert np.array_equal(ssim3d_series(reused(refs), reused(dists), 2).scores, copies.scores)
 
     def test_drift_bounded_by_periodic_refresh(self, rng):
         vol = RollingVolume(4)
