@@ -247,7 +247,8 @@ class HistogramMatcher:
         comp_map: Union[QualityMap, np.ndarray],
         true_map: Optional[Union[QualityMap, np.ndarray]] = None,
     ) -> float:
-        """Predicted mean rendering-scale score for one frame. Bare maps are
+        """Predicted mean rendering-scale score for one frame. Only a refresh
+        call takes ``true_map`` (else ValidationError). Bare maps are
         checked as ``frames._map_values`` checks them."""
         # Only calls that return are counted, so a rejected call leaves the
         # schedule where it was; the first counted call always set a reference.
@@ -262,6 +263,8 @@ class HistogramMatcher:
             self._ref_binned_mean = self._binned_mean(self._counts)
             self._calls += 1
             return self._ref_mean
+        if true_map is not None:
+            raise ValidationError("only a refresh call takes the rendering-scale map")
         predicted = float(self.transform(comp_map).mean())
         self._calls += 1
         return predicted

@@ -68,7 +68,7 @@ def _config_setter(field: str, parse=lambda value: value):
 _OVERRIDES = {
     "preset": (str, None),
     "window": (str, _config_setter("window", parse_window)),
-    "stride": (int, lambda settings, value: settings.update(window=settings["window"].with_stride(value))),
+    "stride": (int, lambda settings, value: settings.update(window=replace(settings["window"], stride=value))),
     "k1": (float, _config_setter("k1")),
     "k2": (float, _config_setter("k2")),
     "scale": (str, _config_setter("scaling", parse_scale)),

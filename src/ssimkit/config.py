@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, NamedTuple, Optional
 
-from .errors import DegenerateWeights, NonPositiveSigma, SsimkitError, ValidationError, check_integer
+from .errors import DegenerateWeights, NonPositiveSigma, SsimkitError, ValidationError, check_bit_depth, check_integer
 
 #: Standard per-scale exponents of the 5-level multiscale formulation. The
 #: values are the canonical constants of that formulation, external to this
@@ -167,17 +167,7 @@ class WindowSpec(ConfigPart):
             default_gaussian_size(self.sigma)  # rejects a sigma no Gaussian window can use
             if self.k < 3 or self.k % 2 == 0:
                 raise ValidationError(f"gaussian window size must be odd and >= 3, got {self.k}")
-
-    @classmethod
-    def rectangular(cls, k: int, stride: int = 1) -> "WindowSpec":
-        return cls("rect", k, None, stride)
-
-    @classmethod
-    def gaussian(cls, sigma: float, k: Optional[int] = None, stride: int = 1) -> "WindowSpec":
-        return cls("gauss", k, float(sigma), stride)
-
-    def with_stride(self, stride: int) -> "WindowSpec":
-        return replace(self, stride=stride)
+            object.__setattr__(self, "sigma", float(self.sigma))
 
 
 #: sigma comes first in ``rest``, so gauss's default k can read it. Both
@@ -214,22 +204,6 @@ class MultiscaleSpec(ConfigPart):
         if self.aggregation == "fast4" and self.levels != 4:
             raise ValidationError("fast4 aggregation uses exactly 4 levels")
         object.__setattr__(self, "exponents", exps)
-
-    @classmethod
-    def off(cls) -> "MultiscaleSpec":
-        return cls("off")
-
-    @classmethod
-    def product(cls, levels: Optional[int] = None, exponents: Optional[tuple[float, ...]] = None) -> "MultiscaleSpec":
-        return cls("product", levels, exponents)
-
-    @classmethod
-    def weighted_sum(cls, levels: Optional[int] = None, exponents: Optional[tuple[float, ...]] = None) -> "MultiscaleSpec":
-        return cls("sum", levels, exponents)
-
-    @classmethod
-    def fast4(cls) -> "MultiscaleSpec":
-        return cls("fast4")
 
     @property
     def enabled(self) -> bool:
@@ -284,22 +258,6 @@ class ScalePolicy(ConfigPart):
         if self.d_over_h <= 0:
             raise ValidationError("d/h ratio must be positive")
 
-    @classmethod
-    def none(cls) -> "ScalePolicy":
-        return cls("none")
-
-    @classmethod
-    def legacy256(cls, rounding: Optional[str] = None) -> "ScalePolicy":
-        return cls("legacy", rounding=rounding)
-
-    @classmethod
-    def sast(cls, distance: float, theta_h: Optional[float] = None, theta_w: Optional[float] = None) -> "ScalePolicy":
-        return cls("sast", distance=distance, theta_h=theta_h, theta_w=theta_w)
-
-    @classmethod
-    def enhanced_dh(cls, d_over_h: Optional[float] = None) -> "ScalePolicy":
-        return cls("dh", d_over_h=d_over_h)
-
 
 _SCALE = KindTable(
     "scale policy", ScalePolicy, "kind",
@@ -335,10 +293,6 @@ class ColorModelSpec(ConfigPart):
             raise ValidationError(f"unknown qssim embedding space {self.space!r}")
         object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def luma(cls) -> "ColorModelSpec":
-        return cls("luma")
-
     def selector(self) -> str:
         if self.model == "fixed":  # three positional weights, no key
             return "fixed:" + ",".join(_format(w) for w in self.weights)
@@ -371,13 +325,13 @@ class SsimConfig:
     k1: float = 0.01
     k2: float = 0.03
     bit_depth: int = 8
-    window: WindowSpec = field(default_factory=lambda: WindowSpec.rectangular(11))
+    window: WindowSpec = field(default_factory=lambda: WindowSpec("rect", k=11))
     engine: str = "auto"  # one of ENGINES
-    scaling: ScalePolicy = field(default_factory=ScalePolicy.none)
-    color: ColorModelSpec = field(default_factory=ColorModelSpec.luma)
+    scaling: ScalePolicy = field(default_factory=ScalePolicy)
+    color: ColorModelSpec = field(default_factory=ColorModelSpec)
     spatial_pool: str = "am"
     temporal_pool: str = "am"
-    multiscale: MultiscaleSpec = field(default_factory=MultiscaleSpec.off)
+    multiscale: MultiscaleSpec = field(default_factory=MultiscaleSpec)
 
     def __post_init__(self):
         if not (0 < self.k1 < math.inf and 0 < self.k2 < math.inf):
@@ -386,8 +340,7 @@ class SsimConfig:
             widest = k * 65535.0  # the peak of 16-bit samples, the widest for_bit_depth gives
             if not math.isfinite(widest * widest):
                 raise ValidationError(f"{name}={k!r} makes its constant (k * 65535)^2 overflow")
-        if not isinstance(self.bit_depth, int) or not 8 <= self.bit_depth <= 16:
-            raise ValidationError(f"bit depth must be an integer in [8, 16], got {self.bit_depth!r}")
+        check_bit_depth(self.bit_depth)
         if self.engine not in ENGINES:
             raise ValidationError(f"unknown engine {self.engine!r}")
         if self.window.shape != "rect" and self.color.model == "qssim":

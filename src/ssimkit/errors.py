@@ -1,5 +1,5 @@
-"""Exception types raised across the toolkit, and the one check of an
-integer setting.
+"""Exception types raised across the toolkit, and the one check each of an
+integer setting and of a bit depth.
 
 Every error raised by ssimkit derives from :class:`SsimkitError`; the CLI maps
 these to exit code 2 (bad input) except :class:`DegenerateData`, which maps to
@@ -134,3 +134,9 @@ def check_integer(value, what: str, lo: int = 1) -> None:
     """Raise ValidationError unless ``value`` is an integer setting of at least ``lo``."""
     if not is_integer(value, lo):
         raise ValidationError(f"{what} must be an integer >= {lo}, got {value!r}")
+
+
+def check_bit_depth(value) -> None:
+    """Raise ValidationError unless ``value`` is a bit depth: an integer in [8, 16]."""
+    if not (is_integer(value, 8) and value <= 16):
+        raise ValidationError(f"bit depth must be an integer in [8, 16], got {value!r}")

@@ -23,6 +23,7 @@ from .errors import (
     ScaleMismatch,
     ValidationError,
     WrongSpace,
+    check_bit_depth,
     check_integer,
 )
 
@@ -58,6 +59,14 @@ def _samples(values) -> np.ndarray:
     return arr
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """``arr``; ValidationError if it holds float samples that are not all
+    finite. Integer samples, decoded frames among them, are not read."""
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise ValidationError("samples must be finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class LumaPlane:
     """Single-channel raster of ``bit_depth``-bit luma.
@@ -79,11 +88,9 @@ class LumaPlane:
 
     def __post_init__(self):
         arr = _samples(self.samples)
-        if not isinstance(self.bit_depth, int) or not 8 <= self.bit_depth <= 16:
-            raise ValidationError(f"bit depth must be an integer in [8, 16], got {self.bit_depth!r}")
+        check_bit_depth(self.bit_depth)
         check_integer(self.scale, "scale")
-        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-            raise ValidationError("plane samples must be finite")
+        _finite(arr)
         peak = self.scale * ((1 << self.bit_depth) - 1)
         if peak >= 1 << 63:  # past every exact accumulator (stats._accumulator)
             raise ValidationError(f"scale * (2^{self.bit_depth} - 1) must stay below 2^63, got scale {self.scale}")
@@ -133,10 +140,10 @@ def plane_data(plane: PlaneLike) -> np.ndarray:
 class ColorFrame:
     """Tri-channel frame with a color-space tag and chroma subsampling.
 
-    Channels are plane-shaped arrays of integer or float samples rather than
-    LumaPlane instances: BT.709 chroma may overshoot the nominal range by a
-    fraction of a percent at full saturation. Only YCbCr frames have chroma
-    to subsample; RGB frames are 4:4:4.
+    Channels are plane-shaped arrays of integer or finite float samples
+    rather than LumaPlane instances: BT.709 chroma may overshoot the nominal
+    range by a fraction of a percent at full saturation. Only YCbCr frames
+    have chroma to subsample; RGB frames are 4:4:4.
     """
 
     channels: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -151,8 +158,7 @@ class ColorFrame:
             raise ValidationError(f"unknown chroma subsampling {self.subsampling!r}")
         if self.space == SPACE_RGB and self.subsampling != CHROMA_444:
             raise ValidationError(f"an RGB frame is 4:4:4, got {self.subsampling} subsampling")
-        if not isinstance(self.bit_depth, int) or not 8 <= self.bit_depth <= 16:
-            raise ValidationError(f"bit depth must be an integer in [8, 16], got {self.bit_depth!r}")
+        check_bit_depth(self.bit_depth)
         chans = tuple(_samples(c) for c in self.channels)
         if len(chans) != 3:
             raise ValidationError("a color frame needs three channels")
@@ -166,7 +172,7 @@ class ColorFrame:
                 raise ValidationError(
                     f"chroma plane {c.shape} does not match {want} for {self.subsampling} subsampling"
                 )
-        object.__setattr__(self, "channels", tuple(_freeze(c) for c in chans))
+        object.__setattr__(self, "channels", tuple(_freeze(_finite(c)) for c in chans))
 
     @property
     def height(self) -> int:

@@ -29,6 +29,7 @@ from .errors import (
     UnsupportedChroma,
     UnsupportedMaxval,
     ValidationError,
+    check_bit_depth,
 )
 from .color import luma_of
 from .frames import CHROMA_420, CHROMA_444, SPACE_RGB, SPACE_YCBCR, ColorFrame, LumaPlane
@@ -226,9 +227,11 @@ def read_planar_raw(
     chroma: str = CHROMA_420,
 ) -> VideoStream:
     """Open a headerless planar YUV file; dimensions come from the caller.
-    Raw files carry no frame rate, so the header states 30 frames/s."""
+    Raw files carry no frame rate, so the header states 30 frames/s. A bit
+    depth outside [8, 16] raises ValidationError before frames are sized."""
     if width <= 0 or height <= 0:
         raise ValidationError("dimensions must be positive")
+    check_bit_depth(bit_depth)
     if chroma not in (CHROMA_420, CHROMA_444, "mono", "400"):
         raise UnsupportedChroma(f"chroma {chroma!r} not supported for raw input")
     if chroma == "400":

@@ -97,7 +97,7 @@ def combine_scale_scores(scores: list[float], spec: MultiscaleSpec) -> float:
 def msssim(
     ref: PlaneLike,
     dist: PlaneLike,
-    config: SsimConfig = SsimConfig(multiscale=MultiscaleSpec.product()),
+    config: SsimConfig = SsimConfig(multiscale=MultiscaleSpec("product")),
     volumes: Optional[Sequence["RollingVolume"]] = None,
 ) -> float:
     """Multiscale SSIM score of a frame pair under ``config.multiscale``;

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import color as colormod
 from .adaptation import box_downsample, policy_factor
-from .config import ColorModelSpec, ScalePolicy, SsimConfig, WindowSpec
+from .config import ScalePolicy, SsimConfig, WindowSpec
 from .errors import (
     DegenerateData,
     DimensionMismatch,
@@ -103,25 +103,16 @@ class PipelineSpec:
             raise ValidationError(
                 "multiscale and color models pool each map by its mean; spatial_pool must be am"
             )
-
-
-def _enhanced_config() -> SsimConfig:
-    return SsimConfig(
-        window=WindowSpec.rectangular(11, stride=5),
-        engine="auto",
-        scaling=ScalePolicy.enhanced_dh(3.0),
-        color=ColorModelSpec.luma(),
-        spatial_pool="cov",
-        temporal_pool="am",
-    )
+        if self.config.multiscale.enabled and self.config.color.model != "luma":
+            raise ValidationError("color models score one scale; multiscale must be off")
 
 
 def preset_specs() -> dict[str, PipelineSpec]:
-    """The named presets the CLI exposes."""
-    return {
-        "default": PipelineSpec(SsimConfig()),
-        "enhanced": PipelineSpec(_enhanced_config()),
-    }
+    """The named presets the CLI exposes; each sets only what differs from the defaults."""
+    enhanced = SsimConfig(
+        window=WindowSpec("rect", k=11, stride=5), scaling=ScalePolicy("dh", d_over_h=3.0), spatial_pool="cov"
+    )
+    return {"default": PipelineSpec(SsimConfig()), "enhanced": PipelineSpec(enhanced)}
 
 
 def expand_preset(name: str) -> PipelineSpec:
@@ -287,7 +278,7 @@ def _score_pairs(
         except SsimkitError as exc:
             raise type(exc)(f"frame {i}: {exc}") from exc
 
-    unscaled = replace(config, scaling=ScalePolicy.none())
+    unscaled = replace(config, scaling=ScalePolicy())
     lock, stop, pulled, scores, failures = threading.Lock(), threading.Event(), itertools.count(), {}, []
 
     def work() -> None:

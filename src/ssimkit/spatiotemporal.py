@@ -37,13 +37,14 @@ import numpy as np
 
 from .config import MultiscaleSpec, SsimConfig, WindowSpec
 from .errors import (
+    BitDepthMismatch,
     DimensionMismatch,
     GaussianNotSupported3D,
     ScaleMismatch,
     ValidationError,
     check_integer,
 )
-from .frames import PlaneLike, ScoreSeries, _freeze, paired_frames, plane_data, plane_scale, validate_frame_pair
+from .frames import LumaPlane, PlaneLike, ScoreSeries, _freeze, paired_frames, plane_data, plane_scale, validate_frame_pair
 from .multiscale import dyadic_downsample  # noqa: F401  (perfbench traces this binding)
 from .multiscale import msssim
 from .ssim import SsimTermMaps, _statistics, _term_mean, frame_config, term_maps_from_stats
@@ -67,13 +68,16 @@ class RollingVolume:
     int64 while they are exact, float64 after. Each buffered pair keeps its
     peak (``_peak``), which gives its products' dtype. The first push fixes
     ``scale``, the signal samples each sample sums, which divides the
-    window sums; a frame of another scale raises ScaleMismatch.
+    window sums, and the first LumaPlane pair the bit depth, the unit of
+    the sums (bare arrays carry none). A frame of another scale raises
+    ScaleMismatch; a LumaPlane of another depth, BitDepthMismatch.
     """
 
     def __init__(self, kt: int):
         check_integer(kt, "temporal window")
         self.kt = kt
         self.scale: Optional[int] = None  # signal samples per sample, fixed by the first push
+        self._bit_depth: Optional[int] = None  # fixed by the first LumaPlane pair
         self._buffer: deque[tuple[np.ndarray, np.ndarray, float]] = deque()  # I1, I2, the pair's stats._peak
         self._sums: Optional[list[np.ndarray]] = None  # I1, I2, I1^2, I2^2, I1*I2
         self._pushes = 0
@@ -95,7 +99,10 @@ class RollingVolume:
             )
         if self.scale not in (None, plane_scale(ref)):
             raise ScaleMismatch(f"frame of scale {plane_scale(ref)} pushed into a volume of scale {self.scale}")
-        self.scale = plane_scale(ref)
+        depth = next((p.bit_depth for p in (ref, dist) if isinstance(p, LumaPlane)), self._bit_depth)
+        if self._bit_depth not in (None, depth):
+            raise BitDepthMismatch(f"{depth}-bit frame pushed into a {self._bit_depth}-bit volume")
+        self.scale, self._bit_depth = plane_scale(ref), depth
         peak = max(_peak(ref), _peak(dist))
         held = [] if self._sums is None else [self._sums[0].dtype]
         dtype = np.result_type(*held, _accumulator(self.kt * peak**2, ref, dist))
@@ -202,7 +209,7 @@ def msssim3d(
     ref_frames: Iterable[PlaneLike],
     dist_frames: Iterable[PlaneLike],
     kt: int,
-    config: SsimConfig = SsimConfig(multiscale=MultiscaleSpec.product()),
+    config: SsimConfig = SsimConfig(multiscale=MultiscaleSpec("product")),
 ) -> ScoreSeries:
     """Multiscale 3-D SSIM: :func:`~ssimkit.multiscale.msssim` with one rolling
     volume per spatial scale, so each frame's scales are scored over the last

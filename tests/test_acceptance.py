@@ -55,7 +55,7 @@ def test_criterion_01_integral_oracle_equivalence():
         for k in sizes:
             if k > min(h, w):
                 continue
-            window = WindowSpec.rectangular(k)
+            window = WindowSpec("rect", k=k)
             cfg_f = SsimConfig(window=window, engine="auto")
             cfg_s = SsimConfig(window=window, engine="naive")
             fast = ssim_map(a, b, cfg_f)
@@ -74,7 +74,7 @@ def test_criterion_01_integral_oracle_equivalence():
 def test_criterion_02_ssim_axioms():
     """Symmetry, boundedness, and the unique maximum over 100 random images."""
     rng = np.random.default_rng(202)
-    cfg = SsimConfig(window=WindowSpec.rectangular(8))
+    cfg = SsimConfig(window=WindowSpec("rect", k=8))
     for _ in range(100):
         h = int(rng.integers(12, 48))
         w = int(rng.integers(12, 48))
@@ -96,13 +96,13 @@ def test_criterion_03_stride_consistency():
     """Strided maps subsample the dense grid exactly; MSSIM barely moves."""
     rng = np.random.default_rng(303)
     for engine, window in [
-        ("auto", WindowSpec.rectangular(11)),
-        ("naive", WindowSpec.gaussian(1.5)),
+        ("auto", WindowSpec("rect", k=11)),
+        ("naive", WindowSpec("gauss", sigma=1.5)),
     ]:
         for s in (2, 3, 5):
             a, b = random_plane(rng, 56, 48), random_plane(rng, 56, 48)
             dense = local_statistics(a, b, window, engine)
-            strided = local_statistics(a, b, window.with_stride(s), engine)
+            strided = local_statistics(a, b, replace(window, stride=s), engine)
             for name in ("mu1", "mu2", "var1", "var2", "cov"):
                 assert np.array_equal(getattr(strided, name), getattr(dense, name)[::s, ::s])
     worst = 0.0
@@ -110,8 +110,8 @@ def test_criterion_03_stride_consistency():
         img_rng = np.random.default_rng(5000 + seed)
         ref = natural_plane(img_rng, 128, 128)
         dist = blur_plane(ref, 2) if seed % 2 else noisy_version(img_rng, ref, 14)
-        dense_cfg = SsimConfig(window=WindowSpec.rectangular(11, stride=1))
-        strided_cfg = SsimConfig(window=WindowSpec.rectangular(11, stride=5))
+        dense_cfg = SsimConfig(window=WindowSpec("rect", k=11, stride=1))
+        strided_cfg = SsimConfig(window=WindowSpec("rect", k=11, stride=5))
         gap = abs(ssim_score(ref, dist, strided_cfg) - ssim_score(ref, dist, dense_cfg))
         worst = max(worst, gap)
     assert worst < 0.02
@@ -121,7 +121,7 @@ def test_criterion_03_stride_consistency():
 def test_criterion_04_spatiotemporal_reduction_and_cost():
     """Kt=1 equals frame-wise SSIM; rolling sums stay exact; cost is flat in Kt."""
     rng = np.random.default_rng(404)
-    cfg = SsimConfig(window=WindowSpec.rectangular(11))
+    cfg = SsimConfig(window=WindowSpec("rect", k=11))
 
     a, b = random_plane(rng, 48, 48), random_plane(rng, 48, 48)
     vol = RollingVolume(1)
@@ -195,9 +195,9 @@ def test_criterion_05_pooling_identities():
 def test_criterion_06_multiscale():
     """Identity inputs, the step-by-step oracle, and the recursion property."""
     rng = np.random.default_rng(606)
-    cfg = SsimConfig(window=WindowSpec.rectangular(5))
+    cfg = SsimConfig(window=WindowSpec("rect", k=5))
     a = natural_plane(rng, 128, 128)
-    for spec in (MultiscaleSpec.product(3), MultiscaleSpec.weighted_sum(3), MultiscaleSpec.fast4()):
+    for spec in (MultiscaleSpec("product", levels=3), MultiscaleSpec("sum", levels=3), MultiscaleSpec("fast4")):
         assert msssim(a, a, replace(cfg, multiscale=spec)) == pytest.approx(1.0, abs=1e-12)
 
     b = noisy_version(rng, a, 16)
@@ -226,7 +226,7 @@ def test_criterion_07_color_models():
     rng = np.random.default_rng(707)
     chans = tuple(natural_plane(rng, 32, 32).samples for _ in range(3))
     frame = ColorFrame(chans)
-    rect11 = SsimConfig(window=WindowSpec.rectangular(11))
+    rect11 = SsimConfig(window=WindowSpec("rect", k=11))
     ycc = rgb_to_ycbcr_bt709(frame)
     assert qssim(frame, frame, rect11) == pytest.approx(1.0, abs=1e-9)
     assert cmssim(frame, frame, rect11) == pytest.approx(1.0, abs=1e-9)
@@ -246,7 +246,7 @@ def test_criterion_07_color_models():
     for _ in range(4):
         r4 = ColorFrame(tuple(rng.integers(0, 256, (4, 4)).astype(np.uint8) for _ in range(3)))
         d4 = ColorFrame(tuple(rng.integers(0, 256, (4, 4)).astype(np.uint8) for _ in range(3)))
-        got = qssim(r4, d4, SsimConfig(window=WindowSpec.rectangular(4)))
+        got = qssim(r4, d4, SsimConfig(window=WindowSpec("rect", k=4)))
         assert got == pytest.approx(brute_force_qssim(r4, d4), abs=1e-9)
     report(7, "all models saturate at 1; cw(0,0)=luma; cmssim <= luma; qssim matches oracle")
 

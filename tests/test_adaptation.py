@@ -92,28 +92,28 @@ class TestScaleFactors:
         assert enhanced_scale_factor(1920, 1080, 1e9) == 1
 
     def test_policy_factor_dispatch(self):
-        assert policy_factor(ScalePolicy.none(), 1920, 1080) == 1
-        assert policy_factor(ScalePolicy.legacy256(), 1920, 1080) == 4
-        assert policy_factor(ScalePolicy.enhanced_dh(6.0), 1920, 1080) == 2
-        sast = ScalePolicy.sast(distance=1.0)
+        assert policy_factor(ScalePolicy("none"), 1920, 1080) == 1
+        assert policy_factor(ScalePolicy("legacy"), 1920, 1080) == 4
+        assert policy_factor(ScalePolicy("dh", d_over_h=6.0), 1920, 1080) == 2
+        sast = ScalePolicy("sast", distance=1.0)
         assert policy_factor(sast, 1, 1) == 1  # z = 1.21 rounds to 1
 
     def test_factors_past_the_larger_side_clamp_to_it(self):
         # Any factor that large averages the whole frame; rounding never sees inf.
-        assert policy_factor(ScalePolicy.enhanced_dh(1e-9), 3840, 2160) == 3840
+        assert policy_factor(ScalePolicy("dh", d_over_h=1e-9), 3840, 2160) == 3840
         assert policy_factor(ScalePolicy("dh", d_over_h=1e-300, rounding="ceil"), 64, 48) == 64
-        assert policy_factor(ScalePolicy.sast(distance=1e-300), 64, 48) == 64
+        assert policy_factor(ScalePolicy("sast", distance=1e-300), 64, 48) == 64
 
     def test_two_tiny_view_angles_clamp_like_one(self):
         # 4 tan(th/2) tan(tw/2) underflows to 0 here; one square root per side does not.
-        assert policy_factor(ScalePolicy.sast(3000.0, 1e-300, 1e-300), 64, 48) == 64
-        assert policy_factor(ScalePolicy.sast(3000.0, 1e-300, 40.0), 64, 48) == 64
+        assert policy_factor(ScalePolicy("sast", distance=3000.0, theta_h=1e-300, theta_w=1e-300), 64, 48) == 64
+        assert policy_factor(ScalePolicy("sast", distance=3000.0, theta_h=1e-300, theta_w=40.0), 64, 48) == 64
         assert sast_factor(48, 64, 3000.0, 1e-300, 1e-300) > 1e290
 
     def test_angle_whose_tangent_underflows_is_a_validation_error(self):
         # 5e-324 degrees is 0 radians: no factor can be formed from it.
         with pytest.raises(ValidationError, match="too small"):
-            policy_factor(ScalePolicy.sast(3000.0, 5e-324, 40.0), 64, 48)
+            policy_factor(ScalePolicy("sast", distance=3000.0, theta_h=5e-324, theta_w=40.0), 64, 48)
 
     @pytest.mark.parametrize("fn, args", [
         (enhanced_scale_factor, (1920, 1080, math.nan)),
@@ -358,6 +358,16 @@ class TestHistogramMatcher:
         matcher = HistogramMatcher(5)
         with pytest.raises(NoReferenceYet):
             matcher.predict(rng.uniform(0.5, 1.0, 100))
+
+    def test_a_map_on_a_call_that_is_not_a_refresh_is_rejected(self):
+        matcher = HistogramMatcher(5)
+        matcher.predict(None, np.full((4, 4), 0.5))
+        with pytest.raises(ValidationError, match="refresh"):
+            matcher.predict(np.full((4, 4), 0.2), np.full((4, 4), 0.9))
+        # The rejected call is not counted: four mapped calls, then a refresh.
+        for _ in range(4):
+            assert matcher.predict(np.full((4, 4), 0.2)) == pytest.approx(0.5, abs=1.0 / 201)
+        assert matcher.predict(None, np.full((4, 4), 0.75)) == 0.75
 
     def test_reference_call_returns_exact_mean(self, rng):
         matcher = HistogramMatcher(5)

@@ -73,7 +73,7 @@ class TestPresets:
         spec = expand_preset("enhanced")
         cfg = spec.config
         assert cfg.color.model == "luma"
-        assert cfg.window == WindowSpec.rectangular(11, stride=5)
+        assert cfg.window == WindowSpec("rect", k=11, stride=5)
         assert cfg.engine == "auto"
         assert cfg.scaling.kind == "dh" and cfg.scaling.d_over_h == 3.0
         assert cfg.spatial_pool == "cov"
@@ -142,7 +142,7 @@ class TestRunScore:
         ref_path, dist_path, refs, dists = media
         spec = PipelineSpec(
             SsimConfig(
-                window=WindowSpec.rectangular(5), multiscale=MultiscaleSpec.product(2)
+                window=WindowSpec("rect", k=5), multiscale=MultiscaleSpec("product", levels=2)
             )
         )
         report = run_score(ref_path, dist_path, spec)
@@ -153,7 +153,7 @@ class TestRunScore:
 
     def test_kt_pipeline_matches_manual_volume(self, media):
         ref_path, dist_path, refs, dists = media
-        spec = PipelineSpec(SsimConfig(window=WindowSpec.rectangular(5)), kt=2)
+        spec = PipelineSpec(SsimConfig(window=WindowSpec("rect", k=5)), kt=2)
         report = run_score(ref_path, dist_path, spec)
         vol = RollingVolume(2)
         for i, (r, d) in enumerate(zip(refs, dists)):
@@ -236,7 +236,7 @@ class TestRunScore:
             for t in range(16):
                 yield decoded(planes[(t + shift) % 3])
 
-        config = SsimConfig(scaling=ScalePolicy.enhanced_dh(64 / 256 * 3 / 4))  # factor 4
+        config = SsimConfig(scaling=ScalePolicy("dh", d_over_h=64 / 256 * 3 / 4))  # factor 4
         serial = pipeline._score_pairs(pipeline._stream_pairs(stream(0), stream(1)), config, 1)
         assert alive == {"now": 0, "most": alive["most"]} and alive["most"] <= 2, alive
         alive["most"] = 0
@@ -253,7 +253,7 @@ class TestRunScore:
             for t in range(40):
                 yield LumaPlane(planes[t % 5]), LumaPlane(planes[(t * 3 + 1) % 5])
 
-        config = SsimConfig(window=WindowSpec.rectangular(7), scaling=ScalePolicy.enhanced_dh(40 / 256 * 3 / 2))
+        config = SsimConfig(window=WindowSpec("rect", k=7), scaling=ScalePolicy("dh", d_over_h=40 / 256 * 3 / 2))
         serial = pipeline._score_pairs(stream(), config, 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -739,7 +739,7 @@ class TestOtherCommands:
 class TestOneScoringPath:
     """Every depth, scale count and colour model shares one preparation step."""
 
-    MS2 = SsimConfig(window=WindowSpec.rectangular(5), multiscale=MultiscaleSpec.product(2))
+    MS2 = SsimConfig(window=WindowSpec("rect", k=5), multiscale=MultiscaleSpec("product", levels=2))
 
     def test_multiscale_3d_honours_scale_policy_and_bit_depth(self, tmp_path, rng):
         refs = [natural_plane(rng, 128, 128, bit_depth=10) for _ in range(3)]
@@ -752,7 +752,7 @@ class TestOneScoringPath:
             out = run_score(ref_path, dist_path, spec, width=128, height=128, bit_depth=10, chroma="400")
             return [r["score"] for r in out["records"]]
 
-        dh1 = ScalePolicy.enhanced_dh(1.0)  # factor 2 on 128 lines
+        dh1 = ScalePolicy("dh", d_over_h=1.0)  # factor 2 on 128 lines
         plain, scaled = scores(2), scores(2, scaling=dh1)
         assert scaled != plain
         assert plain[0] == scores(1)[0]  # a depth-1 volume is 2-D scoring
@@ -771,12 +771,16 @@ class TestOneScoringPath:
         [
             (dict(kt=2, workers=2), ["--kt", "2", "--workers", "2"]),
             (
-                dict(config=SsimConfig(spatial_pool="cov", multiscale=MultiscaleSpec.product(2))),
+                dict(config=SsimConfig(spatial_pool="cov", multiscale=MultiscaleSpec("product", levels=2))),
                 ["--preset", "enhanced", "--multiscale", "product:levels=2"],
             ),
             (
                 dict(config=SsimConfig(spatial_pool="mink:p=2", color=ColorModelSpec("hssim"))),
                 ["--spatial-pool", "mink:p=2", "--color", "hssim"],
+            ),
+            (
+                dict(config=SsimConfig(color=ColorModelSpec("cw"), multiscale=MultiscaleSpec("product", levels=3))),
+                ["--color", "cw", "--multiscale", "product:levels=3"],
             ),
         ],
     )
@@ -798,7 +802,7 @@ class TestOneScoringPath:
 
     def test_gaussian_window_the_model_cannot_use_is_rejected_when_built(self, runner, tmp_path):
         with pytest.raises(ValidationError):
-            SsimConfig(window=WindowSpec.gaussian(1.5), color=ColorModelSpec("qssim"))
+            SsimConfig(window=WindowSpec("gauss", sigma=1.5), color=ColorModelSpec("qssim"))
         missing = [str(tmp_path / "a.ppm"), str(tmp_path / "b.ppm")]
         result = runner.invoke(main, ["score", *missing, "--window", "gauss:1.5", "--color", "qssim"])
         assert result.exit_code == 2

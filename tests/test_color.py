@@ -38,7 +38,7 @@ def cw(alpha, beta, **settings):
 
 def rect(k):
     """A config with a k x k rectangular window."""
-    return SsimConfig(window=WindowSpec.rectangular(k))
+    return SsimConfig(window=WindowSpec("rect", k=k))
 
 
 def flat_rgb(r, g, b, size=16):
@@ -138,7 +138,7 @@ class TestChannelwise:
         ref = ColorFrame((y, c, c), "ycbcr-bt709", "420")
         dist_c = noisy_version(rng, LumaPlane(c), 10).samples
         dist = ColorFrame((y, dist_c, dist_c), "ycbcr-bt709", "420")
-        cfg = SsimConfig(window=WindowSpec.rectangular(5))
+        cfg = SsimConfig(window=WindowSpec("rect", k=5))
         score = channelwise_cssim(ref, dist, cw(0.5, 0.5, window=cfg.window))
         chroma_score = mssim(ssim_map(LumaPlane(c), LumaPlane(dist_c), cfg))
         assert score == pytest.approx((1.0 + 0.5 * chroma_score * 2) / 2.0, abs=1e-9)
@@ -250,7 +250,7 @@ class TestQssim:
     def test_scores_equal_per_tap_window_means_bit_for_bit(self, rng, monkeypatch, space, k, stride):
         ref = natural_rgb(rng, 150, 90)
         dist = ColorFrame(tuple(noisy_version(rng, LumaPlane(c), 20).samples for c in ref.channels))
-        config = SsimConfig(window=WindowSpec.rectangular(k, stride), color=ColorModelSpec("qssim", space=space))
+        config = SsimConfig(window=WindowSpec("rect", k=k, stride=stride), color=ColorModelSpec("qssim", space=space))
         fast = qssim(ref, dist, config)
         monkeypatch.setattr(color, "_sliding_weighted_sums", per_tap_sums)
         assert fast == qssim(ref, dist, config)
@@ -313,7 +313,7 @@ def whole_plane_qssim(ref, dist, config):
 
 
 def qssim_config(k, stride, space):
-    return SsimConfig(window=WindowSpec.rectangular(k, stride), color=ColorModelSpec("qssim", space=space))
+    return SsimConfig(window=WindowSpec("rect", k=k, stride=stride), color=ColorModelSpec("qssim", space=space))
 
 
 class TestBandedQssim:
@@ -410,7 +410,7 @@ class TestSettingsFromConfig:
     def test_cmssim_and_hssim_follow_the_config_window(self, rng):
         ref = natural_rgb(rng, 48, 48)
         dist = ColorFrame(tuple(blur_plane(LumaPlane(c), 2).samples for c in ref.channels))
-        gauss = SsimConfig(window=WindowSpec.gaussian(1.5))
+        gauss = SsimConfig(window=WindowSpec("gauss", sigma=1.5))
         luma = ssim_map(luma_of(ref), luma_of(dist), gauss)
         hue = mssim(ssim_map(hue_plane(ref), hue_plane(dist), gauss))
         assert hssim(ref, dist, config=gauss) == pytest.approx((mssim(luma) + 0.2 * hue) / 1.2, abs=1e-12)
@@ -422,14 +422,14 @@ class TestSettingsFromConfig:
 
     def test_qssim_follows_the_config_constants(self, rng):
         ref, dist = random_rgb(rng, 4, 4), random_rgb(rng, 4, 4)
-        config = SsimConfig(window=WindowSpec.rectangular(4), k1=0.05, k2=0.1)
+        config = SsimConfig(window=WindowSpec("rect", k=4), k1=0.05, k2=0.1)
         got = qssim(ref, dist, config=config)
         assert got == pytest.approx(brute_force_qssim(ref, dist, 0.05, 0.1), abs=1e-9)
         assert got != qssim(ref, dist, config=rect(4))
 
     def test_qssim_follows_the_config_embedding_space(self, rng):
         ref, dist = random_rgb(rng, 4, 4), random_rgb(rng, 4, 4)
-        config = SsimConfig(window=WindowSpec.rectangular(4), color=ColorModelSpec("qssim", space="ycbcr"))
+        config = SsimConfig(window=WindowSpec("rect", k=4), color=ColorModelSpec("qssim", space="ycbcr"))
         expected = brute_force_qssim(rgb_to_ycbcr_bt709(ref), rgb_to_ycbcr_bt709(dist))
         assert qssim(ref, dist, config=config) == pytest.approx(expected, abs=1e-9)
         assert qssim(ref, dist, config=config) != qssim(ref, dist, config=rect(4))
@@ -653,13 +653,13 @@ class TestColourPaths:
     def test_scaled_colour_frames_score_like_frames_downsampled_by_hand(self, rng):
         ref = natural_rgb(rng, 384, 392)  # the 256-line rule gives factor 2
         dist = ColorFrame(tuple(noisy_version(rng, LumaPlane(c), 20).samples for c in ref.channels))
-        config = SsimConfig(color=ColorModelSpec("cw", -0.3, -0.2), scaling=ScalePolicy.legacy256())
+        config = SsimConfig(color=ColorModelSpec("cw", -0.3, -0.2), scaling=ScalePolicy("legacy"))
         got = score_frame_pair(ref, dist, config).score
         assert got == channelwise_cssim(box_by_hand(ref, 2), box_by_hand(dist, 2), config)
         assert got != channelwise_cssim(ref, dist, config)
 
     def test_qssim_lab_embedding_matches_brute_force_on_4x4(self, rng):
-        config = SsimConfig(window=WindowSpec.rectangular(4), color=ColorModelSpec("qssim", space="lab"))
+        config = SsimConfig(window=WindowSpec("rect", k=4), color=ColorModelSpec("qssim", space="lab"))
         for _ in range(3):
             ref, dist = random_rgb(rng, 4, 4), random_rgb(rng, 4, 4)
             lab1, lab2 = (ColorFrame(tuple(reference_lab(f) * (f.peak / 100.0))) for f in (ref, dist))
@@ -677,7 +677,7 @@ class TestColourPaths:
         assert all(np.array_equal(a, b) for a, b in zip(rgb_ref.channels, ycbcr_bt709_to_rgb(by_hand).channels))
         for scorer, config in [
             (qssim, rect(8)),
-            (qssim, SsimConfig(window=WindowSpec.rectangular(8), color=ColorModelSpec("qssim", space="lab"))),
+            (qssim, SsimConfig(window=WindowSpec("rect", k=8), color=ColorModelSpec("qssim", space="lab"))),
             (cmssim, rect(8)),
             (hssim, rect(8)),
         ]:

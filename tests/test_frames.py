@@ -78,7 +78,7 @@ class TestLumaPlane:
         peak = (1 << bits) - 1
         edge = -(-(1 << 63) // peak)  # the least scale whose bound reaches 2^63
         a, b = (LumaPlane(np.full((12, 12), v, dtype=np.uint8), bits, edge - 1) for v in (100, 110))
-        assert np.isfinite(ssim_score(a, b, SsimConfig(bit_depth=bits, window=WindowSpec.rectangular(11))))
+        assert np.isfinite(ssim_score(a, b, SsimConfig(bit_depth=bits, window=WindowSpec("rect", k=11))))
         for scale in (edge, 10**200):
             with pytest.raises(ValidationError, match="2\\^63"):
                 LumaPlane(np.zeros((4, 4), dtype=np.uint8), bits, scale)
@@ -148,6 +148,14 @@ class TestColorFrame:
         with pytest.raises(ValidationError, match="4:4:4"):
             ColorFrame((y, c, c), "rgb", "420")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    def test_rejects_non_finite_float_samples(self, channel, bad):
+        chans = [np.full((4, 4), 0.5) for _ in range(3)]
+        chans[channel][1, 2] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            ColorFrame(tuple(chans))
+
 
 #: Sample grids of dtypes that are neither integer nor float.
 NOT_NUMERIC = {
@@ -165,7 +173,7 @@ class TestNumericGrids:
     def test_bare_arrays_are_rejected(self, kind):
         grid = NOT_NUMERIC[kind]
         with pytest.raises(ValidationError, match="dtype"):
-            local_statistics(grid, grid, WindowSpec.rectangular(3))
+            local_statistics(grid, grid, WindowSpec("rect", k=3))
 
     @pytest.mark.parametrize("kind", sorted(NOT_NUMERIC))
     def test_colour_channels_are_rejected(self, kind):
@@ -256,19 +264,19 @@ class TestSsimConfig:
                 k1=0.02,
                 k2=0.05,
                 bit_depth=10,
-                window=WindowSpec.gaussian(1.5),
+                window=WindowSpec("gauss", sigma=1.5),
                 engine="naive",
-                scaling=ScalePolicy.sast(distance=1000.0),
+                scaling=ScalePolicy("sast", distance=1000.0),
                 color=ColorModelSpec("cw", alpha=-0.3, beta=-0.3),
                 spatial_pool="md:p=2,o=3",
                 temporal_pool="pp:ps=6,rs=4000",
-                multiscale=MultiscaleSpec.product(4),
+                multiscale=MultiscaleSpec("product", levels=4),
             ),
             SsimConfig(
-                window=WindowSpec.rectangular(8, stride=4),
-                scaling=ScalePolicy.enhanced_dh(3.0),
+                window=WindowSpec("rect", k=8, stride=4),
+                scaling=ScalePolicy("dh", d_over_h=3.0),
                 color=ColorModelSpec("fixed", weights=(0.8, 0.1, 0.1)),
-                multiscale=MultiscaleSpec.fast4(),
+                multiscale=MultiscaleSpec("fast4"),
             ),
         ],
     )
@@ -296,14 +304,21 @@ class TestSsimConfig:
 
 class TestSpecValidation:
     def test_window_spec_gaussian_defaults(self):
-        spec = WindowSpec.gaussian(1.5)
+        spec = WindowSpec("gauss", sigma=1.5)
         assert spec.k == 11
         with pytest.raises(NonPositiveSigma):
-            WindowSpec.gaussian(0.0)
+            WindowSpec("gauss", sigma=0.0)
         with pytest.raises(ValidationError):
-            WindowSpec.gaussian(1.5, k=10)  # even size
+            WindowSpec("gauss", sigma=1.5, k=10)  # even size
         with pytest.raises(ValidationError):
-            WindowSpec.rectangular(11, stride=0)
+            WindowSpec("rect", k=11, stride=0)
+
+    def test_an_int_sigma_is_held_as_a_float(self):
+        spec = WindowSpec("gauss", sigma=2)
+        assert type(spec.sigma) is float
+        json_text = SsimConfig(window=spec).to_json()
+        assert SsimConfig(window=parse_window("gauss:2")).to_json() == json_text
+        assert SsimConfig.from_json(json_text.replace('"sigma": 2.0', '"sigma": 2')).to_json() == json_text
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0])
     def test_gaussian_window_with_its_size_given_still_checks_sigma(self, sigma):
@@ -311,7 +326,7 @@ class TestSpecValidation:
             WindowSpec("gauss", 11, sigma)
 
     def test_rect_even_size_allowed(self):
-        assert WindowSpec.rectangular(8, stride=4).k == 8
+        assert WindowSpec("rect", k=8, stride=4).k == 8
 
     def test_multiscale_spec_validation(self):
         with pytest.raises(ValidationError):
@@ -320,7 +335,7 @@ class TestSpecValidation:
             MultiscaleSpec("product", 2, (0.5, -0.5))
         with pytest.raises(ValidationError):
             MultiscaleSpec("fast4", 5)
-        renorm = MultiscaleSpec.fast4().effective_exponents()
+        renorm = MultiscaleSpec("fast4").effective_exponents()
         assert sum(renorm) == pytest.approx(1.0)
 
     def test_channelwise_degenerate_weights(self):
@@ -334,10 +349,10 @@ class TestSpecValidation:
 
 class TestSelectorGrammar:
     def test_windows(self):
-        assert parse_window("rect:11") == WindowSpec.rectangular(11)
-        assert parse_window("rect:8,stride=4") == WindowSpec.rectangular(8, stride=4)
-        assert parse_window("gauss:1.5") == WindowSpec.gaussian(1.5)
-        assert parse_window("gauss:1.5,k=13") == WindowSpec.gaussian(1.5, k=13)
+        assert parse_window("rect:11") == WindowSpec("rect", k=11)
+        assert parse_window("rect:8,stride=4") == WindowSpec("rect", k=8, stride=4)
+        assert parse_window("gauss:1.5") == WindowSpec("gauss", sigma=1.5)
+        assert parse_window("gauss:1.5,k=13") == WindowSpec("gauss", sigma=1.5, k=13)
         with pytest.raises(ValidationError):
             parse_window("hex:5")
 

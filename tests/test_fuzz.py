@@ -181,7 +181,7 @@ def test_colour_frames_convert_and_score_or_raise_typed_errors(data):
         ref, dist = frame(), frame()
     except SsimkitError:
         return
-    config = SsimConfig(window=WindowSpec.rectangular(3))
+    config = SsimConfig(window=WindowSpec("rect", k=3))
     calls = [luma_of, rgb_to_ycbcr_bt709, ycbcr_bt709_to_rgb]
     calls += [lambda ref, scorer=scorer: scorer(ref, dist, config) for scorer in COLOUR_SCORERS]
     for call in calls:

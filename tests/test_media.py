@@ -222,6 +222,13 @@ class TestRaw:
         with pytest.raises(ValidationError, match=f"{path}: frame 1: samples outside"):
             list(read_planar_raw(path, 2, 1, 10, "400"))
 
+    @pytest.mark.parametrize("bit_depth", [7, 20])
+    def test_bit_depth_outside_8_to_16_is_rejected_at_open(self, tmp_path, bit_depth):
+        path = tmp_path / "g.yuv"
+        path.write_bytes(bytes(32))  # whole frames at 1 or 2 bytes per sample
+        with pytest.raises(ValidationError, match="bit depth"):
+            read_planar_raw(path, 4, 4, bit_depth, "mono")
+
     def test_little_endian_high_bit_depth(self, tmp_path):
         path = tmp_path / "e.yuv"
         path.write_bytes((512).to_bytes(2, "little"))

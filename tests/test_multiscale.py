@@ -95,7 +95,7 @@ class TestDyadicDownsample:
         assert out.samples.tobytes() == float64_dyadic(plane.samples).tobytes()
 
 
-SMALL_WINDOW = SsimConfig(window=WindowSpec.rectangular(5))
+SMALL_WINDOW = SsimConfig(window=WindowSpec("rect", k=5))
 
 
 def ms(spec):
@@ -106,7 +106,7 @@ def ms(spec):
 class TestMsssim:
     @pytest.mark.parametrize(
         "spec",
-        [MultiscaleSpec.product(3), MultiscaleSpec.weighted_sum(3), MultiscaleSpec.fast4()],
+        [MultiscaleSpec("product", levels=3), MultiscaleSpec("sum", levels=3), MultiscaleSpec("fast4")],
     )
     def test_identical_inputs(self, rng, spec):
         a = random_plane(rng, 96, 96)
@@ -148,8 +148,8 @@ class TestMsssim:
 
     def test_monotone_under_increasing_noise(self, rng):
         a = natural_plane(rng, 192, 192)
-        spec = MultiscaleSpec.product(5)
-        cfg = SsimConfig(window=WindowSpec.rectangular(5))
+        spec = MultiscaleSpec("product", levels=5)
+        cfg = SsimConfig(window=WindowSpec("rect", k=5))
         scores = []
         for amplitude in (0, 4, 12, 28, 60):
             b = noisy_version(rng, a, amplitude) if amplitude else a
@@ -162,7 +162,7 @@ class TestMsssim:
         a = natural_plane(rng, 96, 96)
         for amplitude in (5, 25, 50):
             b = noisy_version(rng, a, amplitude)
-            scores = scale_scores(a, b, ms(MultiscaleSpec.product(3)))
+            scores = scale_scores(a, b, ms(MultiscaleSpec("product", levels=3)))
             assert all(0.0 < s <= 1.0 for s in scores)
             prod = msssim(a, b, ms(MultiscaleSpec("product", 3, (1 / 3, 1 / 3, 1 / 3))))
             sm = msssim(a, b, ms(MultiscaleSpec("sum", 3, (1 / 3, 1 / 3, 1 / 3))))
@@ -185,7 +185,7 @@ class TestMsssim:
         # 128x96 fits an 11x11 window at 3 scales, not at the 5 of the default
         a = natural_plane(rng, 96, 128)
         b = noisy_version(rng, a, 15)
-        config = SsimConfig(multiscale=MultiscaleSpec.weighted_sum(3))
+        config = SsimConfig(multiscale=MultiscaleSpec("sum", levels=3))
         exps = config.multiscale.effective_exponents()
         cur_a, cur_b, expected = a, b, 0.0
         for level in range(3):
@@ -200,26 +200,26 @@ class TestMsssim:
     def test_default_config_is_the_five_level_product(self, rng):
         a = natural_plane(rng, 192, 192)
         b = noisy_version(rng, a, 15)
-        assert msssim(a, b) == msssim(a, b, SsimConfig(multiscale=MultiscaleSpec.product()))
+        assert msssim(a, b) == msssim(a, b, SsimConfig(multiscale=MultiscaleSpec("product")))
 
     def test_too_many_levels(self, rng):
         a = random_plane(rng, 32, 32)
         with pytest.raises(TooManyLevels):
-            msssim(a, a, ms(MultiscaleSpec.product(4)))  # 32 / 8 = 4 < 5
+            msssim(a, a, ms(MultiscaleSpec("product", levels=4)))  # 32 / 8 = 4 < 5
 
     def test_off_mode_rejected(self, rng):
         a = random_plane(rng, 64, 64)
         with pytest.raises(ValidationError):
-            msssim(a, a, ms(MultiscaleSpec.off()))
+            msssim(a, a, ms(MultiscaleSpec("off")))
 
     def test_fast4_uses_renormalized_first_four(self, rng):
         a = natural_plane(rng, 96, 96)
         b = noisy_version(rng, a, 10)
-        scores = scale_scores(a, b, ms(MultiscaleSpec.fast4()))
-        exps = MultiscaleSpec.fast4().effective_exponents()
+        scores = scale_scores(a, b, ms(MultiscaleSpec("fast4")))
+        exps = MultiscaleSpec("fast4").effective_exponents()
         expected = 1.0
         for s, e in zip(scores, exps):
             expected *= max(s, 0.0) ** e
-        assert msssim(a, b, ms(MultiscaleSpec.fast4())) == pytest.approx(
+        assert msssim(a, b, ms(MultiscaleSpec("fast4"))) == pytest.approx(
             expected, abs=1e-12
         )

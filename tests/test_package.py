@@ -248,6 +248,15 @@ def test_every_kind_is_parsed_printed_and_checked_from_its_row(cls, parse, part,
                 SsimConfig.from_json(json.dumps(config))
 
 
+@pytest.mark.parametrize("cls", [WindowSpec, MultiscaleSpec, ScalePolicy, ColorModelSpec])
+def test_each_part_is_built_one_way_by_its_kinds_name(cls):
+    """By its constructor with the kind name that selectors, JSON and
+    ``selector()`` use, or by its parser: no classmethod gives a kind a
+    second name, and a window's stride is set by ``dataclasses.replace``."""
+    assert [name for name, value in vars(cls).items() if isinstance(value, classmethod)] == []
+    assert not hasattr(cls, "with_stride")
+
+
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
 #: The SsimConfig field that holds each pooler as a selector string.
@@ -334,9 +343,9 @@ def test_constants_just_inside_the_bound_give_finite_maps(name):
 @pytest.mark.parametrize("make", [
     lambda: pipeline.PipelineSpec(kt=True),
     lambda: pipeline.PipelineSpec(workers=True),
-    lambda: WindowSpec.rectangular(True),
-    lambda: WindowSpec.rectangular(11, stride=True),
-    lambda: MultiscaleSpec.product(True),
+    lambda: WindowSpec("rect", k=True),
+    lambda: WindowSpec("rect", k=11, stride=True),
+    lambda: MultiscaleSpec("product", levels=True),
     lambda: spatiotemporal.RollingVolume(True),
     lambda: TemporalPooler("wam", k=True),
     lambda: ssimkit.adaptation.HistogramMatcher(refresh_interval=True),
@@ -385,7 +394,7 @@ SPEC = pipeline.PipelineSpec()
     ("NoReferenceYet", lambda tmp: ssimkit.adaptation.HistogramMatcher().transform(np.zeros((2, 2)))),
     ("ValidationError", lambda tmp: cli._spec_from_string("fast=preset=default;speed=2")),
     ("DegenerateWeights", lambda tmp: color.combine_channelwise(0.9, 0.9, 0.9, -0.5, -0.5)),
-    ("ValidationError", lambda tmp: color.qssim(_rgb(16, 16), _rgb(16, 16), SsimConfig(window=WindowSpec.gaussian(1.5)))),
+    ("ValidationError", lambda tmp: color.qssim(_rgb(16, 16), _rgb(16, 16), SsimConfig(window=WindowSpec("gauss", sigma=1.5)))),
     ("ValidationError", lambda tmp: ColorModelSpec("fixed", weights=(0.5, 0.5))),
     ("ValidationError", lambda tmp: parse_spatial("  ")),
     ("ValidationError", lambda tmp: ssimkit.evaluation.Logistic5(math.nan, 1.0, 0.0, 0.0, 0.0)),
@@ -404,11 +413,11 @@ SPEC = pipeline.PipelineSpec()
     ("UnsupportedChroma", lambda tmp: ssimkit.media.read_planar_raw(_bytes(tmp / "a.yuv", b"\0" * 6), 2, 2, chroma="422")),
     ("BadHeader", lambda tmp: ssimkit.media.read_pnm(_bytes(tmp / "a.pgm", b"P5\n0 4\n255\n"))),
     ("ValidationError", lambda tmp: ssimkit.media.write_report([], "xml", ("frame",))),
-    ("ValidationError", lambda tmp: multiscale.msssim(GRAY, GRAY, SsimConfig(multiscale=MultiscaleSpec.product()), [])),
-    ("ValidationError", lambda tmp: multiscale.combine_scale_scores([0.5], MultiscaleSpec.product())),
+    ("ValidationError", lambda tmp: multiscale.msssim(GRAY, GRAY, SsimConfig(multiscale=MultiscaleSpec("product")), [])),
+    ("ValidationError", lambda tmp: multiscale.combine_scale_scores([0.5], MultiscaleSpec("product"))),
     ("ValidationError", lambda tmp: pipeline.PipelineSpec(report_format="xml")),
     ("ValidationError", lambda tmp: pipeline.PipelineSpec(SsimConfig(color=ColorModelSpec("hssim")), kt=2)),
-    ("ValidationError", lambda tmp: pipeline.PipelineSpec(SsimConfig(window=WindowSpec.gaussian(1.5)), kt=2)),
+    ("ValidationError", lambda tmp: pipeline.PipelineSpec(SsimConfig(window=WindowSpec("gauss", sigma=1.5)), kt=2)),
     ("DimensionMismatch", lambda tmp: pipeline.score_frame_pair(GRAY, _rgb(16, 16), SsimConfig())),
     ("ValidationError", lambda tmp: pipeline.score_frame_pair(GRAY, GRAY, SsimConfig(color=ColorModelSpec("hssim")))),
     ("DimensionMismatch", lambda tmp: pipeline.run_score(_y4m(tmp / "r.y4m", 16), _y4m(tmp / "d.y4m", 18), SPEC)),
@@ -416,7 +425,7 @@ SPEC = pipeline.PipelineSpec()
     ("ValidationError", lambda tmp: pipeline.run_score(_y4m(tmp / "r.y4m", 16, frames=0), _y4m(tmp / "d.y4m", 16, frames=0), SPEC)),
     ("ValidationError", lambda tmp: pipeline.run_benchmark(tmp / "unread.csv", {})),
     ("ValidationError", lambda tmp: spatiotemporal.RollingVolume(2).temporal_sums()),
-    ("ValidationError", lambda tmp: ssimkit.stats.local_statistics(GRAY, GRAY, WindowSpec.rectangular(3), "fast")),
+    ("ValidationError", lambda tmp: ssimkit.stats.local_statistics(GRAY, GRAY, WindowSpec("rect", k=3), "fast")),
 ], ids=[
     "ratio alpha", "transform before a reference", "unknown spec key", "channel weights sum to zero",
     "qssim gaussian window", "fixed weights not three", "empty selector", "non-finite beta",

@@ -54,7 +54,7 @@ def _planes(kind: str, rows: int, frame: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _config(kind: str, route: str, pool: str = "am") -> SsimConfig:
-    multiscale = MultiscaleSpec.product(3, (0.2, 0.3, 0.5)) if route == "ms3" else MultiscaleSpec.off()
+    multiscale = MultiscaleSpec("product", levels=3, exponents=(0.2, 0.3, 0.5)) if route == "ms3" else MultiscaleSpec("off")
     return SsimConfig(bit_depth=10 if kind == "u10" else 8, spatial_pool=pool, multiscale=multiscale)
 
 
@@ -108,10 +108,10 @@ def run_bits(kind: str, route: str, rows: int) -> dict:
 SCALED_SHAPES = {"even": (128, 192), "ragged": (131, 197)}
 SCALED_FACTORS = (("even", 2), ("even", 4), ("even", 8), ("even", 3), ("even", 5), ("ragged", 2), ("ragged", 8))
 SCALED_WINDOWS = {
-    "rect": (WindowSpec.rectangular(11), "auto"),
-    "rect-s5": (WindowSpec.rectangular(11, stride=5), "auto"),
-    "gauss": (WindowSpec.gaussian(1.5), "auto"),
-    "naive": (WindowSpec.rectangular(11), "naive"),
+    "rect": (WindowSpec("rect", k=11), "auto"),
+    "rect-s5": (WindowSpec("rect", k=11, stride=5), "auto"),
+    "gauss": (WindowSpec("gauss", sigma=1.5), "auto"),
+    "naive": (WindowSpec("rect", k=11), "naive"),
 }
 SCALED_POOLS = ("am", "cov", "lw:a=100,b=200")
 
@@ -131,7 +131,7 @@ def scaled_bits(depth: int, size: str, factor: int, window: str) -> dict:
         for clip, luma in zip(clips, (ref, dist)):
             uv = (rng.integers(0, peak + 1, (-(-height // 2), -(-width // 2))).astype(dtype) for _ in "uv")
             clip.append(ColorFrame((np.round(luma).astype(dtype), *uv), "ycbcr-bt709", "420", depth))
-    policy = ScalePolicy.enhanced_dh(min(height, width) / 256 * 3 / factor)
+    policy = ScalePolicy("dh", d_over_h=min(height, width) / 256 * 3 / factor)
     assert policy_factor(policy, width, height) == factor
     shape, engine = SCALED_WINDOWS[window]
     out = {}

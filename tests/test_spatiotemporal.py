@@ -7,7 +7,7 @@ import pytest
 from ssimkit import spatiotemporal, stats
 from ssimkit.adaptation import box_downsample
 from ssimkit.config import MultiscaleSpec, SsimConfig, WindowSpec
-from ssimkit.errors import DimensionMismatch, GaussianNotSupported3D, LengthMismatch, ScaleMismatch
+from ssimkit.errors import BitDepthMismatch, DimensionMismatch, GaussianNotSupported3D, LengthMismatch, ScaleMismatch
 from ssimkit.frames import LumaPlane
 from ssimkit.multiscale import msssim
 from ssimkit.spatiotemporal import (
@@ -21,7 +21,7 @@ from ssimkit.stats import BAND_ROWS
 
 from helpers import in_fresh_thread, natural_plane, noisy_version, random_plane
 
-CFG5 = SsimConfig(window=WindowSpec.rectangular(5))
+CFG5 = SsimConfig(window=WindowSpec("rect", k=5))
 
 
 def float_plane(rng, height, width, bit_depth):
@@ -153,7 +153,7 @@ class TestRollingSums:
         for rolled, direct in zip(vol.temporal_sums(), vol.direct_sums()):
             assert rolled.dtype == np.float64
             assert np.array_equal(rolled, direct)
-        stats = vol.local_statistics(WindowSpec.rectangular(5))
+        stats = vol.local_statistics(WindowSpec("rect", k=5))
         ref_cube = np.stack([small[0], wide[0]]).astype(np.float64)
         dist_cube = np.stack([small[1], wide[1]]).astype(np.float64)
         for i, j in ((0, 0), (3, 4), (5, 6)):
@@ -179,7 +179,8 @@ class TestRollingSums:
         first = [random_plane(rng, 9, 11, 10) for _ in range(4)]
         vol.push(*first[:2]).push(*first[2:])
         assert vol.temporal_sums()[0].dtype == np.uint32
-        vol.push(random_plane(rng, 9, 11, 16), random_plane(rng, 9, 11, 16))
+        # Bare arrays carry no depth; their uint16 dtype bounds them at 65,535.
+        vol.push(random_plane(rng, 9, 11, 16).samples, random_plane(rng, 9, 11, 16).samples)
         for rolled, direct in zip(vol.temporal_sums(), vol.direct_sums()):
             assert rolled.dtype == np.int64
             assert np.array_equal(rolled, direct)
@@ -288,12 +289,25 @@ class TestRollingSums:
             vol.push(*planes)
         assert vol.depth == 1
         # The sums of four equal samples score as those samples do.
-        config = SsimConfig(window=WindowSpec.rectangular(5))
+        config = SsimConfig(window=WindowSpec("rect", k=5))
         plain = ssim3d_map(RollingVolume(2).push(*planes), config)
         scaled = ssim3d_map(vol, config)
         assert scaled.q_map.values.tobytes() == plain.q_map.values.tobytes()
         with pytest.raises(ScaleMismatch):
             RollingVolume(2).push(sums[0], planes[1])
+
+    def test_bit_depth_is_fixed_at_the_first_push(self, rng):
+        eight = [random_plane(rng, 16, 16) for _ in range(2)]
+        ten = [LumaPlane(p.samples.astype(np.uint16) * 4, 10) for p in eight]
+        vol = RollingVolume(2).push(*eight)
+        with pytest.raises(BitDepthMismatch):
+            vol.push(*ten)
+        assert vol.depth == 1
+        # Bare arrays carry no depth, as in validate_frame_pair.
+        vol.push(eight[0].samples, eight[1].samples)
+        assert vol.depth == 2
+        with pytest.raises(BitDepthMismatch):
+            vol.push(*ten)
 
 
 class TestSsim3dMap:
@@ -310,7 +324,7 @@ class TestSsim3dMap:
     @pytest.mark.parametrize("bits,stride", [(8, 3), (10, 1), (10, 4)])
     def test_kt_one_equals_framewise_bit_for_bit(self, rng, bits, stride):
         # Integer planes take the exact box sums, float64 ones the summed-area tables.
-        config = SsimConfig(bit_depth=bits, window=WindowSpec.rectangular(7, stride=stride))
+        config = SsimConfig(bit_depth=bits, window=WindowSpec("rect", k=7, stride=stride))
         for make in (random_plane, float_plane):
             vol = RollingVolume(1)
             for _ in range(3):
@@ -326,15 +340,18 @@ class TestSsim3dMap:
         # uint16 samples whose bit depth or scale bounds them far below the
         # dtype's 65,535: at k = 33 (n = 1089) only that bound keeps the
         # frame pair on the exact route, and the volume must keep it too,
-        # also once a 16-bit frame has left its buffer.
+        # also once a pair of bare uint16 arrays, which carry no depth and
+        # are bounded by their dtype alone, has left its buffer. A volume of
+        # scaled frames holds only frames of its first scale and depth.
         def plane(bits):
             if source == "10-bit":
                 return random_plane(rng, 40, 36, bits)
             return box_downsample(random_plane(rng, 80, 72, bits), 2)
 
-        config = SsimConfig(bit_depth=10 if source == "10-bit" else 8, window=WindowSpec.rectangular(33))
+        config = SsimConfig(bit_depth=10 if source == "10-bit" else 8, window=WindowSpec("rect", k=33))
         vol = RollingVolume(1)
-        vol.push(plane(16), plane(16))
+        if source == "10-bit":
+            vol.push(plane(16).samples, plane(16).samples)
         for _ in range(2):
             a, b = plane(config.bit_depth), plane(config.bit_depth)
             vol.push(a, b)
@@ -359,7 +376,7 @@ class TestSsim3dMap:
         vol = RollingVolume(3)
         for r, d in zip(refs, dists):
             vol.push(r, d)
-        cfg = SsimConfig(window=WindowSpec.rectangular(5))
+        cfg = SsimConfig(window=WindowSpec("rect", k=5))
         maps = ssim3d_map(vol, cfg)
         for i in range(0, 12, 3):
             for j in range(0, 12, 3):
@@ -372,15 +389,15 @@ class TestSsim3dMap:
         vol = RollingVolume(2)
         vol.push(random_plane(rng, 16, 16), random_plane(rng, 16, 16))
         with pytest.raises(GaussianNotSupported3D):
-            ssim3d_map(vol, replace(CFG5, window=WindowSpec.gaussian(1.5)))
+            ssim3d_map(vol, replace(CFG5, window=WindowSpec("gauss", sigma=1.5)))
 
     def test_stride_subsampling(self, rng):
         refs, dists = frame_pairs(rng, 4, 32, 32)
         vol = RollingVolume(3)
         for r, d in zip(refs, dists):
             vol.push(r, d)
-        dense = ssim3d_map(vol, replace(CFG5, window=WindowSpec.rectangular(5)))
-        strided = ssim3d_map(vol, replace(CFG5, window=WindowSpec.rectangular(5, stride=4)))
+        dense = ssim3d_map(vol, replace(CFG5, window=WindowSpec("rect", k=5)))
+        strided = ssim3d_map(vol, replace(CFG5, window=WindowSpec("rect", k=5, stride=4)))
         assert np.array_equal(strided.q_map.values, dense.q_map.values[::4, ::4])
 
 
@@ -390,7 +407,7 @@ class TestEngine:
         # Integer running sums stay below 2^53, so the direct loop reads them exactly.
         refs = [random_plane(rng, BAND_ROWS + 30, 40, bits) for _ in range(4)]
         dists = [noisy_version(rng, r) for r in refs]
-        cfg = SsimConfig(bit_depth=bits, window=WindowSpec.rectangular(11))
+        cfg = SsimConfig(bit_depth=bits, window=WindowSpec("rect", k=11))
         naive = replace(cfg, engine="naive")
         calls = []
         counted = stats._sliding_weighted_sums
@@ -405,7 +422,7 @@ class TestEngine:
             vol.push(r, d)
         for got, want in zip(ssim3d_map(vol, naive).__dict__.values(), ssim3d_map(vol, cfg).__dict__.values()):
             assert got.values.tobytes() == want.values.tobytes()
-        levels = replace(cfg, multiscale=MultiscaleSpec.product(2, (0.4, 0.6)))
+        levels = replace(cfg, multiscale=MultiscaleSpec("product", levels=2, exponents=(0.4, 0.6)))
         assert msssim3d(refs, dists, 3, replace(levels, engine="naive")).scores.tobytes() == msssim3d(refs, dists, 3, levels).scores.tobytes()
 
 
@@ -420,18 +437,18 @@ class TestSeries:
         with pytest.raises(LengthMismatch):
             ssim3d_series(refs, dists[:2], 2, CFG5)
         with pytest.raises(LengthMismatch):
-            msssim3d(refs, dists[:1], 2, replace(CFG5, multiscale=MultiscaleSpec.product(2)))
+            msssim3d(refs, dists[:1], 2, replace(CFG5, multiscale=MultiscaleSpec("product", levels=2)))
         with pytest.raises(LengthMismatch):
-            msssim3d(refs[:1], dists, 2, replace(CFG5, multiscale=MultiscaleSpec.product(2)))
+            msssim3d(refs[:1], dists, 2, replace(CFG5, multiscale=MultiscaleSpec("product", levels=2)))
 
     def test_msssim3d_identical_streams(self, rng):
         refs, _ = frame_pairs(rng, 4, 64, 64)
-        series = msssim3d(refs, refs, 3, replace(CFG5, multiscale=MultiscaleSpec.product(2)))
+        series = msssim3d(refs, refs, 3, replace(CFG5, multiscale=MultiscaleSpec("product", levels=2)))
         assert np.allclose(series.scores, 1.0, atol=1e-12)
 
     def test_msssim3d_kt_one_equals_framewise(self, rng):
         refs, dists = frame_pairs(rng, 4, 64, 64, noise=18)
-        config = replace(CFG5, multiscale=MultiscaleSpec.product(2))
+        config = replace(CFG5, multiscale=MultiscaleSpec("product", levels=2))
         series = msssim3d(refs, dists, 1, config)
         framewise = [msssim(r, d, config) for r, d in zip(refs, dists)]
         assert np.array_equal(series.scores, np.array(framewise))

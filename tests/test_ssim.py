@@ -90,7 +90,7 @@ class TestSsimMap:
     def test_gaussian_window_config(self, rng):
         a = random_plane(rng, 32, 32)
         b = noisy_version(rng, a)
-        cfg = SsimConfig(window=WindowSpec.gaussian(1.5))
+        cfg = SsimConfig(window=WindowSpec("gauss", sigma=1.5))
         score = ssim_score(a, b, cfg)
         assert 0.0 < score < 1.0
 
@@ -213,7 +213,7 @@ class TestOneRuler:
         a = random_plane(rng, 64, 64, bit_depth=bit_depth)
         b = noisy_version(rng, a, 5 << (bit_depth - 8))
         plain = SsimConfig()
-        ms = SsimConfig(window=WindowSpec.rectangular(4), multiscale=MultiscaleSpec.product(3))
+        ms = SsimConfig(window=WindowSpec("rect", k=4), multiscale=MultiscaleSpec("product", levels=3))
         want, want_ms = score_frame_pair(a, b, plain).score, score_frame_pair(a, b, ms).score
         assert ssim_score(a, b) == want
         assert mssim(ssim_map(a, b, plain)) == want
@@ -226,14 +226,19 @@ class TestOneRuler:
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(
         window=st.one_of(
-            st.builds(WindowSpec.rectangular, st.integers(2, 7), st.integers(1, 3)),
-            st.builds(WindowSpec.gaussian, st.sampled_from([0.8, 1.5]), st.sampled_from([5, 7]), st.integers(1, 3)),
+            st.builds(lambda k, stride: WindowSpec("rect", k=k, stride=stride), st.integers(2, 7), st.integers(1, 3)),
+            st.builds(
+                lambda sigma, k, stride: WindowSpec("gauss", sigma=sigma, k=k, stride=stride),
+                st.sampled_from([0.8, 1.5]), st.sampled_from([5, 7]), st.integers(1, 3),
+            ),
         ),
         bit_depth=st.sampled_from([8, 10]),
         scaling=st.sampled_from([
-            ScalePolicy.none(), ScalePolicy.legacy256(), ScalePolicy.enhanced_dh(0.5), ScalePolicy.sast(50.0),
+            ScalePolicy("none"), ScalePolicy("legacy"), ScalePolicy("dh", d_over_h=0.5), ScalePolicy("sast", distance=50.0),
         ]),
-        multiscale=st.sampled_from([MultiscaleSpec.off(), MultiscaleSpec.product(2), MultiscaleSpec.weighted_sum(2)]),
+        multiscale=st.sampled_from(
+            [MultiscaleSpec("off"), MultiscaleSpec("product", levels=2), MultiscaleSpec("sum", levels=2)]
+        ),
         size=st.sampled_from([(64, 96), (67, 101)]),
         seed=st.integers(0, 2**16),
     )
@@ -248,7 +253,7 @@ class TestOneRuler:
         # direct calls, with the scale policy applied by hand
         factor = policy_factor(scaling, width, height)
         sa, sb = box_downsample(a, factor), box_downsample(b, factor)
-        direct = replace(config, scaling=ScalePolicy.none())
+        direct = replace(config, scaling=ScalePolicy("none"))
         if multiscale.enabled:
             assert msssim(sa, sb, direct) == want
         else:

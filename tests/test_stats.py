@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -198,7 +199,7 @@ class TestIntegralSet:
         planes = [rng.normal(size=(h, 41)) * 1e3 for _ in range(5)]
         for t in planes:
             t[:2] = -0.0
-        got = window_statistics(rows_of(planes), (h, 41), WindowSpec.rectangular(k, stride))
+        got = window_statistics(rows_of(planes), (h, 41), WindowSpec("rect", k=k, stride=stride))
         sums = [_grid_window_sums(_sat(t), k, stride) / float(k * k) for t in planes]
         want = stats_from_means(*sums, np.empty(sums[0].shape))
         for x, y in zip((got.mu1, got.mu2, got.var1, got.var2, got.cov), want):
@@ -287,7 +288,7 @@ def gaussian_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dtype = np.uint8 if bits == 8 else np.uint16
     a, b = (LumaPlane(rng.integers(0, 1 << bits, (h, w)).astype(dtype), bits) for _ in range(2))
-    return a, b, WindowSpec.gaussian(sigma, k=k, stride=stride)
+    return a, b, WindowSpec("gauss", sigma=sigma, k=k, stride=stride)
 
 
 class TestGaussianRoute:
@@ -420,7 +421,7 @@ class TestBoxSums:
         b = rng.integers(0, 256, shape, dtype=np.uint8)
 
         def whole():
-            got = local_statistics(a, b, WindowSpec.rectangular(11))
+            got = local_statistics(a, b, WindowSpec("rect", k=11))
             got.mu1  # forms the whole grids in this thread
             return got, {role: buf.nbytes for role, buf in vars(stats._arena).items()}
 
@@ -474,7 +475,7 @@ class TestBoxSums:
         plane, k, stride = case
         rng = np.random.default_rng(seed)
         other = rng.integers(0, int(plane.max()) + 1, plane.shape).astype(plane.dtype)
-        window = WindowSpec.rectangular(k, stride=stride)
+        window = WindowSpec("rect", k=k, stride=stride)
         fast = local_statistics(plane, other, window, "auto")
         slow = local_statistics(plane, other, window, "naive")
         for name in ("mu1", "mu2", "var1", "var2", "cov"):
@@ -488,7 +489,9 @@ def typed_pairs(draw):
     h, w = draw(st.integers(3, 40)), draw(st.integers(3, 40))
     k = 2 * draw(st.integers(1, (min(h, w) - 1) // 2)) + 1
     stride = draw(st.integers(1, 4))
-    window = draw(st.sampled_from([WindowSpec.rectangular(k, stride), WindowSpec.gaussian(1.5, k, stride)]))
+    window = draw(st.sampled_from(
+        [WindowSpec("rect", k=k, stride=stride), WindowSpec("gauss", sigma=1.5, k=k, stride=stride)]
+    ))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a, b = (rng.integers(lo, hi, (h, w)).astype(dtype) for _ in range(2))
     return a, b, window
@@ -565,7 +568,7 @@ class TestRouteFromPlanes:
         rng = np.random.default_rng(peak)
         a, b = (rng.integers(-peak, peak + 1, (15, 16)).astype(np.int32) for _ in range(2))
         a[0, 0] = peak
-        self.check_route(a, b, WindowSpec.rectangular(11), engine)
+        self.check_route(a, b, WindowSpec("rect", k=11), engine)
 
     @staticmethod
     def check_route(a, b, window, engine):
@@ -682,7 +685,7 @@ class TestWideIntegerStatistics:
         lo, hi = sorted((0, peak))
         a = rng.integers(lo, hi, (20, 23), endpoint=True).astype(dtype)
         b = rng.integers(lo, hi, (20, 23), endpoint=True).astype(dtype)
-        window = WindowSpec.rectangular(7)
+        window = WindowSpec("rect", k=7)
         fast = local_statistics(a, b, window, "auto")
         slow = local_statistics(a, b, window, "naive")
         for name in ("mu1", "mu2", "var1", "var2", "cov"):
@@ -692,7 +695,7 @@ class TestWideIntegerStatistics:
         # 49 * (2^20)^2 < 2^63: the exact route holds, bit for bit.
         a = rng.integers(0, 2**20, (12, 13)).astype(np.uint32)
         b = rng.integers(0, 2**20, (12, 13)).astype(np.uint32)
-        window = WindowSpec.rectangular(7)
+        window = WindowSpec("rect", k=7)
         fast = local_statistics(a, b, window, "auto")
         slow = local_statistics(a, b, window, "naive")
         for name in ("mu1", "mu2", "var1", "var2", "cov"):
@@ -707,7 +710,7 @@ class TestWideIntegerStatistics:
         shape = (3 * BAND - 20 + 10, 37)  # 3 * BAND - 20 grid rows at k=11: three bands
         a = rng.integers(0, 3 * 10**9, shape, endpoint=True, dtype=np.int64)
         b = np.clip(a + rng.integers(-3 * 10**8, 3 * 10**8, shape), 0, 3 * 10**9)
-        cfg = SsimConfig(window=WindowSpec.rectangular(11))
+        cfg = SsimConfig(window=WindowSpec("rect", k=11))
         calls = []
         counted = stats._pair_terms
         monkeypatch.setattr(stats, "_pair_terms", lambda *args: calls.append(None) or counted(*args))
@@ -725,7 +728,7 @@ class TestLocalStatistics:
         a = LumaPlane(np.full((16, 16), 100, dtype=np.uint8))
         b = LumaPlane(np.full((16, 16), 110, dtype=np.uint8))
         for engine in ("naive", "auto"):
-            stats = local_statistics(a, b, WindowSpec.rectangular(5), engine)
+            stats = local_statistics(a, b, WindowSpec("rect", k=5), engine)
             assert np.allclose(stats.mu1, 100.0, atol=1e-10)
             assert np.allclose(stats.mu2, 110.0, atol=1e-10)
             assert np.all(stats.var1 == 0.0)
@@ -734,7 +737,7 @@ class TestLocalStatistics:
 
     def test_self_statistics(self, rng):
         a = random_plane(rng, 20, 20)
-        stats = local_statistics(a, a, WindowSpec.rectangular(7), "auto")
+        stats = local_statistics(a, a, WindowSpec("rect", k=7), "auto")
         assert np.array_equal(stats.var1, stats.var2)
         assert np.allclose(stats.var1, stats.cov, atol=1e-9)
 
@@ -744,7 +747,7 @@ class TestLocalStatistics:
             h = int(rng.integers(k, 65))
             w = int(rng.integers(k, 65))
             a, b = random_plane(rng, h, w), random_plane(rng, h, w)
-            window = WindowSpec.rectangular(k)
+            window = WindowSpec("rect", k=k)
             fast = local_statistics(a, b, window, "auto")
             slow = local_statistics(a, b, window, "naive")
             for name in ("mu1", "mu2", "var1", "var2", "cov"):
@@ -755,7 +758,7 @@ class TestLocalStatistics:
         a, b = random_plane(rng, 12, 14), random_plane(rng, 12, 14)
         k = 4
         weights = np.full((k, k), 1.0 / (k * k))
-        stats = local_statistics(a, b, WindowSpec.rectangular(k), "auto")
+        stats = local_statistics(a, b, WindowSpec("rect", k=k), "auto")
         for i in range(stats.grid_shape[0]):
             for j in range(stats.grid_shape[1]):
                 mu1, mu2, var1, var2, cov = brute_force_local_stats(
@@ -767,7 +770,7 @@ class TestLocalStatistics:
 
     def test_gaussian_matches_brute_force(self, rng):
         a, b = random_plane(rng, 15, 15), random_plane(rng, 15, 15)
-        window = WindowSpec.gaussian(1.0, k=7)
+        window = WindowSpec("gauss", sigma=1.0, k=7)
         weights = gaussian_kernel(1.0, 7)
         stats = local_statistics(a, b, window, "naive")
         for i in range(0, stats.grid_shape[0], 3):
@@ -778,23 +781,23 @@ class TestLocalStatistics:
                 assert stats.cov[i, j] == pytest.approx(cov, abs=1e-7)
 
     @pytest.mark.parametrize("engine,window", [
-        ("auto", WindowSpec.rectangular(11, stride=5)),
-        ("naive", WindowSpec.rectangular(11, stride=3)),
-        ("naive", WindowSpec.gaussian(1.5, stride=4)),
-        ("auto", WindowSpec.gaussian(1.5, stride=3)),
+        ("auto", WindowSpec("rect", k=11, stride=5)),
+        ("naive", WindowSpec("rect", k=11, stride=3)),
+        ("naive", WindowSpec("gauss", sigma=1.5, stride=4)),
+        ("auto", WindowSpec("gauss", sigma=1.5, stride=3)),
     ])
     def test_stride_equals_subsampled_stride_one(self, rng, engine, window):
         a, b = random_plane(rng, 48, 40), random_plane(rng, 48, 40)
         s = window.stride
         strided = local_statistics(a, b, window, engine)
-        dense = local_statistics(a, b, window.with_stride(1), engine)
+        dense = local_statistics(a, b, replace(window, stride=1), engine)
         for name in ("mu1", "mu2", "var1", "var2", "cov"):
             assert np.array_equal(getattr(strided, name), getattr(dense, name)[::s, ::s])
 
     def test_grid_shape_formula(self, rng):
         a, b = random_plane(rng, 37, 23), random_plane(rng, 37, 23)
         for k, s in [(5, 1), (5, 3), (8, 4), (11, 5)]:
-            stats = local_statistics(a, b, WindowSpec.rectangular(k, stride=s), "auto")
+            stats = local_statistics(a, b, WindowSpec("rect", k=k, stride=s), "auto")
             expected = ((37 - k) // s + 1, (23 - k) // s + 1)
             assert stats.grid_shape == expected
 
@@ -802,14 +805,14 @@ class TestLocalStatistics:
         eps = 1e-6 * 255.0**2
         for _ in range(20):
             a, b = random_plane(rng, 24, 24), random_plane(rng, 24, 24)
-            stats = local_statistics(a, b, WindowSpec.rectangular(7), "auto")
+            stats = local_statistics(a, b, WindowSpec("rect", k=7), "auto")
             bound = np.sqrt(stats.var1 * stats.var2) + eps
             assert np.all(np.abs(stats.cov) <= bound)
 
     def test_delta_kernel_reproduces_input(self, rng):
         # sigma small enough that off-center weights underflow to exactly 0
         a, b = random_plane(rng, 12, 12), random_plane(rng, 12, 12)
-        window = WindowSpec.gaussian(0.01)
+        window = WindowSpec("gauss", sigma=0.01)
         assert window.k == 3
         stats = local_statistics(a, b, window, "naive")
         assert np.array_equal(stats.mu1, a.samples[1:-1, 1:-1].astype(float))
@@ -818,7 +821,7 @@ class TestLocalStatistics:
     def test_window_larger_than_image(self, rng):
         a = random_plane(rng, 8, 8)
         with pytest.raises(WindowLargerThanImage):
-            local_statistics(a, a, WindowSpec.rectangular(11), "auto")
+            local_statistics(a, a, WindowSpec("rect", k=11), "auto")
 
     @pytest.mark.parametrize("score", [
         lambda rng, config: local_statistics(random_plane(rng, 8, 12), random_plane(rng, 8, 12), config.window),
@@ -827,7 +830,7 @@ class TestLocalStatistics:
         lambda rng, config: qssim(random_rgb(rng, 8, 12), random_rgb(rng, 8, 12), config),
     ], ids=["frame", "volume", "qssim"])
     def test_one_window_fit_error_for_frames_volumes_and_qssim(self, rng, score):
-        config = SsimConfig(window=WindowSpec.rectangular(11), color=ColorModelSpec("qssim"))
+        config = SsimConfig(window=WindowSpec("rect", k=11), color=ColorModelSpec("qssim"))
         with pytest.raises(WindowLargerThanImage, match="11x11 window does not fit a 12x8 image"):
             score(rng, config)
         assert issubclass(WindowLargerThanImage, ValidationError)
@@ -835,7 +838,7 @@ class TestLocalStatistics:
     def test_variances_never_negative(self, rng):
         for _ in range(10):
             a, b = random_plane(rng, 16, 16), random_plane(rng, 16, 16)
-            stats = local_statistics(a, b, WindowSpec.rectangular(3), "auto")
+            stats = local_statistics(a, b, WindowSpec("rect", k=3), "auto")
             assert stats.var1.min() >= 0.0
             assert stats.var2.min() >= 0.0
 
@@ -908,8 +911,8 @@ class TestBandEdges:
     @pytest.mark.parametrize("grid_rows", [BAND - 1, BAND, BAND + 1, 2 * BAND + 1])
     def test_frame_maps_equal_one_band(self, monkeypatch, grid_rows, stride):
         rng = np.random.default_rng(grid_rows * 10 + stride)
-        windows = [WindowSpec.rectangular(k, stride) for k in (1, 7, 11, BAND + 6)]
-        windows.append(WindowSpec.gaussian(1.5, stride=stride))
+        windows = [WindowSpec("rect", k=k, stride=stride) for k in (1, 7, 11, BAND + 6)]
+        windows.append(WindowSpec("gauss", sigma=1.5, stride=stride))
         calls = []
         counted = stats._pair_terms
 
@@ -938,7 +941,7 @@ class TestBandEdges:
     @pytest.mark.parametrize("grid_rows", [BAND - 1, BAND, BAND + 1, 2 * BAND + 1])
     def test_volume_maps_equal_one_band(self, monkeypatch, kt, grid_rows):
         rng = np.random.default_rng(grid_rows * 10 + kt)
-        windows = [WindowSpec.rectangular(7), WindowSpec.rectangular(11, 3), WindowSpec.rectangular(BAND + 6)]
+        windows = [WindowSpec("rect", k=7), WindowSpec("rect", k=11, stride=3), WindowSpec("rect", k=BAND + 6)]
         vols = {w: RollingVolume(kt) for w in windows}
         for t in range(kt + 2):
             for window, vol in vols.items():
@@ -957,7 +960,7 @@ class TestBandEdges:
                     assert streamed_means(vol.local_statistics(window, engine), cfg) == map_means(whole)
 
     def test_16_bit_volume_maps_equal_one_band(self, monkeypatch, rng):
-        window = WindowSpec.rectangular(7, 2)
+        window = WindowSpec("rect", k=7, stride=2)
         shape = (2 * BAND * 2 + window.k, 20)
         vol = RollingVolume(3)
         for _ in range(4):
@@ -970,8 +973,8 @@ class TestBandEdges:
 
     def test_multiscale_volume_scores_equal_whole_statistics(self, monkeypatch, rng):
         # Level 0 has 2 * BAND + 1 grid rows, level 1 BAND - 2.
-        window = WindowSpec.rectangular(7)
-        cfg = SsimConfig(bit_depth=10, window=window, multiscale=MultiscaleSpec.product(2, (0.4, 0.6)))
+        window = WindowSpec("rect", k=7)
+        cfg = SsimConfig(bit_depth=10, window=window, multiscale=MultiscaleSpec("product", levels=2, exponents=(0.4, 0.6)))
         shape = (2 * BAND + window.k, 30)
         frames = [[LumaPlane(rng.integers(0, 1024, shape, dtype=np.uint16), 10) for _ in range(2)] for _ in range(4)]
         counted = RollingVolume.local_statistics
@@ -1004,7 +1007,7 @@ class TestBandEdges:
         shape = (2 * BAND + 20, 40)
         frames = [[LumaPlane(rng.integers(0, 1024, shape, dtype=np.uint16), 10) for _ in range(2)] for _ in range(3)]
         refs, dists = [r for r, _ in frames], [d for _, d in frames]
-        auto = SsimConfig(bit_depth=10, window=WindowSpec.rectangular(11))
+        auto = SsimConfig(bit_depth=10, window=WindowSpec("rect", k=11))
         naive = SsimConfig(bit_depth=10, window=auto.window, engine="naive")
         score, reads = sample_reads(lambda: ssim.ssim_score(refs[0], dists[0], auto))
         assert reads == [] and score == ssim.ssim_score(refs[0], dists[0], naive)
@@ -1023,7 +1026,7 @@ class TestBandEdges:
         vol = RollingVolume(kt)
         for _ in range(kt):
             vol.push(frames(rng), frames(rng))
-        local, reads = sample_reads(lambda: vol.local_statistics(WindowSpec.rectangular(7)).mu1)
+        local, reads = sample_reads(lambda: vol.local_statistics(WindowSpec("rect", k=7)).mu1)
         assert local.shape == (14, 3) and reads == []
 
 
@@ -1038,7 +1041,7 @@ class TestBandEdges:
         works = []
         summed = stats.box_sums
         monkeypatch.setattr(stats, "box_sums", lambda *args: works.append(args[3]) or summed(*args))
-        vol.local_statistics(WindowSpec.rectangular(7)).mu1
+        vol.local_statistics(WindowSpec("rect", k=7)).mu1
         assert works == [np.uint32, np.uint32, np.int64, np.int64, np.int64]
         assert vol.temporal_sums()[0].dtype == np.int64
 
@@ -1054,13 +1057,13 @@ class TestStreamedStatistics:
         rng = np.random.default_rng(150)
         a = np.vstack([rng.integers(0, 10**8, (100, 40)), rng.integers(0, 3 * 10**9, (50, 40), endpoint=True)])
         b = np.clip(a + rng.integers(-10**7, 10**7, a.shape), 0, 3 * 10**9)
-        cfg = SsimConfig(window=WindowSpec.rectangular(11))
+        cfg = SsimConfig(window=WindowSpec("rect", k=11))
         whole = ssim.term_maps_from_stats(local_statistics(a, b, cfg.window), cfg.c1, cfg.c2)
         assert map_bytes(ssim.ssim_map(a, b, cfg)) == map_bytes(whole)
 
     def test_writes_after_the_call_do_not_reach_unread_statistics(self, rng):
         a, b = (rng.integers(0, 256, (BAND + 20, 30)).astype(np.uint8) for _ in range(2))
-        window = WindowSpec.rectangular(7)
+        window = WindowSpec("rect", k=7)
         want = local_statistics(a.copy(), b.copy(), window).cov.tobytes()
         local = local_statistics(a, b, window)
         a[:] = 0
@@ -1080,13 +1083,13 @@ class TestStreamedStatistics:
 
         monkeypatch.setattr(stats, "_freeze", counting)
         for plane in planes:
-            local_statistics(plane, plane, WindowSpec.rectangular(7))
+            local_statistics(plane, plane, WindowSpec("rect", k=7))
         assert copied == [False, False, False, False, True, True]  # LumaPlanes and ColorFrame channels are read-only
 
     def test_a_volume_read_after_its_next_push_is_refused(self, rng):
         vol = RollingVolume(2).push(random_plane(rng, 20, 20), random_plane(rng, 20, 20))
-        kept = vol.local_statistics(WindowSpec.rectangular(7))
-        read = vol.local_statistics(WindowSpec.rectangular(7))
+        kept = vol.local_statistics(WindowSpec("rect", k=7))
+        read = vol.local_statistics(WindowSpec("rect", k=7))
         read.mu1  # formed now, before the push
         vol.push(random_plane(rng, 20, 20), random_plane(rng, 20, 20))
         with pytest.raises(ValidationError, match="before its next push"):
@@ -1101,7 +1104,7 @@ class TestStreamedStatistics:
         calls = []
         counted = stats._table_sums
         monkeypatch.setattr(stats, "_table_sums", lambda *args: calls.append(args[3]) or counted(*args))
-        local_statistics(a, b, WindowSpec.rectangular(11)).mu1
+        local_statistics(a, b, WindowSpec("rect", k=11)).mu1
         if kind == "f64":  # five planes in each of three bands, carried rows from the second on
             assert [np.ndim(c) for c in calls] == [0] * 5 + [1] * 10
         else:
@@ -1203,7 +1206,7 @@ class TestExactIntegerSsim:
         dtype = np.uint8 if bits == 8 else np.uint16
         a = rng.integers(0, (1 << bits) - shift, (BAND + 20, 33)).astype(dtype)
         ref, dist = LumaPlane(a, bits), LumaPlane(a + dtype(shift), bits)
-        config = SsimConfig(bit_depth=bits, window=WindowSpec.rectangular(11), engine=engine)
+        config = SsimConfig(bit_depth=bits, window=WindowSpec("rect", k=11), engine=engine)
         local = local_statistics(ref, dist, config.window, engine)
         assert local.var1.tobytes() == local.var2.tobytes() == local.cov.tobytes()
         assert (ssim.ssim_map(ref, dist, config).cs_map.values == 1.0).all()
